@@ -37,6 +37,22 @@ from repro.streaming.serde import (
 #: finalized by packing both timestamps over its last 16 bytes.
 _TS_PATCH = struct.Struct("<dd")
 
+#: Records one warning poll may fetch (the consumer's default budget).
+_POLL_MAX_RECORDS = 500
+
+#: Bounds of the broker-shared warning memos (oldest evicted first; a
+#: miss only recomputes).  A slab scan is dead one poll interval after
+#: its emission batch was appended: a few entries per partition do.
+_SCAN_MEMO_ENTRIES = 12
+_DECODE_MEMO_ENTRIES = 1024
+
+
+def _memo_put(memo: dict, key, value, limit: int) -> None:
+    if len(memo) >= limit:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
+
 #: Marker for a stripe record whose wire template has not been built yet
 #: (templates are serialized on first send, not eagerly for the whole
 #: stripe — replay touches only a fraction of a large stripe).
@@ -112,8 +128,9 @@ class VehicleNode:
         frames are deferred onto the channel's batch queue (contention
         resolves at the RSU's pre-poll flush, RNG draw order
         preserved), HTB is charged lazily, and the warning-poll grid is
-        virtual — only grid instants where a poll would actually find
-        OUT-DATA records are materialized as events.  Results are
+        virtual — only grid instants whose poll would find a warning
+        for this car become events (the broker routes the wake-up by
+        record key), the rest are settled.  Results and accounting are
         bit-identical; the batched mode requires ``"poll"``
         dissemination and a single-process fault-free run
         (:class:`~repro.core.scenario.ScenarioSpec` enforces this).
@@ -212,9 +229,10 @@ class VehicleNode:
         # and the virtual warning-poll grid.
         self._leaf_name = f"vehicle-{car_id}"
         self._key_bytes = str(car_id).encode()
+        # First grid instant neither executed nor settled; pending poll.
         self._next_poll = 0.0
         self._poll_until: Optional[float] = None
-        self._poll_scheduled = False
+        self._poll_event = None
         # Frames handed to the DSRC channel whose delivery event has
         # not fired yet, and telemetry still waiting out an HTB delay —
         # keyed by a monotonic token so a cross-shard handover can ship
@@ -244,22 +262,21 @@ class VehicleNode:
             self._cancel_notify()
             self._cancel_notify = None
         if self._started:
-            if self.dissemination == "notify":
-                self._subscribe_notify()
-            elif self._batched:
-                self._subscribe_wakeup()
+            self._subscribe()
 
-    def _subscribe_notify(self) -> None:
-        self._cancel_notify = self.rsu.broker.subscribe_notify(
-            OUT_DATA, self._on_out_data_produced
-        )
-
-    def _subscribe_wakeup(self) -> None:
-        """Batched dataplane: watch OUT-DATA to materialize poll-grid
-        instants (the virtual analogue of the 10 ms poll recurrence)."""
-        self._cancel_notify = self.rsu.broker.subscribe_notify(
-            OUT_DATA, self._on_warning_appended
-        )
+    def _subscribe(self) -> None:
+        """Register the OUT-DATA wake-up: every produce in ``notify``
+        mode; on the batched dataplane only appends keyed with this car
+        id (the RSU keys a warning by the warned car) arm a poll."""
+        broker = self.rsu.broker
+        if self.dissemination == "notify":
+            self._cancel_notify = broker.subscribe_notify(
+                OUT_DATA, self._on_out_data_produced
+            )
+        elif self._batched:
+            self._cancel_notify = broker.subscribe_key(
+                OUT_DATA, self._key_bytes, self._arm_poll
+            )
 
     def _on_out_data_produced(self, metadata) -> None:
         # Coalesce: many warnings produced at the same instant (one
@@ -291,19 +308,20 @@ class VehicleNode:
             label=f"vehicle-{self.car_id}-produce",
         )
         if self.dissemination == "notify":
-            self._subscribe_notify()
+            self._subscribe()
             return
         poll_phase = float(self._rng.uniform(0.0, self.poll_interval_s))
         if self._batched:
             # Virtual polling: keep the exact poll grid the recurrence
             # would have walked (same phase draw, same float-accumulated
             # instants) but only materialize grid instants at which a
-            # poll would find records — a produce notification schedules
-            # the next one.  Empty polls, the vast majority of the 100
-            # polls/vehicle/second, never become events.
+            # poll would find a warning for this car — its keyed produce
+            # notification schedules the next one.  Empty polls never
+            # become events; nor do polls that would only drop other
+            # cars' warnings, which are settled instead (see _settle).
             self._next_poll = self.sim.now + poll_phase
             self._poll_until = until
-            self._subscribe_wakeup()
+            self._subscribe()
             return
         self._cancel_poll = self.sim.every_group(
             self.poll_interval_s,
@@ -333,7 +351,11 @@ class VehicleNode:
         self.stop()
 
     def stop(self) -> None:
+        self._settle()
         self._started = False
+        if self._poll_event is not None:
+            self.sim.cancel(self._poll_event)
+            self._poll_event = None
         if self._cancel_produce is not None:
             self._cancel_produce()
             self._cancel_produce = None
@@ -381,11 +403,11 @@ class VehicleNode:
     def _record_departure(self) -> None:
         """Snapshot the OUT-DATA read state on the broker being left.
 
-        Pure reads (positions and log-end offsets); the audit later
-        classifies un-consumed warnings on the old broker as orphaned
-        (already appended when we left) or late (emitted afterwards,
-        from telemetry still in the old pipeline).
+        The audit later classifies un-consumed warnings on the old
+        broker as orphaned (already appended when we left) or late
+        (emitted afterwards, from telemetry still in the old pipeline).
         """
+        self._settle()
         old_broker = self.rsu.broker
         positions = {
             partition: position
@@ -525,7 +547,7 @@ class VehicleNode:
                 label=f"vehicle-{self.car_id}-produce",
             )
         if self.dissemination == "notify":
-            self._subscribe_notify()
+            self._subscribe()
         elif poll_next is not None:
             self._cancel_poll = self.sim.every_group(
                 self.poll_interval_s,
@@ -671,36 +693,47 @@ class VehicleNode:
         self.stats.records_sent += 1
         self.stats.bytes_sent += size
 
-    def _on_warning_appended(self, metadata) -> None:
-        """A warning hit OUT-DATA: materialize the next poll instant.
-
-        The virtual grid advances by repeated interval addition from
-        the drawn phase — the same float accumulation the real 10 ms
-        recurrence performs — so the materialized poll fires at exactly
-        the instant the event-mode poll would have consumed this
-        warning.  Grid instants at or past the loop's ``until`` never
-        fire, matching the recurrence's drop rule.
-        """
-        if self._poll_scheduled:
+    def _settle(self) -> None:
+        """Account the never-materialized polls at grid instants before
+        now (and the loop's ``until``): each would only have fetched and
+        dropped other cars' warnings.  The grid is the drawn phase plus
+        repeated interval addition, the real recurrence's float sums,
+        whichever instants are materialized."""
+        if not (self._batched and self._started):
             return
+        limit = self.sim.now
+        if self._poll_until is not None:
+            limit = min(limit, self._poll_until)
+        self._next_poll = self._consumer.settle_polls(
+            self._next_poll, self.poll_interval_s, limit, _POLL_MAX_RECORDS
+        )
+
+    def _arm_poll(self, metadata=None) -> None:
+        """A warning for this car hit OUT-DATA (or a poll left lag):
+        unless one is pending, materialize the first grid instant at or
+        after now, when the event-mode poll would consume it.  Instants
+        at or past ``until`` never fire: the recurrence's drop rule."""
+        if self._poll_event is not None:
+            return
+        self._settle()
         target = self._next_poll
-        now = self.sim.now
-        interval = self.poll_interval_s
-        while target < now:
-            target += interval
-        self._next_poll = target
         until = self._poll_until
         if until is not None and target >= until:
             return
-        self._poll_scheduled = True
-        self.sim.at(
+        self._poll_event = self.sim.at(
             target, self._virtual_poll, label=f"vehicle-{self.car_id}-poll"
         )
 
     def _virtual_poll(self) -> None:
-        self._poll_scheduled = False
+        self._poll_event = None
         self._next_poll += self.poll_interval_s
+        consumer = self._consumer
+        before = consumer.records_consumed
         self._poll_warnings()
+        if consumer.records_consumed - before >= _POLL_MAX_RECORDS:
+            # Truncated by the budget: the event dataplane's next poll,
+            # one grid instant on, drains the rest.
+            self._arm_poll()
 
     def _transmit(
         self, envelope: dict, size: int, pending_token: Optional[int] = None
@@ -750,19 +783,16 @@ class VehicleNode:
             # shared through the broker (the stored bytes objects are
             # shared too) instead of once per vehicle per warning.  The
             # legacy (perf-baseline) path deserializes per vehicle.
-            records = self._consumer.poll(deserialize=self._legacy_tick)
+            records = self._consumer.poll(
+                _POLL_MAX_RECORDS, deserialize=self._legacy_tick
+            )
         except BrokerUnavailable:
             self.stats.poll_failures += 1
             return
         if not records:
             return
-        if self._legacy_tick:
-            cache = None
-        else:
-            broker = self.rsu.broker
-            cache = broker.__dict__.get("_warning_decode_cache")
-            if cache is None:
-                cache = broker._warning_decode_cache = {}
+        broker = self.rsu.broker
+        cache = None if self._legacy_tick else broker.warning_decode_memo
         serde = self._out_serde
         for record in records:
             if cache is None:
@@ -772,19 +802,23 @@ class VehicleNode:
                 value = cache.get(raw)
                 if value is None:
                     value = serde.deserialize(raw)
-                    cache[raw] = value
-            if int(value.get("car", -1)) != self.car_id:
-                continue
-            jitter = float(
-                self._rng.uniform(-self.consumer_jitter_s, self.consumer_jitter_s)
-            )
-            handling = max(0.0, self.consumer_processing_s + jitter)
-            received_at = self.sim.now + handling
-            detected_at = float(value["t"])
-            generated_at = float(value["generated_at"])
-            self.stats.warnings_received += 1
-            self.stats.dissemination_latencies_s.append(received_at - detected_at)
-            self.stats.e2e_latencies_s.append(received_at - generated_at)
+                    _memo_put(cache, raw, value, _DECODE_MEMO_ENTRIES)
+            if int(value.get("car", -1)) == self.car_id:
+                self._receive_warning(
+                    float(value["t"]), float(value["generated_at"])
+                )
+
+    def _receive_warning(self, detected_at: float, generated_at: float) -> None:
+        """Count one warning for this car.  The jitter draw is the only
+        RNG use here: one per own warning, in record order."""
+        jitter = float(
+            self._rng.uniform(-self.consumer_jitter_s, self.consumer_jitter_s)
+        )
+        handling = max(0.0, self.consumer_processing_s + jitter)
+        received_at = self.sim.now + handling
+        self.stats.warnings_received += 1
+        self.stats.dissemination_latencies_s.append(received_at - detected_at)
+        self.stats.e2e_latencies_s.append(received_at - generated_at)
 
     def _poll_warnings_block(self) -> None:
         """Batched-dataplane poll: scan OUT-DATA as block segments.
@@ -794,14 +828,13 @@ class VehicleNode:
         as ``poll(deserialize=False)`` — and filters for this car's
         warnings without per-record objects: a uniform struct segment is
         one ``np.frombuffer`` over the broker's slab plus one column
-        compare (every vehicle on the RSU sees every warning, so most
-        records are other cars').  The consumer-jitter draw happens only
-        for own warnings, in record order — the event path's exact RNG
-        sequence.  Mixed/JSON segments fall back to the decode loop with
-        the broker-shared memo.
+        scan (the poll reads everything appended since the last settled
+        grid instant, so most records are other cars').  Mixed/JSON
+        segments fall back to the decode loop with the broker-shared
+        memo.
         """
         try:
-            segments = self._consumer.poll_block()
+            segments = self._consumer.poll_block(_POLL_MAX_RECORDS)
         except BrokerUnavailable:
             self.stats.poll_failures += 1
             return
@@ -809,11 +842,6 @@ class VehicleNode:
             return
         dtype = self._warning_dtype
         car_id = self.car_id
-        stats = self.stats
-        now = self.sim.now
-        processing = self.consumer_processing_s
-        jitter_s = self.consumer_jitter_s
-        uniform = self._rng.uniform
         broker = self.rsu.broker
         for segment in segments:
             if (
@@ -821,13 +849,11 @@ class VehicleNode:
                 and segment.is_uniform
                 and segment.record_size == dtype.itemsize
             ):
-                # Every vehicle on the RSU fetches the same emission
-                # batch (same offsets), so the column extraction runs
-                # once per batch in a broker-shared memo, not once per
-                # vehicle per batch.
-                scan_cache = broker.__dict__.get("_warning_scan_cache")
-                if scan_cache is None:
-                    scan_cache = broker._warning_scan_cache = {}
+                # The vehicles warned by one emission batch fetch it
+                # from the same settled offsets, so the column
+                # extraction runs once per batch in a broker-shared
+                # memo, not once per warned vehicle.
+                scan_cache = broker.warning_scan_memo
                 key = (
                     segment.topic,
                     segment.partition,
@@ -843,42 +869,24 @@ class VehicleNode:
                             rows["t"].tolist(),
                             rows["generated_at"].tolist(),
                         )
-                        scan_cache[key] = entry
+                        _memo_put(scan_cache, key, entry, _SCAN_MEMO_ENTRIES)
                 if entry is not None:
                     cars, ts, gens = entry
                     for i, car in enumerate(cars):
-                        if car != car_id:
-                            continue
-                        jitter = float(uniform(-jitter_s, jitter_s))
-                        handling = max(0.0, processing + jitter)
-                        received_at = now + handling
-                        stats.warnings_received += 1
-                        stats.dissemination_latencies_s.append(
-                            received_at - ts[i]
-                        )
-                        stats.e2e_latencies_s.append(received_at - gens[i])
+                        if car == car_id:
+                            self._receive_warning(ts[i], gens[i])
                     continue
-            cache = broker.__dict__.get("_warning_decode_cache")
-            if cache is None:
-                cache = broker._warning_decode_cache = {}
+            cache = broker.warning_decode_memo
             serde = self._out_serde
             for raw in segment.value_list():
                 value = cache.get(raw)
                 if value is None:
                     value = serde.deserialize(raw)
-                    cache[raw] = value
-                if int(value.get("car", -1)) != car_id:
-                    continue
-                jitter = float(uniform(-jitter_s, jitter_s))
-                handling = max(0.0, processing + jitter)
-                received_at = now + handling
-                stats.warnings_received += 1
-                stats.dissemination_latencies_s.append(
-                    received_at - float(value["t"])
-                )
-                stats.e2e_latencies_s.append(
-                    received_at - float(value["generated_at"])
-                )
+                    _memo_put(cache, raw, value, _DECODE_MEMO_ENTRIES)
+                if int(value.get("car", -1)) == car_id:
+                    self._receive_warning(
+                        float(value["t"]), float(value["generated_at"])
+                    )
 
     def __repr__(self) -> str:
         return (

@@ -12,7 +12,8 @@ fixed presets:
 3. **Shard equivalence** — a ``shards=N`` spec must reproduce the
    ``shards=1`` warnings, vehicle stats, and latency samples exactly.
 4. **Dataplane equivalence** — a ``batched`` spec must be bit-identical
-   to the per-event dataplane.
+   to the per-event dataplane, in its signature and in its accounting
+   (broker downlink counters, per-vehicle consumer state).
 5. **Collab-disabled identity** — a present-but-disabled
    :class:`~repro.core.collab.CollabConfig` must change nothing against
    no config at all.
@@ -90,6 +91,30 @@ def scenario_signature(scenario, result) -> Dict[str, Any]:
                 list(stats.dissemination_latencies_s),
             ]
             for car, stats in result.vehicle_stats.items()
+        },
+    }
+
+
+def accounting_signature(scenario) -> Dict[str, Any]:
+    """What the dataplanes must agree on beyond the signature: each
+    broker's downlink volume and each vehicle's OUT-DATA consumer state,
+    including the read state left on every broker it departed."""
+    return {
+        "brokers": {
+            name: [rsu.broker.records_out, rsu.broker.bytes_out]
+            for name, rsu in scenario.rsus.items()
+        },
+        "vehicles": {
+            str(v.car_id): [
+                sorted(v._consumer._positions.items()),
+                v._consumer.records_consumed,
+                v._consumer.bytes_consumed,
+                [
+                    [broker.name, sorted(held.items()), sorted(ends.items())]
+                    for broker, held, ends in v._departures
+                ],
+            ]
+            for v in scenario.vehicles
         },
     }
 
@@ -255,6 +280,11 @@ def run_oracles(spec: FuzzSpec, dataset=None) -> OracleReport:
         if signature_d != signature_b:
             report.failures.append(
                 _diff_hint("dataplane_equivalence", signature_d, signature_b)
+            )
+        acct = [accounting_signature(s) for s in (scenario_d, scenario_b)]
+        if acct[0] != acct[1]:
+            report.failures.append(
+                _diff_hint("dataplane_equivalence (accounting)", *acct)
             )
 
     # --- E: disabled collab config vs none ----------------------------

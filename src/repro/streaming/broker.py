@@ -64,7 +64,16 @@ class Broker:
         # dissemination; see subscribe_notify).  Callbacks may be
         # registered before their topic exists: produce looks the list
         # up by name, so they attach the moment the topic gets traffic.
+        # Copy-on-write (subscribe/cancel rebind a new list), so
+        # dispatch iterates the list it looked up without copying it.
         self._notify: Dict[str, List[Callable[[RecordMetadata], None]]] = {}
+        # topic -> record key -> its one callback (see subscribe_key).
+        self._keyed_notify: Dict[str, Dict[bytes, Callable]] = {}
+        #: Memos shared by the vehicles polling ``OUT-DATA`` here, which
+        #: fill and bound them (:mod:`repro.core.vehicle`): column scans
+        #: of fetched warning slabs, decoded warnings by wire bytes.
+        self.warning_scan_memo: Dict[Tuple[str, int, int, int], tuple] = {}
+        self.warning_decode_memo: Dict[bytes, dict] = {}
         # (producer_id, topic) -> (last accepted sequence, its metadata):
         # the idempotent-produce dedupe table (Kafka's per-partition
         # producer state, collapsed to per-topic at this model's scale).
@@ -194,8 +203,9 @@ class Broker:
         topic = self.topic(topic_name)
         index = topic.route(key) if partition is None else partition
         log = topic.partition(index)
-        record_time = self._clock() if timestamp is None else timestamp
-        offset = log.append(record_time, key, value)
+        now = self._clock()
+        record_time = now if timestamp is None else timestamp
+        offset = log.append(record_time, key, value, now)
         topic.version += 1
         size = len(value) + (len(key) if key else 0)
         self.bytes_in += size
@@ -211,9 +221,14 @@ class Broker:
             self._producer_state[state_key] = (sequence, metadata)
         callbacks = self._notify.get(topic_name)
         if callbacks:
-            for callback in list(callbacks):
+            for callback in callbacks:
                 callback(metadata)
-        if self._clock() < self._drop_acks_until:
+        keyed = self._keyed_notify.get(topic_name)
+        if keyed:
+            callback = keyed.get(key)
+            if callback is not None:
+                callback(metadata)
+        if now < self._drop_acks_until:
             # The append happened; the ack did not make it back.
             raise BrokerUnavailable(
                 f"broker {self.name!r} lost the produce ack for "
@@ -238,14 +253,40 @@ class Broker:
         produce (registering before topic creation used to drop the
         callback silently).
         """
-        callbacks = self._notify.setdefault(topic_name, [])
-        callbacks.append(callback)
+        notify = self._notify
+        notify[topic_name] = notify.get(topic_name, []) + [callback]
 
         def cancel() -> None:
-            try:
-                callbacks.remove(callback)
-            except ValueError:
-                pass
+            callbacks = notify[topic_name]
+            if callback in callbacks:
+                at = callbacks.index(callback)
+                notify[topic_name] = callbacks[:at] + callbacks[at + 1 :]
+
+        return cancel
+
+    def subscribe_key(
+        self,
+        topic_name: str,
+        key: bytes,
+        callback: Callable[[RecordMetadata], None],
+    ) -> Callable[[], None]:
+        """Invoke ``callback(metadata)`` on every produce to the topic
+        carrying ``key``: one dict lookup per produce however many
+        subscribers.  Batched vehicles register under their car id, the
+        key of every warning for them, so an append wakes the warned
+        vehicle only.  A key has one owner per topic (a second is
+        refused); otherwise as :meth:`subscribe_notify`."""
+        keyed = self._keyed_notify.setdefault(topic_name, {})
+        if key in keyed:
+            raise BrokerError(
+                f"key {key!r} of {topic_name!r} already has a subscriber "
+                f"on {self.name!r}"
+            )
+        keyed[key] = callback
+
+        def cancel() -> None:
+            if keyed.get(key) is callback:
+                del keyed[key]
 
         return cancel
 

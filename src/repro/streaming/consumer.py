@@ -312,6 +312,59 @@ class Consumer:
             self._mark_idle()
         return segments
 
+    def settle_polls(
+        self,
+        first: float,
+        interval: float,
+        limit: float,
+        max_records: int = 500,
+    ) -> float:
+        """Account, without executing them, the polls at the grid
+        instants ``first, first + interval, ...`` strictly before
+        ``limit``; returns the first grid instant not settled.
+
+        For a caller that would drop their records unread, the polls'
+        only effects are position advances and the fetched / consumed
+        counters here and on the broker, which the partitions' append
+        clocks and size prefix sums reproduce.  While the backlog fits
+        one poll's budget every skipped poll drained its partitions, so
+        the budget rule at the last instant alone settles all; else it
+        is replayed instant by instant.  The grid is walked by repeated
+        addition, as a recurrence accumulates it.  Nothing is committed
+        (ungrouped consumers only).
+        """
+        if first >= limit:
+            return first
+        last, upcoming = first, first + interval
+        while upcoming < limit:
+            last, upcoming = upcoming, upcoming + interval
+        positions = self._positions
+        logs = [
+            (key, self._topic(key[0]).partitions[key[1]])
+            for key in self._poll_order
+        ]
+        backlog = sum(
+            max(0, log.end_offset_at(last) - positions[key])
+            for key, log in logs
+        )
+        broker = self.broker
+        instant = last if backlog <= max_records else first
+        while instant < limit:
+            budget = max_records
+            for key, log in logs:
+                position = positions[key]
+                take = min(budget, log.end_offset_at(instant) - position)
+                if take > 0:
+                    nbytes = log.range_bytes(position, take)
+                    positions[key] = position + take
+                    budget -= take
+                    self.records_consumed += take
+                    self.bytes_consumed += nbytes
+                    broker.records_out += take
+                    broker.bytes_out += nbytes
+            instant += interval
+        return upcoming
+
     def commit(self) -> None:
         """Explicitly commit current positions (manual-commit mode)."""
         if self.group is None:

@@ -10,6 +10,7 @@ partition, as in Kafka).
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_right
 from typing import List, Optional, Tuple
 
 from repro.streaming.records import StoredRecord
@@ -80,13 +81,17 @@ class Partition:
         # one: truncation would have to rebase it.  ``_cum_sizes[k]``
         # is the total consumed size (value + key bytes) of records
         # ``[0, k)``, so any fetch range's byte accounting is two list
-        # lookups instead of a per-record sum.
+        # lookups instead of a per-record sum.  ``_append_clock[k]`` is
+        # the broker clock when record ``k`` was appended (monotone,
+        # unlike timestamps): the log end as of an instant is a bisect.
         if retention_records is None:
             self._slab: Optional[_Slab] = _Slab()
             self._cum_sizes: Optional[List[int]] = [0]
+            self._append_clock: Optional[List[float]] = []
         else:
             self._slab = None
             self._cum_sizes = None
+            self._append_clock = None
         self._slab_record_size: Optional[int] = None
 
     @property
@@ -95,9 +100,13 @@ class Partition:
         return self._start_offset
 
     def append(
-        self, timestamp: float, key: Optional[bytes], value: bytes
+        self,
+        timestamp: float,
+        key: Optional[bytes],
+        value: bytes,
+        appended_at: Optional[float] = None,
     ) -> int:
-        """Append a record; returns its offset."""
+        """Append a record (``appended_at``: the clock); returns its offset."""
         offset = self._start_offset + len(self._records)
         record = StoredRecord(
             offset=offset, timestamp=timestamp, key=key, value=value
@@ -106,6 +115,9 @@ class Partition:
         self.bytes_in += record.size
         if self._cum_sizes is not None:
             self._cum_sizes.append(self._cum_sizes[-1] + record.size)
+            self._append_clock.append(
+                timestamp if appended_at is None else appended_at
+            )
         slab = self._slab
         if slab is not None:
             size = len(value)
@@ -164,17 +176,22 @@ class Partition:
         nbytes = self._cum_sizes[index + count] - self._cum_sizes[index]
         return view, size, count, self._start_offset + index + count, nbytes
 
-    def range_bytes(self, index: int, count: int) -> Optional[int]:
-        """Consumed bytes of records ``[index, index + count)``, or
-        ``None`` when the prefix sums are unavailable (retention)."""
-        if self._cum_sizes is None:
-            return None
+    def range_bytes(self, index: int, count: int) -> int:
+        """Consumed bytes of records ``[index, index + count)`` (needs
+        the prefix sums: not on a retention-bounded partition)."""
         return self._cum_sizes[index + count] - self._cum_sizes[index]
 
     @property
     def end_offset(self) -> int:
         """Offset the next record will receive (Kafka's log-end offset)."""
         return self._start_offset + len(self._records)
+
+    def end_offset_at(self, instant: float) -> int:
+        """The log-end offset a fetch at ``instant`` saw: every append
+        clocked at or before it counts."""
+        if self._append_clock is None:
+            raise ValueError("a retention-bounded log keeps no append clock")
+        return bisect_right(self._append_clock, instant)
 
     def __len__(self) -> int:
         return len(self._records)

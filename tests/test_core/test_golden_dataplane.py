@@ -12,17 +12,35 @@ These tests run the same seeded corridor through both dataplanes — with
 and without a mid-run handover — and compare the outputs exactly, the
 same shape of check as ``test_golden_equivalence.py`` applies to the
 columnar refactor.
+
+The batched plane wakes only the warned vehicle and *settles* every
+other vehicle's polls instead of running them, so the comparison covers
+the accounting too: broker downlink counters, per-vehicle consumer
+positions and consumed counters, and the read state left on departed
+brokers.
 """
 
 import pytest
 
+from repro.core import vehicle as vehicle_module
 from repro.core.scenario import ScenarioSpec
 from repro.core.system import TestbedScenario
+from repro.fuzz.oracles import accounting_signature
+from repro.geo import RoadType
+from repro.streaming import Consumer
 
 
-def _run_corridor(dataset, dataplane, serde_profile, handover_fraction=0.0):
+def _run_corridor(
+    dataset,
+    dataplane,
+    serde_profile,
+    handover_fraction=0.0,
+    n_vehicles=4,
+    prepare=None,
+    stop_at=None,
+):
     config = ScenarioSpec(
-        n_vehicles=4,
+        n_vehicles=n_vehicles,
         duration_s=2.0,
         seed=7,
         handover_fraction=handover_fraction,
@@ -31,7 +49,24 @@ def _run_corridor(dataset, dataplane, serde_profile, handover_fraction=0.0):
         dataplane=dataplane,
     )
     scenario = TestbedScenario.corridor(config, motorways=2, dataset=dataset)
-    return scenario.run(), scenario
+    if prepare is not None:
+        prepare(scenario)
+    if stop_at is None:
+        return scenario.run(), scenario
+    # A run abandoned before the loops' ``until``: same teardown order
+    # as ``run()``, minus the drain window.
+    for rsu in scenario.rsus.values():
+        rsu.start(until=config.duration_s)
+    for vehicle in scenario.vehicles:
+        vehicle.start(until=config.duration_s)
+    scenario.sim.run_until(stop_at)
+    for channel in scenario.channels.values():
+        channel.flush(scenario.sim.now)
+    for vehicle in scenario.vehicles:
+        vehicle.stop()
+    for rsu in scenario.rsus.values():
+        rsu.stop()
+    return None, scenario
 
 
 def _event_stream(scenario):
@@ -66,10 +101,22 @@ def _vehicle_signature(result):
     }
 
 
+def _assert_same_accounting(event_scenario, batched_scenario):
+    event = accounting_signature(event_scenario)
+    batched = accounting_signature(batched_scenario)
+    assert event["brokers"] == batched["brokers"]
+    assert event["vehicles"] == batched["vehicles"]
+    # vacuity guard: vehicles fetched warnings that were not theirs
+    assert sum(out for out, _ in batched["brokers"].values()) > sum(
+        v.stats.warnings_received for v in batched_scenario.vehicles
+    )
+
+
 def _assert_bit_identical(event_run, batched_run):
     event_result, event_scenario = event_run
     batched_result, batched_scenario = batched_run
     assert _event_stream(event_scenario) == _event_stream(batched_scenario)
+    _assert_same_accounting(event_scenario, batched_scenario)
     assert _vehicle_signature(event_result) == _vehicle_signature(
         batched_result
     )
@@ -126,6 +173,120 @@ def test_batched_dataplane_survives_handover(labeled_dataset):
         m.summaries_received > 0
         for m in batched_run[0].rsu_metrics.values()
     )
+
+
+def test_batched_dataplane_survives_trip_churn(labeled_dataset):
+    """Vehicles spawned and retired mid-run: a retired vehicle's pending
+    poll must not fire, and its skipped polls settle at retirement."""
+    _, replay = TestbedScenario._train_replay_split(labeled_dataset)
+    records = [r for r in replay if r.road_type is RoadType.MOTORWAY]
+
+    def churn(scenario):
+        scenario.spawn_vehicles("rsu-mw-1", 2, at_s=0.7, records=records)
+        scenario.schedule_retire([1, 2, 9], at_s=1.2)
+
+    event_run = _run_corridor(
+        labeled_dataset, "event", "struct", handover_fraction=0.5,
+        prepare=churn,
+    )
+    batched_run = _run_corridor(
+        labeled_dataset, "batched", "struct", handover_fraction=0.5,
+        prepare=churn,
+    )
+    _assert_bit_identical(event_run, batched_run)
+    assert sum(v.retired for v in batched_run[1].vehicles) == 3
+    assert len(batched_run[1].vehicles) == 14
+
+
+def test_batched_dataplane_settles_when_stopped_early(labeled_dataset):
+    """Stopping before the loops' ``until`` settles up to *now*, not up
+    to ``until``."""
+    _, event_scenario = _run_corridor(
+        labeled_dataset, "event", "struct", handover_fraction=0.5,
+        stop_at=1.337,
+    )
+    _, batched_scenario = _run_corridor(
+        labeled_dataset, "batched", "struct", handover_fraction=0.5,
+        stop_at=1.337,
+    )
+    _assert_same_accounting(event_scenario, batched_scenario)
+    assert {
+        v.car_id: (v.stats.warnings_received, v.stats.e2e_latencies_s)
+        for v in event_scenario.vehicles
+    } == {
+        v.car_id: (v.stats.warnings_received, v.stats.e2e_latencies_s)
+        for v in batched_scenario.vehicles
+    }
+
+
+def test_batched_dataplane_matches_under_truncated_polls(
+    labeled_dataset, monkeypatch
+):
+    """A poll budget smaller than an emission batch: the event path
+    polls again 10 ms later and drains; the batched path must
+    materialize that next grid instant too (it used to wait for the
+    next append), and settlement must replay the budget rule."""
+    monkeypatch.setattr(vehicle_module, "_POLL_MAX_RECORDS", 3)
+    truncated = []
+    poll_block = Consumer.poll_block
+
+    def counting_poll_block(self, max_records=500):
+        segments = poll_block(self, max_records)
+        if sum(segment.count for segment in segments) == max_records:
+            truncated.append(self.client_id)
+        return segments
+
+    monkeypatch.setattr(Consumer, "poll_block", counting_poll_block)
+    event_run = _run_corridor(
+        labeled_dataset, "event", "struct", handover_fraction=0.5,
+        n_vehicles=24,
+    )
+    batched_run = _run_corridor(
+        labeled_dataset, "batched", "struct", handover_fraction=0.5,
+        n_vehicles=24,
+    )
+    _assert_bit_identical(event_run, batched_run)
+    assert truncated  # the budget really cut polls short
+
+
+@pytest.mark.parametrize("serde_profile", ["struct", "json"])
+def test_warning_memos_stay_bounded(
+    labeled_dataset, serde_profile, monkeypatch
+):
+    """The broker-shared memos (slab column scans under struct, decoded
+    warnings under JSON) hold a few recent entries however long the run,
+    and evicting cannot change a result: bound 1 gives the same run."""
+
+    def run():
+        config = ScenarioSpec(
+            n_vehicles=12,
+            duration_s=10.0,
+            seed=7,
+            columnar=True,
+            serde_profile=serde_profile,
+            dataplane="batched",
+        )
+        scenario = TestbedScenario.corridor(
+            config, motorways=2, dataset=labeled_dataset
+        )
+        result = scenario.run()
+        sizes = [len(getattr(r.broker, memo)) for r in scenario.rsus.values()]
+        return _vehicle_signature(result), sizes, result
+
+    struct = serde_profile == "struct"
+    memo = "warning_scan_memo" if struct else "warning_decode_memo"
+    monkeypatch.setattr(vehicle_module, "_DECODE_MEMO_ENTRIES", 16)
+    signature, sizes, result = run()
+    bound = vehicle_module._SCAN_MEMO_ENTRIES if struct else 16
+    assert 0 < max(sizes) <= bound
+    # far more entries were produced than are kept
+    issued = [m.warnings_issued for m in result.rsu_metrics.values()]
+    assert min(issued) > 4 * bound
+    monkeypatch.setattr(vehicle_module, "_DECODE_MEMO_ENTRIES", 1)
+    monkeypatch.setattr(vehicle_module, "_SCAN_MEMO_ENTRIES", 1)
+    tight_signature, tight_sizes, _ = run()
+    assert max(tight_sizes) == 1
+    assert tight_signature == signature
 
 
 def test_batched_dataplane_rejects_unsupported_configs():

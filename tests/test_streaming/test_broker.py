@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.streaming import Broker, BrokerError, TopicNotFound
+from repro.streaming import Broker, BrokerError, BrokerUnavailable, TopicNotFound
 
 
 @pytest.fixture
@@ -93,3 +93,107 @@ class TestCommittedOffsets:
     def test_commit_to_unknown_topic_rejected(self, broker):
         with pytest.raises(TopicNotFound):
             broker.commit("g", "NOPE", 0, 1)
+
+
+class TestProduceNotification:
+    """Broadcast (``subscribe_notify``) and key-routed
+    (``subscribe_key``) produce callbacks."""
+
+    def test_cancel_during_dispatch_keeps_the_round_intact(self, broker):
+        calls = []
+        cancels = {}
+
+        def first(metadata):
+            calls.append("first")
+            cancels["first"]()  # cancels itself
+            cancels["second"]()  # and a sibling not yet called
+
+        def second(metadata):
+            calls.append("second")
+
+        cancels["first"] = broker.subscribe_notify("IN-DATA", first)
+        cancels["second"] = broker.subscribe_notify("IN-DATA", second)
+        broker.produce("IN-DATA", b"x")
+        # the round in flight still reaches the sibling; the next does not
+        assert calls == ["first", "second"]
+        broker.produce("IN-DATA", b"y")
+        assert calls == ["first", "second"]
+        cancels["first"]()  # idempotent
+
+    def test_subscribing_during_dispatch_waits_for_the_next_produce(
+        self, broker
+    ):
+        calls = []
+
+        def late(metadata):
+            calls.append("late")
+
+        def early(metadata):
+            calls.append("early")
+            if len(calls) == 1:
+                broker.subscribe_notify("IN-DATA", late)
+
+        broker.subscribe_notify("IN-DATA", early)
+        broker.produce("IN-DATA", b"x")
+        assert calls == ["early"]
+        broker.produce("IN-DATA", b"y")
+        assert calls == ["early", "early", "late"]
+
+    def test_keyed_callback_fires_for_its_key_only(self, broker):
+        seen = []
+        broker.subscribe_key("IN-DATA", b"7", lambda m: seen.append(m.offset))
+        broker.produce("IN-DATA", b"a", key=b"8")
+        broker.produce("IN-DATA", b"b")
+        assert seen == []
+        metadata = broker.produce("IN-DATA", b"c", key=b"7")
+        assert seen == [metadata.offset]
+
+    def test_duplicate_key_refused_until_cancelled(self, broker):
+        cancel = broker.subscribe_key("IN-DATA", b"7", lambda m: None)
+        with pytest.raises(BrokerError, match="already has a subscriber"):
+            broker.subscribe_key("IN-DATA", b"7", lambda m: None)
+        cancel()
+        cancel()  # idempotent
+        seen = []
+        replacement = broker.subscribe_key("IN-DATA", b"7", seen.append)
+        cancel()  # a stale cancel must not evict the new owner
+        broker.produce("IN-DATA", b"x", key=b"7")
+        assert len(seen) == 1
+        replacement()
+        broker.produce("IN-DATA", b"x", key=b"7")
+        assert len(seen) == 1
+
+    def test_keyed_callback_may_cancel_itself(self, broker):
+        seen = []
+        cancels = []
+
+        def once(metadata):
+            seen.append(metadata.offset)
+            cancels[0]()
+
+        cancels.append(broker.subscribe_key("IN-DATA", b"7", once))
+        broker.produce("IN-DATA", b"x", key=b"7")
+        broker.produce("IN-DATA", b"y", key=b"7")
+        assert len(seen) == 1
+
+    def test_keyed_registration_may_precede_the_topic(self):
+        broker = Broker("b")
+        seen = []
+        broker.subscribe_key("LATER", b"k", seen.append)
+        broker.create_topic("LATER", 1)
+        broker.produce("LATER", b"x", key=b"k")
+        assert len(seen) == 1
+
+    def test_notifications_precede_the_ack_loss_raise(self):
+        now = [0.0]
+        broker = Broker("b", clock=lambda: now[0])
+        broker.create_topic("t", 1)
+        seen = []
+        broker.subscribe_notify("t", lambda m: seen.append("all"))
+        broker.subscribe_key("t", b"k", lambda m: seen.append("key"))
+        broker.drop_acks_until(1.0)
+        with pytest.raises(BrokerUnavailable):
+            broker.produce("t", b"x", key=b"k")
+        # the record was appended and announced; only the ack was lost
+        assert seen == ["all", "key"]
+        assert broker.end_offset("t", 0) == 1

@@ -6,16 +6,10 @@ argument that pins shards=N bit-identical to shards=1.
 """
 
 from repro.city.arena import SegmentArena
-from repro.city.engine import (
-    CityEngine,
-    CityResult,
-    FusedShardState,
-    RsuState,
-    ShardState,
-    build_shard_state,
-    run_city,
-)
+from repro.city.engine import CityEngine, CityResult, run_city
+from repro.city.kernel import FusedShardState, build_shard_state
 from repro.city.model import COMMUTE_WAVE, FLAT_WAVE, CitySpec, DemandWave
+from repro.city.reference import RsuState, ShardState
 from repro.city.topology import CityRsu, CityTopology, build_city_topology
 
 __all__ = [

@@ -42,25 +42,17 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.city.kernel import FusedShardState, build_shard_state
+from repro.city.kernel import build_shard_state
 from repro.city.model import CitySpec
-from repro.city.reference import (
-    ID_STRIDE,
-    TICK_DIGEST as _TICK_DIGEST,
-    MoveBundle,
-    RsuState,
-    ShardState,
-    rsu_stream_name,
-)
+from repro.city.reference import MoveBundle
 from repro.city.topology import CityTopology, build_city_topology
+from repro.city.worker import CityWorkerContext, city_worker_main
 from repro.obs.metrics import RegistrySnapshot
 from repro.obs.trace import (
     SpanRecorder,
@@ -69,28 +61,16 @@ from repro.obs.trace import (
     enable_tracing,
 )
 from repro.parallel.barrier import frame_target
-from repro.parallel.engine import (
+from repro.parallel.plan import ShardPlanner
+from repro.parallel.runtime import (
     DEFAULT_RING_CAPACITY,
-    ParallelExecutionError,
+    ShardPool,
     WindowTiming,
     critical_path_cpu_s,
+    total_worker_cpu_s,
 )
-from repro.parallel.plan import ShardPlanner
-from repro.streaming.shm import ShmRing
 
-__all__ = [
-    "ID_STRIDE",
-    "CityEngine",
-    "CityResult",
-    "FusedShardState",
-    "MoveBundle",
-    "RsuState",
-    "ShardState",
-    "build_shard_state",
-    "profile_from_snapshot",
-    "rsu_stream_name",
-    "run_city",
-]
+__all__ = ["CityEngine", "CityResult", "profile_from_snapshot", "run_city"]
 
 #: Span names emitted by the fused kernel's five tick phases, in tick
 #: order — the contract between ``CitySpec(profile=True)``, the worker
@@ -174,10 +154,7 @@ class CityResult:
     def total_worker_cpu_s(self) -> float:
         if self.n_shards == 1:
             return self.serial_cpu_s
-        total = sum(self.build_cpu_s)
-        for timing in self.window_timings:
-            total += sum(timing.worker_cpu_s)
-        return total
+        return total_worker_cpu_s(self.build_cpu_s, self.window_timings)
 
     def audit(self) -> List[str]:
         """Conservation-law check; an empty list means the run is green."""
@@ -208,15 +185,6 @@ class CityResult:
 # ----------------------------------------------------------------------
 # Engine
 # ----------------------------------------------------------------------
-@dataclass
-class _WorkerHandle:
-    index: int
-    process: object
-    conn: object
-    inbox: ShmRing
-    outbox: ShmRing
-
-
 class CityEngine:
     """Run a :class:`CitySpec` serially or across shard workers."""
 
@@ -347,227 +315,95 @@ class CityEngine:
 
     # ------------------------------------------------------------------
     def _run_sharded(self) -> CityResult:
-        from repro.city.worker import CityWorkerContext, city_worker_main
-
-        spec = self.spec
-        topology = self.topology
-        n_shards = len(self.assignments)
-        index_of = {name: i for i, name in enumerate(topology.rsu_names())}
-        shard_of = [0] * len(topology)
+        index_of = {
+            name: i for i, name in enumerate(self.topology.rsu_names())
+        }
+        shard_of = [0] * len(self.topology)
         for shard, names in enumerate(self.assignments):
             for name in names:
                 shard_of[index_of[name]] = shard
-
-        mp_ctx = multiprocessing.get_context(
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
+        contexts = [
+            CityWorkerContext(
+                n_shards=len(self.assignments),
+                spec=self.spec,
+                topology=self.topology,
+                owned=tuple(sorted(index_of[name] for name in names)),
+                shard_of=tuple(shard_of),
+            )
+            for names in self.assignments
+        ]
         wall_start = time.perf_counter()
-        workers: List[_WorkerHandle] = []
-        try:
-            for shard in range(n_shards):
-                parent_conn, child_conn = mp_ctx.Pipe()
-                inbox = ShmRing(self.ring_capacity)
-                outbox = ShmRing(self.ring_capacity)
-                ctx = CityWorkerContext(
-                    shard_index=shard,
-                    n_shards=n_shards,
-                    spec=spec,
-                    topology=topology,
-                    owned=tuple(
-                        sorted(index_of[name] for name in self.assignments[shard])
-                    ),
-                    shard_of=tuple(shard_of),
-                    conn=child_conn,
-                    inbox=inbox,
-                    outbox=outbox,
-                )
-                process = mp_ctx.Process(
-                    target=city_worker_main, args=(ctx,), daemon=True
-                )
-                process.start()
-                child_conn.close()
-                workers.append(
-                    _WorkerHandle(shard, process, parent_conn, inbox, outbox)
-                )
-            return self._drive(workers, wall_start)
-        finally:
-            for worker in workers:
-                if worker.process.is_alive():
-                    worker.process.terminate()
-                worker.process.join()
-                worker.conn.close()
-                for ring in (worker.inbox, worker.outbox):
-                    ring.close()
-                    ring.unlink()
-
-    def _recv(self, worker: _WorkerHandle, expect: str):
-        message = worker.conn.recv()
-        if message[0] == "error":
-            raise ParallelExecutionError(
-                f"city shard {worker.index} failed:\n{message[1]}"
-            )
-        if message[0] != expect:
-            raise ParallelExecutionError(
-                f"city shard {worker.index}: expected {expect!r}, "
-                f"got {message[0]!r}"
-            )
-        return message
+        with ShardPool(city_worker_main, contexts, self.ring_capacity) as pool:
+            return self._drive(pool, index_of, wall_start)
 
     def _drive(
-        self, workers: List[_WorkerHandle], wall_start: float
+        self, pool: ShardPool, index_of: Dict[str, int], wall_start: float
     ) -> CityResult:
         spec = self.spec
         topology = self.topology
         planner = ShardPlanner()
-        build_cpu = tuple(self._recv(w, "ready")[1] for w in workers)
-        index_of = {name: i for i, name in enumerate(topology.rsu_names())}
 
-        # Frames routed between workers are *staged* engine-side and only
-        # pushed into a worker's inbox right before its next Pipe message
-        # — at that point the worker is provably idle (the engine has its
-        # previous reply), so an inbox push can never race the worker's
-        # own exact-count drain of the current tick's frames.
-        staged: List[List[Tuple[int, bytes]]] = [[] for _ in workers]
-        window_timings: List[WindowTiming] = []
+        def route(_source: int, _kind: int, buf: bytes) -> int:
+            return int(frame_target(buf))  # city frames name their shard
+
         rebalance_events: List[dict] = []
         load_accum = np.zeros(len(topology), dtype=np.int64)
         window_ticks = 0
         peak = 0
         load_sum = 0
         interval = spec.rebalance_interval_ticks
-        # Scheduling policy: with at least one core per worker, broadcast
-        # the tick so shards genuinely run concurrently.  On a host with
-        # fewer cores than shards, concurrency is pure oversubscription —
-        # the workers time-slice one another, and the context-switch
-        # cache thrash shows up as inflated per-worker CPU.  Driving the
-        # same protocol worker-at-a-time does identical work, leaves the
-        # frame traffic and results bit-identical, and keeps the CPU
-        # critical path (what wall clock converges to on a wide host)
-        # faithfully measured.
-        oversubscribed = (os.cpu_count() or 1) < len(workers)
-
-        def send_tick(worker, frames, tick_index, now, decision_tick):
-            for kind, buf in frames:
-                worker.inbox.push(kind, buf)
-            worker.conn.send(
-                ("tick", tick_index, now, len(frames), not decision_tick)
-            )
-
-        def recv_tick(worker, worker_cpu, decision_tick):
-            message = self._recv(worker, "ticked")
-            worker_cpu[worker.index] = message[1]
-            if decision_tick:
-                # Window boundary: the worker ships its per-RSU loads
-                # summed over the closing window in one vector.
-                indices, counts = message[3], message[4]
-                load_accum[indices] += counts
-            else:
-                # The worker routed before replying, so its outbox is
-                # complete the moment "ticked" lands.
-                for kind, buf in worker.outbox.drain():
-                    staged[int(frame_target(buf))].append((kind, buf))
-            return message[2]
 
         for tick_index in range(spec.n_ticks):
             now = tick_index * spec.tick_s
             # Ownership can only change on a rebalance-decision tick, so
             # every other tick runs the fused protocol: the worker routes
             # its moves under the (fixed) shard map inside the tick and a
-            # single Pipe round trip covers both phases.
+            # single round covers both phases.
             decision_tick = bool(interval) and (tick_index + 1) % interval == 0
-            engine_cpu_start = time.process_time()
-            worker_cpu = [0.0] * len(workers)
-            concurrent = 0
-            # Snapshot this tick's inbound frames before any worker runs:
-            # frames a worker produces *during* this tick land in the
-            # fresh `staged` and are delivered next tick, keeping the
-            # produced-at-t / applied-at-t+1 rule independent of whether
-            # workers run concurrently or one at a time.
-            inbound = staged
-            staged = [[] for _ in workers]
-            if oversubscribed:
-                for worker in workers:
-                    send_tick(
-                        worker, inbound[worker.index], tick_index, now,
-                        decision_tick,
-                    )
-                    concurrent += recv_tick(worker, worker_cpu, decision_tick)
-            else:
-                for worker in workers:
-                    send_tick(
-                        worker, inbound[worker.index], tick_index, now,
-                        decision_tick,
-                    )
-                for worker in workers:
-                    concurrent += recv_tick(worker, worker_cpu, decision_tick)
+            replies = pool.round(
+                ("tick", tick_index, now, not decision_tick),
+                "ticked",
+                route,
+                barrier_s=now,
+            )
+            concurrent = sum(reply[2] for reply in replies)
             window_ticks += 1
             load_sum += concurrent
             if concurrent > peak:
                 peak = concurrent
+            if not decision_tick:
+                continue
 
+            # Window boundary: each worker shipped its per-RSU loads
+            # summed over the closing window in one vector, and held its
+            # moves for the flush round below.
+            for reply in replies:
+                load_accum[reply[3]] += reply[4]
+            mean_loads = {
+                rsu.name: load_accum[rsu.index] / window_ticks
+                + spec.rebalance_rsu_cost
+                for rsu in topology.rsus
+            }
             reassignments: List[Tuple[int, int]] = []
-            if decision_tick:
-                mean_loads = {
-                    rsu.name: load_accum[rsu.index] / window_ticks
-                    + spec.rebalance_rsu_cost
-                    for rsu in topology.rsus
-                }
-                decisions = planner.rebalance(
-                    self.assignments,
-                    mean_loads,
-                    threshold=spec.rebalance_threshold,
+            for decision in planner.rebalance(
+                self.assignments, mean_loads, threshold=spec.rebalance_threshold
+            ):
+                self.assignments[decision.from_shard].remove(decision.rsu)
+                self.assignments[decision.to_shard].append(decision.rsu)
+                reassignments.append((index_of[decision.rsu], decision.to_shard))
+                rebalance_events.append(
+                    {
+                        "tick": tick_index + 1,
+                        "rsu": decision.rsu,
+                        "from_shard": decision.from_shard,
+                        "to_shard": decision.to_shard,
+                    }
                 )
-                for decision in decisions:
-                    self.assignments[decision.from_shard].remove(decision.rsu)
-                    self.assignments[decision.to_shard].append(decision.rsu)
-                    reassignments.append(
-                        (index_of[decision.rsu], decision.to_shard)
-                    )
-                    rebalance_events.append(
-                        {
-                            "tick": tick_index + 1,
-                            "rsu": decision.rsu,
-                            "from_shard": decision.from_shard,
-                            "to_shard": decision.to_shard,
-                        }
-                    )
-                load_accum[:] = 0
-                window_ticks = 0
+            load_accum[:] = 0
+            window_ticks = 0
+            pool.round(("flush", reassignments), "flushed", route, deliver=False)
 
-                def recv_flush(worker):
-                    _, cpu_s = self._recv(worker, "flushed")
-                    worker_cpu[worker.index] += cpu_s
-                    for kind, buf in worker.outbox.drain():
-                        staged[int(frame_target(buf))].append((kind, buf))
-
-                if oversubscribed:
-                    for worker in workers:
-                        worker.conn.send(("flush", reassignments))
-                        recv_flush(worker)
-                else:
-                    for worker in workers:
-                        worker.conn.send(("flush", reassignments))
-                    for worker in workers:
-                        recv_flush(worker)
-            window_timings.append(
-                WindowTiming(
-                    barrier_s=now,
-                    worker_cpu_s=tuple(worker_cpu),
-                    engine_cpu_s=time.process_time() - engine_cpu_start,
-                )
-            )
-
-        for worker in workers:
-            frames = staged[worker.index]
-            staged[worker.index] = []
-            for kind, buf in frames:
-                worker.inbox.push(kind, buf)
-            worker.conn.send(("collect", len(frames)))
-        shard_results = [self._recv(w, "result")[1] for w in workers]
-        for worker in workers:
-            worker.process.join()
+        shard_results = pool.collect(deliver=True)
         wall = time.perf_counter() - wall_start
 
         per_rsu: Dict[str, dict] = {}
@@ -576,12 +412,8 @@ class CityEngine:
         produced = sum(r["produced"] for r in shard_results)
         applied = sum(r["applied"] for r in shard_results)
         in_flight = sum(r["in_flight"] for r in shard_results)
-        obs = None
-        if spec.observability:
-            obs = RegistrySnapshot()
-            for result in shard_results:
-                if result.get("obs") is not None:
-                    obs = obs.merge(RegistrySnapshot.decode(result["obs"]))
+        obs = pool.obs
+        if obs is not None:
             obs = obs.merge(self._fold_obs([per_rsu], produced))
         # Worker spans only cross the process boundary as folded
         # histograms, so the sharded breakdown comes from the snapshot.
@@ -590,7 +422,7 @@ class CityEngine:
             profile = profile_from_snapshot(obs)
         return CityResult(
             n_rsus=len(topology),
-            n_shards=len(workers),
+            n_shards=len(shard_results),
             n_ticks=spec.n_ticks,
             digests={name: r["digest"] for name, r in per_rsu.items()},
             warnings={name: r["warnings"] for name, r in per_rsu.items()},
@@ -603,8 +435,8 @@ class CityEngine:
             peak_concurrent=peak,
             mean_concurrent=load_sum / max(spec.n_ticks, 1),
             rebalance_events=rebalance_events,
-            build_cpu_s=build_cpu,
-            window_timings=window_timings,
+            build_cpu_s=pool.build_cpu_s,
+            window_timings=pool.window_timings,
             wall_s=wall,
             obs=obs,
             profile=profile,

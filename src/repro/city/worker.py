@@ -1,16 +1,17 @@
 """City shard worker: the per-process side of the sharded city engine.
 
-Protocol (engine → worker over a Pipe, frames over ShmRings):
+Handlers for :func:`repro.parallel.runtime.serve`, which runs the loop
+(it hands each handler the round's inbox frames, times it — the
+``cpu_s`` below — and ships any error back as a traceback):
 
-- ``("tick", index, now, n_frames, inline)`` — drain exactly
-  ``n_frames`` from the inbox (RSU-state frames install first, then
-  move bundles), run the tick over owned RSUs.  With ``inline`` true
-  (every tick that cannot change ownership — the shard map is fixed,
-  so moves can be routed immediately), also partition and push the
-  produced moves before replying ``("ticked", cpu_s, concurrent)`` —
-  one Pipe round trip per tick carrying one scalar.  With ``inline``
-  false (a rebalance-decision tick, i.e. the window boundary) the
-  moves are *held* for the flush phase and the reply is
+- ``("tick", index, now, inline)`` — install the frames (RSU-state
+  frames first, then move bundles), run the tick over owned RSUs.  With
+  ``inline`` true (every tick that cannot change ownership — the shard
+  map is fixed, so moves can be routed immediately), also partition and
+  push the produced moves before replying ``("ticked", cpu_s,
+  concurrent)`` — one Pipe round trip per tick carrying one scalar.
+  With ``inline`` false (a rebalance-decision tick, i.e. the window
+  boundary) the moves are *held* for the flush phase and the reply is
   ``("ticked", cpu_s, concurrent, indices, window_counts)``: the
   per-RSU loads summed worker-side over the closing window, which is
   exactly what the rebalancer consumes.  Ownership is constant within
@@ -25,41 +26,35 @@ Protocol (engine → worker over a Pipe, frames over ShmRings):
   the tick's loads and applied before any of that tick's moves are
   routed, so no frame is ever addressed to a stale owner and no RSU
   migrates mid-tick.
-- ``("collect", n_frames)`` — drain leftovers (counting, not applying,
-  their rows as in-flight), reply ``("result", payload)``.
-
-Errors anywhere ship the traceback back as ``("error", tb)``; the
-engine re-raises.
+- ``("collect",)`` — count (not apply) the leftover frames' rows as
+  in-flight, reply ``("result", cpu_s, payload)``.
 """
 
 from __future__ import annotations
 
 import gc
-import time
-import traceback
 from dataclasses import dataclass
-from typing import List, Tuple
+from functools import partial
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.city.engine import MoveBundle, build_shard_state
+from repro.city.kernel import build_shard_state
 from repro.city.model import CitySpec
+from repro.city.reference import MoveBundle
 from repro.obs.trace import SpanRecorder, enable_tracing
 from repro.city.topology import CityTopology
-from repro.obs import metrics as obs_metrics
 from repro.parallel.barrier import (
     FRAME_MIGRATION,
     FRAME_RSU_STATE,
     decode_shard_payload,
     encode_shard_payload,
 )
-from repro.parallel.worker import enable_worker_observability
-from repro.streaming.shm import ShmRing
+from repro.parallel.runtime import Handler, WorkerChannel, serve
 
 
 @dataclass
 class CityWorkerContext:
-    shard_index: int
     n_shards: int
     spec: CitySpec
     topology: CityTopology
@@ -67,33 +62,29 @@ class CityWorkerContext:
     owned: Tuple[int, ...]
     #: Initial RSU index → shard map (identical in every worker).
     shard_of: Tuple[int, ...]
-    conn: object
-    inbox: ShmRing
-    outbox: ShmRing
 
 
-def city_worker_main(ctx: CityWorkerContext) -> None:
-    try:
-        # Same policy as the serial engine loop: the tick path allocates
-        # heavily but cycle-free, so cyclic GC is pure pause time — and a
-        # pause in any one worker lands on the tick's critical path.
-        gc.disable()
-        _CityWorker(ctx).serve()
-    except BaseException:  # ship the traceback; the engine re-raises
-        try:
-            ctx.conn.send(("error", traceback.format_exc()))
-        except Exception:
-            pass
+def city_worker_main(channel: WorkerChannel, ctx: CityWorkerContext) -> None:
+    # Same policy as the serial engine loop: the tick path allocates
+    # heavily but cycle-free, so cyclic GC is pure pause time — and a
+    # pause in any one worker lands on the tick's critical path.
+    gc.disable()
+    serve(channel, partial(_CityWorker, ctx), ctx.spec.observability)
 
 
 class _CityWorker:
-    def __init__(self, ctx: CityWorkerContext) -> None:
-        build_start = time.process_time()
+    def __init__(
+        self, ctx: CityWorkerContext, channel: WorkerChannel, registry, recorder
+    ) -> None:
+        self.channel = channel
+        self.handlers: Dict[str, Handler] = {
+            "tick": self._tick,
+            "flush": self._flush,
+            "collect": self._collect,
+        }
         self.ctx = ctx
-        self.index = ctx.shard_index
-        self.obs_registry, self.obs_recorder = enable_worker_observability(
-            ctx.spec.observability
-        )
+        self.index = channel.index
+        self.obs_registry, self.obs_recorder = registry, recorder
         if ctx.spec.profile and self.obs_recorder is not None:
             # The default span ring is sized for corridor runs; a city
             # profile needs every phase span of every tick (up to 8) to
@@ -113,47 +104,15 @@ class _CityWorker:
         self.win_indices = None
         self.win_counts = None
         self.moves_produced = 0
-        self.build_cpu_s = time.process_time() - build_start
 
     # ------------------------------------------------------------------
-    def serve(self) -> None:
-        self.ctx.conn.send(("ready", self.build_cpu_s))
-        while True:
-            message = self.ctx.conn.recv()
-            op = message[0]
-            if op == "tick":
-                _, tick_index, now, n_frames, inline = message
-                self._tick(tick_index, now, n_frames, inline)
-            elif op == "flush":
-                self._flush(message[1])
-            elif op == "collect":
-                self._collect(message[1])
-                return
-            else:  # pragma: no cover - protocol error
-                raise RuntimeError(f"unknown op {op!r}")
-
-    # ------------------------------------------------------------------
-    def _drain(self, n_frames: int) -> List[Tuple[int, bytes]]:
-        # The engine pushes every frame before the Pipe message that
-        # announces them, so one drain must account for all of them.
-        frames = self.ctx.inbox.drain()
-        if len(frames) != n_frames:
-            raise RuntimeError(
-                f"city shard {self.index}: expected {n_frames} inbox "
-                f"frames, drained {len(frames)}"
-            )
-        return frames
-
-    def _tick(
-        self, tick_index: int, now: float, n_frames: int, inline: bool
-    ) -> None:
-        cpu_start = time.process_time()
+    def _tick(self, frames, tick_index: int, now: float, inline: bool) -> tuple:
         inbound = self.pending_local
         self.pending_local = []
         # Install adopted RSUs before admitting any moves: a frame in
         # the same batch may carry vehicles bound for the new arrival.
         bundles: List[MoveBundle] = []
-        for kind, buf in self._drain(n_frames):
+        for kind, buf in frames:
             _, payload = decode_shard_payload(buf)
             if kind == FRAME_RSU_STATE:
                 self.shard.adopt(payload)
@@ -179,27 +138,15 @@ class _CityWorker:
             # No ownership change possible this tick: route immediately
             # and fold the whole tick into one scalar-carrying reply.
             self._route_held([])
-            self.ctx.conn.send(
-                ("ticked", time.process_time() - cpu_start, concurrent)
-            )
-        else:
-            window_indices, window_counts = self.win_indices, self.win_counts
-            self.win_indices = None
-            self.win_counts = None
-            self.ctx.conn.send(
-                (
-                    "ticked",
-                    time.process_time() - cpu_start,
-                    concurrent,
-                    window_indices,
-                    window_counts,
-                )
-            )
+            return "ticked", concurrent
+        window_indices, window_counts = self.win_indices, self.win_counts
+        self.win_indices = None
+        self.win_counts = None
+        return "ticked", concurrent, window_indices, window_counts
 
-    def _flush(self, reassignments: List[Tuple[int, int]]) -> None:
-        cpu_start = time.process_time()
+    def _flush(self, _frames, reassignments: List[Tuple[int, int]]) -> tuple:
         self._route_held(reassignments)
-        self.ctx.conn.send(("flushed", time.process_time() - cpu_start))
+        return ("flushed",)
 
     def _route_held(self, reassignments: List[Tuple[int, int]]) -> None:
         for rsu_index, to_shard in reassignments:
@@ -208,7 +155,7 @@ class _CityWorker:
                 and rsu_index in self.shard.rsus
             ):
                 packed = self.shard.detach(rsu_index)
-                self.ctx.outbox.push(
+                self.channel.outbox.push(
                     FRAME_RSU_STATE, encode_shard_payload(to_shard, packed)
                 )
             self.shard_of[rsu_index] = to_shard
@@ -247,14 +194,14 @@ class _CityWorker:
                 if shard == self.index:
                     self.pending_local.append(bundle)
                 else:
-                    self.ctx.outbox.push(
+                    self.channel.outbox.push(
                         FRAME_MIGRATION, encode_shard_payload(shard, bundle)
                     )
 
     # ------------------------------------------------------------------
-    def _collect(self, n_frames: int) -> None:
+    def _collect(self, frames) -> tuple:
         in_flight = sum(int(b[0].size) for b in self.pending_local)
-        for kind, buf in self._drain(n_frames):
+        for kind, buf in frames:
             _, payload = decode_shard_payload(buf)
             if kind == FRAME_MIGRATION:
                 in_flight += int(payload[0].size)
@@ -262,24 +209,15 @@ class _CityWorker:
                 # A final-tick rebalance landed here; adopt so the RSU
                 # is reported exactly once, by its new owner.
                 self.shard.adopt(payload)
-        obs_encoded = None
         if self.obs_registry is not None:
             self.obs_registry.gauge("city.shard_rsus", shard=str(self.index)).set(
                 len(self.shard.rsus)
             )
             if self.ctx.spec.profile and self.obs_recorder is not None:
                 self.obs_recorder.fold_into(self.obs_registry)
-            obs_encoded = self.obs_registry.snapshot().encode()
-            obs_metrics.disable()
-        self.ctx.conn.send(
-            (
-                "result",
-                {
-                    "rsus": self.shard.rsu_results(),
-                    "produced": self.moves_produced,
-                    "applied": self.shard.moves_applied,
-                    "in_flight": in_flight,
-                    "obs": obs_encoded,
-                },
-            )
-        )
+        return "result", {
+            "rsus": self.shard.rsu_results(),
+            "produced": self.moves_produced,
+            "applied": self.shard.moves_applied,
+            "in_flight": in_flight,
+        }

@@ -209,6 +209,8 @@ class RsuNode:
         # Resilience state
         self.crashed_at: Optional[float] = None
         self.restarted_at: Optional[float] = None
+        #: Open :meth:`crash` windows; the node is down while > 0.
+        self._open_crashes = 0
         self.degraded = False
         #: (time, "degraded" | "recovered") transitions, in order.
         self.degradation_events: List[Tuple[float, str]] = []
@@ -329,8 +331,13 @@ class RsuNode:
 
         The broker's durable state (logs, committed offsets) survives;
         :meth:`restart` brings the node back and the pipeline resumes
-        from its last committed micro-batch.
+        from its last committed micro-batch.  Overlapping outages take
+        the union: a crash while already down only deepens the outage,
+        and the node comes back when the last window's restart arrives.
         """
+        self._open_crashes += 1
+        if self._open_crashes > 1:
+            return
         self.crashed_at = self.sim.now
         self.context.stop()
         self._cancel_co_refresh()
@@ -346,6 +353,10 @@ class RsuNode:
         """
         if self.failed:
             raise RuntimeError(f"RSU {self.name!r} failed permanently")
+        if self._open_crashes > 0:
+            self._open_crashes -= 1
+            if self._open_crashes > 0:
+                return
         self.broker.restart()
         self._in_consumer = self._make_pipeline_consumer()
         self._co_consumer = self._make_collab_consumer()

@@ -12,7 +12,7 @@ Two topologies, matching the evaluation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,6 +69,20 @@ class ResilienceStats:
     )
     #: Per-RSU restart time (crashed-and-recovered nodes only).
     restarted_at_s: Dict[str, float] = field(default_factory=dict)
+
+    def merge(self, other: "ResilienceStats") -> None:
+        """Fold another partition's stats into this one (shards own
+        disjoint RSUs and vehicles): counters add, per-RSU maps union,
+        the fault log extends.  Driven by the field list so a counter
+        added to the dataclass cannot be dropped under sharding."""
+        for spec in fields(self):
+            mine, theirs = getattr(self, spec.name), getattr(other, spec.name)
+            if isinstance(mine, dict):
+                mine.update(theirs)
+            elif isinstance(mine, list):
+                mine.extend(theirs)
+            else:
+                setattr(self, spec.name, mine + theirs)
 
     def to_dict(self) -> dict:
         return {

@@ -8,7 +8,9 @@ This package partitions a scenario's RSUs across worker processes
 :class:`~repro.simkernel.simulator.Simulator` per shard, and exchanges
 the only cross-shard traffic at 50 ms micro-batch barriers over
 shared-memory rings (:mod:`repro.parallel.barrier`,
-:mod:`repro.streaming.shm`) via a conservative time-stepped protocol —
+:mod:`repro.streaming.shm`) via a conservative time-stepped protocol
+on the shard runtime (:mod:`repro.parallel.runtime`, shared with
+:mod:`repro.city`) —
 parallel runs are deterministic and warning-for-warning identical to the
 single-process engine.
 """

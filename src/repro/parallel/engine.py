@@ -20,10 +20,8 @@ warning-for-warning.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.scenario import ScenarioSpec
 from repro.core.system import (
@@ -33,57 +31,21 @@ from repro.core.system import (
 )
 from repro.core.topology import corridor_topology
 from repro.obs.metrics import RegistrySnapshot
-from repro.streaming.shm import ShmRing
 from repro.parallel.barrier import FRAME_METRICS, frame_target, sync_schedule
 from repro.parallel.plan import ShardPlan, ShardPlanner
+from repro.parallel.runtime import (
+    DEFAULT_RING_CAPACITY,
+    ParallelExecutionError,
+    ShardPool,
+    WindowTiming,
+    critical_path_cpu_s,
+    total_worker_cpu_s,
+)
 from repro.parallel.worker import ShardContext, shard_worker_main
 
+__all__ = ["ParallelExecutionError", "ShardedScenario", "WindowTiming"]
+
 logger = logging.getLogger(__name__)
-
-#: Per-direction shared-memory ring size.  One barrier's worth of
-#: cross-shard traffic must fit; transfers dominate (a pickled vehicle
-#: state with its latency lists is a few tens of KB late in a run).
-DEFAULT_RING_CAPACITY = 1 << 22
-
-
-class ParallelExecutionError(RuntimeError):
-    """A shard worker failed; carries its traceback."""
-
-
-@dataclass(frozen=True)
-class WindowTiming:
-    """One barrier window's cost accounting."""
-
-    barrier_s: float
-    #: Per-shard CPU seconds spent inside the window's step.
-    worker_cpu_s: Tuple[float, ...]
-    #: Engine-side CPU spent collecting replies and routing frames.
-    engine_cpu_s: float
-
-
-def critical_path_cpu_s(
-    build_cpu_s: Sequence[float], window_timings: Sequence[WindowTiming]
-) -> float:
-    """A sharded run's CPU critical path: slowest shard's build plus,
-    per window, the slowest shard's step plus the engine's routing
-    work.  On a host with at least ``n_shards`` free cores this is what
-    the wall clock converges to; on a smaller host it is the honest
-    speedup numerator (workers time-share cores, so measured wall
-    degenerates to the CPU *sum*).  Shared by the corridor and city
-    engines."""
-    total = max(build_cpu_s) if build_cpu_s else 0.0
-    for timing in window_timings:
-        total += max(timing.worker_cpu_s) + timing.engine_cpu_s
-    return total
-
-
-@dataclass
-class _WorkerHandle:
-    index: int
-    process: object
-    conn: object
-    inbox: ShmRing
-    outbox: ShmRing
 
 
 class ShardedScenario:
@@ -143,139 +105,58 @@ class ShardedScenario:
         return self.plan.n_shards
 
     def critical_path_cpu_s(self) -> float:
-        """See module-level :func:`critical_path_cpu_s`."""
+        """See :func:`repro.parallel.runtime.critical_path_cpu_s`."""
         return critical_path_cpu_s(self.build_cpu_s, self.window_timings)
 
     def total_worker_cpu_s(self) -> float:
-        """CPU summed over every shard's windows (work-inflation check)."""
-        total = sum(self.build_cpu_s)
-        for timing in self.window_timings:
-            total += sum(timing.worker_cpu_s)
-        return total
+        """See :func:`repro.parallel.runtime.total_worker_cpu_s`."""
+        return total_worker_cpu_s(self.build_cpu_s, self.window_timings)
 
     # ------------------------------------------------------------------
     def run(self) -> ScenarioResult:
-        mp_ctx = multiprocessing.get_context(
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
         schedule = sync_schedule(
             self.config.batch_interval_s,
             self.config.duration_s,
             [handover.at_s for handover in self.topology.handovers],
         )
-        workers: List[_WorkerHandle] = []
-        try:
-            for index, names in enumerate(self.plan.assignments):
-                parent_conn, child_conn = mp_ctx.Pipe()
-                inbox = ShmRing(self.ring_capacity)
-                outbox = ShmRing(self.ring_capacity)
-                ctx = ShardContext(
-                    shard_index=index,
-                    spec=self.config,
-                    topology=self.topology,
-                    bundle=self.bundle,
-                    local=tuple(names),
-                    conn=child_conn,
-                    inbox=inbox,
-                    outbox=outbox,
-                )
-                process = mp_ctx.Process(
-                    target=shard_worker_main,
-                    args=(ctx,),
-                    name=f"repro-shard-{index}",
-                    daemon=True,
-                )
-                process.start()
-                workers.append(
-                    _WorkerHandle(index, process, parent_conn, inbox, outbox)
-                )
-            for worker in workers:
-                self.build_cpu_s.append(self._recv(worker, "ready")[1])
-
-            pending: List[List[Tuple[int, bytes]]] = [[] for _ in workers]
+        shards = [
+            ShardContext(self.config, self.topology, self.bundle, tuple(names))
+            for names in self.plan.assignments
+        ]
+        with ShardPool(shard_worker_main, shards, self.ring_capacity) as pool:
+            self.build_cpu_s = list(pool.build_cpu_s)
+            self.window_timings = pool.window_timings
             wall_start = time.perf_counter()
-            for i, barrier in enumerate(schedule):
-                final = i == len(schedule) - 1
-                for worker, frames in zip(workers, pending):
-                    for kind, buf in frames:
-                        worker.inbox.push(kind, buf)
-                    worker.conn.send(("step", barrier, len(frames), final))
-                pending = [[] for _ in workers]
-                engine_start = time.process_time()
-                cpu: List[float] = []
-                for worker in workers:
-                    reply = self._recv(worker, "done")
-                    cpu.append(reply[1])
-                    for kind, buf in worker.outbox.drain():
-                        if kind == FRAME_METRICS:
-                            # Addressed to the engine, not a shard — no
-                            # routing header (frame_target would read
-                            # garbage).  Cumulative: replace, don't add.
-                            self.shard_snapshots[worker.index] = (
-                                RegistrySnapshot.decode(buf)
-                            )
-                            continue
-                        shard = self.plan.shard_of(frame_target(buf))
-                        pending[shard].append((kind, buf))
-                self.window_timings.append(
-                    WindowTiming(
-                        barrier,
-                        tuple(cpu),
-                        time.process_time() - engine_start,
-                    )
+            for barrier in schedule:
+                pool.round(
+                    ("step", barrier, barrier == schedule[-1]),
+                    "done",
+                    self._route,
+                    barrier_s=barrier,
                 )
             self.wall_s = time.perf_counter() - wall_start
 
-            self.undelivered_frames = sum(len(frames) for frames in pending)
+            results = pool.collect(deliver=False)
+            self.undelivered_frames = pool.staged_frames
             if self.undelivered_frames:
                 logger.warning(
                     "%d cross-shard frames produced after the final barrier "
                     "were dropped (handover too close to scenario end)",
                     self.undelivered_frames,
                 )
-
-            for worker in workers:
-                worker.conn.send(("collect",))
-            results = [self._recv(worker, "result")[1] for worker in workers]
-            for worker in workers:
-                worker.process.join(timeout=30)
-            return self._merge(results)
-        finally:
-            for worker in workers:
-                if worker.process.is_alive():
-                    worker.process.terminate()
-                    worker.process.join(timeout=5)
-                worker.conn.close()
-                for ring in (worker.inbox, worker.outbox):
-                    try:
-                        ring.close()
-                        ring.unlink()
-                    except Exception:
-                        pass
+            return self._merge(results, pool.obs)
 
     # ------------------------------------------------------------------
-    def _recv(self, worker: _WorkerHandle, expected: str):
-        try:
-            reply = worker.conn.recv()
-        except EOFError:
-            raise ParallelExecutionError(
-                f"shard {worker.index} died without a reply "
-                f"(exitcode={worker.process.exitcode})"
-            )
-        if reply[0] == "error":
-            raise ParallelExecutionError(
-                f"shard {worker.index} failed:\n{reply[1]}"
-            )
-        if reply[0] != expected:
-            raise ParallelExecutionError(
-                f"shard {worker.index}: expected {expected!r}, "
-                f"got {reply[0]!r}"
-            )
-        return reply
+    def _route(self, source: int, kind: int, buf: bytes) -> Optional[int]:
+        if kind == FRAME_METRICS:
+            # Addressed to the engine, not a shard — no routing header
+            # (frame_target would read garbage).  Cumulative: replace,
+            # don't add.
+            self.shard_snapshots[source] = RegistrySnapshot.decode(buf)
+            return None
+        return self.plan.shard_of(frame_target(buf))
 
-    def _merge(self, results: List[dict]) -> ScenarioResult:
+    def _merge(self, results: List[dict], obs) -> ScenarioResult:
         rsu_metrics: Dict[str, object] = {}
         vehicle_stats: Dict[int, object] = {}
         warning_logs: Dict[str, list] = {}
@@ -284,27 +165,9 @@ class ShardedScenario:
             rsu_metrics.update(result["rsu_metrics"])
             vehicle_stats.update(result["vehicle_stats"])
             warning_logs.update(result["warnings"])
-            partial = result["resilience"]
-            resilience.records_lost += partial.records_lost
-            resilience.records_retried += partial.records_retried
-            resilience.records_dropped += partial.records_dropped
-            resilience.records_abandoned += partial.records_abandoned
-            resilience.poll_failures += partial.poll_failures
-            resilience.duplicates_rejected += partial.duplicates_rejected
-            resilience.broker_crashes += partial.broker_crashes
-            resilience.summaries_lost += partial.summaries_lost
-            resilience.degradation_events.update(partial.degradation_events)
-            resilience.restarted_at_s.update(partial.restarted_at_s)
+            resilience.merge(result["resilience"])
         ordered_names = self.topology.rsu_names()
         self.warning_logs = {name: warning_logs[name] for name in ordered_names}
-        obs = None
-        snapshots = [
-            result["obs"] for result in results if result.get("obs") is not None
-        ]
-        if snapshots:
-            obs = RegistrySnapshot()
-            for snapshot in snapshots:
-                obs = obs.merge(snapshot)
         return ScenarioResult(
             config=self.config,
             duration_s=self.config.duration_s,

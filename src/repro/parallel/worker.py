@@ -24,10 +24,9 @@ exactly three kinds of frames with other shards:
 
 from __future__ import annotations
 
-import time
-import traceback
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Tuple
 
 from repro.core.features import CO_DATA, IN_DATA
 from repro.core.system import (
@@ -37,11 +36,8 @@ from repro.core.system import (
 )
 from repro.core.topology import CorridorTopology, HandoverSpec
 from repro.core.wire import topic_serdes
-from repro.obs import metrics as obs_metrics
 from repro.obs.collect import finalize_scenario
-from repro.obs.trace import SpanRecorder, disable_tracing, enable_tracing
 from repro.streaming.serde import JsonSerde
-from repro.streaming.shm import ShmRing
 from repro.parallel.barrier import (
     FRAME_METRICS,
     FRAME_SUMMARY,
@@ -55,6 +51,7 @@ from repro.parallel.barrier import (
     encode_transfer,
     summary_car_ids,
 )
+from repro.parallel.runtime import Handler, WorkerChannel, serve
 
 
 class _CaptureBroker:
@@ -89,47 +86,26 @@ class RemoteRsuProxy:
 class ShardContext:
     """Everything one worker process needs, passed at spawn."""
 
-    shard_index: int
     spec: object  # ScenarioSpec
     topology: CorridorTopology
     bundle: ScenarioBundle
     local: Tuple[str, ...]
-    conn: object  # multiprocessing.Connection
-    inbox: ShmRing
-    outbox: ShmRing
 
 
-def enable_worker_observability(observing: bool):
-    """Install a fresh per-process metrics registry + span recorder.
-
-    Each worker is its own process, so the module-global active
-    registry is per-shard; the engine merges the snapshots.  Returns
-    ``(registry, recorder)`` — both ``None`` when not observing.
-    Shared by the corridor and city shard workers.
-    """
-    if not observing:
-        return None, None
-    registry = obs_metrics.MetricsRegistry()
-    recorder = SpanRecorder()
-    obs_metrics.enable(registry)
-    enable_tracing(recorder)
-    return registry, recorder
-
-
-def shard_worker_main(ctx: ShardContext) -> None:
+def shard_worker_main(channel: WorkerChannel, ctx: ShardContext) -> None:
     """Process entry point: build the shard, then serve barrier steps."""
-    try:
-        _ShardWorker(ctx).serve()
-    except BaseException:  # ship the traceback; the engine re-raises
-        try:
-            ctx.conn.send(("error", traceback.format_exc()))
-        except Exception:
-            pass
+    serve(channel, partial(_ShardWorker, ctx), ctx.spec.observability)
 
 
 class _ShardWorker:
-    def __init__(self, ctx: ShardContext) -> None:
-        build_start = time.process_time()
+    def __init__(
+        self, ctx: ShardContext, channel: WorkerChannel, registry, recorder
+    ) -> None:
+        self.channel = channel
+        self.handlers: Dict[str, Handler] = {
+            "step": self._step,
+            "collect": self._collect,
+        }
         self.ctx = ctx
         self.spec = ctx.spec
         #: (rsu_name, topic, payload, timestamp) produces captured on
@@ -138,10 +114,7 @@ class _ShardWorker:
         #: Detached-vehicle states awaiting shipment.
         self.transfer_out: List[dict] = []
         self._proxies: Dict[str, RemoteRsuProxy] = {}
-
-        self.obs_registry, self.obs_recorder = enable_worker_observability(
-            getattr(ctx.spec, "observability", False)
-        )
+        self.obs_registry, self.obs_recorder = registry, recorder
 
         scenario = TestbedScenario(ctx.spec)
         scenario.materialize(
@@ -165,7 +138,6 @@ class _ShardWorker:
             rsu.start(until=until)
         for vehicle in scenario.vehicles:
             vehicle.start(until=until)
-        self.build_cpu_s = time.process_time() - build_start
 
     def _remote_rsu(self, name: str) -> RemoteRsuProxy:
         proxy = self._proxies.get(name)
@@ -175,49 +147,10 @@ class _ShardWorker:
         return proxy
 
     # ------------------------------------------------------------------
-    # Protocol loop
+    # One barrier window
     # ------------------------------------------------------------------
-    def serve(self) -> None:
-        self.ctx.conn.send(("ready", self.build_cpu_s))
-        shard = str(self.ctx.shard_index)
-        while True:
-            if self.obs_registry is not None:
-                wait_start = time.perf_counter()
-                message = self.ctx.conn.recv()
-                self.obs_registry.histogram(
-                    "shard.barrier_wait_ms",
-                    obs_metrics.WAIT_MS_EDGES,
-                    shard=shard,
-                ).observe((time.perf_counter() - wait_start) * 1e3)
-            else:
-                message = self.ctx.conn.recv()
-            op = message[0]
-            if op == "step":
-                _, barrier, n_frames, final = message
-                self._step(barrier, n_frames, final)
-            elif op == "collect":
-                self._collect()
-                return
-            else:
-                raise RuntimeError(f"unknown op from engine: {op!r}")
-
-    def _step(self, barrier: float, n_frames: int, final: bool) -> None:
-        start = time.process_time()
-        # Borrowed zero-copy views: the engine pushes a window's frames
-        # strictly before our "step" message and not again until after
-        # our "done" reply, so the views stay intact through _apply —
-        # which decodes each body into owned storage before returning.
-        frames = self.ctx.inbox.drain_views()
-        if len(frames) != n_frames:
-            raise RuntimeError(
-                f"shard {self.ctx.shard_index}: expected {n_frames} inbox "
-                f"frames at barrier {barrier}, drained {len(frames)}"
-            )
-        try:
-            self._apply(frames)
-        finally:
-            for _, view in frames:
-                view.release()
+    def _step(self, frames, barrier: float, final: bool) -> tuple:
+        self._apply(frames)
         if final:
             self.sim.run_until(barrier)
         else:
@@ -227,8 +160,7 @@ class _ShardWorker:
             self.sim.run_before(barrier)
         for handover in self.handovers.get(barrier, ()):
             self._execute_handover(handover)
-        out_count = self._flush()
-        self.ctx.conn.send(("done", time.process_time() - start, out_count))
+        return "done", self._flush()
 
     # ------------------------------------------------------------------
     # Inbound frames
@@ -370,21 +302,21 @@ class _ShardWorker:
     def _flush(self) -> int:
         count = 0
         for rsu_name, _topic, payload, timestamp in self.captured:
-            self.ctx.outbox.push(
+            self.channel.outbox.push(
                 FRAME_SUMMARY, encode_summary(rsu_name, timestamp, payload)
             )
             count += 1
         self.captured.clear()
         for state in self.transfer_out:
             for deliver_at, payload in state.pop("inflight"):
-                self.ctx.outbox.push(
+                self.channel.outbox.push(
                     FRAME_TELEMETRY,
                     encode_telemetry(
                         state["to_rsu"], deliver_at, state["car_id"], payload
                     ),
                 )
                 count += 1
-            self.ctx.outbox.push(
+            self.channel.outbox.push(
                 FRAME_TRANSFER, encode_transfer(state["to_rsu"], state)
             )
             count += 1
@@ -393,7 +325,7 @@ class _ShardWorker:
             # Cumulative snapshot every barrier: the engine keeps the
             # latest per shard (replace, not accumulate), so mid-run
             # telemetry is always a consistent prefix of the run.
-            self.ctx.outbox.push(
+            self.channel.outbox.push(
                 FRAME_METRICS, self.obs_registry.snapshot().encode()
             )
             count += 1
@@ -402,7 +334,7 @@ class _ShardWorker:
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
-    def _collect(self) -> None:
+    def _collect(self, _frames) -> tuple:
         for vehicle in self.scenario.vehicles:
             vehicle.stop()
         for rsu in self.scenario.rsus.values():
@@ -411,15 +343,11 @@ class _ShardWorker:
         self.scenario.vehicles = [
             v for v in self.scenario.vehicles if not v.detached
         ]
-        obs_snapshot = None
         if self.obs_registry is not None:
             finalize_scenario(
                 self.scenario, self.obs_registry, self.obs_recorder
             )
-            obs_snapshot = self.obs_registry.snapshot()
-            obs_metrics.disable()
-            disable_tracing()
-        result = {
+        return "result", {
             "rsu_metrics": collect_rsu_metrics(
                 self.scenario.rsus, self.spec.duration_s
             ),
@@ -431,8 +359,4 @@ class _ShardWorker:
                 for name, rsu in self.scenario.rsus.items()
             },
             "resilience": self.scenario._collect_resilience(),
-            "obs": obs_snapshot,
         }
-        self.ctx.conn.send(("result", result))
-        self.ctx.inbox.close()
-        self.ctx.outbox.close()

@@ -1,10 +1,12 @@
 """Integration tests: full testbed scenarios."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import ScenarioSpec, TestbedScenario
-from repro.core.system import default_training_dataset
+from repro.core.system import ResilienceStats, default_training_dataset
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +19,36 @@ def small_single_result(training_dataset):
     config = ScenarioSpec(n_vehicles=16, duration_s=3.0, seed=7)
     scenario = TestbedScenario.single_rsu(config, dataset=training_dataset)
     return scenario.run()
+
+
+class TestResilienceStats:
+    def test_merge_carries_every_field(self):
+        """A sharded run folds per-shard stats with ``merge``; a field
+        it skipped would silently read as zero under sharding."""
+        values = {}
+        for index, spec in enumerate(dataclasses.fields(ResilienceStats)):
+            default = getattr(ResilienceStats(), spec.name)
+            if isinstance(default, dict):
+                values[spec.name] = {f"rsu-{index}": index + 1.0}
+            elif isinstance(default, list):
+                values[spec.name] = [f"entry-{index}"]
+            else:
+                values[spec.name] = index + 1
+        merged = ResilienceStats()
+        merged.merge(ResilienceStats(**values))
+        assert merged == ResilienceStats(**values)
+        # Counters add, maps union, the log extends.
+        merged.merge(
+            ResilienceStats(
+                records_lost=5,
+                restarted_at_s={"other": 2.0},
+                fault_log=["later"],
+            )
+        )
+        assert merged.records_lost == values["records_lost"] + 5
+        assert merged.restarted_at_s == {**values["restarted_at_s"], "other": 2.0}
+        assert merged.fault_log == values["fault_log"] + ["later"]
+        assert merged.poll_failures == values["poll_failures"]
 
 
 class TestScenarioSpec:

@@ -19,6 +19,7 @@ from repro.faults import (
     RsuKill,
     profile,
 )
+from repro.obs.audit import audit_scenario
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,43 @@ class TestBrokerCrash:
         result = scenario.run()
         assert result.resilience.records_lost > 0
         assert result.resilience.records_retried == 0
+
+    def test_overlapping_crashes_take_the_union(self, training_dataset):
+        # Two outage windows on one RSU, the second opening inside the
+        # first: the node is down for their union and restarts once,
+        # when the last window closes (the second restart() used to hit
+        # "StreamingContext already started").
+        prof = FaultProfile(
+            "overlap",
+            (
+                BrokerCrash("rsu-mw-link", at_s=1.0, restart_after_s=1.0),
+                BrokerCrash("rsu-mw-link", at_s=1.5, restart_after_s=1.0),
+            ),
+        )
+        scenario = (
+            TestbedScenario.builder()
+            .vehicles(8)
+            .duration(4.0)
+            .seed(3)
+            .faults(prof)
+            .observe()
+            .corridor(motorways=2, dataset=training_dataset)
+        )
+        result = scenario.run()
+        res = result.resilience
+        assert [e.kind for e in res.fault_log] == [
+            "broker_crash", "broker_crash", "broker_restart", "broker_restart",
+        ]
+        # One shutdown actually happened; the node came back at 2.5 s,
+        # not at the first window's 2.0 s.
+        assert res.broker_crashes == 1
+        assert res.restarted_at_s == {"rsu-mw-link": 2.5}
+        link = scenario.rsus["rsu-mw-link"]
+        assert link.broker.available and link.crashed_at is None
+        detected = link.events.detected_at()
+        assert not ((detected > 1.0) & (detected < 2.5)).any()
+        assert (detected >= 2.5).any()
+        audit_scenario(scenario).check()
 
 
 class TestRsuKill:

@@ -128,12 +128,9 @@ def extract_metrics(report: dict, mode: str) -> dict:
             ],
         }
     if bench == "BENCH_5":
-        return {
-            "dataplane_speedup": report["corridor"]["speedup"],
-            "dataplane_batched_vs_event_ratio": report["corridor"][
-                "batched_vs_event"
-            ],
-        }
+        # batched_vs_event is printed by the harness but not gated: a
+        # faster per-event path lowers it without batched regressing.
+        return {"dataplane_speedup": report["corridor"]["speedup"]}
     raise SystemExit(f"no metric extractor for bench id {bench!r}")
 
 

@@ -73,12 +73,13 @@ class ScenarioSpec:
     #: results; ``False`` forces the original per-record loop).
     columnar: bool = True
     #: Telemetry transport: ``"event"`` (per-frame DSRC transmit and
-    #: delivery events, 10 ms poll events — the seed behaviour) or
-    #: ``"batched"`` (deferred channel contention flushed at RSU ticks,
-    #: lazy HTB accrual, virtual warning-poll grid, and — with
-    #: ``columnar`` — block fetches off the broker's slabs).  Results
-    #: are bit-identical; batched requires a single-process, fault-free,
-    #: poll-dissemination run.
+    #: delivery events — the seed behaviour) or ``"batched"`` (deferred
+    #: MAC contention flushed at RSU ticks, lazy HTB accrual, and — with
+    #: ``columnar`` — block uplink fetches off the broker's slabs).
+    #: Results are bit-identical; batched requires a single-process,
+    #: fault-free, poll-dissemination run.  Warning dissemination does
+    #: not depend on it: polling vehicles run the owner-routed, settled
+    #: poll grid on both.
     dataplane: str = "event"
     #: Fault profile to inject during the run (``None`` = fault-free).
     faults: Optional[FaultProfile] = None
@@ -255,10 +256,9 @@ class ScenarioBuilder:
         """Telemetry transport: ``"event"`` or ``"batched"``.
 
         ``"batched"`` defers DSRC contention to the RSUs' pre-poll
-        flush, accrues HTB tokens lazily, virtualizes the 10 ms
-        warning-poll grid, and (with :meth:`columnar`) fetches
-        micro-batches as contiguous wire slabs — bit-identical
-        warnings, several times faster on large fleets.
+        flush, accrues HTB tokens lazily, and (with :meth:`columnar`)
+        fetches micro-batches as contiguous wire slabs — bit-identical
+        warnings, faster on large fleets.
         """
         return self._set(dataplane=mode)
 

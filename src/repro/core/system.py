@@ -52,8 +52,9 @@ class ResilienceStats:
     records_retried: int = 0
     #: Telemetry evicted from full retry buffers (lost despite retry).
     records_dropped: int = 0
-    #: Buffered telemetry discarded on purpose at a cross-road
-    #: handover (stale for the new RSU's road model).
+    #: Telemetry not yet appended (retry backlog, HTB-delayed or on
+    #: the air) discarded on purpose at a cross-road handover (stale
+    #: for the new RSU's road model).
     records_abandoned: int = 0
     #: Warning polls refused by a down broker.
     poll_failures: int = 0

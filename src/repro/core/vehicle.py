@@ -123,25 +123,35 @@ class VehicleNode:
         sequence numbers.  ``None`` (default, the seed behaviour)
         drops telemetry refused by a down broker.
     dataplane:
-        ``"event"`` (default): one simulator event per DSRC transmit,
-        delivery, and 10 ms warning poll.  ``"batched"``: telemetry
-        frames are deferred onto the channel's batch queue (contention
+        The telemetry uplink.  ``"event"`` (default): one simulator
+        event per DSRC transmit and delivery.  ``"batched"``: frames
+        are deferred onto the channel's batch queue (contention
         resolves at the RSU's pre-poll flush, RNG draw order
-        preserved), HTB is charged lazily, and the warning-poll grid is
-        virtual — only grid instants whose poll would find a warning
-        for this car become events (the broker routes the wake-up by
-        record key), the rest are settled.  Results and accounting are
+        preserved), HTB is charged lazily, and delivery patches a
+        pre-serialized template.  Results and accounting are
         bit-identical; the batched mode requires ``"poll"``
         dissemination and a single-process fault-free run
         (:class:`~repro.core.scenario.ScenarioSpec` enforces this).
+
+    Whatever the dataplane, a ``"poll"`` vehicle's 10 ms poll grid is
+    virtual: the grid is the drawn phase plus repeated interval
+    addition, but only the instants whose poll would find a warning for
+    this car become simulator events (the broker routes the wake-up by
+    record key).  Every other poll — it would fetch and drop other
+    cars' warnings, or be refused by a down broker — is *settled*:
+    accounted in closed form from the partitions' append clocks and the
+    broker's outage log (:meth:`_settle`).
     """
 
     #: Perf-baseline switch (class level, snapshotted at construction):
     #: ``True`` restores the pre-overhaul per-tick behaviour — payload
-    #: rebuilt from the record on every 10 Hz send, every OUT-DATA
-    #: warning deserialized per vehicle.  Results are bit-identical
-    #: either way; the BENCH_4 corridor baseline flips this to measure
-    #: what the precomputed-payload/shared-decode paths buy.
+    #: rebuilt from the record on every 10 Hz send, and the poll grid
+    #: run as a real recurrence: the only place every 10 ms poll is
+    #: executed and every OUT-DATA warning deserialized per vehicle.
+    #: Results are bit-identical either way; the BENCH_4/BENCH_5
+    #: corridor baselines flip this to measure what the production
+    #: paths buy, and the golden dissemination suite uses it as the
+    #: live oracle for settlement.
     legacy_tick = False
 
     def __init__(
@@ -172,8 +182,7 @@ class VehicleNode:
             raise ValueError(f"unknown dataplane mode: {dataplane!r}")
         if dataplane == "batched" and dissemination != "poll":
             raise ValueError(
-                "the batched dataplane virtualizes the poll grid; "
-                "it requires 'poll' dissemination"
+                "the batched dataplane requires 'poll' dissemination"
             )
         self.sim = sim
         self.car_id = car_id
@@ -196,12 +205,10 @@ class VehicleNode:
         #: Serde for the telemetry envelopes this vehicle produces.
         self.serde = self._serdes.get(IN_DATA, default)
         self._out_serde = self._serdes.get(OUT_DATA, default)
-        #: Cached wire dtype of OUT-DATA (struct profile only): lets the
-        #: batched poll scan a warning slab with one numpy compare
-        #: instead of decoding record by record.
-        self._warning_dtype = (
-            getattr(self._out_serde, "dtype", None) if self._batched else None
-        )
+        #: Cached wire dtype of OUT-DATA (struct profile only): lets a
+        #: poll scan a warning slab with one numpy compare instead of
+        #: decoding record by record.
+        self._warning_dtype = getattr(self._out_serde, "dtype", None)
         self.dissemination = dissemination
         # Telemetry goes through a Producer so the delivery guarantees
         # (bounded retry buffer, idempotent sequences) apply.  The
@@ -225,11 +232,11 @@ class VehicleNode:
         self._wakeup_pending = False
         self._started = False
         self._retired = False
-        # Batched dataplane state: precomputed produce-side constants
-        # and the virtual warning-poll grid.
         self._leaf_name = f"vehicle-{car_id}"
         self._key_bytes = str(car_id).encode()
-        # First grid instant neither executed nor settled; pending poll.
+        # The virtual warning-poll grid: first instant neither executed
+        # nor settled, the loop's end, and the one materialized poll.
+        self._grid_live = False
         self._next_poll = 0.0
         self._poll_until: Optional[float] = None
         self._poll_event = None
@@ -240,6 +247,9 @@ class VehicleNode:
         self._frame_tokens = itertools.count()
         self._inflight: Dict[int, Tuple[float, dict]] = {}
         self._pending_tx: Dict[int, Tuple[float, dict, int]] = {}
+        # When this vehicle last changed road (a ``drop_pending``
+        # handover): telemetry generated earlier is stale.
+        self._road_since = float("-inf")
         self._detached = False
         # One entry per handover: (old_broker, OUT-DATA read positions,
         # OUT-DATA end offsets at the moment of migration).  The
@@ -266,14 +276,14 @@ class VehicleNode:
 
     def _subscribe(self) -> None:
         """Register the OUT-DATA wake-up: every produce in ``notify``
-        mode; on the batched dataplane only appends keyed with this car
-        id (the RSU keys a warning by the warned car) arm a poll."""
+        mode; on the poll grid only appends keyed with this car id (the
+        RSU keys a warning by the warned car) arm a poll."""
         broker = self.rsu.broker
         if self.dissemination == "notify":
             self._cancel_notify = broker.subscribe_notify(
                 OUT_DATA, self._on_out_data_produced
             )
-        elif self._batched:
+        elif not self._legacy_tick:
             self._cancel_notify = broker.subscribe_key(
                 OUT_DATA, self._key_bytes, self._arm_poll
             )
@@ -290,7 +300,10 @@ class VehicleNode:
 
     def _wakeup_poll(self) -> None:
         self._wakeup_pending = False
-        self._poll_warnings()
+        if self._legacy_tick:
+            self._poll_warnings()
+        else:
+            self._poll_warnings_block()
 
     def start(self, until: Optional[float] = None) -> None:
         """Begin the produce loop and the warning consumption."""
@@ -311,25 +324,32 @@ class VehicleNode:
             self._subscribe()
             return
         poll_phase = float(self._rng.uniform(0.0, self.poll_interval_s))
-        if self._batched:
-            # Virtual polling: keep the exact poll grid the recurrence
-            # would have walked (same phase draw, same float-accumulated
-            # instants) but only materialize grid instants at which a
-            # poll would find a warning for this car — its keyed produce
-            # notification schedules the next one.  Empty polls never
-            # become events; nor do polls that would only drop other
-            # cars' warnings, which are settled instead (see _settle).
-            self._next_poll = self.sim.now + poll_phase
-            self._poll_until = until
-            self._subscribe()
+        self._start_polling(self.sim.now + poll_phase, until)
+
+    def _start_polling(self, first: float, until: Optional[float]) -> None:
+        """Poll OUT-DATA on the grid ``first, first + interval, ...``.
+
+        Virtual polling keeps the exact grid a recurrence would walk
+        (same float-accumulated instants) but only materializes the
+        instants at which a poll would find a warning for this car —
+        its keyed produce notification schedules the next one.  Empty
+        polls never become events; nor do polls that would only drop
+        other cars' warnings or be refused by a down broker, which are
+        settled instead (see :meth:`_settle`).
+        """
+        if self._legacy_tick:
+            self._cancel_poll = self.sim.every_group(
+                self.poll_interval_s,
+                self._poll_warnings,
+                start=first,
+                until=until,
+                label=f"vehicle-{self.car_id}-poll",
+            )
             return
-        self._cancel_poll = self.sim.every_group(
-            self.poll_interval_s,
-            self._poll_warnings,
-            start=self.sim.now + poll_phase,
-            until=until,
-            label=f"vehicle-{self.car_id}-poll",
-        )
+        self._grid_live = True
+        self._next_poll = first
+        self._poll_until = until
+        self._subscribe()
 
     @property
     def retired(self) -> bool:
@@ -353,6 +373,7 @@ class VehicleNode:
     def stop(self) -> None:
         self._settle()
         self._started = False
+        self._grid_live = False
         if self._poll_event is not None:
             self.sim.cancel(self._poll_event)
             self._poll_event = None
@@ -374,12 +395,14 @@ class VehicleNode:
 
         The caller is responsible for triggering the old RSU's
         ``handover`` (CO-DATA summary transfer); the vehicle only
-        re-homes its producer and consumer.  Telemetry still buffered
-        for the old (possibly dead) RSU replays to the new one —
-        at-least-once across the failover, deduped by sequence number.
-        ``drop_pending`` discards that backlog instead, for handovers
-        onto a different road where the old records are stale (the new
-        RSU has no model for them).
+        re-homes its producer and consumer.  Telemetry not yet appended
+        — buffered for the old (possibly dead) RSU, waiting out an HTB
+        delay, or on the air — lands on the new one: at-least-once
+        across the failover, deduped by sequence number.
+        ``drop_pending`` abandons it instead (counted in the producer's
+        ``records_abandoned``), for handovers onto a different road
+        where the old records are stale (the new RSU has no model for
+        them).
         """
         carried: List[Tuple] = []
         if self._batched and new_channel is not self.channel:
@@ -396,6 +419,17 @@ class VehicleNode:
         self.rsu = new_rsu
         self.channel = new_channel
         self._producer.rebind(new_rsu.broker, drop_pending=drop_pending)
+        if drop_pending:
+            # The event dataplane's pending events find their tokens
+            # gone; a batched frame on the air is abandoned (and
+            # counted) at delivery, being older than the road.
+            self._producer.records_abandoned += (
+                len(self._pending_tx) + len(self._inflight) + len(carried)
+            )
+            self._pending_tx.clear()
+            self._inflight.clear()
+            carried = []
+            self._road_since = self.sim.now
         self._attach_consumer()
         for eff_time, _seq, size, deliver, _owner in carried:
             new_channel.enqueue(eff_time, size, deliver, owner=self)
@@ -477,13 +511,16 @@ class VehicleNode:
         """Freeze this vehicle for a cross-process handover.
 
         Captures everything the receiving shard needs to continue the
-        exact same trajectory: the RNG mid-stream state, the *exact*
+        exact same trajectory: the RNG mid-stream state and the *exact*
         next produce/poll instants (interval recurrences accumulate
-        floating point, so these cannot be recomputed from a phase),
-        frames in flight on the DSRC channel (shipped pre-serialized
-        with their known delivery stamps), and telemetry still waiting
-        out an HTB delay.  The vehicle then goes inert: its remaining
-        scheduled events on this shard become no-ops.
+        floating point, so these cannot be recomputed from a phase; the
+        polls before now are settled here, against the broker being
+        left).  A cross-shard handover is a change of road, so
+        telemetry not yet appended is abandoned as by
+        ``migrate(drop_pending=True)``: the frames on the air and those
+        waiting out an HTB delay ship as their due times only, for the
+        receiving shard to count.  The vehicle then goes inert: its
+        remaining scheduled events on this shard become no-ops.
         """
         if self._detached:
             raise RuntimeError(f"vehicle {self.car_id} already detached")
@@ -497,23 +534,27 @@ class VehicleNode:
             if self._cancel_produce is not None
             else None
         )
-        poll_next = (
-            self._cancel_poll.next_time if self._cancel_poll is not None else None
-        )
-        # Token order is send order, matching the serial delivery-event
-        # scheduling order at equal times.
-        inflight = [
-            (at_time, self.serde.serialize({**envelope, "arrived_at": at_time}))
-            for at_time, envelope in self._inflight.values()
-        ]
+        # Settle against the broker being left, so that ``_next_poll``
+        # is the first grid instant not before now.
+        self._settle()
+        if self._cancel_poll is not None:
+            poll_next = self._cancel_poll.next_time
+        elif self._grid_live and (
+            self._poll_until is None or self._next_poll < self._poll_until
+        ):
+            poll_next = self._next_poll
+        else:
+            # Not polling, or the grid ran past ``until``: the
+            # recurrence's ``next_time`` rule.
+            poll_next = None
         state = {
             "car_id": self.car_id,
             "rng_state": self._rng.bit_generator.state,
             "stats": self.stats,
             "produce_next": produce_next,
             "poll_next": poll_next,
-            "inflight": inflight,
-            "pending_tx": list(self._pending_tx.values()),
+            "inflight": [due for due, _ in self._inflight.values()],
+            "pending_tx": [due for due, _, _ in self._pending_tx.values()],
         }
         self.stop()
         self._detached = True
@@ -531,11 +572,11 @@ class VehicleNode:
 
         Unlike :meth:`start` this draws no phases from the RNG: the
         exact next-fire instants come from the sending shard's
-        :meth:`detach`, so the resumed recurrences continue the same
-        float-accumulated grid the serial engine would have produced.
+        :meth:`detach`, so the resumed loops continue the same
+        float-accumulated grids the serial engine would have produced.
         ``None`` for either instant means that loop had already ended.
         """
-        if self._cancel_produce is not None or self._cancel_poll is not None:
+        if self._started:
             raise RuntimeError(f"vehicle {self.car_id} already running")
         self._started = True
         if produce_next is not None:
@@ -549,13 +590,7 @@ class VehicleNode:
         if self.dissemination == "notify":
             self._subscribe()
         elif poll_next is not None:
-            self._cancel_poll = self.sim.every_group(
-                self.poll_interval_s,
-                self._poll_warnings,
-                start=poll_next,
-                until=until,
-                label=f"vehicle-{self.car_id}-poll",
-            )
+            self._start_polling(poll_next, until)
 
     # ------------------------------------------------------------------
     def _send_telemetry(self) -> None:
@@ -650,6 +685,10 @@ class VehicleNode:
             def deliver(
                 at_time: float, template=template, generated_at=now
             ) -> None:
+                if generated_at < self._road_since:
+                    # on the air across a handover onto another road
+                    self._producer.records_abandoned += 1
+                    return
                 frame = bytearray(template)
                 _TS_PATCH.pack_into(frame, size - 16, generated_at, at_time)
                 try:
@@ -671,6 +710,10 @@ class VehicleNode:
             )
 
             def deliver(at_time: float, data=data, generated_at=now) -> None:
+                if generated_at < self._road_since:
+                    # on the air across a handover onto another road
+                    self._producer.records_abandoned += 1
+                    return
                 envelope = {
                     "data": data,
                     "generated_at": generated_at,
@@ -696,23 +739,25 @@ class VehicleNode:
     def _settle(self) -> None:
         """Account the never-materialized polls at grid instants before
         now (and the loop's ``until``): each would only have fetched and
-        dropped other cars' warnings.  The grid is the drawn phase plus
-        repeated interval addition, the real recurrence's float sums,
-        whichever instants are materialized."""
-        if not (self._batched and self._started):
+        dropped other cars' warnings, or been refused by a down broker.
+        The grid is the drawn phase plus repeated interval addition, the
+        real recurrence's float sums, whichever instants are
+        materialized."""
+        if not self._grid_live:
             return
         limit = self.sim.now
         if self._poll_until is not None:
             limit = min(limit, self._poll_until)
-        self._next_poll = self._consumer.settle_polls(
+        self._next_poll, refused = self._consumer.settle_polls(
             self._next_poll, self.poll_interval_s, limit, _POLL_MAX_RECORDS
         )
+        self.stats.poll_failures += refused
 
     def _arm_poll(self, metadata=None) -> None:
         """A warning for this car hit OUT-DATA (or a poll left lag):
         unless one is pending, materialize the first grid instant at or
-        after now, when the event-mode poll would consume it.  Instants
-        at or past ``until`` never fire: the recurrence's drop rule."""
+        after now, when the recurrence's poll would consume it.
+        Instants at or past ``until`` never fire: its drop rule."""
         if self._poll_event is not None:
             return
         self._settle()
@@ -727,12 +772,10 @@ class VehicleNode:
     def _virtual_poll(self) -> None:
         self._poll_event = None
         self._next_poll += self.poll_interval_s
-        consumer = self._consumer
-        before = consumer.records_consumed
-        self._poll_warnings()
-        if consumer.records_consumed - before >= _POLL_MAX_RECORDS:
-            # Truncated by the budget: the event dataplane's next poll,
-            # one grid instant on, drains the rest.
+        if not self._poll_warnings_block():
+            # Refused by a down broker or truncated by the budget: the
+            # recurrence's next poll, one grid instant on, reads what
+            # this one left behind.
             self._arm_poll()
 
     def _transmit(
@@ -741,21 +784,21 @@ class VehicleNode:
         """Put one telemetry frame on the (current) DSRC channel.
 
         Reads ``self.channel`` and ``self._producer`` at fire time, so a
-        frame that waited out an HTB delay across a handover transmits
-        on the new RSU's channel — and after :meth:`detach` the stale
-        sender-side event is a no-op (the frame was shipped to the new
-        shard instead).
+        frame that waited out an HTB delay across a failover transmits
+        on the new RSU's channel.  A frame whose token is gone was
+        abandoned meanwhile — a handover onto another road, or
+        :meth:`detach` — and its event is a no-op.
         """
-        if self._detached:
+        if (
+            pending_token is not None
+            and self._pending_tx.pop(pending_token, None) is None
+        ):
             return
-        if pending_token is not None:
-            self._pending_tx.pop(pending_token, None)
         token = next(self._frame_tokens)
 
         def deliver(at_time: float) -> None:
-            if self._detached:
+            if self._inflight.pop(token, None) is None:
                 return
-            self._inflight.pop(token, None)
             envelope["arrived_at"] = at_time
             try:
                 self._producer.send(
@@ -774,35 +817,16 @@ class VehicleNode:
             self._inflight[token] = (delivery, envelope)
 
     def _poll_warnings(self) -> None:
-        if self._batched and not self._legacy_tick:
-            self._poll_warnings_block()
-            return
+        """The ``legacy_tick`` poll: every record deserialized here,
+        per vehicle (:meth:`_poll_warnings_block` is the production
+        body)."""
         try:
-            # Raw poll: every vehicle on a broker sees every OUT-DATA
-            # warning, so decoding happens once per warning in a memo
-            # shared through the broker (the stored bytes objects are
-            # shared too) instead of once per vehicle per warning.  The
-            # legacy (perf-baseline) path deserializes per vehicle.
-            records = self._consumer.poll(
-                _POLL_MAX_RECORDS, deserialize=self._legacy_tick
-            )
+            records = self._consumer.poll(_POLL_MAX_RECORDS)
         except BrokerUnavailable:
             self.stats.poll_failures += 1
             return
-        if not records:
-            return
-        broker = self.rsu.broker
-        cache = None if self._legacy_tick else broker.warning_decode_memo
-        serde = self._out_serde
         for record in records:
-            if cache is None:
-                value = record.value
-            else:
-                raw = record.value
-                value = cache.get(raw)
-                if value is None:
-                    value = serde.deserialize(raw)
-                    _memo_put(cache, raw, value, _DECODE_MEMO_ENTRIES)
+            value = record.value
             if int(value.get("car", -1)) == self.car_id:
                 self._receive_warning(
                     float(value["t"]), float(value["generated_at"])
@@ -820,30 +844,33 @@ class VehicleNode:
         self.stats.dissemination_latencies_s.append(received_at - detected_at)
         self.stats.e2e_latencies_s.append(received_at - generated_at)
 
-    def _poll_warnings_block(self) -> None:
-        """Batched-dataplane poll: scan OUT-DATA as block segments.
+    def _poll_warnings_block(self) -> bool:
+        """One warning poll: scan OUT-DATA as block segments.
 
         Consumes through :meth:`~repro.streaming.consumer.Consumer.poll_block`
         — same partition order, position advances, and byte accounting
-        as ``poll(deserialize=False)`` — and filters for this car's
-        warnings without per-record objects: a uniform struct segment is
-        one ``np.frombuffer`` over the broker's slab plus one column
-        scan (the poll reads everything appended since the last settled
-        grid instant, so most records are other cars').  Mixed/JSON
-        segments fall back to the decode loop with the broker-shared
-        memo.
+        as ``poll`` — and filters for this car's warnings without
+        per-record objects: a uniform struct segment is one
+        ``np.frombuffer`` over the broker's slab plus one column scan
+        (the poll reads everything appended since the last settled grid
+        instant, so most records are other cars').  Mixed/JSON segments
+        fall back to the decode loop with the broker-shared memo, so a
+        warning is decoded once per broker, not once per vehicle.
+
+        Returns whether the poll read everything there was: ``False``
+        when the broker refused it or the budget cut it short.
         """
         try:
             segments = self._consumer.poll_block(_POLL_MAX_RECORDS)
         except BrokerUnavailable:
             self.stats.poll_failures += 1
-            return
-        if not segments:
-            return
+            return False
         dtype = self._warning_dtype
         car_id = self.car_id
         broker = self.rsu.broker
+        taken = 0
         for segment in segments:
+            taken += segment.count
             if (
                 dtype is not None
                 and segment.is_uniform
@@ -887,6 +914,7 @@ class VehicleNode:
                     self._receive_warning(
                         float(value["t"]), float(value["generated_at"])
                     )
+        return taken < _POLL_MAX_RECORDS
 
     def __repr__(self) -> str:
         return (

@@ -144,7 +144,9 @@ def _audit_telemetry(scenario, report: InvariantReport) -> None:
     refused = sum(v.stats.records_lost for v in scenario.vehicles)
     dropped = sum(v._producer.records_dropped for v in scenario.vehicles)
     abandoned = sum(v._producer.records_abandoned for v in scenario.vehicles)
-    buffered = sum(v._producer.buffered for v in scenario.vehicles)
+    # A buffered record whose ack was lost is in the log already:
+    # appended, not also buffered.
+    buffered = sum(v._producer.buffered_unappended for v in scenario.vehicles)
     in_flight = sum(
         len(v._inflight) + len(v._pending_tx) for v in scenario.vehicles
     )

@@ -30,7 +30,7 @@ from repro.streaming.serde import FlatStructSerde, SerdeError
 
 # Frame kinds on the shared-memory rings.
 FRAME_SUMMARY = 1  # CO-DATA prediction summary for a remote RSU's broker
-FRAME_TELEMETRY = 2  # an in-flight DSRC frame addressed to a remote RSU
+# 2 is retired (in-flight telemetry of a transferred vehicle): not reused.
 FRAME_TRANSFER = 3  # a detached vehicle's full migration state
 # A shard's cumulative metrics snapshot.  Unlike the kinds above this
 # frame has NO ``[u8 len][rsu name]`` routing header (it is addressed
@@ -47,7 +47,6 @@ FRAME_MIGRATION = 5  # a tick's batched vehicle moves bound for one shard
 FRAME_RSU_STATE = 6  # a whole RSU's state (arrays + RNG) mid-rebalance
 
 _SUMMARY_HEAD = struct.Struct("<d")
-_TELEMETRY_HEAD = struct.Struct("<dq")
 
 
 # ----------------------------------------------------------------------
@@ -115,22 +114,6 @@ def decode_summary(buf: bytes) -> Tuple[str, float, bytes]:
     body = _body(buf)
     (timestamp,) = _SUMMARY_HEAD.unpack_from(body)
     return frame_target(buf), timestamp, body[_SUMMARY_HEAD.size :]
-
-
-def encode_telemetry(
-    rsu_name: str, deliver_at: float, car_id: int, payload: bytes
-) -> bytes:
-    return (
-        _pack_target(rsu_name)
-        + _TELEMETRY_HEAD.pack(deliver_at, car_id)
-        + payload
-    )
-
-
-def decode_telemetry(buf: bytes) -> Tuple[str, float, int, bytes]:
-    body = _body(buf)
-    deliver_at, car_id = _TELEMETRY_HEAD.unpack_from(body)
-    return frame_target(buf), deliver_at, car_id, body[_TELEMETRY_HEAD.size :]
 
 
 def encode_transfer(rsu_name: str, state: Dict) -> bytes:

@@ -9,8 +9,8 @@ corridor's RSUs partitioned across worker processes by
 The protocol is conservative time-stepping: every worker runs strictly
 up to the next global barrier (the union of the micro-batch tick grid
 and the handover instants), then the engine moves the accumulated
-cross-shard frames — CO-DATA summaries, vehicle transfers, in-flight
-telemetry — to their owning shards before anyone proceeds.  Because the
+cross-shard frames — CO-DATA summaries, vehicle transfers — to their
+owning shards before anyone proceeds.  Because the
 wired-link latency (0.5 ms) is far below the 50 ms batch interval, a
 frame shipped one barrier late still lands in the same micro-batch the
 serial engine would put it in; the golden-equivalence tests pin this

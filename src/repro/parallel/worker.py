@@ -4,7 +4,7 @@ Each worker materializes only its own RSUs and vehicle groups (same
 identities, same RNG stream names as the single-process build), runs
 its local :class:`~repro.simkernel.simulator.Simulator` window by
 window under the engine's conservative barrier protocol, and exchanges
-exactly three kinds of frames with other shards:
+exactly two kinds of frames with other shards:
 
 - **CO-DATA summaries** a local RSU forwarded to a non-local neighbour.
   The wired link toward the remote RSU is real and lives in *this*
@@ -16,10 +16,9 @@ exactly three kinds of frames with other shards:
   the same micro-batch the serial engine would put it in.
 - **Vehicle transfers** (cross-shard handover): the full
   :meth:`VehicleNode.detach` state, applied on the owning shard at the
-  handover instant's barrier clock.
-- **In-flight telemetry** of a transferred vehicle: frames already on
-  the air with known delivery times, re-produced into the new RSU's
-  broker at exactly those times.
+  handover instant's barrier clock.  Telemetry of the old road that
+  was still on its way is abandoned, as in the serial handover, so no
+  frame follows the vehicle.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Tuple
 
-from repro.core.features import CO_DATA, IN_DATA
+from repro.core.features import CO_DATA
 from repro.core.system import (
     ScenarioBundle,
     TestbedScenario,
@@ -41,13 +40,10 @@ from repro.streaming.serde import JsonSerde
 from repro.parallel.barrier import (
     FRAME_METRICS,
     FRAME_SUMMARY,
-    FRAME_TELEMETRY,
     FRAME_TRANSFER,
     decode_summary,
-    decode_telemetry,
     decode_transfer,
     encode_summary,
-    encode_telemetry,
     encode_transfer,
     summary_car_ids,
 )
@@ -174,14 +170,11 @@ class _ShardWorker:
         """
         transfers: List[dict] = []
         summaries: List[Tuple[str, float, bytes]] = []
-        telemetry: List[Tuple[str, float, int, bytes]] = []
         for kind, buf in frames:
             if kind == FRAME_TRANSFER:
                 transfers.append(decode_transfer(buf)[1])
             elif kind == FRAME_SUMMARY:
                 summaries.append(decode_summary(buf))
-            elif kind == FRAME_TELEMETRY:
-                telemetry.append(decode_telemetry(buf))
             else:
                 raise RuntimeError(f"unknown frame kind {kind}")
 
@@ -207,19 +200,6 @@ class _ShardWorker:
                     CO_DATA, payload, timestamp=ts
                 )
 
-        # In-flight telemetry lands at its pre-computed delivery time.
-        for rsu_name, deliver_at, car_id, payload in sorted(
-            telemetry, key=lambda f: (f[1], f[2])
-        ):
-            broker = self.scenario.rsus[rsu_name].broker
-            self.sim.at(
-                deliver_at,
-                lambda b=broker, p=payload, c=car_id, t=deliver_at: b.produce(
-                    IN_DATA, p, key=str(c).encode(), timestamp=t
-                ),
-                label="inflight-telemetry",
-            )
-
     def _apply_transfer(self, state: dict) -> None:
         """Reconstruct a transferred vehicle on its new home RSU."""
         car_id = state["car_id"]
@@ -241,17 +221,16 @@ class _ShardWorker:
         # (the registry's cached stream), restored mid-stream.
         self.scenario.rng.restore(f"vehicle.{car_id}", state["rng_state"])
         vehicle.stats = state["stats"]
+        # Telemetry of the old road the sending shard abandoned, as the
+        # serial ``migrate(drop_pending=True)`` counts it.
+        vehicle._producer.records_abandoned += len(state["inflight"]) + len(
+            state["pending_tx"]
+        )
         vehicle.resume(
             state["produce_next"],
             state["poll_next"],
             until=self.spec.duration_s,
         )
-        for fire_time, envelope, size in state["pending_tx"]:
-            self.sim.at(
-                fire_time,
-                lambda v=vehicle, e=envelope, s=size: v._transmit(e, s),
-                label=f"vehicle-{car_id}-htb",
-            )
         self.vehicles[car_id] = vehicle
 
     # ------------------------------------------------------------------
@@ -308,14 +287,6 @@ class _ShardWorker:
             count += 1
         self.captured.clear()
         for state in self.transfer_out:
-            for deliver_at, payload in state.pop("inflight"):
-                self.channel.outbox.push(
-                    FRAME_TELEMETRY,
-                    encode_telemetry(
-                        state["to_rsu"], deliver_at, state["car_id"], payload
-                    ),
-                )
-                count += 1
             self.channel.outbox.push(
                 FRAME_TRANSFER, encode_transfer(state["to_rsu"], state)
             )

@@ -86,6 +86,13 @@ class Broker:
         self._partition_cache: Dict[Tuple[str, int], Partition] = {}
         self._legacy_fetch = bool(self.legacy_fetch)
         self._available = True
+        #: Down windows ``(down_at, up_at)`` on this broker's clock,
+        #: oldest first, half-open; an open one ends at +inf.  A poll at
+        #: an instant inside one was refused, so consumers settling
+        #: polls they never ran walk their grid across these
+        #: (:meth:`~repro.streaming.consumer.Consumer.settle_polls`).
+        #: Empty on a broker that never went down.
+        self.outages: List[Tuple[float, float]] = []
         #: Simulated-time horizon below which produce acks are "lost":
         #: the record is appended but the producer sees a failure —
         #: the window where idempotence earns its keep.
@@ -114,10 +121,13 @@ class Broker:
         if self._available:
             self._available = False
             self.crashes += 1
+            self.outages.append((self._clock(), float("inf")))
 
     def restart(self) -> None:
         """Bring a crashed broker back with its durable state intact."""
-        self._available = True
+        if not self._available:
+            self._available = True
+            self.outages[-1] = (self.outages[-1][0], self._clock())
 
     def drop_acks_until(self, until_time: float) -> None:
         """Lose produce acks until simulated time ``until_time``.
@@ -236,6 +246,13 @@ class Broker:
             )
         return metadata
 
+    def last_sequence(self, producer_id: str, topic_name: str) -> int:
+        """The highest sequence accepted from an idempotent producer on
+        a topic (0 before its first): a record at or below it is in the
+        log, whether or not its ack reached the producer."""
+        state = self._producer_state.get((producer_id, topic_name))
+        return 0 if state is None else state[0]
+
     def subscribe_notify(
         self, topic_name: str, callback: Callable[[RecordMetadata], None]
     ) -> Callable[[], None]:
@@ -272,7 +289,7 @@ class Broker:
     ) -> Callable[[], None]:
         """Invoke ``callback(metadata)`` on every produce to the topic
         carrying ``key``: one dict lookup per produce however many
-        subscribers.  Batched vehicles register under their car id, the
+        subscribers.  Polling vehicles register under their car id, the
         key of every warning for them, so an append wakes the warned
         vehicle only.  A key has one owner per topic (a second is
         refused); otherwise as :meth:`subscribe_notify`."""

@@ -318,20 +318,48 @@ class Consumer:
         interval: float,
         limit: float,
         max_records: int = 500,
-    ) -> float:
+    ) -> Tuple[float, int]:
         """Account, without executing them, the polls at the grid
         instants ``first, first + interval, ...`` strictly before
-        ``limit``; returns the first grid instant not settled.
+        ``limit``; returns the first grid instant not settled and how
+        many of the polls the broker refused.
 
         For a caller that would drop their records unread, the polls'
         only effects are position advances and the fetched / consumed
         counters here and on the broker, which the partitions' append
-        clocks and size prefix sums reproduce.  While the backlog fits
-        one poll's budget every skipped poll drained its partitions, so
-        the budget rule at the last instant alone settles all; else it
-        is replayed instant by instant.  The grid is walked by repeated
-        addition, as a recurrence accumulates it.  Nothing is committed
-        (ungrouped consumers only).
+        clocks and size prefix sums reproduce.  A poll at an instant
+        inside one of the broker's down windows moved nothing — the
+        first partition's fetch raises before any position advances —
+        so it is only counted; the stretches between windows settle
+        independently.  The grid is walked by repeated addition, as a
+        recurrence accumulates it.  Nothing is committed (ungrouped
+        consumers only).
+        """
+        refused = 0
+        instant = first
+        for down_at, up_at in self.broker.outages:
+            if up_at <= instant:
+                continue
+            if down_at >= limit:
+                break
+            instant = self._settle_served(instant, interval, down_at, max_records)
+            back_up = min(up_at, limit)
+            while instant < back_up:
+                refused += 1
+                instant += interval
+        return (
+            self._settle_served(instant, interval, limit, max_records),
+            refused,
+        )
+
+    def _settle_served(
+        self, first: float, interval: float, limit: float, max_records: int
+    ) -> float:
+        """:meth:`settle_polls` over a stretch the broker was up for.
+
+        While the backlog fits one poll's budget every skipped poll
+        drained its partitions, so the budget rule at the last instant
+        alone settles all; else it is replayed instant by instant.
         """
         if first >= limit:
             return first

@@ -127,8 +127,9 @@ class Producer:
         self.records_retried = 0
         #: Records evicted from a full in-flight buffer (lost).
         self.records_dropped = 0
-        #: Buffered records deliberately discarded at a rebind
-        #: (stale data the new broker should not receive).
+        #: Records deliberately discarded, unappended, at a rebind
+        #: (stale data the new broker should not receive); the owner
+        #: adds what it held back upstream of this producer.
         self.records_abandoned = 0
         self._sequences: dict = {}
         self._buffer: Deque[_Pending] = deque()
@@ -221,6 +222,19 @@ class Producer:
         """Records currently awaiting retry."""
         return len(self._buffer)
 
+    @property
+    def buffered_unappended(self) -> int:
+        """Buffered records the broker's log does not hold.  A record
+        whose ack was lost is appended already and waits here only for
+        a retry the broker will reject as a duplicate."""
+        if not self.idempotent:
+            return len(self._buffer)
+        last_sequence = self.broker.last_sequence
+        return sum(
+            pending.sequence > last_sequence(self.client_id, pending.topic)
+            for pending in self._buffer
+        )
+
     def _schedule_flush(self) -> None:
         if self._flush_scheduled or self.sim is None or not self._buffer:
             return
@@ -259,14 +273,15 @@ class Producer:
 
         Sequence numbers keep counting up, so idempotent dedupe stays
         correct on the new broker too.  With ``drop_pending`` the
-        buffer is discarded instead (and counted as abandoned) — for
-        rebinds where the buffered data is stale, e.g. a handover to a
-        different road whose RSU has no model for the old records.
+        buffer is discarded instead (and what the old broker had not
+        appended counted as abandoned) — for rebinds where the buffered
+        data is stale, e.g. a handover to a different road whose RSU
+        has no model for the old records.
         """
-        self.broker = broker
         if drop_pending and self._buffer:
-            self.records_abandoned += len(self._buffer)
+            self.records_abandoned += self.buffered_unappended
             self._buffer.clear()
+        self.broker = broker
         if self._buffer:
             self._attempt = 0
             if self.sim is not None:

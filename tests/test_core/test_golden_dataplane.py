@@ -1,29 +1,32 @@
 """Golden equivalence: the batched data plane vs the per-event path.
 
-The batched data plane replaces per-frame DSRC transmit events, HTB
-refills, and 10 ms warning-poll events with deferred micro-batches
-(contention resolved at RSU pre-poll ticks, lazy root-bucket accrual, a
-virtual poll grid, and block-segment warning scans).  The claim is not
-"approximately the same" but **bit-identical**: the per-frame RNG draw
-order is preserved, so every counter and every latency sample must
-match the event data plane exactly under the same configuration.
+The batched data plane replaces per-frame DSRC transmit events and HTB
+refills with deferred micro-batches (contention resolved at RSU
+pre-poll ticks, lazy root-bucket accrual, template-patched delivery,
+block uplink fetches).  The claim is not "approximately the same" but
+**bit-identical**: the per-frame RNG draw order is preserved, so every
+counter and every latency sample must match the event data plane
+exactly under the same configuration.
 
 These tests run the same seeded corridor through both dataplanes — with
 and without a mid-run handover — and compare the outputs exactly, the
 same shape of check as ``test_golden_equivalence.py`` applies to the
 columnar refactor.
 
-The batched plane wakes only the warned vehicle and *settles* every
-other vehicle's polls instead of running them, so the comparison covers
+Both planes disseminate the same way — only the warned vehicle's poll
+is run, every other one is *settled* (``test_golden_dissemination.py``
+holds that against the executed recurrence) — and the comparison covers
 the accounting too: broker downlink counters, per-vehicle consumer
 positions and consumed counters, and the read state left on departed
 brokers.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import vehicle as vehicle_module
-from repro.core.scenario import ScenarioSpec
+from repro.core.scenario import ScenarioSpec, paper_corridor
 from repro.core.system import TestbedScenario
 from repro.fuzz.oracles import accounting_signature
 from repro.geo import RoadType
@@ -159,8 +162,8 @@ def test_batched_dataplane_is_bit_identical(
 
 def test_batched_dataplane_survives_handover(labeled_dataset):
     """A mid-run handover migrates vehicles across RSUs: deferred frames
-    must flush on the old channel (or carry, if not yet effective) and
-    the virtual poll grid must re-anchor, still bit-identically."""
+    must flush on the old channel (or be abandoned, if not yet
+    effective), still bit-identically."""
     event_run = _run_corridor(
         labeled_dataset, "event", "struct", handover_fraction=0.5
     )
@@ -222,10 +225,11 @@ def test_batched_dataplane_settles_when_stopped_early(labeled_dataset):
 def test_batched_dataplane_matches_under_truncated_polls(
     labeled_dataset, monkeypatch
 ):
-    """A poll budget smaller than an emission batch: the event path
-    polls again 10 ms later and drains; the batched path must
-    materialize that next grid instant too (it used to wait for the
-    next append), and settlement must replay the budget rule."""
+    """A poll budget smaller than an emission batch: a poll it cuts
+    short materializes the next grid instant too, and settlement
+    replays the budget rule — on both dataplanes alike
+    (``test_golden_dissemination.py`` holds the same budget against the
+    executed recurrence)."""
     monkeypatch.setattr(vehicle_module, "_POLL_MAX_RECORDS", 3)
     truncated = []
     poll_block = Consumer.poll_block
@@ -287,6 +291,36 @@ def test_warning_memos_stay_bounded(
     tight_signature, tight_sizes, _ = run()
     assert max(tight_sizes) == 1
     assert tight_signature == signature
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4, 9])
+def test_handover_abandons_telemetry_of_the_old_road(seed, audit_invariants):
+    """Four of scenario seeds 1-10 used to crash the paper corridor on
+    both dataplanes: a motorway frame still waiting out an HTB delay or
+    on the air at the handover reached the link RSU, whose detector has
+    no model for it.  Such telemetry is abandoned — counted, so the
+    telemetry conservation law still balances — and never delivered."""
+    results = {}
+    for dataplane in ("event", "batched"):
+        spec = dataclasses.replace(
+            paper_corridor().build(),
+            n_vehicles=128,
+            duration_s=4.0,
+            serde_profile="struct",
+            seed=seed,
+            dataplane=dataplane,
+            observability=True,
+        )
+        scenario = TestbedScenario.corridor(spec)
+        result = scenario.run()
+        audit_invariants(scenario)
+        assert result.resilience.records_abandoned > 0
+        results[dataplane] = (
+            result.resilience.records_abandoned,
+            _vehicle_signature(result),
+            accounting_signature(scenario),
+        )
+    assert results["event"] == results["batched"]
 
 
 def test_batched_dataplane_rejects_unsupported_configs():

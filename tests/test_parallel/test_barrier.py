@@ -6,10 +6,8 @@ from repro.parallel.barrier import (
     FRAME_SUMMARY,
     batch_barriers,
     decode_summary,
-    decode_telemetry,
     decode_transfer,
     encode_summary,
-    encode_telemetry,
     encode_transfer,
     frame_target,
     sync_schedule,
@@ -54,16 +52,6 @@ class TestFrameCodec:
         assert frame_target(buf) == "rsu-mw-link"
         assert decode_summary(buf) == ("rsu-mw-link", 1.25, b"\xc3payload")
 
-    def test_telemetry_round_trip(self):
-        buf = encode_telemetry("rsu-mw-2", 0.725, 42, b"\xc3" + b"z" * 70)
-        assert frame_target(buf) == "rsu-mw-2"
-        assert decode_telemetry(buf) == (
-            "rsu-mw-2",
-            0.725,
-            42,
-            b"\xc3" + b"z" * 70,
-        )
-
     def test_transfer_round_trip(self):
         state = {"car_id": 7, "stats": [1.0, 2.0], "pool": "link"}
         buf = encode_transfer("rsu-mw-link", state)
@@ -74,13 +62,12 @@ class TestFrameCodec:
 
     def test_target_peek_needs_no_body_decode(self):
         # The engine routes on the header prefix alone — same accessor
-        # for all three kinds.
+        # for both kinds.
         for buf in (
             encode_summary("a", 0.0, b""),
-            encode_telemetry("bb", 0.0, 1, b""),
             encode_transfer("ccc", {}),
         ):
-            assert frame_target(buf) in ("a", "bb", "ccc")
+            assert frame_target(buf) in ("a", "ccc")
 
     def test_overlong_rsu_name_rejected(self):
         with pytest.raises(ValueError):

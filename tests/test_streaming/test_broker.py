@@ -197,3 +197,67 @@ class TestProduceNotification:
         # the record was appended and announced; only the ack was lost
         assert seen == ["all", "key"]
         assert broker.end_offset("t", 0) == 1
+
+
+class TestOutageLog:
+    """The broker stamps its own down windows; settlement
+    (``Consumer.settle_polls``) counts the polls that fell inside."""
+
+    @staticmethod
+    def _clocked():
+        now = [0.0]
+        broker = Broker("b", clock=lambda: now[0])
+        broker.create_topic("t", 1)
+        return broker, now
+
+    def test_a_broker_that_never_crashed_has_no_outages(self, broker):
+        broker.produce("IN-DATA", b"x")
+        assert broker.outages == []
+
+    def test_shutdown_opens_a_window_restart_closes_it(self):
+        broker, now = self._clocked()
+        now[0] = 1.5
+        broker.shutdown()
+        assert broker.outages == [(1.5, float("inf"))]
+        now[0] = 2.25
+        broker.restart()
+        assert broker.outages == [(1.5, 2.25)]
+        now[0] = 4.0
+        broker.shutdown()
+        assert broker.outages == [(1.5, 2.25), (4.0, float("inf"))]
+        assert broker.crashes == 2
+
+    def test_nested_shutdown_while_down_adds_no_window(self):
+        broker, now = self._clocked()
+        now[0] = 1.0
+        broker.shutdown()
+        now[0] = 1.2
+        broker.shutdown()
+        assert broker.outages == [(1.0, float("inf"))]
+        assert broker.crashes == 1
+        now[0] = 2.0
+        broker.restart()
+        assert broker.outages == [(1.0, 2.0)]
+
+    def test_restart_while_up_is_a_no_op(self):
+        broker, now = self._clocked()
+        now[0] = 3.0
+        broker.restart()
+        assert broker.outages == [] and broker.available
+        broker.shutdown()
+        now[0] = 4.0
+        broker.restart()
+        now[0] = 9.0
+        broker.restart()  # a second restart must not move the edge
+        assert broker.outages == [(3.0, 4.0)]
+
+    def test_last_sequence_tracks_idempotent_appends_ack_or_not(self):
+        broker, now = self._clocked()
+        assert broker.last_sequence("p", "t") == 0
+        broker.produce("t", b"x", producer_id="p", sequence=1)
+        broker.drop_acks_until(1.0)
+        with pytest.raises(BrokerUnavailable):
+            broker.produce("t", b"y", producer_id="p", sequence=2)
+        # appended, though the producer never heard so
+        assert broker.last_sequence("p", "t") == 2
+        assert broker.last_sequence("p", "other") == 0

@@ -156,6 +156,37 @@ class TestRebind:
         assert producer.records_abandoned == 2
         assert fallback.end_offset("IN-DATA", 0) == 0
 
+    def test_a_record_whose_ack_was_lost_is_appended_not_abandoned(
+        self, sim, broker
+    ):
+        """Buffered behind a lost ack, a record is in the log already:
+        neither still-to-append nor, at a ``drop_pending`` rebind,
+        abandoned — it must be accounted once, as appended."""
+        producer = _resilient_producer(broker, sim)
+        broker.drop_acks_until(0.2)
+        assert producer.send("IN-DATA", {"n": 1}, key="k") is None
+        broker.shutdown()
+        assert producer.send("IN-DATA", {"n": 2}, key="k") is None
+        assert producer.buffered == 2
+        assert producer.buffered_unappended == 1
+        fallback = Broker("rsu-2", clock=lambda: sim.now)
+        fallback.create_topic("IN-DATA")
+        producer.rebind(fallback, drop_pending=True)
+        assert producer.records_abandoned == 1
+        assert producer.buffered == 0
+        appended = sum(
+            broker.end_offset("IN-DATA", p) for p in range(3)
+        )
+        assert appended == 1
+
+    def test_without_idempotence_every_buffered_record_is_unappended(
+        self, sim, broker
+    ):
+        producer = Producer(broker, sim=sim, retry=RetryPolicy())
+        broker.shutdown()
+        producer.send("IN-DATA", {"n": 1})
+        assert producer.buffered_unappended == producer.buffered == 1
+
 
 class TestOffsetRestore:
     def test_replacement_consumer_resumes_from_commit(self, broker):

@@ -1,18 +1,20 @@
 """Settlement: ``Consumer.settle_polls`` against running the polls.
 
-The batched dataplane does not execute a vehicle's polls that would only
-fetch and drop other cars' warnings; it settles them.  The reference
-here is the naive thing — ``poll_block`` at every grid instant, in time
-order with the appends — and the property is that settling afterwards,
-in one call or several, leaves every position and every consumed /
-fetched counter exactly where the executed polls left them.
+A vehicle does not execute the polls that would only fetch and drop
+other cars' warnings, or be refused by a down broker; it settles them.
+The reference here is the naive thing — ``poll_block`` at every grid
+instant, in time order with the appends, the crashes and the restarts —
+and the property is that settling afterwards, in one call or several,
+leaves every position and every consumed / fetched counter exactly
+where the executed polls left them, and counts exactly the polls the
+broker refused.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.streaming import Broker, Consumer, RawSerde
+from repro.streaming import Broker, BrokerUnavailable, Consumer, RawSerde
 
 TOPIC = "OUT-DATA"
 
@@ -20,6 +22,15 @@ millis = st.integers(0, 300).map(lambda n: n / 1000.0)
 appends_strategy = st.lists(
     st.tuples(millis, st.integers(0, 5), st.integers(1, 40)), max_size=60
 ).map(lambda items: sorted(items, key=lambda item: item[0]))
+# Crash / restart instants off the millisecond lattice the grids and
+# appends live on: an outage edge exactly at a grid instant is the one
+# documented relaxation (docs/ARCHITECTURE.md), not part of the property.
+# An odd count leaves the last outage open.
+outage_edges_strategy = st.lists(
+    st.integers(0, 330).map(lambda n: n / 1000.0 + 0.0004),
+    max_size=5,
+    unique=True,
+).map(sorted)
 
 
 def _grid(first, interval, limit):
@@ -40,13 +51,31 @@ class _World:
         self.broker = Broker("rsu", clock=lambda: self.now)
         self.broker.create_topic(TOPIC, partitions)
         self.consumer = None
+        self.refused = 0
 
     def append(self, at, key, size):
         self.now = at
-        # the record timestamp is deliberately not the append clock
-        self.broker.produce(
-            TOPIC, b"x" * size, key=str(key).encode(), timestamp=at - 1.0
-        )
+        try:
+            # the record timestamp is deliberately not the append clock
+            self.broker.produce(
+                TOPIC, b"x" * size, key=str(key).encode(), timestamp=at - 1.0
+            )
+        except BrokerUnavailable:
+            pass  # produced into an outage: never appended
+
+    def toggle(self, at):
+        self.now = at
+        if self.broker.available:
+            self.broker.shutdown()
+        else:
+            self.broker.restart()
+
+    def poll(self, at, budget):
+        self.now = at
+        try:
+            self.consumer.poll_block(budget)
+        except BrokerUnavailable:
+            self.refused += 1
 
     def attach(self, at):
         self.now = at
@@ -61,43 +90,47 @@ class _World:
             self.consumer.bytes_consumed,
             self.broker.records_out,
             self.broker.bytes_out,
+            self.refused,
         )
 
 
-def _executed(partitions, appends, attach, instants, budget):
-    """The polls run for real, interleaved with the appends; an append
-    clocked exactly at a grid instant is visible to that poll."""
+def _timeline(appends, attach, outage_edges, polls=()):
+    entries = [(at, 0, ("append", at, key, size)) for at, key, size in appends]
+    entries.append((attach, -1, ("attach", attach)))
+    entries.extend((at, 0, ("toggle", at)) for at in outage_edges)
+    entries.extend((at, 1, ("poll", at, budget)) for at, budget in polls)
+    return [action for *_, action in sorted(entries, key=lambda e: e[:2])]
+
+
+def _play(partitions, timeline):
     world = _World(partitions)
-    timeline = [(at, 0, ("append", at, key, size)) for at, key, size in appends]
-    timeline.append((attach, -1, ("attach", attach)))
-    timeline.extend((at, 1, ("poll", at)) for at in instants)
-    timeline.sort(key=lambda entry: entry[:2])
-    for _at, _order, action in timeline:
-        if action[0] == "append":
-            world.append(*action[1:])
-        elif action[0] == "attach":
-            world.attach(action[1])
-        else:
-            world.now = action[1]
-            world.consumer.poll_block(budget)
+    for name, *args in timeline:
+        getattr(world, name)(*args)
     return world
 
 
-def _settled(partitions, appends, attach, first, interval, limits, budget):
-    """Every append first, then the polls settled up to each limit."""
-    world = _World(partitions)
-    attached = False
-    for at, key, size in appends:
-        if not attached and at >= attach:
-            world.attach(attach)
-            attached = True
-        world.append(at, key, size)
-    if not attached:
-        world.attach(attach)
+def _executed(partitions, appends, attach, instants, budget, outage_edges=()):
+    """The polls run for real, interleaved with the appends and the
+    outages; an append clocked exactly at a grid instant is visible to
+    that poll."""
+    polls = [(at, budget) for at in instants]
+    return _play(partitions, _timeline(appends, attach, outage_edges, polls))
+
+
+def _settled(
+    partitions, appends, attach, first, interval, limits, budget,
+    outage_edges=(),
+):
+    """Every append and outage first, then the polls settled up to each
+    limit."""
+    world = _play(partitions, _timeline(appends, attach, outage_edges))
     world.now = max(world.now, limits[-1])
     upcoming = first
     for limit in limits:
-        upcoming = world.consumer.settle_polls(upcoming, interval, limit, budget)
+        upcoming, refused = world.consumer.settle_polls(
+            upcoming, interval, limit, budget
+        )
+        world.refused += refused
     return world, upcoming
 
 
@@ -111,19 +144,24 @@ def _settled(partitions, appends, attach, first, interval, limits, budget):
     limit=st.integers(0, 320).map(lambda n: n / 1000.0),
     cut=st.integers(0, 320).map(lambda n: n / 1000.0),
     budget=st.sampled_from([1, 2, 5, 500]),
+    outage_edges=outage_edges_strategy,
 )
 def test_settling_equals_running_every_poll(
-    partitions, appends, attach, phase, interval, limit, cut, budget
+    partitions, appends, attach, phase, interval, limit, cut, budget,
+    outage_edges,
 ):
     first = attach + phase
     instants, upcoming = _grid(first, interval, limit)
-    executed = _executed(partitions, appends, attach, instants, budget)
+    executed = _executed(
+        partitions, appends, attach, instants, budget, outage_edges
+    )
     at_once, next_at_once = _settled(
-        partitions, appends, attach, first, interval, [limit], budget
+        partitions, appends, attach, first, interval, [limit], budget,
+        outage_edges,
     )
     in_two, next_in_two = _settled(
         partitions, appends, attach, first, interval,
-        sorted([cut, limit]), budget,
+        sorted([cut, limit]), budget, outage_edges,
     )
     assert at_once.state() == executed.state()
     assert next_at_once == upcoming
@@ -153,3 +191,22 @@ def test_settle_refuses_a_retention_bounded_partition():
     broker.produce(TOPIC, b"x")
     with pytest.raises(ValueError, match="retention-bounded"):
         consumer.settle_polls(0.0, 0.01, 1.0)
+
+
+def test_settle_counts_the_polls_an_outage_refused():
+    """Down over [0.025, 0.055): the polls at 0.03, 0.04 and 0.05 are
+    refused and move nothing; the one at 0.06 reads what queued up
+    before the crash."""
+    appends = [(0.001, 0, 10), (0.021, 0, 10), (0.024, 1, 10)]
+    edges = [0.025, 0.055]
+    instants, after = _grid(0.01, 0.01, 0.065)  # 0.01 ... 0.06
+    executed = _executed(1, appends, 0.0, instants, 500, edges)
+    settled, upcoming = _settled(1, appends, 0.0, 0.01, 0.01, [0.065], 500, edges)
+    assert executed.refused == 3
+    assert executed.consumer.records_consumed == 3
+    assert settled.state() == executed.state()
+    assert len(instants) == 6 and upcoming == after
+    # settled while the outage is still open: refused so far, no more
+    open_world, _ = _settled(1, appends, 0.0, 0.01, 0.01, [0.045], 500, edges[:1])
+    assert open_world.refused == 2
+    assert open_world.consumer.records_consumed == 1

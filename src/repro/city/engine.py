@@ -35,7 +35,7 @@ schedule:
   worker continues the draw sequence bit for bit.
 
 Hence shards=N produces digests bit-identical to shards=1, rebalancing
-or not — which is the pinned acceptance test for BENCH_6.
+or not — pinned by ``tests/test_city/test_engine.py``.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ One subcommand per workflow a downstream user needs:
   shard rebalancing.
 
 The scenario-running subcommands (``parallel``, ``obs``,
-``resilience``, ``city``) share one scenario parent parser
-(``--seed`` / ``--shards``) and, together with ``bench``, one output
+``resilience``, ``city``, ``comm``) share one scenario parent parser
+(``--seed`` / ``--shards``) and, together with ``fuzz``, one output
 parent (``--out`` / ``--format``), so the flags mean the same thing
 everywhere.  Legacy spellings (``parallel --workers``,
 ``obs --json``) still parse via :class:`_DeprecatedAlias` but warn on
@@ -324,131 +324,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     report = FuzzRunner(config).run()
     _emit_report(args, report.format_markdown(), report.to_dict())
     return 0 if report.ok else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Markdown delta table: a fresh BENCH_*.json vs the committed
-    baseline of the same bench id.
-
-    The metric extractors live with the regression gate
-    (``benchmarks/regression_check.py``) so the two can never drift;
-    this command only renders their output, which also means it must
-    run from a checkout (the benchmarks/ directory is not part of the
-    installed package).
-    """
-    import json
-    from pathlib import Path
-
-    candidate_path = Path(args.candidate)
-    root = None
-    for base in (Path.cwd(), candidate_path.resolve().parent):
-        for probe in (base, *base.parents):
-            if (probe / "benchmarks" / "regression_check.py").exists():
-                root = probe
-                break
-        if root is not None:
-            break
-    if root is None:
-        print(
-            "repro bench needs a repository checkout (benchmarks/"
-            "regression_check.py not found above the cwd or the candidate)",
-            file=sys.stderr,
-        )
-        return 2
-    sys.path.insert(0, str(root))
-    from benchmarks.regression_check import (
-        MODE_AWARE_BENCHES,
-        apply_aliases,
-        extract_metrics,
-        extract_wall_seconds,
-        is_ratio_metric,
-    )
-
-    candidate = json.loads(candidate_path.read_text())
-    bench = candidate.get("bench")
-    mode = (
-        candidate.get("mode", "full")
-        if bench in MODE_AWARE_BENCHES
-        else "full"
-    )
-    candidate_metrics = apply_aliases(extract_metrics(candidate, mode))
-    candidate_walls = extract_wall_seconds(candidate)
-
-    baseline_path = (
-        Path(args.baseline) if args.baseline else root / f"{bench}.json"
-    )
-    lines = [f"### {bench} delta ({candidate.get('mode', 'full')} candidate)\n"]
-    payload = {
-        "bench": bench,
-        "mode": mode,
-        "candidate": dict(candidate_metrics),
-        "candidate_wall_s": dict(candidate_walls),
-        "baseline": None,
-        "baseline_wall_s": None,
-    }
-    if not baseline_path.exists():
-        lines.append(f"No committed baseline at `{baseline_path.name}` — new "
-                     "benchmark.\n")
-        lines.append("| metric | candidate | kind |")
-        lines.append("|---|---:|---|")
-        for name, value in sorted(candidate_metrics.items()):
-            kind = "ratio" if is_ratio_metric(name) else "absolute"
-            lines.append(f"| {name} | {value:,.3f} | {kind} (no baseline) |")
-        for name, value in sorted(candidate_walls.items()):
-            lines.append(
-                f"| {name} | {value:,.3f} | wall seconds (no baseline) |"
-            )
-        _emit_report(args, "\n".join(lines), payload)
-        return 0
-    baseline = json.loads(baseline_path.read_text())
-    baseline_metrics = apply_aliases(extract_metrics(baseline, mode))
-    baseline_walls = extract_wall_seconds(baseline)
-    payload["baseline"] = dict(baseline_metrics)
-    payload["baseline_wall_s"] = dict(baseline_walls)
-
-    lines.append(f"Baseline: `{baseline_path.name}` "
-                 f"({baseline.get('mode', 'full')} mode)\n")
-    lines.append("| metric | candidate | baseline | delta | kind |")
-    lines.append("|---|---:|---:|---:|---|")
-    for name in sorted(set(candidate_metrics) | set(baseline_metrics)):
-        kind = "ratio" if is_ratio_metric(name) else "absolute"
-        cand = candidate_metrics.get(name)
-        base = baseline_metrics.get(name)
-        if cand is None:
-            lines.append(f"| {name} | — | {base:,.3f} | missing | {kind} |")
-            continue
-        if base is None:
-            lines.append(f"| {name} | {cand:,.3f} | — | new | {kind} |")
-            continue
-        delta = (cand - base) / base if base else float("nan")
-        lines.append(
-            f"| {name} | {cand:,.3f} | {base:,.3f} | {delta:+.1%} | {kind} |"
-        )
-    # Absolute wall clocks next to the ratios: what the speedups are
-    # made of, never gated (host-dependent).
-    for name in sorted(set(candidate_walls) | set(baseline_walls)):
-        cand = candidate_walls.get(name)
-        base = baseline_walls.get(name)
-        if cand is None:
-            lines.append(
-                f"| {name} | — | {base:,.3f} s | missing | wall seconds |"
-            )
-            continue
-        if base is None:
-            lines.append(f"| {name} | {cand:,.3f} s | — | new | wall seconds |")
-            continue
-        delta = (cand - base) / base if base else float("nan")
-        lines.append(
-            f"| {name} | {cand:,.3f} s | {base:,.3f} s | {delta:+.1%} "
-            f"| wall seconds |"
-        )
-    lines.append(
-        "\nRatio metrics are same-host relative and gate the CI check; "
-        "absolute throughputs and wall seconds are informational across "
-        "hosts."
-    )
-    _emit_report(args, "\n".join(lines), payload)
-    return 0
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
@@ -815,18 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="knee accuracy budget in percentage points",
     )
     comm.set_defaults(func=_cmd_comm)
-
-    bench = commands.add_parser(
-        "bench",
-        help="markdown delta table: fresh BENCH_*.json vs committed baseline",
-        parents=[output_parent],
-    )
-    bench.add_argument("candidate", help="freshly produced BENCH_*.json")
-    bench.add_argument(
-        "--baseline",
-        help="baseline artifact (default: repo-root <bench>.json)",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     fuzz = commands.add_parser(
         "fuzz",

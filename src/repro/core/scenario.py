@@ -77,9 +77,9 @@ class ScenarioSpec:
     #: MAC contention flushed at RSU ticks, lazy HTB accrual, and — with
     #: ``columnar`` — block uplink fetches off the broker's slabs).
     #: Results are bit-identical; batched requires a single-process,
-    #: fault-free, poll-dissemination run.  Warning dissemination does
-    #: not depend on it: polling vehicles run the owner-routed, settled
-    #: poll grid on both.
+    #: fault-free run.  Warning dissemination (``poll`` or ``notify``)
+    #: does not depend on it, and without faults a retry policy only
+    #: stamps idempotent sequence numbers, so both combine with either.
     dataplane: str = "event"
     #: Fault profile to inject during the run (``None`` = fault-free).
     faults: Optional[FaultProfile] = None
@@ -146,17 +146,9 @@ class ScenarioSpec:
                     "collab priority scheduling requires use_htb"
                 )
         if self.dataplane == "batched":
-            if self.dissemination != "poll":
-                raise ValueError(
-                    "the batched dataplane requires 'poll' dissemination"
-                )
             if self.faults is not None:
                 raise ValueError(
                     "the batched dataplane requires a fault-free run"
-                )
-            if self.producer_retry is not None:
-                raise ValueError(
-                    "the batched dataplane does not support producer retry"
                 )
             if self.shards > 1:
                 raise ValueError(

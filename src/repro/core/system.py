@@ -361,7 +361,7 @@ class TestbedScenario:
     # ------------------------------------------------------------------
     @property
     def _batched(self) -> bool:
-        return getattr(self.config, "dataplane", "event") == "batched"
+        return self.config.dataplane == "batched"
 
     def _rsu_config(self) -> RsuConfig:
         return RsuConfig(
@@ -371,7 +371,7 @@ class TestbedScenario:
             block=self.config.columnar and self._batched,
             serdes=topic_serdes(self.config.serde_profile),
             upstream_timeout_s=self.config.upstream_timeout_s,
-            collab=getattr(self.config, "collab", None),
+            collab=self.config.collab,
         )
 
     def _wire_batched_flush(self, name: str) -> None:
@@ -403,7 +403,7 @@ class TestbedScenario:
         if self.config.use_htb:
             root = HtbClass(f"{name}-root", DSRC_BANDWIDTH_BPS, DSRC_BANDWIDTH_BPS)
             self.shapers[name] = HtbShaper(root)
-        collab = getattr(self.config, "collab", None)
+        collab = self.config.collab
         if (
             collab is not None
             and collab.enabled
@@ -496,7 +496,7 @@ class TestbedScenario:
                 serdes=topic_serdes(self.config.serde_profile),
                 dissemination=self.config.dissemination,
                 retry=self.config.producer_retry,
-                dataplane=getattr(self.config, "dataplane", "event"),
+                dataplane=self.config.dataplane,
             )
             self.vehicles.append(vehicle)
             created.append(vehicle)
@@ -823,7 +823,7 @@ class TestbedScenario:
 
             self._injector = FaultInjector(self)
             self._injector.install(self.config.faults)
-        observing = bool(getattr(self.config, "observability", False))
+        observing = self.config.observability
         snapshot = None
         if observing:
             # Imported lazily: repro.obs stays off the cold path.

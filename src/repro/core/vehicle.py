@@ -129,9 +129,9 @@ class VehicleNode:
         resolves at the RSU's pre-poll flush, RNG draw order
         preserved), HTB is charged lazily, and delivery patches a
         pre-serialized template.  Results and accounting are
-        bit-identical; the batched mode requires ``"poll"``
-        dissemination and a single-process fault-free run
-        (:class:`~repro.core.scenario.ScenarioSpec` enforces this).
+        bit-identical; the batched mode requires a single-process
+        fault-free run (:class:`~repro.core.scenario.ScenarioSpec`
+        enforces this).
 
     Whatever the dataplane, a ``"poll"`` vehicle's 10 ms poll grid is
     virtual: the grid is the drawn phase plus repeated interval
@@ -143,15 +143,12 @@ class VehicleNode:
     broker's outage log (:meth:`_settle`).
     """
 
-    #: Perf-baseline switch (class level, snapshotted at construction):
-    #: ``True`` restores the pre-overhaul per-tick behaviour — payload
-    #: rebuilt from the record on every 10 Hz send, and the poll grid
-    #: run as a real recurrence: the only place every 10 ms poll is
-    #: executed and every OUT-DATA warning deserialized per vehicle.
-    #: Results are bit-identical either way; the BENCH_4/BENCH_5
-    #: corridor baselines flip this to measure what the production
-    #: paths buy, and the golden dissemination suite uses it as the
-    #: live oracle for settlement.
+    #: The settlement oracle and nothing else (class level, snapshotted
+    #: at construction): ``True`` runs the poll grid as a real
+    #: recurrence — every 10 ms poll executed, every OUT-DATA warning
+    #: deserialized per vehicle.  Results are bit-identical either way,
+    #: which is what the golden dissemination suite holds
+    #: :meth:`_settle` to; nothing in ``src`` sets it.
     legacy_tick = False
 
     def __init__(
@@ -180,10 +177,6 @@ class VehicleNode:
             raise ValueError(f"unknown dissemination mode: {dissemination!r}")
         if dataplane not in ("event", "batched"):
             raise ValueError(f"unknown dataplane mode: {dataplane!r}")
-        if dataplane == "batched" and dissemination != "poll":
-            raise ValueError(
-                "the batched dataplane requires 'poll' dissemination"
-            )
         self.sim = sim
         self.car_id = car_id
         self.dataplane = dataplane
@@ -490,8 +483,6 @@ class VehicleNode:
         self._stripe = records
         self._payloads = payloads
         self._payload_cycle = itertools.cycle(payloads)
-        # Only consumed on the legacy (perf-baseline) tick path.
-        self._record_cycle = itertools.cycle(records)
         # Batched-dataplane wire templates, parallel to the payloads;
         # each is serialized on the first send of its record (the serde
         # is assigned after this runs, and replay may touch only a
@@ -598,11 +589,7 @@ class VehicleNode:
         # precomputed per stripe record; only the envelope — mutated at
         # delivery time and possibly alive across a handover — must be
         # fresh per send.
-        if self._legacy_tick:
-            data = record_to_payload(next(self._record_cycle))
-            data["car"] = self.car_id
-        else:
-            data = next(self._payload_cycle)
+        data = next(self._payload_cycle)
         generated_at = self.sim.now
         envelope = {
             "data": data,

@@ -10,8 +10,7 @@ audit run at every point so a byte saved is never a summary silently
 dropped.
 
 The *knee* is the cheapest point whose accuracy stays within
-``accuracy_budget_pp`` (default 0.5 pp) of the baseline — the number
-``BENCH_7`` gates on.
+``accuracy_budget_pp`` (default 0.5 pp) of the baseline.
 """
 
 from __future__ import annotations

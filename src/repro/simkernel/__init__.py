@@ -23,7 +23,6 @@ The public surface is small:
 from repro.simkernel.clock import SimClock
 from repro.simkernel.events import Event, EventQueue
 from repro.simkernel.process import Process, ProcessState
-from repro.simkernel.reference import ReferenceEventQueue
 from repro.simkernel.rng import RngRegistry, derive_seed
 from repro.simkernel.simulator import (
     GroupRecurrence,
@@ -39,7 +38,6 @@ __all__ = [
     "Process",
     "ProcessState",
     "Recurrence",
-    "ReferenceEventQueue",
     "RngRegistry",
     "SimClock",
     "SimulationError",

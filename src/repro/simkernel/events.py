@@ -141,7 +141,7 @@ class EventQueue:
         self._live = 0
         self._cancelled = 0
         self._free: List[Event] = []
-        # Introspection for the obs layer and the perf harness.
+        # Introspection for the obs layer.
         self.depth_peak = 0
         self.cancelled_peak = 0
         self.compactions = 0

@@ -355,28 +355,8 @@ class Simulator:
         member count.
     queue:
         Optional queue instance (defaults to a fresh
-        ``queue_factory()``).  The kernel-equivalence tests inject the
-        reference heap here.
+        :class:`EventQueue`).
     """
-
-    #: Class-level queue constructor — tests swap in
-    #: :class:`repro.simkernel.reference.ReferenceEventQueue` to run the
-    #: same scenario on the pre-overhaul kernel.
-    queue_factory = EventQueue
-
-    #: When ``False``, :meth:`every_group` degrades to plain
-    #: :meth:`every` — combined with ``queue_factory`` this reproduces
-    #: the pre-overhaul kernel exactly, which is what the
-    #: kernel-equivalence tests and the BENCH_4 baseline measure
-    #: against.
-    coalesce_ticks = True
-
-    #: When ``True``, ``run``/``run_until``/``run_before`` use the
-    #: seed's peek-then-step structure (a ``peek_time`` plus a ``pop``
-    #: per event, clock advanced through the full ``advance_to`` call)
-    #: instead of the tight ``_drain`` loop.  Perf-baseline only: the
-    #: event order, and therefore every trajectory, is identical.
-    legacy_loop = False
 
     def __init__(
         self,
@@ -385,7 +365,7 @@ class Simulator:
         queue: Optional[Any] = None,
     ) -> None:
         self.clock = SimClock(start)
-        self.queue = queue if queue is not None else self.queue_factory()
+        self.queue = queue if queue is not None else EventQueue()
         self.max_events = max_events
         self._events_fired = 0
         self._running = False
@@ -509,8 +489,6 @@ class Simulator:
         A :class:`GroupRecurrence`, duck-typing :class:`Recurrence`
         (callable canceller + ``next_time``).
         """
-        if not self.coalesce_ticks:
-            return self.every(interval, callback, start, until, label)
         if interval <= 0:
             raise SimulationError(f"interval must be positive, got {interval!r}")
         now = self.clock.now
@@ -616,32 +594,12 @@ class Simulator:
         queue.release(obj)
         return True
 
-    def _legacy_drain(self, deadline: Optional[float], strict: bool) -> None:
-        """The seed run loop: peek, bounds-check, step — per event.
-
-        Kept for the BENCH_4 baseline mode (``legacy_loop``): the seed
-        paid a ``peek_time`` (one lazy-cancel scan) *and* a ``pop``
-        (another) per event, plus the full ``advance_to`` method call.
-        Identical event order; only the constant factors differ.
-        """
-        while True:
-            next_time = self.queue.peek_time()
-            if next_time is None or (
-                deadline is not None
-                and (next_time >= deadline if strict else next_time > deadline)
-            ):
-                break
-            self.step()
-
     def _drain(self, deadline: Optional[float], strict: bool) -> None:
         """Shared run loop: pop-advance-fire-release until exhausted.
 
         The queue method and counters are bound to locals — at ~1M
         events/s every attribute lookup in this loop is measurable.
         """
-        if self.legacy_loop:
-            self._legacy_drain(deadline, strict)
-            return
         queue = self.queue
         if deadline is None:
             pop = queue.pop_next

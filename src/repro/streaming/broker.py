@@ -45,12 +45,6 @@ class Broker:
         simulated time.
     """
 
-    #: Perf-baseline switch (class level, snapshotted at construction):
-    #: ``True`` restores the pre-overhaul fetch path — full
-    #: topic()/partition() validation chain and a log slice on every
-    #: poll, empty or not.  The BENCH_4 corridor baseline flips this.
-    legacy_fetch = False
-
     def __init__(
         self, name: str, clock: Optional[Callable[[], float]] = None
     ) -> None:
@@ -84,7 +78,6 @@ class Broker:
         # stale; it exists because consumers poll every 10 ms and the
         # topic()/partition() validation chain dominated empty polls.
         self._partition_cache: Dict[Tuple[str, int], Partition] = {}
-        self._legacy_fetch = bool(self.legacy_fetch)
         self._available = True
         #: Down windows ``(down_at, up_at)`` on this broker's clock,
         #: oldest first, half-open; an open one ends at +inf.  A poll at
@@ -317,14 +310,6 @@ class Broker:
         """Read records from one partition starting at ``from_offset``."""
         if not self._available:
             self._check_available("fetch")
-        if self._legacy_fetch:
-            records = self.topic(topic_name).partition(partition).read(
-                from_offset, max_records
-            )
-            if records:
-                self.bytes_out += sum(r.size for r in records)
-                self.records_out += len(records)
-            return records
         log = self._partition_cache.get((topic_name, partition))
         if log is None:
             log = self.topic(topic_name).partition(partition)

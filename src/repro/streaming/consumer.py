@@ -36,13 +36,6 @@ class Consumer:
         meaningful with a group).
     """
 
-    #: Perf-baseline switch (class level, snapshotted at construction):
-    #: ``True`` restores the pre-overhaul poll, which re-sorted the
-    #: assignment on every call instead of using the cached
-    #: ``_poll_order``.  Visit order — and so every trajectory — is
-    #: identical; the BENCH_4 corridor baseline flips this.
-    legacy_poll = False
-
     def __init__(
         self,
         broker: Broker,
@@ -58,7 +51,6 @@ class Consumer:
         self.client_id = client_id or f"consumer-{next(_consumer_ids)}"
         self._subscriptions: List[str] = []
         self._positions: Dict[Tuple[str, int], int] = {}
-        self._legacy_poll = bool(self.legacy_poll)
         #: Partition visit order for poll — sorted once when the
         #: assignment changes, not on every 10 ms poll.
         self._poll_order: List[Tuple[str, int]] = []
@@ -214,19 +206,14 @@ class Consumer:
             if generation != self._generation:
                 self._generation = generation
                 self._refresh_assignment()
-        if (
-            not self._legacy_poll
-            and self.broker.available
-            and self._still_idle()
-        ):
+        if self.broker.available and self._still_idle():
             return []
         out: List[ConsumerRecord] = []
         budget = max_records
         serde = self.serde
         positions = self._positions
         fetch = self.broker.fetch
-        order = sorted(positions) if self._legacy_poll else self._poll_order
-        for key in order:
+        for key in self._poll_order:
             if budget <= 0:
                 break
             topic, partition = key
@@ -262,7 +249,7 @@ class Consumer:
                 self.broker.commit(self.group, topic, partition, new_position)
         if out:
             self.records_consumed += len(out)
-        elif not self._legacy_poll:
+        else:
             self._mark_idle()
         return out
 

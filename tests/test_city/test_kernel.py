@@ -6,8 +6,7 @@ exact flagged-vehicle identities drawn from that RSU's RNG stream —
 must match, serially and under sharded runs with live rebalancing.
 These are the golden differential tests; the fuzz oracle
 (``city_kernel_equivalence``) explores the same property over random
-configurations, and BENCH_8 asserts it on the full-day 274-RSU
-benchmark config.
+configurations.
 """
 
 import numpy as np

@@ -413,3 +413,32 @@ class TestRefreshCorridor:
         assert any(
             key[0] == "rsu.co_frame_bytes" for key in snapshot.histograms
         )
+
+    def test_budget_sweep_knee_holds_the_smoke_floor(self):
+        """The comm-budget frontier on a six-second corridor: the knee
+        spends at least 2.5x fewer CO-DATA bytes per detected frame
+        than send-everything at no more than 1 pp of link accuracy,
+        over five gated points, every audit green.  The run is
+        deterministic (3.446x at +0.00 pp), so the floor carries no
+        noise margin."""
+        from repro.core.system import default_training_dataset
+        from repro.experiments.collab_budget import collab_budget_sweep
+
+        sweep = collab_budget_sweep(
+            n_vehicles_per_rsu=12,
+            duration_s=6.0,
+            seed=7,
+            budgets=(
+                ("tau=0.15", 0.15, None),
+                ("tau=0.30", 0.30, None),
+                ("tau=0.30/silence=3s", 0.30, 3.0),
+                ("tau=0.60/silence=3s", 0.60, 3.0),
+                ("tau=1.00/silence=4s", 1.00, 4.0),
+            ),
+            accuracy_budget_pp=1.0,
+            dataset=default_training_dataset(seed=11, n_cars=40),
+        )
+        assert sweep.audits_ok
+        assert len(sweep.points) - 1 >= 5
+        assert sweep.knee_accuracy_loss_pp <= 1.0
+        assert sweep.knee_byte_reduction >= 2.5

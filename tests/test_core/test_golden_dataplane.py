@@ -18,7 +18,9 @@ is run, every other one is *settled* (``test_golden_dissemination.py``
 holds that against the executed recurrence) — and the comparison covers
 the accounting too: broker downlink counters, per-vehicle consumer
 positions and consumed counters, and the read state left on departed
-brokers.
+brokers.  Dissemination mode and a fault-free retry policy are
+independent of the dataplane, so ``notify`` and ``RetryPolicy()`` ride
+the same comparison as further cases.
 """
 
 import dataclasses
@@ -28,9 +30,11 @@ import pytest
 from repro.core import vehicle as vehicle_module
 from repro.core.scenario import ScenarioSpec, paper_corridor
 from repro.core.system import TestbedScenario
+from repro.faults import profile
 from repro.fuzz.oracles import accounting_signature
 from repro.geo import RoadType
 from repro.streaming import Consumer
+from repro.streaming.producer import RetryPolicy
 
 
 def _run_corridor(
@@ -41,6 +45,7 @@ def _run_corridor(
     n_vehicles=4,
     prepare=None,
     stop_at=None,
+    **spec_overrides,
 ):
     config = ScenarioSpec(
         n_vehicles=n_vehicles,
@@ -50,6 +55,7 @@ def _run_corridor(
         columnar=True,
         serde_profile=serde_profile,
         dataplane=dataplane,
+        **spec_overrides,
     )
     scenario = TestbedScenario.corridor(config, motorways=2, dataset=dataset)
     if prepare is not None:
@@ -145,16 +151,51 @@ def _assert_bit_identical(event_run, batched_run):
     )
 
 
-@pytest.mark.parametrize("serde_profile", ["json", "struct"])
+@pytest.mark.parametrize(
+    "serde_profile, overrides",
+    [
+        pytest.param("json", {}, id="json"),
+        pytest.param("struct", {}, id="struct"),
+        pytest.param("json", {"dissemination": "notify"}, id="json-notify"),
+        pytest.param(
+            "struct",
+            {"dissemination": "notify", "handover_fraction": 0.5},
+            id="struct-notify-handover",
+        ),
+        pytest.param(
+            "struct", {"producer_retry": RetryPolicy()}, id="struct-retry"
+        ),
+        pytest.param(
+            "json",
+            {"producer_retry": RetryPolicy(), "handover_fraction": 0.25},
+            id="json-retry-handover",
+        ),
+        pytest.param(
+            "struct",
+            {
+                "dissemination": "notify",
+                "producer_retry": RetryPolicy(),
+                "handover_fraction": 0.25,
+                "n_vehicles": 16,
+            },
+            id="struct-notify-retry-handover",
+        ),
+    ],
+)
 def test_batched_dataplane_is_bit_identical(
-    labeled_dataset, serde_profile, audit_invariants
+    labeled_dataset, serde_profile, overrides, audit_invariants
 ):
     """Same seeds, same serde: batched and per-event runs must agree on
     every event, warning, latency sample, and bandwidth counter —
     including the JSON profile, where template struct sends fall back to
-    generic per-record serialization."""
-    event_run = _run_corridor(labeled_dataset, "event", serde_profile)
-    batched_run = _run_corridor(labeled_dataset, "batched", serde_profile)
+    generic per-record serialization, and whatever the dissemination
+    mode or (fault-free) retry policy."""
+    event_run = _run_corridor(
+        labeled_dataset, "event", serde_profile, **overrides
+    )
+    batched_run = _run_corridor(
+        labeled_dataset, "batched", serde_profile, **overrides
+    )
     audit_invariants(event_run[1])
     audit_invariants(batched_run[1])
     _assert_bit_identical(event_run, batched_run)
@@ -327,5 +368,12 @@ def test_batched_dataplane_rejects_unsupported_configs():
     """The batched plane is explicit about what it does not model."""
     with pytest.raises(ValueError, match="batched dataplane"):
         ScenarioSpec(n_vehicles=2, duration_s=1.0, dataplane="batched", shards=2)
+    with pytest.raises(ValueError, match="batched dataplane"):
+        ScenarioSpec(
+            n_vehicles=2,
+            duration_s=1.0,
+            dataplane="batched",
+            faults=profile("chaos", 1.0),
+        )
     with pytest.raises(ValueError, match="unknown dataplane"):
         ScenarioSpec(n_vehicles=2, duration_s=1.0, dataplane="turbo")

@@ -9,7 +9,10 @@ restoration, and CO-DATA degradation with re-merge on recovery.
 import pytest
 
 from repro.core.system import TestbedScenario, default_training_dataset
-from repro.experiments.resilience import count_duplicate_detections
+from repro.experiments.resilience import (
+    count_duplicate_detections,
+    resilience_corridor,
+)
 from repro.faults import (
     BrokerCrash,
     BurstLoss,
@@ -296,6 +299,27 @@ class TestChaosInvariants:
             for name, terms in report.terms.items()
             if name.startswith("detection[")
         )
+
+    def test_chaos_recovery_stays_inside_the_acceptance_bounds(
+        self, training_dataset
+    ):
+        """The resilience acceptance bounds: crash to first
+        post-restart detection within 2 simulated seconds, retries
+        deduplicated to zero duplicate detections, nothing evicted from
+        a retry buffer, and at least 80 % of the fault-free run's
+        warnings still delivered."""
+        report = resilience_corridor(
+            "chaos",
+            n_vehicles=8,
+            duration_s=4.0,
+            motorways=2,
+            dataset=training_dataset,
+        )
+        assert report.recovery_time_s  # a broker did crash and recover
+        assert report.max_recovery_time_s <= 2.0
+        assert report.duplicate_detections == 0
+        assert report.records_dropped == 0
+        assert report.warning_delivery_ratio >= 0.80
 
     def test_fault_counters_track_injector_log(self, training_dataset):
         """With observability on, every injected fault shows up in the

@@ -5,22 +5,13 @@ queue in :mod:`repro.simkernel.events`: a single ``heapq`` holding the
 :class:`~repro.simkernel.events.Event` objects themselves, ordered by
 their Python-level ``__lt__`` (which builds a ``(time, priority, seq)``
 tuple per comparison), with lazy cancellation and a fresh allocation
-per push.  It is kept in-tree, faithful to the seed implementation,
-for two jobs:
-
-- **Golden equivalence.**  The calendar queue must produce trajectories
-  bit-identical to this heap for every scenario.  The kernel-equivalence
-  tests run the same seeded corridor on both queues (via
-  ``Simulator.queue_factory``) and compare warnings, latencies and RNG
-  states exactly.
-- **Honest baselines.**  ``benchmarks/perf_harness.py`` measures the
-  calendar queue's speedup *against this heap on the same host*, so the
-  BENCH_4 ratio metrics are not polluted by host-to-host variance.
-  Faithfulness matters here: the seed heap pays a Python method call
-  and two tuple allocations per sift comparison, which is precisely
-  the overhead the overhaul removes — replacing it with something
-  faster would flatter the baseline and understate nothing, overstate
-  nothing, but measure the wrong thing.
+per push.  It is kept, faithful to the seed implementation, as the
+oracle for the calendar queue: the calendar queue must produce
+trajectories bit-identical to this heap for every scenario.
+``test_kernel_equivalence.py`` runs the same seeded corridor on both
+queues and compares warnings, summaries and latencies exactly.
+Faithfulness is the point — an oracle that shared the calendar
+queue's tricks would share its bugs.
 
 It intentionally has **no** slab free list and **no** compaction — it
 is the seed implementation of the queue contract.  The interface

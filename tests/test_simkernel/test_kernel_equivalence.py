@@ -3,22 +3,15 @@ reference heap with independent recurrences.
 
 The event-kernel overhaul must be invisible to the system above it —
 same warnings, same summary chain, same latency statistics, bit for
-bit, on a real corridor scenario.  The legacy perf-baseline switches
-(seed-faithful vehicle tick / broker fetch / consumer poll / run loop)
-must be equally invisible: they exist so the perf harness can measure
-the pre-overhaul baseline in-tree, not to change behaviour.
+bit, on a real corridor scenario.
 """
 
 import pytest
 
 from repro.core.scenario import ScenarioSpec
 from repro.core.system import TestbedScenario
-from repro.core.vehicle import VehicleNode
 from repro.simkernel import Simulator
-from repro.simkernel.events import EventQueue
-from repro.simkernel.reference import ReferenceEventQueue
-from repro.streaming.broker import Broker
-from repro.streaming.consumer import Consumer
+from tests.test_simkernel.reference_queue import ReferenceEventQueue
 
 
 def run_corridor():
@@ -45,23 +38,15 @@ def new_kernel_result():
 def test_reference_heap_without_coalescing_matches(
     monkeypatch, new_kernel_result
 ):
-    monkeypatch.setattr(Simulator, "queue_factory", ReferenceEventQueue)
-    monkeypatch.setattr(Simulator, "coalesce_ticks", False)
+    monkeypatch.setattr(
+        "repro.simkernel.simulator.EventQueue", ReferenceEventQueue
+    )
+    monkeypatch.setattr(Simulator, "every_group", Simulator.every)
     assert run_corridor() == new_kernel_result
 
 
 def test_calendar_queue_without_coalescing_matches(
     monkeypatch, new_kernel_result
 ):
-    monkeypatch.setattr(Simulator, "coalesce_ticks", False)
-    assert run_corridor() == new_kernel_result
-
-
-def test_legacy_baseline_switches_match(monkeypatch, new_kernel_result):
-    monkeypatch.setattr(Simulator, "queue_factory", ReferenceEventQueue)
-    monkeypatch.setattr(Simulator, "coalesce_ticks", False)
-    monkeypatch.setattr(Simulator, "legacy_loop", True)
-    monkeypatch.setattr(VehicleNode, "legacy_tick", True)
-    monkeypatch.setattr(Broker, "legacy_fetch", True)
-    monkeypatch.setattr(Consumer, "legacy_poll", True)
+    monkeypatch.setattr(Simulator, "every_group", Simulator.every)
     assert run_corridor() == new_kernel_result

@@ -114,17 +114,11 @@ class CloudRelayRsu(RsuNode):
                 abnormal,
                 block.label,
             )
-            for position in np.nonzero(abnormal)[0].tolist():
-                self._emit_warning(
-                    car_id=int(block.car_id[position]),
-                    road_id=int(block.road_id[position]),
-                    speed_kmh=float(block.speed_kmh[position]),
-                    generated_at=float(block.generated_at[position]),
-                    detected_at=now,
-                )
+            self._emit_block_warnings(block, np.nonzero(abnormal)[0], now)
             return
         records = [payload_to_record(p["data"]) for p in payloads]
         classes, _ = self.detector.detect(records)
+        warned = []
         for payload, record, cls in zip(payloads, records, classes):
             abnormal = int(cls) == ABNORMAL
             self.events.append(
@@ -138,10 +132,13 @@ class CloudRelayRsu(RsuNode):
                 )
             )
             if abnormal:
-                self._emit_warning(
-                    car_id=record.car_id,
-                    road_id=record.road_id,
-                    speed_kmh=record.speed_kmh,
-                    generated_at=payload["generated_at"],
-                    detected_at=now,
+                warned.append(
+                    (
+                        record.car_id,
+                        record.road_id,
+                        record.speed_kmh,
+                        payload["generated_at"],
+                    )
                 )
+        if warned:
+            self._emit_warnings(*zip(*warned), now)

@@ -271,6 +271,22 @@ class WarningMessage:
         }
 
     @staticmethod
+    def payload_columns(
+        cars, roads, speeds, detected_at: float
+    ) -> Dict[str, Any]:
+        """:meth:`to_payload` of the warnings one detection instant
+        raised, as one column per field.  Python's ``round`` value by
+        value: ``np.round`` differs in the last ulp."""
+        n = len(cars)
+        return {
+            "car": cars,
+            "rd": roads,
+            "t": [round(detected_at, 6)] * n,
+            "spd": [round(speed, 2) for speed in speeds],
+            "kind": [WarningMessage.kind] * n,
+        }
+
+    @staticmethod
     def from_payload(payload: Dict[str, Any]) -> "WarningMessage":
         return WarningMessage(
             car_id=int(payload["car"]),

@@ -11,6 +11,7 @@ handover.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -506,6 +507,7 @@ class RsuNode:
                 sum(1 for cls in classes if int(cls) == ABNORMAL),
                 completion_time - sum(arrivals) / len(arrivals),
             )
+        warned: List[Tuple[int, int, float, float]] = []
         for payload, record, cls, prob in zip(payloads, records, classes, probs):
             history = self._history.setdefault(record.car_id, [])
             history.append(float(prob))
@@ -532,13 +534,16 @@ class RsuNode:
                 self._abnormal_streak[record.car_id]
                 >= self.config.warning_threshold
             ):
-                self._emit_warning(
-                    car_id=record.car_id,
-                    road_id=record.road_id,
-                    speed_kmh=record.speed_kmh,
-                    generated_at=payload["generated_at"],
-                    detected_at=completion_time,
+                warned.append(
+                    (
+                        record.car_id,
+                        record.road_id,
+                        record.speed_kmh,
+                        payload["generated_at"],
+                    )
                 )
+        if warned:
+            self._emit_warnings(*zip(*warned), completion_time)
 
     def _on_batch_block(self, batch, completion_time: float) -> None:
         """The columnar hot path: the batch carries raw wire bytes,
@@ -577,9 +582,9 @@ class RsuNode:
             abnormal,
             block.label,
         )
-        self._bookkeep_block(block, classes, probs, abnormal, completion_time)
+        self._bookkeep(block, classes, probs, abnormal, completion_time)
 
-    def _bookkeep_block(
+    def _bookkeep(
         self,
         block: TelemetryBlock,
         classes: np.ndarray,
@@ -587,77 +592,10 @@ class RsuNode:
         abnormal: np.ndarray,
         completion_time: float,
     ) -> None:
-        """Per-car history / streak / warning state over arrays.
-
-        Grouping uses a stable argsort, so within-car record order —
-        and therefore the streak recurrence and warning firing order —
-        matches the per-record loop exactly.
-        """
-        car_ids = block.car_id
-        if len(car_ids) <= 32:
-            # Micro-batches (a handful of cars, one or two records
-            # each) spend more on argsort/split/group setup than the
-            # work itself: run the original per-record recurrence.
-            # Same history/streak/warning trajectory — the vectorized
-            # path below is the batch form of exactly this loop.
-            self._bookkeep_rows(block, classes, probs, abnormal, completion_time)
-            return
-        order = np.argsort(car_ids, kind="stable")
-        sorted_cars = car_ids[order]
-        starts = np.nonzero(np.diff(sorted_cars))[0] + 1
-        groups = np.split(order, starts)
-        limit = self.config.history_limit
-        threshold = self.config.warning_threshold
-        warn_positions: List[int] = []
-        for group in groups:
-            car = int(car_ids[group[0]])
-            history = self._history.setdefault(car, [])
-            history.extend(probs[group].tolist())
-            if len(history) > limit:
-                del history[:-limit]
-            self._last_class[car] = int(classes[group[-1]])
-            flags = abnormal[group]
-            if not flags.any():
-                self._abnormal_streak[car] = 0
-                continue
-            # Streak recurrence, vectorized: distance to the previous
-            # normal record, plus the carried-in streak before the
-            # first reset.
-            carry = self._abnormal_streak.get(car, 0)
-            n = len(group)
-            idx = np.arange(n)
-            last_reset = np.maximum.accumulate(np.where(~flags, idx, -1))
-            streaks = np.where(flags, idx - last_reset, 0)
-            if carry:
-                streaks = np.where(
-                    flags & (last_reset == -1), streaks + carry, streaks
-                )
-            self._abnormal_streak[car] = int(streaks[-1])
-            warn_positions.extend(
-                group[np.nonzero(flags & (streaks >= threshold))[0]].tolist()
-            )
-        if not warn_positions:
-            return
-        warn_positions.sort()  # original record order across cars
-        for position in warn_positions:
-            self._emit_warning(
-                car_id=int(car_ids[position]),
-                road_id=int(block.road_id[position]),
-                speed_kmh=float(block.speed_kmh[position]),
-                generated_at=float(block.generated_at[position]),
-                detected_at=completion_time,
-            )
-
-    def _bookkeep_rows(
-        self,
-        block: TelemetryBlock,
-        classes: np.ndarray,
-        probs: np.ndarray,
-        abnormal: np.ndarray,
-        completion_time: float,
-    ) -> None:
-        """Small-batch form of :meth:`_bookkeep_block`: plain loop in
-        record order (which is also per-car order), no numpy setup."""
+        """Per-car history / streak / warning state: the per-record
+        recurrence in record order (which is also per-car order), on
+        plain lists.  At 10 Hz a car appears about once per micro-batch,
+        so there is no group of rows to vectorize over."""
         cars = block.car_id.tolist()
         probs_list = probs.tolist()
         classes_list = np.asarray(classes).tolist()
@@ -666,6 +604,7 @@ class RsuNode:
         streaks = self._abnormal_streak
         limit = self.config.history_limit
         threshold = self.config.warning_threshold
+        warned: List[int] = []
         for position, car in enumerate(cars):
             history = history_map.setdefault(car, [])
             history.append(probs_list[position])
@@ -676,15 +615,23 @@ class RsuNode:
                 streak = streaks.get(car, 0) + 1
                 streaks[car] = streak
                 if streak >= threshold:
-                    self._emit_warning(
-                        car_id=car,
-                        road_id=int(block.road_id[position]),
-                        speed_kmh=float(block.speed_kmh[position]),
-                        generated_at=float(block.generated_at[position]),
-                        detected_at=completion_time,
-                    )
+                    warned.append(position)
             else:
                 streaks[car] = 0
+        self._emit_block_warnings(block, warned, completion_time)
+
+    def _emit_block_warnings(
+        self, block: TelemetryBlock, positions, detected_at: float
+    ) -> None:
+        """Warn the cars of the block rows at ``positions``."""
+        if len(positions):
+            self._emit_warnings(
+                block.car_id[positions].tolist(),
+                block.road_id[positions].tolist(),
+                block.speed_kmh[positions].tolist(),
+                block.generated_at[positions].tolist(),
+                detected_at,
+            )
 
     def _observe_batch(
         self, registry, n_records: int, n_abnormal: int, latency_s: float
@@ -699,42 +646,47 @@ class RsuNode:
             rsu=self.name,
         ).observe(latency_s * 1e3)
 
-    def _emit_warning(
-        self,
-        car_id: int,
-        road_id: int,
-        speed_kmh: float,
-        generated_at: float,
-        detected_at: float,
+    def _emit_warnings(
+        self, cars, roads, speeds, generated_ats, detected_at: float
     ) -> None:
-        """Produce one warning into OUT-DATA with the topic's serde."""
-        warning = WarningMessage(
-            car_id=car_id,
-            road_id=road_id,
-            detected_at=detected_at,
-            speed_kmh=speed_kmh,
+        """Produce one micro-batch's warnings into OUT-DATA, in order,
+        as one block encoded with the topic's serde."""
+        n = len(cars)
+        columns = WarningMessage.payload_columns(
+            cars, roads, speeds, detected_at
         )
-        out = dict(warning.to_payload())
-        out["generated_at"] = generated_at
+        columns["generated_at"] = generated_ats
+        serde = self._serde_for(OUT_DATA)
+        encode_batch = getattr(serde, "encode_batch", None)
+        frames = encode_batch(columns) if encode_batch is not None else None
+        if frames is not None:
+            size = len(frames) // n
+            values = [frames[at : at + size] for at in range(0, n * size, size)]
+        else:
+            # JSON profile, or a row the struct layout cannot hold.
+            values = [
+                serde.serialize(dict(zip(columns, row)))
+                for row in zip(*columns.values())
+            ]
         try:
-            self.broker.produce(
+            self.broker.produce_block(
                 OUT_DATA,
-                self._serde_for(OUT_DATA).serialize(out),
-                key=str(car_id).encode(),
+                [str(car).encode() for car in cars],
+                values,
                 timestamp=detected_at,
             )
         except BrokerUnavailable:
             # Only reachable in an ack-loss window (a down broker has
-            # no running pipeline): the warning *was* appended, just
-            # unacknowledged — vehicles still receive it.  The metric
+            # no running pipeline): the warnings *were* appended, just
+            # unacknowledged — vehicles still receive them.  The metric
             # counters for both branches are folded from these plain
             # attributes at finalize — never a registry lookup per
             # warning on the hot path.
-            self.warnings_ack_lost += 1
+            self.warnings_ack_lost += n
             return
-        self.warnings_issued += 1
-        self.warning_records.append(
-            (detected_at, car_id, road_id, speed_kmh, generated_at)
+        self.warnings_issued += n
+        self.warning_records.extend(
+            zip(repeat(detected_at), cars, roads, speeds, generated_ats)
         )
 
     def warning_log(self) -> List[Tuple[float, int, int, float, float]]:

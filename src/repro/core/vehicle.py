@@ -22,7 +22,7 @@ from repro.net.dsrc import DsrcChannel
 from repro.net.htb import HtbShaper
 from repro.simkernel.simulator import Simulator
 from repro.streaming.broker import BrokerUnavailable
-from repro.streaming.consumer import Consumer
+from repro.streaming.consumer import Consumer, OwnRecord
 from repro.streaming.producer import Producer, RetryPolicy
 from repro.streaming.serde import (
     JsonSerde,
@@ -40,9 +40,10 @@ _TS_PATCH = struct.Struct("<dd")
 #: Records one warning poll may fetch (the consumer's default budget).
 _POLL_MAX_RECORDS = 500
 
-#: Bounds of the broker-shared warning memos (oldest evicted first; a
-#: miss only recomputes).  A slab scan is dead one poll interval after
-#: its emission batch was appended: a few entries per partition do.
+#: Bounds of the broker-shared warning memos of ``notify`` wake-up polls
+#: (oldest evicted first; a miss only recomputes).  A slab scan is dead
+#: once the vehicles its emission batch woke have polled: a few entries
+#: per partition do.
 _SCAN_MEMO_ENTRIES = 12
 _DECODE_MEMO_ENTRIES = 1024
 
@@ -135,12 +136,12 @@ class VehicleNode:
 
     Whatever the dataplane, a ``"poll"`` vehicle's 10 ms poll grid is
     virtual: the grid is the drawn phase plus repeated interval
-    addition, but only the instants whose poll would find a warning for
-    this car become simulator events (the broker routes the wake-up by
-    record key).  Every other poll — it would fetch and drop other
-    cars' warnings, or be refused by a down broker — is *settled*:
-    accounted in closed form from the partitions' append clocks and the
-    broker's outage log (:meth:`_settle`).
+    addition, and no instant of it becomes a simulator event.  Every
+    poll is *settled*: accounted in closed form from the partitions'
+    append clocks and the broker's outage log (:meth:`_settle`).  The
+    broker routes the append of a warning for this car here by record
+    key; settlement hands each back at the grid instant whose poll
+    read it (:meth:`_receive_own`).
     """
 
     #: The settlement oracle and nothing else (class level, snapshotted
@@ -227,12 +228,13 @@ class VehicleNode:
         self._retired = False
         self._leaf_name = f"vehicle-{car_id}"
         self._key_bytes = str(car_id).encode()
-        # The virtual warning-poll grid: first instant neither executed
-        # nor settled, the loop's end, and the one materialized poll.
+        # The virtual warning-poll grid: first instant not settled, the
+        # loop's end, and the warnings for this car appended to the
+        # attached broker that no settled poll has read yet.
         self._grid_live = False
         self._next_poll = 0.0
         self._poll_until: Optional[float] = None
-        self._poll_event = None
+        self._own_unread: List[OwnRecord] = []
         # Frames handed to the DSRC channel whose delivery event has
         # not fired yet, and telemetry still waiting out an HTB delay —
         # keyed by a monotonic token so a cross-shard handover can ship
@@ -261,6 +263,8 @@ class VehicleNode:
         )
         self._consumer.subscribe([OUT_DATA])
         self._consumer.seek_to_end()
+        # Warnings left unread on the broker behind us stay unread.
+        self._own_unread.clear()
         if self._cancel_notify is not None:
             self._cancel_notify()
             self._cancel_notify = None
@@ -270,7 +274,7 @@ class VehicleNode:
     def _subscribe(self) -> None:
         """Register the OUT-DATA wake-up: every produce in ``notify``
         mode; on the poll grid only appends keyed with this car id (the
-        RSU keys a warning by the warned car) arm a poll."""
+        RSU keys a warning by the warned car)."""
         broker = self.rsu.broker
         if self.dissemination == "notify":
             self._cancel_notify = broker.subscribe_notify(
@@ -278,7 +282,7 @@ class VehicleNode:
             )
         elif not self._legacy_tick:
             self._cancel_notify = broker.subscribe_key(
-                OUT_DATA, self._key_bytes, self._arm_poll
+                OUT_DATA, self._key_bytes, self._own_warning_appended
             )
 
     def _on_out_data_produced(self, metadata) -> None:
@@ -323,12 +327,10 @@ class VehicleNode:
         """Poll OUT-DATA on the grid ``first, first + interval, ...``.
 
         Virtual polling keeps the exact grid a recurrence would walk
-        (same float-accumulated instants) but only materializes the
-        instants at which a poll would find a warning for this car —
-        its keyed produce notification schedules the next one.  Empty
-        polls never become events; nor do polls that would only drop
-        other cars' warnings or be refused by a down broker, which are
-        settled instead (see :meth:`_settle`).
+        (same float-accumulated instants) but runs none of its polls:
+        empty, dropping other cars' warnings, refused by a down broker
+        or reading a warning for this car, each is settled (see
+        :meth:`_settle`).
         """
         if self._legacy_tick:
             self._cancel_poll = self.sim.every_group(
@@ -367,9 +369,6 @@ class VehicleNode:
         self._settle()
         self._started = False
         self._grid_live = False
-        if self._poll_event is not None:
-            self.sim.cancel(self._poll_event)
-            self._poll_event = None
         if self._cancel_produce is not None:
             self._cancel_produce()
             self._cancel_produce = None
@@ -599,7 +598,7 @@ class VehicleNode:
         size = len(self.serde.serialize(envelope))
         delay = 0.0
         if self.shaper is not None:
-            delay = self.shaper.send(f"vehicle-{self.car_id}", size, self.sim.now)
+            delay = self.shaper.send(self._leaf_name, size, self.sim.now)
 
         if delay > 0:
             token = next(self._frame_tokens)
@@ -724,46 +723,46 @@ class VehicleNode:
         self.stats.bytes_sent += size
 
     def _settle(self) -> None:
-        """Account the never-materialized polls at grid instants before
-        now (and the loop's ``until``): each would only have fetched and
-        dropped other cars' warnings, or been refused by a down broker.
-        The grid is the drawn phase plus repeated interval addition, the
-        real recurrence's float sums, whichever instants are
-        materialized."""
+        """Account the polls at grid instants before now (and the
+        loop's ``until``), none of which ran: each fetched and dropped
+        other cars' warnings, was refused by a down broker, or read
+        warnings for this car, which are received here.  The grid is
+        the drawn phase plus repeated interval addition, the real
+        recurrence's float sums."""
         if not self._grid_live:
             return
         limit = self.sim.now
         if self._poll_until is not None:
             limit = min(limit, self._poll_until)
         self._next_poll, refused = self._consumer.settle_polls(
-            self._next_poll, self.poll_interval_s, limit, _POLL_MAX_RECORDS
+            self._next_poll,
+            self.poll_interval_s,
+            limit,
+            _POLL_MAX_RECORDS,
+            self._own_unread,
+            self._receive_own,
         )
         self.stats.poll_failures += refused
 
-    def _arm_poll(self, metadata=None) -> None:
-        """A warning for this car hit OUT-DATA (or a poll left lag):
-        unless one is pending, materialize the first grid instant at or
-        after now, when the recurrence's poll would consume it.
-        Instants at or past ``until`` never fire: its drop rule."""
-        if self._poll_event is not None:
-            return
+    def _own_warning_appended(self, metadata) -> None:
+        """A warning for this car hit OUT-DATA: the poll at the first
+        grid instant at or after now reads it, or a later one when the
+        broker is down by then or the budget cuts that poll short; one
+        at or past ``until`` never runs and it stays unread."""
         self._settle()
-        target = self._next_poll
-        until = self._poll_until
-        if until is not None and target >= until:
-            return
-        self._poll_event = self.sim.at(
-            target, self._virtual_poll, label=f"vehicle-{self.car_id}-poll"
+        self._own_unread.append(
+            ((OUT_DATA, metadata.partition), metadata.offset, self.sim.now)
         )
 
-    def _virtual_poll(self) -> None:
-        self._poll_event = None
-        self._next_poll += self.poll_interval_s
-        if not self._poll_warnings_block():
-            # Refused by a down broker or truncated by the budget: the
-            # recurrence's next poll, one grid instant on, reads what
-            # this one left behind.
-            self._arm_poll()
+    def _receive_own(self, instant: float, entry: OwnRecord) -> None:
+        """The poll at ``instant`` read this warning: decode the bytes
+        it fetched."""
+        (topic, partition), offset, _ = entry
+        log = self._consumer.broker.topic(topic).partition(partition)
+        value = self._out_serde.deserialize(log.read(offset, 1)[0].value)
+        self._receive_warning(
+            instant, float(value["t"]), float(value["generated_at"])
+        )
 
     def _transmit(
         self, envelope: dict, size: int, pending_token: Optional[int] = None
@@ -791,7 +790,7 @@ class VehicleNode:
                 self._producer.send(
                     IN_DATA,
                     self.serde.serialize(envelope),
-                    key=str(self.car_id).encode(),
+                    key=self._key_bytes,
                     timestamp=at_time,
                 )
             except BrokerUnavailable:
@@ -805,8 +804,7 @@ class VehicleNode:
 
     def _poll_warnings(self) -> None:
         """The ``legacy_tick`` poll: every record deserialized here,
-        per vehicle (:meth:`_poll_warnings_block` is the production
-        body)."""
+        per vehicle."""
         try:
             records = self._consumer.poll(_POLL_MAX_RECORDS)
         except BrokerUnavailable:
@@ -816,57 +814,58 @@ class VehicleNode:
             value = record.value
             if int(value.get("car", -1)) == self.car_id:
                 self._receive_warning(
-                    float(value["t"]), float(value["generated_at"])
+                    self.sim.now,
+                    float(value["t"]),
+                    float(value["generated_at"]),
                 )
 
-    def _receive_warning(self, detected_at: float, generated_at: float) -> None:
-        """Count one warning for this car.  The jitter draw is the only
-        RNG use here: one per own warning, in record order."""
+    def _receive_warning(
+        self, polled_at: float, detected_at: float, generated_at: float
+    ) -> None:
+        """Count one warning for this car, read by the poll at
+        ``polled_at``.  The jitter draw is the only RNG use here: one
+        per own warning, in record order."""
         jitter = float(
             self._rng.uniform(-self.consumer_jitter_s, self.consumer_jitter_s)
         )
         handling = max(0.0, self.consumer_processing_s + jitter)
-        received_at = self.sim.now + handling
+        received_at = polled_at + handling
         self.stats.warnings_received += 1
         self.stats.dissemination_latencies_s.append(received_at - detected_at)
         self.stats.e2e_latencies_s.append(received_at - generated_at)
 
-    def _poll_warnings_block(self) -> bool:
-        """One warning poll: scan OUT-DATA as block segments.
+    def _poll_warnings_block(self) -> None:
+        """One ``notify`` wake-up's poll: scan OUT-DATA as block segments.
 
         Consumes through :meth:`~repro.streaming.consumer.Consumer.poll_block`
         — same partition order, position advances, and byte accounting
         as ``poll`` — and filters for this car's warnings without
         per-record objects: a uniform struct segment is one
         ``np.frombuffer`` over the broker's slab plus one column scan
-        (the poll reads everything appended since the last settled grid
-        instant, so most records are other cars').  Mixed/JSON segments
-        fall back to the decode loop with the broker-shared memo, so a
-        warning is decoded once per broker, not once per vehicle.
-
-        Returns whether the poll read everything there was: ``False``
-        when the broker refused it or the budget cut it short.
+        (every vehicle wakes on every emission batch, so most records
+        are other cars').  Mixed/JSON segments fall back to the decode
+        loop with the broker-shared memo, so a warning is decoded once
+        per broker, not once per vehicle.
         """
         try:
             segments = self._consumer.poll_block(_POLL_MAX_RECORDS)
         except BrokerUnavailable:
             self.stats.poll_failures += 1
-            return False
+            return
         dtype = self._warning_dtype
         car_id = self.car_id
         broker = self.rsu.broker
-        taken = 0
+        now = self.sim.now
         for segment in segments:
-            taken += segment.count
             if (
                 dtype is not None
                 and segment.is_uniform
                 and segment.record_size == dtype.itemsize
             ):
-                # The vehicles warned by one emission batch fetch it
-                # from the same settled offsets, so the column
-                # extraction runs once per batch in a broker-shared
-                # memo, not once per warned vehicle.
+                # The vehicles woken by one emission batch fetch it
+                # from the same offsets, so the column extraction runs
+                # once per batch in a broker-shared memo, not once per
+                # vehicle.
                 scan_cache = broker.warning_scan_memo
                 key = (
                     segment.topic,
@@ -888,7 +887,7 @@ class VehicleNode:
                     cars, ts, gens = entry
                     for i, car in enumerate(cars):
                         if car == car_id:
-                            self._receive_warning(ts[i], gens[i])
+                            self._receive_warning(now, ts[i], gens[i])
                     continue
             cache = broker.warning_decode_memo
             serde = self._out_serde
@@ -899,9 +898,8 @@ class VehicleNode:
                     _memo_put(cache, raw, value, _DECODE_MEMO_ENTRIES)
                 if int(value.get("car", -1)) == car_id:
                     self._receive_warning(
-                        float(value["t"]), float(value["generated_at"])
+                        now, float(value["t"]), float(value["generated_at"])
                     )
-        return taken < _POLL_MAX_RECORDS
 
     def __repr__(self) -> str:
         return (

@@ -14,9 +14,6 @@ consumers poll.  This package implements those semantics in-process:
   committed offsets for consumer groups, byte accounting.
 - :mod:`repro.streaming.producer` / :mod:`repro.streaming.consumer` —
   client API mirroring ``kafka-python``.
-- :mod:`repro.streaming.cluster` — a set of brokers addressed by
-  topic, mirroring the paper's "2 servers (Brokers) acting as motorway
-  and motorway-link RSUs".
 """
 
 from repro.streaming.broker import (
@@ -25,7 +22,6 @@ from repro.streaming.broker import (
     BrokerUnavailable,
     TopicNotFound,
 )
-from repro.streaming.cluster import Cluster
 from repro.streaming.consumer import Consumer
 from repro.streaming.producer import Producer, RetryPolicy
 from repro.streaming.records import ConsumerRecord, RecordMetadata
@@ -36,7 +32,6 @@ __all__ = [
     "Broker",
     "BrokerError",
     "BrokerUnavailable",
-    "Cluster",
     "Consumer",
     "ConsumerRecord",
     "JsonSerde",

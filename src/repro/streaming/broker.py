@@ -8,7 +8,7 @@ experiments (Fig. 6c/6d) read.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.streaming.coordinator import GroupCoordinator
 from repro.streaming.records import BlockSegment, RecordMetadata, StoredRecord
@@ -63,9 +63,10 @@ class Broker:
         self._notify: Dict[str, List[Callable[[RecordMetadata], None]]] = {}
         # topic -> record key -> its one callback (see subscribe_key).
         self._keyed_notify: Dict[str, Dict[bytes, Callable]] = {}
-        #: Memos shared by the vehicles polling ``OUT-DATA`` here, which
-        #: fill and bound them (:mod:`repro.core.vehicle`): column scans
-        #: of fetched warning slabs, decoded warnings by wire bytes.
+        #: Memos shared by the ``notify``-mode vehicles woken to poll
+        #: ``OUT-DATA`` here, which fill and bound them
+        #: (:mod:`repro.core.vehicle`): column scans of fetched warning
+        #: slabs, decoded warnings by wire bytes.
         self.warning_scan_memo: Dict[Tuple[str, int, int, int], tuple] = {}
         self.warning_decode_memo: Dict[bytes, dict] = {}
         # (producer_id, topic) -> (last accepted sequence, its metadata):
@@ -238,6 +239,70 @@ class Broker:
                 f"{topic_name!r}[{index}]@{offset}"
             )
         return metadata
+
+    def produce_block(
+        self,
+        topic_name: str,
+        keys: Sequence[Optional[bytes]],
+        values: Sequence[bytes],
+        timestamp: Optional[float] = None,
+    ) -> None:
+        """Append a block of records produced at one instant: the log,
+        the counters and the notifications of one non-idempotent
+        :meth:`produce` per record, in block order, for one
+        availability check, one clock read and one append per
+        partition.
+
+        Every record is appended before the first subscriber is told.
+        A subscriber may rely on that only for what the log held
+        strictly before now — all a keyed OUT-DATA subscriber reads.
+        A lost ack raises once, after the notifications, for the block.
+        """
+        self._check_available("produce")
+        topic = self.topic(topic_name)
+        now = self._clock()
+        record_time = now if timestamp is None else timestamp
+        route = topic.route
+        indexes = [route(key) for key in keys]
+        grouped: Dict[int, Tuple[list, list]] = {}
+        for key, value, index in zip(keys, values, indexes):
+            group = grouped.setdefault(index, ([], []))
+            group[0].append(key)
+            group[1].append(value)
+        next_offset = {
+            index: topic.partitions[index].append_block(
+                record_time, group[0], group[1], now
+            )
+            for index, group in grouped.items()
+        }
+        topic.version += len(indexes)
+        self.bytes_in += sum(map(len, values)) + sum(len(k) for k in keys if k)
+        self.records_in += len(indexes)
+        for key, value, index in zip(keys, values, indexes):
+            offset = next_offset[index]
+            next_offset[index] = offset + 1
+            callbacks = self._notify.get(topic_name)
+            keyed = self._keyed_notify.get(topic_name)
+            callback = keyed.get(key) if keyed else None
+            if not callbacks and callback is None:
+                continue
+            metadata = RecordMetadata(
+                topic=topic_name,
+                partition=index,
+                offset=offset,
+                timestamp=record_time,
+                serialized_size=len(value) + (len(key) if key else 0),
+            )
+            if callbacks:
+                for each in callbacks:
+                    each(metadata)
+            if callback is not None:
+                callback(metadata)
+        if now < self._drop_acks_until:
+            raise BrokerUnavailable(
+                f"broker {self.name!r} lost the produce acks for a block of "
+                f"{len(indexes)} on {topic_name!r}"
+            )
 
     def last_sequence(self, producer_id: str, topic_name: str) -> int:
         """The highest sequence accepted from an idempotent producer on

@@ -10,13 +10,19 @@ relies on ("each Kafka consumer pulls every 10 ms").
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.streaming.broker import Broker
 from repro.streaming.records import BlockSegment, ConsumerRecord
+from repro.streaming.topic import Partition
 from repro.streaming.serde import JsonSerde, Serde
 
 _consumer_ids = itertools.count(1)
+
+#: A record :meth:`Consumer.settle_polls` must hand to its caller:
+#: ``((topic, partition), offset, broker clock at its append)``.
+OwnRecord = Tuple[Tuple[str, int], int, float]
 
 
 class Consumer:
@@ -54,6 +60,8 @@ class Consumer:
         #: Partition visit order for poll — sorted once when the
         #: assignment changes, not on every 10 ms poll.
         self._poll_order: List[Tuple[str, int]] = []
+        #: ``_poll_order`` with each key's partition log, for settlement.
+        self._poll_logs: List[Tuple[Tuple[str, int], Partition]] = []
         self._balanced = False
         self._generation = -1
         #: topic -> the topic's produce-version counter at the last
@@ -101,7 +109,7 @@ class Consumer:
                 self._positions[(name, partition)] = self._committed_or_zero(
                     name, partition
                 )
-        self._poll_order = sorted(self._positions)
+        self._order_partitions()
 
     def _committed_or_zero(self, topic: str, partition: int) -> int:
         if self.group is not None:
@@ -116,8 +124,15 @@ class Consumer:
             (topic, partition): self._committed_or_zero(topic, partition)
             for topic, partition in assigned
         }
-        self._poll_order = sorted(self._positions)
+        self._order_partitions()
         self._idle_versions.clear()
+
+    def _order_partitions(self) -> None:
+        self._poll_order = sorted(self._positions)
+        self._poll_logs = [
+            (key, self._topic(key[0]).partitions[key[1]])
+            for key in self._poll_order
+        ]
 
     def close(self) -> None:
         """Leave the group (balanced mode), triggering a rebalance."""
@@ -125,7 +140,7 @@ class Consumer:
             self.broker.coordinator.leave(self.group, self.client_id)
             self._balanced = False
             self._positions = {}
-            self._poll_order = []
+            self._order_partitions()
 
     @property
     def assigned_partitions(self) -> List[Tuple[str, int]]:
@@ -305,6 +320,8 @@ class Consumer:
         interval: float,
         limit: float,
         max_records: int = 500,
+        own: Optional[List[OwnRecord]] = None,
+        receive: Optional[Callable[[float, OwnRecord], None]] = None,
     ) -> Tuple[float, int]:
         """Account, without executing them, the polls at the grid
         instants ``first, first + interval, ...`` strictly before
@@ -321,6 +338,13 @@ class Consumer:
         independently.  The grid is walked by repeated addition, as a
         recurrence accumulates it.  Nothing is committed (ungrouped
         consumers only).
+
+        The records the caller would *not* drop go in ``own``:
+        ``((topic, partition), offset, append clock)`` entries, oldest
+        append first.  ``receive(instant, entry)`` is called for each,
+        and the entry removed, at the instant whose poll read it — the
+        one at which the position passes its offset — in the order that
+        poll returned them.
         """
         refused = 0
         instant = first
@@ -329,56 +353,97 @@ class Consumer:
                 continue
             if down_at >= limit:
                 break
-            instant = self._settle_served(instant, interval, down_at, max_records)
+            instant = self._settle_served(
+                instant, interval, down_at, max_records, own, receive
+            )
             back_up = min(up_at, limit)
             while instant < back_up:
                 refused += 1
                 instant += interval
         return (
-            self._settle_served(instant, interval, limit, max_records),
+            self._settle_served(
+                instant, interval, limit, max_records, own, receive
+            ),
             refused,
         )
 
     def _settle_served(
-        self, first: float, interval: float, limit: float, max_records: int
+        self,
+        first: float,
+        interval: float,
+        limit: float,
+        max_records: int,
+        own: Optional[List[OwnRecord]],
+        receive: Optional[Callable[[float, OwnRecord], None]],
     ) -> float:
         """:meth:`settle_polls` over a stretch the broker was up for.
 
-        While the backlog fits one poll's budget every skipped poll
-        drained its partitions, so the budget rule at the last instant
-        alone settles all; else it is replayed instant by instant.
+        While the records appended by a run of instants fit one poll's
+        budget, each of its polls drained its partitions: the budget
+        rule at the run's last instant settles them all, and an own
+        record was read at the run's first instant at or after its
+        append.  The stretch is cut into the longest such runs; where
+        not even one poll drains, that poll alone is the run and the
+        budget cuts it short.
         """
-        if first >= limit:
-            return first
-        last, upcoming = first, first + interval
-        while upcoming < limit:
-            last, upcoming = upcoming, upcoming + interval
+        instants = []
+        while first < limit:
+            instants.append(first)
+            first += interval
         positions = self._positions
-        logs = [
-            (key, self._topic(key[0]).partitions[key[1]])
-            for key in self._poll_order
-        ]
-        backlog = sum(
-            max(0, log.end_offset_at(last) - positions[key])
-            for key, log in logs
-        )
-        broker = self.broker
-        instant = last if backlog <= max_records else first
-        while instant < limit:
+        logs = self._poll_logs
+
+        def ends_at(index: int) -> List[int]:
+            instant = instants[index]
+            return [log.end_offset_at(instant) for _, log in logs]
+
+        def overflows(ends: List[int]) -> bool:
+            backlog = 0
+            for (key, _), end in zip(logs, ends):
+                if end > positions[key]:
+                    backlog += end - positions[key]
+            return backlog > max_records
+
+        start, count = 0, len(instants)
+        while start < count:
+            # The run [start, stop): bisect for the first instant whose
+            # backlog overflows the budget (backlogs only grow).
+            stop = count
+            ends = ends_at(count - 1)
+            if overflows(ends):
+                low, stop = start, count - 1
+                while low < stop:
+                    middle = (low + stop) // 2
+                    if overflows(ends_at(middle)):
+                        stop = middle
+                    else:
+                        low = middle + 1
+                stop = max(stop, start + 1)
+                ends = ends_at(stop - 1)
             budget = max_records
-            for key, log in logs:
+            for (key, log), end in zip(logs, ends):
                 position = positions[key]
-                take = min(budget, log.end_offset_at(instant) - position)
+                take = min(budget, end - position)
                 if take > 0:
                     nbytes = log.range_bytes(position, take)
                     positions[key] = position + take
                     budget -= take
                     self.records_consumed += take
                     self.bytes_consumed += nbytes
-                    broker.records_out += take
-                    broker.bytes_out += nbytes
-            instant += interval
-        return upcoming
+                    self.broker.records_out += take
+                    self.broker.bytes_out += nbytes
+            if own:
+                reads = sorted(
+                    (instants[max(start, bisect_left(instants, e[2]))], e)
+                    for e in own
+                    if e[1] < positions[e[0]]
+                )
+                if reads:
+                    own[:] = [e for e in own if e[1] >= positions[e[0]]]
+                    for instant, entry in reads:
+                        receive(instant, entry)
+            start = stop
+        return first
 
     def commit(self) -> None:
         """Explicitly commit current positions (manual-commit mode)."""

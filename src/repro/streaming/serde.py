@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +64,9 @@ STRUCT_MAGIC = 0xC3
 
 #: Layout version, bumped on any schema change.
 STRUCT_VERSION = 1
+
+
+_NAN = float("nan")
 
 
 class _Fallback(Exception):
@@ -120,9 +123,12 @@ class FlatStructSerde(Serde):
         self._json = JsonSerde()
         self._encoders = []
         self._decoders = []
+        #: enum field -> value -> wire index (shared with ``encode_batch``).
+        self._enum_index = {}
         for key, _code, kind, vocab in self.fields:
             if kind == FIELD_ENUM:
                 index = {value: i for i, value in enumerate(vocab)}
+                self._enum_index[key] = index
                 self._encoders.append(self._enum_encoder(key, index))
                 self._decoders.append(self._enum_decoder(vocab))
             elif kind == FIELD_OPT_FLOAT:
@@ -225,6 +231,37 @@ class FlatStructSerde(Serde):
         if rows.size and not (rows["version"] == STRUCT_VERSION).all():
             raise SerdeError("mixed/unsupported struct schema versions")
         return rows
+
+    def encode_batch(self, columns: Mapping[str, Sequence]) -> Optional[bytes]:
+        """Encode rows given as one equal-length column per field: the
+        inverse of :meth:`decode_batch`.
+
+        Returns the rows' struct frames joined in row order — byte for
+        byte ``b"".join(serialize(row))`` — or ``None`` as soon as one
+        row would take the JSON fallback (unknown enum string,
+        out-of-range int, a column missing); the caller then serializes
+        row by row.  Every row goes through the same ``struct.pack``
+        as :meth:`serialize`, so which values fit is decided by one
+        rule.
+        """
+        try:
+            encoded = []
+            for key, _code, kind, _vocab in self.fields:
+                column = columns[key]
+                if kind == FIELD_ENUM:
+                    index = self._enum_index[key]
+                    column = [index[value] for value in column]
+                elif kind == FIELD_OPT_FLOAT:
+                    column = [_NAN if v is None else v for v in column]
+                elif kind == FIELD_OPT_INT:
+                    column = [-1 if v is None else v for v in column]
+                encoded.append(column)
+            pack = self._struct.pack
+            return b"".join(
+                [pack(STRUCT_MAGIC, STRUCT_VERSION, *row) for row in zip(*encoded)]
+            )
+        except (KeyError, TypeError, struct.error):
+            return None
 
     def serialize(self, value: Any) -> bytes:
         if isinstance(value, dict):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
-from typing import List, Optional, Tuple
+from itertools import accumulate, islice
+from typing import List, Optional, Sequence, Tuple
 
 from repro.streaming.records import StoredRecord
 from repro.streaming.serde import STRUCT_MAGIC
@@ -130,15 +131,69 @@ class Partition:
                 slab.append(value)
             else:
                 self._slab = None
-        if (
-            self.retention_records is not None
-            and len(self._records) > self.retention_records
-        ):
-            drop = len(self._records) - self.retention_records
+        if self.retention_records is not None:
+            self._truncate()
+        return offset
+
+    def _truncate(self) -> None:
+        drop = len(self._records) - self.retention_records
+        if drop > 0:
             del self._records[:drop]
             self._start_offset += drop
             self.records_truncated += drop
-        return offset
+
+    def append_block(
+        self,
+        timestamp: float,
+        keys: Sequence[Optional[bytes]],
+        values: Sequence[bytes],
+        appended_at: Optional[float] = None,
+    ) -> int:
+        """Append records sharing one timestamp and clock; returns the
+        first one's offset.  Leaves the log — records, byte prefix
+        sums, append clocks, slab, retention — exactly as one
+        :meth:`append` per record would."""
+        first = self._start_offset + len(self._records)
+        self._records.extend(
+            [
+                StoredRecord(offset, timestamp, key, value)
+                for offset, (key, value) in enumerate(zip(keys, values), first)
+            ]
+        )
+        sizes = [
+            len(value) + (len(key) if key else 0)
+            for key, value in zip(keys, values)
+        ]
+        self.bytes_in += sum(sizes)
+        if self._cum_sizes is not None:
+            self._cum_sizes.extend(
+                islice(accumulate(sizes, initial=self._cum_sizes[-1]), 1, None)
+            )
+            self._append_clock.extend(
+                [timestamp if appended_at is None else appended_at] * len(sizes)
+            )
+        if self._slab is not None:
+            # ``append``'s rule value by value, the slab written once.
+            size = self._slab_record_size
+            conforming = 0
+            for value in values:
+                if not (
+                    value
+                    and value[0] == STRUCT_MAGIC
+                    and (size is None or len(value) == size)
+                ):
+                    break
+                size = len(value)
+                conforming += 1
+            if conforming:
+                self._slab_record_size = size
+            if conforming == len(sizes):
+                self._slab.append(b"".join(values))
+            else:
+                self._slab = None
+        if self.retention_records is not None:
+            self._truncate()
+        return first
 
     def read(self, from_offset: int, max_records: int) -> List[StoredRecord]:
         """Records with offset >= ``from_offset``, up to ``max_records``.

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import PredictionSummary, WarningMessage, payload_to_record, record_to_payload
 from repro.core.features import base_features, centralized_features, labels_of
@@ -110,6 +112,28 @@ class TestWarningMessage:
     def test_default_kind(self):
         warning = WarningMessage(1, 2, 0.0, 100.0)
         assert warning.kind == "aggressive_driving"
+
+    @settings(max_examples=200, deadline=None)
+    @example(speeds=[2.675], detected_at=1.25)  # round: 2.67, np.round: 2.68
+    @given(
+        speeds=st.lists(st.floats(0.0, 400.0), min_size=1, max_size=8),
+        detected_at=st.floats(0.0, 100.0),
+    )
+    def test_payload_columns_are_the_payloads_column_by_column(
+        self, speeds, detected_at
+    ):
+        """Bit for bit, Python's ``round`` included (``np.round``
+        differs in the last ulp)."""
+        cars = list(range(len(speeds)))
+        roads = [7] * len(speeds)
+        columns = WarningMessage.payload_columns(
+            cars, roads, speeds, detected_at
+        )
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        assert rows == [
+            WarningMessage(car, road, detected_at, speed).to_payload()
+            for car, road, speed in zip(cars, roads, speeds)
+        ]
 
 
 class TestRoadHourContextMemo:

@@ -13,9 +13,9 @@ and without a mid-run handover — and compare the outputs exactly, the
 same shape of check as ``test_golden_equivalence.py`` applies to the
 columnar refactor.
 
-Both planes disseminate the same way — only the warned vehicle's poll
-is run, every other one is *settled* (``test_golden_dissemination.py``
-holds that against the executed recurrence) — and the comparison covers
+Both planes disseminate the same way — every poll is *settled*, none
+run (``test_golden_dissemination.py`` holds that against the executed
+recurrence) — and the comparison covers
 the accounting too: broker downlink counters, per-vehicle consumer
 positions and consumed counters, and the read state left on departed
 brokers.  Dissemination mode and a fault-free retry policy are
@@ -33,7 +33,7 @@ from repro.core.system import TestbedScenario
 from repro.faults import profile
 from repro.fuzz.oracles import accounting_signature
 from repro.geo import RoadType
-from repro.streaming import Consumer
+from repro.core.vehicle import VehicleNode
 from repro.streaming.producer import RetryPolicy
 
 
@@ -266,22 +266,20 @@ def test_batched_dataplane_settles_when_stopped_early(labeled_dataset):
 def test_batched_dataplane_matches_under_truncated_polls(
     labeled_dataset, monkeypatch
 ):
-    """A poll budget smaller than an emission batch: a poll it cuts
-    short materializes the next grid instant too, and settlement
-    replays the budget rule — on both dataplanes alike
+    """A poll budget smaller than an emission batch: settlement cuts
+    the poll short by the budget rule and a later grid instant reads
+    what it left — on both dataplanes alike
     (``test_golden_dissemination.py`` holds the same budget against the
     executed recurrence)."""
     monkeypatch.setattr(vehicle_module, "_POLL_MAX_RECORDS", 3)
-    truncated = []
-    poll_block = Consumer.poll_block
+    delays = []
+    receive = VehicleNode._receive_warning
 
-    def counting_poll_block(self, max_records=500):
-        segments = poll_block(self, max_records)
-        if sum(segment.count for segment in segments) == max_records:
-            truncated.append(self.client_id)
-        return segments
+    def recording(self, polled_at, detected_at, generated_at):
+        delays.append(polled_at - detected_at)
+        receive(self, polled_at, detected_at, generated_at)
 
-    monkeypatch.setattr(Consumer, "poll_block", counting_poll_block)
+    monkeypatch.setattr(VehicleNode, "_receive_warning", recording)
     event_run = _run_corridor(
         labeled_dataset, "event", "struct", handover_fraction=0.5,
         n_vehicles=24,
@@ -291,15 +289,19 @@ def test_batched_dataplane_matches_under_truncated_polls(
         n_vehicles=24,
     )
     _assert_bit_identical(event_run, batched_run)
-    assert truncated  # the budget really cut polls short
+    # the budget really cut polls short: with no outage, a warning read
+    # more than a poll interval after its append was passed over by the
+    # first grid instant that could have read it
+    assert max(delays) > 0.010 + 1e-6
 
 
 @pytest.mark.parametrize("serde_profile", ["struct", "json"])
 def test_warning_memos_stay_bounded(
     labeled_dataset, serde_profile, monkeypatch
 ):
-    """The broker-shared memos (slab column scans under struct, decoded
-    warnings under JSON) hold a few recent entries however long the run,
+    """The broker-shared memos of ``notify`` wake-up polls, their one
+    user (slab column scans under struct, decoded warnings under JSON),
+    hold a few recent entries however long the run,
     and evicting cannot change a result: bound 1 gives the same run."""
 
     def run():
@@ -310,6 +312,7 @@ def test_warning_memos_stay_bounded(
             columnar=True,
             serde_profile=serde_profile,
             dataplane="batched",
+            dissemination="notify",
         )
         scenario = TestbedScenario.corridor(
             config, motorways=2, dataset=labeled_dataset

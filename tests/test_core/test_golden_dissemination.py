@@ -1,12 +1,13 @@
 """Golden equivalence: the virtual poll grid vs every poll executed.
 
-A polling vehicle materializes only the grid instants whose poll finds
-a warning for it; every other 10 ms poll is *settled* — its position
-advances and fetched / consumed counters reproduced from the
+A polling vehicle runs none of its 10 ms polls; each is *settled* — its
+position advances and fetched / consumed counters reproduced from the
 partitions' append clocks, its refusal by a down broker counted from
-the broker's outage log.  ``VehicleNode.legacy_tick`` keeps the real
-recurrence (the seed's loop: one simulator event per poll, each record
-deserialized per vehicle) and is the live oracle here: the same seeded
+the broker's outage log, the warnings for this car it read received
+with the grid instant as their time.  ``VehicleNode.legacy_tick`` keeps
+the real recurrence (the seed's loop: one simulator event per poll,
+each record deserialized per vehicle) and is the live oracle here: the
+same seeded
 corridor runs both ways and must agree on every vehicle counter and
 latency sample — ``poll_failures`` included, which no digest covers —
 on the resilience accounting, on every RSU's warning log, and on the
@@ -14,10 +15,9 @@ downlink accounting (broker ``records_out`` / ``bytes_out``, consumer
 positions, the read state left on departed brokers).
 
 The hazards pinned, each by the scenario that would expose it: polls
-refused inside an outage (settled, not executed); a warning appended
-just before a crash, whose materialized poll is refused and must keep
-re-arming until the broker is back; outages spanning a handover, open
-at a retirement and open at the end of an abandoned run; a poll budget
+refused inside an outage; a warning appended just before a crash,
+which the first poll after the restart reads; outages spanning a
+handover, open at a retirement and open at the end of an abandoned run; a poll budget
 smaller than an emission batch; and the cross-shard handover, where
 the sending shard settles before it ships the next grid instant.
 """
@@ -38,7 +38,7 @@ from repro.faults.events import (
 from repro.faults.injector import FaultInjector
 from repro.fuzz.oracles import accounting_signature
 from repro.geo import RoadType
-from repro.streaming import BrokerUnavailable, Consumer
+from repro.simkernel import Simulator
 
 DURATION_S = 3.0  # the handover fires at 1.5 s
 
@@ -119,6 +119,20 @@ def _assert_same(virtual, executed):
     assert sum(v.stats.warnings_received for v in virtual.vehicles) > 0
 
 
+def _record_receipts(monkeypatch):
+    """Every ``(car, poll instant, detected_at)`` a vehicle receives,
+    whichever way the poll that read it came about."""
+    receipts = []
+    receive = VehicleNode._receive_warning
+
+    def recording(self, polled_at, detected_at, generated_at):
+        receipts.append((self.car_id, polled_at, detected_at))
+        receive(self, polled_at, detected_at, generated_at)
+
+    monkeypatch.setattr(VehicleNode, "_receive_warning", recording)
+    return receipts
+
+
 def _poll_failures(scenario):
     return sum(v.stats.poll_failures for v in scenario.vehicles)
 
@@ -162,9 +176,9 @@ def test_warning_waiting_behind_an_outage_is_read_after_it(
     labeled_dataset, monkeypatch
 ):
     """A crash half a millisecond after a warning append: the warned
-    vehicle's poll is already armed, gets refused, and must keep arming
-    the next grid instant until the broker answers — else the warning
-    is never read and ``warnings_received`` falls short."""
+    vehicle's polls are refused for the whole outage and the first grid
+    instant at or after the restart reads the warning — else it is
+    never read and ``warnings_received`` falls short."""
     calm = _scenario(labeled_dataset)
     calm.run()
     appended_at = next(
@@ -176,25 +190,46 @@ def test_warning_waiting_behind_an_outage_is_read_after_it(
         "crash_on_a_fresh_warning",
         (BrokerCrash("rsu-mw-1", appended_at + 0.0005, 0.3),),
     )
-    refused_executed_polls = []
-    poll_block = Consumer.poll_block
-
-    def counting_poll_block(self, max_records=500):
-        try:
-            return poll_block(self, max_records)
-        except BrokerUnavailable:
-            refused_executed_polls.append(self.client_id)
-            raise
-
-    monkeypatch.setattr(Consumer, "poll_block", counting_poll_block)
+    receipts = _record_receipts(monkeypatch)
     virtual, executed = _both_ways(labeled_dataset, monkeypatch, faults=profile)
     assert {
         v.car_id: v.stats.warnings_received for v in virtual.vehicles
     } == {v.car_id: v.stats.warnings_received for v in executed.vehicles}
     _assert_same(virtual, executed)
-    # the hazard occurred: materialized polls were refused, many times
-    # over for one vehicle (every grid instant of the outage)
-    assert len(refused_executed_polls) > len(set(refused_executed_polls)) > 0
+    # settled receipts carry the instant the executed poll ran at
+    settled = receipts[: len(receipts) // 2]
+    assert sorted(settled) == sorted(receipts[len(settled) :])
+    # the hazard occurred: warnings of that append sat out the outage
+    # and were read at the first grid instant once the broker was back
+    (down_at, up_at), = virtual.rsus["rsu-mw-1"].broker.outages
+    waited = [
+        polled_at
+        for _, polled_at, detected_at in settled
+        if detected_at == round(appended_at, 6) and polled_at >= down_at
+    ]
+    interval = virtual.vehicles[0].poll_interval_s
+    assert waited
+    assert all(up_at <= polled_at < up_at + interval for polled_at in waited)
+
+
+def test_no_poll_becomes_a_simulator_event(labeled_dataset, monkeypatch):
+    """Not even the poll that reads a warning for the vehicle: a
+    ``poll``-mode run schedules nothing labelled ``vehicle-*-poll``,
+    and receives what the recurrence that schedules them all does."""
+    scheduled = {}
+    for name in ("at", "after", "every", "every_group"):
+
+        def recording(self, *args, _schedule=getattr(Simulator, name), **kwargs):
+            scheduled.setdefault(self, set()).add(kwargs.get("label"))
+            return _schedule(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, name, recording)
+    virtual, executed = _both_ways(labeled_dataset, monkeypatch)
+    _assert_same(virtual, executed)
+    polls = {f"vehicle-{v.car_id}-poll" for v in virtual.vehicles}
+    assert polls <= scheduled[executed.sim]
+    assert not polls & scheduled[virtual.sim]
+    assert f"vehicle-{virtual.vehicles[0].car_id}-produce" in scheduled[virtual.sim]
 
 
 def test_outage_open_when_the_run_is_abandoned(labeled_dataset, monkeypatch):

@@ -1,8 +1,11 @@
 """Tests for the broker."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.streaming import Broker, BrokerError, BrokerUnavailable, TopicNotFound
+from repro.streaming.serde import STRUCT_MAGIC
 
 
 @pytest.fixture
@@ -261,3 +264,111 @@ class TestOutageLog:
         # appended, though the producer never heard so
         assert broker.last_sequence("p", "t") == 2
         assert broker.last_sequence("p", "other") == 0
+
+
+# ----------------------------------------------------------------------
+# produce_block: n produces for the price of one
+# ----------------------------------------------------------------------
+_FRAME = bytes([STRUCT_MAGIC]) + b"\x01" + b"w" * 10
+_block_keys = st.none() | st.integers(0, 6).map(lambda n: str(n).encode())
+_block_values = st.one_of(
+    st.integers(0, 255).map(lambda n: _FRAME[:-1] + bytes([n])),  # uniform
+    st.just(_FRAME + b"longer"),  # a struct frame of another size
+    st.just(b'{"car":1}'),  # the JSON fallback
+    st.just(b""),
+)
+_block_records = st.lists(st.tuples(_block_keys, _block_values), max_size=12)
+
+
+def _log_state(broker, listener):
+    topic = broker.topic("t")
+    logs = []
+    for log in topic.partitions:
+        block = log.read_block(log.start_offset, 500)
+        logs.append(
+            (
+                log.read(0, 500),
+                log.start_offset,
+                log.end_offset,
+                log.bytes_in,
+                log.records_truncated,
+                log._cum_sizes,
+                log._append_clock,
+                log._slab_record_size,
+                block and (bytes(block[0]),) + block[1:],
+            )
+        )
+    return logs, topic.version, topic._round_robin, broker.stats(), listener
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    partitions=st.integers(1, 3),
+    retention=st.none() | st.integers(1, 5),
+    history=_block_records,
+    block=_block_records.filter(len),
+    timestamp=st.none() | st.just(0.25),
+    ack_lost=st.booleans(),
+    listened_keys=st.sets(st.integers(0, 6).map(lambda n: str(n).encode())),
+    broadcast=st.booleans(),
+)
+def test_produce_block_is_one_produce_per_record(
+    partitions, retention, history, block, timestamp, ack_lost,
+    listened_keys, broadcast,
+):
+    def world():
+        now = [1.0]
+        broker = Broker("b", clock=lambda: now[0])
+        broker.create_topic("t", partitions, retention_records=retention)
+        for key, value in history:
+            broker.produce("t", value, key=key)
+        heard = []
+        if broadcast:
+            broker.subscribe_notify("t", lambda m: heard.append(("all", m)))
+        for key in sorted(listened_keys):
+            broker.subscribe_key("t", key, lambda m, k=key: heard.append((k, m)))
+        now[0] = 2.0
+        if ack_lost:
+            broker.drop_acks_until(3.0)
+        return broker, heard
+
+    one_by_one, heard_singly = world()
+    acks_lost = 0
+    for key, value in block:
+        try:
+            one_by_one.produce("t", value, key=key, timestamp=timestamp)
+        except BrokerUnavailable:
+            acks_lost += 1
+    at_once, heard_at_once = world()
+    keys, values = zip(*block)
+    if ack_lost:
+        with pytest.raises(BrokerUnavailable):
+            at_once.produce_block("t", keys, values, timestamp=timestamp)
+    else:
+        at_once.produce_block("t", keys, values, timestamp=timestamp)
+    assert acks_lost == (len(block) if ack_lost else 0)
+    assert _log_state(at_once, heard_at_once) == _log_state(
+        one_by_one, heard_singly
+    )
+
+
+def test_produce_block_appends_the_whole_block_before_telling_anyone():
+    """What a subscriber may not rely on: the log as of *now*.  Told of
+    the block's first record it already sees the last one appended."""
+    broker = Broker("b")
+    topic = broker.create_topic("t", 3)
+    keys = [b"0", b"2", b"7", b"0"]
+    assert len({topic.route(key) for key in keys}) == 3
+    appended = []
+    broker.subscribe_key("t", b"0", lambda m: appended.append(topic.total_records))
+    broker.produce_block("t", keys, [b"w", b"x", b"y", b"z"])
+    assert appended == [4, 4]
+
+
+def test_produce_block_is_refused_whole_by_a_down_broker():
+    broker = Broker("b")
+    broker.create_topic("t", 1)
+    broker.shutdown()
+    with pytest.raises(BrokerUnavailable):
+        broker.produce_block("t", [b"k"], [b"x"])
+    assert broker.topic("t").total_records == 0

@@ -1,11 +1,9 @@
-"""Tests for producer/consumer clients and the cluster."""
+"""Tests for producer/consumer clients."""
 
 import pytest
 
 from repro.streaming import (
     Broker,
-    BrokerError,
-    Cluster,
     Consumer,
     JsonSerde,
     Producer,
@@ -186,44 +184,3 @@ class TestConsumer:
         with pytest.raises(Exception):
             consumer.subscribe(["NOPE"])
 
-
-class TestCluster:
-    def test_brokers_addressable_by_name(self):
-        cluster = Cluster()
-        cluster.add_broker("rsu-1")
-        cluster.add_broker("rsu-2")
-        assert cluster.broker_names() == ["rsu-1", "rsu-2"]
-        assert len(cluster) == 2
-
-    def test_duplicate_broker_rejected(self):
-        cluster = Cluster()
-        cluster.add_broker("rsu-1")
-        with pytest.raises(BrokerError):
-            cluster.add_broker("rsu-1")
-
-    def test_broker_for_topic(self):
-        cluster = Cluster()
-        a = cluster.add_broker("rsu-1")
-        cluster.add_broker("rsu-2")
-        a.create_topic("IN-DATA")
-        assert cluster.broker_for_topic("IN-DATA") is a
-
-    def test_broker_for_missing_topic(self):
-        cluster = Cluster()
-        cluster.add_broker("rsu-1")
-        with pytest.raises(BrokerError):
-            cluster.broker_for_topic("IN-DATA")
-
-    def test_ambiguous_topic_rejected(self):
-        cluster = Cluster()
-        cluster.add_broker("rsu-1").create_topic("IN-DATA")
-        cluster.add_broker("rsu-2").create_topic("IN-DATA")
-        with pytest.raises(BrokerError):
-            cluster.broker_for_topic("IN-DATA")
-
-    def test_total_stats(self):
-        cluster = Cluster()
-        a = cluster.add_broker("rsu-1")
-        a.create_topic("t", 1)
-        Producer(a).send("t", {"x": 1})
-        assert cluster.total_stats()["records_in"] == 1

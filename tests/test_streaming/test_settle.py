@@ -8,6 +8,12 @@ and the property is that settling afterwards, in one call or several,
 leaves every position and every consumed / fetched counter exactly
 where the executed polls left them, and counts exactly the polls the
 broker refused.
+
+The polls of a warned vehicle are settled too.  The records it would
+not have dropped — here those keyed ``0`` or ``1`` — are queued as
+their appends are notified, and settlement must hand each back stamped
+with the grid instant whose executed poll returned it, in the order
+the polls returned them.
 """
 
 import pytest
@@ -17,6 +23,7 @@ from hypothesis import strategies as st
 from repro.streaming import Broker, BrokerUnavailable, Consumer, RawSerde
 
 TOPIC = "OUT-DATA"
+OWN_KEYS = (b"0", b"1")
 
 millis = st.integers(0, 300).map(lambda n: n / 1000.0)
 appends_strategy = st.lists(
@@ -52,6 +59,8 @@ class _World:
         self.broker.create_topic(TOPIC, partitions)
         self.consumer = None
         self.refused = 0
+        self.own = []  # notified, not yet handed back by settlement
+        self.receipts = []  # (poll instant, partition, offset)
 
     def append(self, at, key, size):
         self.now = at
@@ -73,15 +82,33 @@ class _World:
     def poll(self, at, budget):
         self.now = at
         try:
-            self.consumer.poll_block(budget)
+            segments = self.consumer.poll_block(budget)
         except BrokerUnavailable:
             self.refused += 1
+            return
+        for segment in segments:
+            log = self.broker.topic(TOPIC).partition(segment.partition)
+            first = segment.next_offset - segment.count
+            for record in log.read(first, segment.count):
+                if record.key in OWN_KEYS:
+                    self.receipts.append((at, segment.partition, record.offset))
 
     def attach(self, at):
         self.now = at
         self.consumer = Consumer(self.broker, serde=RawSerde())
         self.consumer.subscribe([TOPIC])
         self.consumer.seek_to_end()
+        for key in OWN_KEYS:
+            self.broker.subscribe_key(TOPIC, key, self.notified)
+
+    def notified(self, metadata):
+        self.own.append(
+            ((TOPIC, metadata.partition), metadata.offset, self.now)
+        )
+
+    def receive(self, instant, entry):
+        (_, partition), offset, _ = entry
+        self.receipts.append((instant, partition, offset))
 
     def state(self):
         return (
@@ -91,6 +118,7 @@ class _World:
             self.broker.records_out,
             self.broker.bytes_out,
             self.refused,
+            self.receipts,
         )
 
 
@@ -128,9 +156,13 @@ def _settled(
     upcoming = first
     for limit in limits:
         upcoming, refused = world.consumer.settle_polls(
-            upcoming, interval, limit, budget
+            upcoming, interval, limit, budget, world.own, world.receive
         )
         world.refused += refused
+    # what is left queued is what no settled poll has read
+    assert all(
+        offset >= world.consumer.position(*key) for key, offset, _ in world.own
+    )
     return world, upcoming
 
 
@@ -143,7 +175,7 @@ def _settled(
     interval=st.sampled_from([0.01, 0.007]),
     limit=st.integers(0, 320).map(lambda n: n / 1000.0),
     cut=st.integers(0, 320).map(lambda n: n / 1000.0),
-    budget=st.sampled_from([1, 2, 5, 500]),
+    budget=st.sampled_from([1, 2, 3, 5, 8, 20, 500]),
     outage_edges=outage_edges_strategy,
 )
 def test_settling_equals_running_every_poll(
@@ -181,6 +213,12 @@ def test_settle_takes_the_replay_branch_when_the_backlog_overflows():
     assert executed.consumer.records_consumed == 6
     assert settled.state() == executed.state()
     assert upcoming == 0.02 + 0.01 + 0.01
+    # own records, three per poll: none at the first instant at or
+    # after its append (0.02 for all ten), the last four still unread
+    assert settled.receipts == [(0.02, 0, n) for n in range(3)] + [
+        (0.03, 0, n) for n in range(3, 6)
+    ]
+    assert [offset for _, offset, _ in settled.own] == [6, 7, 8, 9]
 
 
 def test_settle_refuses_a_retention_bounded_partition():
@@ -205,6 +243,9 @@ def test_settle_counts_the_polls_an_outage_refused():
     assert executed.refused == 3
     assert executed.consumer.records_consumed == 3
     assert settled.state() == executed.state()
+    # the own record appended just before the crash waits the outage out
+    back_up = instants[-1]  # 0.06 as the grid's float sums reach it
+    assert settled.receipts == [(0.01, 0, 0), (back_up, 0, 1), (back_up, 0, 2)]
     assert len(instants) == 6 and upcoming == after
     # settled while the outage is still open: refused so far, no more
     open_world, _ = _settled(1, appends, 0.0, 0.01, 0.01, [0.045], 500, edges[:1])

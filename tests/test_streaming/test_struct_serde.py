@@ -3,6 +3,8 @@
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.streaming.serde import (
     FIELD_ENUM,
@@ -18,8 +20,7 @@ from repro.streaming.serde import (
 KINDS = ("alpha", "beta")
 
 
-@pytest.fixture
-def serde():
+def _serde():
     return FlatStructSerde(
         [
             ("car", "q", FIELD_PLAIN, None),
@@ -29,6 +30,11 @@ def serde():
             ("label", "b", FIELD_OPT_INT, None),
         ]
     )
+
+
+@pytest.fixture
+def serde():
+    return _serde()
 
 
 def test_round_trip(serde):
@@ -177,3 +183,70 @@ def test_random_round_trip_sweep(serde):
             "label": None if rng.random() < 0.2 else int(rng.integers(0, 2)),
         }
         assert serde.deserialize(serde.serialize(value)) == value
+
+
+# ----------------------------------------------------------------------
+# encode_batch: the columnar inverse of decode_batch
+# ----------------------------------------------------------------------
+_struct_rows = st.fixed_dictionaries(
+    {
+        "car": st.integers(-(2**63), 2**63 - 1),
+        "speed": st.floats(allow_nan=False),
+        "kind": st.sampled_from(KINDS),
+        "score": st.none() | st.floats(allow_nan=False),
+        "label": st.none() | st.integers(0, 127),
+    }
+)
+# Each of these makes ``serialize`` take the JSON fallback for its row.
+_misfits = st.sampled_from(
+    [
+        ("kind", "gamma"),  # unknown enum
+        ("car", 2**63),  # out of range for int64
+        ("label", 128),  # out of range for int8
+        ("car", 1.5),  # a float where the layout holds an int
+        ("speed", "fast"),  # not a number
+    ]
+)
+
+
+def _columns(rows):
+    return {key: [row[key] for row in rows] for key in rows[0]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_struct_rows, min_size=1, max_size=12))
+def test_encode_batch_equals_the_rows_serialized_and_joined(rows):
+    serde = _serde()
+    frames = serde.encode_batch(_columns(rows))
+    assert frames == b"".join(serde.serialize(row) for row in rows)
+    assert len(frames) == len(rows) * serde.wire_size
+    decoded = serde.decode_batch(
+        [
+            frames[at : at + serde.wire_size]
+            for at in range(0, len(frames), serde.wire_size)
+        ]
+    )
+    assert decoded["car"].tolist() == [row["car"] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(_struct_rows, min_size=1, max_size=12),
+    at=st.integers(0, 11),
+    misfit=_misfits,
+)
+def test_encode_batch_is_none_as_soon_as_one_row_would_fall_back(
+    rows, at, misfit
+):
+    serde = _serde()
+    key, value = misfit
+    rows[at % len(rows)] = {**rows[at % len(rows)], key: value}
+    assert any(
+        serde.serialize(row)[0] != STRUCT_MAGIC for row in rows
+    )  # the premise: that row is JSON on the wire
+    assert serde.encode_batch(_columns(rows)) is None
+
+
+def test_encode_batch_of_a_missing_column_is_none(serde):
+    assert serde.encode_batch({"car": [1], "speed": [2.0]}) is None
+

@@ -76,7 +76,8 @@ class RsuConfig:
     #: Poll the pipeline through :meth:`Consumer.poll_block`: micro-
     #: batches arrive as contiguous wire slabs (zero-copy off the
     #: broker's columnar partition slabs) instead of per-record
-    #: objects.  Requires ``columnar``; part of the batched dataplane.
+    #: objects.  Requires ``columnar``; scenarios set it whenever
+    #: that is on.
     block: bool = False
     #: Per-topic serde overrides (e.g. :func:`repro.core.wire.topic_serdes`
     #: for the binary profile); topics not listed use compact JSON.
@@ -243,6 +244,9 @@ class RsuNode:
         #: broker down — consumed (and committed) but never detected.
         self.records_dead_on_crash = 0
         self.failed = False
+        #: The DSRC channel vehicles reach this RSU over
+        #: (:meth:`attach_uplink`).
+        self._uplink = None
 
     def _make_pipeline_consumer(self) -> Consumer:
         consumer = Consumer(
@@ -313,6 +317,28 @@ class RsuNode:
         self.context.stop()
         self._cancel_co_refresh()
 
+    def attach_uplink(self, channel) -> None:
+        """Serve ``channel`` as this RSU's telemetry uplink.
+
+        Vehicles defer their frames on the channel.  Every micro-batch
+        tick first resolves the contention of the frames effective by
+        the tick instant, landing them on IN-DATA exactly where
+        per-frame delivery events would have; and before the broker's
+        goes away (:meth:`fail`, :meth:`crash`) the channel is settled,
+        so each frame meets the broker it would have met at its own
+        delivery instant.
+        """
+        if self._uplink is channel:
+            return
+        if self._uplink is not None:
+            raise ValueError(f"RSU {self.name!r} already has an uplink channel")
+        self._uplink = channel
+        self.context.pre_poll = lambda: channel.flush(self.sim.now)
+
+    def _settle_uplink(self) -> None:
+        if self._uplink is not None:
+            self._uplink.settle()
+
     def fail(self) -> None:
         """Take the node down permanently (edge-node outage).
 
@@ -321,6 +347,7 @@ class RsuNode:
         with the node.  Vehicles must re-home to a neighbouring RSU
         (see :meth:`repro.core.system.TestbedScenario.schedule_failover`).
         """
+        self._settle_uplink()
         self.failed = True
         self.crashed_at = self.sim.now
         self.context.stop()
@@ -339,6 +366,7 @@ class RsuNode:
         self._open_crashes += 1
         if self._open_crashes > 1:
             return
+        self._settle_uplink()
         self.crashed_at = self.sim.now
         self.context.stop()
         self._cancel_co_refresh()

@@ -72,15 +72,6 @@ class ScenarioSpec:
     #: Columnar micro-batch pipeline at the RSUs (bit-identical
     #: results; ``False`` forces the original per-record loop).
     columnar: bool = True
-    #: Telemetry transport: ``"event"`` (per-frame DSRC transmit and
-    #: delivery events — the seed behaviour) or ``"batched"`` (deferred
-    #: MAC contention flushed at RSU ticks, lazy HTB accrual, and — with
-    #: ``columnar`` — block uplink fetches off the broker's slabs).
-    #: Results are bit-identical; batched requires a single-process,
-    #: fault-free run.  Warning dissemination (``poll`` or ``notify``)
-    #: does not depend on it, and without faults a retry policy only
-    #: stamps idempotent sequence numbers, so both combine with either.
-    dataplane: str = "event"
     #: Fault profile to inject during the run (``None`` = fault-free).
     faults: Optional[FaultProfile] = None
     #: Retry policy for vehicle telemetry produce.  ``None`` (the seed
@@ -130,11 +121,6 @@ class ScenarioSpec:
             )
         if self.upstream_timeout_s is not None and self.upstream_timeout_s <= 0:
             raise ValueError("upstream_timeout_s must be positive")
-        if self.dataplane not in ("event", "batched"):
-            raise ValueError(
-                f"unknown dataplane mode: {self.dataplane!r}; "
-                "choose 'event' or 'batched'"
-            )
         if self.collab is not None and self.collab.enabled:
             if self.faults is not None:
                 raise ValueError(
@@ -144,16 +130,6 @@ class ScenarioSpec:
             if self.collab.priority and not self.use_htb:
                 raise ValueError(
                     "collab priority scheduling requires use_htb"
-                )
-        if self.dataplane == "batched":
-            if self.faults is not None:
-                raise ValueError(
-                    "the batched dataplane requires a fault-free run"
-                )
-            if self.shards > 1:
-                raise ValueError(
-                    "the batched dataplane runs single-process; use "
-                    "dataplane='event' with shards > 1"
                 )
 
 
@@ -243,16 +219,6 @@ class ScenarioBuilder:
 
     def columnar(self, enabled: bool = True) -> "ScenarioBuilder":
         return self._set(columnar=enabled)
-
-    def dataplane(self, mode: str) -> "ScenarioBuilder":
-        """Telemetry transport: ``"event"`` or ``"batched"``.
-
-        ``"batched"`` defers DSRC contention to the RSUs' pre-poll
-        flush, accrues HTB tokens lazily, and (with :meth:`columnar`)
-        fetches micro-batches as contiguous wire slabs — bit-identical
-        warnings, faster on large fleets.
-        """
-        return self._set(dataplane=mode)
 
     def observe(self, enabled: bool = True) -> "ScenarioBuilder":
         """Collect metrics + spans during the run (:mod:`repro.obs`).

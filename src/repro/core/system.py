@@ -359,31 +359,16 @@ class TestbedScenario:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    @property
-    def _batched(self) -> bool:
-        return self.config.dataplane == "batched"
-
     def _rsu_config(self) -> RsuConfig:
         return RsuConfig(
             batch_interval_s=self.config.batch_interval_s,
             processing_model=self.config.processing_model,
             columnar=self.config.columnar,
-            block=self.config.columnar and self._batched,
+            block=self.config.columnar,
             serdes=topic_serdes(self.config.serde_profile),
             upstream_timeout_s=self.config.upstream_timeout_s,
             collab=self.config.collab,
         )
-
-    def _wire_batched_flush(self, name: str) -> None:
-        """Hook the RSU's pre-poll to the channel's deferred flush.
-
-        Every micro-batch tick first resolves the contention of frames
-        effective by the tick instant, landing them on IN-DATA exactly
-        where their per-frame delivery events would have — the batch
-        the poll then cuts is bit-identical to the event dataplane's.
-        """
-        channel = self.channels[name]
-        self.rsus[name].context.pre_poll = lambda: channel.flush(self.sim.now)
 
     def add_rsu(self, name: str, detector) -> RsuNode:
         rsu = RsuNode(
@@ -432,8 +417,6 @@ class TestbedScenario:
                 )
             )
             rsu.attach_co_shaper(shaper, urgent.name, refresh.name)
-        if self._batched:
-            self._wire_batched_flush(name)
         return rsu
 
     def _shaper_for(self, rsu_name: str, car_id: int) -> Optional[HtbShaper]:
@@ -496,7 +479,6 @@ class TestbedScenario:
                 serdes=topic_serdes(self.config.serde_profile),
                 dissemination=self.config.dissemination,
                 retry=self.config.producer_retry,
-                dataplane=self.config.dataplane,
             )
             self.vehicles.append(vehicle)
             created.append(vehicle)
@@ -735,8 +717,6 @@ class TestbedScenario:
                 f"{name}-root", DSRC_BANDWIDTH_BPS, DSRC_BANDWIDTH_BPS
             )
             scenario.shapers[name] = HtbShaper(root)
-        if scenario._batched:
-            scenario._wire_batched_flush(name)
         scenario.add_vehicles(name, config.n_vehicles, motorway)
         return scenario
 
@@ -847,18 +827,7 @@ class TestbedScenario:
             # Allow in-flight batches/polls to complete shortly past the
             # nominal end before freezing measurements.
             self.sim.run_until(until + 0.5)
-            if self._batched:
-                # Resolve frames still deferred past the last tick: the
-                # event dataplane's delivery events inside the drain
-                # window fired (frames landing after it never deliver
-                # in either mode — flush schedules them as dead events,
-                # just as run_until left them unfired).
-                for channel in self.channels.values():
-                    channel.flush(self.sim.now)
-            for vehicle in self.vehicles:
-                vehicle.stop()
-            for rsu in self.rsus.values():
-                rsu.stop()
+            self.wind_down()
             if observing:
                 finalize_scenario(self, self.obs_registry, self.obs_recorder)
                 snapshot = self.obs_registry.snapshot()
@@ -875,6 +844,18 @@ class TestbedScenario:
             resilience=self._collect_resilience(),
             obs=snapshot,
         )
+
+    def wind_down(self) -> None:
+        """Freeze a run at the current instant (shared with the shard
+        workers).  Frames still deferred past the last tick resolve
+        first: those delivered by now land, the rest stay on the air
+        for good, their delivery events never to fire."""
+        for channel in self.channels.values():
+            channel.flush(self.sim.now)
+        for vehicle in self.vehicles:
+            vehicle.stop()
+        for rsu in self.rsus.values():
+            rsu.stop()
 
     def _collect_resilience(self) -> ResilienceStats:
         """Aggregate fault/recovery accounting across all nodes."""

@@ -9,7 +9,6 @@ bandwidth").
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -32,7 +31,7 @@ from repro.streaming.serde import (
     STRUCT_VERSION,
 )
 
-#: Batched-dataplane template patch: the telemetry struct layout ends in
+#: Template patch: the telemetry struct layout ends in
 #: ``generated_at f64 | arrived_at f64``, so a pre-serialized frame is
 #: finalized by packing both timestamps over its last 16 bytes.
 _TS_PATCH = struct.Struct("<dd")
@@ -123,25 +122,20 @@ class VehicleNode:
         produce: buffered retries with backoff plus idempotent
         sequence numbers.  ``None`` (default, the seed behaviour)
         drops telemetry refused by a down broker.
-    dataplane:
-        The telemetry uplink.  ``"event"`` (default): one simulator
-        event per DSRC transmit and delivery.  ``"batched"``: frames
-        are deferred onto the channel's batch queue (contention
-        resolves at the RSU's pre-poll flush, RNG draw order
-        preserved), HTB is charged lazily, and delivery patches a
-        pre-serialized template.  Results and accounting are
-        bit-identical; the batched mode requires a single-process
-        fault-free run (:class:`~repro.core.scenario.ScenarioSpec`
-        enforces this).
 
-    Whatever the dataplane, a ``"poll"`` vehicle's 10 ms poll grid is
-    virtual: the grid is the drawn phase plus repeated interval
-    addition, and no instant of it becomes a simulator event.  Every
-    poll is *settled*: accounted in closed form from the partitions'
-    append clocks and the broker's outage log (:meth:`_settle`).  The
-    broker routes the append of a warning for this car here by record
-    key; settlement hands each back at the grid instant whose poll
-    read it (:meth:`_receive_own`).
+    The telemetry uplink runs in blocks: a frame is deferred onto the
+    channel's queue (contention resolves at the RSU's pre-poll flush,
+    RNG draw order preserved, or at the frame's own instant while its
+    broker or producer is degraded — :meth:`_put_on_channel`), HTB is
+    charged lazily, and delivery patches a pre-serialized template.
+
+    A ``"poll"`` vehicle's 10 ms poll grid is virtual: the grid is the
+    drawn phase plus repeated interval addition, and no instant of it
+    becomes a simulator event.  Every poll is *settled*: accounted in
+    closed form from the partitions' append clocks and the broker's
+    outage log (:meth:`_settle`).  The broker routes the append of a
+    warning for this car here by record key; settlement hands each back
+    at the grid instant whose poll read it (:meth:`_receive_own`).
     """
 
     #: The settlement oracle and nothing else (class level, snapshotted
@@ -168,7 +162,6 @@ class VehicleNode:
         serdes: Optional[Dict[str, Serde]] = None,
         dissemination: str = "poll",
         retry: Optional[RetryPolicy] = None,
-        dataplane: str = "event",
     ) -> None:
         if update_rate_hz <= 0:
             raise ValueError("update rate must be positive")
@@ -176,18 +169,14 @@ class VehicleNode:
             raise ValueError("poll interval must be positive")
         if dissemination not in ("poll", "notify"):
             raise ValueError(f"unknown dissemination mode: {dissemination!r}")
-        if dataplane not in ("event", "batched"):
-            raise ValueError(f"unknown dataplane mode: {dataplane!r}")
         self.sim = sim
         self.car_id = car_id
-        self.dataplane = dataplane
-        self._batched = dataplane == "batched"
         self._legacy_tick = bool(self.legacy_tick)
         self._payloads: List[dict] = []
-        self._payload_cycle = iter(())
         self._prepare_payloads(list(records))
         self.rsu = rsu
         self.channel = channel
+        rsu.attach_uplink(channel)
         self.shaper = shaper
         self.update_period_s = 1.0 / update_rate_hz
         self.poll_interval_s = poll_interval_s
@@ -218,6 +207,7 @@ class VehicleNode:
             retry=retry,
             idempotent=retry is not None,
         )
+        self._producer.before_retry = self._flush_channel
         self.stats = VehicleStats()
         self._consumer: Optional[Consumer] = None
         self._cancel_produce = None
@@ -235,13 +225,6 @@ class VehicleNode:
         self._next_poll = 0.0
         self._poll_until: Optional[float] = None
         self._own_unread: List[OwnRecord] = []
-        # Frames handed to the DSRC channel whose delivery event has
-        # not fired yet, and telemetry still waiting out an HTB delay —
-        # keyed by a monotonic token so a cross-shard handover can ship
-        # them and the stale sender-side events become no-ops.
-        self._frame_tokens = itertools.count()
-        self._inflight: Dict[int, Tuple[float, dict]] = {}
-        self._pending_tx: Dict[int, Tuple[float, dict, int]] = {}
         # When this vehicle last changed road (a ``drop_pending``
         # handover): telemetry generated earlier is stale.
         self._road_since = float("-inf")
@@ -312,7 +295,7 @@ class VehicleNode:
         phase = float(self._rng.uniform(0.0, self.update_period_s))
         self._cancel_produce = self.sim.every_group(
             self.update_period_s,
-            self._send_telemetry_batched if self._batched else self._send_telemetry,
+            self._send_telemetry,
             start=self.sim.now + phase,
             until=until,
             label=f"vehicle-{self.car_id}-produce",
@@ -397,34 +380,28 @@ class VehicleNode:
         them).
         """
         carried: List[Tuple] = []
-        if self._batched and new_channel is not self.channel:
+        if new_channel is not self.channel:
             # Resolve everything due on the old medium while the old
             # producer is still bound — those deliveries belong to the
-            # old broker, exactly as their per-frame events (all at or
-            # before this instant) would have.  Frames still deferred
-            # (shaper-delayed past now) move to the new channel: their
-            # transmit events would have read ``self.channel`` at fire
-            # time and contended on the new medium.
+            # old broker.  Frames still deferred (shaper-delayed past
+            # now) move to the new channel and contend on that medium
+            # when their time comes.
             self.channel.flush(self.sim.now)
             carried = self.channel.take_pending(self)
         self._record_departure()
         self.rsu = new_rsu
         self.channel = new_channel
+        new_rsu.attach_uplink(new_channel)
         self._producer.rebind(new_rsu.broker, drop_pending=drop_pending)
         if drop_pending:
-            # The event dataplane's pending events find their tokens
-            # gone; a batched frame on the air is abandoned (and
-            # counted) at delivery, being older than the road.
-            self._producer.records_abandoned += (
-                len(self._pending_tx) + len(self._inflight) + len(carried)
-            )
-            self._pending_tx.clear()
-            self._inflight.clear()
+            # A frame on the air is abandoned (and counted) at its
+            # delivery, being older than the road.
+            self._producer.records_abandoned += len(carried)
             carried = []
             self._road_since = self.sim.now
         self._attach_consumer()
         for eff_time, _seq, size, deliver, _owner in carried:
-            new_channel.enqueue(eff_time, size, deliver, owner=self)
+            self._put_on_channel(eff_time, size, deliver)
 
     def _record_departure(self) -> None:
         """Snapshot the OUT-DATA read state on the broker being left.
@@ -467,10 +444,9 @@ class VehicleNode:
         every 10 Hz tick.  The car-identity override is applied once
         too ("car" is already the first key, so insertion order and
         hence the serialized bytes are unchanged).  Payloads are never
-        mutated after this point, so in-flight envelopes may share
-        them; an empty stripe is tolerated at construction (it only
-        fails if a tick actually fires), matching the old ``cycle()``
-        semantics.
+        mutated after this point, so frames in flight may share them;
+        an empty stripe is tolerated at construction (it only fails if
+        a tick actually fires).
         """
         payloads = []
         for record in records:
@@ -481,11 +457,10 @@ class VehicleNode:
         #: drop fields like ``trip_id`` that never go on the wire).
         self._stripe = records
         self._payloads = payloads
-        self._payload_cycle = itertools.cycle(payloads)
-        # Batched-dataplane wire templates, parallel to the payloads;
-        # each is serialized on the first send of its record (the serde
-        # is assigned after this runs, and replay may touch only a
-        # fraction of a large stripe).
+        # Wire templates, parallel to the payloads; each is serialized
+        # on the first send of its record (the serde is assigned after
+        # this runs, and replay may touch only a fraction of a large
+        # stripe).
         self._payload_index = 0
         self._templates: List[object] = [_UNBUILT] * len(payloads)
 
@@ -507,18 +482,15 @@ class VehicleNode:
         polls before now are settled here, against the broker being
         left).  A cross-shard handover is a change of road, so
         telemetry not yet appended is abandoned as by
-        ``migrate(drop_pending=True)``: the frames on the air and those
-        waiting out an HTB delay ship as their due times only, for the
-        receiving shard to count.  The vehicle then goes inert: its
-        remaining scheduled events on this shard become no-ops.
+        ``migrate(drop_pending=True)``: the channel is flushed, and the
+        frames then still on the air and those waiting out an HTB delay
+        ship as their due times only, for the receiving shard to count.
+        The vehicle then goes inert: its remaining scheduled events on
+        this shard become no-ops.
         """
         if self._detached:
             raise RuntimeError(f"vehicle {self.car_id} already detached")
-        if self._batched:
-            raise RuntimeError(
-                "the batched dataplane does not support cross-shard "
-                "handover (frames may be deferred on the channel)"
-            )
+        self.channel.flush(self.sim.now)
         produce_next = (
             self._cancel_produce.next_time
             if self._cancel_produce is not None
@@ -543,13 +515,15 @@ class VehicleNode:
             "stats": self.stats,
             "produce_next": produce_next,
             "poll_next": poll_next,
-            "inflight": [due for due, _ in self._inflight.values()],
-            "pending_tx": [due for due, _, _ in self._pending_tx.values()],
+            "inflight": self.channel.on_air(self),
+            "pending_tx": [
+                frame[0] for frame in self.channel.take_pending(self)
+            ],
         }
         self.stop()
         self._detached = True
-        self._inflight.clear()
-        self._pending_tx.clear()
+        # what is on the air lands here after the vehicle has left
+        self._road_since = self.sim.now
         return state
 
     def resume(
@@ -583,36 +557,6 @@ class VehicleNode:
             self._start_polling(poll_next, until)
 
     # ------------------------------------------------------------------
-    def _send_telemetry(self) -> None:
-        # The payload (with this vehicle's identity already stamped) is
-        # precomputed per stripe record; only the envelope — mutated at
-        # delivery time and possibly alive across a handover — must be
-        # fresh per send.
-        data = next(self._payload_cycle)
-        generated_at = self.sim.now
-        envelope = {
-            "data": data,
-            "generated_at": generated_at,
-            "arrived_at": None,  # filled on delivery
-        }
-        size = len(self.serde.serialize(envelope))
-        delay = 0.0
-        if self.shaper is not None:
-            delay = self.shaper.send(self._leaf_name, size, self.sim.now)
-
-        if delay > 0:
-            token = next(self._frame_tokens)
-            self._pending_tx[token] = (self.sim.now + delay, envelope, size)
-            self.sim.after(
-                delay,
-                lambda: self._transmit(envelope, size, pending_token=token),
-                label=f"vehicle-{self.car_id}-htb",
-            )
-        else:
-            self._transmit(envelope, size)
-        self.stats.records_sent += 1
-        self.stats.bytes_sent += size
-
     def _build_template(self, index: int):
         """Serialize one stripe record's wire template on first use.
 
@@ -622,7 +566,7 @@ class VehicleNode:
         ``generated_at``/``arrived_at`` over a template copy instead of
         serializing the envelope twice (once for the airtime-gating
         size, once at delivery).  A JSON-fallback payload caches
-        ``None``; its sends serialize exactly like the event dataplane.
+        ``None``; its sends serialize the envelope through the serde.
         """
         serde = self.serde
         wire_size = getattr(serde, "wire_size", None)
@@ -640,21 +584,17 @@ class VehicleNode:
         self._templates[index] = template
         return template
 
-    def _send_telemetry_batched(self) -> None:
-        """Batched-dataplane send: defer shaping and contention.
+    def _send_telemetry(self) -> None:
+        """One 10 Hz beacon, with shaping and contention deferred.
 
-        Observably identical to :meth:`_send_telemetry` +
-        :meth:`_transmit`, restructured for the deferred channel:
-
-        - HTB is charged through
-          :meth:`~repro.net.htb.HtbShaper.send_deferred` (bit-identical
-          delays; the shared root bucket accrues lazily).
-        - Instead of transmitting, the frame joins the channel's batch
-          queue at its effective time; contention resolves at the next
-          flush with the per-frame RNG draw order preserved.
+        - HTB is charged through :meth:`~repro.net.htb.HtbShaper.send`
+          (the shared root bucket accrues lazily).
+        - The frame joins the channel's queue at its effective time;
+          contention resolves at the next flush with the per-frame RNG
+          draw order preserved (:meth:`_put_on_channel`).
         - Delivery serializes from the record's pre-built template when
           it struct-encodes (timestamps patched in place), else through
-          the serde exactly as the event path would.
+          the serde.
         """
         payloads = self._payloads
         if not payloads:
@@ -669,12 +609,20 @@ class VehicleNode:
             size = len(template)
 
             def deliver(
-                at_time: float, template=template, generated_at=now
+                at_time: float,
+                template=template,
+                generated_at=now,
+                sent_on=self.channel,
             ) -> None:
                 if generated_at < self._road_since:
                     # on the air across a handover onto another road
                     self._producer.records_abandoned += 1
                     return
+                if sent_on is not self.channel:
+                    # On the air across a failover: this appends to the
+                    # new broker, so frames that reached the new medium
+                    # earlier and still wait for its tick land first.
+                    self._flush_channel()
                 frame = bytearray(template)
                 _TS_PATCH.pack_into(frame, size - 16, generated_at, at_time)
                 try:
@@ -695,11 +643,18 @@ class VehicleNode:
                 )
             )
 
-            def deliver(at_time: float, data=data, generated_at=now) -> None:
+            def deliver(
+                at_time: float,
+                data=data,
+                generated_at=now,
+                sent_on=self.channel,
+            ) -> None:
                 if generated_at < self._road_since:
                     # on the air across a handover onto another road
                     self._producer.records_abandoned += 1
                     return
+                if sent_on is not self.channel:
+                    self._flush_channel()  # as above
                 envelope = {
                     "data": data,
                     "generated_at": generated_at,
@@ -717,10 +672,26 @@ class VehicleNode:
 
         delay = 0.0
         if self.shaper is not None:
-            delay = self.shaper.send_deferred(self._leaf_name, size, now)
-        self.channel.enqueue(now + delay, size, deliver, owner=self)
+            delay = self.shaper.send(self._leaf_name, size, now)
+        self._put_on_channel(now + delay, size, deliver)
         self.stats.records_sent += 1
         self.stats.bytes_sent += size
+
+    def _put_on_channel(self, eff_time: float, size: int, deliver) -> None:
+        """Hand one frame to the (current) channel.  Its contention and
+        delivery may wait for the RSU's next tick only while nothing can
+        tell; with a retry backlog, or a broker that is down or losing
+        acks, the frame resolves at its own instant instead."""
+        channel = self.channel
+        channel.enqueue(eff_time, size, deliver, owner=self)
+        if (
+            self.sim.now < self.rsu.broker.unsteady_until
+            or self._producer._buffer
+        ):
+            channel.flush_at(eff_time)
+
+    def _flush_channel(self) -> None:
+        self.channel.flush(self.sim.now)
 
     def _settle(self) -> None:
         """Account the polls at grid instants before now (and the
@@ -763,44 +734,6 @@ class VehicleNode:
         self._receive_warning(
             instant, float(value["t"]), float(value["generated_at"])
         )
-
-    def _transmit(
-        self, envelope: dict, size: int, pending_token: Optional[int] = None
-    ) -> None:
-        """Put one telemetry frame on the (current) DSRC channel.
-
-        Reads ``self.channel`` and ``self._producer`` at fire time, so a
-        frame that waited out an HTB delay across a failover transmits
-        on the new RSU's channel.  A frame whose token is gone was
-        abandoned meanwhile — a handover onto another road, or
-        :meth:`detach` — and its event is a no-op.
-        """
-        if (
-            pending_token is not None
-            and self._pending_tx.pop(pending_token, None) is None
-        ):
-            return
-        token = next(self._frame_tokens)
-
-        def deliver(at_time: float) -> None:
-            if self._inflight.pop(token, None) is None:
-                return
-            envelope["arrived_at"] = at_time
-            try:
-                self._producer.send(
-                    IN_DATA,
-                    self.serde.serialize(envelope),
-                    key=self._key_bytes,
-                    timestamp=at_time,
-                )
-            except BrokerUnavailable:
-                # No retry policy: the frame made it over the air
-                # but the broker refused it — lost for good.
-                self.stats.records_lost += 1
-
-        delivery = self.channel.transmit(size, deliver)
-        if delivery is not None:
-            self._inflight[token] = (delivery, envelope)
 
     def _poll_warnings(self) -> None:
         """The ``legacy_tick`` poll: every record deserialized here,

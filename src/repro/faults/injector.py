@@ -83,6 +83,10 @@ class FaultInjector:
             self._record("broker_crash", event.rsu)
 
         def restart() -> None:
+            if rsu.failed:
+                # An RsuKill took the node for good meanwhile.
+                self._record("broker_restart_skipped", event.rsu)
+                return
             rsu.restart(until=duration_s)
             if event.ack_loss_s > 0.0:
                 # Open the ack-loss window *after* the restart: the
@@ -181,6 +185,7 @@ class FaultInjector:
         def start() -> None:
             # Save at burst start, not install time: another event may
             # have legitimately changed the baseline in between.
+            channel.settle()  # frames sent before the burst meet the old rate
             saved.append(channel.loss_prob)
             channel.loss_prob = event.loss_prob
             self._record(
@@ -188,6 +193,7 @@ class FaultInjector:
             )
 
         def stop() -> None:
+            channel.settle()
             channel.loss_prob = saved.pop()
             self._record("burst_loss_end", event.rsu)
 

@@ -2,10 +2,10 @@
 
 The fuzzer composes corridor scenarios the hand-written suites never
 tried — topology x demand x channel preset x fault schedule x collab
-knobs x dataplane x shard count — and judges each one with the
-equivalence guarantees the repo already pins on fixed presets: the
-four conservation-law audits, shards=N-vs-1, batched-vs-event, obs
-on-vs-off, and collab-disabled-vs-none.  Failures shrink (hypothesis
+knobs x shard count — and judges each one with the equivalence
+guarantees the repo already pins on fixed presets: the four
+conservation-law audits, shards=N-vs-1, obs on-vs-off, and
+collab-disabled-vs-none.  Failures shrink (hypothesis
 plus a spec-level minimizer) to minimal JSON repro specs in
 ``tests/fuzz_corpus/``, which tier-1 CI replays forever.
 

@@ -11,14 +11,11 @@ fixed presets:
    obs-off run of the same spec.
 3. **Shard equivalence** — a ``shards=N`` spec must reproduce the
    ``shards=1`` warnings, vehicle stats, and latency samples exactly.
-4. **Dataplane equivalence** — a ``batched`` spec must be bit-identical
-   to the per-event dataplane, in its signature and in its accounting
-   (broker downlink counters, per-vehicle consumer state).
-5. **Collab-disabled identity** — a present-but-disabled
+4. **Collab-disabled identity** — a present-but-disabled
    :class:`~repro.core.collab.CollabConfig` must change nothing against
    no config at all.
 
-Oracles 3-5 only apply when the spec exercises the feature; the report
+Oracles 3-4 only apply when the spec exercises the feature; the report
 lists which ran.  Every run's *canonical digest* (a SHA-256 over the
 obs-off serial signature) is recorded so corpus replays can assert
 bit-identical behaviour across commits and CI runs.
@@ -96,7 +93,7 @@ def scenario_signature(scenario, result) -> Dict[str, Any]:
 
 
 def accounting_signature(scenario) -> Dict[str, Any]:
-    """What the dataplanes must agree on beyond the signature: each
+    """What the golden pins hold beyond the signature: each
     broker's downlink volume and each vehicle's OUT-DATA consumer state,
     including the read state left on every broker it departed."""
     return {
@@ -216,8 +213,7 @@ def run_oracles(spec: FuzzSpec, dataset=None) -> OracleReport:
     - ``B``: serial, observability **off** → the canonical digest, and
       the observer-effect identity against ``A``.
     - ``C`` (``shards > 1``): the sharded engine vs ``B``.
-    - ``D`` (``dataplane == "batched"``): the event dataplane vs ``B``.
-    - ``E`` (collab present but disabled): no collab config vs ``B``.
+    - ``D`` (collab present but disabled): no collab config vs ``B``.
     """
     if spec.city is not None:
         return run_city_oracles(spec)
@@ -269,35 +265,17 @@ def run_oracles(spec: FuzzSpec, dataset=None) -> OracleReport:
                 )
             )
 
-    # --- D: batched vs event dataplane --------------------------------
-    if spec.dataplane == "batched":
-        report.oracles_run.append("dataplane_equivalence")
+    # --- D: disabled collab config vs none ----------------------------
+    if spec.collab is not None and not spec.collab_enabled:
+        report.oracles_run.append("collab_disabled_identity")
         scenario_d = spec.build(
-            dataset, shards=1, observability=False, dataplane="event"
+            dataset, shards=1, observability=False, collab=None
         )
         result_d = scenario_d.run()
         signature_d = scenario_signature(scenario_d, result_d)
         if signature_d != signature_b:
             report.failures.append(
-                _diff_hint("dataplane_equivalence", signature_d, signature_b)
-            )
-        acct = [accounting_signature(s) for s in (scenario_d, scenario_b)]
-        if acct[0] != acct[1]:
-            report.failures.append(
-                _diff_hint("dataplane_equivalence (accounting)", *acct)
-            )
-
-    # --- E: disabled collab config vs none ----------------------------
-    if spec.collab is not None and not spec.collab_enabled:
-        report.oracles_run.append("collab_disabled_identity")
-        scenario_e = spec.build(
-            dataset, shards=1, observability=False, collab=None
-        )
-        result_e = scenario_e.run()
-        signature_e = scenario_signature(scenario_e, result_e)
-        if signature_e != signature_b:
-            report.failures.append(
-                _diff_hint("collab_disabled_identity", signature_e, signature_b)
+                _diff_hint("collab_disabled_identity", signature_d, signature_b)
             )
 
     return report

@@ -335,8 +335,6 @@ def _simplifications(spec: FuzzSpec):
         yield spec.replace(collab=None)
     if spec.shards > 1:
         yield spec.replace(shards=1)
-    if spec.dataplane != "event":
-        yield spec.replace(dataplane="event")
     if spec.motorways > 1:
         yield spec.replace(motorways=spec.motorways - 1)
     if spec.vehicles > 2:

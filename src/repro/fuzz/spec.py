@@ -60,8 +60,6 @@ FAULT_KINDS: Dict[str, Tuple[str, ...]] = {
     "burst_loss": ("rsu", "at_s", "duration_s", "loss_prob"),
 }
 
-DATAPLANES = ("event", "batched")
-
 #: City-workload knobs a FuzzSpec may carry (all optional but
 #: ``count_scale``/``duration_s`` which default to the cheapest valid
 #: run).  Bounds keep a generated city point replayable in seconds.
@@ -88,7 +86,6 @@ class FuzzSpec:
     channel: str = "stable"
     serde_profile: str = "json"
     columnar: bool = True
-    dataplane: str = "event"
     shards: int = 1
     #: CollabConfig field overrides (``None`` = no collaboration plane,
     #: the seed handover-only path).
@@ -131,8 +128,6 @@ class FuzzSpec:
                 f"unknown channel preset {self.channel!r}; "
                 f"choose from {sorted(CHANNEL_PRESETS)}"
             )
-        if self.dataplane not in DATAPLANES:
-            raise ValueError(f"unknown dataplane {self.dataplane!r}")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.dataset_cars < 10:
@@ -140,16 +135,12 @@ class FuzzSpec:
         # The cross-feature rules the scenario layer enforces, mirrored
         # here so every constructed FuzzSpec maps to a valid run.
         if self.has_faults:
-            if self.dataplane == "batched":
-                raise ValueError("fault schedules require the event dataplane")
             if self.shards > 1:
                 raise ValueError("fault schedules run single-process")
             if self.collab_enabled:
                 raise ValueError(
                     "an enabled collaboration plane requires a fault-free run"
                 )
-        if self.dataplane == "batched" and self.shards > 1:
-            raise ValueError("the batched dataplane runs single-process")
         for event in self.faults:
             self._validate_fault(event)
         if self.collab is not None:
@@ -182,10 +173,10 @@ class FuzzSpec:
         # corridor-only axes must stay inert.
         if self.faults or self.collab is not None:
             raise ValueError("a city spec carries no faults or collab plane")
-        if self.dataplane != "event" or self.shards != 1:
+        if self.shards != 1:
             raise ValueError(
-                "a city spec keeps the corridor dataplane/shards at their "
-                "defaults; shard count lives inside the city knobs"
+                "a city spec keeps the corridor shards at their default; "
+                "shard count lives inside the city knobs"
             )
 
     def _validate_fault(self, event: Mapping[str, Any]) -> None:
@@ -312,8 +303,8 @@ class FuzzSpec:
         """The full :class:`~repro.core.scenario.ScenarioSpec`.
 
         ``overrides`` lets the oracle stack build comparator variants
-        (``shards=1``, ``observability=True``, ``dataplane="event"``,
-        ``collab=None``) of the same generated point.
+        (``shards=1``, ``observability=True``, ``collab=None``) of the
+        same generated point.
         """
         from repro.core.scenario import DEFAULT_UPSTREAM_TIMEOUT_S, ScenarioSpec
         from repro.streaming.producer import RetryPolicy
@@ -327,7 +318,6 @@ class FuzzSpec:
             "loss_prob": CHANNEL_PRESETS[self.channel].loss_prob,
             "serde_profile": self.serde_profile,
             "columnar": self.columnar,
-            "dataplane": self.dataplane,
             "shards": self.shards,
             "collab": self.collab_config(),
             "faults": profile,

@@ -3,8 +3,8 @@
 One composite strategy, :func:`fuzz_specs`, draws a complete
 :class:`~repro.fuzz.spec.FuzzSpec`: base corridor knobs first, then a
 *feature branch* that decides which mutually-exclusive subsystem the
-scenario exercises (fault schedule, batched dataplane, sharding, or a
-collaboration plane) so every draw satisfies the scenario layer's
+scenario exercises (fault schedule, sharding, or a collaboration
+plane) so every draw satisfies the scenario layer's
 cross-field rules by construction.  All choice sets are small and
 ordered simplest-first, which is what makes hypothesis shrinking
 effective: a failing example collapses toward the one-motorway,
@@ -34,7 +34,7 @@ def _hypothesis():
 
 
 #: Feature branches, simplest first (the shrink target is "plain").
-BRANCHES = ("plain", "faults", "batched", "sharded", "collab", "city")
+BRANCHES = ("plain", "faults", "sharded", "collab", "city")
 
 
 def fuzz_specs(
@@ -84,8 +84,6 @@ def fuzz_specs(
                     )
                 )
             )
-        elif branch == "batched":
-            kwargs["dataplane"] = "batched"
         elif branch == "sharded":
             kwargs["shards"] = draw(
                 st.integers(min_value=2, max_value=max_shards)

@@ -95,7 +95,7 @@ class StreamingContext:
 
     The ``pre_poll`` attribute, when set, is a zero-argument callable
     invoked at the top of every tick, before the lag observation and
-    the poll.  The batched dataplane hooks the RSU's deferred DSRC
+    the poll.  The scenario hooks the RSU's deferred DSRC
     channel flush here: frames whose contention resolves at or before
     the tick instant are appended to the broker exactly where the
     per-frame delivery events would have put them.
@@ -152,7 +152,7 @@ class StreamingContext:
     def _tick(self) -> None:
         batch_time = self.sim.now
         if self.pre_poll is not None:
-            # Deferred-dataplane flush: contended frames due at or
+            # Deferred-uplink flush: contended frames due at or
             # before this instant land on the broker first, exactly as
             # their per-frame delivery events would have.
             self.pre_poll()

@@ -191,48 +191,33 @@ class DsrcChannel:
         self.bytes_transmitted = 0
         self.frames_lost = 0
         self.total_airtime_s = 0.0
-        # Deferred (batched-dataplane) frames awaiting the next flush:
+        # Deferred frames awaiting the next flush:
         # (effective_time, seq, payload_bytes, on_delivered, owner).
         self._pending: List[Tuple] = []
         self._pending_seq = 0
+        # Resolved frames whose delivery event has not fired yet:
+        # seq -> (delivery_time, owner).
+        self._on_air: Dict[int, Tuple[float, object]] = {}
         self._airtime_cache: Dict[int, float] = {}
 
     def transmit(
         self,
         payload_bytes: int,
         on_delivered: Callable[[float], None],
-    ) -> Optional[float]:
-        """Schedule one frame; returns its delivery time.
+    ) -> None:
+        """Send one frame now: :meth:`enqueue` at the current instant,
+        then :meth:`flush`.
 
         ``on_delivered(delivery_time)`` fires when the frame clears the
         medium.  Broadcast DSRC frames are unacknowledged: with
         ``loss_prob`` set, a lost frame still occupies the medium but
-        never delivers, and the method returns ``None``.
+        never delivers.
         """
-        now = self.sim.now
-        # Contention window grows with collisions; at the paper's
-        # p_c <= 0.03 most draws are from the minimum window (15 slots),
-        # occasionally escalating toward cw_max.
-        if self._rng.random() < self.mac.collision_prob:
-            cw = self.mac.cw_max
-        else:
-            cw = 15
-        backoff = float(self._rng.integers(0, cw + 1)) * self.mac.t_slot_s
-        airtime = self.mac.airtime_s(self.mcs, payload_bytes)
-        start = max(now, self._busy_until) + self.mac.difs_s + backoff
-        delivery = start + airtime
-        self._busy_until = delivery
-        self.transmissions += 1
-        self.bytes_transmitted += payload_bytes
-        self.total_airtime_s += airtime
-        if self.loss_prob > 0.0 and self._rng.random() < self.loss_prob:
-            self.frames_lost += 1
-            return None
-        self.sim.at(delivery, lambda t=delivery: on_delivered(t), label="dsrc-delivery")
-        return delivery
+        self.enqueue(self.sim.now, payload_bytes, on_delivered)
+        self.flush(self.sim.now)
 
     # ------------------------------------------------------------------
-    # Batched dataplane: deferred contention
+    # Deferred contention
     # ------------------------------------------------------------------
     @property
     def pending_frames(self) -> int:
@@ -249,8 +234,7 @@ class DsrcChannel:
         """Defer one frame to the next :meth:`flush`.
 
         ``eff_time`` is the instant the frame reaches the medium — the
-        send instant plus any shaper delay, i.e. the time a per-frame
-        :meth:`transmit` call would have run.  ``owner`` tags the frame
+        send instant plus any shaper delay.  ``owner`` tags the frame
         so a handover can move a sender's not-yet-effective frames to
         its new channel (:meth:`take_pending`).
         """
@@ -268,31 +252,66 @@ class DsrcChannel:
             ]
         return taken
 
+    def on_air(self, owner: object) -> List[float]:
+        """Delivery times of ``owner``'s frames still on the air."""
+        return [due for due, whose in self._on_air.values() if whose is owner]
+
+    @property
+    def frames_in_flight(self) -> int:
+        """Frames sent and neither delivered nor lost yet: deferred, or
+        on the air."""
+        return len(self._pending) + len(self._on_air)
+
+    def flush_at(self, eff_time: float) -> None:
+        """Resolve a frame at the instant it reaches the medium, not at
+        the next tick: now when ``eff_time`` has come, else one flush
+        event then."""
+        if eff_time <= self.sim.now:
+            self.flush(self.sim.now)
+        else:
+            self.sim.at(eff_time, self._flush_now, label="dsrc-flush")
+
+    def _flush_now(self) -> None:
+        self.flush(self.sim.now)
+
+    def settle(self) -> None:
+        """Leave nothing waiting for the next tick: whoever is about to
+        change what a frame meets (the broker's availability, the loss
+        rate) calls this first.  Frames on the medium by now resolve;
+        each one still shaper-delayed resolves at its own instant."""
+        self.flush(self.sim.now)
+        for frame in self._pending:
+            self.flush_at(frame[0])
+
     def flush(self, now: float) -> int:
         """Resolve contention for every deferred frame effective by ``now``.
 
-        One pass replaces per-frame :meth:`transmit` calls and their
-        delivery events, bit-identically:
+        One pass stands for one transmit event and one delivery event
+        per frame, bit-identically
+        (``tests/test_net/test_batched_mac.py`` keeps that per-frame
+        arithmetic as the reference):
 
-        - Frames are processed in ``(eff_time, seq)`` order — exactly
-          the order their transmit events would have fired (the kernel
-          dispatches by time, scheduling order breaking ties), so the
-          backoff/collision/loss RNG draw sequence is unchanged.  With
-          no shaper delays the queue is already in that order and the
-          sort is a linear scan.
-        - Per frame the draw sequence, float-op order, busy-medium
-          serialization, and stats updates replicate :meth:`transmit`
-          verbatim; airtimes are memoized per payload size (the
+        - Frames are processed in ``(eff_time, seq)`` order — the order
+          per-frame transmit events at ``eff_time`` would fire (the
+          kernel dispatches by time, scheduling order breaking ties),
+          so the backoff/collision/loss RNG draw sequence is that of
+          the per-frame model.  With no shaper delays the queue is
+          already in that order and the sort is a linear scan.
+        - Each frame contends from its own ``eff_time``, not from
+          ``now``: the busy medium serializes it behind the frame
+          before it; airtimes are memoized per payload size (the
           computation is a pure function of it).
         - A frame delivered by ``now`` invokes ``on_delivered`` inline,
-          in delivery order, with the same stamp its event would have
-          carried; a frame still on the air gets a real delivery event.
+          in delivery order, stamped with its delivery time; a frame
+          still on the air gets a real delivery event.
         - Frames whose ``eff_time`` is still in the future (shaper
           delays) are carried to the next flush.  Nothing enqueued later
           can precede them — a future send happens after ``now`` — so
           carrying preserves the draw order exactly.
 
-        Returns the number of frames resolved.
+        Waiting for a flush is invisible only while nothing reads or
+        changes what the frames meet in between; see :meth:`settle`
+        and :meth:`flush_at`.  Returns the number of frames resolved.
         """
         pending = self._pending
         if not pending:
@@ -310,7 +329,8 @@ class DsrcChannel:
         sim_at = self.sim.at
         busy = self._busy_until
         resolved = 0
-        for eff_time, _seq, payload_bytes, on_delivered, _owner in pending:
+        on_air = self._on_air
+        for eff_time, seq, payload_bytes, on_delivered, owner in pending:
             if eff_time > now:
                 break
             resolved += 1
@@ -336,11 +356,13 @@ class DsrcChannel:
             if delivery <= now:
                 on_delivered(delivery)
             else:
-                sim_at(
-                    delivery,
-                    lambda t=delivery, cb=on_delivered: cb(t),
-                    label="dsrc-delivery",
-                )
+                on_air[seq] = (delivery, owner)
+
+                def land(t=delivery, cb=on_delivered, seq=seq) -> None:
+                    del on_air[seq]
+                    cb(t)
+
+                sim_at(delivery, land, label="dsrc-delivery")
         if resolved < len(pending):
             # Carried frames go back in front of anything a delivery
             # callback might have enqueued meanwhile.

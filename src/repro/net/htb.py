@@ -111,16 +111,24 @@ class HtbShaper:
         shaper: zero when tokens are available (own or borrowed),
         otherwise the time for the leaf's assured rate to accrue the
         deficit — the HTB behaviour of delaying, not dropping.
+
+        The shared root bucket accrues lazily: token accrual is
+        associative — ``refill(t1); refill(t3)`` leaves the same level
+        as ``refill(t1); refill(t2); refill(t3)``, since min-capped
+        linear growth composes — so the root is refilled only when a
+        packet actually needs to borrow, not on every packet.  The leaf
+        still refills per packet: its level at ``now`` is what prices
+        this packet.
         """
         if packet_bytes <= 0:
             raise ValueError(f"packet size must be positive: {packet_bytes}")
         leaf = self.leaf(leaf_name)
         leaf.refill(now)
-        self.root.refill(now)
         if leaf.tokens >= packet_bytes:
             leaf.tokens -= packet_bytes
             leaf.bytes_sent += packet_bytes
             return 0.0
+        self.root.refill(now)
         deficit = packet_bytes - leaf.tokens
         if self.root.tokens >= deficit:
             # Borrow the deficit from the parent.
@@ -130,40 +138,6 @@ class HtbShaper:
             leaf.bytes_borrowed += deficit
             return 0.0
         # Neither own nor borrowable tokens: wait for the assured rate.
-        leaf.tokens = 0.0
-        leaf.bytes_sent += packet_bytes
-        return deficit / (leaf.rate_bps / 8.0)
-
-    def send_deferred(self, leaf_name: str, packet_bytes: int, now: float) -> float:
-        """:meth:`send` for the batched dataplane: lazy root accrual.
-
-        Token accrual is associative — ``refill(t1); refill(t3)`` leaves
-        the same level as ``refill(t1); refill(t2); refill(t3)``, since
-        min-capped linear growth composes — so the shared root bucket is
-        refilled only when a packet actually needs to borrow, instead of
-        on every packet.  Delays, leaf token levels, ``bytes_sent`` and
-        borrow amounts are bit-identical to :meth:`send`; the only state
-        that differs is the root's idle ``_last_refill`` stamp, which
-        the next borrow (or a plain :meth:`send`) catches up exactly.
-        The leaf still refills per packet: its level at ``now`` is what
-        prices this packet.
-        """
-        if packet_bytes <= 0:
-            raise ValueError(f"packet size must be positive: {packet_bytes}")
-        leaf = self.leaf(leaf_name)
-        leaf.refill(now)
-        if leaf.tokens >= packet_bytes:
-            leaf.tokens -= packet_bytes
-            leaf.bytes_sent += packet_bytes
-            return 0.0
-        self.root.refill(now)
-        deficit = packet_bytes - leaf.tokens
-        if self.root.tokens >= deficit:
-            self.root.tokens -= deficit
-            leaf.tokens = 0.0
-            leaf.bytes_sent += packet_bytes
-            leaf.bytes_borrowed += deficit
-            return 0.0
         leaf.tokens = 0.0
         leaf.bytes_sent += packet_bytes
         return deficit / (leaf.rate_bps / 8.0)

@@ -147,8 +147,10 @@ def _audit_telemetry(scenario, report: InvariantReport) -> None:
     # A buffered record whose ack was lost is in the log already:
     # appended, not also buffered.
     buffered = sum(v._producer.buffered_unappended for v in scenario.vehicles)
+    # Deferred on a channel or on the air: a run stopped between two
+    # flushes leaves frames in both places.
     in_flight = sum(
-        len(v._inflight) + len(v._pending_tx) for v in scenario.vehicles
+        channel.frames_in_flight for channel in scenario.channels.values()
     )
     terms = {
         "records_sent": sent,

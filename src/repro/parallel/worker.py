@@ -306,10 +306,7 @@ class _ShardWorker:
     # Results
     # ------------------------------------------------------------------
     def _collect(self, _frames) -> tuple:
-        for vehicle in self.scenario.vehicles:
-            vehicle.stop()
-        for rsu in self.scenario.rsus.values():
-            rsu.stop()
+        self.scenario.wind_down()
         # Vehicles shipped to another shard report from there.
         self.scenario.vehicles = [
             v for v in self.scenario.vehicles if not v.detached

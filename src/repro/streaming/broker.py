@@ -91,6 +91,10 @@ class Broker:
         #: the record is appended but the producer sees a failure —
         #: the window where idempotence earns its keep.
         self._drop_acks_until = float("-inf")
+        #: Before this instant a produce does not simply append and
+        #: acknowledge: +inf while down, the ack-loss horizon after a
+        #: restart.  Senders that defer delivery compare it per frame.
+        self.unsteady_until = float("-inf")
         self.bytes_in = 0
         self.bytes_out = 0
         self.records_in = 0
@@ -116,12 +120,14 @@ class Broker:
             self._available = False
             self.crashes += 1
             self.outages.append((self._clock(), float("inf")))
+            self.unsteady_until = float("inf")
 
     def restart(self) -> None:
         """Bring a crashed broker back with its durable state intact."""
         if not self._available:
             self._available = True
             self.outages[-1] = (self.outages[-1][0], self._clock())
+            self.unsteady_until = self._drop_acks_until
 
     def drop_acks_until(self, until_time: float) -> None:
         """Lose produce acks until simulated time ``until_time``.
@@ -132,6 +138,8 @@ class Broker:
         idempotent produce (sequence numbers) must reject.
         """
         self._drop_acks_until = until_time
+        if self._available:
+            self.unsteady_until = until_time
 
     def _check_available(self, operation: str) -> None:
         if not self._available:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, Optional
 
 from repro.obs import metrics as obs_metrics
 from repro.streaming.broker import Broker, BrokerUnavailable
@@ -137,6 +137,10 @@ class Producer:
         self._attempt = 0
         self._flush_scheduled = False
         self._closed = False
+        #: Called when a retry timer fires, before the buffer drains:
+        #: an owner that holds records back upstream of this producer
+        #: lands them first, so the broker's log keeps arrival order.
+        self.before_retry: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
     def _next_sequence(self, topic: str) -> Optional[int]:
@@ -250,6 +254,8 @@ class Producer:
 
     def _on_flush_timer(self) -> None:
         self._flush_scheduled = False
+        if self.before_retry is not None:
+            self.before_retry()
         self._flush()
 
     def _flush(self) -> None:

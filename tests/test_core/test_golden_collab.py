@@ -8,10 +8,8 @@ PR 6/PR 7 baseline path — the RSU constructs no plane, the CO-DATA
 serde stays unframed, and no refresh recurrence is scheduled.
 
 These tests run the same seeded corridor with *no* collab config and
-with an explicitly *disabled* one, and compare exactly — per-event and
-batched data planes, the shards=4 engine against serial, and the city
-engine — the same shape of check ``test_golden_dataplane.py`` applies
-to the batched data plane.
+with an explicitly *disabled* one, and compare exactly — the serial
+corridor, the shards=4 engine against serial, and the city engine.
 """
 
 import pytest
@@ -21,7 +19,7 @@ from repro.core.scenario import ScenarioBuilder, paper_corridor
 from repro.core.system import TestbedScenario
 
 
-def _builder(collab, dataplane="event"):
+def _builder(collab):
     builder = (
         ScenarioBuilder()
         .vehicles(4)
@@ -29,17 +27,14 @@ def _builder(collab, dataplane="event"):
         .seed(7)
         .handover(0.5)
         .serde("struct")
-        .dataplane(dataplane)
     )
     if collab is not None:
         builder = builder.collab(collab)
     return builder
 
 
-def _run_corridor(dataset, collab, dataplane="event"):
-    scenario = _builder(collab, dataplane).corridor(
-        motorways=2, dataset=dataset
-    )
+def _run_corridor(dataset, collab):
+    scenario = _builder(collab).corridor(motorways=2, dataset=dataset)
     return scenario.run(), scenario
 
 
@@ -116,14 +111,11 @@ class TestDisabledPlaneIsInert:
         for rsu in scenario.rsus.values():
             assert rsu.collab is None
 
-    @pytest.mark.parametrize("dataplane", ["event", "batched"])
-    def test_corridor_bit_identical(
-        self, labeled_dataset, dataplane, audit_invariants
-    ):
-        """No-config vs disabled-config, per data plane: every event,
-        warning, latency sample, and bandwidth counter agrees."""
-        baseline_run = _run_corridor(labeled_dataset, None, dataplane)
-        collab_run = _run_corridor(labeled_dataset, CollabConfig(), dataplane)
+    def test_corridor_bit_identical(self, labeled_dataset, audit_invariants):
+        """No-config vs disabled-config: every event, warning, latency
+        sample, and bandwidth counter agrees."""
+        baseline_run = _run_corridor(labeled_dataset, None)
+        collab_run = _run_corridor(labeled_dataset, CollabConfig())
         audit_invariants(baseline_run[1])
         audit_invariants(collab_run[1])
         _assert_bit_identical(baseline_run, collab_run)

@@ -43,9 +43,7 @@ from repro.simkernel import Simulator
 DURATION_S = 3.0  # the handover fires at 1.5 s
 
 
-def _scenario(
-    dataset, faults=None, n_vehicles=6, prepare=None, dataplane="event"
-):
+def _scenario(dataset, faults=None, n_vehicles=6, prepare=None):
     builder = (
         ScenarioBuilder()
         .vehicles(n_vehicles)
@@ -53,7 +51,6 @@ def _scenario(
         .seed(7)
         .serde("struct")
         .handover(0.5)
-        .dataplane(dataplane)
     )
     if faults is not None:
         builder = builder.faults(faults)
@@ -75,10 +72,7 @@ def _run_until(scenario, stop_at):
     for vehicle in scenario.vehicles:
         vehicle.start(until=config.duration_s)
     scenario.sim.run_until(stop_at)
-    for vehicle in scenario.vehicles:
-        vehicle.stop()
-    for rsu in scenario.rsus.values():
-        rsu.stop()
+    scenario.wind_down()
 
 
 def _observables(scenario):
@@ -282,10 +276,9 @@ def test_trip_churn_across_an_outage(labeled_dataset, monkeypatch):
 def test_batched_dataplane_under_the_executed_recurrence(
     labeled_dataset, monkeypatch
 ):
-    """``legacy_tick`` is the one switch, whatever the dataplane."""
-    _assert_same(
-        *_both_ways(labeled_dataset, monkeypatch, dataplane="batched")
-    )
+    """``legacy_tick`` is the one switch: a fuller medium, where many
+    frames wait for each flush, changes nothing about it."""
+    _assert_same(*_both_ways(labeled_dataset, monkeypatch, n_vehicles=16))
 
 
 class TestShardedHandover:

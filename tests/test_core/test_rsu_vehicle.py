@@ -195,6 +195,9 @@ class TestVehicleNode:
         )
         vehicle.start(until=0.5)
         sim.run_until(0.6)
+        # the RSU was never started: no micro-batch tick flushed the
+        # frames the vehicle deferred on the channel
+        channel.flush(sim.now)
         consumer = Consumer(rsu.broker)
         consumer.subscribe([IN_DATA])
         cars = {r.value["data"]["car"] for r in consumer.poll()}

@@ -147,6 +147,24 @@ class TestRsuKill:
         }
         assert migrated & set(fallback.events.car_ids().tolist())
 
+    def test_restart_of_a_killed_node_is_skipped(self, training_dataset):
+        """A ``BrokerCrash`` whose restart lands after an ``RsuKill`` of
+        the same RSU used to raise ``RSU ... failed permanently`` out of
+        the run; the node stays dead and the injector says so."""
+        events = (
+            RsuKill("rsu-mw-1", at_s=1.0, failover_to="rsu-mw-2"),
+            BrokerCrash("rsu-mw-1", at_s=1.0, restart_after_s=0.5),
+        )
+        scenario = corridor(
+            training_dataset, FaultProfile("kill-then-restart", events)
+        )
+        result = scenario.run()
+        kinds = [e.kind for e in result.resilience.fault_log]
+        assert kinds == ["rsu_kill", "broker_crash", "broker_restart_skipped"]
+        assert scenario.rsus["rsu-mw-1"].failed
+        assert not scenario.rsus["rsu-mw-1"].broker.available
+        assert audit_scenario(scenario).ok
+
     def test_kill_requires_fallback(self, training_dataset):
         scenario = corridor(training_dataset)
         injector = FaultInjector(scenario)

@@ -54,21 +54,6 @@ class TestValidation:
         assert scenario_spec.n_vehicles == spec.vehicles
         assert scenario_spec.loss_prob == CHANNEL_PRESETS[spec.channel].loss_prob
 
-    def test_batched_dataplane_rejects_faults(self):
-        with pytest.raises(ValueError):
-            FuzzSpec(
-                dataplane="batched",
-                faults=(
-                    {
-                        "kind": "burst_loss",
-                        "rsu": "rsu-mw-1",
-                        "at_s": 0.4,
-                        "duration_s": 0.2,
-                        "loss_prob": 0.5,
-                    },
-                ),
-            )
-
     def test_fault_target_must_exist_on_the_corridor(self):
         with pytest.raises(ValueError):
             FuzzSpec(

@@ -1,13 +1,14 @@
-"""Batched-MAC equivalence: deferred contention vs per-frame transmit.
+"""Block-MAC equivalence: deferred contention vs per-frame transmit.
 
-The batched data plane queues frames with :meth:`DsrcChannel.enqueue`
-and resolves the whole batch in one :meth:`DsrcChannel.flush` at the
-next RSU tick; HTB charging moves from :meth:`HtbShaper.send` to
-:meth:`HtbShaper.send_deferred` (lazy root accrual).  Both substitutions
-claim bit-identity with the per-frame path — same RNG draw order, same
-float-op order, same stats — which these tests pin directly at the
-component level (the scenario-level counterpart is
-``test_core/test_golden_dataplane.py``).
+The uplink queues frames with :meth:`DsrcChannel.enqueue` and resolves
+the whole batch in one :meth:`DsrcChannel.flush` at the next RSU tick;
+:meth:`HtbShaper.send` accrues the shared root bucket lazily.  Both
+claim bit-identity with the per-frame arithmetic they replaced — same
+RNG draw order, same float-op order, same stats.  That arithmetic
+lives on here as the reference (``_reference_transmit``, one simulator
+event per frame; ``_reference_send``, a root refill per packet), and
+these tests hold the production code to it at the component level (the
+scenario-level counterpart is ``test_core/test_golden_dataplane.py``).
 """
 
 import numpy as np
@@ -16,6 +17,48 @@ import pytest
 from repro.net.dsrc import DsrcChannel, DsrcMacModel
 from repro.net.htb import HtbClass, HtbShaper
 from repro.simkernel import Simulator
+
+
+def _reference_transmit(channel, payload_bytes, on_delivered):
+    """The per-frame uplink's contention, verbatim: draw, serialize on
+    the medium, one delivery event."""
+    now = channel.sim.now
+    mac, rng = channel.mac, channel._rng
+    cw = mac.cw_max if rng.random() < mac.collision_prob else 15
+    backoff = float(rng.integers(0, cw + 1)) * mac.t_slot_s
+    airtime = mac.airtime_s(channel.mcs, payload_bytes)
+    start = max(now, channel._busy_until) + mac.difs_s + backoff
+    delivery = start + airtime
+    channel._busy_until = delivery
+    channel.transmissions += 1
+    channel.bytes_transmitted += payload_bytes
+    channel.total_airtime_s += airtime
+    if channel.loss_prob > 0.0 and rng.random() < channel.loss_prob:
+        channel.frames_lost += 1
+        return None
+    channel.sim.at(delivery, lambda t=delivery: on_delivered(t))
+    return delivery
+
+
+def _reference_send(shaper, leaf_name, packet_bytes, now):
+    """Eager HTB charging: the root refills on every packet."""
+    leaf = shaper.leaf(leaf_name)
+    leaf.refill(now)
+    shaper.root.refill(now)
+    if leaf.tokens >= packet_bytes:
+        leaf.tokens -= packet_bytes
+        leaf.bytes_sent += packet_bytes
+        return 0.0
+    deficit = packet_bytes - leaf.tokens
+    if shaper.root.tokens >= deficit:
+        shaper.root.tokens -= deficit
+        leaf.tokens = 0.0
+        leaf.bytes_sent += packet_bytes
+        leaf.bytes_borrowed += deficit
+        return 0.0
+    leaf.tokens = 0.0
+    leaf.bytes_sent += packet_bytes
+    return deficit / (leaf.rate_bps / 8.0)
 
 
 def _frame_sizes(seed, n):
@@ -33,7 +76,7 @@ class TestFlushEquivalence:
         )
         deliveries = []
         for size in sizes:
-            channel.transmit(size, deliveries.append)
+            _reference_transmit(channel, size, deliveries.append)
         sim.run()
         return channel, deliveries
 
@@ -74,7 +117,12 @@ class TestFlushEquivalence:
         expected = []
         # per-frame path: kernel dispatches by time
         for eff, size in sorted(zip([0.00, 0.01, 0.02], sizes)):
-            sim.at(eff, lambda s=size: reference.transmit(s, expected.append))
+            sim.at(
+                eff,
+                lambda s=size: _reference_transmit(
+                    reference, s, expected.append
+                ),
+            )
         sim.run()
 
         sim2 = Simulator()
@@ -158,8 +206,8 @@ class TestSendDeferredEquivalence:
         now = 0.0
         for gap, size in sends:
             now += gap
-            assert lazy.send_deferred("veh", size, now) == eager.send(
-                "veh", size, now
+            assert lazy.send("veh", size, now) == _reference_send(
+                eager, "veh", size, now
             )
         # identical leaf state, not just identical delays
         assert lazy.leaf("veh").tokens == eager.leaf("veh").tokens
@@ -180,22 +228,21 @@ class TestSendDeferredEquivalence:
         accrued (token growth is associative under the burst cap)."""
         eager, lazy = self._shaper(), self._shaper()
         # drain the leaf so the next send must borrow
-        for shaper, send in ((eager, eager.send), (lazy, lazy.send_deferred)):
-            send("veh", 2000, 0.0)
-            # eager refills root at every instant; lazy has not touched
-            # it since construction
-            for t in (0.01, 0.02, 0.03):
-                if shaper is eager:
-                    shaper.root.refill(t)
-        assert lazy.send_deferred("veh", 1500, 0.04) == eager.send(
-            "veh", 1500, 0.04
+        _reference_send(eager, "veh", 2000, 0.0)
+        lazy.send("veh", 2000, 0.0)
+        # eager refills root at every instant; lazy has not touched it
+        # since construction
+        for t in (0.01, 0.02, 0.03):
+            eager.root.refill(t)
+        assert lazy.send("veh", 1500, 0.04) == _reference_send(
+            eager, "veh", 1500, 0.04
         )
         assert lazy.root.tokens == eager.root.tokens
 
     def test_send_deferred_validates_packet_size(self):
         with pytest.raises(ValueError):
-            self._shaper().send_deferred("veh", 0, 0.0)
+            self._shaper().send("veh", 0, 0.0)
 
     def test_send_deferred_unknown_leaf(self):
         with pytest.raises(KeyError):
-            self._shaper().send_deferred("ghost", 100, 0.0)
+            self._shaper().send("ghost", 100, 0.0)

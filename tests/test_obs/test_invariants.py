@@ -51,6 +51,28 @@ def test_handover_run_classifies_departed_warnings():
     )
 
 
+def test_telemetry_law_counts_frames_the_channel_still_holds():
+    """A run frozen between two micro-batch ticks, *without* the
+    end-of-run flush: frames deferred on the channels (and those on the
+    air) are neither appended nor lost yet, and the law balances only
+    because the audit reads them off the channels."""
+    scenario = _small_corridor(n_vehicles=16)
+    until = scenario.config.duration_s
+    for rsu in scenario.rsus.values():
+        rsu.start(until=until)
+    for vehicle in scenario.vehicles:
+        vehicle.start(until=until)
+    scenario.sim.run_until(1.337)
+    for vehicle in scenario.vehicles:
+        vehicle.stop()
+    for rsu in scenario.rsus.values():
+        rsu.stop()
+    assert sum(c.pending_frames for c in scenario.channels.values()) > 0
+    report = audit_scenario(scenario)
+    assert report.ok, report.failures
+    assert report.terms["telemetry"]["still_in_flight"] > 0
+
+
 def test_cooked_books_are_caught():
     scenario = _small_corridor()
     scenario.run()

@@ -7,9 +7,8 @@ argument that pins shards=N bit-identical to shards=1.
 
 from repro.city.arena import SegmentArena
 from repro.city.engine import CityEngine, CityResult, run_city
-from repro.city.kernel import FusedShardState, build_shard_state
+from repro.city.kernel import FusedShardState
 from repro.city.model import COMMUTE_WAVE, FLAT_WAVE, CitySpec, DemandWave
-from repro.city.reference import RsuState, ShardState
 from repro.city.topology import CityRsu, CityTopology, build_city_topology
 
 __all__ = [
@@ -22,10 +21,7 @@ __all__ = [
     "CityTopology",
     "DemandWave",
     "FusedShardState",
-    "RsuState",
     "SegmentArena",
-    "ShardState",
-    "build_shard_state",
     "build_city_topology",
     "run_city",
 ]

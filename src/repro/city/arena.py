@@ -12,7 +12,8 @@ Allocation policy
 - Segments reserve power-of-two capacities (min :data:`MIN_SEGMENT`)
   and grow by doubling: a relocation copies only the live rows, and
   amortized admit cost is O(1) per vehicle — this is what removes the
-  reference kernel's triple ``np.concatenate`` per admit.
+  reference engine's triple ``np.concatenate`` per admit (the
+  per-RSU engine in ``tests/test_city/reference.py``).
 - Freed and vacated blocks go to a first-fit free list kept sorted by
   offset with neighbour coalescing.
 - When no free block fits but total free space does (fragmentation

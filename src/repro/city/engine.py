@@ -48,9 +48,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.city.kernel import build_shard_state
+from repro.city.kernel import FusedShardState, MoveBundle
 from repro.city.model import CitySpec
-from repro.city.reference import MoveBundle
 from repro.city.topology import CityTopology, build_city_topology
 from repro.city.worker import CityWorkerContext, city_worker_main
 from repro.obs.metrics import RegistrySnapshot
@@ -229,7 +228,7 @@ class CityEngine:
         spec = self.spec
         wall_start = time.perf_counter()
         cpu_start = time.process_time()
-        shard = build_shard_state(spec, self.topology, range(len(self.topology)))
+        shard = FusedShardState(spec, self.topology, range(len(self.topology)))
         pending: List[MoveBundle] = []
         peak = 0
         load_sum = 0
@@ -384,13 +383,19 @@ class CityEngine:
                 + spec.rebalance_rsu_cost
                 for rsu in topology.rsus
             }
-            reassignments: List[Tuple[int, int]] = []
+            # One decision may move an RSU more than once (0 -> 2, then
+            # 2 -> 0): the workers get each RSU's net move — first
+            # source, last destination, none if it ends where it began.
+            origin: Dict[int, int] = {}
+            destination: Dict[int, int] = {}
             for decision in planner.rebalance(
                 self.assignments, mean_loads, threshold=spec.rebalance_threshold
             ):
                 self.assignments[decision.from_shard].remove(decision.rsu)
                 self.assignments[decision.to_shard].append(decision.rsu)
-                reassignments.append((index_of[decision.rsu], decision.to_shard))
+                index = index_of[decision.rsu]
+                origin.setdefault(index, decision.from_shard)
+                destination[index] = decision.to_shard
                 rebalance_events.append(
                     {
                         "tick": tick_index + 1,
@@ -399,6 +404,11 @@ class CityEngine:
                         "to_shard": decision.to_shard,
                     }
                 )
+            reassignments: List[Tuple[int, int]] = [
+                (index, to_shard)
+                for index, to_shard in destination.items()
+                if to_shard != origin[index]
+            ]
             load_accum[:] = 0
             window_ticks = 0
             pool.round(("flush", reassignments), "flushed", route, deliver=False)

@@ -1,10 +1,11 @@
 """Fused city tick kernel: cross-RSU batched ticks over a segment arena.
 
-Same semantics as ``repro.city.reference`` — every rolling SHA-256
-digest chain is bit-identical — but the deterministic array work of a
-tick (admission, due masks, finished/mover split, keep-compaction, move
-routing) runs as pooled operations over one :class:`SegmentArena` per
-shard instead of a Python loop over per-RSU arrays.
+The deterministic array work of a tick (admission, due masks,
+finished/mover split, keep-compaction, move routing) runs as pooled
+operations over one :class:`SegmentArena` per shard instead of a Python
+loop over per-RSU arrays.  Its reference is the per-RSU object engine
+in ``tests/test_city/reference.py``: every rolling SHA-256 digest chain
+must be bit-identical to that engine's.
 
 Why fusing is digest-safe
 -------------------------
@@ -29,6 +30,7 @@ phases in ``repro.obs`` spans: ``city.arrivals``, ``city.churn``,
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
@@ -41,15 +43,24 @@ from repro.city.arena import (
     segment_ranges,
 )
 from repro.city.model import CitySpec
-from repro.city.reference import (
-    ID_STRIDE,
-    TICK_DIGEST,
-    MoveBundle,
-    rsu_stream_name,
-)
 from repro.city.topology import CityTopology
 from repro.obs.trace import span
-from repro.simkernel.rng import RngRegistry
+from repro.simkernel.rng import RngRegistry, substream_name
+
+#: Vehicle ids are ``spawning_rsu_index * ID_STRIDE + per-RSU counter``,
+#: so an id names its origin and never collides city-wide.
+ID_STRIDE = 10**8
+
+TICK_DIGEST = struct.Struct("<qq")
+
+#: One tick's vehicle moves as five parallel arrays:
+#: (dst rsu index, src rsu index, vehicle id, trip end, residence end).
+MoveBundle = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def rsu_stream_name(rsu_name: str) -> str:
+    """The RNG stream an RSU draws from, spelled once for all engines."""
+    return substream_name("city", rsu_name)
 
 
 #: Masks for splitting raw PCG64 outputs into the 32-bit halves that
@@ -276,15 +287,15 @@ class RsuCell:
 
 
 class FusedShardState:
-    """Arena-pooled drop-in for the reference ``ShardState``.
+    """The RSUs one process owns, their arena and their RNG streams.
 
-    Same interface (``tick`` / ``apply_moves`` / ``detach`` / ``adopt``
-    / ``rsu_results``), same pack dict schema on the wire — a
-    FRAME_RSU_STATE produced by one kernel adopts cleanly into the
-    other.
+    Used directly by the serial engine (owning every RSU) and by each
+    city shard worker (owning its slice).  Ownership changes only via
+    :meth:`detach` / :meth:`adopt`, which the sharded protocol invokes
+    strictly between ticks; the pack dict they exchange is the one the
+    test tree's reference engine uses, so a FRAME_RSU_STATE produced by
+    either adopts cleanly into the other.
     """
-
-    kernel_name = "fused"
 
     def __init__(
         self, spec: CitySpec, topology: CityTopology, owned: Iterable[int]
@@ -748,12 +759,3 @@ class FusedShardState:
             }
             for cell in self.rsus.values()
         }
-
-
-def build_shard_state(spec: CitySpec, topology: CityTopology, owned: Iterable[int]):
-    """Kernel dispatch: the one place ``CitySpec.kernel`` is read."""
-    if spec.kernel == "reference":
-        from repro.city.reference import ShardState
-
-        return ShardState(spec, topology, owned)
-    return FusedShardState(spec, topology, owned)

@@ -102,11 +102,6 @@ class CitySpec:
     #: more RSUs systematically slower.
     rebalance_rsu_cost: float = 250.0
     observability: bool = False
-    #: Tick kernel: "fused" (arena-pooled, the default) or "reference"
-    #: (the PR 7 per-RSU object engine, kept as ground truth).  Both
-    #: produce bit-identical digests; the differential tests and the
-    #: fuzz oracle enforce it.
-    kernel: str = "fused"
     #: Record per-phase tick spans (arrivals / churn / moves / detect /
     #: digest) and attach the breakdown to ``CityResult.profile``.
     #: Sharded runs ship spans as folded histograms inside the obs
@@ -143,10 +138,6 @@ class CitySpec:
             raise ValueError("rebalance_threshold must be >= 0")
         if self.rebalance_rsu_cost < 0:
             raise ValueError("rebalance_rsu_cost must be >= 0")
-        if self.kernel not in ("fused", "reference"):
-            raise ValueError(
-                f"kernel must be 'fused' or 'reference', got {self.kernel!r}"
-            )
         if self.profile and self.shards > 1 and not self.observability:
             raise ValueError(
                 "profile with shards > 1 requires observability=True "

@@ -39,9 +39,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.city.kernel import build_shard_state
+from repro.city.kernel import FusedShardState, MoveBundle
 from repro.city.model import CitySpec
-from repro.city.reference import MoveBundle
 from repro.obs.trace import SpanRecorder, enable_tracing
 from repro.city.topology import CityTopology
 from repro.parallel.barrier import (
@@ -92,7 +91,7 @@ class _CityWorker:
             self.obs_recorder = enable_tracing(
                 SpanRecorder(capacity=8 * ctx.spec.n_ticks + 8)
             )
-        self.shard = build_shard_state(ctx.spec, ctx.topology, ctx.owned)
+        self.shard = FusedShardState(ctx.spec, ctx.topology, ctx.owned)
         self.shard_of = np.asarray(ctx.shard_of, dtype=np.int64)
         #: Bundles destined to RSUs we own, buffered across the tick
         #: boundary (the intra-shard analogue of a migration frame).
@@ -127,7 +126,7 @@ class _CityWorker:
         concurrent = int(counts.sum())
         # Ownership only changes across a window boundary, so within a
         # window the index vector is the *same cached array object*
-        # (ShardState rebuilds it only on adopt/detach) and the loads
+        # (FusedShardState rebuilds it only on adopt/detach) and the loads
         # accumulate with one vector add.
         if indices is not self.win_indices:
             self.win_indices = indices

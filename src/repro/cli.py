@@ -257,7 +257,6 @@ def _cmd_city(args: argparse.Namespace) -> int:
         rebalance_interval_ticks=args.rebalance_every,
         wave=args.wave,
         observability=args.observe,
-        kernel=args.kernel,
         profile=args.profile_phases,
     )
     _emit_report(args, report.format_markdown(), report.to_json())
@@ -653,13 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--observe",
         action="store_true",
         help="collect metrics/span snapshots from the workers",
-    )
-    city.add_argument(
-        "--kernel",
-        default="fused",
-        choices=["fused", "reference"],
-        help="tick kernel: the arena-pooled fused kernel (default) or "
-        "the per-RSU reference engine it is bit-identical to",
     )
     city.add_argument(
         "--profile",

@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.features import IN_DATA, payload_to_record
-from repro.core.rsu import DetectionEvent, RsuConfig, RsuNode
+from repro.core.features import IN_DATA
+from repro.core.rsu import RsuConfig, RsuNode
 from repro.core.wire import decode_telemetry_block
 from repro.dataset.schema import ABNORMAL
 from repro.simkernel.simulator import Simulator
@@ -97,48 +97,18 @@ class CloudRelayRsu(RsuNode):
         )
 
     def _cloud_result(self, payloads, arrival_time: float) -> None:
+        """Batch-decode the shipped wire bytes and score the block in
+        one pass."""
         now = self.sim.now
-        if self.config.columnar:
-            # ``payloads`` are raw wire bytes in columnar mode;
-            # batch-decode and score the block in one pass.
-            block = decode_telemetry_block(
-                payloads, serde=self._serde_for(IN_DATA)
-            )
-            classes, _ = self.detector.detect_block(block)
-            abnormal = np.asarray(classes) == ABNORMAL
-            self.events.append_block(
-                block.car_id,
-                block.generated_at,
-                block.arrived_at,
-                now,
-                abnormal,
-                block.label,
-            )
-            self._emit_block_warnings(block, np.nonzero(abnormal)[0], now)
-            return
-        records = [payload_to_record(p["data"]) for p in payloads]
-        classes, _ = self.detector.detect(records)
-        warned = []
-        for payload, record, cls in zip(payloads, records, classes):
-            abnormal = int(cls) == ABNORMAL
-            self.events.append(
-                DetectionEvent(
-                    car_id=record.car_id,
-                    generated_at=payload["generated_at"],
-                    arrived_at=payload["arrived_at"],
-                    detected_at=now,
-                    abnormal=abnormal,
-                    true_label=record.label,
-                )
-            )
-            if abnormal:
-                warned.append(
-                    (
-                        record.car_id,
-                        record.road_id,
-                        record.speed_kmh,
-                        payload["generated_at"],
-                    )
-                )
-        if warned:
-            self._emit_warnings(*zip(*warned), now)
+        block = decode_telemetry_block(payloads, serde=self._serde_for(IN_DATA))
+        classes, _ = self.detector.detect_block(block)
+        abnormal = np.asarray(classes) == ABNORMAL
+        self.events.append_block(
+            block.car_id,
+            block.generated_at,
+            block.arrived_at,
+            now,
+            abnormal,
+            block.label,
+        )
+        self._emit_block_warnings(block, np.nonzero(abnormal)[0], now)

@@ -47,9 +47,9 @@ def _feature_columns(records) -> tuple:
     """(speed, accel, hour, road_type_code) columns from either a
     :class:`~repro.core.block.TelemetryBlock` or a record sequence.
 
-    This is the single source of the feature formulas: both the
-    columnar hot path and the legacy record-list path flow through it,
-    so they cannot drift apart.
+    This is the single source of the feature formulas: the RSU's
+    block path and record-list callers (offline training and
+    evaluation) both flow through it, so they cannot drift apart.
     """
     from repro.core.block import TelemetryBlock
 
@@ -73,8 +73,7 @@ def base_features(records) -> np.ndarray:
     """[InstSpeed, accel, Hour] matrix — the per-road feature set.
 
     Accepts a record sequence or a
-    :class:`~repro.core.block.TelemetryBlock` (columnar, no per-record
-    work).
+    :class:`~repro.core.block.TelemetryBlock` (no per-record work).
     """
     speed, accel, hour, _ = _feature_columns(records)
     if speed.size == 0:

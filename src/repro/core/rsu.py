@@ -31,12 +31,10 @@ from repro.core.features import (
     OUT_DATA,
     PredictionSummary,
     WarningMessage,
-    payload_to_record,
 )
 from repro.core.wire import (
     SummaryFrame,
     SummaryFrameSerde,
-    decode_telemetry_block,
     decode_telemetry_segments,
 )
 from repro.dataset.schema import ABNORMAL
@@ -67,18 +65,6 @@ class RsuConfig:
     #: values debounce flicker at the cost of detection delay ("less
     #: disturbance to other drivers with false warnings", Sec. VI-D4).
     warning_threshold: int = 1
-    #: Run the columnar micro-batch pipeline (poll raw bytes, decode
-    #: the whole batch into a :class:`TelemetryBlock`, score and
-    #: bookkeep on arrays).  ``False`` keeps the original per-record
-    #: loop; both produce bit-identical events and warnings — the
-    #: golden-equivalence tests pin this.
-    columnar: bool = True
-    #: Poll the pipeline through :meth:`Consumer.poll_block`: micro-
-    #: batches arrive as contiguous wire slabs (zero-copy off the
-    #: broker's columnar partition slabs) instead of per-record
-    #: objects.  Requires ``columnar``; scenarios set it whenever
-    #: that is on.
-    block: bool = False
     #: Per-topic serde overrides (e.g. :func:`repro.core.wire.topic_serdes`
     #: for the binary profile); topics not listed use compact JSON.
     serdes: Optional[Dict[str, Serde]] = None
@@ -95,8 +81,6 @@ class RsuConfig:
     def __post_init__(self) -> None:
         if self.warning_threshold < 1:
             raise ValueError("warning_threshold must be >= 1")
-        if self.block and not self.columnar:
-            raise ValueError("block polling requires the columnar pipeline")
         if self.upstream_timeout_s is not None and self.upstream_timeout_s <= 0:
             raise ValueError("upstream_timeout_s must be positive")
 
@@ -196,8 +180,7 @@ class RsuNode:
             interval_s=self.config.batch_interval_s,
             processing_model=self.config.processing_model,
             jitter_source=jitter_source,
-            raw=self.config.columnar,
-            block=self.config.block,
+            block=True,
             name=name,
         )
         self.context.stream.foreach_batch(self._on_batch)
@@ -508,90 +491,25 @@ class RsuNode:
         if batch.is_empty():
             return
         with span("rsu.batch", rsu=self.name):
-            if self.config.columnar:
-                self._on_batch_block(batch, completion_time)
-            else:
-                self._on_batch_records(batch, completion_time)
+            self._detect_batch(batch, completion_time)
 
-    def _on_batch_records(self, batch, completion_time: float) -> None:
-        """The original per-record loop (``columnar=False``)."""
-        payloads = batch.collect()
-        records = [payload_to_record(p["data"]) for p in payloads]
-        detector = self._active_detector()
-        if self.degraded:
-            self.degraded_batches += 1
-        with span("rsu.detect", rsu=self.name):
-            classes, probs = detector.detect(records, self.summaries)
-            # Online detectors keep learning from what they just scored
-            # (prequential: predict first, then observe); the protocol
-            # makes observe a no-op everywhere else.
-            detector.observe(records)
-        registry = obs_metrics.active()
-        if registry is not None:
-            arrivals = [p["arrived_at"] for p in payloads]
-            self._observe_batch(
-                registry,
-                len(records),
-                sum(1 for cls in classes if int(cls) == ABNORMAL),
-                completion_time - sum(arrivals) / len(arrivals),
-            )
-        warned: List[Tuple[int, int, float, float]] = []
-        for payload, record, cls, prob in zip(payloads, records, classes, probs):
-            history = self._history.setdefault(record.car_id, [])
-            history.append(float(prob))
-            if len(history) > self.config.history_limit:
-                del history[: -self.config.history_limit]
-            self._last_class[record.car_id] = int(cls)
-            abnormal = int(cls) == ABNORMAL
-            self.events.append(
-                DetectionEvent(
-                    car_id=record.car_id,
-                    generated_at=payload["generated_at"],
-                    arrived_at=payload["arrived_at"],
-                    detected_at=completion_time,
-                    abnormal=abnormal,
-                    true_label=record.label,
-                )
-            )
-            if abnormal:
-                streak = self._abnormal_streak.get(record.car_id, 0) + 1
-                self._abnormal_streak[record.car_id] = streak
-            else:
-                self._abnormal_streak[record.car_id] = 0
-            if abnormal and (
-                self._abnormal_streak[record.car_id]
-                >= self.config.warning_threshold
-            ):
-                warned.append(
-                    (
-                        record.car_id,
-                        record.road_id,
-                        record.speed_kmh,
-                        payload["generated_at"],
-                    )
-                )
-        if warned:
-            self._emit_warnings(*zip(*warned), completion_time)
+    def _detect_batch(self, batch: BlockBatch, completion_time: float) -> None:
+        """Detection and bookkeeping for one non-empty micro-batch.
 
-    def _on_batch_block(self, batch, completion_time: float) -> None:
-        """The columnar hot path: the batch carries raw wire bytes,
-        decoded into one :class:`TelemetryBlock` shared by detection,
-        bookkeeping, and the event log.  Block-mode batches carry
-        contiguous slab segments instead of per-record byte strings and
-        decode zero-copy straight off the broker log."""
-        if isinstance(batch, BlockBatch):
-            block = decode_telemetry_segments(
-                batch.segments, serde=self._serde_for(IN_DATA)
-            )
-        else:
-            block = decode_telemetry_block(
-                batch.collect(), serde=self._serde_for(IN_DATA)
-            )
+        The batch's contiguous slab segments decode zero-copy straight
+        off the broker log into one :class:`TelemetryBlock`, shared by
+        detection, bookkeeping and the event log."""
+        block = decode_telemetry_segments(
+            batch.segments, serde=self._serde_for(IN_DATA)
+        )
         detector = self._active_detector()
         if self.degraded:
             self.degraded_batches += 1
         with span("rsu.detect", rsu=self.name):
             classes, probs = detector.detect_block(block, self.summaries)
+            # Online detectors keep learning from what they just scored
+            # (prequential: predict first, then observe); the protocol
+            # makes observe a no-op everywhere else.
             detector.observe_block(block)
         abnormal = np.asarray(classes) == ABNORMAL
         registry = obs_metrics.active()
@@ -664,8 +582,8 @@ class RsuNode:
     def _observe_batch(
         self, registry, n_records: int, n_abnormal: int, latency_s: float
     ) -> None:
-        """Batch-granularity metrics (never per record: the columnar
-        hot path's per-record budget rules that out)."""
+        """Batch-granularity metrics (never per record: the hot path's
+        per-record budget rules that out)."""
         registry.counter("rsu.records_detected", rsu=self.name).inc(n_records)
         registry.counter("rsu.records_abnormal", rsu=self.name).inc(n_abnormal)
         registry.histogram(

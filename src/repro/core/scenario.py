@@ -10,7 +10,6 @@ upstream-silence timeout).
         TestbedScenario.builder()
         .vehicles(128)
         .serde("struct")
-        .columnar()
         .faults(profile("chaos"))
         .corridor()
     )
@@ -69,9 +68,6 @@ class ScenarioSpec:
     #: Vehicle warning consumption: ``"poll"`` (paper: every 10 ms) or
     #: ``"notify"`` (wake on produce; not real-Kafka-faithful).
     dissemination: str = "poll"
-    #: Columnar micro-batch pipeline at the RSUs (bit-identical
-    #: results; ``False`` forces the original per-record loop).
-    columnar: bool = True
     #: Fault profile to inject during the run (``None`` = fault-free).
     faults: Optional[FaultProfile] = None
     #: Retry policy for vehicle telemetry produce.  ``None`` (the seed
@@ -216,9 +212,6 @@ class ScenarioBuilder:
     def dissemination(self, mode: str) -> "ScenarioBuilder":
         """Warning delivery: ``"poll"`` or ``"notify"``."""
         return self._set(dissemination=mode)
-
-    def columnar(self, enabled: bool = True) -> "ScenarioBuilder":
-        return self._set(columnar=enabled)
 
     def observe(self, enabled: bool = True) -> "ScenarioBuilder":
         """Collect metrics + spans during the run (:mod:`repro.obs`).

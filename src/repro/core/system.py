@@ -363,8 +363,6 @@ class TestbedScenario:
         return RsuConfig(
             batch_interval_s=self.config.batch_interval_s,
             processing_model=self.config.processing_model,
-            columnar=self.config.columnar,
-            block=self.config.columnar,
             serdes=topic_serdes(self.config.serde_profile),
             upstream_timeout_s=self.config.upstream_timeout_s,
             collab=self.config.collab,

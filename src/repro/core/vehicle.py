@@ -138,14 +138,6 @@ class VehicleNode:
     at the grid instant whose poll read it (:meth:`_receive_own`).
     """
 
-    #: The settlement oracle and nothing else (class level, snapshotted
-    #: at construction): ``True`` runs the poll grid as a real
-    #: recurrence — every 10 ms poll executed, every OUT-DATA warning
-    #: deserialized per vehicle.  Results are bit-identical either way,
-    #: which is what the golden dissemination suite holds
-    #: :meth:`_settle` to; nothing in ``src`` sets it.
-    legacy_tick = False
-
     def __init__(
         self,
         sim: Simulator,
@@ -171,7 +163,6 @@ class VehicleNode:
             raise ValueError(f"unknown dissemination mode: {dissemination!r}")
         self.sim = sim
         self.car_id = car_id
-        self._legacy_tick = bool(self.legacy_tick)
         self._payloads: List[dict] = []
         self._prepare_payloads(list(records))
         self.rsu = rsu
@@ -211,7 +202,6 @@ class VehicleNode:
         self.stats = VehicleStats()
         self._consumer: Optional[Consumer] = None
         self._cancel_produce = None
-        self._cancel_poll = None
         self._cancel_notify = None
         self._wakeup_pending = False
         self._started = False
@@ -263,7 +253,7 @@ class VehicleNode:
             self._cancel_notify = broker.subscribe_notify(
                 OUT_DATA, self._on_out_data_produced
             )
-        elif not self._legacy_tick:
+        else:
             self._cancel_notify = broker.subscribe_key(
                 OUT_DATA, self._key_bytes, self._own_warning_appended
             )
@@ -280,10 +270,7 @@ class VehicleNode:
 
     def _wakeup_poll(self) -> None:
         self._wakeup_pending = False
-        if self._legacy_tick:
-            self._poll_warnings()
-        else:
-            self._poll_warnings_block()
+        self._poll_warnings_block()
 
     def start(self, until: Optional[float] = None) -> None:
         """Begin the produce loop and the warning consumption."""
@@ -315,15 +302,6 @@ class VehicleNode:
         or reading a warning for this car, each is settled (see
         :meth:`_settle`).
         """
-        if self._legacy_tick:
-            self._cancel_poll = self.sim.every_group(
-                self.poll_interval_s,
-                self._poll_warnings,
-                start=first,
-                until=until,
-                label=f"vehicle-{self.car_id}-poll",
-            )
-            return
         self._grid_live = True
         self._next_poll = first
         self._poll_until = until
@@ -355,9 +333,6 @@ class VehicleNode:
         if self._cancel_produce is not None:
             self._cancel_produce()
             self._cancel_produce = None
-        if self._cancel_poll is not None:
-            self._cancel_poll()
-            self._cancel_poll = None
         if self._cancel_notify is not None:
             self._cancel_notify()
             self._cancel_notify = None
@@ -499,9 +474,7 @@ class VehicleNode:
         # Settle against the broker being left, so that ``_next_poll``
         # is the first grid instant not before now.
         self._settle()
-        if self._cancel_poll is not None:
-            poll_next = self._cancel_poll.next_time
-        elif self._grid_live and (
+        if self._grid_live and (
             self._poll_until is None or self._next_poll < self._poll_until
         ):
             poll_next = self._next_poll
@@ -734,23 +707,6 @@ class VehicleNode:
         self._receive_warning(
             instant, float(value["t"]), float(value["generated_at"])
         )
-
-    def _poll_warnings(self) -> None:
-        """The ``legacy_tick`` poll: every record deserialized here,
-        per vehicle."""
-        try:
-            records = self._consumer.poll(_POLL_MAX_RECORDS)
-        except BrokerUnavailable:
-            self.stats.poll_failures += 1
-            return
-        for record in records:
-            value = record.value
-            if int(value.get("car", -1)) == self.car_id:
-                self._receive_warning(
-                    self.sim.now,
-                    float(value["t"]),
-                    float(value["generated_at"]),
-                )
 
     def _receive_warning(
         self, polled_at: float, detected_at: float, generated_at: float

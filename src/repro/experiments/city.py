@@ -36,7 +36,6 @@ class CityReport:
     critical_path_cpu_s: float
     wall_s: float
     audit_violations: List[str] = field(default_factory=list)
-    kernel: str = "fused"
     #: Per-phase tick-time breakdown (``--profile``): phase ->
     #: {count, total_ms, mean_ms}, folded from the repro.obs spans.
     profile: Optional[dict] = None
@@ -68,7 +67,6 @@ class CityReport:
             "wall_s": self.wall_s,
             "audit_violations": list(self.audit_violations),
             "ok": self.ok,
-            "kernel": self.kernel,
             "profile": self.profile,
         }
 
@@ -130,7 +128,6 @@ def city_report(
     wave: str = "commute",
     observability: bool = False,
     initial_assignments: Optional[tuple] = None,
-    kernel: str = "fused",
     profile: bool = False,
 ) -> CityReport:
     """Run one city churn day (or fraction of one) and report it."""
@@ -151,7 +148,6 @@ def city_report(
         # implies observability there.
         observability=observability or (profile and shards > 1),
         initial_assignments=initial_assignments,
-        kernel=kernel,
         profile=profile,
     )
     result = CityWorkload(spec).build().run()
@@ -176,6 +172,5 @@ def city_report(
         critical_path_cpu_s=result.critical_path_cpu_s(),
         wall_s=result.wall_s,
         audit_violations=result.audit(),
-        kernel=kernel,
         profile=result.profile,
     )

@@ -167,7 +167,6 @@ def _builder(
         .duration(duration_s)
         .seed(seed)
         .handover(handover_fraction)
-        .columnar(True)
         .serde("struct")
     )
 

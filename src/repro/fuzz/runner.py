@@ -7,10 +7,11 @@ seed and chunk index), so a run is reproducible from its seed alone
 and a wall-clock budget can stop between chunks without leaving
 hypothesis mid-shrink.
 
-When an oracle fails, the failing example is handed to the
-**spec-level minimizer** (:func:`minimize_spec`): a greedy pass that
-re-runs the oracle stack while dropping fault events, collapsing the
-feature branch, and walking every knob toward the
+When an oracle fails — or the run crashes: an exception raised
+inside the oracle stack is a finding too (:func:`judge`) — the failing
+example is handed to the **spec-level minimizer** (:func:`minimize_spec`):
+a greedy pass that re-runs the oracle stack while dropping fault events,
+collapsing the feature branch, and walking every knob toward the
 :class:`~repro.fuzz.spec.FuzzSpec` defaults.  The runner deliberately
 skips hypothesis's own shrink phase — each example is a full
 multi-run simulation, so hypothesis's hundreds of shrink attempts
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import json
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
@@ -47,18 +49,22 @@ class OracleViolation(AssertionError):
 
 @dataclass
 class FuzzFailure:
-    """One shrunk, persisted oracle failure."""
+    """One shrunk, persisted oracle failure or crash."""
 
     spec: FuzzSpec
     failures: List[str]
     #: The example as hypothesis first found it, pre-minimization.
     found_spec: FuzzSpec
     corpus_path: Optional[str] = None
+    #: Exception type name when the run crashed, ``None`` for an
+    #: oracle violation.
+    error: Optional[str] = None
 
     def to_dict(self) -> dict:
         return {
             "spec": self.spec.to_payload(),
             "failures": list(self.failures),
+            "error": self.error,
             "found_spec": self.found_spec.to_payload(),
             "corpus_path": self.corpus_path,
         }
@@ -112,6 +118,8 @@ class FuzzReport:
                 lines.append("```json")
                 lines.append(failure.spec.to_json())
                 lines.append("```")
+                if failure.error is not None:
+                    lines.append(f"  - crashed with `{failure.error}`")
                 for message in failure.failures:
                     lines.append(f"  - {message}")
                 if failure.corpus_path:
@@ -181,6 +189,7 @@ class FuzzRunner:
                     spec=minimal,
                     failures=failures or oracle_report.failures,
                     found_spec=found_spec,
+                    error=oracle_report.error,
                 )
                 if self.config.corpus_dir is not None:
                     failure.corpus_path = str(
@@ -226,8 +235,8 @@ class FuzzRunner:
         (spec, oracle report) or ``None``."""
         holder: Dict[str, Any] = {}
 
-        def judge(spec: FuzzSpec) -> None:
-            oracle_report = run_oracles(spec)
+        def body(spec: FuzzSpec) -> None:
+            oracle_report = judge(spec)
             if "failed" not in holder:
                 # Count only the exploration phase, not shrink re-runs.
                 report.scenarios_run += 1
@@ -244,7 +253,7 @@ class FuzzRunner:
                 raise OracleViolation("; ".join(oracle_report.failures))
 
         try:
-            self._drive_chunk(chunk_index, examples, judge)
+            self._drive_chunk(chunk_index, examples, body)
         except OracleViolation:
             return holder["spec"], holder["report"]
         return None
@@ -286,14 +295,23 @@ class FuzzRunner:
 
 
 # ----------------------------------------------------------------------
-# Spec-level minimizer
+# Judging and the spec-level minimizer
 # ----------------------------------------------------------------------
-def _still_fails(spec: FuzzSpec) -> Optional[List[str]]:
+def judge(spec: FuzzSpec) -> OracleReport:
+    """:func:`run_oracles`, with an exception raised inside it reported
+    as a failure that names the exception type instead of propagating:
+    a crash is a finding, shrunk and persisted like any other."""
     try:
-        candidate_report = run_oracles(spec)
-    except Exception as exc:  # pragma: no cover - defensive
-        return [f"oracle error: {exc!r}"]
-    return None if candidate_report.ok else candidate_report.failures
+        return run_oracles(spec)
+    except Exception as exc:
+        name = type(exc).__name__
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        report = OracleReport(spec=spec, error=name)
+        report.failures.append(
+            f"crash: {name}: {exc} (in {where.name}, "
+            f"{Path(where.filename).name}:{where.lineno})"
+        )
+        return report
 
 
 def _simplifications(spec: FuzzSpec):
@@ -347,31 +365,34 @@ def _simplifications(spec: FuzzSpec):
         yield spec.replace(handover_fraction=0.0)
     if spec.serde_profile != "json":
         yield spec.replace(serde_profile="json")
-    if not spec.columnar:
-        yield spec.replace(columnar=True)
 
 
 def minimize_spec(
     spec: FuzzSpec, max_attempts: int = 80
 ) -> tuple:
     """Greedy spec-level shrink: keep applying the first simplification
-    that still fails the oracle stack, until none does (or the attempt
-    budget runs out).  Returns ``(minimal_spec, failures)``."""
-    failures = _still_fails(spec)
-    if failures is None:
+    that still fails the same way, until none does (or the attempt
+    budget runs out).  Returns ``(minimal_spec, failures)``.
+
+    "The same way" is the same exception type for a crash, and an
+    oracle violation (no crash) for a violation, so the shrinker cannot
+    slide from one bug onto a different one."""
+    found = judge(spec)
+    if found.ok:
         # The caller saw a failure but it does not reproduce stand-alone
         # (e.g. planted flag raced off); return the spec untouched.
         return spec, []
+    failures = found.failures
     attempts = 0
     progressed = True
     while progressed and attempts < max_attempts:
         progressed = False
         for candidate in _simplifications(spec):
             attempts += 1
-            candidate_failures = _still_fails(candidate)
-            if candidate_failures is not None:
+            candidate_report = judge(candidate)
+            if not candidate_report.ok and candidate_report.error == found.error:
                 spec = candidate
-                failures = candidate_failures
+                failures = candidate_report.failures
                 progressed = True
                 break
             if attempts >= max_attempts:
@@ -419,7 +440,7 @@ def replay_corpus_entry(path: Path, update_digest: bool = False) -> dict:
     path = Path(path)
     payload = json.loads(path.read_text())
     spec = FuzzSpec.from_payload(payload["spec"])
-    oracle_report: OracleReport = run_oracles(spec)
+    oracle_report = judge(spec)
     expect = payload.get("expect", "pass")
     problems: List[str] = []
     if expect == "pass":

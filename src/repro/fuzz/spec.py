@@ -3,7 +3,7 @@
 A :class:`FuzzSpec` is one point in the composed scenario space: a
 corridor topology, a demand shape (vehicles, duration, handover wave),
 a channel-quality preset, an optional fault schedule, the CO-DATA
-collaboration knobs, the data-plane mode, and the shard count.  It is
+collaboration knobs, the serde profile, and the shard count.  It is
 deliberately *not* a :class:`~repro.core.scenario.ScenarioSpec` — it is
 smaller (only the axes the fuzzer explores), always valid by
 construction (its ``__post_init__`` mirrors every cross-field rule the
@@ -85,7 +85,6 @@ class FuzzSpec:
     handover_fraction: float = 0.0
     channel: str = "stable"
     serde_profile: str = "json"
-    columnar: bool = True
     shards: int = 1
     #: CollabConfig field overrides (``None`` = no collaboration plane,
     #: the seed handover-only path).
@@ -99,8 +98,7 @@ class FuzzSpec:
     #: City-workload knobs (see CITY_KNOBS) — ``None`` keeps the spec a
     #: corridor scenario.  A city spec swaps the whole oracle stack: the
     #: corridor axes must stay at their defaults, and the differential
-    #: oracles become fused-vs-reference kernel equivalence plus
-    #: shard-count invariance of the digest rollup.
+    #: oracle becomes shard-count invariance of the digest rollup.
     city: Optional[Mapping[str, Any]] = None
 
     # ------------------------------------------------------------------
@@ -317,7 +315,6 @@ class FuzzSpec:
             "handover_fraction": self.handover_fraction,
             "loss_prob": CHANNEL_PRESETS[self.channel].loss_prob,
             "serde_profile": self.serde_profile,
-            "columnar": self.columnar,
             "shards": self.shards,
             "collab": self.collab_config(),
             "faults": profile,
@@ -332,8 +329,8 @@ class FuzzSpec:
 
     def city_spec(self, **overrides):
         """The :class:`~repro.city.model.CitySpec` for a city fuzz
-        point; ``overrides`` builds the oracle comparators (``shards=1``,
-        ``kernel="reference"``) of the same generated workload."""
+        point; ``overrides`` builds the oracle comparator (``shards=1``)
+        of the same generated workload."""
         if self.city is None:
             raise ValueError("not a city spec")
         from repro.city import CitySpec

@@ -55,7 +55,6 @@ def fuzz_specs(
         duration_s = draw(st.sampled_from([1.0, 1.5, 2.0]))
         handover = draw(st.sampled_from([0.0, 0.25, 0.5]))
         serde = draw(st.sampled_from(["json", "struct"]))
-        columnar = draw(st.booleans())
         seed = draw(st.integers(min_value=0, max_value=2**16))
         channel = draw(st.sampled_from(["stable", "lossy"]))
 
@@ -67,7 +66,6 @@ def fuzz_specs(
             handover_fraction=handover,
             channel=channel,
             serde_profile=serde,
-            columnar=columnar,
         )
         if branch == "faults":
             # The unstable channel preset is only reachable here: its
@@ -171,8 +169,8 @@ def fault_events(motorways: int, duration_s: float):
 
 def city_overrides(max_shards: int = 2):
     """Strategy for the city-workload knob dict: tiny scales (tens of
-    RSUs, minutes of simulated time) so the three-run oracle stack —
-    fused, reference, and optionally sharded — replays in seconds.
+    RSUs, minutes of simulated time) so the oracle stack — serial, and
+    optionally sharded — replays in seconds.
     Values are ordered cheapest-first for shrinking."""
     st = _hypothesis()
     return st.fixed_dictionaries(

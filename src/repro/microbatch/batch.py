@@ -96,7 +96,7 @@ class BlockBatch:
     BlockBatch holds the :class:`~repro.streaming.records.BlockSegment`
     slabs a :meth:`Consumer.poll_block` returned — per-record objects
     are never materialized between the broker log and the vectorized
-    sink (the columnar RSU decodes the segments with one
+    sink (the RSU decodes the segments with one
     ``np.frombuffer`` each).  Only the introspection subset of the
     Batch API is provided; block-mode sinks own the decode.
 

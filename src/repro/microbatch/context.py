@@ -79,16 +79,11 @@ class StreamingContext:
         Zero-argument callable in [-1, 1] driving processing jitter;
         inject a seeded RNG for reproducibility.  ``None`` disables
         jitter.
-    raw:
-        Poll without deserializing: batches then carry the raw wire
-        bytes, and the sink is expected to batch-decode them (the
-        columnar RSU path does, via
-        :func:`repro.core.wire.decode_telemetry_block`).
     block:
         Poll via :meth:`Consumer.poll_block`: batches are
         :class:`~repro.microbatch.batch.BlockBatch` wire slabs instead
-        of per-record lists, and sinks must understand them (the
-        block-mode RSU does).  Implies raw semantics.
+        of lists of deserialized records, and sinks must decode them
+        (the RSU always polls this way).
     name:
         Label for this context's metrics (the owning RSU's name);
         contexts without a name report under ``rsu=""``.
@@ -108,7 +103,6 @@ class StreamingContext:
         interval_s: float = 0.050,
         processing_model: Optional[ProcessingModel] = None,
         jitter_source: Optional[Callable[[], float]] = None,
-        raw: bool = False,
         block: bool = False,
         name: Optional[str] = None,
     ) -> None:
@@ -119,7 +113,6 @@ class StreamingContext:
         self.interval_s = interval_s
         self.processing_model = processing_model or ProcessingModel()
         self.jitter_source = jitter_source
-        self.raw = raw
         self.block = block
         self.name = name or ""
         self.stream = DStream()
@@ -166,17 +159,9 @@ class StreamingContext:
                 rsu=self.name,
             ).observe(self.consumer.lag())
         if self.block:
-            segments = self.consumer.poll_block()
-            batch = BlockBatch(segments, batch_time=batch_time)
-            if registry is not None and segments:
-                registry.counter(
-                    "dataplane.block_segments", rsu=self.name
-                ).inc(len(segments))
-                registry.counter(
-                    "dataplane.block_records", rsu=self.name
-                ).inc(len(batch))
+            batch = BlockBatch(self.consumer.poll_block(), batch_time=batch_time)
         else:
-            records = self.consumer.poll(deserialize=not self.raw)
+            records = self.consumer.poll()
             batch = Batch([r.value for r in records], batch_time=batch_time)
         jitter = self.jitter_source() if self.jitter_source else 0.0
         duration = self.processing_model.duration(len(batch), jitter)

@@ -22,16 +22,18 @@ class Detector:
 
     Every detector — standalone (AD3), collaborative (CAD3),
     centralized, online — exposes the same four methods, so callers
-    never hand-switch on detector type or on ``RsuConfig.columnar``:
+    never hand-switch on detector type:
 
-    - :meth:`detect` scores a record sequence, returning
-      ``(classes, normal_probabilities)``; ``summaries`` carries the
-      CO-DATA per-car histories and is ignored by detectors that do
-      not collaborate.
-    - :meth:`detect_block` is the columnar counterpart; the default
-      materializes the block's records and delegates to
-      :meth:`detect`, and vectorizing subclasses override it with a
-      bit-identical fast path.
+    - :meth:`detect_block` is what the RSU pipeline calls, once per
+      micro-batch, on a :class:`~repro.core.block.TelemetryBlock`; it
+      returns ``(classes, normal_probabilities)``, and ``summaries``
+      carries the CO-DATA per-car histories (ignored by detectors that
+      do not collaborate).  The default materializes the block's
+      records and delegates to :meth:`detect`; vectorizing subclasses
+      override it with a bit-identical fast path.
+    - :meth:`detect` scores a record sequence the same way: offline
+      evaluation, and the per-record reference the golden tests hold
+      :meth:`detect_block` to.
     - :meth:`observe` / :meth:`observe_block` let prequential
       detectors keep learning from what they just scored; the defaults
       are no-ops, so offline detectors need not define them.

@@ -1,8 +1,8 @@
 """Zero-dependency observability: metrics, spans, invariant audits.
 
-The pipeline has three engines (per-record, columnar, sharded
-multi-process) plus fault injection, and until this package there was
-no way to see inside any of them.  ``repro.obs`` provides:
+The pipeline runs in one process or sharded across several, with or
+without fault injection, and until this package there was no way to
+see inside any of it.  ``repro.obs`` provides:
 
 - :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket
   histograms in a process-local :class:`~repro.obs.metrics.MetricsRegistry`,

@@ -14,8 +14,8 @@ method calls.
 
 Granularity discipline: spans wrap micro-batch-level work (one
 detection batch, one barrier wait), never per-record work — the
-columnar hot path's per-record budget is ~120 ns and a perf_counter
-pair alone would blow it.  ``tests/test_obs/test_observer_effect.py``
+hot path's per-record budget is ~120 ns and a perf_counter pair alone
+would blow it.  ``tests/test_obs/test_observer_effect.py``
 holds the registry to the same discipline: a fixed number of
 operations per micro-batch, whatever its size.
 """

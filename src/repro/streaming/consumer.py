@@ -201,18 +201,12 @@ class Consumer:
         for name in self._subscriptions:
             self._idle_versions[name] = self._topic(name).version
 
-    def poll(
-        self, max_records: int = 500, deserialize: bool = True
-    ) -> List[ConsumerRecord]:
-        """Fetch available records past the current positions.
+    def poll(self, max_records: int = 500) -> List[ConsumerRecord]:
+        """Fetch available records past the current positions,
+        deserialized with the consumer's serde.
 
         Balanced consumers first check the group generation and pick
         up any rebalance (another member joined or left).
-
-        With ``deserialize=False`` the records carry the raw wire bytes
-        in ``key``/``value`` — the columnar pipeline polls this way and
-        batch-decodes the whole micro-batch in one numpy pass instead
-        of deserializing record by record.
         """
         if not self._subscriptions:
             return []
@@ -236,24 +230,18 @@ class Consumer:
             if not stored:
                 continue
             for record in stored:
-                if deserialize:
-                    key = (
-                        serde.deserialize(record.key)
-                        if record.key is not None
-                        else None
-                    )
-                    value = serde.deserialize(record.value)
-                else:
-                    key = record.key
-                    value = record.value
                 out.append(
                     ConsumerRecord(
                         topic=topic,
                         partition=partition,
                         offset=record.offset,
                         timestamp=record.timestamp,
-                        key=key,
-                        value=value,
+                        key=(
+                            serde.deserialize(record.key)
+                            if record.key is not None
+                            else None
+                        ),
+                        value=serde.deserialize(record.value),
                     )
                 )
                 self.bytes_consumed += record.size
@@ -273,7 +261,7 @@ class Consumer:
 
         Visits partitions in the same order, advances the same
         positions, commits the same offsets, and accounts the same
-        bytes as ``poll(deserialize=False)`` — but hands back one
+        bytes as :meth:`poll` — but hands back one
         :class:`BlockSegment` per non-empty partition instead of
         per-record objects, zero-copy off the broker's columnar slabs
         whenever the log is uniformly struct-encoded.

@@ -1,13 +1,14 @@
-"""Reference city tick kernel: the PR 7 per-RSU object engine.
+"""Reference city tick kernel: the per-RSU object engine.
 
-This is the ground-truth implementation of the city tick — one
-``RsuState`` object per RSU, each owning its own growing numpy arrays,
-ticked in a Python-level loop.  The fused arena kernel
-(``repro.city.kernel``) must produce bit-identical rolling digests; the
-differential tests and the fuzz oracle compare the two, the same
-pattern as ``simkernel/reference.py`` for the event queue.
+This is the ground-truth statement of the city tick — one ``RsuState``
+object per RSU, each owning its own growing numpy arrays, ticked in a
+Python-level loop.  The fused arena kernel (``repro.city.kernel``) must
+produce bit-identical rolling digests; ``test_kernel.py`` compares the
+two, the same pattern as ``tests/test_simkernel/reference_queue.py``
+for the event queue.
 
-Select it with ``CitySpec(kernel="reference")``.  It stays the simplest
+:func:`run_reference` runs a spec on it by swapping it in for
+``FusedShardState`` for the length of one run.  It stays the simplest
 possible statement of the tick semantics — change it only when the
 *semantics* change, never for speed.
 """
@@ -15,29 +16,16 @@ possible statement of the tick semantics — change it only when the
 from __future__ import annotations
 
 import hashlib
-import struct
 from typing import Dict, Iterable, List, Tuple
+from unittest import mock
 
 import numpy as np
 
+from repro.city import engine
+from repro.city.kernel import ID_STRIDE, TICK_DIGEST, MoveBundle, rsu_stream_name
 from repro.city.model import CitySpec
 from repro.city.topology import CityTopology
-from repro.simkernel.rng import RngRegistry, substream_name
-
-#: Vehicle ids are ``spawning_rsu_index * ID_STRIDE + per-RSU counter``,
-#: so an id names its origin and never collides city-wide.
-ID_STRIDE = 10**8
-
-TICK_DIGEST = struct.Struct("<qq")
-
-#: One tick's vehicle moves as five parallel arrays:
-#: (dst rsu index, src rsu index, vehicle id, trip end, residence end).
-MoveBundle = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def rsu_stream_name(rsu_name: str) -> str:
-    """The RNG stream an RSU draws from, spelled once for all engines."""
-    return substream_name("city", rsu_name)
+from repro.simkernel.rng import RngRegistry
 
 
 # ----------------------------------------------------------------------
@@ -195,8 +183,6 @@ class ShardState:
     strictly between ticks.
     """
 
-    kernel_name = "reference"
-
     def __init__(
         self, spec: CitySpec, topology: CityTopology, owned: Iterable[int]
     ) -> None:
@@ -298,3 +284,10 @@ class ShardState:
             }
             for state in self.rsus.values()
         }
+
+
+def run_reference(spec: CitySpec, topology=None):
+    """Run a serial ``spec`` on this engine instead of the fused kernel."""
+    assert spec.shards == 1, "the reference engine runs serial specs only"
+    with mock.patch.object(engine, "FusedShardState", ShardState):
+        return engine.CityEngine(spec, topology=topology).run()

@@ -87,6 +87,25 @@ class TestShardedEquivalence:
         for event in sharded.rebalance_events:
             assert event["tick"] % spec.rebalance_interval_ticks == 0
 
+    def test_rsu_moved_twice_in_one_decision(self):
+        """The planner may move one RSU 0 -> 2 and back 2 -> 0 in a
+        single decision.  The workers must act on the net move (here
+        none): shipping the state to the first destination while the
+        shard map ends at the last crashed the next tick."""
+        spec = CitySpec(
+            seed=2066,
+            count_scale=0.002,
+            duration_s=3600.0,
+            shards=3,
+            rebalance_interval_ticks=10,
+        )
+        sharded = run_city(spec)
+        moves = [(e["tick"], e["rsu"]) for e in sharded.rebalance_events]
+        assert len(moves) > len(set(moves))  # the hazard occurred
+        assert sharded.audit() == []
+        serial = run_city(spec.replace(shards=1, rebalance_interval_ticks=0))
+        assert sharded.digest_signature() == serial.digest_signature()
+
 
 class TestEngineValidation:
     def test_assignment_override_must_cover_fleet(self):

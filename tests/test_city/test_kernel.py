@@ -1,12 +1,11 @@
 """Fused-kernel golden equivalence and the _PickStream RNG fast path.
 
 The fused arena kernel must be *bit-identical* to the reference per-RSU
-engine: every RSU's rolling SHA-256 digest chain — which folds in the
-exact flagged-vehicle identities drawn from that RSU's RNG stream —
-must match, serially and under sharded runs with live rebalancing.
-These are the golden differential tests; the fuzz oracle
-(``city_kernel_equivalence``) explores the same property over random
-configurations.
+engine (``reference.py`` beside this file): every RSU's rolling SHA-256
+digest chain — which folds in the exact flagged-vehicle identities
+drawn from that RSU's RNG stream — must match, serially and under
+sharded runs with live rebalancing.  These are the golden differential
+tests; the city fuzz corpus entries pin fused-kernel digests on top.
 """
 
 import numpy as np
@@ -14,6 +13,7 @@ import pytest
 
 from repro.city import COMMUTE_WAVE, CitySpec, run_city
 from repro.city.kernel import _PickStream
+from tests.test_city.reference import run_reference
 from tests.test_city.test_engine import skewed_assignments
 
 #: Small but real: ~60 RSUs, 30 ticks, commute wave for demand swings.
@@ -27,8 +27,8 @@ SMALL = dict(
 class TestKernelEquivalence:
     @pytest.mark.parametrize("seed", [11, 23])
     def test_serial_fused_matches_reference(self, seed):
-        fused = run_city(CitySpec(seed=seed, kernel="fused", **SMALL))
-        reference = run_city(CitySpec(seed=seed, kernel="reference", **SMALL))
+        fused = run_city(CitySpec(seed=seed, **SMALL))
+        reference = run_reference(CitySpec(seed=seed, **SMALL))
         assert fused.digests == reference.digests
         assert fused.digest_signature() == reference.digest_signature()
         assert fused.warnings == reference.warnings
@@ -38,10 +38,9 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("seed", [11, 23])
     def test_four_shards_with_rebalancing_matches_reference(self, seed):
-        reference = run_city(CitySpec(seed=seed, kernel="reference", **SMALL))
+        reference = run_reference(CitySpec(seed=seed, **SMALL))
         spec = CitySpec(
             seed=seed,
-            kernel="fused",
             shards=4,
             rebalance_interval_ticks=10,
             **SMALL,
@@ -55,14 +54,11 @@ class TestKernelEquivalence:
         assert sharded.audit() == []
         assert sharded.digest_signature() == reference.digest_signature()
 
-    def test_reference_kernel_is_selectable_and_audited(self):
-        result = run_city(
-            CitySpec(seed=11, kernel="reference", count_scale=0.01,
-                     duration_s=600.0)
+    def test_reference_engine_is_audited(self):
+        result = run_reference(
+            CitySpec(seed=11, count_scale=0.01, duration_s=600.0)
         )
         assert result.audit() == []
-        with pytest.raises(ValueError):
-            CitySpec(kernel="vectorized")
 
 
 def _canonical_state(bit_generator):

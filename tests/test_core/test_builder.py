@@ -49,7 +49,6 @@ class TestBuilder:
             .handover(0.5, at_s=2.5)
             .serde("struct")
             .dissemination("notify")
-            .columnar(False)
             .build()
         )
         assert spec.n_vehicles == 32
@@ -64,7 +63,6 @@ class TestBuilder:
         assert spec.handover_at_s == 2.5
         assert spec.serde_profile == "struct"
         assert spec.dissemination == "notify"
-        assert spec.columnar is False
 
     def test_spec_validation_fires_on_set(self):
         with pytest.raises(ValueError):

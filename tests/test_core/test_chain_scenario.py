@@ -1,5 +1,7 @@
 """Tests for the online chain topology (carried-on summaries, live)."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -67,3 +69,30 @@ class TestChainScenario:
         assert restored["n_vehicles"] == 12
         assert set(restored["rsus"]) == set(result.rsu_metrics)
         assert restored["rsus"]["rsu-hop-3"]["detection"]["f1"] >= 0.0
+
+
+#: ``chain(hops=3)`` at seed 7 (12 vehicles, 6 s): every vehicle's
+#: stats, every RSU's metrics and the resilience accounting.  A
+#: deliberate behaviour change re-pins it by hand.
+CHAIN_SEED7_DIGEST = "40b2c9617dd0f8be49712b103505c6b57254f9ea7f84fbdf4558f9e003a23650"
+
+
+def _chain_digest(result) -> str:
+    vehicles = sorted(
+        (car, dataclasses.asdict(stats))
+        for car, stats in result.vehicle_stats.items()
+    )
+    rsus = sorted(
+        (name, dataclasses.asdict(metrics))
+        for name, metrics in result.rsu_metrics.items()
+    )
+    signature = (vehicles, rsus, result.resilience.to_dict())
+    return hashlib.sha256(repr(signature).encode()).hexdigest()
+
+
+def test_chain_behaviour_is_pinned(training_dataset):
+    config = ScenarioSpec(n_vehicles=12, duration_s=6.0, seed=7)
+    scenario = TestbedScenario.chain(config, hops=3, dataset=training_dataset)
+    result = scenario.run()
+    assert sum(m.warnings_issued for m in result.rsu_metrics.values()) > 0
+    assert _chain_digest(result) == CHAIN_SEED7_DIGEST

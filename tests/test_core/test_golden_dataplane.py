@@ -62,7 +62,6 @@ def _build(
         duration_s=2.0,
         seed=7,
         handover_fraction=handover_fraction,
-        columnar=True,
         serde_profile=serde_profile,
         **spec_overrides,
     )
@@ -505,7 +504,6 @@ def test_warning_memos_stay_bounded(
             n_vehicles=12,
             duration_s=10.0,
             seed=7,
-            columnar=True,
             serde_profile=serde_profile,
             dissemination="notify",
         )

@@ -4,10 +4,10 @@ A polling vehicle runs none of its 10 ms polls; each is *settled* — its
 position advances and fetched / consumed counters reproduced from the
 partitions' append clocks, its refusal by a down broker counted from
 the broker's outage log, the warnings for this car it read received
-with the grid instant as their time.  ``VehicleNode.legacy_tick`` keeps
-the real recurrence (the seed's loop: one simulator event per poll,
-each record deserialized per vehicle) and is the live oracle here: the
-same seeded
+with the grid instant as their time.  The ``executed_polls`` fixture
+switches in the real recurrence (``oracles.use_executed_polls``: one
+simulator event per poll, each record deserialized per vehicle), the
+live oracle here: the same seeded
 corridor runs both ways and must agree on every vehicle counter and
 latency sample — ``poll_failures`` included, which no digest covers —
 on the resilience accounting, on every RSU's warning log, and on the
@@ -22,6 +22,7 @@ smaller than an emission batch; and the cross-shard handover, where
 the sending shard settles before it ships the next grid instant.
 """
 
+import contextlib
 import dataclasses
 
 import pytest
@@ -39,6 +40,7 @@ from repro.faults.injector import FaultInjector
 from repro.fuzz.oracles import accounting_signature
 from repro.geo import RoadType
 from repro.simkernel import Simulator
+from tests.test_core.oracles import use_executed_polls
 
 DURATION_S = 3.0  # the handover fires at 1.5 s
 
@@ -88,18 +90,30 @@ def _observables(scenario):
     }
 
 
-def _both_ways(dataset, monkeypatch, stop_at=None, **kwargs):
+@pytest.fixture
+def executed_polls(monkeypatch):
+    """A context manager inside which vehicles poll for real."""
+
+    @contextlib.contextmanager
+    def executed():
+        with monkeypatch.context() as patch:
+            use_executed_polls(patch)
+            yield
+
+    return executed
+
+
+def _both_ways(dataset, executed_polls, stop_at=None, **kwargs):
     """The scenario on the virtual grid and on the executed recurrence;
     returns ``(virtual, executed)`` finished scenarios."""
     scenarios = []
-    for legacy in (False, True):
-        with monkeypatch.context() as patch:
-            patch.setattr(VehicleNode, "legacy_tick", legacy)
+    for mode in (contextlib.nullcontext, executed_polls):
+        with mode():
             scenario = _scenario(dataset, **kwargs)
-        if stop_at is None:
-            scenario.run()
-        else:
-            _run_until(scenario, stop_at)
+            if stop_at is None:
+                scenario.run()
+            else:
+                _run_until(scenario, stop_at)
         scenarios.append(scenario)
     return scenarios
 
@@ -132,9 +146,9 @@ def _poll_failures(scenario):
 
 
 @pytest.mark.parametrize("name", sorted(corridor_profiles()))
-def test_named_fault_profiles(labeled_dataset, monkeypatch, name):
+def test_named_fault_profiles(labeled_dataset, executed_polls, name):
     profile = corridor_profiles(DURATION_S)[name]
-    virtual, executed = _both_ways(labeled_dataset, monkeypatch, faults=profile)
+    virtual, executed = _both_ways(labeled_dataset, executed_polls, faults=profile)
     _assert_same(virtual, executed)
     crashes = any(isinstance(e, BrokerCrash) for e in profile.events)
     assert (_poll_failures(virtual) > 0) == crashes
@@ -159,15 +173,15 @@ FAULT_SCHEDULES = {
 
 
 @pytest.mark.parametrize("name", sorted(FAULT_SCHEDULES))
-def test_fault_schedules(labeled_dataset, monkeypatch, name):
+def test_fault_schedules(labeled_dataset, executed_polls, name):
     profile = FaultProfile(name, FAULT_SCHEDULES[name])
-    virtual, executed = _both_ways(labeled_dataset, monkeypatch, faults=profile)
+    virtual, executed = _both_ways(labeled_dataset, executed_polls, faults=profile)
     _assert_same(virtual, executed)
     assert _poll_failures(virtual) > 0
 
 
 def test_warning_waiting_behind_an_outage_is_read_after_it(
-    labeled_dataset, monkeypatch
+    labeled_dataset, monkeypatch, executed_polls
 ):
     """A crash half a millisecond after a warning append: the warned
     vehicle's polls are refused for the whole outage and the first grid
@@ -185,7 +199,7 @@ def test_warning_waiting_behind_an_outage_is_read_after_it(
         (BrokerCrash("rsu-mw-1", appended_at + 0.0005, 0.3),),
     )
     receipts = _record_receipts(monkeypatch)
-    virtual, executed = _both_ways(labeled_dataset, monkeypatch, faults=profile)
+    virtual, executed = _both_ways(labeled_dataset, executed_polls, faults=profile)
     assert {
         v.car_id: v.stats.warnings_received for v in virtual.vehicles
     } == {v.car_id: v.stats.warnings_received for v in executed.vehicles}
@@ -206,7 +220,9 @@ def test_warning_waiting_behind_an_outage_is_read_after_it(
     assert all(up_at <= polled_at < up_at + interval for polled_at in waited)
 
 
-def test_no_poll_becomes_a_simulator_event(labeled_dataset, monkeypatch):
+def test_no_poll_becomes_a_simulator_event(
+    labeled_dataset, monkeypatch, executed_polls
+):
     """Not even the poll that reads a warning for the vehicle: a
     ``poll``-mode run schedules nothing labelled ``vehicle-*-poll``,
     and receives what the recurrence that schedules them all does."""
@@ -218,7 +234,7 @@ def test_no_poll_becomes_a_simulator_event(labeled_dataset, monkeypatch):
             return _schedule(self, *args, **kwargs)
 
         monkeypatch.setattr(Simulator, name, recording)
-    virtual, executed = _both_ways(labeled_dataset, monkeypatch)
+    virtual, executed = _both_ways(labeled_dataset, executed_polls)
     _assert_same(virtual, executed)
     polls = {f"vehicle-{v.car_id}-poll" for v in virtual.vehicles}
     assert polls <= scheduled[executed.sim]
@@ -226,24 +242,26 @@ def test_no_poll_becomes_a_simulator_event(labeled_dataset, monkeypatch):
     assert f"vehicle-{virtual.vehicles[0].car_id}-produce" in scheduled[virtual.sim]
 
 
-def test_outage_open_when_the_run_is_abandoned(labeled_dataset, monkeypatch):
+def test_outage_open_when_the_run_is_abandoned(labeled_dataset, executed_polls):
     """Stopping mid-outage, before ``until``: refused polls are counted
     up to *now*, not to the window's (infinite) end or to ``until``."""
     profile = FaultProfile("open", (BrokerCrash("rsu-mw-1", 1.0, 1.0),))
     virtual, executed = _both_ways(
-        labeled_dataset, monkeypatch, faults=profile, stop_at=1.337
+        labeled_dataset, executed_polls, faults=profile, stop_at=1.337
     )
     _assert_same(virtual, executed)
     assert _poll_failures(virtual) > 0
 
 
-def test_truncating_poll_budget_under_a_crash(labeled_dataset, monkeypatch):
+def test_truncating_poll_budget_under_a_crash(
+    labeled_dataset, monkeypatch, executed_polls
+):
     """A budget smaller than an emission batch: settlement replays the
     budget rule instant by instant, around the outage."""
     monkeypatch.setattr(vehicle_module, "_POLL_MAX_RECORDS", 3)
     profile = FaultProfile("crash", (BrokerCrash("rsu-mw-1", 1.0, 0.4),))
     virtual, executed = _both_ways(
-        labeled_dataset, monkeypatch, faults=profile, n_vehicles=24
+        labeled_dataset, executed_polls, faults=profile, n_vehicles=24
     )
     _assert_same(virtual, executed)
     assert _poll_failures(virtual) > 0
@@ -252,7 +270,7 @@ def test_truncating_poll_budget_under_a_crash(labeled_dataset, monkeypatch):
     ) > 3  # polls were cut short and resumed
 
 
-def test_trip_churn_across_an_outage(labeled_dataset, monkeypatch):
+def test_trip_churn_across_an_outage(labeled_dataset, executed_polls):
     """Vehicles spawned before a crash and retired during it: a retiring
     vehicle settles into the open window."""
     _, replay = labeled_dataset.split_by_trip(0.8, seed=0)
@@ -264,7 +282,7 @@ def test_trip_churn_across_an_outage(labeled_dataset, monkeypatch):
 
     profile = FaultProfile("crash", (BrokerCrash("rsu-mw-1", 1.0, 0.5),))
     virtual, executed = _both_ways(
-        labeled_dataset, monkeypatch, faults=profile, prepare=churn
+        labeled_dataset, executed_polls, faults=profile, prepare=churn
     )
     _assert_same(virtual, executed)
     retired = [v for v in virtual.vehicles if v.retired]
@@ -274,11 +292,11 @@ def test_trip_churn_across_an_outage(labeled_dataset, monkeypatch):
 
 
 def test_batched_dataplane_under_the_executed_recurrence(
-    labeled_dataset, monkeypatch
+    labeled_dataset, executed_polls
 ):
-    """``legacy_tick`` is the one switch: a fuller medium, where many
-    frames wait for each flush, changes nothing about it."""
-    _assert_same(*_both_ways(labeled_dataset, monkeypatch, n_vehicles=16))
+    """A fuller medium, where many frames wait for each flush, changes
+    nothing about the executed recurrence's agreement."""
+    _assert_same(*_both_ways(labeled_dataset, executed_polls, n_vehicles=16))
 
 
 class TestShardedHandover:

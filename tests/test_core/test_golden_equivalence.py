@@ -1,10 +1,11 @@
-"""Golden equivalence: the columnar hot path vs the per-record path.
+"""Golden equivalence: the block hot path vs the per-record path.
 
 The perf refactor (TelemetryBlock / detect_block / DetectionEventLog /
 struct serdes) must be behaviour-preserving, not just approximately
 right: same verdicts, same warning stream, same handover summaries,
 same latency statistics, bit for bit.  These tests run the same seeded
-scenario through every (columnar, serde) combination and compare the
+scenario on the RSU's block path and on the per-record reference body
+(``oracles.use_per_record_rsu``), under each serde, and compare the
 outputs exactly.
 """
 
@@ -19,6 +20,7 @@ from repro.core.rsu import DetectionEvent
 from repro.core.scenario import ScenarioSpec
 from repro.core.system import TestbedScenario
 from repro.geo.roadnet import RoadType
+from tests.test_core.oracles import use_per_record_rsu
 
 
 # ----------------------------------------------------------------------
@@ -141,13 +143,12 @@ def test_event_log_matches_list_semantics():
 # ----------------------------------------------------------------------
 # Full-scenario equivalence (the golden test)
 # ----------------------------------------------------------------------
-def _run_corridor(dataset, columnar, serde_profile):
+def _run_corridor(dataset, serde_profile):
     config = ScenarioSpec(
         n_vehicles=4,
         duration_s=2.0,
         seed=7,
         handover_fraction=0.5,
-        columnar=columnar,
         serde_profile=serde_profile,
     )
     scenario = TestbedScenario.corridor(config, motorways=2, dataset=dataset)
@@ -185,16 +186,22 @@ def _vehicle_signature(result):
 
 @pytest.mark.parametrize("serde_profile", ["json", "struct"])
 def test_columnar_pipeline_is_bit_identical(
-    labeled_dataset, serde_profile, audit_invariants
+    labeled_dataset, serde_profile, audit_invariants, monkeypatch
 ):
-    """Same seeds, same serde: columnar and per-record runs must agree
-    on every event, warning, summary count, and latency sample."""
-    legacy_result, legacy_scenario = _run_corridor(
-        labeled_dataset, columnar=False, serde_profile=serde_profile
-    )
+    """Same seeds, same serde: block and per-record runs must agree on
+    every event, warning, summary count, and latency sample."""
+    with monkeypatch.context() as patch:
+        per_record = use_per_record_rsu(patch)
+        legacy_result, legacy_scenario = _run_corridor(
+            labeled_dataset, serde_profile
+        )
     columnar_result, columnar_scenario = _run_corridor(
-        labeled_dataset, columnar=True, serde_profile=serde_profile
+        labeled_dataset, serde_profile
     )
+    # not vacuous: the reference detected every record of the run
+    assert sum(per_record) == sum(
+        len(rsu.events) for rsu in legacy_scenario.rsus.values()
+    ) > 0
     # Both engines must also conserve every record and warning.
     audit_invariants(legacy_scenario)
     audit_invariants(columnar_scenario)
@@ -225,12 +232,8 @@ def test_struct_profile_preserves_verdicts(labeled_dataset):
     """Across serdes the wire format changes (sizes, hence tx times),
     but every verdict, warning, and summary count must match: both
     formats round-trip the Table II values exactly."""
-    json_result, json_scenario = _run_corridor(
-        labeled_dataset, columnar=True, serde_profile="json"
-    )
-    struct_result, struct_scenario = _run_corridor(
-        labeled_dataset, columnar=True, serde_profile="struct"
-    )
+    json_result, json_scenario = _run_corridor(labeled_dataset, "json")
+    struct_result, struct_scenario = _run_corridor(labeled_dataset, "struct")
     for name, rsu in json_scenario.rsus.items():
         other = struct_scenario.rsus[name]
         assert [e.car_id for e in rsu.events] == [
@@ -247,23 +250,23 @@ def test_struct_profile_preserves_verdicts(labeled_dataset):
     assert struct_bw < 0.5 * json_bw
 
 
-def test_warning_threshold_streak_equivalence(labeled_dataset):
-    """The vectorized streak recurrence must debounce exactly like the
+def test_warning_threshold_streak_equivalence(labeled_dataset, monkeypatch):
+    """The block path's streak recurrence must debounce exactly like the
     per-record loop when warning_threshold > 1."""
-    from repro.core.rsu import RsuConfig, RsuNode
-    from repro.core.system import default_training_dataset  # noqa: F401
 
-    results = {}
-    for columnar in (False, True):
-        config = ScenarioSpec(
-            n_vehicles=6, duration_s=2.0, seed=11, columnar=columnar
-        )
+    def run():
+        config = ScenarioSpec(n_vehicles=6, duration_s=2.0, seed=11)
         scenario = TestbedScenario.single_rsu(config, dataset=labeled_dataset)
         for rsu in scenario.rsus.values():
             rsu.config.warning_threshold = 3
         result = scenario.run()
-        results[columnar] = (
+        return (
             {n: m.warnings_issued for n, m in result.rsu_metrics.items()},
             _event_stream(scenario),
         )
-    assert results[False] == results[True]
+
+    with monkeypatch.context() as patch:
+        batches = use_per_record_rsu(patch)
+        per_record = run()
+    assert sum(batches) > 0
+    assert per_record == run()

@@ -6,8 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
+from repro.core.rsu import RsuNode
 from repro.fuzz import FuzzConfig, FuzzRunner, run_oracles
+from repro.fuzz import runner as runner_module
 from repro.fuzz.oracles import set_planted_bug
+from repro.fuzz.runner import minimize_spec, replay_corpus_entry
 from repro.fuzz.spec import FuzzSpec
 
 
@@ -16,9 +20,15 @@ class TestGreenRun:
         report = FuzzRunner(FuzzConfig(seed=11, examples=6)).run()
         assert report.ok, [f.to_dict() for f in report.failures]
         assert report.scenarios_run == 6
-        # The two always-on oracles ran once per scenario.
-        assert report.oracle_counts["conservation_audit"] == 6
-        assert report.oracle_counts["observer_effect"] == 6
+        # One conservation audit per scenario, corridor or city, and
+        # the observer-effect identity on every corridor one.
+        counts = report.oracle_counts
+        assert counts["conservation_audit"] > 0
+        assert (
+            counts["conservation_audit"] + counts.get("city_conservation_audit", 0)
+            == 6
+        )
+        assert counts["observer_effect"] == counts["conservation_audit"]
 
     def test_markdown_report_mentions_outcome(self):
         report = FuzzRunner(FuzzConfig(seed=11, examples=2)).run()
@@ -83,3 +93,68 @@ class TestPlantedBugDemonstration:
         # exactly what a fixed bug looks like on replay.
         set_planted_bug(False)
         assert run_oracles(failure.spec).ok
+
+
+class PlantedCrash(RuntimeError):
+    pass
+
+
+class TestPlantedCrash:
+    """A crash is a finding: a ``raise`` planted in an RSU callback
+    escapes nothing — ``repro fuzz`` finds it, shrinks it without
+    sliding onto another bug, and writes it to ``--corpus-dir``."""
+
+    @pytest.fixture
+    def crashing_handover(self, monkeypatch):
+        def handover(self, car_id, target_name):
+            raise PlantedCrash(f"{self.name} -> {target_name}")
+
+        monkeypatch.setattr(RsuNode, "handover", handover)
+
+    def test_found_shrunk_and_persisted(
+        self, crashing_handover, tmp_path, capsys
+    ):
+        code = main(
+            ["fuzz", "--smoke", "--seed", "0", "--budget", "10",
+             "--corpus-dir", str(tmp_path), "--format", "json"]
+        )
+        assert code == 1
+        report = json.loads(capsys.readouterr().out)
+        (failure,) = report["failures"]
+        assert failure["error"] == "PlantedCrash"
+        assert failure["failures"][0].startswith("crash: PlantedCrash: ")
+        assert "(in handover, test_fuzzer.py:" in failure["failures"][0]
+
+        # Shrunk: only what makes an RSU hand a car over is left.
+        found = FuzzSpec.from_payload(failure["found_spec"])
+        spec = FuzzSpec.from_payload(failure["spec"])
+        assert spec.handover_fraction > 0
+        assert spec.shards == 1 and not spec.faults and spec.collab is None
+        assert spec.vehicles <= found.vehicles
+        assert spec.to_payload().keys() <= {"seed", "handover_fraction", "vehicles"}
+
+        # Persisted as a replayable expect-fail entry naming the crash.
+        (entry,) = tmp_path.glob("*.json")
+        assert str(entry) == failure["corpus_path"]
+        payload = json.loads(entry.read_text())
+        assert payload["expect"] == "fail"
+        assert payload["spec"] == failure["spec"]
+        assert "PlantedCrash" in payload["failures"][0]
+        assert replay_corpus_entry(entry)["ok"]
+
+    def test_shrinks_only_onto_the_same_exception(self, monkeypatch):
+        """A simpler spec that fails differently is not a shrink step."""
+        seen = []
+
+        def run_oracles(spec):
+            seen.append(spec)
+            if spec.vehicles > 2:
+                raise PlantedCrash("planted")
+            raise KeyError("a different bug")
+
+        monkeypatch.setattr(runner_module, "run_oracles", run_oracles)
+        spec, failures = minimize_spec(FuzzSpec(vehicles=6))
+        assert spec == FuzzSpec(vehicles=3)
+        (failure,) = failures
+        assert failure.startswith("crash: PlantedCrash: planted (in run_oracles")
+        assert FuzzSpec(vehicles=2) in seen  # tried, and refused

@@ -98,7 +98,7 @@ _REGISTRY_OPS_PER_BATCH = 6
 
 
 def _observed_rsu_ops(detector, records, records_per_batch, n_batches=10):
-    """Feed a columnar+struct RSU ``records_per_batch`` records ahead of
+    """Feed a struct RSU ``records_per_batch`` records ahead of
     each of ``n_batches`` micro-batch ticks; count registry accesses."""
     sim = Simulator()
     rsu = RsuNode(

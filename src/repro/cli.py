@@ -13,13 +13,10 @@ One subcommand per workflow a downstream user needs:
 - ``city``      — the city-scale trip-churn workload with dynamic
   shard rebalancing.
 
-The scenario-running subcommands (``parallel``, ``obs``,
-``resilience``, ``city``, ``comm``) share one scenario parent parser
-(``--seed`` / ``--shards``) and, together with ``fuzz``, one output
-parent (``--out`` / ``--format``), so the flags mean the same thing
-everywhere.  Legacy spellings (``parallel --workers``,
-``obs --json``) still parse via :class:`_DeprecatedAlias` but warn on
-stderr.
+The scenario-running subcommands (``obs``, ``resilience``, ``city``,
+``comm``) share one scenario parent parser (``--seed`` / ``--shards``)
+and, together with ``fuzz``, one output parent (``--out`` /
+``--format``), so the flags mean the same thing everywhere.
 """
 
 from __future__ import annotations
@@ -204,22 +201,6 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_parallel(args: argparse.Namespace) -> int:
-    from repro.experiments.parallel import parallel_corridor
-
-    report = parallel_corridor(
-        n_vehicles=args.vehicles,
-        duration_s=args.duration,
-        motorways=args.motorways,
-        workers=args.shards,
-        seed=args.seed,
-        handover_fraction=args.handover_fraction,
-        repeats=args.repeats,
-    )
-    _emit_report(args, report.format_report(), report.to_json())
-    return 0 if report.warnings_identical else 1
-
-
 def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.experiments.observability import (
         observability_corridor,
@@ -394,30 +375,6 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1, help="generator seed")
 
 
-class _DeprecatedAlias(argparse.Action):
-    """A legacy flag spelling: warns on stderr, stores to the new dest.
-
-    Registered with ``dest=<new flag's dest>`` so the handler code only
-    ever sees the canonical name.  Each flag warns at most once per
-    invocation — a repeated ``--workers 2 --workers 3`` still parses
-    last-wins but doesn't repeat the nag.
-    """
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        warned = getattr(namespace, "_deprecated_warned", None)
-        if warned is None:
-            warned = set()
-            setattr(namespace, "_deprecated_warned", warned)
-        if option_string not in warned:
-            warned.add(option_string)
-            canonical = "--" + self.dest.replace("_", "-")
-            print(
-                f"warning: {option_string} is deprecated; use {canonical}",
-                file=sys.stderr,
-            )
-        setattr(namespace, self.dest, values)
-
-
 def _scenario_parent() -> argparse.ArgumentParser:
     """Shared scenario flags: every runnable subcommand means the same
     thing by ``--seed`` and ``--shards``."""
@@ -552,42 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience.set_defaults(func=_cmd_resilience)
 
-    parallel = commands.add_parser(
-        "parallel",
-        help="sharded multi-process corridor vs single-process (speedup "
-        "+ bit-identical warnings)",
-        parents=[scenario_parent, output_parent],
-    )
-    parallel.add_argument(
-        "--vehicles", type=int, default=16, help="vehicles per RSU"
-    )
-    parallel.add_argument(
-        "--duration", type=float, default=4.0, help="simulated seconds"
-    )
-    parallel.add_argument(
-        "--motorways", type=int, default=8, help="motorway RSUs in the corridor"
-    )
-    parallel.add_argument(
-        "--workers",
-        type=int,
-        dest="shards",
-        action=_DeprecatedAlias,
-        help=argparse.SUPPRESS,  # legacy spelling of --shards
-    )
-    parallel.add_argument(
-        "--handover-fraction",
-        type=float,
-        default=0.25,
-        help="fraction of each motorway's vehicles handed to the link RSU",
-    )
-    parallel.add_argument(
-        "--repeats",
-        type=int,
-        default=1,
-        help="timing repeats (noise-floored, see experiments.parallel)",
-    )
-    parallel.set_defaults(func=_cmd_parallel)
-
     obs = commands.add_parser(
         "obs",
         help="instrumented corridor run: metrics, spans, invariant audit",
@@ -606,12 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         default="none",
         help="fault profile to inject (serial runs only; default: none)",
-    )
-    obs.add_argument(
-        "--json",
-        dest="out",
-        action=_DeprecatedAlias,
-        help=argparse.SUPPRESS,  # legacy spelling of --out
     )
     obs.add_argument(
         "--prom", help="also write Prometheus text exposition to this path"

@@ -65,9 +65,6 @@ class ScenarioSpec:
     #: packets shrink to less than half and decode an order of
     #: magnitude faster).
     serde_profile: str = "json"
-    #: Vehicle warning consumption: ``"poll"`` (paper: every 10 ms) or
-    #: ``"notify"`` (wake on produce; not real-Kafka-faithful).
-    dissemination: str = "poll"
     #: Fault profile to inject during the run (``None`` = fault-free).
     faults: Optional[FaultProfile] = None
     #: Retry policy for vehicle telemetry produce.  ``None`` (the seed
@@ -110,10 +107,6 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown serde_profile: {self.serde_profile!r}; "
                 f"choose from {SERDE_PROFILES}"
-            )
-        if self.dissemination not in ("poll", "notify"):
-            raise ValueError(
-                f"unknown dissemination mode: {self.dissemination!r}"
             )
         if self.upstream_timeout_s is not None and self.upstream_timeout_s <= 0:
             raise ValueError("upstream_timeout_s must be positive")
@@ -208,10 +201,6 @@ class ScenarioBuilder:
     def serde(self, profile: str) -> "ScenarioBuilder":
         """Wire format: ``"json"`` or ``"struct"``."""
         return self._set(serde_profile=profile)
-
-    def dissemination(self, mode: str) -> "ScenarioBuilder":
-        """Warning delivery: ``"poll"`` or ``"notify"``."""
-        return self._set(dissemination=mode)
 
     def observe(self, enabled: bool = True) -> "ScenarioBuilder":
         """Collect metrics + spans during the run (:mod:`repro.obs`).

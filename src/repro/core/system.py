@@ -475,7 +475,6 @@ class TestbedScenario:
                 poll_interval_s=self.config.poll_interval_s,
                 rng=self.rng.stream(f"vehicle.{car_id}"),
                 serdes=topic_serdes(self.config.serde_profile),
-                dissemination=self.config.dissemination,
                 retry=self.config.producer_retry,
             )
             self.vehicles.append(vehicle)

@@ -28,7 +28,6 @@ from repro.streaming.serde import (
     RawSerde,
     Serde,
     STRUCT_MAGIC,
-    STRUCT_VERSION,
 )
 
 #: Template patch: the telemetry struct layout ends in
@@ -38,20 +37,6 @@ _TS_PATCH = struct.Struct("<dd")
 
 #: Records one warning poll may fetch (the consumer's default budget).
 _POLL_MAX_RECORDS = 500
-
-#: Bounds of the broker-shared warning memos of ``notify`` wake-up polls
-#: (oldest evicted first; a miss only recomputes).  A slab scan is dead
-#: once the vehicles its emission batch woke have polled: a few entries
-#: per partition do.
-_SCAN_MEMO_ENTRIES = 12
-_DECODE_MEMO_ENTRIES = 1024
-
-
-def _memo_put(memo: dict, key, value, limit: int) -> None:
-    if len(memo) >= limit:
-        del memo[next(iter(memo))]
-    memo[key] = value
-
 
 #: Marker for a stripe record whose wire template has not been built yet
 #: (templates are serialized on first send, not eagerly for the whole
@@ -111,12 +96,6 @@ class VehicleNode:
         Per-topic serde overrides, matching the RSU's
         (:func:`repro.core.wire.topic_serdes`); compact JSON when
         absent.
-    dissemination:
-        ``"poll"`` (the paper's loop: pull OUT-DATA every 10 ms) or
-        ``"notify"`` (wake on the broker's produce notification —
-        lower dissemination latency, but a push channel real Kafka
-        does not offer; keep ``"poll"`` when reproducing the paper's
-        latency numbers).
     retry:
         :class:`~repro.streaming.producer.RetryPolicy` for telemetry
         produce: buffered retries with backoff plus idempotent
@@ -129,7 +108,7 @@ class VehicleNode:
     broker or producer is degraded — :meth:`_put_on_channel`), HTB is
     charged lazily, and delivery patches a pre-serialized template.
 
-    A ``"poll"`` vehicle's 10 ms poll grid is virtual: the grid is the
+    The vehicle's 10 ms poll grid is virtual: the grid is the
     drawn phase plus repeated interval addition, and no instant of it
     becomes a simulator event.  Every poll is *settled*: accounted in
     closed form from the partitions' append clocks and the broker's
@@ -152,15 +131,12 @@ class VehicleNode:
         consumer_jitter_s: float = 4.4e-3,
         rng: Optional[np.random.Generator] = None,
         serdes: Optional[Dict[str, Serde]] = None,
-        dissemination: str = "poll",
         retry: Optional[RetryPolicy] = None,
     ) -> None:
         if update_rate_hz <= 0:
             raise ValueError("update rate must be positive")
         if poll_interval_s <= 0:
             raise ValueError("poll interval must be positive")
-        if dissemination not in ("poll", "notify"):
-            raise ValueError(f"unknown dissemination mode: {dissemination!r}")
         self.sim = sim
         self.car_id = car_id
         self._payloads: List[dict] = []
@@ -179,11 +155,6 @@ class VehicleNode:
         #: Serde for the telemetry envelopes this vehicle produces.
         self.serde = self._serdes.get(IN_DATA, default)
         self._out_serde = self._serdes.get(OUT_DATA, default)
-        #: Cached wire dtype of OUT-DATA (struct profile only): lets a
-        #: poll scan a warning slab with one numpy compare instead of
-        #: decoding record by record.
-        self._warning_dtype = getattr(self._out_serde, "dtype", None)
-        self.dissemination = dissemination
         # Telemetry goes through a Producer so the delivery guarantees
         # (bounded retry buffer, idempotent sequences) apply.  The
         # envelope is serialized by the vehicle (the wire size gates
@@ -203,7 +174,6 @@ class VehicleNode:
         self._consumer: Optional[Consumer] = None
         self._cancel_produce = None
         self._cancel_notify = None
-        self._wakeup_pending = False
         self._started = False
         self._retired = False
         self._leaf_name = f"vehicle-{car_id}"
@@ -245,32 +215,11 @@ class VehicleNode:
             self._subscribe()
 
     def _subscribe(self) -> None:
-        """Register the OUT-DATA wake-up: every produce in ``notify``
-        mode; on the poll grid only appends keyed with this car id (the
+        """Register for the OUT-DATA appends keyed with this car id (the
         RSU keys a warning by the warned car)."""
-        broker = self.rsu.broker
-        if self.dissemination == "notify":
-            self._cancel_notify = broker.subscribe_notify(
-                OUT_DATA, self._on_out_data_produced
-            )
-        else:
-            self._cancel_notify = broker.subscribe_key(
-                OUT_DATA, self._key_bytes, self._own_warning_appended
-            )
-
-    def _on_out_data_produced(self, metadata) -> None:
-        # Coalesce: many warnings produced at the same instant (one
-        # micro-batch) wake the consumer once.
-        if self._wakeup_pending:
-            return
-        self._wakeup_pending = True
-        self.sim.after(
-            0.0, self._wakeup_poll, label=f"vehicle-{self.car_id}-wakeup"
+        self._cancel_notify = self.rsu.broker.subscribe_key(
+            OUT_DATA, self._key_bytes, self._own_warning_appended
         )
-
-    def _wakeup_poll(self) -> None:
-        self._wakeup_pending = False
-        self._poll_warnings_block()
 
     def start(self, until: Optional[float] = None) -> None:
         """Begin the produce loop and the warning consumption."""
@@ -287,9 +236,6 @@ class VehicleNode:
             until=until,
             label=f"vehicle-{self.car_id}-produce",
         )
-        if self.dissemination == "notify":
-            self._subscribe()
-            return
         poll_phase = float(self._rng.uniform(0.0, self.poll_interval_s))
         self._start_polling(self.sim.now + poll_phase, until)
 
@@ -524,9 +470,7 @@ class VehicleNode:
                 until=until,
                 label=f"vehicle-{self.car_id}-produce",
             )
-        if self.dissemination == "notify":
-            self._subscribe()
-        elif poll_next is not None:
+        if poll_next is not None:
             self._start_polling(poll_next, until)
 
     # ------------------------------------------------------------------
@@ -722,73 +666,6 @@ class VehicleNode:
         self.stats.warnings_received += 1
         self.stats.dissemination_latencies_s.append(received_at - detected_at)
         self.stats.e2e_latencies_s.append(received_at - generated_at)
-
-    def _poll_warnings_block(self) -> None:
-        """One ``notify`` wake-up's poll: scan OUT-DATA as block segments.
-
-        Consumes through :meth:`~repro.streaming.consumer.Consumer.poll_block`
-        — same partition order, position advances, and byte accounting
-        as ``poll`` — and filters for this car's warnings without
-        per-record objects: a uniform struct segment is one
-        ``np.frombuffer`` over the broker's slab plus one column scan
-        (every vehicle wakes on every emission batch, so most records
-        are other cars').  Mixed/JSON segments fall back to the decode
-        loop with the broker-shared memo, so a warning is decoded once
-        per broker, not once per vehicle.
-        """
-        try:
-            segments = self._consumer.poll_block(_POLL_MAX_RECORDS)
-        except BrokerUnavailable:
-            self.stats.poll_failures += 1
-            return
-        dtype = self._warning_dtype
-        car_id = self.car_id
-        broker = self.rsu.broker
-        now = self.sim.now
-        for segment in segments:
-            if (
-                dtype is not None
-                and segment.is_uniform
-                and segment.record_size == dtype.itemsize
-            ):
-                # The vehicles woken by one emission batch fetch it
-                # from the same offsets, so the column extraction runs
-                # once per batch in a broker-shared memo, not once per
-                # vehicle.
-                scan_cache = broker.warning_scan_memo
-                key = (
-                    segment.topic,
-                    segment.partition,
-                    segment.next_offset,
-                    segment.count,
-                )
-                entry = scan_cache.get(key)
-                if entry is None:
-                    rows = np.frombuffer(segment.data, dtype=dtype)
-                    if rows.size and (rows["version"] == STRUCT_VERSION).all():
-                        entry = (
-                            rows["car"].tolist(),
-                            rows["t"].tolist(),
-                            rows["generated_at"].tolist(),
-                        )
-                        _memo_put(scan_cache, key, entry, _SCAN_MEMO_ENTRIES)
-                if entry is not None:
-                    cars, ts, gens = entry
-                    for i, car in enumerate(cars):
-                        if car == car_id:
-                            self._receive_warning(now, ts[i], gens[i])
-                    continue
-            cache = broker.warning_decode_memo
-            serde = self._out_serde
-            for raw in segment.value_list():
-                value = cache.get(raw)
-                if value is None:
-                    value = serde.deserialize(raw)
-                    _memo_put(cache, raw, value, _DECODE_MEMO_ENTRIES)
-                if int(value.get("car", -1)) == car_id:
-                    self._receive_warning(
-                        now, float(value["t"]), float(value["generated_at"])
-                    )
 
     def __repr__(self) -> str:
         return (

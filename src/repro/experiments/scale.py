@@ -15,10 +15,11 @@ density (Table V's Density column) and checks every class stays within
 the demonstrated per-RSU envelope (256 vehicles under 50 ms,
 ~5 Mb/s of 27 Mb/s DSRC).
 
-This is arithmetic over measured envelopes; the *executed* version of
-the scaled corridor — the same spec run through the sharded
-multi-process engine and checked bit-identical against the
-single-process run — lives in :mod:`repro.experiments.parallel`.
+This is arithmetic over measured envelopes.  The *executed* scaled
+corridor is the sharded multi-process engine
+(:class:`repro.parallel.engine.ShardedScenario`): ``repro obs --shards
+N`` runs it from the CLI, and the benchmark's ``corridor_sharded``
+workload times it.
 """
 
 from __future__ import annotations

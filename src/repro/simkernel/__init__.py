@@ -11,10 +11,6 @@ The public surface is small:
     The event loop.  Schedule callbacks at absolute or relative simulated
     times, then ``run()`` / ``run_until()``.
 
-``Process``
-    A generator-based coroutine helper: ``yield delay`` suspends the
-    process for ``delay`` simulated seconds.
-
 ``RngRegistry``
     Named, independently seeded ``numpy`` random generators, so that
     adding a new source of randomness never perturbs existing streams.
@@ -22,7 +18,6 @@ The public surface is small:
 
 from repro.simkernel.clock import SimClock
 from repro.simkernel.events import Event, EventQueue
-from repro.simkernel.process import Process, ProcessState
 from repro.simkernel.rng import RngRegistry, derive_seed
 from repro.simkernel.simulator import (
     GroupRecurrence,
@@ -35,8 +30,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "GroupRecurrence",
-    "Process",
-    "ProcessState",
     "Recurrence",
     "RngRegistry",
     "SimClock",

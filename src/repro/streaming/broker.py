@@ -54,21 +54,11 @@ class Broker:
         # (group, topic, partition) -> committed offset
         self._committed: Dict[Tuple[str, str, int], int] = {}
         self.coordinator = GroupCoordinator()
-        # topic -> list of callbacks fired on every produce (wakeup
-        # dissemination; see subscribe_notify).  Callbacks may be
-        # registered before their topic exists: produce looks the list
-        # up by name, so they attach the moment the topic gets traffic.
-        # Copy-on-write (subscribe/cancel rebind a new list), so
-        # dispatch iterates the list it looked up without copying it.
-        self._notify: Dict[str, List[Callable[[RecordMetadata], None]]] = {}
         # topic -> record key -> its one callback (see subscribe_key).
+        # Callbacks may be registered before their topic exists: produce
+        # looks them up by name, so they attach the moment the topic
+        # gets traffic.
         self._keyed_notify: Dict[str, Dict[bytes, Callable]] = {}
-        #: Memos shared by the ``notify``-mode vehicles woken to poll
-        #: ``OUT-DATA`` here, which fill and bound them
-        #: (:mod:`repro.core.vehicle`): column scans of fetched warning
-        #: slabs, decoded warnings by wire bytes.
-        self.warning_scan_memo: Dict[Tuple[str, int, int, int], tuple] = {}
-        self.warning_decode_memo: Dict[bytes, dict] = {}
         # (producer_id, topic) -> (last accepted sequence, its metadata):
         # the idempotent-produce dedupe table (Kafka's per-partition
         # producer state, collapsed to per-topic at this model's scale).
@@ -231,10 +221,6 @@ class Broker:
         )
         if state_key is not None:
             self._producer_state[state_key] = (sequence, metadata)
-        callbacks = self._notify.get(topic_name)
-        if callbacks:
-            for callback in callbacks:
-                callback(metadata)
         keyed = self._keyed_notify.get(topic_name)
         if keyed:
             callback = keyed.get(key)
@@ -289,10 +275,9 @@ class Broker:
         for key, value, index in zip(keys, values, indexes):
             offset = next_offset[index]
             next_offset[index] = offset + 1
-            callbacks = self._notify.get(topic_name)
             keyed = self._keyed_notify.get(topic_name)
             callback = keyed.get(key) if keyed else None
-            if not callbacks and callback is None:
+            if callback is None:
                 continue
             metadata = RecordMetadata(
                 topic=topic_name,
@@ -301,11 +286,7 @@ class Broker:
                 timestamp=record_time,
                 serialized_size=len(value) + (len(key) if key else 0),
             )
-            if callbacks:
-                for each in callbacks:
-                    each(metadata)
-            if callback is not None:
-                callback(metadata)
+            callback(metadata)
         if now < self._drop_acks_until:
             raise BrokerUnavailable(
                 f"broker {self.name!r} lost the produce acks for a block of "
@@ -319,34 +300,6 @@ class Broker:
         state = self._producer_state.get((producer_id, topic_name))
         return 0 if state is None else state[0]
 
-    def subscribe_notify(
-        self, topic_name: str, callback: Callable[[RecordMetadata], None]
-    ) -> Callable[[], None]:
-        """Invoke ``callback(metadata)`` on every produce to the topic.
-
-        This is the wakeup-on-produce hook behind the vehicles'
-        ``dissemination="notify"`` mode: instead of polling ``OUT-DATA``
-        every 10 ms (the paper's loop), a consumer can sleep until the
-        broker tells it a record landed.  Returns a zero-argument
-        cancel function.  Real Kafka has no such push channel — keep
-        polling mode when reproducing the paper's latency numbers.
-
-        Registration does not require the topic to exist yet: a
-        callback registered early simply waits for the topic's first
-        produce (registering before topic creation used to drop the
-        callback silently).
-        """
-        notify = self._notify
-        notify[topic_name] = notify.get(topic_name, []) + [callback]
-
-        def cancel() -> None:
-            callbacks = notify[topic_name]
-            if callback in callbacks:
-                at = callbacks.index(callback)
-                notify[topic_name] = callbacks[:at] + callbacks[at + 1 :]
-
-        return cancel
-
     def subscribe_key(
         self,
         topic_name: str,
@@ -355,10 +308,11 @@ class Broker:
     ) -> Callable[[], None]:
         """Invoke ``callback(metadata)`` on every produce to the topic
         carrying ``key``: one dict lookup per produce however many
-        subscribers.  Polling vehicles register under their car id, the
-        key of every warning for them, so an append wakes the warned
-        vehicle only.  A key has one owner per topic (a second is
-        refused); otherwise as :meth:`subscribe_notify`."""
+        subscribers.  Vehicles register under their car id, the key of
+        every warning for them, so an append wakes the warned vehicle
+        only.  A key has one owner per topic (a second is refused).
+        Registration does not require the topic to exist yet; returns a
+        zero-argument cancel function."""
         keyed = self._keyed_notify.setdefault(topic_name, {})
         if key in keyed:
             raise BrokerError(

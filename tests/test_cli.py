@@ -81,7 +81,7 @@ class TestConsolidatedFlags:
     --shards) and one output parent (--format, --out)."""
 
     @pytest.mark.parametrize(
-        "command", ["resilience", "parallel", "obs", "city"]
+        "command", ["resilience", "obs", "city"]
     )
     def test_shared_flags_parse_everywhere(self, command):
         parsed = build_parser().parse_args(
@@ -92,36 +92,6 @@ class TestConsolidatedFlags:
         assert parsed.shards == 2
         assert parsed.format == "json"
         assert parsed.out == "/tmp/r.json"
-
-    def test_parallel_workers_alias(self, capsys):
-        parsed = build_parser().parse_args(["parallel", "--workers", "3"])
-        assert parsed.shards == 3
-        err = capsys.readouterr().err
-        assert "deprecated" in err
-        assert "--shards" in err
-
-    def test_obs_json_alias(self, capsys):
-        parsed = build_parser().parse_args(["obs", "--json", "/tmp/o.json"])
-        assert parsed.out == "/tmp/o.json"
-        err = capsys.readouterr().err
-        assert "deprecated" in err
-        assert "--out" in err
-
-    def test_repeated_alias_warns_once_per_invocation(self, capsys):
-        parsed = build_parser().parse_args(
-            ["parallel", "--workers", "2", "--workers", "3"]
-        )
-        assert parsed.shards == 3  # last occurrence still wins
-        err = capsys.readouterr().err
-        assert err.count("deprecated") == 1
-
-    def test_distinct_aliases_each_warn(self, capsys):
-        # Namespaces are per-parse, so a fresh invocation warns again
-        # and different flags warn independently.
-        build_parser().parse_args(["parallel", "--workers", "2"])
-        build_parser().parse_args(["obs", "--json", "/tmp/o.json"])
-        err = capsys.readouterr().err
-        assert err.count("deprecated") == 2
 
 
 class TestCityCommand:

@@ -121,14 +121,12 @@ def _poll_executed(self) -> None:
 
 
 def use_executed_polls(patch) -> None:
-    """Every ``"poll"`` vehicle started while ``patch`` holds runs its
-    grid as a recurrence and registers no per-key wake-up."""
-    subscribe = VehicleNode._subscribe
+    """Every vehicle started while ``patch`` holds runs its grid as a
+    recurrence and registers no per-key wake-up."""
     stop = VehicleNode.stop
 
     def _subscribe(self) -> None:
-        if self.dissemination == "notify":
-            subscribe(self)
+        pass
 
     def _start_polling(self, first: float, until) -> None:
         self._cancel_poll = self.sim.every_group(

@@ -48,7 +48,6 @@ class TestBuilder:
             .loss(0.05)
             .handover(0.5, at_s=2.5)
             .serde("struct")
-            .dissemination("notify")
             .build()
         )
         assert spec.n_vehicles == 32
@@ -62,7 +61,6 @@ class TestBuilder:
         assert spec.handover_fraction == 0.5
         assert spec.handover_at_s == 2.5
         assert spec.serde_profile == "struct"
-        assert spec.dissemination == "notify"
 
     def test_spec_validation_fires_on_set(self):
         with pytest.raises(ValueError):

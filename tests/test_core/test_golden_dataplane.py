@@ -193,11 +193,8 @@ def _assert_not_vacuous(scenario):
     [
         pytest.param("json", {}, id="json"),
         pytest.param("struct", {}, id="struct"),
-        pytest.param("json", {"dissemination": "notify"}, id="json-notify"),
         pytest.param(
-            "struct",
-            {"dissemination": "notify", "handover_fraction": 0.5},
-            id="struct-notify-handover",
+            "struct", {"handover_fraction": 0.5}, id="struct-handover"
         ),
         pytest.param(
             "struct", {"producer_retry": RetryPolicy()}, id="struct-retry"
@@ -210,12 +207,11 @@ def _assert_not_vacuous(scenario):
         pytest.param(
             "struct",
             {
-                "dissemination": "notify",
                 "producer_retry": RetryPolicy(),
                 "handover_fraction": 0.25,
                 "n_vehicles": 16,
             },
-            id="struct-notify-retry-handover",
+            id="struct-retry-handover",
         ),
     ],
 )
@@ -225,8 +221,8 @@ def test_batched_dataplane_is_bit_identical(
     """Same seeds, same serde: every event, warning, latency sample and
     bandwidth counter as the per-event uplink produced them — including
     the JSON profile, where template struct sends fall back to generic
-    per-record serialization, and whatever the dissemination mode or
-    (fault-free) retry policy."""
+    per-record serialization, and whatever the (fault-free) retry
+    policy."""
     _, scenario = _run(labeled_dataset, serde_profile, **overrides)
     audit_invariants(scenario)
     _assert_not_vacuous(scenario)
@@ -358,20 +354,6 @@ def test_fault_profiles_equal_the_event_uplink(
     _assert_pinned(f"faults[{name}-{serde_profile}]", _digest(scenario))
 
 
-def test_chaos_under_notify_equals_the_event_uplink(labeled_dataset):
-    result, scenario = _run(
-        labeled_dataset,
-        "struct",
-        handover_fraction=0.25,
-        n_vehicles=8,
-        dissemination="notify",
-        **_faulty("chaos"),
-    )
-    _assert_not_vacuous(scenario)
-    assert result.resilience.records_retried > 0
-    _assert_pinned("faults[chaos-struct-notify]", _digest(scenario))
-
-
 @pytest.mark.parametrize("at_s", [0.9, 0.93, 1.01])
 def test_failover_settles_the_channel_first(labeled_dataset, at_s):
     """``schedule_failover`` shuts a broker outside the fault injector.
@@ -487,45 +469,3 @@ def test_cross_shard_handover_abandons_frames_on_the_air(labeled_dataset):
             ]
         ),
     )
-
-
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("serde_profile", ["struct", "json"])
-def test_warning_memos_stay_bounded(
-    labeled_dataset, serde_profile, monkeypatch
-):
-    """The broker-shared memos of ``notify`` wake-up polls, their one
-    user (slab column scans under struct, decoded warnings under JSON),
-    hold a few recent entries however long the run,
-    and evicting cannot change a result: bound 1 gives the same run."""
-
-    def run():
-        config = ScenarioSpec(
-            n_vehicles=12,
-            duration_s=10.0,
-            seed=7,
-            serde_profile=serde_profile,
-            dissemination="notify",
-        )
-        scenario = TestbedScenario.corridor(
-            config, motorways=2, dataset=labeled_dataset
-        )
-        result = scenario.run()
-        sizes = [len(getattr(r.broker, memo)) for r in scenario.rsus.values()]
-        return _vehicle_signature(scenario), sizes, result
-
-    struct = serde_profile == "struct"
-    memo = "warning_scan_memo" if struct else "warning_decode_memo"
-    monkeypatch.setattr(vehicle_module, "_DECODE_MEMO_ENTRIES", 16)
-    signature, sizes, result = run()
-    bound = vehicle_module._SCAN_MEMO_ENTRIES if struct else 16
-    assert 0 < max(sizes) <= bound
-    # far more entries were produced than are kept
-    issued = [m.warnings_issued for m in result.rsu_metrics.values()]
-    assert min(issued) > 4 * bound
-    monkeypatch.setattr(vehicle_module, "_DECODE_MEMO_ENTRIES", 1)
-    monkeypatch.setattr(vehicle_module, "_SCAN_MEMO_ENTRIES", 1)
-    tight_signature, tight_sizes, _ = run()
-    assert max(tight_sizes) == 1
-    assert tight_signature == signature
-

@@ -99,48 +99,7 @@ class TestCommittedOffsets:
 
 
 class TestProduceNotification:
-    """Broadcast (``subscribe_notify``) and key-routed
-    (``subscribe_key``) produce callbacks."""
-
-    def test_cancel_during_dispatch_keeps_the_round_intact(self, broker):
-        calls = []
-        cancels = {}
-
-        def first(metadata):
-            calls.append("first")
-            cancels["first"]()  # cancels itself
-            cancels["second"]()  # and a sibling not yet called
-
-        def second(metadata):
-            calls.append("second")
-
-        cancels["first"] = broker.subscribe_notify("IN-DATA", first)
-        cancels["second"] = broker.subscribe_notify("IN-DATA", second)
-        broker.produce("IN-DATA", b"x")
-        # the round in flight still reaches the sibling; the next does not
-        assert calls == ["first", "second"]
-        broker.produce("IN-DATA", b"y")
-        assert calls == ["first", "second"]
-        cancels["first"]()  # idempotent
-
-    def test_subscribing_during_dispatch_waits_for_the_next_produce(
-        self, broker
-    ):
-        calls = []
-
-        def late(metadata):
-            calls.append("late")
-
-        def early(metadata):
-            calls.append("early")
-            if len(calls) == 1:
-                broker.subscribe_notify("IN-DATA", late)
-
-        broker.subscribe_notify("IN-DATA", early)
-        broker.produce("IN-DATA", b"x")
-        assert calls == ["early"]
-        broker.produce("IN-DATA", b"y")
-        assert calls == ["early", "early", "late"]
+    """Key-routed (``subscribe_key``) produce callbacks."""
 
     def test_keyed_callback_fires_for_its_key_only(self, broker):
         seen = []
@@ -192,13 +151,12 @@ class TestProduceNotification:
         broker = Broker("b", clock=lambda: now[0])
         broker.create_topic("t", 1)
         seen = []
-        broker.subscribe_notify("t", lambda m: seen.append("all"))
         broker.subscribe_key("t", b"k", lambda m: seen.append("key"))
         broker.drop_acks_until(1.0)
         with pytest.raises(BrokerUnavailable):
             broker.produce("t", b"x", key=b"k")
         # the record was appended and announced; only the ack was lost
-        assert seen == ["all", "key"]
+        assert seen == ["key"]
         assert broker.end_offset("t", 0) == 1
 
 
@@ -310,11 +268,10 @@ def _log_state(broker, listener):
     timestamp=st.none() | st.just(0.25),
     ack_lost=st.booleans(),
     listened_keys=st.sets(st.integers(0, 6).map(lambda n: str(n).encode())),
-    broadcast=st.booleans(),
 )
 def test_produce_block_is_one_produce_per_record(
     partitions, retention, history, block, timestamp, ack_lost,
-    listened_keys, broadcast,
+    listened_keys,
 ):
     def world():
         now = [1.0]
@@ -323,8 +280,6 @@ def test_produce_block_is_one_produce_per_record(
         for key, value in history:
             broker.produce("t", value, key=key)
         heard = []
-        if broadcast:
-            broker.subscribe_notify("t", lambda m: heard.append(("all", m)))
         for key in sorted(listened_keys):
             broker.subscribe_key("t", key, lambda m, k=key: heard.append((k, m)))
         now[0] = 2.0

@@ -61,6 +61,8 @@ def main() -> None:
 
     sim.at(1.5, handover)
     sim.run_until(3.2)
+    # Settle the vehicle's 10 ms polls (and send any beacon still due).
+    vehicle.stop()
 
     print(f"\nRSU processed {len(rsu_motorway.events)} records, "
           f"issued {rsu_motorway.warnings_issued} warnings")

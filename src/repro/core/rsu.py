@@ -303,19 +303,22 @@ class RsuNode:
     def attach_uplink(self, channel) -> None:
         """Serve ``channel`` as this RSU's telemetry uplink.
 
-        Vehicles defer their frames on the channel.  Every micro-batch
-        tick first resolves the contention of the frames effective by
-        the tick instant, landing them on IN-DATA exactly where
-        per-frame delivery events would have; and before the broker's
-        goes away (:meth:`fail`, :meth:`crash`) the channel is settled,
-        so each frame meets the broker it would have met at its own
-        delivery instant.
+        Vehicles join the channel's beacon cohort.  Every micro-batch
+        tick first flushes it: the beacons due by the tick instant are
+        sent, the contention of the frames effective by then resolves,
+        and they land on IN-DATA exactly where per-frame delivery events
+        would have put them.  Before the broker goes away (:meth:`fail`,
+        :meth:`crash`) the channel is settled, so each frame meets the
+        broker it would have met at its own delivery instant; the
+        broker tells the channel (``Broker.uplink``) whenever produce
+        turns unsteady.
         """
         if self._uplink is channel:
             return
         if self._uplink is not None:
             raise ValueError(f"RSU {self.name!r} already has an uplink channel")
         self._uplink = channel
+        self.broker.uplink = channel
         self.context.pre_poll = lambda: channel.flush(self.sim.now)
 
     def _settle_uplink(self) -> None:
@@ -690,6 +693,10 @@ class RsuNode:
         if not plans:
             return
         if self.co_shaper is not None:
+            if self._uplink is not None:
+                # the vehicles' beacons due by now charge the shared
+                # root first, as their events would have
+                self._uplink.emit_due(now)
             requests = [
                 (self._co_leaves[plan.band], len(plan.payload))
                 for plan in plans

@@ -844,9 +844,10 @@ class TestbedScenario:
 
     def wind_down(self) -> None:
         """Freeze a run at the current instant (shared with the shard
-        workers).  Frames still deferred past the last tick resolve
-        first: those delivered by now land, the rest stay on the air
-        for good, their delivery events never to fire."""
+        workers).  The beacons sent since the last tick and the frames
+        still deferred resolve first: those delivered by now land, the
+        rest stay on the air for good, their delivery events never to
+        fire."""
         for channel in self.channels.values():
             channel.flush(self.sim.now)
         for vehicle in self.vehicles:

@@ -22,7 +22,7 @@ from repro.net.htb import HtbShaper
 from repro.simkernel.simulator import Simulator
 from repro.streaming.broker import BrokerUnavailable
 from repro.streaming.consumer import Consumer, OwnRecord
-from repro.streaming.producer import Producer, RetryPolicy
+from repro.streaming.producer import Producer, RetryPolicy, send_block
 from repro.streaming.serde import (
     JsonSerde,
     RawSerde,
@@ -42,6 +42,90 @@ _POLL_MAX_RECORDS = 500
 #: (templates are serialized on first send, not eagerly for the whole
 #: stripe — replay touches only a fraction of a large stripe).
 _UNBUILT = object()
+
+
+def land_frames(delivered: List[Tuple[float, Tuple]]) -> None:
+    """Land the frames one flush delivered, in delivery order.
+
+    Each is a vehicle's row ``(eff_time, seq, size, vehicle, wire,
+    generated_at, sent_on)`` with its delivery time.  Per frame, what a
+    delivery event would have checked: a frame generated before its
+    vehicle last changed road is abandoned (counted); one sent on
+    another channel than its vehicle's now (on the air across a
+    failover) first flushes that channel, whose earlier frames land
+    ahead of it.  Consecutive frames bound for one steady broker land
+    as one IN-DATA block (:func:`~repro.streaming.producer.send_block`);
+    a frame whose broker is down or losing acks, or whose producer
+    holds a retry backlog, goes through ``Producer.send`` alone.
+    """
+    now = delivered[0][1][3].sim.now
+    producers: List[Producer] = []
+    keys: List[bytes] = []
+    times: List[float] = []
+    rows: List[Tuple] = []
+    broker = None
+    for at_time, row in delivered:
+        vehicle = row[3]
+        producer = vehicle._producer
+        if row[5] < vehicle._road_since:
+            producer.records_abandoned += 1
+            continue
+        if row[6] is not vehicle.channel:
+            _land_block(producers, keys, times, rows)
+            vehicle.channel.flush(now)
+        if producer._buffer or now < producer.broker.unsteady_until:
+            _land_block(producers, keys, times, rows)
+            vehicle._land_one(at_time, row)
+            continue
+        if producer.broker is not broker:
+            _land_block(producers, keys, times, rows)
+            broker = producer.broker
+        producers.append(producer)
+        keys.append(vehicle._key_bytes)
+        times.append(at_time)
+        rows.append(row)
+    _land_block(producers, keys, times, rows)
+
+
+def _land_block(producers, keys, times, rows) -> None:
+    """Send the block gathered so far, and empty the lists."""
+    if rows:
+        send_block(producers, IN_DATA, keys, _wire_values(rows, times), times)
+        for column in (producers, keys, times, rows):
+            column.clear()
+
+
+def _wire_value(row: Tuple, at_time: float) -> bytes:
+    """One frame's wire bytes: its template with both timestamps
+    patched, or its envelope serialized (a payload that does not
+    struct-encode)."""
+    wire = row[4]
+    if isinstance(wire, dict):
+        return row[3].serde.serialize(
+            {"data": wire, "generated_at": row[5], "arrived_at": at_time}
+        )
+    frame = bytearray(wire)
+    _TS_PATCH.pack_into(frame, len(frame) - 16, row[5], at_time)
+    return bytes(frame)
+
+
+def _wire_values(rows: List[Tuple], times: List[float]) -> List[bytes]:
+    """The wire bytes of frames delivered at ``times``.  Struct
+    templates of one size are patched column-wise: one ``(n, size)``
+    buffer whose two trailing f64 columns are written at once."""
+    wires = [row[4] for row in rows]
+    size = len(wires[0])
+    if set(map(type, wires)) != {bytes} or set(map(len, wires)) != {size}:
+        return [_wire_value(row, at_time) for row, at_time in zip(rows, times)]
+    n = len(wires)
+    joined = bytearray(b"".join(wires))
+    stamps = np.empty((n, 2), dtype="<f8")
+    stamps[:, 0] = [row[5] for row in rows]
+    stamps[:, 1] = times
+    frames = np.frombuffer(joined, dtype=np.uint8).reshape(n, size)
+    frames[:, size - 16 :] = stamps.view(np.uint8).reshape(n, 16)
+    data = bytes(joined)
+    return [data[at : at + size] for at in range(0, n * size, size)]
 
 
 @dataclass
@@ -102,11 +186,15 @@ class VehicleNode:
         sequence numbers.  ``None`` (default, the seed behaviour)
         drops telemetry refused by a down broker.
 
-    The telemetry uplink runs in blocks: a frame is deferred onto the
-    channel's queue (contention resolves at the RSU's pre-poll flush,
-    RNG draw order preserved, or at the frame's own instant while its
-    broker or producer is degraded — :meth:`_put_on_channel`), HTB is
-    charged lazily, and delivery patches a pre-serialized template.
+    The 10 Hz beacon grid is virtual: the vehicle joins its
+    channel's cohort, and whoever flushes the channel first sends every
+    beacon due by then (:meth:`emit_beacon`: HTB charged at the beacon's
+    instant, the frame deferred as a row).  Contention resolves at the
+    RSU's pre-poll flush, RNG draw order preserved; the frames one
+    flush delivers land as one IN-DATA block (:func:`land_frames`).
+    While the broker is down or losing acks, or the producer holds a
+    retry backlog, each beacon is an event at its own instant and its
+    frame resolves then (:meth:`arm`).
 
     The vehicle's 10 ms poll grid is virtual: the grid is the
     drawn phase plus repeated interval addition, and no instant of it
@@ -172,7 +260,12 @@ class VehicleNode:
         self._producer.before_retry = self._flush_channel
         self.stats = VehicleStats()
         self._consumer: Optional[Consumer] = None
-        self._cancel_produce = None
+        # The virtual beacon grid: the channel's heap entry while it
+        # runs (``[0]`` is the next instant), the loop's end, and the
+        # event of the next beacon while frames cannot wait (``arm``).
+        self._beacon: Optional[list] = None
+        self._beacon_until: Optional[float] = None
+        self._armed = None
         self._cancel_notify = None
         self._started = False
         self._retired = False
@@ -223,21 +316,36 @@ class VehicleNode:
 
     def start(self, until: Optional[float] = None) -> None:
         """Begin the produce loop and the warning consumption."""
-        if self._cancel_produce is not None:
+        if self._started:
             raise RuntimeError(f"vehicle {self.car_id} already started")
         self._started = True
         # Desynchronise vehicles: each starts at a random phase within
         # its first update period, as real beacons are unaligned.
         phase = float(self._rng.uniform(0.0, self.update_period_s))
-        self._cancel_produce = self.sim.every_group(
-            self.update_period_s,
-            self._send_telemetry,
-            start=self.sim.now + phase,
-            until=until,
-            label=f"vehicle-{self.car_id}-produce",
-        )
+        self._start_beacons(self.sim.now + phase, until)
         poll_phase = float(self._rng.uniform(0.0, self.poll_interval_s))
         self._start_polling(self.sim.now + poll_phase, until)
+
+    def _start_beacons(self, first: float, until: Optional[float]) -> None:
+        """Beacon on the grid ``first, first + interval, ...`` while an
+        instant is before ``until`` — the instants a recurrence would
+        fire at, none of them an event while frames may wait."""
+        self._beacon_until = until
+        if until is not None and first >= until:
+            return
+        self._beacon = self.channel.join(self, first)
+        self.arm()
+
+    def _stop_beacons(self) -> None:
+        """Send the beacons due by now, then leave the grid."""
+        if self._armed is not None:
+            self.sim.cancel(self._armed)
+            self._armed = None
+        if self._beacon is not None:
+            self.channel.emit_due(self.sim.now)
+        if self._beacon is not None:
+            self.channel.leave(self._beacon)
+            self._beacon = None
 
     def _start_polling(self, first: float, until: Optional[float]) -> None:
         """Poll OUT-DATA on the grid ``first, first + interval, ...``.
@@ -274,11 +382,9 @@ class VehicleNode:
 
     def stop(self) -> None:
         self._settle()
+        self._stop_beacons()
         self._started = False
         self._grid_live = False
-        if self._cancel_produce is not None:
-            self._cancel_produce()
-            self._cancel_produce = None
         if self._cancel_notify is not None:
             self._cancel_notify()
             self._cancel_notify = None
@@ -300,15 +406,22 @@ class VehicleNode:
         where the old records are stale (the new RSU has no model for
         them).
         """
+        now = self.sim.now
+        old_channel = self.channel
+        # The beacons due by now were sent on the old road.
+        old_channel.emit_due(now)
         carried: List[Tuple] = []
-        if new_channel is not self.channel:
+        if new_channel is not old_channel:
             # Resolve everything due on the old medium while the old
             # producer is still bound — those deliveries belong to the
             # old broker.  Frames still deferred (shaper-delayed past
             # now) move to the new channel and contend on that medium
             # when their time comes.
-            self.channel.flush(self.sim.now)
-            carried = self.channel.take_pending(self)
+            old_channel.flush(now)
+            carried = old_channel.take_pending(self)
+            if self._beacon is not None:
+                old_channel.leave(self._beacon)
+                self._beacon = new_channel.join(self, self._beacon[0])
         self._record_departure()
         self.rsu = new_rsu
         self.channel = new_channel
@@ -319,10 +432,20 @@ class VehicleNode:
             # delivery, being older than the road.
             self._producer.records_abandoned += len(carried)
             carried = []
-            self._road_since = self.sim.now
+            self._road_since = now
         self._attach_consumer()
-        for eff_time, _seq, size, deliver, _owner in carried:
-            self._put_on_channel(eff_time, size, deliver)
+        if carried:
+            # They land behind what the new medium holds by now; each
+            # resolves at its own instant if it cannot wait.
+            new_channel.emit_due(now)
+            degraded = (
+                now < new_rsu.broker.unsteady_until or self._producer._buffer
+            )
+            for row in carried:
+                new_channel.enqueue(row[0], *row[2:])
+                if degraded:
+                    new_channel.flush_at(row[0])
+        self.arm()
 
     def _record_departure(self) -> None:
         """Snapshot the OUT-DATA read state on the broker being left.
@@ -354,6 +477,8 @@ class VehicleNode:
         items = list(records)
         if not items:
             raise ValueError("record stream cannot be empty")
+        # the beacons due by now replayed the old stripe
+        self.channel.emit_due(self.sim.now)
         self._prepare_payloads(items)
 
     def _prepare_payloads(self, records: List[TelemetryRecord]) -> None:
@@ -411,12 +536,10 @@ class VehicleNode:
         """
         if self._detached:
             raise RuntimeError(f"vehicle {self.car_id} already detached")
+        # Sends the beacons due by now: ``_beacon[0]`` is the first
+        # instant not sent, None once the grid ran past ``until``.
         self.channel.flush(self.sim.now)
-        produce_next = (
-            self._cancel_produce.next_time
-            if self._cancel_produce is not None
-            else None
-        )
+        produce_next = None if self._beacon is None else self._beacon[0]
         # Settle against the broker being left, so that ``_next_poll``
         # is the first grid instant not before now.
         self._settle()
@@ -463,13 +586,7 @@ class VehicleNode:
             raise RuntimeError(f"vehicle {self.car_id} already running")
         self._started = True
         if produce_next is not None:
-            self._cancel_produce = self.sim.every_group(
-                self.update_period_s,
-                self._send_telemetry,
-                start=produce_next,
-                until=until,
-                label=f"vehicle-{self.car_id}-produce",
-            )
+            self._start_beacons(produce_next, until)
         if poll_next is not None:
             self._start_polling(poll_next, until)
 
@@ -501,111 +618,95 @@ class VehicleNode:
         self._templates[index] = template
         return template
 
-    def _send_telemetry(self) -> None:
-        """One 10 Hz beacon, with shaping and contention deferred.
+    def emit_beacon(self, instant: float) -> Optional[float]:
+        """Send the beacon of grid instant ``instant`` (the channel calls
+        this, in kernel order, before it resolves contention); returns
+        the grid's next instant, or ``None`` once it reaches ``until``.
 
-        - HTB is charged through :meth:`~repro.net.htb.HtbShaper.send`
-          (the shared root bucket accrues lazily).
-        - The frame joins the channel's queue at its effective time;
-          contention resolves at the next flush with the per-frame RNG
-          draw order preserved (:meth:`_put_on_channel`).
-        - Delivery serializes from the record's pre-built template when
-          it struct-encodes (timestamps patched in place), else through
-          the serde.
+        - HTB is charged at ``instant`` through
+          :meth:`~repro.net.htb.HtbShaper.send` (the shared root bucket
+          accrues lazily).
+        - The frame joins the channel's queue at its effective time as
+          a row carrying its wire template (or, when the record does
+          not struct-encode, its payload), ``generated_at`` and the
+          channel it was sent on; :func:`land_frames` builds the bytes.
+        - Its contention waits for the next flush unless the broker is
+          down or losing acks at ``instant`` or the producer holds a
+          retry backlog: then it resolves at its own instant.
         """
         payloads = self._payloads
         if not payloads:
             next(iter(()))  # StopIteration, as cycle() on an empty stripe
         index = self._payload_index
         self._payload_index = index + 1 if index + 1 < len(payloads) else 0
-        template = self._templates[index]
-        if template is _UNBUILT:
-            template = self._build_template(index)
-        now = self.sim.now
-        if template is not None:
-            size = len(template)
-
-            def deliver(
-                at_time: float,
-                template=template,
-                generated_at=now,
-                sent_on=self.channel,
-            ) -> None:
-                if generated_at < self._road_since:
-                    # on the air across a handover onto another road
-                    self._producer.records_abandoned += 1
-                    return
-                if sent_on is not self.channel:
-                    # On the air across a failover: this appends to the
-                    # new broker, so frames that reached the new medium
-                    # earlier and still wait for its tick land first.
-                    self._flush_channel()
-                frame = bytearray(template)
-                _TS_PATCH.pack_into(frame, size - 16, generated_at, at_time)
-                try:
-                    self._producer.send(
-                        IN_DATA,
-                        bytes(frame),
-                        key=self._key_bytes,
-                        timestamp=at_time,
-                    )
-                except BrokerUnavailable:
-                    self.stats.records_lost += 1
-
+        wire = self._templates[index]
+        if wire is _UNBUILT:
+            wire = self._build_template(index)
+        if wire is not None:
+            size = len(wire)
         else:
-            data = payloads[index]
+            wire = payloads[index]
             size = len(
                 self.serde.serialize(
-                    {"data": data, "generated_at": now, "arrived_at": None}
+                    {"data": wire, "generated_at": instant, "arrived_at": None}
                 )
             )
-
-            def deliver(
-                at_time: float,
-                data=data,
-                generated_at=now,
-                sent_on=self.channel,
-            ) -> None:
-                if generated_at < self._road_since:
-                    # on the air across a handover onto another road
-                    self._producer.records_abandoned += 1
-                    return
-                if sent_on is not self.channel:
-                    self._flush_channel()  # as above
-                envelope = {
-                    "data": data,
-                    "generated_at": generated_at,
-                    "arrived_at": at_time,
-                }
-                try:
-                    self._producer.send(
-                        IN_DATA,
-                        self.serde.serialize(envelope),
-                        key=self._key_bytes,
-                        timestamp=at_time,
-                    )
-                except BrokerUnavailable:
-                    self.stats.records_lost += 1
-
-        delay = 0.0
-        if self.shaper is not None:
-            delay = self.shaper.send(self._leaf_name, size, now)
-        self._put_on_channel(now + delay, size, deliver)
-        self.stats.records_sent += 1
-        self.stats.bytes_sent += size
-
-    def _put_on_channel(self, eff_time: float, size: int, deliver) -> None:
-        """Hand one frame to the (current) channel.  Its contention and
-        delivery may wait for the RSU's next tick only while nothing can
-        tell; with a retry backlog, or a broker that is down or losing
-        acks, the frame resolves at its own instant instead."""
+        shaper = self.shaper
+        if shaper is None:
+            eff_time = instant
+        else:
+            eff_time = instant + shaper.send(self._leaf_name, size, instant)
         channel = self.channel
-        channel.enqueue(eff_time, size, deliver, owner=self)
-        if (
-            self.sim.now < self.rsu.broker.unsteady_until
-            or self._producer._buffer
-        ):
+        channel.enqueue(eff_time, size, self, wire, instant, channel)
+        if instant < self.rsu.broker.unsteady_until or self._producer._buffer:
             channel.flush_at(eff_time)
+        stats = self.stats
+        stats.records_sent += 1
+        stats.bytes_sent += size
+        following = instant + self.update_period_s
+        until = self._beacon_until
+        if until is not None and following >= until:
+            self._beacon = None
+            return None
+        return following
+
+    def arm(self) -> None:
+        """While this vehicle's frames cannot wait for a flush (its
+        broker down or losing acks, a retry backlog), its next beacon is
+        a simulator event; it re-arms only while that lasts.  Whoever
+        makes frames unable to wait calls this after sending the
+        beacons due by then (``Broker.uplink``, :meth:`migrate`)."""
+        beacon = self._beacon
+        if beacon is None or self._armed is not None:
+            return
+        now = self.sim.now
+        if now < self.rsu.broker.unsteady_until or self._producer._buffer:
+            self._armed = self.sim.at(
+                beacon[0],
+                self._beacon_event,
+                label=f"vehicle-{self.car_id}-produce",
+            )
+
+    def _beacon_event(self) -> None:
+        self._armed = None
+        self.channel.emit_due(self.sim.now)
+        self.arm()
+
+    #: How the channel lands the frames it delivered.
+    land_frames = staticmethod(land_frames)
+
+    def _land_one(self, at_time: float, row: Tuple) -> None:
+        """Deliver one frame through :meth:`Producer.send`: the path
+        where refusal, buffering, ack loss and retry order apply."""
+        try:
+            self._producer.send(
+                IN_DATA,
+                _wire_value(row, at_time),
+                key=self._key_bytes,
+                timestamp=at_time,
+            )
+        except BrokerUnavailable:
+            self.stats.records_lost += 1
 
     def _flush_channel(self) -> None:
         self.channel.flush(self.sim.now)
@@ -636,8 +737,10 @@ class VehicleNode:
         """A warning for this car hit OUT-DATA: the poll at the first
         grid instant at or after now reads it, or a later one when the
         broker is down by then or the budget cuts that poll short; one
-        at or past ``until`` never runs and it stays unread."""
-        self._settle()
+        at or past ``until`` never runs and it stays unread.  Only
+        queued here: settlement is path-independent, so it waits for
+        whoever reads the grid (:meth:`stop`, :meth:`detach`, a
+        migrate)."""
         self._own_unread.append(
             ((OUT_DATA, metadata.partition), metadata.offset, self.sim.now)
         )

@@ -27,7 +27,7 @@ The paper's MCS naming follows its ref. [24] (Bazzi et al.) and is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -191,30 +191,76 @@ class DsrcChannel:
         self.bytes_transmitted = 0
         self.frames_lost = 0
         self.total_airtime_s = 0.0
-        # Deferred frames awaiting the next flush:
-        # (effective_time, seq, payload_bytes, on_delivered, owner).
+        # Deferred frames awaiting the next flush, as rows
+        # (effective_time, seq, payload_bytes, owner, wire, generated_at,
+        # sent_on).
         self._pending: List[Tuple] = []
         self._pending_seq = 0
         # Resolved frames whose delivery event has not fired yet:
         # seq -> (delivery_time, owner).
         self._on_air: Dict[int, Tuple[float, object]] = {}
         self._airtime_cache: Dict[int, float] = {}
+        #: Lands delivered frames: called with ``[(delivery_time, row),
+        #: ...]`` in delivery order (set by the first :meth:`join`).
+        self.lander: Optional[Callable[[List[Tuple]], None]] = None
+        # The senders' virtual beacon grids: a heap of entries
+        # [next instant, join order, member] (member None once it left).
+        self._beacons: List[list] = []
+        self._joins = 0
+        self._emitting = False
 
-    def transmit(
-        self,
-        payload_bytes: int,
-        on_delivered: Callable[[float], None],
-    ) -> None:
-        """Send one frame now: :meth:`enqueue` at the current instant,
-        then :meth:`flush`.
+    # ------------------------------------------------------------------
+    # Settled beacons
+    # ------------------------------------------------------------------
+    def join(self, member, first: float) -> list:
+        """Register ``member``'s beacon grid, whose next instant is
+        ``first``; returns its entry (``entry[0]`` tracks the next
+        instant).  ``member.emit_beacon(instant)`` sends the beacon of
+        ``instant`` and returns the following one, or ``None`` when
+        the grid ends; ``member.land_frames`` lands delivered frames."""
+        entry = [first, self._joins, member]
+        self._joins += 1
+        heappush(self._beacons, entry)
+        self.lander = member.land_frames
+        return entry
 
-        ``on_delivered(delivery_time)`` fires when the frame clears the
-        medium.  Broadcast DSRC frames are unacknowledged: with
-        ``loss_prob`` set, a lost frame still occupies the medium but
-        never delivers.
-        """
-        self.enqueue(self.sim.now, payload_bytes, on_delivered)
-        self.flush(self.sim.now)
+    @staticmethod
+    def leave(entry: list) -> None:
+        """Drop a joined grid (its entry leaves the heap lazily)."""
+        entry[2] = None
+
+    def emit_due(self, now: float) -> None:
+        """Send every joined beacon whose instant is at or before
+        ``now``, in the order their simulator events would have fired:
+        by instant across the members, ties in join order."""
+        beacons = self._beacons
+        if not beacons or beacons[0][0] > now or self._emitting:
+            return
+        self._emitting = True
+        try:
+            # Nothing joins while beacons are sent, so the entry being
+            # sent stays on top of the heap until it is moved.
+            while beacons and beacons[0][0] <= now:
+                entry = beacons[0]
+                member = entry[2]
+                following = None
+                if member is not None:
+                    following = member.emit_beacon(entry[0])
+                if following is None or entry[2] is None:
+                    heappop(beacons)
+                else:
+                    entry[0] = following
+                    heapreplace(beacons, entry)
+        finally:
+            self._emitting = False
+
+    def arm_degraded(self) -> None:
+        """Let every joined member whose frames can no longer wait for a
+        flush schedule its next beacon as an event (``member.arm()``)."""
+        for entry in list(self._beacons):
+            member = entry[2]
+            if member is not None:
+                member.arm()
 
     # ------------------------------------------------------------------
     # Deferred contention
@@ -228,27 +274,38 @@ class DsrcChannel:
         self,
         eff_time: float,
         payload_bytes: int,
-        on_delivered: Callable[[float], None],
         owner: object = None,
+        wire: object = None,
+        generated_at: Optional[float] = None,
+        sent_on: Optional["DsrcChannel"] = None,
     ) -> None:
         """Defer one frame to the next :meth:`flush`.
 
         ``eff_time`` is the instant the frame reaches the medium — the
         send instant plus any shaper delay.  ``owner`` tags the frame
         so a handover can move a sender's not-yet-effective frames to
-        its new channel (:meth:`take_pending`).
+        its new channel (:meth:`take_pending`); the rest of the row is
+        the owner's, handed back to :attr:`lander` on delivery.
         """
         self._pending.append(
-            (eff_time, self._pending_seq, payload_bytes, on_delivered, owner)
+            (
+                eff_time,
+                self._pending_seq,
+                payload_bytes,
+                owner,
+                wire,
+                generated_at,
+                sent_on,
+            )
         )
         self._pending_seq += 1
 
     def take_pending(self, owner: object) -> List[Tuple]:
         """Remove and return ``owner``'s deferred frames (handover)."""
-        taken = [frame for frame in self._pending if frame[4] is owner]
+        taken = [frame for frame in self._pending if frame[3] is owner]
         if taken:
             self._pending = [
-                frame for frame in self._pending if frame[4] is not owner
+                frame for frame in self._pending if frame[3] is not owner
             ]
         return taken
 
@@ -286,8 +343,11 @@ class DsrcChannel:
     def flush(self, now: float) -> int:
         """Resolve contention for every deferred frame effective by ``now``.
 
-        One pass stands for one transmit event and one delivery event
-        per frame, bit-identically
+        The joined beacons due by ``now`` are sent first
+        (:meth:`emit_due`), so every caller of a flush sees the frames
+        of the 10 Hz grids as the beacon events would have left them.
+        One pass then stands for one transmit event and one delivery
+        event per frame, bit-identically
         (``tests/test_net/test_batched_mac.py`` keeps that per-frame
         arithmetic as the reference):
 
@@ -301,9 +361,9 @@ class DsrcChannel:
           ``now``: the busy medium serializes it behind the frame
           before it; airtimes are memoized per payload size (the
           computation is a pure function of it).
-        - A frame delivered by ``now`` invokes ``on_delivered`` inline,
-          in delivery order, stamped with its delivery time; a frame
-          still on the air gets a real delivery event.
+        - The frames delivered by ``now`` are handed to :attr:`lander`
+          in one call, in delivery order, each with its delivery time;
+          a frame still on the air gets a real delivery event.
         - Frames whose ``eff_time`` is still in the future (shaper
           delays) are carried to the next flush.  Nothing enqueued later
           can precede them — a future send happens after ``now`` — so
@@ -313,10 +373,11 @@ class DsrcChannel:
         changes what the frames meet in between; see :meth:`settle`
         and :meth:`flush_at`.  Returns the number of frames resolved.
         """
+        self.emit_due(now)
         pending = self._pending
         if not pending:
             return 0
-        pending.sort(key=itemgetter(0, 1))
+        pending.sort()  # by (eff_time, seq): seq is unique
         self._pending = []
         mac = self.mac
         rng = self._rng
@@ -329,8 +390,13 @@ class DsrcChannel:
         sim_at = self.sim.at
         busy = self._busy_until
         resolved = 0
+        bytes_transmitted = 0
+        total_airtime = self.total_airtime_s
+        lost = 0
         on_air = self._on_air
-        for eff_time, seq, payload_bytes, on_delivered, owner in pending:
+        delivered: List[Tuple[float, Tuple]] = []
+        for row in pending:
+            eff_time = row[0]
             if eff_time > now:
                 break
             resolved += 1
@@ -339,34 +405,38 @@ class DsrcChannel:
             else:
                 cw = 15
             backoff = float(rng.integers(0, cw + 1)) * t_slot
+            payload_bytes = row[2]
             airtime = airtimes.get(payload_bytes)
             if airtime is None:
                 airtime = airtimes[payload_bytes] = mac.airtime_s(
                     self.mcs, payload_bytes
                 )
             start = max(eff_time, busy) + difs + backoff
-            delivery = start + airtime
-            busy = self._busy_until = delivery
-            self.transmissions += 1
-            self.bytes_transmitted += payload_bytes
-            self.total_airtime_s += airtime
+            busy = delivery = start + airtime
+            bytes_transmitted += payload_bytes
+            total_airtime += airtime
             if loss_prob > 0.0 and rng.random() < loss_prob:
-                self.frames_lost += 1
+                lost += 1
                 continue
             if delivery <= now:
-                on_delivered(delivery)
+                delivered.append((delivery, row))
             else:
-                on_air[seq] = (delivery, owner)
+                on_air[row[1]] = (delivery, row[3])
 
-                def land(t=delivery, cb=on_delivered, seq=seq) -> None:
-                    del on_air[seq]
-                    cb(t)
+                def land(t=delivery, row=row) -> None:
+                    del on_air[row[1]]
+                    self.lander([(t, row)])
 
                 sim_at(delivery, land, label="dsrc-delivery")
+        self._busy_until = busy
+        self.transmissions += resolved
+        self.bytes_transmitted += bytes_transmitted
+        self.total_airtime_s = total_airtime
+        self.frames_lost += lost
         if resolved < len(pending):
-            # Carried frames go back in front of anything a delivery
-            # callback might have enqueued meanwhile.
-            self._pending = pending[resolved:] + self._pending
+            self._pending = pending[resolved:]
+        if delivered:
+            self.lander(delivered)
         return resolved
 
     def utilization(self, elapsed_s: float) -> float:

@@ -85,6 +85,12 @@ class Broker:
         #: acknowledge: +inf while down, the ack-loss horizon after a
         #: restart.  Senders that defer delivery compare it per frame.
         self.unsteady_until = float("-inf")
+        #: The channel whose senders feed this broker's IN-DATA
+        #: (``RsuNode.attach_uplink``).  Produce turning unsteady — a
+        #: shutdown, an ack-loss window — first sends the channel's
+        #: beacons due by now, then lets its senders that can no longer
+        #: wait for a flush arm their next beacon as an event.
+        self.uplink = None
         self.bytes_in = 0
         self.bytes_out = 0
         self.records_in = 0
@@ -107,10 +113,12 @@ class Broker:
         is lost.
         """
         if self._available:
+            self._settle_uplink()
             self._available = False
             self.crashes += 1
             self.outages.append((self._clock(), float("inf")))
             self.unsteady_until = float("inf")
+            self._arm_uplink()
 
     def restart(self) -> None:
         """Bring a crashed broker back with its durable state intact."""
@@ -127,9 +135,19 @@ class Broker:
         record the log already holds — exactly the double-count that
         idempotent produce (sequence numbers) must reject.
         """
+        self._settle_uplink()
         self._drop_acks_until = until_time
         if self._available:
             self.unsteady_until = until_time
+        self._arm_uplink()
+
+    def _settle_uplink(self) -> None:
+        if self.uplink is not None:
+            self.uplink.emit_due(self._clock())
+
+    def _arm_uplink(self) -> None:
+        if self.uplink is not None:
+            self.uplink.arm_degraded()
 
     def _check_available(self, operation: str) -> None:
         if not self._available:
@@ -240,12 +258,21 @@ class Broker:
         keys: Sequence[Optional[bytes]],
         values: Sequence[bytes],
         timestamp: Optional[float] = None,
+        timestamps: Optional[Sequence[float]] = None,
+        producer_ids: Optional[Sequence[Optional[str]]] = None,
+        sequences: Optional[Sequence[Optional[int]]] = None,
     ) -> None:
         """Append a block of records produced at one instant: the log,
-        the counters and the notifications of one non-idempotent
+        the counters, the idempotence state and the notifications of one
         :meth:`produce` per record, in block order, for one
         availability check, one clock read and one append per
         partition.
+
+        Records are stamped ``timestamps[i]`` when given, else
+        ``timestamp`` (else now).  With ``producer_ids`` and
+        ``sequences`` a record carrying both is idempotent, exactly as
+        in :meth:`produce`: a sequence at or below its producer's last
+        accepted one is rejected as a duplicate and not appended.
 
         Every record is appended before the first subscriber is told.
         A subscriber may rely on that only for what the log held
@@ -255,43 +282,93 @@ class Broker:
         self._check_available("produce")
         topic = self.topic(topic_name)
         now = self._clock()
-        record_time = now if timestamp is None else timestamp
-        route = topic.route
-        indexes = [route(key) for key in keys]
-        grouped: Dict[int, Tuple[list, list]] = {}
-        for key, value, index in zip(keys, values, indexes):
-            group = grouped.setdefault(index, ([], []))
-            group[0].append(key)
-            group[1].append(value)
+        if timestamps is None:
+            timestamps = [now if timestamp is None else timestamp] * len(keys)
+        accepted: Dict[Tuple[str, str], Tuple[int, int]] = {}
+        if producer_ids is not None and sequences is not None:
+            keys, values, timestamps = self._dedupe_block(
+                topic_name, keys, values, timestamps, producer_ids, sequences,
+                accepted,
+            )
+        indexes = topic.route_block(keys)
+        grouped: Dict[int, Tuple[list, list, list]] = {}
+        for key, value, record_time, index in zip(
+            keys, values, timestamps, indexes
+        ):
+            group = grouped.get(index)
+            if group is None:
+                group = grouped[index] = ([], [], [])
+            group[0].append(record_time)
+            group[1].append(key)
+            group[2].append(value)
         next_offset = {
             index: topic.partitions[index].append_block(
-                record_time, group[0], group[1], now
+                group[0], group[1], group[2], now
             )
             for index, group in grouped.items()
         }
         topic.version += len(indexes)
-        self.bytes_in += sum(map(len, values)) + sum(len(k) for k in keys if k)
+        self.bytes_in += sum(map(len, values)) + sum(
+            map(len, filter(None, keys))
+        )
         self.records_in += len(indexes)
-        for key, value, index in zip(keys, values, indexes):
-            offset = next_offset[index]
-            next_offset[index] = offset + 1
-            keyed = self._keyed_notify.get(topic_name)
-            callback = keyed.get(key) if keyed else None
-            if callback is None:
-                continue
-            metadata = RecordMetadata(
+        keyed = self._keyed_notify.get(topic_name)
+        offsets = []
+        if accepted or keyed:
+            for index in indexes:
+                offset = next_offset[index]
+                next_offset[index] = offset + 1
+                offsets.append(offset)
+
+        def metadata(position: int) -> RecordMetadata:
+            key = keys[position]
+            return RecordMetadata(
                 topic=topic_name,
-                partition=index,
-                offset=offset,
-                timestamp=record_time,
-                serialized_size=len(value) + (len(key) if key else 0),
+                partition=indexes[position],
+                offset=offsets[position],
+                timestamp=timestamps[position],
+                serialized_size=len(values[position]) + (len(key) if key else 0),
             )
-            callback(metadata)
-        if now < self._drop_acks_until:
+
+        for state_key, (sequence, position) in accepted.items():
+            self._producer_state[state_key] = (sequence, metadata(position))
+        if keyed:
+            for position, key in enumerate(keys):
+                callback = keyed.get(key)
+                if callback is not None:
+                    callback(metadata(position))
+        if indexes and now < self._drop_acks_until:
+            # (a rejected duplicate is acknowledged with its original)
             raise BrokerUnavailable(
                 f"broker {self.name!r} lost the produce acks for a block of "
                 f"{len(indexes)} on {topic_name!r}"
             )
+
+    def _dedupe_block(
+        self, topic_name, keys, values, timestamps, producer_ids, sequences,
+        accepted,
+    ):
+        """The records of a block :meth:`produce` would append, in
+        order; fills ``accepted`` with each idempotent producer's last
+        appended ``(sequence, position among the kept records)``."""
+        state = self._producer_state
+        kept_keys, kept_values, kept_times = [], [], []
+        for key, value, record_time, producer_id, sequence in zip(
+            keys, values, timestamps, producer_ids, sequences
+        ):
+            if producer_id is not None and sequence is not None:
+                state_key = (producer_id, topic_name)
+                last = accepted.get(state_key)
+                if last is None:
+                    last = state.get(state_key)
+                if last is not None and sequence <= last[0]:
+                    self.duplicates_rejected += 1
+                    continue
+                accepted[state_key] = (sequence, len(kept_keys))
+            kept_keys.append(key)
+            kept_values.append(value)
+            kept_times.append(record_time)
+        return kept_keys, kept_values, kept_times
 
     def last_sequence(self, producer_id: str, topic_name: str) -> int:
         """The highest sequence accepted from an idempotent producer on

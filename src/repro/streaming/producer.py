@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Callable, Deque, Optional, Sequence
 
 from repro.obs import metrics as obs_metrics
 from repro.streaming.broker import Broker, BrokerUnavailable
@@ -313,3 +313,41 @@ class Producer:
             f"Producer(client_id={self.client_id!r}, "
             f"records_sent={self.records_sent})"
         )
+
+
+def send_block(
+    producers: Sequence[Producer],
+    topic: str,
+    keys: Sequence[Optional[bytes]],
+    values: Sequence[bytes],
+    timestamps: Sequence[float],
+) -> None:
+    """Record ``i`` sent by ``producers[i]``, all as one
+    :meth:`~repro.streaming.broker.Broker.produce_block`: the log, the
+    broker and producer counters, the sequences and the idempotence
+    state end as one :meth:`Producer.send` per record leaves them.
+
+    Pre-serialized values only, and only where ``send`` would simply
+    append: every producer bound to the same broker, which is up and
+    acknowledging, none closed and none holding a retry backlog (its
+    fresh sequences are then never duplicates).
+    """
+    broker = producers[0].broker
+    producer_ids = sequences = None
+    if any(producer.idempotent for producer in producers):
+        producer_ids = [
+            producer.client_id if producer.idempotent else None
+            for producer in producers
+        ]
+        sequences = [producer._next_sequence(topic) for producer in producers]
+    broker.produce_block(
+        topic,
+        keys,
+        values,
+        timestamps=timestamps,
+        producer_ids=producer_ids,
+        sequences=sequences,
+    )
+    for producer, key, value in zip(producers, keys, values):
+        producer.bytes_sent += len(value) + (len(key) if key else 0)
+        producer.records_sent += 1

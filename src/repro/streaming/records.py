@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 
 @dataclass(frozen=True)
@@ -17,9 +17,11 @@ class RecordMetadata:
     serialized_size: int
 
 
-@dataclass(frozen=True)
-class StoredRecord:
-    """What a partition log physically holds: serialized bytes."""
+class StoredRecord(NamedTuple):
+    """What a partition log physically holds: serialized bytes.
+
+    Immutable, and a tuple: every appended record is one, and building
+    a tuple costs a fraction of a frozen dataclass."""
 
     offset: int
     timestamp: float

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice
+from operator import add
 from typing import List, Optional, Sequence, Tuple
 
 from repro.streaming.records import StoredRecord
 from repro.streaming.serde import STRUCT_MAGIC
+
+_MAGIC = bytes([STRUCT_MAGIC])
 
 
 class _Slab:
@@ -144,37 +147,46 @@ class Partition:
 
     def append_block(
         self,
-        timestamp: float,
+        timestamps: Sequence[float],
         keys: Sequence[Optional[bytes]],
         values: Sequence[bytes],
-        appended_at: Optional[float] = None,
+        appended_at: float,
     ) -> int:
-        """Append records sharing one timestamp and clock; returns the
-        first one's offset.  Leaves the log — records, byte prefix
-        sums, append clocks, slab, retention — exactly as one
-        :meth:`append` per record would."""
+        """Append records sharing one clock, ``timestamps[i]`` stamping
+        record ``i``; returns the first one's offset.  Leaves the log —
+        records, byte prefix sums, append clocks, slab, retention —
+        exactly as one :meth:`append` per record would."""
         first = self._start_offset + len(self._records)
         self._records.extend(
-            [
-                StoredRecord(offset, timestamp, key, value)
-                for offset, (key, value) in enumerate(zip(keys, values), first)
-            ]
+            map(StoredRecord, count(first), timestamps, keys, values)
         )
-        sizes = [
-            len(value) + (len(key) if key else 0)
-            for key, value in zip(keys, values)
-        ]
+        if None in keys:
+            sizes = [
+                len(value) + (len(key) if key else 0)
+                for key, value in zip(keys, values)
+            ]
+        else:
+            sizes = list(map(add, map(len, values), map(len, keys)))
         self.bytes_in += sum(sizes)
         if self._cum_sizes is not None:
             self._cum_sizes.extend(
                 islice(accumulate(sizes, initial=self._cum_sizes[-1]), 1, None)
             )
-            self._append_clock.extend(
-                [timestamp if appended_at is None else appended_at] * len(sizes)
-            )
+            self._append_clock.extend([appended_at] * len(sizes))
         if self._slab is not None:
             # ``append``'s rule value by value, the slab written once.
             size = self._slab_record_size
+            width = len(values[0]) if values else 0
+            if width and (size is None or size == width):
+                # The common case, checked in C: one width, every value
+                # led by the struct magic (a slab means no retention).
+                joined = b"".join(values)
+                if set(map(len, values)) == {width} and joined[
+                    ::width
+                ] == _MAGIC * len(values):
+                    self._slab_record_size = width
+                    self._slab.append(joined)
+                    return first
             conforming = 0
             for value in values:
                 if not (
@@ -292,6 +304,13 @@ class Topic:
             self._round_robin = (self._round_robin + 1) % self.num_partitions
             return index
         return zlib.crc32(key) % self.num_partitions
+
+    def route_block(self, keys: Sequence[Optional[bytes]]) -> List[int]:
+        """:meth:`route` of each key, in order."""
+        if None in keys:
+            return [self.route(key) for key in keys]
+        crc32, partitions = zlib.crc32, len(self.partitions)
+        return [crc32(key) % partitions for key in keys]
 
     def partition(self, index: int) -> Partition:
         if not 0 <= index < self.num_partitions:

@@ -30,6 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import vehicle as vehicle_module
+from repro.core.collab import CollabConfig
 from repro.core.scenario import (
     DEFAULT_UPSTREAM_TIMEOUT_S,
     ScenarioSpec,
@@ -387,6 +388,8 @@ def test_frame_on_the_air_across_a_failover(labeled_dataset):
 
         def look():
             old, new = (scenario.channels[n] for n in ("rsu-mw-1", "rsu-mw-2"))
+            # the beacons due by now, as their events would have sent them
+            new.emit_due(scenario.sim.now)
             seen["on_air"] = [due for due, _ in old._on_air.values()]
             seen["waiting"] = [frame[0] for frame in new._pending]
 
@@ -469,3 +472,143 @@ def test_cross_shard_handover_abandons_frames_on_the_air(labeled_dataset):
             ]
         ),
     )
+
+
+# ----------------------------------------------------------------------
+# What the settled beacon grid must order (pins written by the beacon
+# events it replaced)
+# ----------------------------------------------------------------------
+def _starve_leaves(scenario, leaf_bytes=150.0, root_bps=40_000.0):
+    """Leaf buckets a few frames deep and a root that cannot lend to
+    every leaf at once: leaves borrow within one flush window, and
+    some frames wait out a shaper delay."""
+    for shaper in scenario.shapers.values():
+        shaper.root.rate_bps = root_bps
+        shaper.root.burst_bytes = shaper.root.tokens = 2_000.0
+        for leaf in shaper.leaves():
+            leaf.burst_bytes = leaf.tokens = leaf_bytes
+
+
+def _borrowing_leaves(shaper, prefix="vehicle-"):
+    return [
+        leaf
+        for leaf in shaper.leaves()
+        if leaf.name.startswith(prefix) and leaf.bytes_borrowed > 0
+    ]
+
+
+def test_starved_leaves_borrow_from_one_root(labeled_dataset, audit_invariants):
+    """Vehicles whose leaves run dry borrow from their RSU's root in the
+    order their beacons fire across the cohort; the lazy root refill
+    must see those instants in order."""
+    result, scenario = _run(
+        labeled_dataset,
+        "struct",
+        n_vehicles=8,
+        htb_floor_bps=400.0,
+        prepare=_starve_leaves,
+    )
+    audit_invariants(scenario)
+    _assert_not_vacuous(scenario)
+    assert any(
+        len(_borrowing_leaves(shaper)) >= 2
+        for shaper in scenario.shapers.values()
+    )
+    _assert_pinned("starved_leaves", _digest(scenario))
+
+
+def test_codata_priority_charges_interleave_with_beacons(
+    labeled_dataset, audit_invariants
+):
+    """The collab plane's priority bands charge CO-DATA refreshes to the
+    RSU's shaper root, which the vehicles' starved leaves borrow from
+    too: a refresh charges after every beacon due by its instant."""
+    result, scenario = _run(
+        labeled_dataset,
+        "struct",
+        handover_fraction=0.5,
+        n_vehicles=8,
+        htb_floor_bps=400.0,
+        collab=CollabConfig(
+            mode="refresh", refresh_interval_s=0.1, priority=True
+        ),
+        prepare=_starve_leaves,
+    )
+    audit_invariants(scenario)
+    _assert_not_vacuous(scenario)
+    assert any(
+        _borrowing_leaves(shaper, f"{name}-co-")
+        and _borrowing_leaves(shaper)
+        for name, shaper in scenario.shapers.items()
+    )
+    _assert_pinned("codata_priority", _digest(scenario))
+
+
+def test_churn_between_flushes(labeled_dataset, audit_invariants):
+    """Vehicles spawned and retired between two micro-batch ticks: a
+    spawn joins the cohort mid-window, a retirement sends what is due
+    and leaves it."""
+    _, replay = TestbedScenario._train_replay_split(labeled_dataset)
+    records = [r for r in replay if r.road_type is RoadType.MOTORWAY]
+    spawn_at, retire_at = 0.7237, 1.2113
+
+    def churn(scenario):
+        scenario.spawn_vehicles("rsu-mw-1", 3, at_s=spawn_at, records=records)
+        scenario.schedule_retire([1, 2, 9, 14], at_s=retire_at)
+
+    _, scenario = _run(
+        labeled_dataset, "struct", handover_fraction=0.5, prepare=churn
+    )
+    audit_invariants(scenario)
+    _assert_not_vacuous(scenario)
+    tick = scenario.config.batch_interval_s
+    for at in (spawn_at, retire_at):
+        assert 0.001 < at % tick < tick - 0.001  # strictly inside a window
+    spawned = [v for v in scenario.vehicles if v.car_id > 12]
+    assert len(spawned) == 3 and all(v.stats.records_sent for v in spawned)
+    assert sum(v.retired for v in scenario.vehicles) == 4
+    _assert_pinned("churn_between_flushes", _digest(scenario))
+
+
+def test_ack_loss_then_steady_again(labeled_dataset, audit_invariants):
+    """A crash whose restart opens an ack-loss window: frames resolve at
+    their own instants through the outage, the window and the retry
+    backlog; once the backlog drains the vehicles' frames wait for the
+    flushes again."""
+    crash = FaultProfile(
+        "ack-loss",
+        (
+            BrokerCrash(
+                "rsu-mw-1", at_s=0.6, restart_after_s=0.3, ack_loss_s=0.2
+            ),
+        ),
+    )
+    result, scenario = _run(
+        labeled_dataset,
+        "struct",
+        handover_fraction=0.25,
+        n_vehicles=8,
+        faults=crash,
+        producer_retry=RetryPolicy(),
+    )
+    audit_invariants(scenario)
+    _assert_not_vacuous(scenario)
+    assert result.resilience.duplicates_rejected > 0
+    assert result.resilience.records_retried > 0
+    # the window closed well before the end and every backlog drained
+    assert scenario.rsus["rsu-mw-1"].broker.unsteady_until < 1.5
+    assert not any(v._producer._buffer for v in scenario.vehicles)
+    _assert_pinned("ack_loss_then_steady", _digest(scenario))
+
+
+def test_beacons_are_not_simulator_events(labeled_dataset):
+    """Fault-free, eight times the vehicles send eight times the
+    beacons but do not fire eight times the events: what grows is only
+    the few frames still on the air at a flush instant."""
+    events, sent = {}, {}
+    for n_vehicles in (4, 32):
+        _, scenario = _run(labeled_dataset, "struct", n_vehicles=n_vehicles)
+        events[n_vehicles] = scenario.sim.events_fired
+        sent[n_vehicles] = sum(v.stats.records_sent for v in scenario.vehicles)
+    assert sent[32] >= 7 * sent[4]
+    assert events[32] < 1.5 * events[4]

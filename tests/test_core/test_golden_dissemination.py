@@ -224,8 +224,9 @@ def test_no_poll_becomes_a_simulator_event(
     labeled_dataset, monkeypatch, executed_polls
 ):
     """Not even the poll that reads a warning for the vehicle: a
-    ``poll``-mode run schedules nothing labelled ``vehicle-*-poll``,
-    and receives what the recurrence that schedules them all does."""
+    run schedules nothing labelled ``vehicle-*-poll`` — nor, fault-free,
+    a beacon (``vehicle-*-produce``) — and receives what the recurrence
+    that schedules every poll does."""
     scheduled = {}
     for name in ("at", "after", "every", "every_group"):
 
@@ -239,7 +240,10 @@ def test_no_poll_becomes_a_simulator_event(
     polls = {f"vehicle-{v.car_id}-poll" for v in virtual.vehicles}
     assert polls <= scheduled[executed.sim]
     assert not polls & scheduled[virtual.sim]
-    assert f"vehicle-{virtual.vehicles[0].car_id}-produce" in scheduled[virtual.sim]
+    beacons = {f"vehicle-{v.car_id}-produce" for v in virtual.vehicles}
+    assert not beacons & scheduled[virtual.sim]
+    # not vacuous: the recorder saw the simulator's events
+    assert "microbatch-tick" in scheduled[virtual.sim]
 
 
 def test_outage_open_when_the_run_is_abandoned(labeled_dataset, executed_polls):

@@ -54,6 +54,7 @@ class TestRsuNode:
         rsu.start(until=3.0)
         vehicle.start(until=3.0)
         sim.run_until(3.5)
+        vehicle.stop()  # settles the polls that read the warnings
         assert rsu.events
         assert rsu.warnings_issued > 0
         assert vehicle.stats.warnings_received > 0
@@ -152,6 +153,9 @@ class TestVehicleNode:
         )
         vehicle.start(until=2.0)
         sim.run_until(2.2)
+        # no RSU ticks here: stopping sends the beacons due by now
+        assert vehicle.stats.records_sent == 0
+        vehicle.stop()
         assert vehicle.stats.records_sent == pytest.approx(20, abs=2)
 
     def test_validation(self, motorway_ad3, motorway_records):

@@ -17,6 +17,7 @@ import pytest
 from repro.net.dsrc import DsrcChannel, DsrcMacModel
 from repro.net.htb import HtbClass, HtbShaper
 from repro.simkernel import Simulator
+from tests.test_net.test_dsrc import deliver_to_callbacks
 
 
 def _reference_transmit(channel, payload_bytes, on_delivered):
@@ -86,8 +87,9 @@ class TestFlushEquivalence:
             sim, rng=np.random.default_rng(seed), loss_prob=loss_prob
         )
         deliveries = []
+        deliver_to_callbacks(channel)
         for size in sizes:
-            channel.enqueue(0.0, size, deliveries.append)
+            channel.enqueue(0.0, size, None, deliveries.append)
         channel.flush(flush_at)
         sim.run()
         return channel, deliveries
@@ -128,8 +130,9 @@ class TestFlushEquivalence:
         sim2 = Simulator()
         batched = DsrcChannel(sim2, rng=np.random.default_rng(9))
         got = []
+        deliver_to_callbacks(batched)
         for eff in [0.02, 0.00, 0.01]:  # enqueue order != effective order
-            batched.enqueue(eff, 200, got.append)
+            batched.enqueue(eff, 200, None, got.append)
         batched.flush(1.0)
         sim2.run()
         # busy-medium serialization from eff_time 0.0 differs from the
@@ -144,8 +147,9 @@ class TestFlushEquivalence:
         sim = Simulator()
         channel = DsrcChannel(sim, rng=np.random.default_rng(3))
         deliveries = []
-        channel.enqueue(0.0, 200, deliveries.append)
-        channel.enqueue(5.0, 200, deliveries.append)  # not yet effective
+        deliver_to_callbacks(channel)
+        channel.enqueue(0.0, 200, None, deliveries.append)
+        channel.enqueue(5.0, 200, None, deliveries.append)  # not yet effective
         assert channel.flush(1.0) == 1
         assert channel.pending_frames == 1
         assert channel.flush(6.0) == 1
@@ -155,13 +159,14 @@ class TestFlushEquivalence:
         assert deliveries[1] > 5.0
 
     def test_flush_delivers_past_frames_inline(self):
-        """A frame already clear of the medium by flush time invokes
-        its callback inline (no kernel event), stamped with the same
-        delivery time the event would have carried."""
+        """A frame already clear of the medium by flush time lands
+        inline (no kernel event), stamped with the same delivery time
+        the event would have carried."""
         sim = Simulator()
         channel = DsrcChannel(sim, rng=np.random.default_rng(4))
         deliveries = []
-        channel.enqueue(0.0, 200, deliveries.append)
+        deliver_to_callbacks(channel)
+        channel.enqueue(0.0, 200, None, deliveries.append)
         channel.flush(10.0)
         # delivered during flush, before the kernel ever runs
         assert len(deliveries) == 1
@@ -172,9 +177,9 @@ class TestFlushEquivalence:
         old channel and nothing of other senders goes with them."""
         channel = DsrcChannel(Simulator(), rng=np.random.default_rng(5))
         mine, other = object(), object()
-        channel.enqueue(1.0, 200, lambda t: None, owner=mine)
-        channel.enqueue(2.0, 200, lambda t: None, owner=other)
-        channel.enqueue(3.0, 200, lambda t: None, owner=mine)
+        channel.enqueue(1.0, 200, mine)
+        channel.enqueue(2.0, 200, other)
+        channel.enqueue(3.0, 200, mine)
         taken = channel.take_pending(mine)
         assert [frame[0] for frame in taken] == [1.0, 3.0]
         assert channel.pending_frames == 1

@@ -15,6 +15,23 @@ from repro.net import (
 from repro.simkernel import Simulator
 
 
+def deliver_to_callbacks(channel):
+    """Land each delivered frame by calling the callback it carries as
+    its wire, with its delivery time."""
+    channel.lander = lambda delivered: [row[4](t) for t, row in delivered]
+
+
+def transmit(channel, payload_bytes, on_delivered):
+    """Send one frame now: enqueue it at the current instant, then
+    flush.  ``on_delivered(delivery_time)`` fires when the frame clears
+    the medium.  Broadcast DSRC frames are unacknowledged: with
+    ``loss_prob`` set, a lost frame still occupies the medium but never
+    delivers."""
+    deliver_to_callbacks(channel)
+    channel.enqueue(channel.sim.now, payload_bytes, None, on_delivered)
+    channel.flush(channel.sim.now)
+
+
 class TestMcsTable:
     def test_eight_schemes(self):
         assert sorted(MCS_TABLE) == list(range(1, 9))
@@ -103,7 +120,7 @@ class TestDsrcChannel:
         sim = Simulator()
         channel = DsrcChannel(sim, rng=np.random.default_rng(0))
         delivered = []
-        channel.transmit(200, delivered.append)
+        transmit(channel, 200, delivered.append)
         sim.run()
         assert len(delivered) == 1
         # DIFS + backoff + airtime: sub-millisecond at 27 Mb/s.
@@ -114,7 +131,7 @@ class TestDsrcChannel:
         channel = DsrcChannel(sim, rng=np.random.default_rng(1))
         deliveries = []
         for _ in range(10):
-            channel.transmit(200, deliveries.append)
+            transmit(channel, 200, deliveries.append)
         sim.run()
         assert deliveries == sorted(deliveries)
         # Strictly increasing: only one frame on the medium at a time.
@@ -124,7 +141,7 @@ class TestDsrcChannel:
         sim = Simulator()
         channel = DsrcChannel(sim, rng=np.random.default_rng(2))
         for _ in range(5):
-            channel.transmit(200, lambda t: None)
+            transmit(channel, 200, lambda t: None)
         sim.run()
         assert channel.transmissions == 5
         assert channel.bytes_transmitted == 1000
@@ -145,7 +162,7 @@ class TestDsrcChannel:
         )
         delivered = []
         for _ in range(500):
-            channel.transmit(200, delivered.append)
+            transmit(channel, 200, delivered.append)
         sim.run()
         assert channel.frames_lost > 0
         assert len(delivered) + channel.frames_lost == 500
@@ -158,11 +175,11 @@ class TestDsrcChannel:
         sim = Simulator()
         lossy = DsrcChannel(sim, rng=np.random.default_rng(6), loss_prob=0.5)
         for _ in range(100):
-            lossy.transmit(200, lambda t: None)
+            transmit(lossy, 200, lambda t: None)
         sim.run()
         clean = DsrcChannel(Simulator(), rng=np.random.default_rng(6))
         for _ in range(100):
-            clean.transmit(200, lambda t: None)
+            transmit(clean, 200, lambda t: None)
         assert lossy.total_airtime_s == pytest.approx(clean.total_airtime_s)
 
     def test_loss_prob_validated(self):
@@ -179,7 +196,7 @@ class TestDsrcChannel:
             latencies = []
             for v in range(n_senders):
                 start = sim.now
-                channel.transmit(200, lambda t, s=start: latencies.append(t - s))
+                transmit(channel, 200, lambda t, s=start: latencies.append(t - s))
             sim.run()
             return float(np.mean(latencies))
 

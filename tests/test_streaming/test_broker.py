@@ -256,7 +256,21 @@ def _log_state(broker, listener):
                 block and (bytes(block[0]),) + block[1:],
             )
         )
-    return logs, topic.version, topic._round_robin, broker.stats(), listener
+    return (
+        logs,
+        topic.version,
+        topic._round_robin,
+        broker.stats(),
+        broker._producer_state,
+        listener,
+    )
+
+
+#: A record's producer identity: none, or an idempotent producer whose
+#: sequences may repeat (a retry of a record the log already holds).
+_block_producers = st.none() | st.tuples(
+    st.sampled_from(["p", "q"]), st.integers(1, 4)
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -266,12 +280,14 @@ def _log_state(broker, listener):
     history=_block_records,
     block=_block_records.filter(len),
     timestamp=st.none() | st.just(0.25),
+    per_record_times=st.booleans(),
+    producers=st.lists(_block_producers, min_size=12, max_size=12),
     ack_lost=st.booleans(),
     listened_keys=st.sets(st.integers(0, 6).map(lambda n: str(n).encode())),
 )
 def test_produce_block_is_one_produce_per_record(
-    partitions, retention, history, block, timestamp, ack_lost,
-    listened_keys,
+    partitions, retention, history, block, timestamp, per_record_times,
+    producers, ack_lost, listened_keys,
 ):
     def world():
         now = [1.0]
@@ -279,6 +295,7 @@ def test_produce_block_is_one_produce_per_record(
         broker.create_topic("t", partitions, retention_records=retention)
         for key, value in history:
             broker.produce("t", value, key=key)
+        broker.produce("t", b"x", producer_id="p", sequence=2)
         heard = []
         for key in sorted(listened_keys):
             broker.subscribe_key("t", key, lambda m, k=key: heard.append((k, m)))
@@ -287,21 +304,39 @@ def test_produce_block_is_one_produce_per_record(
             broker.drop_acks_until(3.0)
         return broker, heard
 
+    times = [
+        0.5 + 0.125 * position if per_record_times else timestamp
+        for position in range(len(block))
+    ]
+    ids = [None if p is None else p[0] for p in producers[: len(block)]]
+    sequences = [None if p is None else p[1] for p in producers[: len(block)]]
     one_by_one, heard_singly = world()
     acks_lost = 0
-    for key, value in block:
+    for (key, value), at, producer_id, sequence in zip(
+        block, times, ids, sequences
+    ):
         try:
-            one_by_one.produce("t", value, key=key, timestamp=timestamp)
+            one_by_one.produce(
+                "t", value, key=key, timestamp=at,
+                producer_id=producer_id, sequence=sequence,
+            )
         except BrokerUnavailable:
             acks_lost += 1
     at_once, heard_at_once = world()
     keys, values = zip(*block)
-    if ack_lost:
-        with pytest.raises(BrokerUnavailable):
-            at_once.produce_block("t", keys, values, timestamp=timestamp)
+    columns = {"producer_ids": ids, "sequences": sequences}
+    if per_record_times:
+        columns["timestamps"] = times
     else:
-        at_once.produce_block("t", keys, values, timestamp=timestamp)
-    assert acks_lost == (len(block) if ack_lost else 0)
+        columns["timestamp"] = timestamp
+    if acks_lost:
+        with pytest.raises(BrokerUnavailable):
+            at_once.produce_block("t", keys, values, **columns)
+    else:
+        at_once.produce_block("t", keys, values, **columns)
+    assert bool(acks_lost) == (
+        ack_lost and one_by_one.records_in > len(history) + 1
+    )
     assert _log_state(at_once, heard_at_once) == _log_state(
         one_by_one, heard_singly
     )

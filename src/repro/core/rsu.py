@@ -309,21 +309,36 @@ class RsuNode:
         and they land on IN-DATA exactly where per-frame delivery events
         would have put them.  Before the broker goes away (:meth:`fail`,
         :meth:`crash`) the channel is settled, so each frame meets the
-        broker it would have met at its own delivery instant; the
-        broker tells the channel (``Broker.uplink``) whenever produce
-        turns unsteady.
+        broker it would have met at its own delivery instant; once
+        produce is unsteady (down, or losing acks:
+        :meth:`drop_acks_until`) the vehicles arm their beacons as
+        events.
         """
         if self._uplink is channel:
             return
         if self._uplink is not None:
             raise ValueError(f"RSU {self.name!r} already has an uplink channel")
         self._uplink = channel
-        self.broker.uplink = channel
         self.context.pre_poll = lambda: channel.flush(self.sim.now)
 
     def _settle_uplink(self) -> None:
         if self._uplink is not None:
             self._uplink.settle()
+
+    def _arm_uplink(self) -> None:
+        """Produce just turned unsteady: each vehicle whose frames can
+        no longer wait for a flush makes its next beacon an event."""
+        if self._uplink is not None:
+            self._uplink.arm_degraded()
+
+    def drop_acks_until(self, until_time: float) -> None:
+        """Lose the broker's produce acks until ``until_time``
+        (:meth:`~repro.streaming.broker.Broker.drop_acks_until`).  The
+        beacons due by now are sent first, under the acks as they were."""
+        if self._uplink is not None:
+            self._uplink.emit_due(self.sim.now)
+        self.broker.drop_acks_until(until_time)
+        self._arm_uplink()
 
     def fail(self) -> None:
         """Take the node down permanently (edge-node outage).
@@ -339,6 +354,7 @@ class RsuNode:
         self.context.stop()
         self._cancel_co_refresh()
         self.broker.shutdown()
+        self._arm_uplink()
 
     def crash(self) -> None:
         """Broker-process crash: like :meth:`fail`, but recoverable.
@@ -357,6 +373,7 @@ class RsuNode:
         self.context.stop()
         self._cancel_co_refresh()
         self.broker.shutdown()
+        self._arm_uplink()
 
     def restart(self, until: Optional[float] = None) -> None:
         """Recover from :meth:`crash`: restart broker and pipeline.

@@ -47,11 +47,12 @@ _UNBUILT = object()
 def land_frames(delivered: List[Tuple[float, Tuple]]) -> None:
     """Land the frames one flush delivered, in delivery order.
 
-    Each is a vehicle's row ``(eff_time, seq, size, vehicle, wire,
-    generated_at, sent_on)`` with its delivery time.  Per frame, what a
-    delivery event would have checked: a frame generated before its
-    vehicle last changed road is abandoned (counted); one sent on
-    another channel than its vehicle's now (on the air across a
+    Each is a vehicle's channel row ``(eff_time, seq, size, vehicle,
+    frame)`` with its delivery time, ``frame`` being ``(wire,
+    generated_at, sent_on)`` (:meth:`VehicleNode.emit_beacon`).  Per
+    frame, what a delivery event would have checked: a frame generated
+    before its vehicle last changed road is abandoned (counted); one
+    sent on another channel than its vehicle's now (on the air across a
     failover) first flushes that channel, whose earlier frames land
     ahead of it.  Consecutive frames bound for one steady broker land
     as one IN-DATA block (:func:`~repro.streaming.producer.send_block`);
@@ -59,81 +60,101 @@ def land_frames(delivered: List[Tuple[float, Tuple]]) -> None:
     holds a retry backlog, goes through ``Producer.send`` alone.
     """
     now = delivered[0][1][3].sim.now
-    producers: List[Producer] = []
-    keys: List[bytes] = []
+    vehicles: List["VehicleNode"] = []
     times: List[float] = []
-    rows: List[Tuple] = []
+    frames: List[Tuple] = []
     broker = None
-    for at_time, row in delivered:
-        vehicle = row[3]
-        producer = vehicle._producer
-        if row[5] < vehicle._road_since:
-            producer.records_abandoned += 1
+    for at_time, (_, _, _, vehicle, frame) in delivered:
+        if frame[1] < vehicle._road_since:
+            vehicle._producer.records_abandoned += 1
             continue
-        if row[6] is not vehicle.channel:
-            _land_block(producers, keys, times, rows)
+        if frame[2] is not vehicle.channel:
+            _land_block(vehicles, times, frames)
             vehicle.channel.flush(now)
-        if producer._buffer or now < producer.broker.unsteady_until:
-            _land_block(producers, keys, times, rows)
-            vehicle._land_one(at_time, row)
+        if vehicle._degraded(now):
+            _land_block(vehicles, times, frames)
+            vehicle._land_one(at_time, frame)
             continue
-        if producer.broker is not broker:
-            _land_block(producers, keys, times, rows)
-            broker = producer.broker
-        producers.append(producer)
-        keys.append(vehicle._key_bytes)
+        if vehicle._producer.broker is not broker:
+            _land_block(vehicles, times, frames)
+            broker = vehicle._producer.broker
+        vehicles.append(vehicle)
         times.append(at_time)
-        rows.append(row)
-    _land_block(producers, keys, times, rows)
+        frames.append(frame)
+    _land_block(vehicles, times, frames)
 
 
-def _land_block(producers, keys, times, rows) -> None:
+def _land_block(vehicles, times, frames) -> None:
     """Send the block gathered so far, and empty the lists."""
-    if rows:
-        send_block(producers, IN_DATA, keys, _wire_values(rows, times), times)
-        for column in (producers, keys, times, rows):
+    if frames:
+        send_block(
+            [vehicle._producer for vehicle in vehicles],
+            IN_DATA,
+            [vehicle._key_bytes for vehicle in vehicles],
+            _wire_values(vehicles, frames, times),
+            times,
+        )
+        for column in (vehicles, times, frames):
             column.clear()
 
 
-def _wire_value(row: Tuple, at_time: float) -> bytes:
+def _wire_value(serde: Serde, frame: Tuple, at_time: float) -> bytes:
     """One frame's wire bytes: its template with both timestamps
     patched, or its envelope serialized (a payload that does not
     struct-encode)."""
-    wire = row[4]
+    wire, generated_at, _ = frame
     if isinstance(wire, dict):
-        return row[3].serde.serialize(
-            {"data": wire, "generated_at": row[5], "arrived_at": at_time}
+        return serde.serialize(
+            {"data": wire, "generated_at": generated_at, "arrived_at": at_time}
         )
-    frame = bytearray(wire)
-    _TS_PATCH.pack_into(frame, len(frame) - 16, row[5], at_time)
-    return bytes(frame)
+    value = bytearray(wire)
+    _TS_PATCH.pack_into(value, len(value) - 16, generated_at, at_time)
+    return bytes(value)
 
 
-def _wire_values(rows: List[Tuple], times: List[float]) -> List[bytes]:
+def _wire_values(
+    vehicles: List["VehicleNode"], frames: List[Tuple], times: List[float]
+) -> List[bytes]:
     """The wire bytes of frames delivered at ``times``.  Struct
     templates of one size are patched column-wise: one ``(n, size)``
     buffer whose two trailing f64 columns are written at once."""
-    wires = [row[4] for row in rows]
+    wires = [frame[0] for frame in frames]
     size = len(wires[0])
     if set(map(type, wires)) != {bytes} or set(map(len, wires)) != {size}:
-        return [_wire_value(row, at_time) for row, at_time in zip(rows, times)]
+        return [
+            _wire_value(vehicle.serde, frame, at_time)
+            for vehicle, frame, at_time in zip(vehicles, frames, times)
+        ]
     n = len(wires)
     joined = bytearray(b"".join(wires))
     stamps = np.empty((n, 2), dtype="<f8")
-    stamps[:, 0] = [row[5] for row in rows]
+    stamps[:, 0] = [frame[1] for frame in frames]
     stamps[:, 1] = times
-    frames = np.frombuffer(joined, dtype=np.uint8).reshape(n, size)
-    frames[:, size - 16 :] = stamps.view(np.uint8).reshape(n, 16)
+    rows = np.frombuffer(joined, dtype=np.uint8).reshape(n, size)
+    rows[:, size - 16 :] = stamps.view(np.uint8).reshape(n, 16)
     data = bytes(joined)
     return [data[at : at + size] for at in range(0, n * size, size)]
 
 
 @dataclass
 class VehicleStats:
-    """Per-vehicle measurements."""
+    """Per-vehicle measurements.
 
+    The send and receive counters are settled, not live: beacons and
+    warning polls are accounted when something reads the vehicle's
+    grids — a flush of its channel (each RSU micro-batch tick),
+    :meth:`VehicleNode.stop`, ``retire``, ``migrate`` or ``detach``.
+    Mid-run they lag by up to one tick (``records_sent``,
+    ``bytes_sent``) or a whole run (``warnings_received``, its
+    latencies, ``poll_failures``); read them after
+    :meth:`VehicleNode.stop` (a scenario's ``wind_down`` stops every
+    vehicle) for the figures per-event beacons and polls would give.
+    """
+
+    #: Beacons sent (settled at each flush of the channel).
     records_sent: int = 0
     bytes_sent: int = 0
+    #: Warnings read by the polls settled so far.
     warnings_received: int = 0
     #: Telemetry that reached the RSU but was refused by a down broker
     #: (and, without a retry policy, lost for good).
@@ -195,6 +216,10 @@ class VehicleNode:
     While the broker is down or losing acks, or the producer holds a
     retry backlog, each beacon is an event at its own instant and its
     frame resolves then (:meth:`arm`).
+
+    Hence :attr:`stats` are settled, not live: call :meth:`stop` (or
+    flush the channel, for the send counters) before reading them
+    mid-run; see :class:`VehicleStats`.
 
     The vehicle's 10 ms poll grid is virtual: the grid is the
     drawn phase plus repeated interval addition, and no instant of it
@@ -438,13 +463,11 @@ class VehicleNode:
             # They land behind what the new medium holds by now; each
             # resolves at its own instant if it cannot wait.
             new_channel.emit_due(now)
-            degraded = (
-                now < new_rsu.broker.unsteady_until or self._producer._buffer
-            )
-            for row in carried:
-                new_channel.enqueue(row[0], *row[2:])
+            degraded = self._degraded(now)
+            for eff_time, _, size, _, frame in carried:
+                new_channel.enqueue(eff_time, size, self, frame)
                 if degraded:
-                    new_channel.flush_at(row[0])
+                    new_channel.flush_at(eff_time)
         self.arm()
 
     def _record_departure(self) -> None:
@@ -626,10 +649,11 @@ class VehicleNode:
         - HTB is charged at ``instant`` through
           :meth:`~repro.net.htb.HtbShaper.send` (the shared root bucket
           accrues lazily).
-        - The frame joins the channel's queue at its effective time as
-          a row carrying its wire template (or, when the record does
-          not struct-encode, its payload), ``generated_at`` and the
-          channel it was sent on; :func:`land_frames` builds the bytes.
+        - The frame joins the channel's queue at its effective time,
+          carrying ``(wire, generated_at, sent_on)``: its wire template
+          (or, when the record does not struct-encode, its payload),
+          ``instant`` and this channel; :func:`land_frames` builds the
+          bytes.
         - Its contention waits for the next flush unless the broker is
           down or losing acks at ``instant`` or the producer holds a
           retry backlog: then it resolves at its own instant.
@@ -657,8 +681,8 @@ class VehicleNode:
         else:
             eff_time = instant + shaper.send(self._leaf_name, size, instant)
         channel = self.channel
-        channel.enqueue(eff_time, size, self, wire, instant, channel)
-        if instant < self.rsu.broker.unsteady_until or self._producer._buffer:
+        channel.enqueue(eff_time, size, self, (wire, instant, channel))
+        if self._degraded(instant):
             channel.flush_at(eff_time)
         stats = self.stats
         stats.records_sent += 1
@@ -675,12 +699,12 @@ class VehicleNode:
         broker down or losing acks, a retry backlog), its next beacon is
         a simulator event; it re-arms only while that lasts.  Whoever
         makes frames unable to wait calls this after sending the
-        beacons due by then (``Broker.uplink``, :meth:`migrate`)."""
+        beacons due by then (``RsuNode.crash``/``fail``/
+        ``drop_acks_until``, :meth:`migrate`)."""
         beacon = self._beacon
         if beacon is None or self._armed is not None:
             return
-        now = self.sim.now
-        if now < self.rsu.broker.unsteady_until or self._producer._buffer:
+        if self._degraded(self.sim.now):
             self._armed = self.sim.at(
                 beacon[0],
                 self._beacon_event,
@@ -695,13 +719,21 @@ class VehicleNode:
     #: How the channel lands the frames it delivered.
     land_frames = staticmethod(land_frames)
 
-    def _land_one(self, at_time: float, row: Tuple) -> None:
+    def _degraded(self, at: float) -> bool:
+        """Whether a frame of this vehicle sent or landing at ``at``
+        cannot wait for a flush: the broker is down or losing acks, or
+        the producer holds a retry backlog."""
+        return at < self.rsu.broker.unsteady_until or bool(
+            self._producer._buffer
+        )
+
+    def _land_one(self, at_time: float, frame: Tuple) -> None:
         """Deliver one frame through :meth:`Producer.send`: the path
         where refusal, buffering, ack loss and retry order apply."""
         try:
             self._producer.send(
                 IN_DATA,
-                _wire_value(row, at_time),
+                _wire_value(self.serde, frame, at_time),
                 key=self._key_bytes,
                 timestamp=at_time,
             )

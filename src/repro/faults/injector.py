@@ -92,7 +92,7 @@ class FaultInjector:
                 # Open the ack-loss window *after* the restart: the
                 # producers that buffered during the outage flush into
                 # it, so their retries exercise idempotent dedupe.
-                rsu.broker.drop_acks_until(sim.now + event.ack_loss_s)
+                rsu.drop_acks_until(sim.now + event.ack_loss_s)
             self._record(
                 "broker_restart",
                 event.rsu,

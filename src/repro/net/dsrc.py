@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -192,8 +193,7 @@ class DsrcChannel:
         self.frames_lost = 0
         self.total_airtime_s = 0.0
         # Deferred frames awaiting the next flush, as rows
-        # (effective_time, seq, payload_bytes, owner, wire, generated_at,
-        # sent_on).
+        # (effective_time, seq, payload_bytes, owner, frame).
         self._pending: List[Tuple] = []
         self._pending_seq = 0
         # Resolved frames whose delivery event has not fired yet:
@@ -275,28 +275,18 @@ class DsrcChannel:
         eff_time: float,
         payload_bytes: int,
         owner: object = None,
-        wire: object = None,
-        generated_at: Optional[float] = None,
-        sent_on: Optional["DsrcChannel"] = None,
+        frame: object = None,
     ) -> None:
         """Defer one frame to the next :meth:`flush`.
 
         ``eff_time`` is the instant the frame reaches the medium — the
         send instant plus any shaper delay.  ``owner`` tags the frame
         so a handover can move a sender's not-yet-effective frames to
-        its new channel (:meth:`take_pending`); the rest of the row is
-        the owner's, handed back to :attr:`lander` on delivery.
+        its new channel (:meth:`take_pending`); ``frame`` is the
+        owner's, handed back to :attr:`lander` on delivery in the row.
         """
         self._pending.append(
-            (
-                eff_time,
-                self._pending_seq,
-                payload_bytes,
-                owner,
-                wire,
-                generated_at,
-                sent_on,
-            )
+            (eff_time, self._pending_seq, payload_bytes, owner, frame)
         )
         self._pending_seq += 1
 
@@ -377,7 +367,7 @@ class DsrcChannel:
         pending = self._pending
         if not pending:
             return 0
-        pending.sort()  # by (eff_time, seq): seq is unique
+        pending.sort(key=itemgetter(0, 1))
         self._pending = []
         mac = self.mac
         rng = self._rng
@@ -390,13 +380,10 @@ class DsrcChannel:
         sim_at = self.sim.at
         busy = self._busy_until
         resolved = 0
-        bytes_transmitted = 0
-        total_airtime = self.total_airtime_s
-        lost = 0
         on_air = self._on_air
         delivered: List[Tuple[float, Tuple]] = []
         for row in pending:
-            eff_time = row[0]
+            eff_time, seq, payload_bytes, owner, _ = row
             if eff_time > now:
                 break
             resolved += 1
@@ -405,34 +392,30 @@ class DsrcChannel:
             else:
                 cw = 15
             backoff = float(rng.integers(0, cw + 1)) * t_slot
-            payload_bytes = row[2]
             airtime = airtimes.get(payload_bytes)
             if airtime is None:
                 airtime = airtimes[payload_bytes] = mac.airtime_s(
                     self.mcs, payload_bytes
                 )
             start = max(eff_time, busy) + difs + backoff
-            busy = delivery = start + airtime
-            bytes_transmitted += payload_bytes
-            total_airtime += airtime
+            delivery = start + airtime
+            busy = self._busy_until = delivery
+            self.transmissions += 1
+            self.bytes_transmitted += payload_bytes
+            self.total_airtime_s += airtime
             if loss_prob > 0.0 and rng.random() < loss_prob:
-                lost += 1
+                self.frames_lost += 1
                 continue
             if delivery <= now:
                 delivered.append((delivery, row))
             else:
-                on_air[row[1]] = (delivery, row[3])
+                on_air[seq] = (delivery, owner)
 
-                def land(t=delivery, row=row) -> None:
-                    del on_air[row[1]]
+                def land(t=delivery, row=row, seq=seq) -> None:
+                    del on_air[seq]
                     self.lander([(t, row)])
 
                 sim_at(delivery, land, label="dsrc-delivery")
-        self._busy_until = busy
-        self.transmissions += resolved
-        self.bytes_transmitted += bytes_transmitted
-        self.total_airtime_s = total_airtime
-        self.frames_lost += lost
         if resolved < len(pending):
             self._pending = pending[resolved:]
         if delivered:

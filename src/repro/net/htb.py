@@ -122,17 +122,8 @@ class HtbShaper:
         """
         if packet_bytes <= 0:
             raise ValueError(f"packet size must be positive: {packet_bytes}")
-        leaf = self._leaves.get(leaf_name)
-        if leaf is None:
-            leaf = self.leaf(leaf_name)  # raises
-        # leaf.refill(now), inline: one call per beacon
-        last = leaf._last_refill
-        if now < last:
-            leaf.refill(now)  # raises
-        tokens = leaf.tokens + (now - last) * leaf.rate_bps / 8.0
-        burst = leaf.burst_bytes
-        leaf.tokens = burst if burst <= tokens else tokens
-        leaf._last_refill = now
+        leaf = self.leaf(leaf_name)
+        leaf.refill(now)
         if leaf.tokens >= packet_bytes:
             leaf.tokens -= packet_bytes
             leaf.bytes_sent += packet_bytes

@@ -85,12 +85,6 @@ class Broker:
         #: acknowledge: +inf while down, the ack-loss horizon after a
         #: restart.  Senders that defer delivery compare it per frame.
         self.unsteady_until = float("-inf")
-        #: The channel whose senders feed this broker's IN-DATA
-        #: (``RsuNode.attach_uplink``).  Produce turning unsteady — a
-        #: shutdown, an ack-loss window — first sends the channel's
-        #: beacons due by now, then lets its senders that can no longer
-        #: wait for a flush arm their next beacon as an event.
-        self.uplink = None
         self.bytes_in = 0
         self.bytes_out = 0
         self.records_in = 0
@@ -113,12 +107,10 @@ class Broker:
         is lost.
         """
         if self._available:
-            self._settle_uplink()
             self._available = False
             self.crashes += 1
             self.outages.append((self._clock(), float("inf")))
             self.unsteady_until = float("inf")
-            self._arm_uplink()
 
     def restart(self) -> None:
         """Bring a crashed broker back with its durable state intact."""
@@ -135,19 +127,9 @@ class Broker:
         record the log already holds — exactly the double-count that
         idempotent produce (sequence numbers) must reject.
         """
-        self._settle_uplink()
         self._drop_acks_until = until_time
         if self._available:
             self.unsteady_until = until_time
-        self._arm_uplink()
-
-    def _settle_uplink(self) -> None:
-        if self.uplink is not None:
-            self.uplink.emit_due(self._clock())
-
-    def _arm_uplink(self) -> None:
-        if self.uplink is not None:
-            self.uplink.arm_degraded()
 
     def _check_available(self, operation: str) -> None:
         if not self._available:
@@ -290,14 +272,13 @@ class Broker:
                 topic_name, keys, values, timestamps, producer_ids, sequences,
                 accepted,
             )
-        indexes = topic.route_block(keys)
+        route = topic.route
+        indexes = [route(key) for key in keys]
         grouped: Dict[int, Tuple[list, list, list]] = {}
         for key, value, record_time, index in zip(
             keys, values, timestamps, indexes
         ):
-            group = grouped.get(index)
-            if group is None:
-                group = grouped[index] = ([], [], [])
+            group = grouped.setdefault(index, ([], [], []))
             group[0].append(record_time)
             group[1].append(key)
             group[2].append(value)
@@ -308,9 +289,7 @@ class Broker:
             for index, group in grouped.items()
         }
         topic.version += len(indexes)
-        self.bytes_in += sum(map(len, values)) + sum(
-            map(len, filter(None, keys))
-        )
+        self.bytes_in += sum(map(len, values)) + sum(len(k) for k in keys if k)
         self.records_in += len(indexes)
         keyed = self._keyed_notify.get(topic_name)
         offsets = []
@@ -419,7 +398,7 @@ class Broker:
             log = self.topic(topic_name).partition(partition)
             self._partition_cache[(topic_name, partition)] = log
         if from_offset >= 0 and from_offset - log._start_offset >= len(
-            log._records
+            log._values
         ):
             # Nothing new past the caller's position — the overwhelming
             # majority of 10 ms polls; skip the slice and accounting.
@@ -452,7 +431,7 @@ class Broker:
             log = self.topic(topic_name).partition(partition)
             self._partition_cache[(topic_name, partition)] = log
         if from_offset >= 0 and from_offset - log._start_offset >= len(
-            log._records
+            log._values
         ):
             return None
         block = log.read_block(from_offset, max_records)

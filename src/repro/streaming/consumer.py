@@ -10,7 +10,7 @@ relies on ("each Kafka consumer pulls every 10 ms").
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.streaming.broker import Broker
@@ -374,36 +374,20 @@ class Consumer:
         not even one poll drains, that poll alone is the run and the
         budget cuts it short.
         """
-        # ``first += interval`` while below the limit, as one C loop
-        # (``accumulate`` adds floats exactly as ``+=`` does).
         instants = []
         while first < limit:
-            steps = int((limit - first) / interval) + 1
-            grid = list(
-                itertools.accumulate(
-                    itertools.repeat(interval, steps), initial=first
-                )
-            )
-            cut = bisect_left(grid, limit)
-            instants.extend(grid[:cut])
-            first = grid[cut] if cut < len(grid) else grid[-1] + interval
+            instants.append(first)
+            first += interval
         positions = self._positions
         logs = self._poll_logs
-        if instants:
-            for _, log in logs:
-                log.end_offset_at(instants[0])  # a retention log raises
-        # The log end a poll at an instant saw: a bisect of the clock.
-        clocks = [(key, log._append_clock) for key, log in logs]
 
         def ends_at(index: int) -> List[int]:
             instant = instants[index]
-            return [bisect_right(clock, instant) for _, clock in clocks]
+            return [log.end_offset_at(instant) for _, log in logs]
 
-        def overflows(index: int) -> bool:
-            instant = instants[index]
+        def overflows(ends: List[int]) -> bool:
             backlog = 0
-            for key, clock in clocks:
-                end = bisect_right(clock, instant)
+            for (key, _), end in zip(logs, ends):
                 if end > positions[key]:
                     backlog += end - positions[key]
             return backlog > max_records
@@ -413,16 +397,17 @@ class Consumer:
             # The run [start, stop): bisect for the first instant whose
             # backlog overflows the budget (backlogs only grow).
             stop = count
-            if overflows(count - 1):
+            ends = ends_at(count - 1)
+            if overflows(ends):
                 low, stop = start, count - 1
                 while low < stop:
                     middle = (low + stop) // 2
-                    if overflows(middle):
+                    if overflows(ends_at(middle)):
                         stop = middle
                     else:
                         low = middle + 1
                 stop = max(stop, start + 1)
-            ends = ends_at(stop - 1)
+                ends = ends_at(stop - 1)
             budget = max_records
             for (key, log), end in zip(logs, ends):
                 position = positions[key]

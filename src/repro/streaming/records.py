@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Optional
+from typing import Any, Optional
 
 
 @dataclass(frozen=True)
@@ -17,11 +17,10 @@ class RecordMetadata:
     serialized_size: int
 
 
-class StoredRecord(NamedTuple):
-    """What a partition log physically holds: serialized bytes.
-
-    Immutable, and a tuple: every appended record is one, and building
-    a tuple costs a fraction of a frozen dataclass."""
+@dataclass(frozen=True)
+class StoredRecord:
+    """One record read off a partition log: serialized bytes (the log
+    itself keeps them as columns)."""
 
     offset: int
     timestamp: float

@@ -12,7 +12,6 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_right
 from itertools import accumulate, count, islice
-from operator import add
 from typing import List, Optional, Sequence, Tuple
 
 from repro.streaming.records import StoredRecord
@@ -73,7 +72,11 @@ class Partition:
         self.topic_name = topic_name
         self.index = index
         self.retention_records = retention_records
-        self._records: List[StoredRecord] = []
+        # The retained records as three columns; :meth:`read` builds
+        # the :class:`StoredRecord` objects of the range it returns.
+        self._timestamps: List[float] = []
+        self._keys: List[Optional[bytes]] = []
+        self._values: List[bytes] = []
         self._start_offset = 0
         self.bytes_in = 0
         self.records_truncated = 0
@@ -111,14 +114,14 @@ class Partition:
         appended_at: Optional[float] = None,
     ) -> int:
         """Append a record (``appended_at``: the clock); returns its offset."""
-        offset = self._start_offset + len(self._records)
-        record = StoredRecord(
-            offset=offset, timestamp=timestamp, key=key, value=value
-        )
-        self._records.append(record)
-        self.bytes_in += record.size
+        offset = self._start_offset + len(self._values)
+        self._timestamps.append(timestamp)
+        self._keys.append(key)
+        self._values.append(value)
+        size = len(value) + (len(key) if key else 0)
+        self.bytes_in += size
         if self._cum_sizes is not None:
-            self._cum_sizes.append(self._cum_sizes[-1] + record.size)
+            self._cum_sizes.append(self._cum_sizes[-1] + size)
             self._append_clock.append(
                 timestamp if appended_at is None else appended_at
             )
@@ -133,15 +136,17 @@ class Partition:
                     self._slab_record_size = size
                 slab.append(value)
             else:
-                self._slab = None
+                self._slab = self._slab_record_size = None
         if self.retention_records is not None:
             self._truncate()
         return offset
 
     def _truncate(self) -> None:
-        drop = len(self._records) - self.retention_records
+        drop = len(self._values) - self.retention_records
         if drop > 0:
-            del self._records[:drop]
+            del self._timestamps[:drop]
+            del self._keys[:drop]
+            del self._values[:drop]
             self._start_offset += drop
             self.records_truncated += drop
 
@@ -156,53 +161,34 @@ class Partition:
         record ``i``; returns the first one's offset.  Leaves the log —
         records, byte prefix sums, append clocks, slab, retention —
         exactly as one :meth:`append` per record would."""
-        first = self._start_offset + len(self._records)
-        self._records.extend(
-            map(StoredRecord, count(first), timestamps, keys, values)
-        )
-        if None in keys:
-            sizes = [
-                len(value) + (len(key) if key else 0)
-                for key, value in zip(keys, values)
-            ]
-        else:
-            sizes = list(map(add, map(len, values), map(len, keys)))
+        first = self._start_offset + len(self._values)
+        self._timestamps.extend(timestamps)
+        self._keys.extend(keys)
+        self._values.extend(values)
+        sizes = [
+            len(value) + (len(key) if key else 0)
+            for key, value in zip(keys, values)
+        ]
         self.bytes_in += sum(sizes)
         if self._cum_sizes is not None:
             self._cum_sizes.extend(
                 islice(accumulate(sizes, initial=self._cum_sizes[-1]), 1, None)
             )
             self._append_clock.extend([appended_at] * len(sizes))
-        if self._slab is not None:
-            # ``append``'s rule value by value, the slab written once.
-            size = self._slab_record_size
-            width = len(values[0]) if values else 0
-            if width and (size is None or size == width):
-                # The common case, checked in C: one width, every value
-                # led by the struct magic (a slab means no retention).
-                joined = b"".join(values)
-                if set(map(len, values)) == {width} and joined[
-                    ::width
-                ] == _MAGIC * len(values):
-                    self._slab_record_size = width
-                    self._slab.append(joined)
-                    return first
-            conforming = 0
-            for value in values:
-                if not (
-                    value
-                    and value[0] == STRUCT_MAGIC
-                    and (size is None or len(value) == size)
-                ):
-                    break
-                size = len(value)
-                conforming += 1
-            if conforming:
-                self._slab_record_size = size
-            if conforming == len(sizes):
-                self._slab.append(b"".join(values))
+        if self._slab is not None and values:
+            # ``append``'s rule for the whole block: every value of the
+            # slab's width and led by the struct magic, or no slab.
+            width = self._slab_record_size or len(values[0])
+            joined = b"".join(values)
+            if (
+                width
+                and set(map(len, values)) == {width}
+                and joined[::width] == _MAGIC * len(values)
+            ):
+                self._slab_record_size = width
+                self._slab.append(joined)
             else:
-                self._slab = None
+                self._slab = self._slab_record_size = None
         if self.retention_records is not None:
             self._truncate()
         return first
@@ -218,7 +204,16 @@ class Partition:
         if max_records < 1:
             raise ValueError(f"max_records must be >= 1: {max_records}")
         index = max(0, from_offset - self._start_offset)
-        return self._records[index : index + max_records]
+        stop = index + max_records
+        return list(
+            map(
+                StoredRecord,
+                count(self._start_offset + index),
+                self._timestamps[index:stop],
+                self._keys[index:stop],
+                self._values[index:stop],
+            )
+        )
 
     def read_block(
         self, from_offset: int, max_records: int
@@ -235,7 +230,7 @@ class Partition:
         if self._slab is None or self._slab_record_size is None:
             return None
         index = max(0, from_offset - self._start_offset)
-        count = min(max_records, len(self._records) - index)
+        count = min(max_records, len(self._values) - index)
         if count <= 0:
             return None
         size = self._slab_record_size
@@ -251,7 +246,7 @@ class Partition:
     @property
     def end_offset(self) -> int:
         """Offset the next record will receive (Kafka's log-end offset)."""
-        return self._start_offset + len(self._records)
+        return self._start_offset + len(self._values)
 
     def end_offset_at(self, instant: float) -> int:
         """The log-end offset a fetch at ``instant`` saw: every append
@@ -261,7 +256,7 @@ class Partition:
         return bisect_right(self._append_clock, instant)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._values)
 
 
 class Topic:
@@ -304,13 +299,6 @@ class Topic:
             self._round_robin = (self._round_robin + 1) % self.num_partitions
             return index
         return zlib.crc32(key) % self.num_partitions
-
-    def route_block(self, keys: Sequence[Optional[bytes]]) -> List[int]:
-        """:meth:`route` of each key, in order."""
-        if None in keys:
-            return [self.route(key) for key in keys]
-        crc32, partitions = zlib.crc32, len(self.partitions)
-        return [crc32(key) % partitions for key in keys]
 
     def partition(self, index: int) -> Partition:
         if not 0 <= index < self.num_partitions:

@@ -224,10 +224,6 @@ class TelemetryBlock:
             for i in range(len(self))
         ]
 
-    def labels_optional(self) -> List[Optional[int]]:
-        """Per-record labels with ``None`` for unlabelled."""
-        return [None if v == NO_LABEL else int(v) for v in self.label.tolist()]
-
     def __repr__(self) -> str:
         return f"TelemetryBlock(n={len(self)})"
 

@@ -13,7 +13,7 @@ golden-equivalence tests lean on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -67,19 +67,6 @@ class CorridorTopology:
     # ------------------------------------------------------------------
     def rsu_names(self) -> List[str]:
         return [spec.name for spec in self.rsus]
-
-    def group_of(self, rsu_name: str) -> Optional[VehicleGroup]:
-        for group in self.groups:
-            if group.rsu == rsu_name:
-                return group
-        return None
-
-    def home_of(self, car_id: int) -> str:
-        """The RSU a car is attached to at build time."""
-        for group in self.groups:
-            if car_id in group.car_ids:
-                return group.rsu
-        raise KeyError(f"car {car_id} is in no vehicle group")
 
     def edges(self) -> List[Tuple[str, str]]:
         """Directed CO-DATA links ``(src, dst)``."""

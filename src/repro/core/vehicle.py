@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import repeat
+from operator import attrgetter, is_, itemgetter, lt, truth
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,9 +26,11 @@ from repro.streaming.broker import BrokerUnavailable
 from repro.streaming.consumer import Consumer, OwnRecord
 from repro.streaming.producer import Producer, RetryPolicy, send_block
 from repro.streaming.serde import (
+    FlatStructSerde,
     JsonSerde,
     RawSerde,
     Serde,
+    SerdeError,
     STRUCT_MAGIC,
 )
 
@@ -44,12 +48,120 @@ _POLL_MAX_RECORDS = 500
 _UNBUILT = object()
 
 
+#: What :func:`_first_degraded` reads off a vehicle's producer, which
+#: is bound to its RSU's broker: the broker's unsteady horizon and the
+#: retry backlog, one C-level fetch each.
+_UNSTEADY_UNTIL = attrgetter("broker.unsteady_until")
+_BACKLOG = attrgetter("_buffer")
+_BROKER = attrgetter("broker")
+_PRODUCER = attrgetter("_producer")
+_SHAPER = attrgetter("shaper")
+_ROAD_SINCE = attrgetter("_road_since")
+_CHANNEL = attrgetter("channel")
+_KEY = attrgetter("_key_bytes")
+
+
+def _first_degraded(
+    producers: Sequence[Producer], instants: Iterable[float]
+) -> int:
+    """Index of the first of ``producers`` whose vehicle's frame, sent
+    or landing at its instant, cannot wait for a flush — its broker is
+    down or losing acks then, or it holds a retry backlog;
+    ``len(producers)`` if none.  The one "may this frame wait" rule
+    (:meth:`VehicleNode._degraded` asks it of one frame)."""
+    first = len(producers)
+    for flags in (
+        list(map(lt, instants, map(_UNSTEADY_UNTIL, producers))),
+        list(map(truth, map(_BACKLOG, producers))),
+    ):
+        if True in flags:
+            first = min(first, flags.index(True))
+    return first
+
+
+def emit_beacons(
+    channel: DsrcChannel,
+    instants: List[float],
+    vehicles: List["VehicleNode"],
+) -> None:
+    """Send the beacon of grid instant ``instants[i]`` of
+    ``vehicles[i]``, in kernel order: ``channel``'s cohort hands over
+    the beacons due at a flush before it resolves contention.
+
+    - Each beacon replays its vehicle's next stripe record: its wire
+      template, built on first use (or, when the record does not
+      struct-encode, its payload, sized by serializing its envelope).
+    - HTB is charged at each instant, the whole block in order
+      (:meth:`~repro.net.htb.HtbShaper.send_block`).
+    - The frames join the channel's queue at their effective times as
+      one block of rows, each carrying ``(wire, generated_at,
+      sent_on)``: :func:`land_frames` builds the bytes.
+    - A vehicle that cannot wait for a flush at its instant (broker
+      down or losing acks, a retry backlog: ``_degraded``) ends the
+      block: its frame resolves at its own instant (``flush_at``), and
+      the predicate is evaluated afresh for the beacons after it.
+    """
+    wires: List[object] = []
+    sizes: List[int] = []
+    for instant, vehicle in zip(instants, vehicles):
+        templates = vehicle._templates
+        if not templates:
+            next(iter(()))  # StopIteration, as cycle() on an empty stripe
+        index = vehicle._payload_index
+        vehicle._payload_index = index + 1 if index + 1 < len(templates) else 0
+        wire = templates[index]
+        if wire is _UNBUILT:
+            wire = vehicle._build_template(index)
+        if wire is not None:
+            size = len(wire)
+        else:
+            wire = vehicle._payloads[index]
+            size = len(
+                vehicle.serde.serialize(
+                    {"data": wire, "generated_at": instant, "arrived_at": None}
+                )
+            )
+        wires.append(wire)
+        sizes.append(size)
+        stats = vehicle.stats
+        stats.records_sent += 1
+        stats.bytes_sent += size
+    eff_times = list(instants)
+    shapers = list(map(_SHAPER, vehicles))
+    for shaper in dict.fromkeys(shapers):  # one per RSU, or none
+        if shaper is None:
+            continue
+        rows = [row for row, owner in enumerate(shapers) if owner is shaper]
+        delays = shaper.send_block(
+            [vehicles[row]._leaf_name for row in rows],
+            [sizes[row] for row in rows],
+            [instants[row] for row in rows],
+        )
+        for row, delay in zip(rows, delays):
+            eff_times[row] = instants[row] + delay
+    frames = list(zip(wires, instants, repeat(channel)))
+    producers = list(map(_PRODUCER, vehicles))
+    start, count = 0, len(instants)
+    while start < count:
+        row = start + _first_degraded(producers[start:], instants[start:])
+        stop = min(row + 1, count)
+        channel.enqueue_block(
+            eff_times[start:stop],
+            sizes[start:stop],
+            vehicles[start:stop],
+            frames[start:stop],
+        )
+        start = stop
+        if row < count:
+            channel.flush_at(eff_times[row])
+
+
 def land_frames(delivered: List[Tuple[float, Tuple]]) -> None:
     """Land the frames one flush delivered, in delivery order.
 
     Each is a vehicle's channel row ``(eff_time, seq, size, vehicle,
     frame)`` with its delivery time, ``frame`` being ``(wire,
-    generated_at, sent_on)`` (:meth:`VehicleNode.emit_beacon`).  Per
+    generated_at, sent_on)`` (:func:`emit_beacons`).  Per
     frame, what a delivery event would have checked: a frame generated
     before its vehicle last changed road is abandoned (counted); one
     sent on another channel than its vehicle's now (on the air across a
@@ -57,12 +169,25 @@ def land_frames(delivered: List[Tuple[float, Tuple]]) -> None:
     ahead of it.  Consecutive frames bound for one steady broker land
     as one IN-DATA block (:func:`~repro.streaming.producer.send_block`);
     a frame whose broker is down or losing acks, or whose producer
-    holds a retry backlog, goes through ``Producer.send`` alone.
+    holds a retry backlog, goes through ``Producer.send`` alone.  When
+    no frame needs any of that — the steady state — the whole delivery
+    is one block, the checks made column-wise.
     """
-    now = delivered[0][1][3].sim.now
-    vehicles: List["VehicleNode"] = []
-    times: List[float] = []
-    frames: List[Tuple] = []
+    rows = list(map(itemgetter(1), delivered))
+    vehicles: List["VehicleNode"] = list(map(itemgetter(3), rows))
+    frames: List[Tuple] = list(map(itemgetter(4), rows))
+    producers = list(map(_PRODUCER, vehicles))
+    now = vehicles[0].sim.now
+    generated = map(itemgetter(1), frames)
+    if (
+        not any(map(lt, generated, map(_ROAD_SINCE, vehicles)))
+        and all(map(is_, map(itemgetter(2), frames), map(_CHANNEL, vehicles)))
+        and _first_degraded(producers, repeat(now)) == len(producers)
+        and len(set(map(_BROKER, producers))) == 1
+    ):
+        _land_block(vehicles, list(map(itemgetter(0), delivered)), frames)
+        return
+    vehicles, times, frames = [], [], []
     broker = None
     for at_time, (_, _, _, vehicle, frame) in delivered:
         if frame[1] < vehicle._road_since:
@@ -88,9 +213,9 @@ def _land_block(vehicles, times, frames) -> None:
     """Send the block gathered so far, and empty the lists."""
     if frames:
         send_block(
-            [vehicle._producer for vehicle in vehicles],
+            list(map(_PRODUCER, vehicles)),
             IN_DATA,
-            [vehicle._key_bytes for vehicle in vehicles],
+            list(map(_KEY, vehicles)),
             _wire_values(vehicles, frames, times),
             times,
         )
@@ -118,7 +243,7 @@ def _wire_values(
     """The wire bytes of frames delivered at ``times``.  Struct
     templates of one size are patched column-wise: one ``(n, size)``
     buffer whose two trailing f64 columns are written at once."""
-    wires = [frame[0] for frame in frames]
+    wires = list(map(itemgetter(0), frames))
     size = len(wires[0])
     if set(map(type, wires)) != {bytes} or set(map(len, wires)) != {size}:
         return [
@@ -128,12 +253,11 @@ def _wire_values(
     n = len(wires)
     joined = bytearray(b"".join(wires))
     stamps = np.empty((n, 2), dtype="<f8")
-    stamps[:, 0] = [frame[1] for frame in frames]
+    stamps[:, 0] = list(map(itemgetter(1), frames))
     stamps[:, 1] = times
     rows = np.frombuffer(joined, dtype=np.uint8).reshape(n, size)
     rows[:, size - 16 :] = stamps.view(np.uint8).reshape(n, 16)
-    data = bytes(joined)
-    return [data[at : at + size] for at in range(0, n * size, size)]
+    return rows.view(np.dtype((np.void, size))).ravel().tolist()
 
 
 @dataclass
@@ -209,7 +333,7 @@ class VehicleNode:
 
     The 10 Hz beacon grid is virtual: the vehicle joins its
     channel's cohort, and whoever flushes the channel first sends every
-    beacon due by then (:meth:`emit_beacon`: HTB charged at the beacon's
+    beacon due by then (:func:`emit_beacons`: HTB charged at the beacon's
     instant, the frame deferred as a row).  Contention resolves at the
     RSU's pre-poll flush, RNG draw order preserved; the frames one
     flush delivers land as one IN-DATA block (:func:`land_frames`).
@@ -285,10 +409,10 @@ class VehicleNode:
         self._producer.before_retry = self._flush_channel
         self.stats = VehicleStats()
         self._consumer: Optional[Consumer] = None
-        # The virtual beacon grid: the channel's heap entry while it
-        # runs (``[0]`` is the next instant), the loop's end, and the
-        # event of the next beacon while frames cannot wait (``arm``).
-        self._beacon: Optional[list] = None
+        # The virtual beacon grid: the channel's ticket for it while it
+        # runs, the loop's end, and the event of the next beacon while
+        # frames cannot wait (``arm``).
+        self._beacon: Optional[int] = None
         self._beacon_until: Optional[float] = None
         self._armed = None
         self._cancel_notify = None
@@ -358,8 +482,17 @@ class VehicleNode:
         self._beacon_until = until
         if until is not None and first >= until:
             return
-        self._beacon = self.channel.join(self, first)
+        self._beacon = self.channel.join(
+            self, first, self.update_period_s, until
+        )
         self.arm()
+
+    def _next_beacon(self) -> Optional[float]:
+        """The grid's first instant not sent yet; ``None`` once it
+        reached ``until`` or stopped."""
+        if self._beacon is None:
+            return None
+        return self.channel.next_beacon(self._beacon)
 
     def _stop_beacons(self) -> None:
         """Send the beacons due by now, then leave the grid."""
@@ -368,7 +501,6 @@ class VehicleNode:
             self._armed = None
         if self._beacon is not None:
             self.channel.emit_due(self.sim.now)
-        if self._beacon is not None:
             self.channel.leave(self._beacon)
             self._beacon = None
 
@@ -445,8 +577,14 @@ class VehicleNode:
             old_channel.flush(now)
             carried = old_channel.take_pending(self)
             if self._beacon is not None:
+                following = old_channel.next_beacon(self._beacon)
                 old_channel.leave(self._beacon)
-                self._beacon = new_channel.join(self, self._beacon[0])
+                self._beacon = None
+                if following is not None:
+                    self._beacon = new_channel.join(
+                        self, following, self.update_period_s,
+                        self._beacon_until,
+                    )
         self._record_departure()
         self.rsu = new_rsu
         self.channel = new_channel
@@ -559,10 +697,10 @@ class VehicleNode:
         """
         if self._detached:
             raise RuntimeError(f"vehicle {self.car_id} already detached")
-        # Sends the beacons due by now: ``_beacon[0]`` is the first
-        # instant not sent, None once the grid ran past ``until``.
+        # Sends the beacons due by now: the first instant not sent, None
+        # once the grid ran past ``until``.
         self.channel.flush(self.sim.now)
-        produce_next = None if self._beacon is None else self._beacon[0]
+        produce_next = self._next_beacon()
         # Settle against the broker being left, so that ``_next_poll``
         # is the first grid instant not before now.
         self._settle()
@@ -641,59 +779,6 @@ class VehicleNode:
         self._templates[index] = template
         return template
 
-    def emit_beacon(self, instant: float) -> Optional[float]:
-        """Send the beacon of grid instant ``instant`` (the channel calls
-        this, in kernel order, before it resolves contention); returns
-        the grid's next instant, or ``None`` once it reaches ``until``.
-
-        - HTB is charged at ``instant`` through
-          :meth:`~repro.net.htb.HtbShaper.send` (the shared root bucket
-          accrues lazily).
-        - The frame joins the channel's queue at its effective time,
-          carrying ``(wire, generated_at, sent_on)``: its wire template
-          (or, when the record does not struct-encode, its payload),
-          ``instant`` and this channel; :func:`land_frames` builds the
-          bytes.
-        - Its contention waits for the next flush unless the broker is
-          down or losing acks at ``instant`` or the producer holds a
-          retry backlog: then it resolves at its own instant.
-        """
-        payloads = self._payloads
-        if not payloads:
-            next(iter(()))  # StopIteration, as cycle() on an empty stripe
-        index = self._payload_index
-        self._payload_index = index + 1 if index + 1 < len(payloads) else 0
-        wire = self._templates[index]
-        if wire is _UNBUILT:
-            wire = self._build_template(index)
-        if wire is not None:
-            size = len(wire)
-        else:
-            wire = payloads[index]
-            size = len(
-                self.serde.serialize(
-                    {"data": wire, "generated_at": instant, "arrived_at": None}
-                )
-            )
-        shaper = self.shaper
-        if shaper is None:
-            eff_time = instant
-        else:
-            eff_time = instant + shaper.send(self._leaf_name, size, instant)
-        channel = self.channel
-        channel.enqueue(eff_time, size, self, (wire, instant, channel))
-        if self._degraded(instant):
-            channel.flush_at(eff_time)
-        stats = self.stats
-        stats.records_sent += 1
-        stats.bytes_sent += size
-        following = instant + self.update_period_s
-        until = self._beacon_until
-        if until is not None and following >= until:
-            self._beacon = None
-            return None
-        return following
-
     def arm(self) -> None:
         """While this vehicle's frames cannot wait for a flush (its
         broker down or losing acks, a retry backlog), its next beacon is
@@ -701,12 +786,12 @@ class VehicleNode:
         makes frames unable to wait calls this after sending the
         beacons due by then (``RsuNode.crash``/``fail``/
         ``drop_acks_until``, :meth:`migrate`)."""
-        beacon = self._beacon
-        if beacon is None or self._armed is not None:
+        if self._armed is not None:
             return
-        if self._degraded(self.sim.now):
+        following = self._next_beacon()
+        if following is not None and self._degraded(self.sim.now):
             self._armed = self.sim.at(
-                beacon[0],
+                following,
                 self._beacon_event,
                 label=f"vehicle-{self.car_id}-produce",
             )
@@ -716,16 +801,16 @@ class VehicleNode:
         self.channel.emit_due(self.sim.now)
         self.arm()
 
+    #: How the channel sends the beacons due at a flush.
+    emit_beacons = staticmethod(emit_beacons)
     #: How the channel lands the frames it delivered.
     land_frames = staticmethod(land_frames)
 
     def _degraded(self, at: float) -> bool:
         """Whether a frame of this vehicle sent or landing at ``at``
         cannot wait for a flush: the broker is down or losing acks, or
-        the producer holds a retry backlog."""
-        return at < self.rsu.broker.unsteady_until or bool(
-            self._producer._buffer
-        )
+        the producer holds a retry backlog (:func:`_first_degraded`)."""
+        return _first_degraded([self._producer], [at]) == 0
 
     def _land_one(self, at_time: float, frame: Tuple) -> None:
         """Deliver one frame through :meth:`Producer.send`: the path
@@ -755,15 +840,18 @@ class VehicleNode:
         limit = self.sim.now
         if self._poll_until is not None:
             limit = min(limit, self._poll_until)
+        read: List[Tuple[float, OwnRecord]] = []
         self._next_poll, refused = self._consumer.settle_polls(
             self._next_poll,
             self.poll_interval_s,
             limit,
             _POLL_MAX_RECORDS,
             self._own_unread,
-            self._receive_own,
+            lambda instant, entry: read.append((instant, entry)),
         )
         self.stats.poll_failures += refused
+        if read:
+            self._receive_own(read)
 
     def _own_warning_appended(self, metadata) -> None:
         """A warning for this car hit OUT-DATA: the poll at the first
@@ -777,15 +865,34 @@ class VehicleNode:
             ((OUT_DATA, metadata.partition), metadata.offset, self.sim.now)
         )
 
-    def _receive_own(self, instant: float, entry: OwnRecord) -> None:
-        """The poll at ``instant`` read this warning: decode the bytes
-        it fetched."""
-        (topic, partition), offset, _ = entry
-        log = self._consumer.broker.topic(topic).partition(partition)
-        value = self._out_serde.deserialize(log.read(offset, 1)[0].value)
-        self._receive_warning(
-            instant, float(value["t"]), float(value["generated_at"])
-        )
+    def _receive_own(self, read: List[Tuple[float, OwnRecord]]) -> None:
+        """The settled polls read these warnings, ``(instant, entry)`` in
+        the order the polls returned them: decode the bytes they fetched
+        (one batch decode when every value is struct-encoded) and
+        receive each."""
+        topic = self._consumer.broker.topic
+        values = [
+            topic(name).partitions[partition].value_at(offset)
+            for _, ((name, partition), offset, _) in read
+        ]
+        serde = self._out_serde
+        rows = None
+        if isinstance(serde, FlatStructSerde):
+            try:
+                rows = serde.decode_batch(values)
+            except SerdeError:
+                pass  # some value took the JSON fallback
+        if rows is not None:
+            detected = rows["t"].tolist()
+            generated = rows["generated_at"].tolist()
+        else:
+            decoded = [serde.deserialize(value) for value in values]
+            detected = [float(value["t"]) for value in decoded]
+            generated = [float(value["generated_at"]) for value in decoded]
+        for (instant, _), detected_at, generated_at in zip(
+            read, detected, generated
+        ):
+            self._receive_warning(instant, detected_at, generated_at)
 
     def _receive_warning(
         self, polled_at: float, detected_at: float, generated_at: float

@@ -219,16 +219,6 @@ class Fig8Result:
         return "\n".join(rows)
 
 
-def _trip_link_records(
-    dataset: SyntheticDataset,
-) -> Dict[int, List[TelemetryRecord]]:
-    by_trip: Dict[int, List[TelemetryRecord]] = {}
-    for record in dataset.records:
-        if record.road_type is RoadType.MOTORWAY_LINK:
-            by_trip.setdefault(record.trip_id, []).append(record)
-    return by_trip
-
-
 def _trace_trip(
     models: TrainedModels, trip_records: List[TelemetryRecord]
 ) -> List[Fig8Point]:

@@ -71,11 +71,6 @@ class PeakHourAssessment:
     def feasible(self) -> bool:
         return all(row.within_capacity for row in self.rows)
 
-    @property
-    def worst_utilisation(self) -> float:
-        """Max vehicles-per-RSU over the demonstrated 256 envelope."""
-        return max(row.vehicles_per_rsu / 256.0 for row in self.rows)
-
     def format_table(self) -> str:
         header = (
             f"{'Road type':<16}{'vehicles':>10}{'RSUs':>7}"

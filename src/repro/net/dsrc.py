@@ -26,10 +26,10 @@ The paper's MCS naming follows its ref. [24] (Bazzi et al.) and is
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from heapq import heappop, heappush, heapreplace
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -151,6 +151,117 @@ class DsrcMacModel:
         return int(deadline_s / per_vehicle)
 
 
+#: ``Generator.random()`` is the top 53 bits of one raw draw times 2**-53.
+_DOUBLE_UNIT = 2.0**-53
+_LOW32 = 0xFFFFFFFF
+_LOW64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _mac_draws(
+    bit_generator,
+    frames: int,
+    collision_prob: float,
+    cw_max: int,
+    loss_prob: float,
+) -> Tuple[List[int], List[bool]]:
+    """The backoff slots and loss flags of ``frames`` frames, drawn as
+    the per-frame MAC draws them from the channel's ``Generator`` — per
+    frame ``random() < collision_prob`` picks ``cw`` (``cw_max`` or
+    15), ``integers(0, cw + 1)`` the slots, then, only when ``loss_prob
+    > 0``, ``random() < loss_prob`` the loss — but off one
+    ``random_raw`` call, decoded in call order on Python ints.
+
+    numpy's 64-bit bit generators make ``random()`` of one raw
+    (``(raw >> 11) * 2**-53``) and draw bounded integers below 2**32
+    by Lemire's method over buffered 32-bit halves: the low half of a
+    fresh raw first, the high half kept (``has_uint32``/``uinteger``)
+    for the next bounded draw, a rejected half replaced by the next
+    one.  Wider bounds take whole raws.  The raws pre-drawn are exactly
+    those the frames take if no half is rejected; a rejection draws
+    more as needed, so nothing is over-drawn, and the buffered half is
+    written back: the bit generator ends as the per-frame draws leave
+    it.
+    """
+    state = bit_generator.state
+    if "has_uint32" not in state:
+        raise ValueError(
+            "the MAC needs a 64-bit bit generator "
+            f"(got {state['bit_generator']})"
+        )
+    has = state["has_uint32"]
+    half = state["uinteger"]
+    per_frame = 2 if loss_prob > 0.0 else 1
+
+    def fewest(left: int, has: int) -> int:
+        # raws the next ``left`` frames take when no half is rejected
+        return left * per_frame + (left - has + 1) // 2
+
+    draw = bit_generator.random_raw
+    raws = draw(fewest(frames, has)).tolist()
+    pos = 0
+    wide = cw_max + 1
+    halves = wide <= 1 << 32  # else Lemire over whole raws
+    wide_threshold = ((1 << (32 if halves else 64)) - wide) % wide
+    simple = halves and not wide_threshold
+    slots = [0] * frames
+    lost = [False] * frames
+    for frame in range(frames):
+        collided = (raws[pos] >> 11) * _DOUBLE_UNIT < collision_prob
+        pos += 1
+        if not collided or simple:
+            span = wide if collided else 16
+            if has:
+                has = 0
+                slots[frame] = (half * span) >> 32
+            else:
+                raw = raws[pos]
+                pos += 1
+                has = 1
+                half = raw >> 32
+                slots[frame] = ((raw & _LOW32) * span) >> 32
+        else:
+            # rejections possible: every raw taken is checked for
+            while True:
+                if not halves:
+                    if pos == len(raws):
+                        raws += draw(1).tolist()
+                    product = raws[pos] * wide
+                    pos += 1
+                    if product & _LOW64 >= wide_threshold:
+                        slots[frame] = product >> 64
+                        break
+                    continue
+                if has:
+                    has = 0
+                    value = half
+                else:
+                    if pos == len(raws):
+                        raws += draw(1).tolist()
+                    raw = raws[pos]
+                    pos += 1
+                    has = 1
+                    half = raw >> 32
+                    value = raw & _LOW32
+                product = value * wide
+                if product & _LOW32 >= wide_threshold:
+                    slots[frame] = product >> 32
+                    break
+            short = fewest(frames - frame - 1, has) + per_frame - 1 - (
+                len(raws) - pos
+            )
+            if short > 0:
+                raws += draw(short).tolist()
+        if per_frame == 2:
+            lost[frame] = (raws[pos] >> 11) * _DOUBLE_UNIT < loss_prob
+            pos += 1
+    if (has, half) != (state["has_uint32"], state["uinteger"]):
+        state = bit_generator.state
+        state["has_uint32"] = has
+        state["uinteger"] = half
+        bit_generator.state = state
+    return slots, lost
+
+
 class DsrcChannel:
     """Discrete-event shared DSRC medium.
 
@@ -203,64 +314,137 @@ class DsrcChannel:
         #: Lands delivered frames: called with ``[(delivery_time, row),
         #: ...]`` in delivery order (set by the first :meth:`join`).
         self.lander: Optional[Callable[[List[Tuple]], None]] = None
-        # The senders' virtual beacon grids: a heap of entries
-        # [next instant, join order, member] (member None once it left).
-        self._beacons: List[list] = []
+        #: Sends due beacons: called with the channel, the instants and
+        #: their members, in kernel order (set by the first :meth:`join`).
+        self.emitter: Optional[Callable] = None
+        # The senders' virtual beacon grids, as columns over cohort
+        # slots in join order: the next instant (+inf once the grid
+        # ended or its member left), the interval, the end (+inf: none)
+        # and the member with its ticket (None once retired).
+        self._next = np.empty(0)
+        self._interval = np.empty(0)
+        self._until = np.empty(0)
+        self._members: List[object] = []
+        self._ticket_of: List[Optional[int]] = []
+        self._slots: Dict[int, int] = {}  # ticket -> slot of a live grid
         self._joins = 0
         self._emitting = False
 
     # ------------------------------------------------------------------
     # Settled beacons
     # ------------------------------------------------------------------
-    def join(self, member, first: float) -> list:
-        """Register ``member``'s beacon grid, whose next instant is
-        ``first``; returns its entry (``entry[0]`` tracks the next
-        instant).  ``member.emit_beacon(instant)`` sends the beacon of
-        ``instant`` and returns the following one, or ``None`` when
-        the grid ends; ``member.land_frames`` lands delivered frames."""
-        entry = [first, self._joins, member]
+    def join(
+        self,
+        member,
+        first: float,
+        interval: float,
+        until: Optional[float] = None,
+    ) -> int:
+        """Register ``member``'s beacon grid ``first, first + interval,
+        ...`` (each instant its predecessor plus ``interval``) while an
+        instant is before ``until``; returns its ticket.  ``member``'s
+        class provides ``emit_beacons(channel, instants, members)``,
+        which sends the beacons of a flush, and ``land_frames``, which
+        lands delivered frames."""
+        slot = len(self._members)
+        if slot == len(self._next):
+            if len(self._slots) <= slot // 2:
+                slot = self._compact()
+            if slot == len(self._next):
+                grown = max(16, 2 * slot)
+                self._next = np.resize(self._next, grown)
+                self._interval = np.resize(self._interval, grown)
+                self._until = np.resize(self._until, grown)
+        self._next[slot] = first
+        self._interval[slot] = interval
+        self._until[slot] = np.inf if until is None else until
+        ticket = self._joins
         self._joins += 1
-        heappush(self._beacons, entry)
+        self._members.append(member)
+        self._ticket_of.append(ticket)
+        self._slots[ticket] = slot
         self.lander = member.land_frames
-        return entry
+        self.emitter = member.emit_beacons
+        return ticket
 
-    @staticmethod
-    def leave(entry: list) -> None:
-        """Drop a joined grid (its entry leaves the heap lazily)."""
-        entry[2] = None
+    def _compact(self) -> int:
+        """Drop the retired slots, keeping join order; returns the first
+        free slot."""
+        live = sorted(self._slots.values())
+        self._next[: len(live)] = self._next[live]
+        self._interval[: len(live)] = self._interval[live]
+        self._until[: len(live)] = self._until[live]
+        self._members = [self._members[slot] for slot in live]
+        self._ticket_of = [self._ticket_of[slot] for slot in live]
+        self._slots = {
+            ticket: slot for slot, ticket in enumerate(self._ticket_of)
+        }
+        return len(live)
+
+    def leave(self, ticket: int) -> None:
+        """Drop a joined grid (a no-op once it ended)."""
+        slot = self._slots.pop(ticket, None)
+        if slot is not None:
+            self._next[slot] = np.inf
+            self._members[slot] = self._ticket_of[slot] = None
+
+    def next_beacon(self, ticket: int) -> Optional[float]:
+        """The first instant of a joined grid not sent yet, or ``None``
+        once the grid ended or left."""
+        slot = self._slots.get(ticket)
+        return None if slot is None else float(self._next[slot])
 
     def emit_due(self, now: float) -> None:
         """Send every joined beacon whose instant is at or before
         ``now``, in the order their simulator events would have fired:
-        by instant across the members, ties in join order."""
-        beacons = self._beacons
-        if not beacons or beacons[0][0] > now or self._emitting:
+        by instant across the members, ties in join order.
+
+        The due instants come off the columns in rounds (a member is due
+        0 or 1 times per flush, rarely more), each round one vector add
+        of the intervals; one sort by instant, then slot, puts them in
+        kernel order and :attr:`emitter` sends them as one block.
+        Nothing joins or leaves while beacons are sent.
+        """
+        if self._emitting or not self._slots:
             return
+        upcoming = self._next[: len(self._members)]
+        due = np.flatnonzero(upcoming <= now)
+        if not due.size:
+            return
+        instants, slots, ended = [], [], []
+        while due.size:
+            at = upcoming[due]
+            instants.append(at)
+            slots.append(due)
+            following = at + self._interval[due]
+            over = following >= self._until[due]
+            if over.any():
+                following[over] = np.inf
+                ended.extend(due[over].tolist())
+            upcoming[due] = following
+            due = due[following <= now]
+        if len(slots) == 1:
+            # one instant per member: ties keep slot order, join order
+            order = at.argsort(kind="stable")
+            at, due = at[order], slots[0][order]
+        else:
+            at, due = np.concatenate(instants), np.concatenate(slots)
+            order = np.lexsort((due, at))
+            at, due = at[order], due[order]
+        members = list(map(self._members.__getitem__, due.tolist()))
         self._emitting = True
         try:
-            # Nothing joins while beacons are sent, so the entry being
-            # sent stays on top of the heap until it is moved.
-            while beacons and beacons[0][0] <= now:
-                entry = beacons[0]
-                member = entry[2]
-                following = None
-                if member is not None:
-                    following = member.emit_beacon(entry[0])
-                if following is None or entry[2] is None:
-                    heappop(beacons)
-                else:
-                    entry[0] = following
-                    heapreplace(beacons, entry)
+            self.emitter(self, at.tolist(), members)
         finally:
             self._emitting = False
+            for slot in ended:
+                self.leave(self._ticket_of[slot])
 
     def arm_degraded(self) -> None:
         """Let every joined member whose frames can no longer wait for a
         flush schedule its next beacon as an event (``member.arm()``)."""
-        for entry in list(self._beacons):
-            member = entry[2]
-            if member is not None:
-                member.arm()
+        for slot in sorted(self._slots.values()):
+            self._members[slot].arm()
 
     # ------------------------------------------------------------------
     # Deferred contention
@@ -289,6 +473,19 @@ class DsrcChannel:
             (eff_time, self._pending_seq, payload_bytes, owner, frame)
         )
         self._pending_seq += 1
+
+    def enqueue_block(
+        self,
+        eff_times: Sequence[float],
+        sizes: Sequence[int],
+        owners: Sequence[object],
+        frames: Sequence[object],
+    ) -> None:
+        """:meth:`enqueue` of each frame, in order."""
+        seq = self._pending_seq
+        self._pending_seq = seq + len(eff_times)
+        seqs = range(seq, self._pending_seq)
+        self._pending.extend(zip(eff_times, seqs, sizes, owners, frames))
 
     def take_pending(self, owner: object) -> List[Tuple]:
         """Remove and return ``owner``'s deferred frames (handover)."""
@@ -369,55 +566,54 @@ class DsrcChannel:
             return 0
         pending.sort(key=itemgetter(0, 1))
         self._pending = []
+        resolved = len(pending)
+        if pending[-1][0] > now:
+            resolved = bisect_right([row[0] for row in pending], now)
+            self._pending = pending[resolved:]
+        if not resolved:
+            return 0
         mac = self.mac
-        rng = self._rng
-        collision_prob = mac.collision_prob
-        cw_max = mac.cw_max
+        slots, lost = _mac_draws(
+            self._rng.bit_generator,
+            resolved,
+            mac.collision_prob,
+            mac.cw_max,
+            self.loss_prob,
+        )
         t_slot = mac.t_slot_s
         difs = mac.difs_s
-        loss_prob = self.loss_prob
         airtimes = self._airtime_cache
         sim_at = self.sim.at
         busy = self._busy_until
-        resolved = 0
+        airtime_total = self.total_airtime_s
         on_air = self._on_air
         delivered: List[Tuple[float, Tuple]] = []
-        for row in pending:
+        for row, slot, dropped in zip(pending, slots, lost):
             eff_time, seq, payload_bytes, owner, _ = row
-            if eff_time > now:
-                break
-            resolved += 1
-            if rng.random() < collision_prob:
-                cw = cw_max
-            else:
-                cw = 15
-            backoff = float(rng.integers(0, cw + 1)) * t_slot
             airtime = airtimes.get(payload_bytes)
             if airtime is None:
                 airtime = airtimes[payload_bytes] = mac.airtime_s(
                     self.mcs, payload_bytes
                 )
-            start = max(eff_time, busy) + difs + backoff
-            delivery = start + airtime
-            busy = self._busy_until = delivery
-            self.transmissions += 1
-            self.bytes_transmitted += payload_bytes
-            self.total_airtime_s += airtime
-            if loss_prob > 0.0 and rng.random() < loss_prob:
-                self.frames_lost += 1
+            busy = max(eff_time, busy) + difs + slot * t_slot + airtime
+            airtime_total += airtime
+            if dropped:
                 continue
-            if delivery <= now:
-                delivered.append((delivery, row))
+            if busy <= now:
+                delivered.append((busy, row))
             else:
-                on_air[seq] = (delivery, owner)
+                on_air[seq] = (busy, owner)
 
-                def land(t=delivery, row=row, seq=seq) -> None:
+                def land(t=busy, row=row, seq=seq) -> None:
                     del on_air[seq]
                     self.lander([(t, row)])
 
-                sim_at(delivery, land, label="dsrc-delivery")
-        if resolved < len(pending):
-            self._pending = pending[resolved:]
+                sim_at(busy, land, label="dsrc-delivery")
+        self._busy_until = busy
+        self.transmissions += resolved
+        self.bytes_transmitted += sum([row[2] for row in pending[:resolved]])
+        self.total_airtime_s = airtime_total
+        self.frames_lost += sum(lost)
         if delivered:
             self.lander(delivered)
         return resolved

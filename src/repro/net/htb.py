@@ -122,24 +122,48 @@ class HtbShaper:
         """
         if packet_bytes <= 0:
             raise ValueError(f"packet size must be positive: {packet_bytes}")
-        leaf = self.leaf(leaf_name)
+        return self._charge(self.leaf(leaf_name), packet_bytes, now)
+
+    def send_block(
+        self,
+        leaf_names: Sequence[str],
+        packet_sizes: Sequence[int],
+        instants: Sequence[float],
+    ) -> List[float]:
+        """:meth:`send` of each packet in order, packet ``i`` charged to
+        ``leaf_names[i]`` at ``instants[i]``; returns the delays.  A
+        packet its leaf's own tokens cover touches that leaf alone; only
+        a borrower reaches the shared root, in block order."""
+        if packet_sizes and min(packet_sizes) <= 0:
+            raise ValueError(
+                f"packet size must be positive: {min(packet_sizes)}"
+            )
+        try:
+            leaves = list(map(self._leaves.__getitem__, leaf_names))
+        except KeyError as missing:
+            raise KeyError(f"unknown HTB class {missing.args[0]!r}") from None
+        return list(map(self._charge, leaves, packet_sizes, instants))
+
+    def _charge(self, leaf: HtbClass, packet_bytes: int, now: float) -> float:
+        """One packet: the leaf, refilled at ``now``, pays what its
+        tokens cover; the root, refilled only then, lends the rest, or
+        the leaf waits for it."""
         leaf.refill(now)
         if leaf.tokens >= packet_bytes:
             leaf.tokens -= packet_bytes
             leaf.bytes_sent += packet_bytes
             return 0.0
-        self.root.refill(now)
+        root = self.root
+        root.refill(now)
         deficit = packet_bytes - leaf.tokens
-        if self.root.tokens >= deficit:
+        leaf.tokens = 0.0
+        leaf.bytes_sent += packet_bytes
+        if root.tokens >= deficit:
             # Borrow the deficit from the parent.
-            self.root.tokens -= deficit
-            leaf.tokens = 0.0
-            leaf.bytes_sent += packet_bytes
+            root.tokens -= deficit
             leaf.bytes_borrowed += deficit
             return 0.0
         # Neither own nor borrowable tokens: wait for the assured rate.
-        leaf.tokens = 0.0
-        leaf.bytes_sent += packet_bytes
         return deficit / (leaf.rate_bps / 8.0)
 
     def send_prioritized(

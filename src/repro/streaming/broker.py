@@ -8,6 +8,7 @@ experiments (Fig. 6c/6d) read.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.streaming.coordinator import GroupCoordinator
@@ -272,24 +273,32 @@ class Broker:
                 topic_name, keys, values, timestamps, producer_ids, sequences,
                 accepted,
             )
-        route = topic.route
-        indexes = [route(key) for key in keys]
-        grouped: Dict[int, Tuple[list, list, list]] = {}
-        for key, value, record_time, index in zip(
-            keys, values, timestamps, indexes
-        ):
-            group = grouped.setdefault(index, ([], [], []))
-            group[0].append(record_time)
-            group[1].append(key)
-            group[2].append(value)
+        indexes = topic.route_block(keys)
+        partitions = topic.partitions
+        present = set(indexes)
+        before = sum([partitions[index].bytes_in for index in present])
+        if len(present) == 1:
+            groups = [(indexes[0], timestamps, keys, values)]
+        else:
+            groups = []
+            for index in present:
+                mask = list(map(index.__eq__, indexes))
+                groups.append(
+                    (
+                        index,
+                        list(compress(timestamps, mask)),
+                        list(compress(keys, mask)),
+                        list(compress(values, mask)),
+                    )
+                )
         next_offset = {
-            index: topic.partitions[index].append_block(
-                group[0], group[1], group[2], now
-            )
-            for index, group in grouped.items()
+            index: partitions[index].append_block(times, keys_, values_, now)
+            for index, times, keys_, values_ in groups
         }
         topic.version += len(indexes)
-        self.bytes_in += sum(map(len, values)) + sum(len(k) for k in keys if k)
+        self.bytes_in += (
+            sum([partitions[index].bytes_in for index in present]) - before
+        )
         self.records_in += len(indexes)
         keyed = self._keyed_notify.get(topic_name)
         offsets = []
@@ -312,8 +321,7 @@ class Broker:
         for state_key, (sequence, position) in accepted.items():
             self._producer_state[state_key] = (sequence, metadata(position))
         if keyed:
-            for position, key in enumerate(keys):
-                callback = keyed.get(key)
+            for position, callback in enumerate(map(keyed.get, keys)):
                 if callback is not None:
                     callback(metadata(position))
         if indexes and now < self._drop_acks_until:

@@ -10,8 +10,10 @@ relies on ("each Kafka consumer pulls every 10 ms").
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from operator import itemgetter, lt, not_
 from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.streaming.broker import Broker
 from repro.streaming.records import BlockSegment, ConsumerRecord
@@ -23,6 +25,30 @@ _consumer_ids = itertools.count(1)
 #: A record :meth:`Consumer.settle_polls` must hand to its caller:
 #: ``((topic, partition), offset, broker clock at its append)``.
 OwnRecord = Tuple[Tuple[str, int], int, float]
+
+
+def grid_before(
+    first: float, interval: float, limit: float
+) -> Tuple[np.ndarray, float]:
+    """The grid instants ``first, first + interval, ...`` strictly
+    before ``limit``, and the first one at or past it.
+
+    Each instant is its predecessor plus ``interval``, one float
+    addition at a time, as a recurrence accumulates them:
+    ``np.add.accumulate`` is a left fold, so the array equals repeated
+    ``+=`` bit for bit.
+    """
+    if not first < limit:
+        return np.empty(0), first
+    steps = np.full(int((limit - first) / interval) + 2, interval)
+    steps[0] = first
+    instants = np.add.accumulate(steps)
+    while instants[-1] < limit:
+        # rounding left the estimate short: continue from the last one
+        steps[0] = instants[-1]
+        instants = np.concatenate((instants[:-1], np.add.accumulate(steps)))
+    count = int(np.searchsorted(instants, limit, "left"))
+    return instants[:count], float(instants[count])
 
 
 class Consumer:
@@ -145,10 +171,6 @@ class Consumer:
     @property
     def assigned_partitions(self) -> List[Tuple[str, int]]:
         return sorted(self._positions)
-
-    @property
-    def subscriptions(self) -> List[str]:
-        return list(self._subscriptions)
 
     def seek_to_end(self) -> None:
         """Skip to the log end of every subscribed partition (consume
@@ -344,10 +366,8 @@ class Consumer:
             instant = self._settle_served(
                 instant, interval, down_at, max_records, own, receive
             )
-            back_up = min(up_at, limit)
-            while instant < back_up:
-                refused += 1
-                instant += interval
+            polls, instant = grid_before(instant, interval, min(up_at, limit))
+            refused += len(polls)
         return (
             self._settle_served(
                 instant, interval, limit, max_records, own, receive
@@ -366,52 +386,51 @@ class Consumer:
     ) -> float:
         """:meth:`settle_polls` over a stretch the broker was up for.
 
-        While the records appended by a run of instants fit one poll's
-        budget, each of its polls drained its partitions: the budget
-        rule at the run's last instant settles them all, and an own
-        record was read at the run's first instant at or after its
-        append.  The stretch is cut into the longest such runs; where
-        not even one poll drains, that poll alone is the run and the
-        budget cuts it short.
+        A poll whose backlog fits the budget drains its partitions, and
+        the poll after a draining one sees only what was appended in
+        between.  So the stretch splits at the polls that find more than
+        the budget appended since the instant before: up to such a poll
+        every poll drained (positions end at the log ends of the last
+        instant before it, and an own record was read at the first
+        instant at or after its append); the overflowing poll takes the
+        budget in partition order and leaves the rest, and the polls
+        after it catch up one at a time until one drains again.
+
+        In arrays: one search per partition gives its log end at every
+        instant.  Positions never pass those ends (a position is a log
+        end as of an earlier instant), so a poll's backlog is the summed
+        ends less the summed positions, and the overflowing polls of a
+        drained stretch are where the summed ends step by more than the
+        budget.
         """
-        instants = []
-        while first < limit:
-            instants.append(first)
-            first += interval
-        positions = self._positions
+        instants, following = grid_before(first, interval, limit)
+        count = len(instants)
         logs = self._poll_logs
-
-        def ends_at(index: int) -> List[int]:
-            instant = instants[index]
-            return [log.end_offset_at(instant) for _, log in logs]
-
-        def overflows(ends: List[int]) -> bool:
-            backlog = 0
-            for (key, _), end in zip(logs, ends):
-                if end > positions[key]:
-                    backlog += end - positions[key]
-            return backlog > max_records
-
-        start, count = 0, len(instants)
+        if not count or not logs:
+            return following
+        positions = self._positions
+        ends = [log.end_offset_at(instants) for _, log in logs]
+        assert all(
+            positions[key] <= end[0] for (key, _), end in zip(logs, ends)
+        ), "a read position passed its log end"
+        summed = ends[0] if len(ends) == 1 else np.add.reduce(ends)
+        steps = np.flatnonzero(np.diff(summed) > max_records) + 1
+        start = 0
         while start < count:
-            # The run [start, stop): bisect for the first instant whose
-            # backlog overflows the budget (backlogs only grow).
-            stop = count
-            ends = ends_at(count - 1)
-            if overflows(ends):
-                low, stop = start, count - 1
-                while low < stop:
-                    middle = (low + stop) // 2
-                    if overflows(ends_at(middle)):
-                        stop = middle
-                    else:
-                        low = middle + 1
-                stop = max(stop, start + 1)
-                ends = ends_at(stop - 1)
+            held = sum([positions[key] for key, _ in logs])
+            cut = summed[start] - held > max_records
+            if cut:
+                stop = start + 1
+            else:
+                # drained up to the next poll that overflows on its own
+                later = steps[steps.searchsorted(start, "right") :]
+                stop = int(later[0]) if later.size else count
             budget = max_records
             for (key, log), end in zip(logs, ends):
                 position = positions[key]
-                take = min(budget, end - position)
+                take = int(end[stop - 1]) - position
+                if cut:
+                    take = min(budget, take)
                 if take > 0:
                     nbytes = log.range_bytes(position, take)
                     positions[key] = position + take
@@ -421,17 +440,25 @@ class Consumer:
                     self.broker.records_out += take
                     self.broker.bytes_out += nbytes
             if own:
-                reads = sorted(
-                    (instants[max(start, bisect_left(instants, e[2]))], e)
-                    for e in own
-                    if e[1] < positions[e[0]]
+                passed = list(
+                    map(
+                        lt,
+                        map(itemgetter(1), own),
+                        map(positions.__getitem__, map(itemgetter(0), own)),
+                    )
                 )
-                if reads:
-                    own[:] = [e for e in own if e[1] >= positions[e[0]]]
-                    for instant, entry in reads:
+                if True in passed:
+                    read = list(itertools.compress(own, passed))
+                    own[:] = list(itertools.compress(own, map(not_, passed)))
+                    # each at the first instant at or after its append
+                    # that a poll of this stretch ran
+                    clocks = list(map(itemgetter(2), read))
+                    at = instants.searchsorted(clocks, "left")
+                    polled = instants[np.maximum(at, start)].tolist()
+                    for instant, entry in sorted(zip(polled, read)):
                         receive(instant, entry)
             start = stop
-        return first
+        return following
 
     def commit(self) -> None:
         """Explicitly commit current positions (manual-commit mode)."""

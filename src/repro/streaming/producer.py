@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Optional, Sequence
+from typing import Any, Callable, Deque, List, Optional, Sequence
 
 from repro.obs import metrics as obs_metrics
 from repro.streaming.broker import Broker, BrokerUnavailable
@@ -231,13 +231,19 @@ class Producer:
         """Buffered records the broker's log does not hold.  A record
         whose ack was lost is appended already and waits here only for
         a retry the broker will reject as a duplicate."""
+        return len(self._unappended())
+
+    def _unappended(self) -> List[_Pending]:
+        """The buffered records the broker's log does not hold, in
+        order (all of them without idempotence: nothing tells)."""
         if not self.idempotent:
-            return len(self._buffer)
+            return list(self._buffer)
         last_sequence = self.broker.last_sequence
-        return sum(
-            pending.sequence > last_sequence(self.client_id, pending.topic)
+        return [
+            pending
             for pending in self._buffer
-        )
+            if pending.sequence > last_sequence(self.client_id, pending.topic)
+        ]
 
     def _schedule_flush(self) -> None:
         if self._flush_scheduled or self.sim is None or not self._buffer:
@@ -278,15 +284,21 @@ class Producer:
         failover), replaying any buffered records there.
 
         Sequence numbers keep counting up, so idempotent dedupe stays
-        correct on the new broker too.  With ``drop_pending`` the
-        buffer is discarded instead (and what the old broker had not
-        appended counted as abandoned) — for rebinds where the buffered
-        data is stale, e.g. a handover to a different road whose RSU
-        has no model for the old records.
+        correct on the new broker too.  A buffered record the old
+        broker already appended (only its ack was lost) is not
+        replayed: the new broker has no dedupe state for it and would
+        append it a second time.  With ``drop_pending`` the buffer is
+        discarded instead (and what the old broker had not appended
+        counted as abandoned) — for rebinds where the buffered data is
+        stale, e.g. a handover to a different road whose RSU has no
+        model for the old records.
         """
-        if drop_pending and self._buffer:
-            self.records_abandoned += self.buffered_unappended
-            self._buffer.clear()
+        if self._buffer:
+            unappended = self._unappended()
+            if drop_pending:
+                self.records_abandoned += len(unappended)
+                unappended = []
+            self._buffer = deque(unappended)
         self.broker = broker
         if self._buffer:
             self._attempt = 0

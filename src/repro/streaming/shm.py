@@ -140,12 +140,6 @@ class ShmRing:
         ]
         return memoryview(joined)
 
-    def _read_at(self, cursor: int, length: int) -> bytes:
-        view = self.view_at(cursor, length)
-        data = bytes(view)
-        view.release()
-        return data
-
     def push(self, kind: int, payload: bytes) -> None:
         """Append one frame; raises :class:`RingFull` if it won't fit."""
         frame_size = _FRAME_HEADER.size + len(payload)

@@ -10,9 +10,12 @@ partition, as in Kafka).
 from __future__ import annotations
 
 import zlib
-from bisect import bisect_right
+from array import array
 from itertools import accumulate, count, islice
-from typing import List, Optional, Sequence, Tuple
+from operator import add
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.streaming.records import StoredRecord
 from repro.streaming.serde import STRUCT_MAGIC
@@ -90,11 +93,12 @@ class Partition:
         # ``[0, k)``, so any fetch range's byte accounting is two list
         # lookups instead of a per-record sum.  ``_append_clock[k]`` is
         # the broker clock when record ``k`` was appended (monotone,
-        # unlike timestamps): the log end as of an instant is a bisect.
+        # unlike timestamps), a growable float64 array: the log ends as
+        # of any number of instants are one search.
         if retention_records is None:
             self._slab: Optional[_Slab] = _Slab()
             self._cum_sizes: Optional[List[int]] = [0]
-            self._append_clock: Optional[List[float]] = []
+            self._append_clock: Optional[array] = array("d")
         else:
             self._slab = None
             self._cum_sizes = None
@@ -165,16 +169,19 @@ class Partition:
         self._timestamps.extend(timestamps)
         self._keys.extend(keys)
         self._values.extend(values)
-        sizes = [
-            len(value) + (len(key) if key else 0)
-            for key, value in zip(keys, values)
-        ]
+        if None in keys:
+            sizes = [
+                len(value) + (len(key) if key else 0)
+                for key, value in zip(keys, values)
+            ]
+        else:
+            sizes = list(map(add, map(len, values), map(len, keys)))
         self.bytes_in += sum(sizes)
         if self._cum_sizes is not None:
             self._cum_sizes.extend(
                 islice(accumulate(sizes, initial=self._cum_sizes[-1]), 1, None)
             )
-            self._append_clock.extend([appended_at] * len(sizes))
+            self._append_clock.extend(array("d", [appended_at]) * len(sizes))
         if self._slab is not None and values:
             # ``append``'s rule for the whole block: every value of the
             # slab's width and led by the struct magic, or no slab.
@@ -248,12 +255,18 @@ class Partition:
         """Offset the next record will receive (Kafka's log-end offset)."""
         return self._start_offset + len(self._values)
 
-    def end_offset_at(self, instant: float) -> int:
-        """The log-end offset a fetch at ``instant`` saw: every append
-        clocked at or before it counts."""
+    def end_offset_at(self, instants):
+        """The log-end offset a fetch at each of ``instants`` (an array,
+        or one instant) saw: every append clocked at or before it
+        counts."""
         if self._append_clock is None:
             raise ValueError("a retention-bounded log keeps no append clock")
-        return bisect_right(self._append_clock, instant)
+        clock = np.frombuffer(self._append_clock, dtype=np.float64)
+        return clock.searchsorted(instants, "right")
+
+    def value_at(self, offset: int) -> bytes:
+        """The value bytes of the retained record at ``offset``."""
+        return self._values[offset - self._start_offset]
 
     def __len__(self) -> int:
         return len(self._values)
@@ -278,6 +291,9 @@ class Topic:
             for i in range(num_partitions)
         ]
         self._round_robin = 0
+        #: Key -> partition index of every keyed record routed so far
+        #: (a vehicle's key never changes, so blocks route by lookup).
+        self._routes: Dict[bytes, int] = {}
         #: Bumped by the broker on every produce to any partition.  An
         #: idle consumer that saw version ``v`` with all its positions
         #: at the log end can answer its next poll with one integer
@@ -298,7 +314,18 @@ class Topic:
             index = self._round_robin
             self._round_robin = (self._round_robin + 1) % self.num_partitions
             return index
-        return zlib.crc32(key) % self.num_partitions
+        index = self._routes.get(key)
+        if index is None:
+            index = self._routes[key] = zlib.crc32(key) % self.num_partitions
+        return index
+
+    def route_block(self, keys: Sequence[Optional[bytes]]) -> List[int]:
+        """:meth:`route` of each of ``keys``, in order: one lookup per
+        key once every key has been routed before."""
+        try:
+            return list(map(self._routes.__getitem__, keys))
+        except KeyError:  # a new key, or an unkeyed record
+            return [self.route(key) for key in keys]
 
     def partition(self, index: int) -> Partition:
         if not 0 <= index < self.num_partitions:

@@ -5,6 +5,8 @@ import pytest
 from repro.core import ScenarioSpec, TestbedScenario
 from repro.core.system import default_training_dataset
 from repro.geo import RoadType
+from repro.obs.audit import audit_scenario
+from repro.streaming.producer import RetryPolicy
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,37 @@ class TestRsuFailure:
         assert all(v.rsu is not failed for v in scenario.vehicles)
         # Detection continued: fallback kept issuing events past t=2.
         assert any(e.detected_at > 3.0 for e in fallback.events)
+
+    def test_failover_inside_an_ack_loss_window_appends_each_record_once(
+        self, training_dataset
+    ):
+        """Records the dead RSU appended while its acks were lost sit in
+        the retry buffers at the failover; the fallback must not append
+        them again, or the telemetry audit counts them twice."""
+        config = ScenarioSpec(
+            n_vehicles=8, duration_s=3.0, seed=5, producer_retry=RetryPolicy()
+        )
+        scenario = TestbedScenario.corridor(
+            config, motorways=2, dataset=training_dataset
+        )
+        failed = scenario.rsus["rsu-mw-1"]
+        held = []
+
+        def held_by_the_dead_broker() -> None:
+            held.append(
+                sum(
+                    v._producer.buffered - v._producer.buffered_unappended
+                    for v in scenario.vehicles
+                    if v.rsu is failed
+                )
+            )
+
+        scenario.sim.at(1.0, lambda: failed.drop_acks_until(2.0))
+        scenario.sim.at(1.299, held_by_the_dead_broker)
+        scenario.schedule_failover("rsu-mw-1", "rsu-mw-2", at_s=1.3)
+        scenario.run()
+        assert held[0] > 0  # the window really left appended records buffered
+        assert audit_scenario(scenario).failures == []
 
     def test_failover_to_self_rejected(self, training_dataset):
         config = ScenarioSpec(n_vehicles=4, duration_s=1.0, seed=5)

@@ -251,3 +251,66 @@ class TestSendDeferredEquivalence:
     def test_send_deferred_unknown_leaf(self):
         with pytest.raises(KeyError):
             self._shaper().send("ghost", 100, 0.0)
+
+
+class TestRawStreamDraws:
+    """A flush decodes its frames' MAC randoms from one ``random_raw``
+    call: ``random()`` from a whole raw, the bounded backoff by Lemire's
+    method over buffered 32-bit halves (rejections included), the loss
+    draw only on a lossy channel.  Held here to the per-frame
+    ``_reference_transmit`` draw for draw, bit generator state included,
+    across flushes that leave a half buffered."""
+
+    @pytest.mark.parametrize("primed", [False, True])
+    @pytest.mark.parametrize("loss_prob", [0.0, 0.3])
+    @pytest.mark.parametrize("cw_max", [255, 2**31, 2**33])
+    def test_flushes_draw_as_per_frame_transmits(
+        self, cw_max, loss_prob, primed
+    ):
+        # collisions often enough that cw_max's draws (which at 2**31
+        # reject about half of all halves) are many
+        mac = DsrcMacModel(cw_max=cw_max, collision_prob=0.5)
+        reference = DsrcChannel(
+            Simulator(), mac=mac, rng=np.random.default_rng(11),
+            loss_prob=loss_prob,
+        )
+        batched = DsrcChannel(
+            Simulator(), mac=mac, rng=np.random.default_rng(11),
+            loss_prob=loss_prob,
+        )
+        if primed:
+            # enter the first flush with an odd half buffered
+            for channel in (reference, batched):
+                channel._rng.integers(0, 16)
+        expected, got = [], []
+        deliver_to_callbacks(batched)
+        sizes = _frame_sizes(1, 40)
+        # odd-sized flushes carry a buffered half from one to the next
+        for count in (7, 5, 1, 12, 3):
+            block, sizes = sizes[:count], sizes[count:]
+            for size in block:
+                _reference_transmit(reference, size, expected.append)
+                batched.enqueue(0.0, size, None, got.append)
+            assert batched.flush(100.0) == count
+            assert (
+                batched._rng.bit_generator.state
+                == reference._rng.bit_generator.state
+            )
+        reference.sim.run()
+        batched.sim.run()  # wide windows deliver past the flush instant
+        assert got == expected
+        assert batched.frames_lost == reference.frames_lost
+        assert (loss_prob > 0) == (batched.frames_lost > 0)
+        assert batched.transmissions == reference.transmissions
+        assert batched.total_airtime_s == reference.total_airtime_s
+        assert batched._busy_until == reference._busy_until
+
+    def test_a_32_bit_generator_is_refused(self):
+        """Only 64-bit bit generators buffer halves the way the decoder
+        reads them."""
+        channel = DsrcChannel(
+            Simulator(), rng=np.random.Generator(np.random.MT19937(0))
+        )
+        channel.enqueue(0.0, 200)
+        with pytest.raises(ValueError, match="64-bit"):
+            channel.flush(1.0)

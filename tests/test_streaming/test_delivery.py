@@ -179,6 +179,33 @@ class TestRebind:
         )
         assert appended == 1
 
+    def test_rebind_does_not_replay_what_the_old_broker_holds(
+        self, sim, broker
+    ):
+        """A failover rebind inside an ack-loss window: the record the
+        old broker appended (only its ack was lost) is not appended on
+        the new one, which has no dedupe state for it; the refused one
+        is."""
+        producer = _resilient_producer(broker, sim)
+        broker.drop_acks_until(0.2)
+        assert producer.send("IN-DATA", {"n": 1}, key="k") is None
+        broker.shutdown()
+        assert producer.send("IN-DATA", {"n": 2}, key="k") is None
+        fallback = Broker("rsu-2", clock=lambda: sim.now)
+        fallback.create_topic("IN-DATA")
+        producer.rebind(fallback)
+        sim.run_until(1.0)
+        assert producer.buffered == 0
+        consumer = Consumer(fallback)
+        consumer.subscribe(["IN-DATA"])
+        assert [r.value["n"] for r in consumer.poll()] == [2]
+        appended = sum(
+            log.end_offset
+            for b in (broker, fallback)
+            for log in b.topic("IN-DATA").partitions
+        )
+        assert appended == 2
+
     def test_without_idempotence_every_buffered_record_is_unappended(
         self, sim, broker
     ):

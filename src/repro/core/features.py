@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -281,7 +282,7 @@ class WarningMessage:
             "car": cars,
             "rd": roads,
             "t": [round(detected_at, 6)] * n,
-            "spd": [round(speed, 2) for speed in speeds],
+            "spd": list(map(round, speeds, repeat(2))),
             "kind": [WarningMessage.kind] * n,
         }
 

@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter, is_, itemgetter, lt, truth
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.features import IN_DATA, OUT_DATA, record_to_payload
+from repro.core.wire import TelemetryStructSerde
 from repro.dataset.schema import TelemetryRecord
 from repro.net.dsrc import DsrcChannel
-from repro.net.htb import HtbShaper
+from repro.net.htb import HtbShaper, repeat_ranks
 from repro.simkernel.simulator import Simulator
 from repro.streaming.broker import BrokerUnavailable
 from repro.streaming.consumer import Consumer, OwnRecord
@@ -31,148 +32,288 @@ from repro.streaming.serde import (
     RawSerde,
     Serde,
     SerdeError,
-    STRUCT_MAGIC,
 )
 
-#: Template patch: the telemetry struct layout ends in
-#: ``generated_at f64 | arrived_at f64``, so a pre-serialized frame is
-#: finalized by packing both timestamps over its last 16 bytes.
+#: The telemetry struct layout ends ``generated_at f64 | arrived_at
+#: f64``: a template is finalized by packing both over its last 16 bytes.
 _TS_PATCH = struct.Struct("<dd")
+
+#: Bytes of a struct-encoded telemetry frame: a payload-store row.
+_WIRE = TelemetryStructSerde.DTYPE.itemsize
 
 #: Records one warning poll may fetch (the consumer's default budget).
 _POLL_MAX_RECORDS = 500
 
-#: Marker for a stripe record whose wire template has not been built yet
-#: (templates are serialized on first send, not eagerly for the whole
-#: stripe — replay touches only a fraction of a large stripe).
-_UNBUILT = object()
 
-
-#: What :func:`_first_degraded` reads off a vehicle's producer, which
-#: is bound to its RSU's broker: the broker's unsteady horizon and the
-#: retry backlog, one C-level fetch each.
+#: Vehicle and producer fields read a block at a time.
 _UNSTEADY_UNTIL = attrgetter("broker.unsteady_until")
 _BACKLOG = attrgetter("_buffer")
 _BROKER = attrgetter("broker")
 _PRODUCER = attrgetter("_producer")
-_SHAPER = attrgetter("shaper")
 _ROAD_SINCE = attrgetter("_road_since")
 _CHANNEL = attrgetter("channel")
 _KEY = attrgetter("_key_bytes")
 
 
 def _first_degraded(
-    producers: Sequence[Producer], instants: Iterable[float]
+    producers: Sequence[Producer], instants: Sequence[float]
 ) -> int:
-    """Index of the first of ``producers`` whose vehicle's frame, sent
-    or landing at its instant, cannot wait for a flush — its broker is
-    down or losing acks then, or it holds a retry backlog;
-    ``len(producers)`` if none.  The one "may this frame wait" rule
-    (:meth:`VehicleNode._degraded` asks it of one frame)."""
+    """Index of the first of ``producers`` whose frame, sent or landing
+    at its instant (``instants`` ascending), cannot wait for a flush:
+    its broker is down or losing acks then, or it holds a retry
+    backlog; ``len(producers)`` if none."""
     first = len(producers)
-    for flags in (
-        list(map(lt, instants, map(_UNSTEADY_UNTIL, producers))),
-        list(map(truth, map(_BACKLOG, producers))),
-    ):
-        if True in flags:
-            first = min(first, flags.index(True))
+    if any(map(_BACKLOG, producers)):
+        first = list(map(truth, map(_BACKLOG, producers))).index(True)
+    for broker in set(map(_BROKER, producers)):
+        # no later instant is before the horizon if the first is not
+        if producers and instants[0] < broker.unsteady_until:
+            flags = list(map(lt, instants, map(_UNSTEADY_UNTIL, producers)))
+            if True in flags:
+                first = min(first, flags.index(True))
+            break
     return first
 
 
-def emit_beacons(
-    channel: DsrcChannel,
-    instants: List[float],
-    vehicles: List["VehicleNode"],
-) -> None:
-    """Send the beacon of grid instant ``instants[i]`` of
-    ``vehicles[i]``, in kernel order: ``channel``'s cohort hands over
-    the beacons due at a flush before it resolves contention.
+#: A fleet slot's fields: stripe's first store row, length, next record
+#: to replay, beacons and bytes sent since the stats last folded them,
+#: shaper (index into ``Fleet._shapers``, -1: none) and its leaf's row.
+_STRIPE, _LENGTH, _REPLAY, _SENT, _SENT_BYTES, _SHAPED, _LEAF_ROW = range(7)
+_COUNTED = np.array([1, _WIRE])  # what a struct beacon adds to the counts
 
-    - Each beacon replays its vehicle's next stripe record: its wire
-      template, built on first use (or, when the record does not
-      struct-encode, its payload, sized by serializing its envelope).
-    - HTB is charged at each instant, the whole block in order
-      (:meth:`~repro.net.htb.HtbShaper.send_block`).
-    - The frames join the channel's queue at their effective times as
-      one block of rows, each carrying ``(wire, generated_at,
-      sent_on)``: :func:`land_frames` builds the bytes.
-    - A vehicle that cannot wait for a flush at its instant (broker
-      down or losing acks, a retry backlog: ``_degraded``) ends the
-      block: its frame resolves at its own instant (``flush_at``), and
-      the predicate is evaluated afresh for the beacons after it.
-    """
-    wires: List[object] = []
-    sizes: List[int] = []
-    for instant, vehicle in zip(instants, vehicles):
-        templates = vehicle._templates
-        if not templates:
-            next(iter(()))  # StopIteration, as cycle() on an empty stripe
-        index = vehicle._payload_index
-        vehicle._payload_index = index + 1 if index + 1 < len(templates) else 0
-        wire = templates[index]
-        if wire is _UNBUILT:
-            wire = vehicle._build_template(index)
-        if wire is not None:
-            size = len(wire)
-        else:
-            wire = vehicle._payloads[index]
-            size = len(
-                vehicle.serde.serialize(
-                    {"data": wire, "generated_at": instant, "arrived_at": None}
-                )
+
+class Fleet:
+    """The data plane of one :class:`DsrcChannel`'s vehicles, as
+    columns over its cohort slots (``channel.columns["fleet"]``): each
+    joined stripe's wire templates as rows of one append-only ``(rows,
+    71)`` store (``TelemetryStructSerde.encode_templates``), each slot's
+    replay position, send counters and HTB leaf; the OUT-DATA appends
+    keyed with its vehicles' car ids reach it once per block
+    (:meth:`warned`).  A beacon's frame is ``(store row, generated_at,
+    sent_on)``."""
+
+    def __init__(self, channel: DsrcChannel) -> None:
+        self.channel = channel
+        capacity = len(channel.columns["next"])
+        channel.columns["fleet"] = np.zeros((capacity, 7), dtype=np.int64)
+        self._rows = np.zeros((0, _WIRE), dtype=np.uint8)
+        self._struct = np.zeros(0, dtype=bool)
+        self._all_struct = True
+        self._empty = False  # a stripe joined empty
+        self._payloads: List[dict] = []
+        # Per store row, its vehicle's producer and record key.
+        self._producers: List[Producer] = []
+        self._keys: List[bytes] = []
+        # When a vehicle here last changed road or channel.
+        self._moved = float("-inf")
+        self._shapers: List[HtbShaper] = []
+        self._brokers: List = []
+        self._retrying = False
+        self._owners: Dict[bytes, "VehicleNode"] = {}
+        channel.fleet = self
+        channel.emitter = self.emit
+        channel.lander = self.land
+
+    @classmethod
+    def of(cls, channel: DsrcChannel) -> "Fleet":
+        """``channel``'s fleet, made on first use."""
+        return channel.fleet or cls(channel)
+
+    def joined(self, slot: int, vehicle: "VehicleNode") -> None:
+        """Store ``vehicle``'s stripe for ``slot``; replay resumes where
+        the vehicle left off."""
+        start = len(self._payloads)
+        stop = start + len(vehicle._payloads)
+        if stop > len(self._rows):
+            capacity = max(stop, 2 * len(self._rows))
+            self._rows = np.resize(self._rows, (capacity, _WIRE))
+            self._struct = np.resize(self._struct, capacity)
+        self._rows[start:stop] = vehicle._templates
+        self._struct[start:stop] = vehicle._encodable
+        self._all_struct = self._all_struct and bool(vehicle._encodable.all())
+        self._empty = self._empty or start == stop
+        self._payloads.extend(vehicle._payloads)
+        self._producers.extend(repeat(vehicle._producer, stop - start))
+        self._keys.extend(repeat(vehicle._key_bytes, stop - start))
+        self.channel.columns["fleet"][slot, :_SHAPED] = (
+            start, stop - start, vehicle._replay, 0, 0
+        )
+        self.shape(slot, vehicle)
+
+    def shape(self, slot: int, vehicle: "VehicleNode") -> None:
+        """Point ``slot`` at the HTB leaf of ``vehicle``'s shaper."""
+        shaper = vehicle.shaper
+        leaf = (-1, 0)
+        if shaper is not None:
+            if shaper not in self._shapers:
+                self._shapers.append(shaper)
+            leaf = (self._shapers.index(shaper), shaper.row(vehicle._leaf_name))
+        self.channel.columns["fleet"][slot, _SHAPED:] = leaf
+
+    def fold(self, slot: int, vehicle: "VehicleNode") -> None:
+        """Move the slot's send counters into ``vehicle``'s stats."""
+        state = self.channel.columns["fleet"]
+        stats = vehicle._stats
+        stats.records_sent += state[slot, _SENT].item()
+        stats.bytes_sent += state[slot, _SENT_BYTES].item()
+        state[slot, _SENT:_SHAPED] = 0
+
+    def left(self, slot: int, vehicle: "VehicleNode") -> None:
+        self.fold(slot, vehicle)
+        vehicle._replay = self.channel.columns["fleet"][slot, _REPLAY].item()
+
+    def emit(
+        self,
+        instants: np.ndarray,
+        slots: np.ndarray,
+        vehicles: List["VehicleNode"],
+    ) -> None:
+        """Send the beacons due at a flush, ``instants[i]`` of
+        ``vehicles[i]`` (cohort slot ``slots[i]``), in kernel order: each
+        replays its vehicle's next stripe row (a payload that does not
+        struct-encode is sized by serializing its envelope), HTB is
+        charged at each instant, the whole block in order, and the
+        frames join the channel's queue as one block of rows.  A vehicle
+        whose frame cannot wait for a flush (:func:`_first_degraded`)
+        ends the block: its frame resolves at its own instant."""
+        channel = self.channel
+        state = channel.columns["fleet"]
+        records = np.empty((len(slots), 7), dtype=np.int64)
+        for rank in repeat_ranks(slots):  # a vehicle due twice: in turn
+            record = state[slots[rank]]
+            if self._empty and not record[:, _LENGTH].all():
+                next(iter(()))  # StopIteration, as cycle() on an empty stripe
+            records[rank] = record
+            record[:, _REPLAY] += 1
+            record[:, _REPLAY] %= record[:, _LENGTH]
+            record[:, _SENT:_SHAPED] += _COUNTED
+            state[slots[rank]] = record
+        rows = records[:, _STRIPE] + records[:, _REPLAY]
+        at = instants.tolist()
+        sizes = [_WIRE] * len(at)
+        if not self._all_struct:
+            for position in (~self._struct[rows]).nonzero()[0].tolist():
+                envelope = {
+                    "data": self._payloads[rows[position]],
+                    "generated_at": at[position],
+                    "arrived_at": None,
+                }
+                sizes[position] = len(vehicles[position].serde.serialize(envelope))
+                state[slots[position], _SENT_BYTES] += sizes[position] - _WIRE
+        eff_times = at
+        if self._shapers:
+            delays = np.zeros(len(at))
+            shaped = records[:, _SHAPED]
+            groups = [(shaped[0].item(), slice(None))]
+            if (shaped != shaped[0]).any():  # several shapers, or none
+                groups = [(i, shaped == i) for i in np.unique(shaped).tolist()]
+            charged = np.asarray(sizes, dtype=np.float64)
+            for index, mine in groups:
+                if index >= 0:
+                    delays[mine] = self._shapers[index].send_rows(
+                        records[mine, _LEAF_ROW], charged[mine], instants[mine]
+                    )
+            eff_times = (instants + delays).tolist()
+        frames = list(zip(rows.tolist(), at, repeat(channel)))
+        if self._steady(at[0]):
+            channel.enqueue_block(eff_times, sizes, vehicles, frames)
+            return
+        producers = list(map(_PRODUCER, vehicles))
+        start, count = 0, len(at)
+        while start < count:
+            row = start + _first_degraded(producers[start:], at[start:])
+            stop = min(row + 1, count)
+            channel.enqueue_block(
+                eff_times[start:stop],
+                sizes[start:stop],
+                vehicles[start:stop],
+                frames[start:stop],
             )
-        wires.append(wire)
-        sizes.append(size)
-        stats = vehicle.stats
-        stats.records_sent += 1
-        stats.bytes_sent += size
-    eff_times = list(instants)
-    shapers = list(map(_SHAPER, vehicles))
-    for shaper in dict.fromkeys(shapers):  # one per RSU, or none
-        if shaper is None:
-            continue
-        rows = [row for row, owner in enumerate(shapers) if owner is shaper]
-        delays = shaper.send_block(
-            [vehicles[row]._leaf_name for row in rows],
-            [sizes[row] for row in rows],
-            [instants[row] for row in rows],
+            start = stop
+            if row < count:
+                channel.flush_at(eff_times[row])
+
+    def serve(self, vehicle: "VehicleNode") -> None:
+        """Note ``vehicle``'s producer's broker and whether it retries,
+        for :meth:`_steady`."""
+        producer = vehicle._producer
+        if producer.broker not in self._brokers:
+            self._brokers.append(producer.broker)
+        self._retrying = self._retrying or producer.retry is not None
+
+    def moved(self, now: float) -> None:
+        """A vehicle here changes road or channel at ``now``: its frames
+        sent before may be stale or land elsewhere."""
+        self._moved = now
+
+    def land(self, delivered: List[Tuple[float, Tuple]]) -> None:
+        """Land the frames this channel delivered (:func:`land_frames`).
+        When all were struct-encoded and sent here after the last move,
+        to the one broker, none degraded, they land as one IN-DATA block
+        read off the columns alone."""
+        frames = list(map(itemgetter(4), map(itemgetter(1), delivered)))
+        if not (
+            self._all_struct
+            and len(self._brokers) == 1
+            and min(map(itemgetter(1), frames)) > self._moved
+            and set(map(itemgetter(2), frames)) == {self.channel}
+            and self._steady(self.channel.sim.now)
+        ):
+            land_frames(delivered)
+            return
+        rows = list(map(itemgetter(0), frames))
+        times = list(map(itemgetter(0), delivered))
+        send_block(
+            list(map(self._producers.__getitem__, rows)),
+            IN_DATA,
+            list(map(self._keys.__getitem__, rows)),
+            self._patched(rows, map(itemgetter(1), frames), times),
+            times,
         )
-        for row, delay in zip(rows, delays):
-            eff_times[row] = instants[row] + delay
-    frames = list(zip(wires, instants, repeat(channel)))
-    producers = list(map(_PRODUCER, vehicles))
-    start, count = 0, len(instants)
-    while start < count:
-        row = start + _first_degraded(producers[start:], instants[start:])
-        stop = min(row + 1, count)
-        channel.enqueue_block(
-            eff_times[start:stop],
-            sizes[start:stop],
-            vehicles[start:stop],
-            frames[start:stop],
+
+    def _patched(
+        self, rows: List[int], generated: Iterable[float], times: List[float]
+    ) -> List[bytes]:
+        """The wire bytes of template rows ``rows``: both timestamps
+        written over their last 16 bytes, column-wise."""
+        stamps = np.fromiter(
+            chain.from_iterable(zip(generated, times)), "<f8", 2 * len(rows)
         )
-        start = stop
-        if row < count:
-            channel.flush_at(eff_times[row])
+        block = self._rows[rows]
+        block[:, _WIRE - 16 :] = stamps.view(np.uint8).reshape(-1, 16)
+        return block.view(np.dtype((np.void, _WIRE))).ravel().tolist()
+
+    def _steady(self, first: float) -> bool:
+        """No frame from ``first`` on is degraded (:func:`_first_degraded`):
+        no producer here retries and no broker here is unsteady then."""
+        return not self._retrying and all(
+            first >= broker.unsteady_until for broker in self._brokers
+        )
+
+    def warned(
+        self,
+        keys: Sequence[bytes],
+        partitions: Sequence[int],
+        offsets: Sequence[int],
+    ) -> None:
+        """OUT-DATA appends keyed with this fleet's vehicles' car ids go
+        on their vehicles' unread warnings (:meth:`VehicleNode._settle`)."""
+        entries = zip(
+            zip(repeat(OUT_DATA), partitions), offsets, repeat(self.channel.sim.now)
+        )
+        for vehicle, entry in zip(map(self._owners.__getitem__, keys), entries):
+            vehicle._own_unread += (entry,)
 
 
 def land_frames(delivered: List[Tuple[float, Tuple]]) -> None:
-    """Land the frames one flush delivered, in delivery order.
-
-    Each is a vehicle's channel row ``(eff_time, seq, size, vehicle,
-    frame)`` with its delivery time, ``frame`` being ``(wire,
-    generated_at, sent_on)`` (:func:`emit_beacons`).  Per
-    frame, what a delivery event would have checked: a frame generated
-    before its vehicle last changed road is abandoned (counted); one
-    sent on another channel than its vehicle's now (on the air across a
-    failover) first flushes that channel, whose earlier frames land
-    ahead of it.  Consecutive frames bound for one steady broker land
-    as one IN-DATA block (:func:`~repro.streaming.producer.send_block`);
-    a frame whose broker is down or losing acks, or whose producer
-    holds a retry backlog, goes through ``Producer.send`` alone.  When
-    no frame needs any of that — the steady state — the whole delivery
-    is one block, the checks made column-wise.
-    """
+    """Land delivered channel rows ``(eff_time, seq, size, vehicle,
+    frame)``, each with its delivery time, in order, reading each
+    frame's vehicle.  Per frame, what a delivery event would check: a
+    frame generated before its vehicle last changed road is abandoned
+    (counted); one sent on another channel than its vehicle's now first
+    flushes that channel; consecutive frames bound for one steady broker
+    land as one IN-DATA block, a degraded one alone through
+    ``Producer.send``.  With none of that, the checks are column-wise."""
     rows = list(map(itemgetter(1), delivered))
     vehicles: List["VehicleNode"] = list(map(itemgetter(3), rows))
     frames: List[Tuple] = list(map(itemgetter(4), rows))
@@ -182,7 +323,7 @@ def land_frames(delivered: List[Tuple[float, Tuple]]) -> None:
     if (
         not any(map(lt, generated, map(_ROAD_SINCE, vehicles)))
         and all(map(is_, map(itemgetter(2), frames), map(_CHANNEL, vehicles)))
-        and _first_degraded(producers, repeat(now)) == len(producers)
+        and _first_degraded(producers, [now] * len(producers)) == len(producers)
         and len(set(map(_BROKER, producers))) == 1
     ):
         _land_block(vehicles, list(map(itemgetter(0), delivered)), frames)
@@ -223,57 +364,49 @@ def _land_block(vehicles, times, frames) -> None:
             column.clear()
 
 
-def _wire_value(serde: Serde, frame: Tuple, at_time: float) -> bytes:
-    """One frame's wire bytes: its template with both timestamps
+def _wire_value(vehicle: "VehicleNode", frame: Tuple, at_time: float) -> bytes:
+    """One frame's wire bytes: its template row with both timestamps
     patched, or its envelope serialized (a payload that does not
     struct-encode)."""
-    wire, generated_at, _ = frame
-    if isinstance(wire, dict):
-        return serde.serialize(
-            {"data": wire, "generated_at": generated_at, "arrived_at": at_time}
+    row, generated_at, sent_on = frame
+    fleet = sent_on.fleet
+    if not fleet._struct[row]:
+        return vehicle.serde.serialize(
+            {
+                "data": fleet._payloads[row],
+                "generated_at": generated_at,
+                "arrived_at": at_time,
+            }
         )
-    value = bytearray(wire)
-    _TS_PATCH.pack_into(value, len(value) - 16, generated_at, at_time)
+    value = bytearray(fleet._rows[row].tobytes())
+    _TS_PATCH.pack_into(value, _WIRE - 16, generated_at, at_time)
     return bytes(value)
 
 
 def _wire_values(
     vehicles: List["VehicleNode"], frames: List[Tuple], times: List[float]
 ) -> List[bytes]:
-    """The wire bytes of frames delivered at ``times``.  Struct
-    templates of one size are patched column-wise: one ``(n, size)``
-    buffer whose two trailing f64 columns are written at once."""
-    wires = list(map(itemgetter(0), frames))
-    size = len(wires[0])
-    if set(map(type, wires)) != {bytes} or set(map(len, wires)) != {size}:
-        return [
-            _wire_value(vehicle.serde, frame, at_time)
-            for vehicle, frame, at_time in zip(vehicles, frames, times)
-        ]
-    n = len(wires)
-    joined = bytearray(b"".join(wires))
-    stamps = np.empty((n, 2), dtype="<f8")
-    stamps[:, 0] = list(map(itemgetter(1), frames))
-    stamps[:, 1] = times
-    rows = np.frombuffer(joined, dtype=np.uint8).reshape(n, size)
-    rows[:, size - 16 :] = stamps.view(np.uint8).reshape(n, 16)
-    return rows.view(np.dtype((np.void, size))).ravel().tolist()
+    """The wire bytes of frames delivered at ``times``: at once
+    (:meth:`Fleet._patched`) when all are template rows of one store."""
+    channels = set(map(itemgetter(2), frames))
+    if len(channels) == 1:
+        fleet = channels.pop().fleet
+        rows = list(map(itemgetter(0), frames))
+        if fleet._all_struct or fleet._struct[rows].all():
+            return fleet._patched(rows, map(itemgetter(1), frames), times)
+    return list(map(_wire_value, vehicles, frames, times))
 
 
 @dataclass
 class VehicleStats:
-    """Per-vehicle measurements.
-
-    The send and receive counters are settled, not live: beacons and
-    warning polls are accounted when something reads the vehicle's
-    grids — a flush of its channel (each RSU micro-batch tick),
-    :meth:`VehicleNode.stop`, ``retire``, ``migrate`` or ``detach``.
-    Mid-run they lag by up to one tick (``records_sent``,
-    ``bytes_sent``) or a whole run (``warnings_received``, its
-    latencies, ``poll_failures``); read them after
-    :meth:`VehicleNode.stop` (a scenario's ``wind_down`` stops every
-    vehicle) for the figures per-event beacons and polls would give.
-    """
+    """Per-vehicle measurements: a view, materialized from the
+    vehicle's :class:`Fleet` columns when :attr:`VehicleNode.stats` is
+    read and when the vehicle leaves its channel (``stop``, ``retire``,
+    ``migrate``, ``detach``).  Beacons are counted at each flush of the
+    channel; warning polls when something settles the poll grid (the
+    same four).  Read them after :meth:`VehicleNode.stop` (a scenario's
+    ``wind_down`` stops every vehicle) for what per-event beacons and
+    polls would give."""
 
     #: Beacons sent (settled at each flush of the channel).
     records_sent: int = 0
@@ -297,61 +430,28 @@ class VehicleStats:
 class VehicleNode:
     """One emulated vehicle.
 
-    Parameters
-    ----------
-    sim:
-        Simulation kernel.
-    car_id:
-        Vehicle identity; warnings are filtered on it.
-    records:
-        Telemetry records to replay (cycled when exhausted).
-    rsu:
-        The RSU currently serving this vehicle.
-    channel:
-        Shared DSRC medium toward that RSU.
-    shaper:
-        HTB shaper (the testbed's netem emulation); optional.
-    update_rate_hz:
-        Telemetry frequency (paper: 10 Hz).
-    poll_interval_s:
-        Warning-poll period (paper: 10 ms).
-    consumer_processing_s:
-        Modelled consumer-side handling time added to each warning
-        delivery (the paper decomposes dissemination as
-        ``10 + 7.2 +- 4.4 ms``).
-    rng:
-        Seeded stream for consumer-processing jitter.
-    serdes:
-        Per-topic serde overrides, matching the RSU's
-        (:func:`repro.core.wire.topic_serdes`); compact JSON when
-        absent.
-    retry:
-        :class:`~repro.streaming.producer.RetryPolicy` for telemetry
-        produce: buffered retries with backoff plus idempotent
-        sequence numbers.  ``None`` (default, the seed behaviour)
-        drops telemetry refused by a down broker.
+    Parameters: the simulator; ``car_id`` (warnings are keyed by it);
+    the ``records`` to replay, cycled; the serving ``rsu`` and its DSRC
+    ``channel``; an optional HTB ``shaper`` (the testbed's netem);
+    ``update_rate_hz`` (paper: 10 Hz) and ``poll_interval_s`` (10 ms);
+    ``consumer_processing_s`` and ``consumer_jitter_s``, the handling
+    time added to each warning (paper: ``7.2 +- 4.4 ms``), jittered
+    from ``rng``; per-topic ``serdes`` matching the RSU's (compact JSON
+    when absent); a producer ``retry`` policy (``None`` drops telemetry
+    a down broker refuses).
 
-    The 10 Hz beacon grid is virtual: the vehicle joins its
-    channel's cohort, and whoever flushes the channel first sends every
-    beacon due by then (:func:`emit_beacons`: HTB charged at the beacon's
-    instant, the frame deferred as a row).  Contention resolves at the
-    RSU's pre-poll flush, RNG draw order preserved; the frames one
-    flush delivers land as one IN-DATA block (:func:`land_frames`).
-    While the broker is down or losing acks, or the producer holds a
-    retry backlog, each beacon is an event at its own instant and its
-    frame resolves then (:meth:`arm`).
-
-    Hence :attr:`stats` are settled, not live: call :meth:`stop` (or
-    flush the channel, for the send counters) before reading them
-    mid-run; see :class:`VehicleStats`.
-
-    The vehicle's 10 ms poll grid is virtual: the grid is the
-    drawn phase plus repeated interval addition, and no instant of it
-    becomes a simulator event.  Every poll is *settled*: accounted in
-    closed form from the partitions' append clocks and the broker's
-    outage log (:meth:`_settle`).  The broker routes the append of a
-    warning for this car here by record key; settlement hands each back
-    at the grid instant whose poll read it (:meth:`_receive_own`).
+    The handle the control plane uses: its payload rows, send
+    counters and HTB leaf live in its channel's :class:`Fleet`.  The
+    10 Hz beacon grid is virtual: whoever flushes the channel sends
+    every beacon due by then (:meth:`Fleet.emit`), contention resolves
+    at the RSU's pre-poll flush and the delivered frames land as one
+    IN-DATA block (:meth:`Fleet.land`); while a frame cannot wait (see
+    :func:`_first_degraded`) each beacon is an event (:meth:`arm`).
+    The 10 ms poll grid is virtual too: every poll is settled in closed
+    form from the partitions' append clocks and the broker's outage log
+    (:meth:`_settle`), which hands each warning for this car back at
+    the instant whose poll read it.  Hence :attr:`stats` are settled,
+    not live (see :class:`VehicleStats`).
     """
 
     def __init__(
@@ -376,12 +476,12 @@ class VehicleNode:
             raise ValueError("poll interval must be positive")
         self.sim = sim
         self.car_id = car_id
-        self._payloads: List[dict] = []
-        self._prepare_payloads(list(records))
         self.rsu = rsu
         self.channel = channel
+        Fleet.of(channel)
         rsu.attach_uplink(channel)
-        self.shaper = shaper
+        self._beacon: Optional[int] = None
+        self._shaper = shaper
         self.update_period_s = 1.0 / update_rate_hz
         self.poll_interval_s = poll_interval_s
         self.consumer_processing_s = consumer_processing_s
@@ -392,12 +492,9 @@ class VehicleNode:
         #: Serde for the telemetry envelopes this vehicle produces.
         self.serde = self._serdes.get(IN_DATA, default)
         self._out_serde = self._serdes.get(OUT_DATA, default)
-        # Telemetry goes through a Producer so the delivery guarantees
-        # (bounded retry buffer, idempotent sequences) apply.  The
-        # envelope is serialized by the vehicle (the wire size gates
-        # the DSRC airtime), so the producer's serde is a passthrough.
-        # A retry policy implies idempotence: retries must never
-        # double-count a record the broker already appended.
+        self._prepare_payloads(list(records))
+        # The vehicle serializes (the wire size gates the airtime), so
+        # the producer passes bytes through; retries imply idempotence.
         self._producer = Producer(
             rsu.broker,
             serde=RawSerde(),
@@ -407,12 +504,11 @@ class VehicleNode:
             idempotent=retry is not None,
         )
         self._producer.before_retry = self._flush_channel
-        self.stats = VehicleStats()
+        Fleet.of(channel).serve(self)
+        self._stats = VehicleStats()
         self._consumer: Optional[Consumer] = None
-        # The virtual beacon grid: the channel's ticket for it while it
-        # runs, the loop's end, and the event of the next beacon while
-        # frames cannot wait (``arm``).
-        self._beacon: Optional[int] = None
+        # The beacon grid: its channel ticket (``_beacon``), end, and
+        # next beacon event while frames cannot wait (``arm``).
         self._beacon_until: Optional[float] = None
         self._armed = None
         self._cancel_notify = None
@@ -420,9 +516,8 @@ class VehicleNode:
         self._retired = False
         self._leaf_name = f"vehicle-{car_id}"
         self._key_bytes = str(car_id).encode()
-        # The virtual warning-poll grid: first instant not settled, the
-        # loop's end, and the warnings for this car appended to the
-        # attached broker that no settled poll has read yet.
+        # The poll grid: first instant not settled, end, and the
+        # warnings for this car no settled poll has read yet.
         self._grid_live = False
         self._next_poll = 0.0
         self._poll_until: Optional[float] = None
@@ -431,10 +526,8 @@ class VehicleNode:
         # handover): telemetry generated earlier is stale.
         self._road_since = float("-inf")
         self._detached = False
-        # One entry per handover: (old_broker, OUT-DATA read positions,
-        # OUT-DATA end offsets at the moment of migration).  The
-        # invariant audit scans these to classify warnings left behind
-        # on abandoned brokers; nothing in the run itself reads them.
+        # Per handover (old broker, OUT-DATA positions, end offsets),
+        # for the audit of warnings left behind; the run reads none.
         self._departures: List[Tuple[object, Dict[int, int], Dict[int, int]]] = []
         self._attach_consumer()
 
@@ -458,10 +551,47 @@ class VehicleNode:
 
     def _subscribe(self) -> None:
         """Register for the OUT-DATA appends keyed with this car id (the
-        RSU keys a warning by the warned car)."""
+        RSU keys a warning by the warned car), through the channel's
+        fleet (:meth:`Fleet.warned`)."""
+        fleet = Fleet.of(self.channel)
+        fleet._owners[self._key_bytes] = self
         self._cancel_notify = self.rsu.broker.subscribe_key(
-            OUT_DATA, self._key_bytes, self._own_warning_appended
+            OUT_DATA, self._key_bytes, fleet.warned
         )
+
+    @property
+    def stats(self) -> VehicleStats:
+        """This vehicle's measurements, with the send counters its
+        channel's fleet holds folded in."""
+        self._fold()
+        return self._stats
+
+    @stats.setter
+    def stats(self, stats: VehicleStats) -> None:
+        self._fold()
+        self._stats = stats
+
+    def _fold(self) -> None:
+        slot = self._slot()
+        if slot is not None:
+            self.channel.fleet.fold(slot, self)
+
+    def _slot(self) -> Optional[int]:
+        """This vehicle's cohort slot on its channel, while it beacons."""
+        return None if self._beacon is None else self.channel.slot(self._beacon)
+
+    @property
+    def shaper(self) -> Optional[HtbShaper]:
+        """The HTB shaper charged for this vehicle's beacons (leaf
+        ``vehicle-<car id>``), or ``None``."""
+        return self._shaper
+
+    @shaper.setter
+    def shaper(self, shaper: Optional[HtbShaper]) -> None:
+        self._shaper = shaper
+        slot = self._slot()
+        if slot is not None:
+            self.channel.fleet.shape(slot, self)
 
     def start(self, until: Optional[float] = None) -> None:
         """Begin the produce loop and the warning consumption."""
@@ -505,14 +635,8 @@ class VehicleNode:
             self._beacon = None
 
     def _start_polling(self, first: float, until: Optional[float]) -> None:
-        """Poll OUT-DATA on the grid ``first, first + interval, ...``.
-
-        Virtual polling keeps the exact grid a recurrence would walk
-        (same float-accumulated instants) but runs none of its polls:
-        empty, dropping other cars' warnings, refused by a down broker
-        or reading a warning for this car, each is settled (see
-        :meth:`_settle`).
-        """
+        """Poll OUT-DATA on the grid ``first, first + interval, ...``:
+        none of the polls runs, each is settled (:meth:`_settle`)."""
         self._grid_live = True
         self._next_poll = first
         self._poll_until = until
@@ -523,15 +647,9 @@ class VehicleNode:
         return self._retired
 
     def retire(self) -> None:
-        """End this vehicle's trip mid-run: stop producing and polling.
-
-        Unlike :meth:`stop` at scenario teardown, retirement is a
-        workload event (the trip ended), so it is idempotent and flags
-        the vehicle for churn accounting.  The consumer stays attached:
-        warnings already appended — or still materializing from
-        telemetry in the pipeline — remain countable as pending, so the
-        warning conservation law holds under churn.
-        """
+        """End this vehicle's trip mid-run: an idempotent :meth:`stop`
+        that flags it for churn accounting.  The consumer stays attached,
+        so warnings still due to it count as pending."""
         if self._retired:
             return
         self._retired = True
@@ -552,21 +670,17 @@ class VehicleNode:
     ) -> None:
         """Handover: switch to a new RSU and its channel.
 
-        The caller is responsible for triggering the old RSU's
-        ``handover`` (CO-DATA summary transfer); the vehicle only
-        re-homes its producer and consumer.  Telemetry not yet appended
-        — buffered for the old (possibly dead) RSU, waiting out an HTB
-        delay, or on the air — lands on the new one: at-least-once
-        across the failover, deduped by sequence number.
-        ``drop_pending`` abandons it instead (counted in the producer's
-        ``records_abandoned``), for handovers onto a different road
-        where the old records are stale (the new RSU has no model for
-        them).
+        The caller triggers the old RSU's ``handover``.  Telemetry not
+        yet appended (buffered, shaper-delayed or on the air) lands on
+        the new RSU, deduped by sequence number; ``drop_pending``
+        abandons it instead (counted), for a handover onto another road.
         """
         now = self.sim.now
         old_channel = self.channel
         # The beacons due by now were sent on the old road.
         old_channel.emit_due(now)
+        Fleet.of(old_channel).moved(now)
+        Fleet.of(new_channel).moved(now)
         carried: List[Tuple] = []
         if new_channel is not old_channel:
             # Resolve everything due on the old medium while the old
@@ -590,6 +704,7 @@ class VehicleNode:
         self.channel = new_channel
         new_rsu.attach_uplink(new_channel)
         self._producer.rebind(new_rsu.broker, drop_pending=drop_pending)
+        Fleet.of(new_channel).serve(self)
         if drop_pending:
             # A frame on the air is abandoned (and counted) at its
             # delivery, being older than the road.
@@ -609,12 +724,8 @@ class VehicleNode:
         self.arm()
 
     def _record_departure(self) -> None:
-        """Snapshot the OUT-DATA read state on the broker being left.
-
-        The audit later classifies un-consumed warnings on the old
-        broker as orphaned (already appended when we left) or late
-        (emitted afterwards, from telemetry still in the old pipeline).
-        """
+        """Snapshot the OUT-DATA read state on the broker being left,
+        for the audit's orphaned / late warning classes."""
         self._settle()
         old_broker = self.rsu.broker
         positions = {
@@ -641,35 +752,34 @@ class VehicleNode:
         # the beacons due by now replayed the old stripe
         self.channel.emit_due(self.sim.now)
         self._prepare_payloads(items)
+        slot = self._slot()
+        if slot is not None:
+            # the new stripe replays from its first record
+            self.channel.fleet.fold(slot, self)
+            self.channel.fleet.joined(slot, self)
 
     def _prepare_payloads(self, records: List[TelemetryRecord]) -> None:
-        """Precompute the wire payload for every record in the stripe.
-
-        Replay cycles a fixed stripe, so each record's ``IN-DATA``
-        payload — including the feature-context work inside
-        :func:`record_to_payload` — is computed once here instead of on
-        every 10 Hz tick.  The car-identity override is applied once
-        too ("car" is already the first key, so insertion order and
-        hence the serialized bytes are unchanged).  Payloads are never
-        mutated after this point, so frames in flight may share them;
-        an empty stripe is tolerated at construction (it only fails if
-        a tick actually fires).
-        """
+        """Each stripe record's ``IN-DATA`` payload (car id overridden;
+        "car" is already the first key, so the bytes are unchanged) and
+        wire template, computed once: the whole stripe is struct-encoded
+        at once.  Payloads are never mutated afterwards.  An empty stripe
+        only fails if a beacon is due."""
         payloads = []
         for record in records:
             payload = record_to_payload(record)
             payload["car"] = self.car_id
             payloads.append(payload)
-        #: The replayed records, kept for introspection (the payloads
-        #: drop fields like ``trip_id`` that never go on the wire).
+        #: The replayed records, kept for introspection.
         self._stripe = records
         self._payloads = payloads
-        # Wire templates, parallel to the payloads; each is serialized
-        # on the first send of its record (the serde is assigned after
-        # this runs, and replay may touch only a fraction of a large
-        # stripe).
-        self._payload_index = 0
-        self._templates: List[object] = [_UNBUILT] * len(payloads)
+        encode = getattr(self.serde, "encode_templates", None)
+        if encode is None:
+            self._templates = np.zeros((len(payloads), _WIRE), dtype=np.uint8)
+            self._encodable = np.zeros(len(payloads), dtype=bool)
+        else:
+            self._templates, self._encodable = encode(payloads)
+        # The next record to replay while in no cohort (else the fleet's).
+        self._replay = 0
 
     # ------------------------------------------------------------------
     # Cross-process handover (sharded engine)
@@ -682,18 +792,11 @@ class VehicleNode:
     def detach(self) -> dict:
         """Freeze this vehicle for a cross-process handover.
 
-        Captures everything the receiving shard needs to continue the
-        exact same trajectory: the RNG mid-stream state and the *exact*
-        next produce/poll instants (interval recurrences accumulate
-        floating point, so these cannot be recomputed from a phase; the
-        polls before now are settled here, against the broker being
-        left).  A cross-shard handover is a change of road, so
-        telemetry not yet appended is abandoned as by
-        ``migrate(drop_pending=True)``: the channel is flushed, and the
-        frames then still on the air and those waiting out an HTB delay
-        ship as their due times only, for the receiving shard to count.
-        The vehicle then goes inert: its remaining scheduled events on
-        this shard become no-ops.
+        Captures the RNG state and the *exact* next produce/poll
+        instants (float-accumulated grids; the polls before now are
+        settled here).  Telemetry not yet appended is abandoned as by
+        ``migrate(drop_pending=True)``: frames on the air or shaper-
+        delayed ship as their due times only.  The vehicle goes inert.
         """
         if self._detached:
             raise RuntimeError(f"vehicle {self.car_id} already detached")
@@ -725,6 +828,7 @@ class VehicleNode:
         }
         self.stop()
         self._detached = True
+        self.channel.fleet.moved(self.sim.now)
         # what is on the air lands here after the vehicle has left
         self._road_since = self.sim.now
         return state
@@ -735,14 +839,8 @@ class VehicleNode:
         poll_next: Optional[float],
         until: Optional[float] = None,
     ) -> None:
-        """Restart the periodic loops mid-stream after a transfer.
-
-        Unlike :meth:`start` this draws no phases from the RNG: the
-        exact next-fire instants come from the sending shard's
-        :meth:`detach`, so the resumed loops continue the same
-        float-accumulated grids the serial engine would have produced.
-        ``None`` for either instant means that loop had already ended.
-        """
+        """Restart the loops after a transfer at the exact instants
+        :meth:`detach` shipped (no RNG draw); ``None``: that loop ended."""
         if self._started:
             raise RuntimeError(f"vehicle {self.car_id} already running")
         self._started = True
@@ -752,33 +850,6 @@ class VehicleNode:
             self._start_polling(poll_next, until)
 
     # ------------------------------------------------------------------
-    def _build_template(self, index: int):
-        """Serialize one stripe record's wire template on first use.
-
-        When the payload serializes to a fixed-size struct frame, the
-        per-send wire bytes differ from this template only in the two
-        trailing timestamps — so each send just patches
-        ``generated_at``/``arrived_at`` over a template copy instead of
-        serializing the envelope twice (once for the airtime-gating
-        size, once at delivery).  A JSON-fallback payload caches
-        ``None``; its sends serialize the envelope through the serde.
-        """
-        serde = self.serde
-        wire_size = getattr(serde, "wire_size", None)
-        template = None
-        if wire_size is not None:
-            frame = serde.serialize(
-                {
-                    "data": self._payloads[index],
-                    "generated_at": 0.0,
-                    "arrived_at": None,
-                }
-            )
-            if len(frame) == wire_size and frame[0] == STRUCT_MAGIC:
-                template = frame
-        self._templates[index] = template
-        return template
-
     def arm(self) -> None:
         """While this vehicle's frames cannot wait for a flush (its
         broker down or losing acks, a retry backlog), its next beacon is
@@ -801,11 +872,6 @@ class VehicleNode:
         self.channel.emit_due(self.sim.now)
         self.arm()
 
-    #: How the channel sends the beacons due at a flush.
-    emit_beacons = staticmethod(emit_beacons)
-    #: How the channel lands the frames it delivered.
-    land_frames = staticmethod(land_frames)
-
     def _degraded(self, at: float) -> bool:
         """Whether a frame of this vehicle sent or landing at ``at``
         cannot wait for a flush: the broker is down or losing acks, or
@@ -818,23 +884,19 @@ class VehicleNode:
         try:
             self._producer.send(
                 IN_DATA,
-                _wire_value(self.serde, frame, at_time),
+                _wire_value(self, frame, at_time),
                 key=self._key_bytes,
                 timestamp=at_time,
             )
         except BrokerUnavailable:
-            self.stats.records_lost += 1
+            self._stats.records_lost += 1
 
     def _flush_channel(self) -> None:
         self.channel.flush(self.sim.now)
 
     def _settle(self) -> None:
-        """Account the polls at grid instants before now (and the
-        loop's ``until``), none of which ran: each fetched and dropped
-        other cars' warnings, was refused by a down broker, or read
-        warnings for this car, which are received here.  The grid is
-        the drawn phase plus repeated interval addition, the real
-        recurrence's float sums."""
+        """Account the polls at grid instants before now (and ``until``),
+        none of which ran; receive the warnings for this car they read."""
         if not self._grid_live:
             return
         limit = self.sim.now
@@ -847,34 +909,20 @@ class VehicleNode:
             limit,
             _POLL_MAX_RECORDS,
             self._own_unread,
-            lambda instant, entry: read.append((instant, entry)),
+            read.extend,
         )
-        self.stats.poll_failures += refused
+        self._stats.poll_failures += refused
         if read:
             self._receive_own(read)
 
-    def _own_warning_appended(self, metadata) -> None:
-        """A warning for this car hit OUT-DATA: the poll at the first
-        grid instant at or after now reads it, or a later one when the
-        broker is down by then or the budget cuts that poll short; one
-        at or past ``until`` never runs and it stays unread.  Only
-        queued here: settlement is path-independent, so it waits for
-        whoever reads the grid (:meth:`stop`, :meth:`detach`, a
-        migrate)."""
-        self._own_unread.append(
-            ((OUT_DATA, metadata.partition), metadata.offset, self.sim.now)
-        )
-
     def _receive_own(self, read: List[Tuple[float, OwnRecord]]) -> None:
-        """The settled polls read these warnings, ``(instant, entry)`` in
-        the order the polls returned them: decode the bytes they fetched
-        (one batch decode when every value is struct-encoded) and
-        receive each."""
-        topic = self._consumer.broker.topic
-        values = [
-            topic(name).partitions[partition].value_at(offset)
-            for _, ((name, partition), offset, _) in read
-        ]
+        """Decode and receive the warnings the settled polls read,
+        ``(instant, entry)`` in the order the polls returned them."""
+        entries = list(map(itemgetter(1), read))
+        values = self._consumer.broker.topic(OUT_DATA).values_at(
+            [partition for (_, partition), _, _ in entries],
+            list(map(itemgetter(1), entries)),
+        )
         serde = self._out_serde
         rows = None
         if isinstance(serde, FlatStructSerde):
@@ -883,31 +931,37 @@ class VehicleNode:
             except SerdeError:
                 pass  # some value took the JSON fallback
         if rows is not None:
-            detected = rows["t"].tolist()
-            generated = rows["generated_at"].tolist()
+            detected = rows["t"]
+            generated = rows["generated_at"]
         else:
             decoded = [serde.deserialize(value) for value in values]
             detected = [float(value["t"]) for value in decoded]
             generated = [float(value["generated_at"]) for value in decoded]
-        for (instant, _), detected_at, generated_at in zip(
-            read, detected, generated
-        ):
-            self._receive_warning(instant, detected_at, generated_at)
+        self._receive_warnings(list(map(itemgetter(0), read)), detected, generated)
 
-    def _receive_warning(
-        self, polled_at: float, detected_at: float, generated_at: float
+    def _receive_warnings(
+        self,
+        polled: Sequence[float],
+        detected: Sequence[float],
+        generated: Sequence[float],
     ) -> None:
-        """Count one warning for this car, read by the poll at
-        ``polled_at``.  The jitter draw is the only RNG use here: one
-        per own warning, in record order."""
-        jitter = float(
-            self._rng.uniform(-self.consumer_jitter_s, self.consumer_jitter_s)
+        """Count the warnings for this car read by the polls at
+        ``polled``, in record order.  The jitter draws are the only RNG
+        use here, one per warning in record order: one vector draw,
+        which is those scalar draws bit for bit."""
+        jitter = self._rng.uniform(
+            -self.consumer_jitter_s, self.consumer_jitter_s, size=len(polled)
         )
-        handling = max(0.0, self.consumer_processing_s + jitter)
-        received_at = polled_at + handling
-        self.stats.warnings_received += 1
-        self.stats.dissemination_latencies_s.append(received_at - detected_at)
-        self.stats.e2e_latencies_s.append(received_at - generated_at)
+        handling = np.maximum(0.0, self.consumer_processing_s + jitter)
+        received = np.asarray(polled, dtype=np.float64) + handling
+        stats = self._stats
+        stats.warnings_received += len(polled)
+        stats.dissemination_latencies_s.extend(
+            (received - np.asarray(detected, dtype=np.float64)).tolist()
+        )
+        stats.e2e_latencies_s.extend(
+            (received - np.asarray(generated, dtype=np.float64)).tolist()
+        )
 
     def __repr__(self) -> str:
         return (

@@ -132,6 +132,51 @@ class TelemetryStructSerde(Serde):
         except (KeyError, TypeError, IndexError, struct.error):
             return self._json.serialize(value)
 
+    def encode_templates(
+        self, payloads: Sequence[Dict[str, Any]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each payload's pre-delivery envelope (``generated_at`` 0.0,
+        ``arrived_at`` None) as one row of an ``(n, wire_size)`` uint8
+        matrix, and a mask of the rows :meth:`serialize` struct-encodes.
+        A masked-out row is zeros: its envelope serializes as JSON.
+
+        One pack over the columns when every payload fits the layout;
+        otherwise each row is decided by :meth:`serialize` itself, so
+        both follow one rule.
+        """
+        size = self.wire_size
+        try:
+            if set(map(len, payloads)) - {11}:
+                raise KeyError("not the Table II fields")
+            pack = self._STRUCT.pack
+            nan = float("nan")
+            joined = b"".join(
+                [
+                    pack(
+                        STRUCT_MAGIC, STRUCT_VERSION, p["car"], p["rd"],
+                        p["acc"], p["spd"], p["hr"], p["day"],
+                        ROAD_TYPE_INDEX[p["rt"]], p["vr"], p["ts"],
+                        ANOMALY_KIND_INDEX[p["ak"]],
+                        -1 if p["lbl"] is None else p["lbl"], 0.0, nan,
+                    )
+                    for p in payloads
+                ]
+            )
+            rows = np.frombuffer(joined, dtype=np.uint8).reshape(-1, size)
+            return rows.copy(), np.ones(len(payloads), dtype=bool)
+        except (KeyError, TypeError, IndexError, struct.error):
+            pass
+        rows = np.zeros((len(payloads), size), dtype=np.uint8)
+        mask = np.zeros(len(payloads), dtype=bool)
+        for row, payload in enumerate(payloads):
+            frame = self.serialize(
+                {"data": payload, "generated_at": 0.0, "arrived_at": None}
+            )
+            if len(frame) == size and frame[0] == STRUCT_MAGIC:
+                rows[row] = np.frombuffer(frame, dtype=np.uint8)
+                mask[row] = True
+        return rows, mask
+
     def deserialize(self, payload: bytes) -> Any:
         if not payload or payload[0] != STRUCT_MAGIC:
             return self._json.deserialize(payload)

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import compress
+from operator import itemgetter, not_
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -164,24 +165,17 @@ def _mac_draws(
     cw_max: int,
     loss_prob: float,
 ) -> Tuple[List[int], List[bool]]:
-    """The backoff slots and loss flags of ``frames`` frames, drawn as
-    the per-frame MAC draws them from the channel's ``Generator`` — per
-    frame ``random() < collision_prob`` picks ``cw`` (``cw_max`` or
-    15), ``integers(0, cw + 1)`` the slots, then, only when ``loss_prob
-    > 0``, ``random() < loss_prob`` the loss — but off one
-    ``random_raw`` call, decoded in call order on Python ints.
-
-    numpy's 64-bit bit generators make ``random()`` of one raw
-    (``(raw >> 11) * 2**-53``) and draw bounded integers below 2**32
-    by Lemire's method over buffered 32-bit halves: the low half of a
-    fresh raw first, the high half kept (``has_uint32``/``uinteger``)
-    for the next bounded draw, a rejected half replaced by the next
-    one.  Wider bounds take whole raws.  The raws pre-drawn are exactly
-    those the frames take if no half is rejected; a rejection draws
-    more as needed, so nothing is over-drawn, and the buffered half is
-    written back: the bit generator ends as the per-frame draws leave
-    it.
-    """
+    """The backoff slots and loss flags of ``frames`` frames as the
+    per-frame MAC draws them — ``random() < collision_prob`` picks
+    ``cw`` (``cw_max`` or 15), ``integers(0, cw + 1)`` the slots, then
+    (``loss_prob > 0``) ``random() < loss_prob`` the loss — off one
+    ``random_raw`` call, decoded in call order: ``random()`` is
+    ``(raw >> 11) * 2**-53``; bounded integers below 2**32 are Lemire's
+    method over buffered 32-bit halves (low half first, the high one
+    kept in ``has_uint32``/``uinteger``, a rejected half replaced),
+    wider ones whole raws.  Nothing is over-drawn and the buffered half
+    is written back, so the generator ends as the per-frame draws
+    leave it."""
     state = bit_generator.state
     if "has_uint32" not in state:
         raise ValueError(
@@ -265,22 +259,12 @@ def _mac_draws(
 class DsrcChannel:
     """Discrete-event shared DSRC medium.
 
-    Transmissions serialize (CSMA/CA: one sender at a time).  Each
-    transmission pays DIFS + a uniform random backoff + airtime; if the
-    medium is busy the sender defers until it frees.  Per-transmission
-    latency therefore grows with the instantaneous offered load,
-    reproducing the gentle Tx-latency growth of Fig. 6a.
-
-    Parameters
-    ----------
-    sim:
-        Simulation kernel.
-    mcs:
-        Modulation/coding for airtime.
-    mac:
-        Analytic parameters (slot, SIFS, cw).
-    rng:
-        Random stream for backoff draws.
+    Transmissions serialize (CSMA/CA: one sender at a time), each
+    paying DIFS + a uniform random backoff + airtime, deferring while
+    the medium is busy: latency grows with the offered load, the gentle
+    Tx-latency growth of Fig. 6a.  ``mcs`` sets the airtime, ``mac``
+    the analytic parameters (slot, SIFS, cw), ``rng`` the backoff
+    draws.
     """
 
     def __init__(
@@ -311,19 +295,19 @@ class DsrcChannel:
         # seq -> (delivery_time, owner).
         self._on_air: Dict[int, Tuple[float, object]] = {}
         self._airtime_cache: Dict[int, float] = {}
-        #: Lands delivered frames: called with ``[(delivery_time, row),
-        #: ...]`` in delivery order (set by the first :meth:`join`).
+        #: Lands ``[(delivery_time, row), ...]``, in delivery order.
         self.lander: Optional[Callable[[List[Tuple]], None]] = None
-        #: Sends due beacons: called with the channel, the instants and
-        #: their members, in kernel order (set by the first :meth:`join`).
+        #: Sends due beacons: (instants, cohort slots, members).
         self.emitter: Optional[Callable] = None
-        # The senders' virtual beacon grids, as columns over cohort
-        # slots in join order: the next instant (+inf once the grid
-        # ended or its member left), the interval, the end (+inf: none)
-        # and the member with its ticket (None once retired).
-        self._next = np.empty(0)
-        self._interval = np.empty(0)
-        self._until = np.empty(0)
+        #: The members' data plane (``core.vehicle.Fleet``): sets both,
+        #: adds its per-slot :attr:`columns`, hears joins and leaves.
+        self.fleet = None
+        #: The beacon grids as columns over cohort slots in join order:
+        #: next instant (+inf once ended or left), interval, end (+inf:
+        #: none), the fleet's; and each slot's member and ticket.
+        self.columns: Dict[str, np.ndarray] = {
+            "next": np.empty(0), "interval": np.empty(0), "until": np.empty(0)
+        }
         self._members: List[object] = []
         self._ticket_of: List[Optional[int]] = []
         self._slots: Dict[int, int] = {}  # ticket -> slot of a live grid
@@ -342,38 +326,34 @@ class DsrcChannel:
     ) -> int:
         """Register ``member``'s beacon grid ``first, first + interval,
         ...`` (each instant its predecessor plus ``interval``) while an
-        instant is before ``until``; returns its ticket.  ``member``'s
-        class provides ``emit_beacons(channel, instants, members)``,
-        which sends the beacons of a flush, and ``land_frames``, which
-        lands delivered frames."""
+        instant is before ``until``; returns its ticket."""
+        columns = self.columns
         slot = len(self._members)
-        if slot == len(self._next):
+        if slot == len(columns["next"]):
             if len(self._slots) <= slot // 2:
                 slot = self._compact()
-            if slot == len(self._next):
+            if slot == len(columns["next"]):
                 grown = max(16, 2 * slot)
-                self._next = np.resize(self._next, grown)
-                self._interval = np.resize(self._interval, grown)
-                self._until = np.resize(self._until, grown)
-        self._next[slot] = first
-        self._interval[slot] = interval
-        self._until[slot] = np.inf if until is None else until
+                for name, column in columns.items():
+                    columns[name] = np.resize(column, (grown, *column.shape[1:]))
+        columns["next"][slot] = first
+        columns["interval"][slot] = interval
+        columns["until"][slot] = np.inf if until is None else until
         ticket = self._joins
         self._joins += 1
         self._members.append(member)
         self._ticket_of.append(ticket)
         self._slots[ticket] = slot
-        self.lander = member.land_frames
-        self.emitter = member.emit_beacons
+        if self.fleet is not None:
+            self.fleet.joined(slot, member)
         return ticket
 
     def _compact(self) -> int:
         """Drop the retired slots, keeping join order; returns the first
         free slot."""
         live = sorted(self._slots.values())
-        self._next[: len(live)] = self._next[live]
-        self._interval[: len(live)] = self._interval[live]
-        self._until[: len(live)] = self._until[live]
+        for column in self.columns.values():
+            column[: len(live)] = column[live]
         self._members = [self._members[slot] for slot in live]
         self._ticket_of = [self._ticket_of[slot] for slot in live]
         self._slots = {
@@ -385,30 +365,33 @@ class DsrcChannel:
         """Drop a joined grid (a no-op once it ended)."""
         slot = self._slots.pop(ticket, None)
         if slot is not None:
-            self._next[slot] = np.inf
+            if self.fleet is not None:
+                self.fleet.left(slot, self._members[slot])
+            self.columns["next"][slot] = np.inf
             self._members[slot] = self._ticket_of[slot] = None
+
+    def slot(self, ticket: int) -> Optional[int]:
+        """The cohort slot of a joined grid; ``None`` once it ended or
+        left."""
+        return self._slots.get(ticket)
 
     def next_beacon(self, ticket: int) -> Optional[float]:
         """The first instant of a joined grid not sent yet, or ``None``
         once the grid ended or left."""
         slot = self._slots.get(ticket)
-        return None if slot is None else float(self._next[slot])
+        return None if slot is None else float(self.columns["next"][slot])
 
     def emit_due(self, now: float) -> None:
-        """Send every joined beacon whose instant is at or before
-        ``now``, in the order their simulator events would have fired:
-        by instant across the members, ties in join order.
-
-        The due instants come off the columns in rounds (a member is due
-        0 or 1 times per flush, rarely more), each round one vector add
-        of the intervals; one sort by instant, then slot, puts them in
-        kernel order and :attr:`emitter` sends them as one block.
-        Nothing joins or leaves while beacons are sent.
-        """
+        """Send every joined beacon due by ``now`` as one block, in the
+        order their events would have fired: by instant, ties in join
+        order.  The due instants come off the columns in rounds (one
+        vector add of the intervals each); nothing joins or leaves
+        while they are sent."""
         if self._emitting or not self._slots:
             return
-        upcoming = self._next[: len(self._members)]
-        due = np.flatnonzero(upcoming <= now)
+        columns = self.columns
+        upcoming = columns["next"][: len(self._members)]
+        due = (upcoming <= now).nonzero()[0]
         if not due.size:
             return
         instants, slots, ended = [], [], []
@@ -416,8 +399,8 @@ class DsrcChannel:
             at = upcoming[due]
             instants.append(at)
             slots.append(due)
-            following = at + self._interval[due]
-            over = following >= self._until[due]
+            following = at + columns["interval"][due]
+            over = following >= columns["until"][due]
             if over.any():
                 following[over] = np.inf
                 ended.extend(due[over].tolist())
@@ -434,7 +417,7 @@ class DsrcChannel:
         members = list(map(self._members.__getitem__, due.tolist()))
         self._emitting = True
         try:
-            self.emitter(self, at.tolist(), members)
+            self.emitter(at, due, members)
         finally:
             self._emitting = False
             for slot in ended:
@@ -461,14 +444,10 @@ class DsrcChannel:
         owner: object = None,
         frame: object = None,
     ) -> None:
-        """Defer one frame to the next :meth:`flush`.
-
-        ``eff_time`` is the instant the frame reaches the medium — the
-        send instant plus any shaper delay.  ``owner`` tags the frame
-        so a handover can move a sender's not-yet-effective frames to
-        its new channel (:meth:`take_pending`); ``frame`` is the
-        owner's, handed back to :attr:`lander` on delivery in the row.
-        """
+        """Defer one frame reaching the medium at ``eff_time`` (send
+        instant plus shaper delay) to the next :meth:`flush`; ``owner``
+        tags it for :meth:`take_pending`, ``frame`` goes back to
+        :attr:`lander` in the row."""
         self._pending.append(
             (eff_time, self._pending_seq, payload_bytes, owner, frame)
         )
@@ -519,46 +498,28 @@ class DsrcChannel:
         self.flush(self.sim.now)
 
     def settle(self) -> None:
-        """Leave nothing waiting for the next tick: whoever is about to
-        change what a frame meets (the broker's availability, the loss
-        rate) calls this first.  Frames on the medium by now resolve;
-        each one still shaper-delayed resolves at its own instant."""
+        """Leave nothing waiting for the next tick (called before what a
+        frame meets changes): frames on the medium by now resolve, each
+        shaper-delayed one at its own instant."""
         self.flush(self.sim.now)
         for frame in self._pending:
             self.flush_at(frame[0])
 
     def flush(self, now: float) -> int:
-        """Resolve contention for every deferred frame effective by ``now``.
-
-        The joined beacons due by ``now`` are sent first
-        (:meth:`emit_due`), so every caller of a flush sees the frames
-        of the 10 Hz grids as the beacon events would have left them.
-        One pass then stands for one transmit event and one delivery
-        event per frame, bit-identically
-        (``tests/test_net/test_batched_mac.py`` keeps that per-frame
-        arithmetic as the reference):
-
-        - Frames are processed in ``(eff_time, seq)`` order — the order
-          per-frame transmit events at ``eff_time`` would fire (the
-          kernel dispatches by time, scheduling order breaking ties),
-          so the backoff/collision/loss RNG draw sequence is that of
-          the per-frame model.  With no shaper delays the queue is
-          already in that order and the sort is a linear scan.
-        - Each frame contends from its own ``eff_time``, not from
-          ``now``: the busy medium serializes it behind the frame
-          before it; airtimes are memoized per payload size (the
-          computation is a pure function of it).
-        - The frames delivered by ``now`` are handed to :attr:`lander`
-          in one call, in delivery order, each with its delivery time;
-          a frame still on the air gets a real delivery event.
-        - Frames whose ``eff_time`` is still in the future (shaper
-          delays) are carried to the next flush.  Nothing enqueued later
-          can precede them — a future send happens after ``now`` — so
-          carrying preserves the draw order exactly.
-
-        Waiting for a flush is invisible only while nothing reads or
-        changes what the frames meet in between; see :meth:`settle`
-        and :meth:`flush_at`.  Returns the number of frames resolved.
+        """Resolve contention for every deferred frame effective by
+        ``now``, the joined beacons due by then sent first
+        (:meth:`emit_due`).  One pass stands for one transmit and one
+        delivery event per frame, bit-identically (the per-frame
+        reference is ``tests/test_net/test_batched_mac.py``): frames in
+        ``(eff_time, seq)`` order, the order their transmit events would
+        fire, so the RNG draws are the per-frame ones; each contends
+        from its own ``eff_time`` behind the frame before it; the frames
+        delivered by ``now`` go to :attr:`lander` in one call, in
+        delivery order, one still on the air gets a delivery event; a
+        frame not effective yet is carried (nothing later can precede
+        it).  Waiting for a flush is invisible only while nothing reads
+        or changes what the frames meet (:meth:`settle`,
+        :meth:`flush_at`).  Returns the number of frames resolved.
         """
         self.emit_due(now)
         pending = self._pending
@@ -583,40 +544,42 @@ class DsrcChannel:
         t_slot = mac.t_slot_s
         difs = mac.difs_s
         airtimes = self._airtime_cache
-        sim_at = self.sim.at
+        for size in set(map(itemgetter(2), pending[:resolved])) - set(airtimes):
+            airtimes[size] = mac.airtime_s(self.mcs, size)
         busy = self._busy_until
         airtime_total = self.total_airtime_s
-        on_air = self._on_air
-        delivered: List[Tuple[float, Tuple]] = []
-        for row, slot, dropped in zip(pending, slots, lost):
-            eff_time, seq, payload_bytes, owner, _ = row
-            airtime = airtimes.get(payload_bytes)
-            if airtime is None:
-                airtime = airtimes[payload_bytes] = mac.airtime_s(
-                    self.mcs, payload_bytes
-                )
-            busy = max(eff_time, busy) + difs + slot * t_slot + airtime
+        ends = [0.0] * resolved
+        for position, (row, slot) in enumerate(zip(pending, slots)):
+            eff_time = row[0]
+            airtime = airtimes[row[2]]
+            busy = (busy if busy > eff_time else eff_time) + difs + slot * t_slot + airtime
             airtime_total += airtime
-            if dropped:
-                continue
-            if busy <= now:
-                delivered.append((busy, row))
-            else:
-                on_air[seq] = (busy, owner)
-
-                def land(t=busy, row=row, seq=seq) -> None:
-                    del on_air[seq]
-                    self.lander([(t, row)])
-
-                sim_at(busy, land, label="dsrc-delivery")
+            ends[position] = busy
         self._busy_until = busy
         self.transmissions += resolved
-        self.bytes_transmitted += sum([row[2] for row in pending[:resolved]])
+        self.bytes_transmitted += sum(map(itemgetter(2), pending[:resolved]))
         self.total_airtime_s = airtime_total
         self.frames_lost += sum(lost)
+        # ``ends`` never decreases: the frames delivered by now lead
+        on_air = bisect_right(ends, now)
+        delivered = list(compress(zip(ends[:on_air], pending), map(not_, lost)))
+        for position in range(on_air, resolved):
+            if not lost[position]:
+                self._deliver_later(ends[position], pending[position])
         if delivered:
             self.lander(delivered)
         return resolved
+
+    def _deliver_later(self, at: float, row: Tuple) -> None:
+        """A frame still on the air at the flush: one delivery event."""
+        seq = row[1]
+        self._on_air[seq] = (at, row[3])
+
+        def land() -> None:
+            del self._on_air[seq]
+            self.lander([(at, row)])
+
+        self.sim.at(at, land, label="dsrc-delivery")
 
     def utilization(self, elapsed_s: float) -> float:
         """Fraction of ``elapsed_s`` the medium spent transmitting."""

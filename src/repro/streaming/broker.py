@@ -8,7 +8,8 @@ experiments (Fig. 6c/6d) read.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import accumulate, compress, count, groupby
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.streaming.coordinator import GroupCoordinator
@@ -226,7 +227,7 @@ class Broker:
         if keyed:
             callback = keyed.get(key)
             if callback is not None:
-                callback(metadata)
+                callback((key,), (index,), (offset,))
         if now < self._drop_acks_until:
             # The append happened; the ack did not make it back.
             raise BrokerUnavailable(
@@ -244,20 +245,24 @@ class Broker:
         timestamps: Optional[Sequence[float]] = None,
         producer_ids: Optional[Sequence[Optional[str]]] = None,
         sequences: Optional[Sequence[Optional[int]]] = None,
-    ) -> None:
+    ) -> Tuple[List[int], List[int]]:
         """Append a block of records produced at one instant: the log,
         the counters, the idempotence state and the notifications of one
         :meth:`produce` per record, in block order, for one
         availability check, one clock read and one append per
-        partition.
+        partition.  Returns the partition and the offset of each
+        record, as :meth:`produce` reports them, as two lists: no
+        :class:`RecordMetadata` is built but the idempotence state's.
 
         Records are stamped ``timestamps[i]`` when given, else
         ``timestamp`` (else now).  With ``producer_ids`` and
         ``sequences`` a record carrying both is idempotent, exactly as
         in :meth:`produce`: a sequence at or below its producer's last
-        accepted one is rejected as a duplicate and not appended.
+        accepted one is rejected as a duplicate, not appended, and
+        reported as that last accepted record.
 
-        Every record is appended before the first subscriber is told.
+        Every record is appended before the first subscriber is told,
+        each subscriber once per run of consecutive records it owns.
         A subscriber may rely on that only for what the log held
         strictly before now — all a keyed OUT-DATA subscriber reads.
         A lost ack raises once, after the notifications, for the block.
@@ -268,68 +273,74 @@ class Broker:
         if timestamps is None:
             timestamps = [now if timestamp is None else timestamp] * len(keys)
         accepted: Dict[Tuple[str, str], Tuple[int, int]] = {}
+        sources = None
         if producer_ids is not None and sequences is not None:
-            keys, values, timestamps = self._dedupe_block(
+            keys, values, timestamps, sources = self._dedupe_block(
                 topic_name, keys, values, timestamps, producer_ids, sequences,
                 accepted,
             )
         indexes = topic.route_block(keys)
-        partitions = topic.partitions
-        present = set(indexes)
-        before = sum([partitions[index].bytes_in for index in present])
-        if len(present) == 1:
-            groups = [(indexes[0], timestamps, keys, values)]
-        else:
-            groups = []
-            for index in present:
-                mask = list(map(index.__eq__, indexes))
-                groups.append(
-                    (
-                        index,
-                        list(compress(timestamps, mask)),
-                        list(compress(keys, mask)),
-                        list(compress(values, mask)),
-                    )
-                )
-        next_offset = {
-            index: partitions[index].append_block(times, keys_, values_, now)
-            for index, times, keys_, values_ in groups
-        }
+        present = list(dict.fromkeys(indexes))
+        groups = [(timestamps, keys, values)]
+        if len(present) > 1:
+            # each partition's records in block order: one stable sort
+            pick = itemgetter(*sorted(range(len(indexes)), key=indexes.__getitem__))
+            columns = [pick(column) for column in groups[0]]
+            present.sort()
+            bounds = list(accumulate(map(indexes.count, present), initial=0))
+            groups = [
+                [column[start:stop] for column in columns]
+                for start, stop in zip(bounds, bounds[1:])
+            ]
+        firsts = {}
+        for index, group in zip(present, groups):
+            log = topic.partitions[index]
+            held = log.bytes_in
+            firsts[index] = count(log.append_block(*group, now))
+            self.bytes_in += log.bytes_in - held
+        # each partition's offsets, in turn, in block order
+        offsets = list(map(next, map(firsts.__getitem__, indexes)))
         topic.version += len(indexes)
-        self.bytes_in += (
-            sum([partitions[index].bytes_in for index in present]) - before
-        )
         self.records_in += len(indexes)
-        keyed = self._keyed_notify.get(topic_name)
-        offsets = []
-        if accepted or keyed:
-            for index in indexes:
-                offset = next_offset[index]
-                next_offset[index] = offset + 1
-                offsets.append(offset)
-
-        def metadata(position: int) -> RecordMetadata:
-            key = keys[position]
-            return RecordMetadata(
-                topic=topic_name,
-                partition=indexes[position],
-                offset=offsets[position],
-                timestamp=timestamps[position],
-                serialized_size=len(values[position]) + (len(key) if key else 0),
-            )
-
         for state_key, (sequence, position) in accepted.items():
-            self._producer_state[state_key] = (sequence, metadata(position))
+            key = keys[position]
+            self._producer_state[state_key] = (
+                sequence,
+                RecordMetadata(
+                    topic=topic_name,
+                    partition=indexes[position],
+                    offset=offsets[position],
+                    timestamp=timestamps[position],
+                    serialized_size=len(values[position]) + (len(key) if key else 0),
+                ),
+            )
+        keyed = self._keyed_notify.get(topic_name)
         if keyed:
-            for position, callback in enumerate(map(keyed.get, keys)):
-                if callback is not None:
-                    callback(metadata(position))
-        if indexes and now < self._drop_acks_until:
+            owned = list(map(keyed.get, keys))
+            runs = groupby(
+                compress(zip(owned, keys, indexes, offsets), owned), itemgetter(0)
+            )
+            for callback, run in runs:
+                _, run_keys, run_indexes, run_offsets = zip(*run)
+                callback(run_keys, run_indexes, run_offsets)
+        if sources is not None:
+            # a rejected duplicate reports its producer's last accepted
+            # record: a kept position, or the prior metadata
+            reported = [
+                (indexes[source], offsets[source])
+                if isinstance(source, int)
+                else (source.partition, source.offset)
+                for source in sources
+            ]
+            indexes = list(map(itemgetter(0), reported))
+            offsets = list(map(itemgetter(1), reported))
+        if len(keys) and now < self._drop_acks_until:
             # (a rejected duplicate is acknowledged with its original)
             raise BrokerUnavailable(
                 f"broker {self.name!r} lost the produce acks for a block of "
-                f"{len(indexes)} on {topic_name!r}"
+                f"{len(keys)} on {topic_name!r}"
             )
+        return indexes, offsets
 
     def _dedupe_block(
         self, topic_name, keys, values, timestamps, producer_ids, sequences,
@@ -337,9 +348,12 @@ class Broker:
     ):
         """The records of a block :meth:`produce` would append, in
         order; fills ``accepted`` with each idempotent producer's last
-        appended ``(sequence, position among the kept records)``."""
+        appended ``(sequence, position among the kept records)``.  Also
+        returns each record's source: its position among the kept
+        records, or for a rejected duplicate, its producer's last
+        accepted record (a kept position, or the prior metadata)."""
         state = self._producer_state
-        kept_keys, kept_values, kept_times = [], [], []
+        kept_keys, kept_values, kept_times, sources = [], [], [], []
         for key, value, record_time, producer_id, sequence in zip(
             keys, values, timestamps, producer_ids, sequences
         ):
@@ -350,12 +364,14 @@ class Broker:
                     last = state.get(state_key)
                 if last is not None and sequence <= last[0]:
                     self.duplicates_rejected += 1
+                    sources.append(last[1])
                     continue
                 accepted[state_key] = (sequence, len(kept_keys))
+            sources.append(len(kept_keys))
             kept_keys.append(key)
             kept_values.append(value)
             kept_times.append(record_time)
-        return kept_keys, kept_values, kept_times
+        return kept_keys, kept_values, kept_times, sources
 
     def last_sequence(self, producer_id: str, topic_name: str) -> int:
         """The highest sequence accepted from an idempotent producer on
@@ -368,11 +384,13 @@ class Broker:
         self,
         topic_name: str,
         key: bytes,
-        callback: Callable[[RecordMetadata], None],
+        callback: Callable[[Sequence[bytes], Sequence[int], Sequence[int]], None],
     ) -> Callable[[], None]:
-        """Invoke ``callback(metadata)`` on every produce to the topic
-        carrying ``key``: one dict lookup per produce however many
-        subscribers.  Vehicles register under their car id, the key of
+        """Invoke ``callback(keys, partitions, offsets)`` with the
+        records produced to the topic carrying ``key``: one dict lookup
+        per record however many subscribers, and one call per run of
+        consecutive records of one block with the same callback (a
+        subscriber registered under many keys hears a block once).  Vehicles register under their car id, the key of
         every warning for them, so an append wakes the warned vehicle
         only.  A key has one owner per topic (a second is refused).
         Registration does not require the topic to exist yet; returns a

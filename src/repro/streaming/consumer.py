@@ -331,7 +331,7 @@ class Consumer:
         limit: float,
         max_records: int = 500,
         own: Optional[List[OwnRecord]] = None,
-        receive: Optional[Callable[[float, OwnRecord], None]] = None,
+        receive: Optional[Callable[[List[Tuple[float, OwnRecord]]], None]] = None,
     ) -> Tuple[float, int]:
         """Account, without executing them, the polls at the grid
         instants ``first, first + interval, ...`` strictly before
@@ -351,10 +351,11 @@ class Consumer:
 
         The records the caller would *not* drop go in ``own``:
         ``((topic, partition), offset, append clock)`` entries, oldest
-        append first.  ``receive(instant, entry)`` is called for each,
-        and the entry removed, at the instant whose poll read it — the
-        one at which the position passes its offset — in the order that
-        poll returned them.
+        append first.  Each is removed and handed to ``receive`` as
+        ``(instant, entry)``, the instant being that of the poll that
+        read it — the one at which the position passes its offset — in
+        the order the polls returned them: one call per stretch of polls
+        that read any.
         """
         refused = 0
         instant = first
@@ -382,7 +383,7 @@ class Consumer:
         limit: float,
         max_records: int,
         own: Optional[List[OwnRecord]],
-        receive: Optional[Callable[[float, OwnRecord], None]],
+        receive: Optional[Callable[[List[Tuple[float, OwnRecord]]], None]],
     ) -> float:
         """:meth:`settle_polls` over a stretch the broker was up for.
 
@@ -455,8 +456,7 @@ class Consumer:
                     clocks = list(map(itemgetter(2), read))
                     at = instants.searchsorted(clocks, "left")
                     polled = instants[np.maximum(at, start)].tolist()
-                    for instant, entry in sorted(zip(polled, read)):
-                        receive(instant, entry)
+                    receive(sorted(zip(polled, read)))
             start = stop
         return following
 

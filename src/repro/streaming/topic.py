@@ -12,7 +12,7 @@ from __future__ import annotations
 import zlib
 from array import array
 from itertools import accumulate, count, islice
-from operator import add
+from operator import add, attrgetter, getitem, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,6 +21,8 @@ from repro.streaming.records import StoredRecord
 from repro.streaming.serde import STRUCT_MAGIC
 
 _MAGIC = bytes([STRUCT_MAGIC])
+_VALUES = attrgetter("_values")
+_START = attrgetter("_start_offset")
 
 
 class _Slab:
@@ -326,6 +328,16 @@ class Topic:
             return list(map(self._routes.__getitem__, keys))
         except KeyError:  # a new key, or an unkeyed record
             return [self.route(key) for key in keys]
+
+    def values_at(
+        self, partitions: Sequence[int], offsets: Sequence[int]
+    ) -> List[bytes]:
+        """The value bytes of the retained record at offset
+        ``offsets[i]`` of partition ``partitions[i]``, for each ``i``."""
+        logs = list(map(self.partitions.__getitem__, partitions))
+        return list(
+            map(getitem, map(_VALUES, logs), map(sub, offsets, map(_START, logs)))
+        )
 
     def partition(self, index: int) -> Partition:
         if not 0 <= index < self.num_partitions:

@@ -112,12 +112,17 @@ def _poll_executed(self) -> None:
     except BrokerUnavailable:
         self.stats.poll_failures += 1
         return
-    for record in records:
-        value = record.value
-        if int(value.get("car", -1)) == self.car_id:
-            self._receive_warning(
-                self.sim.now, float(value["t"]), float(value["generated_at"])
-            )
+    own = [
+        record.value
+        for record in records
+        if int(record.value.get("car", -1)) == self.car_id
+    ]
+    if own:
+        self._receive_warnings(
+            [self.sim.now] * len(own),
+            [float(value["t"]) for value in own],
+            [float(value["generated_at"]) for value in own],
+        )
 
 
 def use_executed_polls(patch) -> None:

@@ -278,13 +278,13 @@ def test_batched_dataplane_matches_under_truncated_polls(
     budget against the executed recurrence)."""
     monkeypatch.setattr(vehicle_module, "_POLL_MAX_RECORDS", 3)
     delays = []
-    receive = VehicleNode._receive_warning
+    receive = VehicleNode._receive_warnings
 
-    def recording(self, polled_at, detected_at, generated_at):
-        delays.append(polled_at - detected_at)
-        receive(self, polled_at, detected_at, generated_at)
+    def recording(self, polled, detected, generated):
+        delays.extend(map(float.__sub__, polled, map(float, detected)))
+        receive(self, polled, detected, generated)
 
-    monkeypatch.setattr(VehicleNode, "_receive_warning", recording)
+    monkeypatch.setattr(VehicleNode, "_receive_warnings", recording)
     _, scenario = _run(
         labeled_dataset, "struct", handover_fraction=0.5, n_vehicles=24
     )

@@ -131,13 +131,16 @@ def _record_receipts(monkeypatch):
     """Every ``(car, poll instant, detected_at)`` a vehicle receives,
     whichever way the poll that read it came about."""
     receipts = []
-    receive = VehicleNode._receive_warning
+    receive = VehicleNode._receive_warnings
 
-    def recording(self, polled_at, detected_at, generated_at):
-        receipts.append((self.car_id, polled_at, detected_at))
-        receive(self, polled_at, detected_at, generated_at)
+    def recording(self, polled, detected, generated):
+        receipts.extend(
+            (self.car_id, polled_at, float(detected_at))
+            for polled_at, detected_at in zip(polled, detected)
+        )
+        receive(self, polled, detected, generated)
 
-    monkeypatch.setattr(VehicleNode, "_receive_warning", recording)
+    monkeypatch.setattr(VehicleNode, "_receive_warnings", recording)
     return receipts
 
 

@@ -13,6 +13,8 @@ scenario-level counterpart is ``test_core/test_golden_dataplane.py``).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.dsrc import DsrcChannel, DsrcMacModel
 from repro.net.htb import HtbClass, HtbShaper
@@ -314,3 +316,80 @@ class TestRawStreamDraws:
         channel.enqueue(0.0, 200)
         with pytest.raises(ValueError, match="64-bit"):
             channel.flush(1.0)
+
+
+class TestHtbBlockEquivalence:
+    """``send_block`` charges a block in array rounds; the per-packet
+    eager reference (``_reference_send``) prices each packet in turn.
+    Same packets, same delays and the same buckets, bit for bit."""
+
+    @staticmethod
+    def _shaper(leaves, root_burst):
+        shaper = HtbShaper(
+            HtbClass("root", rate_bps=40_000.0, burst_bytes=root_burst)
+        )
+        for leaf in range(leaves):
+            shaper.add_leaf(
+                HtbClass(f"v{leaf}", rate_bps=8_000.0, burst_bytes=300.0)
+            )
+        return shaper
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        leaves=st.integers(1, 4),
+        root_burst=st.sampled_from([0.0, 250.0, 5_000.0]),
+        blocks=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 3),
+                    st.integers(1, 400),
+                    # gaps binary-exact, so eager and lazy root accrual agree
+                    st.sampled_from([0.0, 0.0, 0.125, 0.25]),
+                ),
+                min_size=1,
+                max_size=10,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_block_matches_per_packet_reference(self, leaves, root_burst, blocks):
+        eager = self._shaper(leaves, root_burst)
+        block_wise = self._shaper(leaves, root_burst)
+        now = 0.0
+        for block in blocks:
+            names, sizes, instants = [], [], []
+            for leaf, size, gap in block:
+                now += gap  # repeated leaves, and bit-equal instants
+                names.append(f"v{leaf % leaves}")
+                sizes.append(size)
+                instants.append(now)
+            expected = [
+                _reference_send(eager, name, size, at)
+                for name, size, at in zip(names, sizes, instants)
+            ]
+            assert block_wise.send_block(names, sizes, instants) == expected
+        for name in (f"v{leaf}" for leaf in range(leaves)):
+            got, want = block_wise.leaf(name), eager.leaf(name)
+            assert got.tokens == want.tokens
+            assert got.bytes_sent == want.bytes_sent
+            assert got.bytes_borrowed == want.bytes_borrowed
+        eager.root.refill(now)
+        block_wise.root.refill(now)
+        assert block_wise.root.tokens == eager.root.tokens
+
+    def test_a_leaf_written_through_its_handle_prices_the_next_packet(self):
+        eager, block_wise = self._shaper(1, 0.0), self._shaper(1, 0.0)
+        for shaper in (eager, block_wise):
+            leaf = shaper.leaf("v0")
+            leaf.burst_bytes = leaf.tokens = 150.0
+        delay = block_wise.send_block(["v0"], [200], [0.0])
+        assert delay == [_reference_send(eager, "v0", 200, 0.0)]
+        assert delay[0] > 0.0  # 50 bytes short, nothing to borrow
+        assert block_wise.leaf("v0").tokens == eager.leaf("v0").tokens == 0.0
+
+    def test_time_going_backwards_is_refused(self):
+        shaper = self._shaper(1, 0.0)
+        shaper.send("v0", 10, 1.0)
+        with pytest.raises(ValueError, match="time went backwards"):
+            shaper.send_block(["v0", "v0"], [10, 10], [1.0, 0.5])

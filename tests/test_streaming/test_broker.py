@@ -103,7 +103,9 @@ class TestProduceNotification:
 
     def test_keyed_callback_fires_for_its_key_only(self, broker):
         seen = []
-        broker.subscribe_key("IN-DATA", b"7", lambda m: seen.append(m.offset))
+        broker.subscribe_key(
+            "IN-DATA", b"7", lambda keys, parts, offsets: seen.extend(offsets)
+        )
         broker.produce("IN-DATA", b"a", key=b"8")
         broker.produce("IN-DATA", b"b")
         assert seen == []
@@ -111,13 +113,15 @@ class TestProduceNotification:
         assert seen == [metadata.offset]
 
     def test_duplicate_key_refused_until_cancelled(self, broker):
-        cancel = broker.subscribe_key("IN-DATA", b"7", lambda m: None)
+        cancel = broker.subscribe_key("IN-DATA", b"7", lambda *appended: None)
         with pytest.raises(BrokerError, match="already has a subscriber"):
-            broker.subscribe_key("IN-DATA", b"7", lambda m: None)
+            broker.subscribe_key("IN-DATA", b"7", lambda *appended: None)
         cancel()
         cancel()  # idempotent
         seen = []
-        replacement = broker.subscribe_key("IN-DATA", b"7", seen.append)
+        replacement = broker.subscribe_key(
+            "IN-DATA", b"7", lambda *appended: seen.append(appended)
+        )
         cancel()  # a stale cancel must not evict the new owner
         broker.produce("IN-DATA", b"x", key=b"7")
         assert len(seen) == 1
@@ -129,8 +133,8 @@ class TestProduceNotification:
         seen = []
         cancels = []
 
-        def once(metadata):
-            seen.append(metadata.offset)
+        def once(keys, partitions, offsets):
+            seen.extend(offsets)
             cancels[0]()
 
         cancels.append(broker.subscribe_key("IN-DATA", b"7", once))
@@ -141,7 +145,7 @@ class TestProduceNotification:
     def test_keyed_registration_may_precede_the_topic(self):
         broker = Broker("b")
         seen = []
-        broker.subscribe_key("LATER", b"k", seen.append)
+        broker.subscribe_key("LATER", b"k", lambda *appended: seen.append(appended))
         broker.create_topic("LATER", 1)
         broker.produce("LATER", b"x", key=b"k")
         assert len(seen) == 1
@@ -151,7 +155,7 @@ class TestProduceNotification:
         broker = Broker("b", clock=lambda: now[0])
         broker.create_topic("t", 1)
         seen = []
-        broker.subscribe_key("t", b"k", lambda m: seen.append("key"))
+        broker.subscribe_key("t", b"k", lambda *appended: seen.append("key"))
         broker.drop_acks_until(1.0)
         with pytest.raises(BrokerUnavailable):
             broker.produce("t", b"x", key=b"k")
@@ -298,7 +302,13 @@ def test_produce_block_is_one_produce_per_record(
         broker.produce("t", b"x", producer_id="p", sequence=2)
         heard = []
         for key in sorted(listened_keys):
-            broker.subscribe_key("t", key, lambda m, k=key: heard.append((k, m)))
+            broker.subscribe_key(
+                "t",
+                key,
+                lambda keys, parts, offsets, k=key: heard.extend(
+                    (k, part, offset) for part, offset in zip(parts, offsets)
+                ),
+            )
         now[0] = 2.0
         if ack_lost:
             broker.drop_acks_until(3.0)
@@ -350,7 +360,13 @@ def test_produce_block_appends_the_whole_block_before_telling_anyone():
     keys = [b"0", b"2", b"7", b"0"]
     assert len({topic.route(key) for key in keys}) == 3
     appended = []
-    broker.subscribe_key("t", b"0", lambda m: appended.append(topic.total_records))
+    broker.subscribe_key(
+        "t",
+        b"0",
+        lambda keys, parts, offsets: appended.extend(
+            [topic.total_records] * len(offsets)
+        ),
+    )
     broker.produce_block("t", keys, [b"w", b"x", b"y", b"z"])
     assert appended == [4, 4]
 
@@ -362,3 +378,32 @@ def test_produce_block_is_refused_whole_by_a_down_broker():
     with pytest.raises(BrokerUnavailable):
         broker.produce_block("t", [b"k"], [b"x"])
     assert broker.topic("t").total_records == 0
+
+
+def test_produce_block_reports_what_produce_returns():
+    """The partitions and offsets a block reports are the metadata one
+    ``produce`` per record returns, a rejected duplicate included (it
+    reports its producer's last accepted record)."""
+    keys = [b"0", b"2", b"7", b"0", b"5", b"2", b"7"]
+    ids = ["p", "p", None, "q", "p", "q", None]
+    sequences = [3, 4, None, 1, 4, 1, None]  # p:4 and q:1 repeat
+    one_by_one, at_once = Broker("b"), Broker("b")
+    for broker in (one_by_one, at_once):
+        broker.create_topic("t", 3)
+        broker.produce("t", b"x", key=b"9", producer_id="p", sequence=2)
+    expected = [
+        one_by_one.produce(
+            "t", bytes([position]), key=key, producer_id=producer_id,
+            sequence=sequence,
+        )
+        for position, (key, producer_id, sequence) in enumerate(
+            zip(keys, ids, sequences)
+        )
+    ]
+    partitions, offsets = at_once.produce_block(
+        "t", keys, [bytes([position]) for position in range(len(keys))],
+        producer_ids=ids, sequences=sequences,
+    )
+    assert at_once.duplicates_rejected == one_by_one.duplicates_rejected == 2
+    assert list(partitions) == [metadata.partition for metadata in expected]
+    assert list(offsets) == [metadata.offset for metadata in expected]

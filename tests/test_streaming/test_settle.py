@@ -103,14 +103,13 @@ class _World:
         for key in OWN_KEYS:
             self.broker.subscribe_key(TOPIC, key, self.notified)
 
-    def notified(self, metadata):
-        self.own.append(
-            ((TOPIC, metadata.partition), metadata.offset, self.now)
-        )
+    def notified(self, keys, partitions, offsets):
+        for partition, offset in zip(partitions, offsets):
+            self.own.append(((TOPIC, partition), offset, self.now))
 
-    def receive(self, instant, entry):
-        (_, partition), offset, _ = entry
-        self.receipts.append((instant, partition, offset))
+    def receive(self, read):
+        for instant, ((_, partition), offset, _) in read:
+            self.receipts.append((instant, partition, offset))
 
     def state(self):
         return (

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -282,7 +281,7 @@ class WarningMessage:
             "car": cars,
             "rd": roads,
             "t": [round(detected_at, 6)] * n,
-            "spd": list(map(round, speeds, repeat(2))),
+            "spd": [round(speed, 2) for speed in speeds],
             "kind": [WarningMessage.kind] * n,
         }
 

@@ -570,21 +570,18 @@ class RsuNode:
         streaks = self._abnormal_streak
         limit = self.config.history_limit
         threshold = self.config.warning_threshold
-        last_class = self._last_class
         warned: List[int] = []
-        # operators and subscripts only: no call per record
         for position, car in enumerate(cars):
-            if car not in history_map:
-                history_map[car] = []
-            history = history_map[car]
-            history += (probs_list[position],)
-            del history[:-limit]  # a no-op while within the limit
-            last_class[car] = classes_list[position]
+            history = history_map.setdefault(car, [])
+            history.append(probs_list[position])
+            if len(history) > limit:
+                del history[:-limit]
+            self._last_class[car] = classes_list[position]
             if flags[position]:
-                streak = streaks[car] + 1 if car in streaks else 1
+                streak = streaks.get(car, 0) + 1
                 streaks[car] = streak
                 if streak >= threshold:
-                    warned += (position,)
+                    warned.append(position)
             else:
                 streaks[car] = 0
         self._emit_block_warnings(block, warned, completion_time)
@@ -640,7 +637,7 @@ class RsuNode:
         try:
             self.broker.produce_block(
                 OUT_DATA,
-                list(map(str.encode, map(str, cars))),
+                [str(car).encode() for car in cars],
                 values,
                 timestamp=detected_at,
             )

@@ -34,8 +34,9 @@ from repro.streaming.serde import (
     SerdeError,
 )
 
-#: The telemetry struct layout ends ``generated_at f64 | arrived_at
-#: f64``: a template is finalized by packing both over its last 16 bytes.
+#: Template patch: the telemetry struct layout ends in
+#: ``generated_at f64 | arrived_at f64``, so a pre-serialized frame is
+#: finalized by packing both timestamps over its last 16 bytes.
 _TS_PATCH = struct.Struct("<dd")
 
 #: Bytes of a struct-encoded telemetry frame: a payload-store row.
@@ -45,7 +46,9 @@ _WIRE = TelemetryStructSerde.DTYPE.itemsize
 _POLL_MAX_RECORDS = 500
 
 
-#: Vehicle and producer fields read a block at a time.
+#: What :func:`_first_degraded` reads off a vehicle's producer, which
+#: is bound to its RSU's broker: the broker's unsteady horizon and the
+#: retry backlog, one C-level fetch each.
 _UNSTEADY_UNTIL = attrgetter("broker.unsteady_until")
 _BACKLOG = attrgetter("_buffer")
 _BROKER = attrgetter("broker")
@@ -56,22 +59,20 @@ _KEY = attrgetter("_key_bytes")
 
 
 def _first_degraded(
-    producers: Sequence[Producer], instants: Sequence[float]
+    producers: Sequence[Producer], instants: Iterable[float]
 ) -> int:
-    """Index of the first of ``producers`` whose frame, sent or landing
-    at its instant (``instants`` ascending), cannot wait for a flush:
-    its broker is down or losing acks then, or it holds a retry
-    backlog; ``len(producers)`` if none."""
+    """Index of the first of ``producers`` whose vehicle's frame, sent
+    or landing at its instant, cannot wait for a flush — its broker is
+    down or losing acks then, or it holds a retry backlog;
+    ``len(producers)`` if none.  The one "may this frame wait" rule
+    (:meth:`VehicleNode._degraded` asks it of one frame)."""
     first = len(producers)
-    if any(map(_BACKLOG, producers)):
-        first = list(map(truth, map(_BACKLOG, producers))).index(True)
-    for broker in set(map(_BROKER, producers)):
-        # no later instant is before the horizon if the first is not
-        if producers and instants[0] < broker.unsteady_until:
-            flags = list(map(lt, instants, map(_UNSTEADY_UNTIL, producers)))
-            if True in flags:
-                first = min(first, flags.index(True))
-            break
+    for flags in (
+        list(map(lt, instants, map(_UNSTEADY_UNTIL, producers))),
+        list(map(truth, map(_BACKLOG, producers))),
+    ):
+        if True in flags:
+            first = min(first, flags.index(True))
     return first
 
 
@@ -85,12 +86,13 @@ _COUNTED = np.array([1, _WIRE])  # what a struct beacon adds to the counts
 class Fleet:
     """The data plane of one :class:`DsrcChannel`'s vehicles, as
     columns over its cohort slots (``channel.columns["fleet"]``): each
-    joined stripe's wire templates as rows of one append-only ``(rows,
-    71)`` store (``TelemetryStructSerde.encode_templates``), each slot's
-    replay position, send counters and HTB leaf; the OUT-DATA appends
-    keyed with its vehicles' car ids reach it once per block
-    (:meth:`warned`).  A beacon's frame is ``(store row, generated_at,
-    sent_on)``."""
+    slot's replay position, send counters and HTB leaf, and each joined
+    stripe's wire templates as rows of one append-only ``(rows, 71)``
+    store (``TelemetryStructSerde.encode_templates``).  A beacon's frame
+    is ``(store row, generated_at, sent_on)``; the channel's delivered
+    frames land through :func:`land_frames`.  The OUT-DATA appends keyed
+    with its vehicles' car ids reach it once per block (:meth:`warned`).
+    """
 
     def __init__(self, channel: DsrcChannel) -> None:
         self.channel = channel
@@ -101,18 +103,10 @@ class Fleet:
         self._all_struct = True
         self._empty = False  # a stripe joined empty
         self._payloads: List[dict] = []
-        # Per store row, its vehicle's producer and record key.
-        self._producers: List[Producer] = []
-        self._keys: List[bytes] = []
-        # When a vehicle here last changed road or channel.
-        self._moved = float("-inf")
         self._shapers: List[HtbShaper] = []
-        self._brokers: List = []
-        self._retrying = False
         self._owners: Dict[bytes, "VehicleNode"] = {}
         channel.fleet = self
-        channel.emitter = self.emit
-        channel.lander = self.land
+        channel.lander = land_frames
 
     @classmethod
     def of(cls, channel: DsrcChannel) -> "Fleet":
@@ -121,7 +115,8 @@ class Fleet:
 
     def joined(self, slot: int, vehicle: "VehicleNode") -> None:
         """Store ``vehicle``'s stripe for ``slot``; replay resumes where
-        the vehicle left off."""
+        the vehicle left off.  The store only grows: a stripe stays
+        while frames in flight may still name its rows."""
         start = len(self._payloads)
         stop = start + len(vehicle._payloads)
         if stop > len(self._rows):
@@ -133,8 +128,6 @@ class Fleet:
         self._all_struct = self._all_struct and bool(vehicle._encodable.all())
         self._empty = self._empty or start == stop
         self._payloads.extend(vehicle._payloads)
-        self._producers.extend(repeat(vehicle._producer, stop - start))
-        self._keys.extend(repeat(vehicle._key_bytes, stop - start))
         self.channel.columns["fleet"][slot, :_SHAPED] = (
             start, stop - start, vehicle._replay, 0, 0
         )
@@ -159,6 +152,8 @@ class Fleet:
         state[slot, _SENT:_SHAPED] = 0
 
     def left(self, slot: int, vehicle: "VehicleNode") -> None:
+        """``vehicle`` leaves ``slot``: it keeps its counts and where
+        its replay stands, for the channel it joins next."""
         self.fold(slot, vehicle)
         vehicle._replay = self.channel.columns["fleet"][slot, _REPLAY].item()
 
@@ -169,13 +164,21 @@ class Fleet:
         vehicles: List["VehicleNode"],
     ) -> None:
         """Send the beacons due at a flush, ``instants[i]`` of
-        ``vehicles[i]`` (cohort slot ``slots[i]``), in kernel order: each
-        replays its vehicle's next stripe row (a payload that does not
-        struct-encode is sized by serializing its envelope), HTB is
-        charged at each instant, the whole block in order, and the
-        frames join the channel's queue as one block of rows.  A vehicle
-        whose frame cannot wait for a flush (:func:`_first_degraded`)
-        ends the block: its frame resolves at its own instant."""
+        ``vehicles[i]`` (cohort slot ``slots[i]``), in kernel order.
+
+        - Each beacon replays its vehicle's next stripe row; the
+          replay positions and send counters move column-wise, in
+          rounds when a vehicle is due more than once.  A payload that
+          does not struct-encode is sized by serializing its envelope.
+        - HTB is charged at each instant, the whole block in order
+          (:meth:`~repro.net.htb.HtbShaper.send_rows`).
+        - The frames join the channel's queue at their effective times
+          as one block of rows: :func:`land_frames` builds the bytes.
+        - A vehicle that cannot wait for a flush at its instant
+          (:func:`_first_degraded`) ends the block: its frame resolves
+          at its own instant (``flush_at``), and the rule is asked
+          afresh for the beacons after it.
+        """
         channel = self.channel
         state = channel.columns["fleet"]
         records = np.empty((len(slots), 7), dtype=np.int64)
@@ -204,20 +207,15 @@ class Fleet:
         if self._shapers:
             delays = np.zeros(len(at))
             shaped = records[:, _SHAPED]
-            groups = [(shaped[0].item(), slice(None))]
-            if (shaped != shaped[0]).any():  # several shapers, or none
-                groups = [(i, shaped == i) for i in np.unique(shaped).tolist()]
             charged = np.asarray(sizes, dtype=np.float64)
-            for index, mine in groups:
+            for index in np.unique(shaped).tolist():  # one per RSU, or none
                 if index >= 0:
+                    mine = shaped == index
                     delays[mine] = self._shapers[index].send_rows(
                         records[mine, _LEAF_ROW], charged[mine], instants[mine]
                     )
             eff_times = (instants + delays).tolist()
         frames = list(zip(rows.tolist(), at, repeat(channel)))
-        if self._steady(at[0]):
-            channel.enqueue_block(eff_times, sizes, vehicles, frames)
-            return
         producers = list(map(_PRODUCER, vehicles))
         start, count = 0, len(at)
         while start < count:
@@ -233,44 +231,6 @@ class Fleet:
             if row < count:
                 channel.flush_at(eff_times[row])
 
-    def serve(self, vehicle: "VehicleNode") -> None:
-        """Note ``vehicle``'s producer's broker and whether it retries,
-        for :meth:`_steady`."""
-        producer = vehicle._producer
-        if producer.broker not in self._brokers:
-            self._brokers.append(producer.broker)
-        self._retrying = self._retrying or producer.retry is not None
-
-    def moved(self, now: float) -> None:
-        """A vehicle here changes road or channel at ``now``: its frames
-        sent before may be stale or land elsewhere."""
-        self._moved = now
-
-    def land(self, delivered: List[Tuple[float, Tuple]]) -> None:
-        """Land the frames this channel delivered (:func:`land_frames`).
-        When all were struct-encoded and sent here after the last move,
-        to the one broker, none degraded, they land as one IN-DATA block
-        read off the columns alone."""
-        frames = list(map(itemgetter(4), map(itemgetter(1), delivered)))
-        if not (
-            self._all_struct
-            and len(self._brokers) == 1
-            and min(map(itemgetter(1), frames)) > self._moved
-            and set(map(itemgetter(2), frames)) == {self.channel}
-            and self._steady(self.channel.sim.now)
-        ):
-            land_frames(delivered)
-            return
-        rows = list(map(itemgetter(0), frames))
-        times = list(map(itemgetter(0), delivered))
-        send_block(
-            list(map(self._producers.__getitem__, rows)),
-            IN_DATA,
-            list(map(self._keys.__getitem__, rows)),
-            self._patched(rows, map(itemgetter(1), frames), times),
-            times,
-        )
-
     def _patched(
         self, rows: List[int], generated: Iterable[float], times: List[float]
     ) -> List[bytes]:
@@ -283,37 +243,44 @@ class Fleet:
         block[:, _WIRE - 16 :] = stamps.view(np.uint8).reshape(-1, 16)
         return block.view(np.dtype((np.void, _WIRE))).ravel().tolist()
 
-    def _steady(self, first: float) -> bool:
-        """No frame from ``first`` on is degraded (:func:`_first_degraded`):
-        no producer here retries and no broker here is unsteady then."""
-        return not self._retrying and all(
-            first >= broker.unsteady_until for broker in self._brokers
-        )
-
     def warned(
         self,
         keys: Sequence[bytes],
         partitions: Sequence[int],
         offsets: Sequence[int],
     ) -> None:
-        """OUT-DATA appends keyed with this fleet's vehicles' car ids go
-        on their vehicles' unread warnings (:meth:`VehicleNode._settle`)."""
+        """Warnings for this fleet's cars hit OUT-DATA: each goes on its
+        vehicle's unread list, for the poll at the first grid instant at
+        or after now to read it, or a later one when the broker is down
+        by then or the budget cuts that poll short; one at or past
+        ``until`` never runs and it stays unread.  Only queued here:
+        settlement is path-independent, so it waits for whoever reads
+        the grid (:meth:`VehicleNode.stop`, ``detach``, a migrate)."""
         entries = zip(
             zip(repeat(OUT_DATA), partitions), offsets, repeat(self.channel.sim.now)
         )
         for vehicle, entry in zip(map(self._owners.__getitem__, keys), entries):
-            vehicle._own_unread += (entry,)
+            vehicle._own_unread.append(entry)
 
 
 def land_frames(delivered: List[Tuple[float, Tuple]]) -> None:
-    """Land delivered channel rows ``(eff_time, seq, size, vehicle,
-    frame)``, each with its delivery time, in order, reading each
-    frame's vehicle.  Per frame, what a delivery event would check: a
-    frame generated before its vehicle last changed road is abandoned
-    (counted); one sent on another channel than its vehicle's now first
-    flushes that channel; consecutive frames bound for one steady broker
-    land as one IN-DATA block, a degraded one alone through
-    ``Producer.send``.  With none of that, the checks are column-wise."""
+    """Land the frames one flush delivered, in delivery order.
+
+    Each is a vehicle's channel row ``(eff_time, seq, size, vehicle,
+    frame)`` with its delivery time, ``frame`` being ``(store row,
+    generated_at, sent_on)`` (:meth:`Fleet.emit`).  Per frame, what a
+    delivery event would have checked: a frame generated before its
+    vehicle last changed road is abandoned (counted); one sent on
+    another channel than its vehicle's now (on the air across a
+    failover) first flushes that channel, whose earlier frames land
+    ahead of it.  Consecutive frames bound for one steady broker land
+    as one IN-DATA block (:func:`~repro.streaming.producer.send_block`);
+    a frame whose broker is down or losing acks, or whose producer
+    holds a retry backlog, goes through ``Producer.send`` alone.  When
+    no frame needs any of that — the steady state — the whole delivery
+    is one block, the checks made column-wise and the bytes patched
+    off the sending fleet's store at once (:func:`_wire_values`).
+    """
     rows = list(map(itemgetter(1), delivered))
     vehicles: List["VehicleNode"] = list(map(itemgetter(3), rows))
     frames: List[Tuple] = list(map(itemgetter(4), rows))
@@ -323,7 +290,7 @@ def land_frames(delivered: List[Tuple[float, Tuple]]) -> None:
     if (
         not any(map(lt, generated, map(_ROAD_SINCE, vehicles)))
         and all(map(is_, map(itemgetter(2), frames), map(_CHANNEL, vehicles)))
-        and _first_degraded(producers, [now] * len(producers)) == len(producers)
+        and _first_degraded(producers, repeat(now)) == len(producers)
         and len(set(map(_BROKER, producers))) == 1
     ):
         _land_block(vehicles, list(map(itemgetter(0), delivered)), frames)
@@ -399,14 +366,21 @@ def _wire_values(
 
 @dataclass
 class VehicleStats:
-    """Per-vehicle measurements: a view, materialized from the
-    vehicle's :class:`Fleet` columns when :attr:`VehicleNode.stats` is
-    read and when the vehicle leaves its channel (``stop``, ``retire``,
-    ``migrate``, ``detach``).  Beacons are counted at each flush of the
-    channel; warning polls when something settles the poll grid (the
-    same four).  Read them after :meth:`VehicleNode.stop` (a scenario's
-    ``wind_down`` stops every vehicle) for what per-event beacons and
-    polls would give."""
+    """Per-vehicle measurements.
+
+    A view: the send counters live in the vehicle's channel's
+    :class:`Fleet` columns and are folded in here whenever
+    :attr:`VehicleNode.stats` is read and when the vehicle leaves its
+    channel (``stop``, ``retire``, ``migrate``, ``detach``).  They are
+    settled, not live: beacons are counted by a flush of the channel
+    (each RSU micro-batch tick), warning polls when something reads the
+    vehicle's poll grid (the same four).  Mid-run they lag by up to one
+    tick (``records_sent``, ``bytes_sent``) or a whole run
+    (``warnings_received``, its latencies, ``poll_failures``); read them
+    after :meth:`VehicleNode.stop` (a scenario's ``wind_down`` stops
+    every vehicle) for the figures per-event beacons and polls would
+    give.
+    """
 
     #: Beacons sent (settled at each flush of the channel).
     records_sent: int = 0
@@ -430,28 +404,66 @@ class VehicleStats:
 class VehicleNode:
     """One emulated vehicle.
 
-    Parameters: the simulator; ``car_id`` (warnings are keyed by it);
-    the ``records`` to replay, cycled; the serving ``rsu`` and its DSRC
-    ``channel``; an optional HTB ``shaper`` (the testbed's netem);
-    ``update_rate_hz`` (paper: 10 Hz) and ``poll_interval_s`` (10 ms);
-    ``consumer_processing_s`` and ``consumer_jitter_s``, the handling
-    time added to each warning (paper: ``7.2 +- 4.4 ms``), jittered
-    from ``rng``; per-topic ``serdes`` matching the RSU's (compact JSON
-    when absent); a producer ``retry`` policy (``None`` drops telemetry
-    a down broker refuses).
+    Parameters
+    ----------
+    sim:
+        Simulation kernel.
+    car_id:
+        Vehicle identity; warnings are filtered on it.
+    records:
+        Telemetry records to replay (cycled when exhausted).
+    rsu:
+        The RSU currently serving this vehicle.
+    channel:
+        Shared DSRC medium toward that RSU.
+    shaper:
+        HTB shaper (the testbed's netem emulation); optional.
+    update_rate_hz:
+        Telemetry frequency (paper: 10 Hz).
+    poll_interval_s:
+        Warning-poll period (paper: 10 ms).
+    consumer_processing_s:
+        Modelled consumer-side handling time added to each warning
+        delivery (the paper decomposes dissemination as
+        ``10 + 7.2 +- 4.4 ms``).
+    rng:
+        Seeded stream for consumer-processing jitter.
+    serdes:
+        Per-topic serde overrides, matching the RSU's
+        (:func:`repro.core.wire.topic_serdes`); compact JSON when
+        absent.
+    retry:
+        :class:`~repro.streaming.producer.RetryPolicy` for telemetry
+        produce: buffered retries with backoff plus idempotent
+        sequence numbers.  ``None`` (default, the seed behaviour)
+        drops telemetry refused by a down broker.
 
-    The handle the control plane uses: its payload rows, send
-    counters and HTB leaf live in its channel's :class:`Fleet`.  The
-    10 Hz beacon grid is virtual: whoever flushes the channel sends
-    every beacon due by then (:meth:`Fleet.emit`), contention resolves
-    at the RSU's pre-poll flush and the delivered frames land as one
-    IN-DATA block (:meth:`Fleet.land`); while a frame cannot wait (see
-    :func:`_first_degraded`) each beacon is an event (:meth:`arm`).
-    The 10 ms poll grid is virtual too: every poll is settled in closed
-    form from the partitions' append clocks and the broker's outage log
-    (:meth:`_settle`), which hands each warning for this car back at
-    the instant whose poll read it.  Hence :attr:`stats` are settled,
-    not live (see :class:`VehicleStats`).
+    The vehicle is the control plane's handle: its payload rows, send
+    counters and HTB leaf live in its channel's :class:`Fleet`, in the
+    cohort slot it holds while it beacons.
+
+    The 10 Hz beacon grid is virtual: the vehicle joins its
+    channel's cohort, and whoever flushes the channel first sends every
+    beacon due by then (:meth:`Fleet.emit`: HTB charged at the beacon's
+    instant, the frame deferred as a row).  Contention resolves at the
+    RSU's pre-poll flush, RNG draw order preserved; the frames one
+    flush delivers land as one IN-DATA block (:func:`land_frames`).
+    While the broker is down or losing acks, or the producer holds a
+    retry backlog, each beacon is an event at its own instant and its
+    frame resolves then (:meth:`arm`).
+
+    Hence :attr:`stats` are settled, not live: call :meth:`stop` (or
+    flush the channel, for the send counters) before reading them
+    mid-run; see :class:`VehicleStats`.
+
+    The vehicle's 10 ms poll grid is virtual: the grid is the
+    drawn phase plus repeated interval addition, and no instant of it
+    becomes a simulator event.  Every poll is *settled*: accounted in
+    closed form from the partitions' append clocks and the broker's
+    outage log (:meth:`_settle`).  The broker routes the append of a
+    warning for this car to the fleet by record key (:meth:`Fleet.warned`);
+    settlement hands each back at the grid instant whose poll read it
+    (:meth:`_receive_own`).
     """
 
     def __init__(
@@ -493,8 +505,12 @@ class VehicleNode:
         self.serde = self._serdes.get(IN_DATA, default)
         self._out_serde = self._serdes.get(OUT_DATA, default)
         self._prepare_payloads(list(records))
-        # The vehicle serializes (the wire size gates the airtime), so
-        # the producer passes bytes through; retries imply idempotence.
+        # Telemetry goes through a Producer so the delivery guarantees
+        # (bounded retry buffer, idempotent sequences) apply.  The
+        # envelope is serialized by the vehicle (the wire size gates
+        # the DSRC airtime), so the producer's serde is a passthrough.
+        # A retry policy implies idempotence: retries must never
+        # double-count a record the broker already appended.
         self._producer = Producer(
             rsu.broker,
             serde=RawSerde(),
@@ -504,11 +520,11 @@ class VehicleNode:
             idempotent=retry is not None,
         )
         self._producer.before_retry = self._flush_channel
-        Fleet.of(channel).serve(self)
         self._stats = VehicleStats()
         self._consumer: Optional[Consumer] = None
-        # The beacon grid: its channel ticket (``_beacon``), end, and
-        # next beacon event while frames cannot wait (``arm``).
+        # The virtual beacon grid: the channel's ticket for it while it
+        # runs (``_beacon``), the loop's end, and the event of the next
+        # beacon while frames cannot wait (``arm``).
         self._beacon_until: Optional[float] = None
         self._armed = None
         self._cancel_notify = None
@@ -516,8 +532,9 @@ class VehicleNode:
         self._retired = False
         self._leaf_name = f"vehicle-{car_id}"
         self._key_bytes = str(car_id).encode()
-        # The poll grid: first instant not settled, end, and the
-        # warnings for this car no settled poll has read yet.
+        # The virtual warning-poll grid: first instant not settled, the
+        # loop's end, and the warnings for this car appended to the
+        # attached broker that no settled poll has read yet.
         self._grid_live = False
         self._next_poll = 0.0
         self._poll_until: Optional[float] = None
@@ -526,8 +543,10 @@ class VehicleNode:
         # handover): telemetry generated earlier is stale.
         self._road_since = float("-inf")
         self._detached = False
-        # Per handover (old broker, OUT-DATA positions, end offsets),
-        # for the audit of warnings left behind; the run reads none.
+        # One entry per handover: (old_broker, OUT-DATA read positions,
+        # OUT-DATA end offsets at the moment of migration).  The
+        # invariant audit scans these to classify warnings left behind
+        # on abandoned brokers; nothing in the run itself reads them.
         self._departures: List[Tuple[object, Dict[int, int], Dict[int, int]]] = []
         self._attach_consumer()
 
@@ -635,8 +654,14 @@ class VehicleNode:
             self._beacon = None
 
     def _start_polling(self, first: float, until: Optional[float]) -> None:
-        """Poll OUT-DATA on the grid ``first, first + interval, ...``:
-        none of the polls runs, each is settled (:meth:`_settle`)."""
+        """Poll OUT-DATA on the grid ``first, first + interval, ...``.
+
+        Virtual polling keeps the exact grid a recurrence would walk
+        (same float-accumulated instants) but runs none of its polls:
+        empty, dropping other cars' warnings, refused by a down broker
+        or reading a warning for this car, each is settled (see
+        :meth:`_settle`).
+        """
         self._grid_live = True
         self._next_poll = first
         self._poll_until = until
@@ -647,9 +672,15 @@ class VehicleNode:
         return self._retired
 
     def retire(self) -> None:
-        """End this vehicle's trip mid-run: an idempotent :meth:`stop`
-        that flags it for churn accounting.  The consumer stays attached,
-        so warnings still due to it count as pending."""
+        """End this vehicle's trip mid-run: stop producing and polling.
+
+        Unlike :meth:`stop` at scenario teardown, retirement is a
+        workload event (the trip ended), so it is idempotent and flags
+        the vehicle for churn accounting.  The consumer stays attached:
+        warnings already appended — or still materializing from
+        telemetry in the pipeline — remain countable as pending, so the
+        warning conservation law holds under churn.
+        """
         if self._retired:
             return
         self._retired = True
@@ -670,17 +701,21 @@ class VehicleNode:
     ) -> None:
         """Handover: switch to a new RSU and its channel.
 
-        The caller triggers the old RSU's ``handover``.  Telemetry not
-        yet appended (buffered, shaper-delayed or on the air) lands on
-        the new RSU, deduped by sequence number; ``drop_pending``
-        abandons it instead (counted), for a handover onto another road.
+        The caller is responsible for triggering the old RSU's
+        ``handover`` (CO-DATA summary transfer); the vehicle only
+        re-homes its producer and consumer.  Telemetry not yet appended
+        — buffered for the old (possibly dead) RSU, waiting out an HTB
+        delay, or on the air — lands on the new one: at-least-once
+        across the failover, deduped by sequence number.
+        ``drop_pending`` abandons it instead (counted in the producer's
+        ``records_abandoned``), for handovers onto a different road
+        where the old records are stale (the new RSU has no model for
+        them).
         """
         now = self.sim.now
         old_channel = self.channel
         # The beacons due by now were sent on the old road.
         old_channel.emit_due(now)
-        Fleet.of(old_channel).moved(now)
-        Fleet.of(new_channel).moved(now)
         carried: List[Tuple] = []
         if new_channel is not old_channel:
             # Resolve everything due on the old medium while the old
@@ -695,6 +730,7 @@ class VehicleNode:
                 old_channel.leave(self._beacon)
                 self._beacon = None
                 if following is not None:
+                    Fleet.of(new_channel)
                     self._beacon = new_channel.join(
                         self, following, self.update_period_s,
                         self._beacon_until,
@@ -704,7 +740,6 @@ class VehicleNode:
         self.channel = new_channel
         new_rsu.attach_uplink(new_channel)
         self._producer.rebind(new_rsu.broker, drop_pending=drop_pending)
-        Fleet.of(new_channel).serve(self)
         if drop_pending:
             # A frame on the air is abandoned (and counted) at its
             # delivery, being older than the road.
@@ -724,8 +759,12 @@ class VehicleNode:
         self.arm()
 
     def _record_departure(self) -> None:
-        """Snapshot the OUT-DATA read state on the broker being left,
-        for the audit's orphaned / late warning classes."""
+        """Snapshot the OUT-DATA read state on the broker being left.
+
+        The audit later classifies un-consumed warnings on the old
+        broker as orphaned (already appended when we left) or late
+        (emitted afterwards, from telemetry still in the old pipeline).
+        """
         self._settle()
         old_broker = self.rsu.broker
         positions = {
@@ -759,17 +798,31 @@ class VehicleNode:
             self.channel.fleet.joined(slot, self)
 
     def _prepare_payloads(self, records: List[TelemetryRecord]) -> None:
-        """Each stripe record's ``IN-DATA`` payload (car id overridden;
-        "car" is already the first key, so the bytes are unchanged) and
-        wire template, computed once: the whole stripe is struct-encoded
-        at once.  Payloads are never mutated afterwards.  An empty stripe
-        only fails if a beacon is due."""
+        """Precompute the wire payload and template for every record in
+        the stripe.
+
+        Replay cycles a fixed stripe, so each record's ``IN-DATA``
+        payload — including the feature-context work inside
+        :func:`record_to_payload` — is computed once here instead of on
+        every 10 Hz tick.  The car-identity override is applied once
+        too ("car" is already the first key, so insertion order and
+        hence the serialized bytes are unchanged).  The whole stripe is
+        then struct-encoded in one batch: a beacon's wire bytes differ
+        from its template only in the two trailing timestamps, so each
+        send patches them instead of serializing the envelope twice
+        (once for the airtime-gating size, once at delivery).  A record
+        the layout cannot hold is masked out and its sends serialize
+        the envelope.  Payloads are never mutated after this point, so
+        frames in flight may share them; an empty stripe is tolerated
+        at construction (it only fails if a beacon is actually due).
+        """
         payloads = []
         for record in records:
             payload = record_to_payload(record)
             payload["car"] = self.car_id
             payloads.append(payload)
-        #: The replayed records, kept for introspection.
+        #: The replayed records, kept for introspection (the payloads
+        #: drop fields like ``trip_id`` that never go on the wire).
         self._stripe = records
         self._payloads = payloads
         encode = getattr(self.serde, "encode_templates", None)
@@ -792,11 +845,18 @@ class VehicleNode:
     def detach(self) -> dict:
         """Freeze this vehicle for a cross-process handover.
 
-        Captures the RNG state and the *exact* next produce/poll
-        instants (float-accumulated grids; the polls before now are
-        settled here).  Telemetry not yet appended is abandoned as by
-        ``migrate(drop_pending=True)``: frames on the air or shaper-
-        delayed ship as their due times only.  The vehicle goes inert.
+        Captures everything the receiving shard needs to continue the
+        exact same trajectory: the RNG mid-stream state and the *exact*
+        next produce/poll instants (interval recurrences accumulate
+        floating point, so these cannot be recomputed from a phase; the
+        polls before now are settled here, against the broker being
+        left).  A cross-shard handover is a change of road, so
+        telemetry not yet appended is abandoned as by
+        ``migrate(drop_pending=True)``: the channel is flushed, and the
+        frames then still on the air and those waiting out an HTB delay
+        ship as their due times only, for the receiving shard to count.
+        The vehicle then goes inert: its remaining scheduled events on
+        this shard become no-ops.
         """
         if self._detached:
             raise RuntimeError(f"vehicle {self.car_id} already detached")
@@ -828,7 +888,6 @@ class VehicleNode:
         }
         self.stop()
         self._detached = True
-        self.channel.fleet.moved(self.sim.now)
         # what is on the air lands here after the vehicle has left
         self._road_since = self.sim.now
         return state
@@ -839,8 +898,14 @@ class VehicleNode:
         poll_next: Optional[float],
         until: Optional[float] = None,
     ) -> None:
-        """Restart the loops after a transfer at the exact instants
-        :meth:`detach` shipped (no RNG draw); ``None``: that loop ended."""
+        """Restart the periodic loops mid-stream after a transfer.
+
+        Unlike :meth:`start` this draws no phases from the RNG: the
+        exact next-fire instants come from the sending shard's
+        :meth:`detach`, so the resumed loops continue the same
+        float-accumulated grids the serial engine would have produced.
+        ``None`` for either instant means that loop had already ended.
+        """
         if self._started:
             raise RuntimeError(f"vehicle {self.car_id} already running")
         self._started = True
@@ -895,8 +960,12 @@ class VehicleNode:
         self.channel.flush(self.sim.now)
 
     def _settle(self) -> None:
-        """Account the polls at grid instants before now (and ``until``),
-        none of which ran; receive the warnings for this car they read."""
+        """Account the polls at grid instants before now (and the
+        loop's ``until``), none of which ran: each fetched and dropped
+        other cars' warnings, was refused by a down broker, or read
+        warnings for this car, which are received here.  The grid is
+        the drawn phase plus repeated interval addition, the real
+        recurrence's float sums."""
         if not self._grid_live:
             return
         limit = self.sim.now
@@ -916,12 +985,13 @@ class VehicleNode:
             self._receive_own(read)
 
     def _receive_own(self, read: List[Tuple[float, OwnRecord]]) -> None:
-        """Decode and receive the warnings the settled polls read,
-        ``(instant, entry)`` in the order the polls returned them."""
-        entries = list(map(itemgetter(1), read))
+        """The settled polls read these warnings, ``(instant, entry)`` in
+        the order the polls returned them: decode the bytes they fetched
+        (one batch decode when every value is struct-encoded) and
+        receive them all at once."""
         values = self._consumer.broker.topic(OUT_DATA).values_at(
-            [partition for (_, partition), _, _ in entries],
-            list(map(itemgetter(1), entries)),
+            [partition for _, ((_, partition), _, _) in read],
+            [offset for _, (_, offset, _) in read],
         )
         serde = self._out_serde
         rows = None
@@ -937,7 +1007,7 @@ class VehicleNode:
             decoded = [serde.deserialize(value) for value in values]
             detected = [float(value["t"]) for value in decoded]
             generated = [float(value["generated_at"]) for value in decoded]
-        self._receive_warnings(list(map(itemgetter(0), read)), detected, generated)
+        self._receive_warnings([instant for instant, _ in read], detected, generated)
 
     def _receive_warnings(
         self,

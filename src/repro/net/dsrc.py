@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter, not_
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -165,17 +164,24 @@ def _mac_draws(
     cw_max: int,
     loss_prob: float,
 ) -> Tuple[List[int], List[bool]]:
-    """The backoff slots and loss flags of ``frames`` frames as the
-    per-frame MAC draws them — ``random() < collision_prob`` picks
-    ``cw`` (``cw_max`` or 15), ``integers(0, cw + 1)`` the slots, then
-    (``loss_prob > 0``) ``random() < loss_prob`` the loss — off one
-    ``random_raw`` call, decoded in call order: ``random()`` is
-    ``(raw >> 11) * 2**-53``; bounded integers below 2**32 are Lemire's
-    method over buffered 32-bit halves (low half first, the high one
-    kept in ``has_uint32``/``uinteger``, a rejected half replaced),
-    wider ones whole raws.  Nothing is over-drawn and the buffered half
-    is written back, so the generator ends as the per-frame draws
-    leave it."""
+    """The backoff slots and loss flags of ``frames`` frames, drawn as
+    the per-frame MAC draws them from the channel's ``Generator`` — per
+    frame ``random() < collision_prob`` picks ``cw`` (``cw_max`` or
+    15), ``integers(0, cw + 1)`` the slots, then, only when ``loss_prob
+    > 0``, ``random() < loss_prob`` the loss — but off one
+    ``random_raw`` call, decoded in call order on Python ints.
+
+    numpy's 64-bit bit generators make ``random()`` of one raw
+    (``(raw >> 11) * 2**-53``) and draw bounded integers below 2**32
+    by Lemire's method over buffered 32-bit halves: the low half of a
+    fresh raw first, the high half kept (``has_uint32``/``uinteger``)
+    for the next bounded draw, a rejected half replaced by the next
+    one.  Wider bounds take whole raws.  The raws pre-drawn are exactly
+    those the frames take if no half is rejected; a rejection draws
+    more as needed, so nothing is over-drawn, and the buffered half is
+    written back: the bit generator ends as the per-frame draws leave
+    it.
+    """
     state = bit_generator.state
     if "has_uint32" not in state:
         raise ValueError(
@@ -259,12 +265,22 @@ def _mac_draws(
 class DsrcChannel:
     """Discrete-event shared DSRC medium.
 
-    Transmissions serialize (CSMA/CA: one sender at a time), each
-    paying DIFS + a uniform random backoff + airtime, deferring while
-    the medium is busy: latency grows with the offered load, the gentle
-    Tx-latency growth of Fig. 6a.  ``mcs`` sets the airtime, ``mac``
-    the analytic parameters (slot, SIFS, cw), ``rng`` the backoff
-    draws.
+    Transmissions serialize (CSMA/CA: one sender at a time).  Each
+    transmission pays DIFS + a uniform random backoff + airtime; if the
+    medium is busy the sender defers until it frees.  Per-transmission
+    latency therefore grows with the instantaneous offered load,
+    reproducing the gentle Tx-latency growth of Fig. 6a.
+
+    Parameters
+    ----------
+    sim:
+        Simulation kernel.
+    mcs:
+        Modulation/coding for airtime.
+    mac:
+        Analytic parameters (slot, SIFS, cw).
+    rng:
+        Random stream for backoff draws.
     """
 
     def __init__(
@@ -295,12 +311,12 @@ class DsrcChannel:
         # seq -> (delivery_time, owner).
         self._on_air: Dict[int, Tuple[float, object]] = {}
         self._airtime_cache: Dict[int, float] = {}
-        #: Lands ``[(delivery_time, row), ...]``, in delivery order.
+        #: Lands delivered frames: called with ``[(delivery_time, row),
+        #: ...]`` in delivery order (set by the :attr:`fleet`).
         self.lander: Optional[Callable[[List[Tuple]], None]] = None
-        #: Sends due beacons: (instants, cohort slots, members).
-        self.emitter: Optional[Callable] = None
-        #: The members' data plane (``core.vehicle.Fleet``): sets both,
-        #: adds its per-slot :attr:`columns`, hears joins and leaves.
+        #: The members' data plane (``core.vehicle.Fleet``): sends the
+        #: beacons due at a flush, adds its per-slot :attr:`columns` and
+        #: hears each join and leave.
         self.fleet = None
         #: The beacon grids as columns over cohort slots in join order:
         #: next instant (+inf once ended or left), interval, end (+inf:
@@ -326,7 +342,8 @@ class DsrcChannel:
     ) -> int:
         """Register ``member``'s beacon grid ``first, first + interval,
         ...`` (each instant its predecessor plus ``interval``) while an
-        instant is before ``until``; returns its ticket."""
+        instant is before ``until``; returns its ticket.  The channel's
+        :attr:`fleet` (``member``'s data plane) takes the slot."""
         columns = self.columns
         slot = len(self._members)
         if slot == len(columns["next"]):
@@ -344,8 +361,7 @@ class DsrcChannel:
         self._members.append(member)
         self._ticket_of.append(ticket)
         self._slots[ticket] = slot
-        if self.fleet is not None:
-            self.fleet.joined(slot, member)
+        self.fleet.joined(slot, member)
         return ticket
 
     def _compact(self) -> int:
@@ -365,8 +381,7 @@ class DsrcChannel:
         """Drop a joined grid (a no-op once it ended)."""
         slot = self._slots.pop(ticket, None)
         if slot is not None:
-            if self.fleet is not None:
-                self.fleet.left(slot, self._members[slot])
+            self.fleet.left(slot, self._members[slot])
             self.columns["next"][slot] = np.inf
             self._members[slot] = self._ticket_of[slot] = None
 
@@ -382,16 +397,22 @@ class DsrcChannel:
         return None if slot is None else float(self.columns["next"][slot])
 
     def emit_due(self, now: float) -> None:
-        """Send every joined beacon due by ``now`` as one block, in the
-        order their events would have fired: by instant, ties in join
-        order.  The due instants come off the columns in rounds (one
-        vector add of the intervals each); nothing joins or leaves
-        while they are sent."""
+        """Send every joined beacon whose instant is at or before
+        ``now``, in the order their simulator events would have fired:
+        by instant across the members, ties in join order.
+
+        The due instants come off the columns in rounds (a member is due
+        0 or 1 times per flush, rarely more), each round one vector add
+        of the intervals; one sort by instant, then slot, puts them in
+        kernel order and the channel's :attr:`fleet` sends them as one
+        block (``Fleet.emit``).
+        Nothing joins or leaves while beacons are sent.
+        """
         if self._emitting or not self._slots:
             return
         columns = self.columns
         upcoming = columns["next"][: len(self._members)]
-        due = (upcoming <= now).nonzero()[0]
+        due = np.flatnonzero(upcoming <= now)
         if not due.size:
             return
         instants, slots, ended = [], [], []
@@ -417,7 +438,7 @@ class DsrcChannel:
         members = list(map(self._members.__getitem__, due.tolist()))
         self._emitting = True
         try:
-            self.emitter(at, due, members)
+            self.fleet.emit(at, due, members)
         finally:
             self._emitting = False
             for slot in ended:
@@ -444,10 +465,14 @@ class DsrcChannel:
         owner: object = None,
         frame: object = None,
     ) -> None:
-        """Defer one frame reaching the medium at ``eff_time`` (send
-        instant plus shaper delay) to the next :meth:`flush`; ``owner``
-        tags it for :meth:`take_pending`, ``frame`` goes back to
-        :attr:`lander` in the row."""
+        """Defer one frame to the next :meth:`flush`.
+
+        ``eff_time`` is the instant the frame reaches the medium — the
+        send instant plus any shaper delay.  ``owner`` tags the frame
+        so a handover can move a sender's not-yet-effective frames to
+        its new channel (:meth:`take_pending`); ``frame`` is the
+        owner's, handed back to :attr:`lander` on delivery in the row.
+        """
         self._pending.append(
             (eff_time, self._pending_seq, payload_bytes, owner, frame)
         )
@@ -498,28 +523,46 @@ class DsrcChannel:
         self.flush(self.sim.now)
 
     def settle(self) -> None:
-        """Leave nothing waiting for the next tick (called before what a
-        frame meets changes): frames on the medium by now resolve, each
-        shaper-delayed one at its own instant."""
+        """Leave nothing waiting for the next tick: whoever is about to
+        change what a frame meets (the broker's availability, the loss
+        rate) calls this first.  Frames on the medium by now resolve;
+        each one still shaper-delayed resolves at its own instant."""
         self.flush(self.sim.now)
         for frame in self._pending:
             self.flush_at(frame[0])
 
     def flush(self, now: float) -> int:
-        """Resolve contention for every deferred frame effective by
-        ``now``, the joined beacons due by then sent first
-        (:meth:`emit_due`).  One pass stands for one transmit and one
-        delivery event per frame, bit-identically (the per-frame
-        reference is ``tests/test_net/test_batched_mac.py``): frames in
-        ``(eff_time, seq)`` order, the order their transmit events would
-        fire, so the RNG draws are the per-frame ones; each contends
-        from its own ``eff_time`` behind the frame before it; the frames
-        delivered by ``now`` go to :attr:`lander` in one call, in
-        delivery order, one still on the air gets a delivery event; a
-        frame not effective yet is carried (nothing later can precede
-        it).  Waiting for a flush is invisible only while nothing reads
-        or changes what the frames meet (:meth:`settle`,
-        :meth:`flush_at`).  Returns the number of frames resolved.
+        """Resolve contention for every deferred frame effective by ``now``.
+
+        The joined beacons due by ``now`` are sent first
+        (:meth:`emit_due`), so every caller of a flush sees the frames
+        of the 10 Hz grids as the beacon events would have left them.
+        One pass then stands for one transmit event and one delivery
+        event per frame, bit-identically
+        (``tests/test_net/test_batched_mac.py`` keeps that per-frame
+        arithmetic as the reference):
+
+        - Frames are processed in ``(eff_time, seq)`` order — the order
+          per-frame transmit events at ``eff_time`` would fire (the
+          kernel dispatches by time, scheduling order breaking ties),
+          so the backoff/collision/loss RNG draw sequence is that of
+          the per-frame model.  With no shaper delays the queue is
+          already in that order and the sort is a linear scan.
+        - Each frame contends from its own ``eff_time``, not from
+          ``now``: the busy medium serializes it behind the frame
+          before it; airtimes are memoized per payload size (the
+          computation is a pure function of it).
+        - The frames delivered by ``now`` are handed to :attr:`lander`
+          in one call, in delivery order, each with its delivery time;
+          a frame still on the air gets a real delivery event.
+        - Frames whose ``eff_time`` is still in the future (shaper
+          delays) are carried to the next flush.  Nothing enqueued later
+          can precede them — a future send happens after ``now`` — so
+          carrying preserves the draw order exactly.
+
+        Waiting for a flush is invisible only while nothing reads or
+        changes what the frames meet in between; see :meth:`settle`
+        and :meth:`flush_at`.  Returns the number of frames resolved.
         """
         self.emit_due(now)
         pending = self._pending
@@ -544,42 +587,40 @@ class DsrcChannel:
         t_slot = mac.t_slot_s
         difs = mac.difs_s
         airtimes = self._airtime_cache
-        for size in set(map(itemgetter(2), pending[:resolved])) - set(airtimes):
-            airtimes[size] = mac.airtime_s(self.mcs, size)
+        sim_at = self.sim.at
         busy = self._busy_until
         airtime_total = self.total_airtime_s
-        ends = [0.0] * resolved
-        for position, (row, slot) in enumerate(zip(pending, slots)):
-            eff_time = row[0]
-            airtime = airtimes[row[2]]
-            busy = (busy if busy > eff_time else eff_time) + difs + slot * t_slot + airtime
+        on_air = self._on_air
+        delivered: List[Tuple[float, Tuple]] = []
+        for row, slot, dropped in zip(pending, slots, lost):
+            eff_time, seq, payload_bytes, owner, _ = row
+            airtime = airtimes.get(payload_bytes)
+            if airtime is None:
+                airtime = airtimes[payload_bytes] = mac.airtime_s(
+                    self.mcs, payload_bytes
+                )
+            busy = max(eff_time, busy) + difs + slot * t_slot + airtime
             airtime_total += airtime
-            ends[position] = busy
+            if dropped:
+                continue
+            if busy <= now:
+                delivered.append((busy, row))
+            else:
+                on_air[seq] = (busy, owner)
+
+                def land(t=busy, row=row, seq=seq) -> None:
+                    del on_air[seq]
+                    self.lander([(t, row)])
+
+                sim_at(busy, land, label="dsrc-delivery")
         self._busy_until = busy
         self.transmissions += resolved
-        self.bytes_transmitted += sum(map(itemgetter(2), pending[:resolved]))
+        self.bytes_transmitted += sum([row[2] for row in pending[:resolved]])
         self.total_airtime_s = airtime_total
         self.frames_lost += sum(lost)
-        # ``ends`` never decreases: the frames delivered by now lead
-        on_air = bisect_right(ends, now)
-        delivered = list(compress(zip(ends[:on_air], pending), map(not_, lost)))
-        for position in range(on_air, resolved):
-            if not lost[position]:
-                self._deliver_later(ends[position], pending[position])
         if delivered:
             self.lander(delivered)
         return resolved
-
-    def _deliver_later(self, at: float, row: Tuple) -> None:
-        """A frame still on the air at the flush: one delivery event."""
-        seq = row[1]
-        self._on_air[seq] = (at, row[3])
-
-        def land() -> None:
-            del self._on_air[seq]
-            self.lander([(at, row)])
-
-        self.sim.at(at, land, label="dsrc-delivery")
 
     def utilization(self, elapsed_s: float) -> float:
         """Fraction of ``elapsed_s`` the medium spent transmitting."""

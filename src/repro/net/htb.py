@@ -134,8 +134,6 @@ class HtbShaper:
     def __init__(self, root: HtbClass) -> None:
         self.root = root
         self._leaves: Dict[str, HtbClass] = {}
-        self._rows: Dict[str, int] = {}
-        self._names: List[str] = []
         self._buckets = _Buckets(16)
 
     def add_leaf(self, leaf: HtbClass) -> HtbClass:
@@ -148,8 +146,6 @@ class HtbShaper:
             )
         leaf._move_to(self._buckets)
         self._leaves[leaf.name] = leaf
-        self._rows[leaf.name] = leaf._row
-        self._names.append(leaf.name)
         return leaf
 
     def leaf(self, name: str) -> HtbClass:
@@ -162,13 +158,21 @@ class HtbShaper:
         return list(self._leaves.values())
 
     def send(self, leaf_name: str, packet_bytes: int, now: float) -> float:
-        """Charge a packet to ``leaf_name`` at time ``now``; returns the
-        delay before it clears the shaper: zero when tokens are
-        available (own or borrowed from the root), else the time the
-        leaf's assured rate takes to accrue the deficit (HTB delays, it
-        does not drop).  The root refills only when a packet borrows:
-        min-capped linear accrual composes, so skipped refills change
-        nothing."""
+        """Charge a packet to ``leaf_name`` at time ``now``.
+
+        Returns the delay (seconds) before the packet clears the
+        shaper: zero when tokens are available (own or borrowed),
+        otherwise the time for the leaf's assured rate to accrue the
+        deficit — the HTB behaviour of delaying, not dropping.
+
+        The shared root bucket accrues lazily: token accrual is
+        associative — ``refill(t1); refill(t3)`` leaves the same level
+        as ``refill(t1); refill(t2); refill(t3)``, since min-capped
+        linear growth composes — so the root is refilled only when a
+        packet actually needs to borrow, not on every packet.  The leaf
+        still refills per packet: its level at ``now`` is what prices
+        this packet.  One packet is a block of one (:meth:`send_rows`).
+        """
         return self.send_block([leaf_name], [packet_bytes], [now])[0]
 
     def send_block(
@@ -189,10 +193,7 @@ class HtbShaper:
 
     def row(self, leaf_name: str) -> int:
         """The row of a leaf's bucket, for :meth:`send_rows`."""
-        try:
-            return self._rows[leaf_name]
-        except KeyError:
-            raise KeyError(f"unknown HTB class {leaf_name!r}") from None
+        return self.leaf(leaf_name)._row
 
     def send_rows(
         self, rows: np.ndarray, sizes: np.ndarray, instants: np.ndarray
@@ -211,8 +212,13 @@ class HtbShaper:
             elapsed = at - buckets[:, _LAST]
             if elapsed.min() < 0:
                 late = int(elapsed.argmin())
+                name = next(
+                    name
+                    for name, handle in self._leaves.items()
+                    if handle._row == leaf[late]
+                )
                 raise ValueError(
-                    f"time went backwards in {self._names[leaf[late]]!r}: "
+                    f"time went backwards in {name!r}: "
                     f"{at[late]} < {buckets[late, _LAST]}"
                 )
             tokens = np.minimum(
@@ -253,10 +259,17 @@ class HtbShaper:
     def send_prioritized(
         self, requests: Sequence[Tuple[str, int]], now: float
     ) -> List[float]:
-        """Charge a burst of ``(leaf_name, packet_bytes)`` requests
-        lowest :attr:`HtbClass.priority` first (stable within a band), so
-        a deficit the root cannot lend delays the low-priority band,
-        never the urgent one.  Returns the delays in submission order."""
+        """Charge a burst of packets in leaf-priority order.
+
+        ``requests`` is ``(leaf_name, packet_bytes)`` pairs submitted
+        together (e.g. one CO-DATA refresh tick's frames).  Charging
+        runs lowest :attr:`HtbClass.priority` value first (stable on
+        submission order within a band), so when the burst outruns what
+        the shared root can lend, the deficit — and therefore the
+        delay — lands on the low-priority band, never on the urgent
+        one.  The sorted burst is one block (:meth:`send_block`).
+        Returns per-packet delays in submission order.
+        """
         order = sorted(
             range(len(requests)),
             key=lambda index: (self.leaf(requests[index][0]).priority, index),
@@ -288,5 +301,6 @@ def repeat_ranks(keys: np.ndarray) -> List:
     ordered = keys[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
     rank = np.empty(len(keys), np.int64)
-    rank[order] = np.arange(len(keys)) - np.repeat(starts, np.diff(np.r_[starts, len(keys)]))
+    runs = np.diff(np.r_[starts, len(keys)])
+    rank[order] = np.arange(len(keys)) - np.repeat(starts, runs)
     return [np.flatnonzero(rank == r) for r in range(int(rank.max()) + 1)]

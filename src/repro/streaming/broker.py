@@ -390,9 +390,10 @@ class Broker:
         records produced to the topic carrying ``key``: one dict lookup
         per record however many subscribers, and one call per run of
         consecutive records of one block with the same callback (a
-        subscriber registered under many keys hears a block once).  Vehicles register under their car id, the key of
-        every warning for them, so an append wakes the warned vehicle
-        only.  A key has one owner per topic (a second is refused).
+        subscriber registered under many keys hears a block once).
+        Vehicles register their fleet under their car id, the key of
+        every warning for them, so an append wakes the warned vehicles'
+        fleet only.  A key has one owner per topic (a second is refused).
         Registration does not require the topic to exist yet; returns a
         zero-argument cancel function."""
         keyed = self._keyed_notify.setdefault(topic_name, {})

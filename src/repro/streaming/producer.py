@@ -25,15 +25,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from operator import add, attrgetter
 from typing import Any, Callable, Deque, List, Optional, Sequence
 
 from repro.obs import metrics as obs_metrics
 from repro.streaming.broker import Broker, BrokerUnavailable
 from repro.streaming.records import RecordMetadata
 from repro.streaming.serde import JsonSerde, Serde, serialize_key
-
-_IDEMPOTENT = attrgetter("idempotent")
 
 
 @dataclass(frozen=True)
@@ -349,7 +346,7 @@ def send_block(
     """
     broker = producers[0].broker
     producer_ids = sequences = None
-    if any(map(_IDEMPOTENT, producers)):
+    if any(producer.idempotent for producer in producers):
         producer_ids = [
             producer.client_id if producer.idempotent else None
             for producer in producers
@@ -363,8 +360,6 @@ def send_block(
         producer_ids=producer_ids,
         sequences=sequences,
     )
-    if None in keys:
-        keys = [key or b"" for key in keys]
-    for producer, size in zip(producers, map(add, map(len, values), map(len, keys))):
-        producer.bytes_sent += size
+    for producer, key, value in zip(producers, keys, values):
+        producer.bytes_sent += len(value) + (len(key) if key else 0)
         producer.records_sent += 1

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import struct
-from itertools import repeat
 from typing import Any, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -224,13 +223,11 @@ class FlatStructSerde(Serde):
         (mixed topics must fall back to :meth:`deserialize`).
         """
         size = self._struct.size
-        joined = b"".join(payloads)
-        if payloads and (
-            set(map(len, payloads)) != {size}
-            or joined[::size] != bytes([STRUCT_MAGIC]) * len(payloads)
+        if not all(
+            len(p) == size and p[0] == STRUCT_MAGIC for p in payloads
         ):
             raise SerdeError("batch contains non-struct payloads")
-        rows = np.frombuffer(joined, dtype=self.dtype)
+        rows = np.frombuffer(b"".join(payloads), dtype=self.dtype)
         if rows.size and not (rows["version"] == STRUCT_VERSION).all():
             raise SerdeError("mixed/unsupported struct schema versions")
         return rows
@@ -252,19 +249,16 @@ class FlatStructSerde(Serde):
             for key, _code, kind, _vocab in self.fields:
                 column = columns[key]
                 if kind == FIELD_ENUM:
-                    column = list(map(self._enum_index[key].__getitem__, column))
+                    index = self._enum_index[key]
+                    column = [index[value] for value in column]
                 elif kind == FIELD_OPT_FLOAT:
                     column = [_NAN if v is None else v for v in column]
                 elif kind == FIELD_OPT_INT:
                     column = [-1 if v is None else v for v in column]
                 encoded.append(column)
+            pack = self._struct.pack
             return b"".join(
-                map(
-                    self._struct.pack,
-                    repeat(STRUCT_MAGIC),
-                    repeat(STRUCT_VERSION),
-                    *encoded,
-                )
+                [pack(STRUCT_MAGIC, STRUCT_VERSION, *row) for row in zip(*encoded)]
             )
         except (KeyError, TypeError, struct.error):
             return None

@@ -12,7 +12,7 @@ from __future__ import annotations
 import zlib
 from array import array
 from itertools import accumulate, count, islice
-from operator import add, attrgetter, getitem, sub
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,8 +21,6 @@ from repro.streaming.records import StoredRecord
 from repro.streaming.serde import STRUCT_MAGIC
 
 _MAGIC = bytes([STRUCT_MAGIC])
-_VALUES = attrgetter("_values")
-_START = attrgetter("_start_offset")
 
 
 class _Slab:
@@ -266,10 +264,6 @@ class Partition:
         clock = np.frombuffer(self._append_clock, dtype=np.float64)
         return clock.searchsorted(instants, "right")
 
-    def value_at(self, offset: int) -> bytes:
-        """The value bytes of the retained record at ``offset``."""
-        return self._values[offset - self._start_offset]
-
     def __len__(self) -> int:
         return len(self._values)
 
@@ -334,10 +328,11 @@ class Topic:
     ) -> List[bytes]:
         """The value bytes of the retained record at offset
         ``offsets[i]`` of partition ``partitions[i]``, for each ``i``."""
-        logs = list(map(self.partitions.__getitem__, partitions))
-        return list(
-            map(getitem, map(_VALUES, logs), map(sub, offsets, map(_START, logs)))
-        )
+        logs = self.partitions
+        return [
+            logs[partition]._values[offset - logs[partition]._start_offset]
+            for partition, offset in zip(partitions, offsets)
+        ]
 
     def partition(self, index: int) -> Partition:
         if not 0 <= index < self.num_partitions:

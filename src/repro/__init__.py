@@ -4,12 +4,14 @@ Edge-facilitated real-time collaborative abnormal driving distributed
 detection — a full-stack, from-scratch Python reproduction.  See the
 README for the map of subpackages:
 
-- :mod:`repro.simkernel` — deterministic discrete-event simulation.
+- :mod:`repro.simkernel` — deterministic discrete-event simulation
+  (one heap of timed callbacks).
 - :mod:`repro.geo` — geography, road networks, HMM map matching.
 - :mod:`repro.dataset` — synthetic Shenzhen-like driving data.
 - :mod:`repro.ml` — Naive Bayes / decision tree / logistic / forest.
 - :mod:`repro.streaming` — Kafka-like partitioned pub/sub.
-- :mod:`repro.microbatch` — Spark-Streaming-like micro-batches.
+- :mod:`repro.microbatch` — the 50 ms micro-batch executor Spark
+  Streaming plays in the paper: one batch callback per interval.
 - :mod:`repro.net` — DSRC MAC, HTB shaping, wired/cellular links,
   channel management.
 - :mod:`repro.core` — the CAD3 system itself.

@@ -75,7 +75,7 @@ class CloudRelayRsu(RsuNode):
 
     def _on_batch(self, batch, completion_time: float) -> None:
         """Ship the batch to the cloud; detect and warn on return."""
-        if batch.is_empty():
+        if not batch:
             return
         payloads = batch.collect()
         self.batches_offloaded += 1

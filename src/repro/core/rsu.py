@@ -38,8 +38,11 @@ from repro.core.wire import (
     decode_telemetry_segments,
 )
 from repro.dataset.schema import ABNORMAL
-from repro.microbatch.batch import BlockBatch
-from repro.microbatch.context import ProcessingModel, StreamingContext
+from repro.microbatch.context import (
+    BlockBatch,
+    ProcessingModel,
+    StreamingContext,
+)
 from repro.ml.base import Detector, as_detector
 from repro.net.link import WiredLink
 from repro.obs import metrics as obs_metrics
@@ -177,13 +180,12 @@ class RsuNode:
         self.context = StreamingContext(
             sim,
             self._in_consumer,
+            self._on_batch,
             interval_s=self.config.batch_interval_s,
             processing_model=self.config.processing_model,
             jitter_source=jitter_source,
-            block=True,
             name=name,
         )
-        self.context.stream.foreach_batch(self._on_batch)
         # Collaboration state
         self.summaries: Dict[int, PredictionSummary] = {}
         self._history: Dict[int, List[float]] = {}
@@ -508,7 +510,7 @@ class RsuNode:
             registry.gauge(
                 "rsu.co_staleness_s", agg="max", rsu=self.name
             ).set(self.sim.now - self._last_co_arrival)
-        if batch.is_empty():
+        if not batch:
             return
         with span("rsu.batch", rsu=self.name):
             self._detect_batch(batch, completion_time)

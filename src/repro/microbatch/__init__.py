@@ -1,33 +1,27 @@
-"""Micro-batch stream-processing substrate (the Spark Streaming substitute).
+"""Micro-batch executor (the Spark Streaming substitute).
 
 The paper's pipeline consumes the ``IN-DATA`` topic through Spark
-Streaming with **50 ms micro-batches**: the continuous stream is
-divided into small RDDs that the Spark engine processes, and results
-are written back to Kafka.  This package reproduces that execution
-model on the simulation clock:
-
-- :class:`~repro.microbatch.batch.Batch` — the RDD analogue: an
-  immutable record collection with functional operators.
-- :class:`~repro.microbatch.dstream.DStream` — a lazily-composed
-  transformation chain applied to every batch.
-- :class:`~repro.microbatch.context.StreamingContext` — ticks every
-  batch interval, polls the source consumer, runs the pipeline, and
-  models processing latency via a calibrated cost model so Fig. 6a's
-  processing-time curve is reproducible.
+Streaming with **50 ms micro-batches**; Spark serves only as that
+executor.  :class:`~repro.microbatch.context.StreamingContext`
+reproduces it on the simulation clock: every batch interval it polls
+the source consumer into a :class:`BlockBatch` of wire-byte segments,
+models the batch's processing latency with a calibrated cost model (so
+Fig. 6a's processing-time curve is reproducible), and hands the batch
+to one ``on_batch(batch, completion_time)`` callback when processing
+completes.  Batches queue behind an in-flight batch: one processing
+slot, like one Spark streaming query.
 """
 
-from repro.microbatch.batch import Batch
 from repro.microbatch.context import (
     BatchMetrics,
+    BlockBatch,
     ProcessingModel,
     StreamingContext,
 )
-from repro.microbatch.dstream import DStream
 
 __all__ = [
-    "Batch",
     "BatchMetrics",
-    "DStream",
+    "BlockBatch",
     "ProcessingModel",
     "StreamingContext",
 ]

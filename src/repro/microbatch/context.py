@@ -1,4 +1,4 @@
-"""StreamingContext: micro-batch scheduling on the simulation clock.
+"""The micro-batch loop on the simulation clock.
 
 The paper creates "micro-batches of 50 ms (RDDs) to read data from the
 topic IN-DATA, on which we apply the algorithm".  The context ticks on
@@ -10,11 +10,10 @@ vehicles to 11.7 ms at 256).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, List, Optional
 
-from repro.microbatch.batch import Batch, BlockBatch
-from repro.microbatch.dstream import DStream
 from repro.obs import metrics as obs_metrics
 from repro.simkernel.simulator import Simulator
 from repro.streaming.consumer import Consumer
@@ -62,8 +61,42 @@ class BatchMetrics:
         return self.processing_s * 1e3
 
 
+class BlockBatch:
+    """A micro-batch of contiguous wire-byte segments.
+
+    Holds the :class:`~repro.streaming.records.BlockSegment` slabs a
+    :meth:`Consumer.poll_block` returned — per-record objects are never
+    materialized between the broker log and the vectorized sink (the
+    RSU decodes the segments with one ``np.frombuffer`` each).
+    ``batch_time`` is the start of the micro-batch interval the records
+    were collected in (simulated seconds).
+
+    Segments borrow append-only slab storage, so a BlockBatch stays
+    readable while it waits in the processing queue even as the
+    partition keeps appending.
+    """
+
+    __slots__ = ("segments", "batch_time", "_count")
+
+    def __init__(self, segments, batch_time: float = 0.0) -> None:
+        self.segments = list(segments)
+        self.batch_time = batch_time
+        self._count = sum(segment.count for segment in self.segments)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def collect(self) -> List[Any]:
+        """Materialize the per-record value bytes, in segment order
+        (the record order a per-record poll would have returned)."""
+        values: List[Any] = []
+        for segment in self.segments:
+            values.extend(segment.value_list())
+        return values
+
+
 class StreamingContext:
-    """Polls a consumer every interval and runs DStream pipelines.
+    """Polls a consumer every interval and hands each batch to one callback.
 
     Parameters
     ----------
@@ -71,6 +104,11 @@ class StreamingContext:
         Simulation kernel providing the clock.
     consumer:
         Source consumer (subscribed to the paper's ``IN-DATA``).
+    on_batch:
+        ``on_batch(batch, completion_time)``: receives every
+        :class:`BlockBatch` at the simulated instant its processing
+        completes.  The batch holds wire slabs, so the callback owns
+        the decode.
     interval_s:
         Micro-batch interval; the paper uses 50 ms.
     processing_model:
@@ -79,43 +117,36 @@ class StreamingContext:
         Zero-argument callable in [-1, 1] driving processing jitter;
         inject a seeded RNG for reproducibility.  ``None`` disables
         jitter.
-    block:
-        Poll via :meth:`Consumer.poll_block`: batches are
-        :class:`~repro.microbatch.batch.BlockBatch` wire slabs instead
-        of lists of deserialized records, and sinks must decode them
-        (the RSU always polls this way).
     name:
         Label for this context's metrics (the owning RSU's name);
         contexts without a name report under ``rsu=""``.
 
     The ``pre_poll`` attribute, when set, is a zero-argument callable
     invoked at the top of every tick, before the lag observation and
-    the poll.  The scenario hooks the RSU's deferred DSRC
-    channel flush here: frames whose contention resolves at or before
-    the tick instant are appended to the broker exactly where the
-    per-frame delivery events would have put them.
+    the poll.  The RSU hooks its DSRC channel's flush here, so every
+    frame delivered at or before the tick instant is on the broker
+    when the batch is cut.
     """
 
     def __init__(
         self,
         sim: Simulator,
         consumer: Consumer,
+        on_batch: Callable[[BlockBatch, float], None],
         interval_s: float = 0.050,
         processing_model: Optional[ProcessingModel] = None,
         jitter_source: Optional[Callable[[], float]] = None,
-        block: bool = False,
         name: Optional[str] = None,
     ) -> None:
         if interval_s <= 0:
             raise ValueError(f"interval_s must be positive: {interval_s}")
         self.sim = sim
         self.consumer = consumer
+        self.on_batch = on_batch
         self.interval_s = interval_s
         self.processing_model = processing_model or ProcessingModel()
         self.jitter_source = jitter_source
-        self.block = block
         self.name = name or ""
-        self.stream = DStream()
         self.metrics: List[BatchMetrics] = []
         self.pre_poll: Optional[Callable[[], None]] = None
         self._stop: Optional[Callable[[], None]] = None
@@ -126,13 +157,11 @@ class StreamingContext:
 
         Contexts started at the same instant with the same interval
         (every RSU in a scenario starts at t=0 with the paper's 50 ms
-        cadence) coalesce into one kernel tick group: one queue entry
-        fires all their polls, in start order — the same order their
-        independent tick events fired in before coalescing.
+        cadence) tick at the same instants, in start order.
         """
         if self._stop is not None:
             raise RuntimeError("StreamingContext already started")
-        self._stop = self.sim.every_group(
+        self._stop = self.sim.every(
             self.interval_s, self._tick, until=until, label="microbatch-tick"
         )
 
@@ -141,28 +170,18 @@ class StreamingContext:
             self._stop()
             self._stop = None
 
-    # ------------------------------------------------------------------
     def _tick(self) -> None:
         batch_time = self.sim.now
         if self.pre_poll is not None:
-            # Deferred-uplink flush: contended frames due at or
-            # before this instant land on the broker first, exactly as
-            # their per-frame delivery events would have.
             self.pre_poll()
         registry = obs_metrics.active()
         if registry is not None:
             # Consumer lag *before* the poll = IN-DATA queue depth as
             # the batch is cut (pure read: lag() never commits).
             registry.histogram(
-                "broker.in_data_depth",
-                obs_metrics.DEPTH_EDGES,
-                rsu=self.name,
+                "broker.in_data_depth", obs_metrics.DEPTH_EDGES, rsu=self.name
             ).observe(self.consumer.lag())
-        if self.block:
-            batch = BlockBatch(self.consumer.poll_block(), batch_time=batch_time)
-        else:
-            records = self.consumer.poll()
-            batch = Batch([r.value for r in records], batch_time=batch_time)
+        batch = BlockBatch(self.consumer.poll_block(), batch_time=batch_time)
         jitter = self.jitter_source() if self.jitter_source else 0.0
         duration = self.processing_model.duration(len(batch), jitter)
         # Batches queue behind an in-flight batch (single processing
@@ -181,33 +200,22 @@ class StreamingContext:
         )
         if registry is not None:
             registry.histogram(
-                "microbatch.batch_size",
-                obs_metrics.BATCH_SIZE_EDGES,
-                rsu=self.name,
+                "microbatch.batch_size", obs_metrics.BATCH_SIZE_EDGES, rsu=self.name
             ).observe(len(batch))
             registry.histogram(
-                "microbatch.processing_ms",
-                obs_metrics.LATENCY_MS_EDGES,
-                rsu=self.name,
+                "microbatch.processing_ms", obs_metrics.LATENCY_MS_EDGES, rsu=self.name
             ).observe(duration * 1e3)
         self.sim.at(
             completion,
-            lambda b=batch, t=completion: self.stream.process(b, t),
+            partial(self.on_batch, batch, completion),
             label="microbatch-complete",
         )
 
-    # ------------------------------------------------------------------
     @property
     def batches_processed(self) -> int:
         return len(self.metrics)
 
-    def mean_processing_ms(self, skip_empty: bool = True) -> float:
-        """Average per-batch processing time in milliseconds."""
-        samples = [
-            m.processing_ms
-            for m in self.metrics
-            if not (skip_empty and m.n_records == 0)
-        ]
-        if not samples:
-            return 0.0
-        return sum(samples) / len(samples)
+    def mean_processing_ms(self) -> float:
+        """Average processing time of the non-empty batches, in ms."""
+        samples = [m.processing_ms for m in self.metrics if m.n_records]
+        return sum(samples) / len(samples) if samples else 0.0

@@ -29,14 +29,11 @@ def finalize_scenario(
     """
     sim = getattr(scenario, "sim", None)
     if sim is not None:
-        # Kernel introspection: high-water marks merge across shards by
-        # max, allocation totals are additive.
+        # Kernel introspection: high-water marks, merged across shards
+        # by max.
         queue = sim.queue
         registry.gauge("sim_queue_depth").set(queue.depth_peak)
         registry.gauge("sim_queue_cancelled").set(queue.cancelled_peak)
-        registry.counter("sim_queue_compactions").inc(queue.compactions)
-        registry.counter("sim_events_allocated").inc(queue.events_allocated)
-        registry.counter("sim_events_recycled").inc(queue.events_recycled)
     for vehicle in scenario.vehicles:
         stats = vehicle.stats
         registry.counter("vehicle.records_sent").inc(stats.records_sent)

@@ -8,8 +8,10 @@ and bandwidth experiments are reproducible bit-for-bit.
 The public surface is small:
 
 ``Simulator``
-    The event loop.  Schedule callbacks at absolute or relative simulated
-    times, then ``run()`` / ``run_until()``.
+    The event loop: one heap of timed callbacks fired in strict
+    ``(time, priority, seq)`` order.  Schedule callbacks at absolute or
+    relative simulated times, or every interval, then ``run()`` /
+    ``run_until()``.
 
 ``RngRegistry``
     Named, independently seeded ``numpy`` random generators, so that
@@ -19,17 +21,11 @@ The public surface is small:
 from repro.simkernel.clock import SimClock
 from repro.simkernel.events import Event, EventQueue
 from repro.simkernel.rng import RngRegistry, derive_seed
-from repro.simkernel.simulator import (
-    GroupRecurrence,
-    Recurrence,
-    SimulationError,
-    Simulator,
-)
+from repro.simkernel.simulator import Recurrence, SimulationError, Simulator
 
 __all__ = [
     "Event",
     "EventQueue",
-    "GroupRecurrence",
     "Recurrence",
     "RngRegistry",
     "SimClock",

@@ -134,7 +134,7 @@ def use_executed_polls(patch) -> None:
         pass
 
     def _start_polling(self, first: float, until) -> None:
-        self._cancel_poll = self.sim.every_group(
+        self._cancel_poll = self.sim.every(
             self.poll_interval_s,
             lambda: _poll_executed(self),
             start=first,

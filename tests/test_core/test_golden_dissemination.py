@@ -231,7 +231,7 @@ def test_no_poll_becomes_a_simulator_event(
     a beacon (``vehicle-*-produce``) — and receives what the recurrence
     that schedules every poll does."""
     scheduled = {}
-    for name in ("at", "after", "every", "every_group"):
+    for name in ("at", "after", "every"):
 
         def recording(self, *args, _schedule=getattr(Simulator, name), **kwargs):
             scheduled.setdefault(self, set()).add(kwargs.get("label"))

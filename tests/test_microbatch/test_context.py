@@ -1,22 +1,32 @@
 """Tests for the streaming context and processing model."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.microbatch import DStream, ProcessingModel, StreamingContext
+from repro.microbatch import ProcessingModel, StreamingContext
 from repro.simkernel import Simulator
 from repro.streaming import Broker, Consumer, Producer
 
 
 def build_pipeline(interval_s=0.050, model=None):
+    """A context whose batches, with their completion times, land in
+    ``context.completed``."""
     sim = Simulator()
     broker = Broker("rsu", clock=lambda: sim.now)
     broker.create_topic("IN-DATA", 1)
     consumer = Consumer(broker, group="pipeline")
     consumer.subscribe(["IN-DATA"])
+    completed = []
     context = StreamingContext(
-        sim, consumer, interval_s=interval_s, processing_model=model
+        sim,
+        consumer,
+        lambda batch, t: completed.append((batch, t)),
+        interval_s=interval_s,
+        processing_model=model,
     )
+    context.completed = completed
     producer = Producer(broker)
     return sim, context, producer
 
@@ -55,69 +65,80 @@ class TestStreamingContext:
 
     def test_records_flow_to_sink(self):
         sim, context, producer = build_pipeline()
-        seen = []
-        context.stream.map(lambda v: v["n"]).foreach_batch(
-            lambda batch, t: seen.extend(batch.collect())
-        )
         sim.at(0.01, lambda: producer.send("IN-DATA", {"n": 1}))
         sim.at(0.06, lambda: producer.send("IN-DATA", {"n": 2}))
         context.start(until=0.15)
         sim.run()
+        seen = [
+            json.loads(value)["n"]
+            for batch, _ in context.completed
+            for value in batch.collect()
+        ]
         assert seen == [1, 2]
 
     def test_batch_boundary_respected(self):
         """A record produced at t=0.06 is not in the t=0.05 batch."""
         sim, context, producer = build_pipeline()
-        batches = []
-        context.stream.foreach_batch(
-            lambda batch, t: batches.append((batch.batch_time, len(batch)))
-        )
         sim.at(0.06, lambda: producer.send("IN-DATA", {"n": 1}))
         context.start(until=0.15)
         sim.run()
         sizes = dict(
-            (round(bt, 3), n) for bt, n in batches
+            (round(batch.batch_time, 3), len(batch))
+            for batch, _ in context.completed
         )
         assert sizes.get(0.05, 0) == 0
         assert sizes[0.1] == 1
 
     def test_completion_time_after_batch_time(self):
         sim, context, producer = build_pipeline()
-        completions = []
-        context.stream.foreach_batch(
-            lambda batch, t: completions.append((batch.batch_time, t))
-        )
         sim.at(0.01, lambda: producer.send("IN-DATA", {"n": 1}))
         context.start(until=0.10)
         sim.run()
-        for batch_time, completion in completions:
-            assert completion > batch_time
+        assert context.completed
+        for batch, completion in context.completed:
+            assert completion > batch.batch_time
 
     def test_processing_latency_model_applied(self):
         model = ProcessingModel(base_s=0.005, per_record_s=0.0, jitter_fraction=0.0)
         sim, context, producer = build_pipeline(model=model)
-        completions = []
-        context.stream.foreach_batch(
-            lambda batch, t: completions.append(t)
-        )
         sim.at(0.01, lambda: producer.send("IN-DATA", {"n": 1}))
         context.start(until=0.10)
         sim.run()
-        assert completions[0] == pytest.approx(0.055)
+        assert context.completed[0][1] == pytest.approx(0.055)
 
     def test_busy_pipeline_queues_batches(self):
         """If processing exceeds the interval, batches serialize."""
         model = ProcessingModel(base_s=0.120, per_record_s=0.0, jitter_fraction=0.0)
         sim, context, producer = build_pipeline(model=model)
-        completions = []
-        context.stream.foreach_batch(lambda batch, t: completions.append(t))
         for t in (0.01, 0.06, 0.11):
             sim.at(t, lambda: producer.send("IN-DATA", {"n": 0}))
         context.start(until=0.20)
         sim.run()
         # Batch 1 completes at 0.05+0.12=0.17; batch 2 starts at 0.17,
         # completes 0.29; batch 3 at 0.41.
+        completions = [t for _, t in context.completed]
         assert completions == pytest.approx([0.17, 0.29, 0.41])
+
+    def test_completions_fire_in_batch_order(self):
+        """The callback runs at each batch's completion instant, in
+        batch order, even when jitter makes a later batch cheaper."""
+        rng = np.random.default_rng(3)
+        model = ProcessingModel(base_s=0.040, jitter_fraction=0.5)
+        sim, context, producer = build_pipeline(model=model)
+        context.jitter_source = lambda: float(rng.uniform(-1, 1))
+        seen = []
+        context.on_batch = lambda batch, t: seen.append(
+            (batch.batch_time, t, sim.now)
+        )
+        for k in range(12):
+            sim.at(0.01 + 0.02 * k, lambda: producer.send("IN-DATA", {"n": 0}))
+        context.start(until=0.30)
+        sim.run()
+        expected = [(m.batch_time, m.completion_time) for m in context.metrics]
+        assert [(bt, t) for bt, t, _ in seen] == expected
+        assert all(now == t for _, t, now in seen)
+        completions = [t for _, t, _ in seen]
+        assert completions == sorted(completions)
 
     def test_mean_processing_skips_empty_batches(self):
         sim, context, producer = build_pipeline()
@@ -146,7 +167,9 @@ class TestStreamingContext:
     def test_invalid_interval(self):
         sim, context, _ = build_pipeline()
         with pytest.raises(ValueError):
-            StreamingContext(sim, context.consumer, interval_s=0.0)
+            StreamingContext(
+                sim, context.consumer, context.on_batch, interval_s=0.0
+            )
 
     def test_jitter_source_used(self):
         rng = np.random.default_rng(0)
@@ -158,6 +181,7 @@ class TestStreamingContext:
         context = StreamingContext(
             sim,
             consumer,
+            lambda batch, t: None,
             processing_model=ProcessingModel(jitter_fraction=0.5),
             jitter_source=lambda: float(rng.uniform(-1, 1)),
         )
@@ -169,29 +193,3 @@ class TestStreamingContext:
         durations = {m.processing_s for m in context.metrics if m.n_records}
         assert len(durations) > 1  # jitter produced distinct durations
 
-
-class TestDStream:
-    def test_transform_chain_order(self):
-        from repro.microbatch import Batch
-
-        stream = DStream()
-        collected = []
-        stream.map(lambda x: x + 1).filter(lambda x: x > 2).foreach_batch(
-            lambda batch, t: collected.extend(batch.collect())
-        )
-        stream.process(Batch([0, 1, 2, 3]), completion_time=1.0)
-        assert collected == [3, 4]
-
-    def test_multiple_sinks_at_different_stages(self):
-        from repro.microbatch import Batch
-
-        stream = DStream()
-        raw, mapped = [], []
-        stream.foreach_batch(lambda b, t: raw.extend(b.collect()))
-        stream.map(lambda x: x * 10).foreach_batch(
-            lambda b, t: mapped.extend(b.collect())
-        )
-        stream.process(Batch([1, 2]), completion_time=0.0)
-        assert raw == [1, 2]
-        assert mapped == [10, 20]
-        assert stream.n_sinks == 2

@@ -1,16 +1,15 @@
-"""End-to-end kernel equivalence: calendar queue + group ticks vs the
-reference heap with independent recurrences.
+"""End-to-end kernel equivalence: the production tuple heap vs the
+seed's heap of ``Event`` objects.
 
-The event-kernel overhaul must be invisible to the system above it —
-same warnings, same summary chain, same latency statistics, bit for
-bit, on a real corridor scenario.
+The event kernel must be invisible to the system above it — same
+warnings, same summary chain, same latency statistics, bit for bit, on
+a real corridor scenario.
 """
 
 import pytest
 
 from repro.core.scenario import ScenarioSpec
 from repro.core.system import TestbedScenario
-from repro.simkernel import Simulator
 from tests.test_simkernel.reference_queue import ReferenceEventQueue
 
 
@@ -41,12 +40,10 @@ def test_reference_heap_without_coalescing_matches(
     monkeypatch.setattr(
         "repro.simkernel.simulator.EventQueue", ReferenceEventQueue
     )
-    monkeypatch.setattr(Simulator, "every_group", Simulator.every)
     assert run_corridor() == new_kernel_result
 
 
 def test_calendar_queue_without_coalescing_matches(
     monkeypatch, new_kernel_result
 ):
-    monkeypatch.setattr(Simulator, "every_group", Simulator.every)
     assert run_corridor() == new_kernel_result

@@ -24,7 +24,7 @@ from repro.geo import CityNetworkBuilder, RoadType
 from repro.net.dsrc import DsrcChannel
 from repro.net.link import WiredLink
 from repro.simkernel import Simulator
-from repro.streaming import Consumer
+from repro.streaming import Consumer, JsonSerde
 
 
 def main() -> None:
@@ -70,15 +70,20 @@ def main() -> None:
           f"mean end-to-end latency "
           f"{1e3 * np.mean(vehicle.stats.e2e_latencies_s):.1f} ms")
 
-    # Peek at the wire: what OUT-DATA and CO-DATA actually carry.
-    out = Consumer(rsu_motorway.broker)
-    out.subscribe([OUT_DATA])
-    warning = out.poll(max_records=1)[0].value
-    print(f"\nsample OUT-DATA warning: {warning}")
+    # Peek at the wire: what OUT-DATA and CO-DATA actually carry (both
+    # JSON by default).  A poll hands back each partition's record
+    # bytes as one block.
+    serde = JsonSerde()
 
-    co = Consumer(rsu_link.broker)
-    co.subscribe([CO_DATA])
-    summary = co.poll(max_records=1)[0].value
+    def first_record(broker, topic: str):
+        consumer = Consumer(broker)
+        consumer.subscribe([topic])
+        (segment,) = consumer.poll_block(max_records=1)
+        return serde.deserialize(segment.value_list()[0])
+
+    warning = first_record(rsu_motorway.broker, OUT_DATA)
+    print(f"\nsample OUT-DATA warning: {warning}")
+    summary = first_record(rsu_link.broker, CO_DATA)
     print(f"sample CO-DATA summary:  {summary}")
     print(f"link RSU now knows car 1 history: {rsu_link.summaries[1]}")
 

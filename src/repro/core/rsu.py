@@ -234,20 +234,12 @@ class RsuNode:
         self._uplink = None
 
     def _make_pipeline_consumer(self) -> Consumer:
-        consumer = Consumer(
-            self.broker,
-            group=f"{self.name}-pipeline",
-            serde=self._serde_for(IN_DATA),
-        )
+        consumer = Consumer(self.broker, group=f"{self.name}-pipeline")
         consumer.subscribe([IN_DATA])
         return consumer
 
     def _make_collab_consumer(self) -> Consumer:
-        consumer = Consumer(
-            self.broker,
-            group=f"{self.name}-collab",
-            serde=self._serde_for(CO_DATA),
-        )
+        consumer = Consumer(self.broker, group=f"{self.name}-collab")
         consumer.subscribe([CO_DATA])
         return consumer
 
@@ -415,8 +407,13 @@ class RsuNode:
         goes back through the collaborative detector.
         """
         arrived = 0
-        for record in self._co_consumer.poll():
-            value = record.value
+        deserialize = self._serde_for(CO_DATA).deserialize
+        values = [
+            deserialize(value)
+            for segment in self._co_consumer.poll_block()
+            for value in segment.value_list()
+        ]
+        for value in values:
             if self._collab_rx is not None:
                 if isinstance(value, SummaryFrame):
                     summary = self._collab_rx.resolve(value)

@@ -29,7 +29,6 @@ from repro.streaming.producer import Producer, RetryPolicy, send_block
 from repro.streaming.serde import (
     FlatStructSerde,
     JsonSerde,
-    RawSerde,
     Serde,
     SerdeError,
 )
@@ -508,12 +507,11 @@ class VehicleNode:
         # Telemetry goes through a Producer so the delivery guarantees
         # (bounded retry buffer, idempotent sequences) apply.  The
         # envelope is serialized by the vehicle (the wire size gates
-        # the DSRC airtime), so the producer's serde is a passthrough.
+        # the DSRC airtime); the producer appends the bytes as they are.
         # A retry policy implies idempotence: retries must never
         # double-count a record the broker already appended.
         self._producer = Producer(
             rsu.broker,
-            serde=RawSerde(),
             client_id=f"vehicle-{car_id}",
             sim=sim,
             retry=retry,
@@ -555,7 +553,6 @@ class VehicleNode:
         self._consumer = Consumer(
             self.rsu.broker,
             group=None,
-            serde=self._out_serde,
             client_id=f"vehicle-{self.car_id}",
         )
         self._consumer.subscribe([OUT_DATA])

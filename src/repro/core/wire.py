@@ -442,7 +442,8 @@ def _append_uvarint(out: bytearray, value: int) -> None:
 
 def _append_svarint(out: bytearray, value: int) -> None:
     # ZigZag: small magnitudes of either sign stay short on the wire.
-    _append_uvarint(out, (value << 1) ^ (value >> 63))
+    # Sign-aware, so a delta past the 64-bit range maps as well.
+    _append_uvarint(out, value << 1 if value >= 0 else (-value << 1) - 1)
 
 
 def _read_uvarint(buf: bytes, at: int) -> Tuple[int, int]:

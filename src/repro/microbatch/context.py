@@ -88,7 +88,7 @@ class BlockBatch:
 
     def collect(self) -> List[Any]:
         """Materialize the per-record value bytes, in segment order
-        (the record order a per-record poll would have returned)."""
+        (partition by partition, each in offset order)."""
         values: List[Any] = []
         for segment in self.segments:
             values.extend(segment.value_list())

@@ -48,8 +48,8 @@ default whenever ``faults`` is set), otherwise a telemetry record can
 be both appended and counted lost; and a vehicle must not re-attach to
 an RSU it previously left (no current topology does).
 
-All reads go through ``Topic.partition(i).read`` — *not*
-``Broker.fetch`` — so the audit never mutates broker byte/record
+All reads go through ``Topic.partition(i).read_block`` — *not*
+``Broker.fetch_block`` — so the audit never mutates broker byte/record
 counters: auditing a scenario leaves it bit-identical.
 """
 
@@ -101,19 +101,18 @@ def _topic_end_offsets(broker, topic_name: str) -> int:
     )
 
 
-def _read_partition(partition, from_offset: int):
-    remaining = partition.end_offset - max(from_offset, partition.start_offset)
+def _read_partition(partition, from_offset: int, serde) -> list:
+    """The deserialized values of a partition's records from
+    ``from_offset`` to its end (a dead broker's log reads too)."""
+    remaining = partition.end_offset - from_offset
     if remaining <= 0:
         return []
-    return partition.read(from_offset, remaining)
+    values = partition.read_block(from_offset, remaining).value_list()
+    return [serde.deserialize(value) for value in values]
 
 
-def _records_for_car(records, serde, car_id: int) -> int:
-    count = 0
-    for record in records:
-        if int(serde.deserialize(record.value).get("car", -1)) == car_id:
-            count += 1
-    return count
+def _records_for_car(values, car_id: int) -> int:
+    return sum(int(value.get("car", -1)) == car_id for value in values)
 
 
 def audit_scenario(scenario) -> InvariantReport:
@@ -255,11 +254,11 @@ def _audit_warnings(scenario, report: InvariantReport) -> None:
             for partition_index, position in positions.items():
                 partition = topic.partition(partition_index)
                 end_at_migrate = ends[partition_index]
-                for record in _read_partition(partition, position):
-                    value = serde.deserialize(record.value)
+                values = _read_partition(partition, position, serde)
+                for offset, value in enumerate(values, position):
                     if int(value.get("car", -1)) != vehicle.car_id:
                         continue
-                    if record.offset < end_at_migrate:
+                    if offset < end_at_migrate:
                         orphaned += 1
                     else:
                         late += 1
@@ -275,7 +274,7 @@ def _audit_warnings(scenario, report: InvariantReport) -> None:
                     partition_index
                 )
                 pending += _records_for_car(
-                    _read_partition(partition, position), serde, vehicle.car_id
+                    _read_partition(partition, position, serde), vehicle.car_id
                 )
     terms = {
         "warnings_emitted": emitted,

@@ -62,7 +62,7 @@ class _CaptureBroker:
         self._rsu_name = rsu_name
         self._sink = sink
 
-    def produce(self, topic, value, key=None, partition=None, timestamp=None, **_):
+    def produce(self, topic, value, key=None, timestamp=None, **_):
         self._sink.append((self._rsu_name, topic, value, timestamp))
         return None
 

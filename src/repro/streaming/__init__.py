@@ -1,19 +1,26 @@
 """In-process event-streaming substrate (the Apache Kafka substitute).
 
-CAD3 uses Kafka as a partitioned, append-only pub/sub log: producers on
+CAD3 uses Kafka only as a partitioned, offset-tracked pub/sub log:
 vehicles push telemetry to ``IN-DATA``, the detection pipeline writes
-warnings to ``OUT-DATA`` and inter-RSU summaries to ``CO-DATA``, and
-consumers poll.  This package implements those semantics in-process:
+warnings to ``OUT-DATA`` and inter-RSU summaries to ``CO-DATA`` (three
+partitions each), and one consumer per topic and RSU reads it.  This
+package implements that and nothing more, with one append path and
+one read path, both a block at a time:
 
-- :mod:`repro.streaming.records` — producer/consumer record types.
+- :mod:`repro.streaming.records` — :class:`BlockSegment`, one
+  partition's slice of a read.
 - :mod:`repro.streaming.serde` — serializers (JSON is the default, as
-  in the paper's implementation).
+  in the paper's implementation).  Clients move bytes; callers
+  serialize and deserialize.
 - :mod:`repro.streaming.topic` — partitioned append-only logs with
-  key-hash routing.
-- :mod:`repro.streaming.broker` — topic management, produce/fetch,
-  committed offsets for consumer groups, byte accounting.
+  key-hash routing: ``Partition.append_block`` / ``read_block``.
+- :mod:`repro.streaming.broker` — topic management,
+  ``produce_block`` (dedupe of idempotent retries, keyed
+  notifications, ack loss, counters; ``produce`` is a block of one)
+  and ``fetch_block``, committed group offsets, byte accounting.
 - :mod:`repro.streaming.producer` / :mod:`repro.streaming.consumer` —
-  client API mirroring ``kafka-python``.
+  client API after ``kafka-python``: ``Producer.send`` with retry and
+  idempotence, ``Consumer.poll_block`` and ``settle_polls``.
 """
 
 from repro.streaming.broker import (
@@ -24,7 +31,6 @@ from repro.streaming.broker import (
 )
 from repro.streaming.consumer import Consumer
 from repro.streaming.producer import Producer, RetryPolicy
-from repro.streaming.records import ConsumerRecord, RecordMetadata
 from repro.streaming.serde import JsonSerde, RawSerde, Serde
 from repro.streaming.topic import Partition, Topic
 
@@ -33,12 +39,10 @@ __all__ = [
     "BrokerError",
     "BrokerUnavailable",
     "Consumer",
-    "ConsumerRecord",
     "JsonSerde",
     "Partition",
     "Producer",
     "RawSerde",
-    "RecordMetadata",
     "RetryPolicy",
     "Serde",
     "Topic",

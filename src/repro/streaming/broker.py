@@ -1,4 +1,4 @@
-"""Broker: topic management, produce/fetch, group offsets, accounting.
+"""Broker: topic management, block produce/fetch, group offsets, accounting.
 
 One broker instance plays the role of one Kafka server; the paper runs
 "2 servers (Brokers) to act as motorway and motorway link RSUs" and
@@ -12,8 +12,7 @@ from itertools import accumulate, compress, count, groupby
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.streaming.coordinator import GroupCoordinator
-from repro.streaming.records import BlockSegment, RecordMetadata, StoredRecord
+from repro.streaming.records import BlockSegment
 from repro.streaming.topic import Partition, Topic
 
 
@@ -55,21 +54,21 @@ class Broker:
         self._topics: Dict[str, Topic] = {}
         # (group, topic, partition) -> committed offset
         self._committed: Dict[Tuple[str, str, int], int] = {}
-        self.coordinator = GroupCoordinator()
         # topic -> record key -> its one callback (see subscribe_key).
         # Callbacks may be registered before their topic exists: produce
         # looks them up by name, so they attach the moment the topic
         # gets traffic.
         self._keyed_notify: Dict[str, Dict[bytes, Callable]] = {}
-        # (producer_id, topic) -> (last accepted sequence, its metadata):
-        # the idempotent-produce dedupe table (Kafka's per-partition
-        # producer state, collapsed to per-topic at this model's scale).
-        self._producer_state: Dict[Tuple[str, str], Tuple[int, RecordMetadata]] = {}
-        # (topic, partition) -> Partition, filled lazily by fetch.
+        # (producer_id, topic) -> (last accepted sequence, its partition,
+        # its offset): the idempotent-produce dedupe table (Kafka's
+        # per-partition producer state, collapsed to per-topic at this
+        # model's scale).
+        self._producer_state: Dict[Tuple[str, str], Tuple[int, int, int]] = {}
+        # (topic, partition) -> Partition, filled lazily by fetch_block.
         # Partition objects are created once per topic and survive
         # crash/restart (the durable log), so the cache never goes
-        # stale; it exists because consumers poll every 10 ms and the
-        # topic()/partition() validation chain dominated empty polls.
+        # stale; it spares each fetch the topic()/partition()
+        # validation chain.
         self._partition_cache: Dict[Tuple[str, int], Partition] = {}
         self._available = True
         #: Down windows ``(down_at, up_at)`` on this broker's clock,
@@ -142,16 +141,11 @@ class Broker:
     # ------------------------------------------------------------------
     # Topic management
     # ------------------------------------------------------------------
-    def create_topic(
-        self,
-        name: str,
-        num_partitions: int = 3,
-        retention_records: Optional[int] = None,
-    ) -> Topic:
+    def create_topic(self, name: str, num_partitions: int = 3) -> Topic:
         """Create a topic; creating an existing name is an error."""
         if name in self._topics:
             raise BrokerError(f"topic {name!r} already exists on {self.name!r}")
-        topic = Topic(name, num_partitions, retention_records=retention_records)
+        topic = Topic(name, num_partitions)
         self._topics[name] = topic
         return topic
 
@@ -183,58 +177,23 @@ class Broker:
         topic_name: str,
         value: bytes,
         key: Optional[bytes] = None,
-        partition: Optional[int] = None,
         timestamp: Optional[float] = None,
         producer_id: Optional[str] = None,
         sequence: Optional[int] = None,
-    ) -> RecordMetadata:
-        """Append a serialized record, returning its metadata.
-
-        With ``producer_id`` and ``sequence`` set the append is
-        idempotent: a sequence at or below the producer's last accepted
-        one is a retry of a record the log already holds, so the broker
-        skips the append and returns the original metadata (Kafka's
-        exactly-once-per-partition producer protocol).
-        """
-        self._check_available("produce")
-        state_key = None
-        if producer_id is not None and sequence is not None:
-            state_key = (producer_id, topic_name)
-            state = self._producer_state.get(state_key)
-            if state is not None and sequence <= state[0]:
-                self.duplicates_rejected += 1
-                return state[1]
-        topic = self.topic(topic_name)
-        index = topic.route(key) if partition is None else partition
-        log = topic.partition(index)
-        now = self._clock()
-        record_time = now if timestamp is None else timestamp
-        offset = log.append(record_time, key, value, now)
-        topic.version += 1
-        size = len(value) + (len(key) if key else 0)
-        self.bytes_in += size
-        self.records_in += 1
-        metadata = RecordMetadata(
-            topic=topic_name,
-            partition=index,
-            offset=offset,
-            timestamp=record_time,
-            serialized_size=size,
+    ) -> Tuple[int, int]:
+        """Append one serialized record: :meth:`produce_block` of a
+        block of one.  Returns its ``(partition, offset)``."""
+        # only an idempotent record needs the block's dedupe pass
+        idempotent = producer_id is not None and sequence is not None
+        partitions, offsets = self.produce_block(
+            topic_name,
+            (key,),
+            (value,),
+            timestamp=timestamp,
+            producer_ids=(producer_id,) if idempotent else None,
+            sequences=(sequence,) if idempotent else None,
         )
-        if state_key is not None:
-            self._producer_state[state_key] = (sequence, metadata)
-        keyed = self._keyed_notify.get(topic_name)
-        if keyed:
-            callback = keyed.get(key)
-            if callback is not None:
-                callback((key,), (index,), (offset,))
-        if now < self._drop_acks_until:
-            # The append happened; the ack did not make it back.
-            raise BrokerUnavailable(
-                f"broker {self.name!r} lost the produce ack for "
-                f"{topic_name!r}[{index}]@{offset}"
-            )
-        return metadata
+        return partitions[0], offsets[0]
 
     def produce_block(
         self,
@@ -246,32 +205,33 @@ class Broker:
         producer_ids: Optional[Sequence[Optional[str]]] = None,
         sequences: Optional[Sequence[Optional[int]]] = None,
     ) -> Tuple[List[int], List[int]]:
-        """Append a block of records produced at one instant: the log,
-        the counters, the idempotence state and the notifications of one
-        :meth:`produce` per record, in block order, for one
-        availability check, one clock read and one append per
-        partition.  Returns the partition and the offset of each
-        record, as :meth:`produce` reports them, as two lists: no
-        :class:`RecordMetadata` is built but the idempotence state's.
+        """Append a block of records produced at one instant, in block
+        order, for one availability check, one clock read and one
+        append per partition.  Returns the partition and the offset of
+        each record as two lists.  Keyed records route by key hash,
+        unkeyed ones round-robin.
 
         Records are stamped ``timestamps[i]`` when given, else
         ``timestamp`` (else now).  With ``producer_ids`` and
-        ``sequences`` a record carrying both is idempotent, exactly as
-        in :meth:`produce`: a sequence at or below its producer's last
-        accepted one is rejected as a duplicate, not appended, and
-        reported as that last accepted record.
+        ``sequences`` a record carrying both is idempotent: a sequence
+        at or below its producer's last accepted one is a retry of a
+        record the log already holds, so it is rejected as a
+        duplicate, not appended, and reported as that last accepted
+        record (Kafka's exactly-once-per-partition producer protocol).
 
         Every record is appended before the first subscriber is told,
         each subscriber once per run of consecutive records it owns.
         A subscriber may rely on that only for what the log held
         strictly before now — all a keyed OUT-DATA subscriber reads.
-        A lost ack raises once, after the notifications, for the block.
+        A lost ack raises once, after the notifications, for the block
+        (a rejected duplicate is acknowledged with its original).
         """
         self._check_available("produce")
         topic = self.topic(topic_name)
         now = self._clock()
         if timestamps is None:
             timestamps = [now if timestamp is None else timestamp] * len(keys)
+        # (producer_id, topic) -> (sequence, position among the kept)
         accepted: Dict[Tuple[str, str], Tuple[int, int]] = {}
         sources = None
         if producer_ids is not None and sequences is not None:
@@ -303,16 +263,8 @@ class Broker:
         topic.version += len(indexes)
         self.records_in += len(indexes)
         for state_key, (sequence, position) in accepted.items():
-            key = keys[position]
             self._producer_state[state_key] = (
-                sequence,
-                RecordMetadata(
-                    topic=topic_name,
-                    partition=indexes[position],
-                    offset=offsets[position],
-                    timestamp=timestamps[position],
-                    serialized_size=len(values[position]) + (len(key) if key else 0),
-                ),
+                sequence, indexes[position], offsets[position]
             )
         keyed = self._keyed_notify.get(topic_name)
         if keyed:
@@ -325,17 +277,17 @@ class Broker:
                 callback(run_keys, run_indexes, run_offsets)
         if sources is not None:
             # a rejected duplicate reports its producer's last accepted
-            # record: a kept position, or the prior metadata
+            # record: a kept position, or the prior (partition, offset)
             reported = [
                 (indexes[source], offsets[source])
                 if isinstance(source, int)
-                else (source.partition, source.offset)
+                else source
                 for source in sources
             ]
             indexes = list(map(itemgetter(0), reported))
             offsets = list(map(itemgetter(1), reported))
         if len(keys) and now < self._drop_acks_until:
-            # (a rejected duplicate is acknowledged with its original)
+            # The appends happened; the acks did not make it back.
             raise BrokerUnavailable(
                 f"broker {self.name!r} lost the produce acks for a block of "
                 f"{len(keys)} on {topic_name!r}"
@@ -346,12 +298,12 @@ class Broker:
         self, topic_name, keys, values, timestamps, producer_ids, sequences,
         accepted,
     ):
-        """The records of a block :meth:`produce` would append, in
-        order; fills ``accepted`` with each idempotent producer's last
-        appended ``(sequence, position among the kept records)``.  Also
-        returns each record's source: its position among the kept
-        records, or for a rejected duplicate, its producer's last
-        accepted record (a kept position, or the prior metadata)."""
+        """The records of a block that are not duplicates, in order;
+        fills ``accepted`` with each idempotent producer's last appended
+        ``(sequence, position among the kept records)``.  Also returns
+        each record's source: its position among the kept records, or
+        for a rejected duplicate, its producer's last accepted record
+        (a kept position, or the prior ``(partition, offset)``)."""
         state = self._producer_state
         kept_keys, kept_values, kept_times, sources = [], [], [], []
         for key, value, record_time, producer_id, sequence in zip(
@@ -364,7 +316,7 @@ class Broker:
                     last = state.get(state_key)
                 if last is not None and sequence <= last[0]:
                     self.duplicates_rejected += 1
-                    sources.append(last[1])
+                    sources.append(last[1] if len(last) == 2 else last[1:])
                     continue
                 accepted[state_key] = (sequence, len(kept_keys))
             sources.append(len(kept_keys))
@@ -410,32 +362,6 @@ class Broker:
 
         return cancel
 
-    def fetch(
-        self,
-        topic_name: str,
-        partition: int,
-        from_offset: int,
-        max_records: int = 500,
-    ) -> List[StoredRecord]:
-        """Read records from one partition starting at ``from_offset``."""
-        if not self._available:
-            self._check_available("fetch")
-        log = self._partition_cache.get((topic_name, partition))
-        if log is None:
-            log = self.topic(topic_name).partition(partition)
-            self._partition_cache[(topic_name, partition)] = log
-        if from_offset >= 0 and from_offset - log._start_offset >= len(
-            log._values
-        ):
-            # Nothing new past the caller's position — the overwhelming
-            # majority of 10 ms polls; skip the slice and accounting.
-            return []
-        records = log.read(from_offset, max_records)
-        if records:
-            self.bytes_out += sum(r.size for r in records)
-            self.records_out += len(records)
-        return records
-
     def fetch_block(
         self,
         topic_name: str,
@@ -443,52 +369,20 @@ class Broker:
         from_offset: int,
         max_records: int = 500,
     ) -> Optional[BlockSegment]:
-        """Block variant of :meth:`fetch`: one contiguous wire slab.
-
-        Returns ``None`` when nothing is available past ``from_offset``;
-        otherwise a :class:`BlockSegment` — zero-copy off the
-        partition's columnar slab when the log is uniformly
-        struct-encoded, or carrying the per-record value list as a
-        fallback.  Byte/record accounting matches :meth:`fetch` exactly.
-        """
+        """Read up to ``max_records`` records of one partition from
+        ``from_offset`` (:meth:`Partition.read_block`), or ``None`` when
+        nothing is past it, and account them as fetched."""
         if not self._available:
             self._check_available("fetch")
         log = self._partition_cache.get((topic_name, partition))
         if log is None:
             log = self.topic(topic_name).partition(partition)
             self._partition_cache[(topic_name, partition)] = log
-        if from_offset >= 0 and from_offset - log._start_offset >= len(
-            log._values
-        ):
-            return None
-        block = log.read_block(from_offset, max_records)
-        if block is not None:
-            view, record_size, count, next_offset, nbytes = block
-            self.bytes_out += nbytes
-            self.records_out += count
-            return BlockSegment(
-                topic=topic_name,
-                partition=partition,
-                count=count,
-                next_offset=next_offset,
-                nbytes=nbytes,
-                data=view,
-                record_size=record_size,
-            )
-        records = log.read(from_offset, max_records)
-        if not records:
-            return None
-        nbytes = sum(r.size for r in records)
-        self.bytes_out += nbytes
-        self.records_out += len(records)
-        return BlockSegment(
-            topic=topic_name,
-            partition=partition,
-            count=len(records),
-            next_offset=records[-1].offset + 1,
-            nbytes=nbytes,
-            values=[r.value for r in records],
-        )
+        segment = log.read_block(from_offset, max_records)
+        if segment is not None:
+            self.bytes_out += segment.nbytes
+            self.records_out += segment.count
+        return segment
 
     def end_offset(self, topic_name: str, partition: int) -> int:
         return self.topic(topic_name).partition(partition).end_offset

@@ -1,10 +1,13 @@
 """Consumer client with consumer-group offset tracking.
 
-Mirrors ``kafka-python``'s poll loop: subscribe to topics, ``poll`` for
-a batch, offsets advance per partition, and groups commit offsets back
-to the broker so another consumer (or a restart) resumes where the
-group left off — the property the paper's warning-dissemination path
-relies on ("each Kafka consumer pulls every 10 ms").
+Mirrors ``kafka-python``'s poll loop at the scale the pipeline needs:
+subscribe to topics, poll a block of records per partition, positions
+advance per partition, and a grouped consumer commits its positions to
+the broker after every poll so a replacement (or a restart) resumes
+where the group left off.  A consumer whose polls would only drop
+other cars' records settles them without running them
+(:meth:`Consumer.settle_polls`) — the warning-dissemination path the
+paper describes as "each Kafka consumer pulls every 10 ms".
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.streaming.broker import Broker
-from repro.streaming.records import BlockSegment, ConsumerRecord
+from repro.streaming.records import BlockSegment
 from repro.streaming.topic import Partition
-from repro.streaming.serde import JsonSerde, Serde
 
 _consumer_ids = itertools.count(1)
 
@@ -60,117 +62,58 @@ class Consumer:
         Source broker.
     group:
         Consumer-group id.  Consumers in the same group share committed
-        offsets on the broker; a ``None`` group keeps offsets local.
-    serde:
-        Value/key deserializer.
-    auto_commit:
-        Commit offsets back to the broker after each poll (only
-        meaningful with a group).
+        offsets on the broker, committed after every poll; a ``None``
+        group keeps offsets local.
     """
 
     def __init__(
         self,
         broker: Broker,
         group: Optional[str] = None,
-        serde: Optional[Serde] = None,
-        auto_commit: bool = True,
         client_id: Optional[str] = None,
     ) -> None:
         self.broker = broker
         self.group = group
-        self.serde = serde or JsonSerde()
-        self.auto_commit = auto_commit
         self.client_id = client_id or f"consumer-{next(_consumer_ids)}"
         self._subscriptions: List[str] = []
         self._positions: Dict[Tuple[str, int], int] = {}
-        #: Partition visit order for poll — sorted once when the
-        #: assignment changes, not on every 10 ms poll.
+        #: Partition visit order for poll_block — sorted once at
+        #: subscribe, not on every poll.
         self._poll_order: List[Tuple[str, int]] = []
         #: ``_poll_order`` with each key's partition log, for settlement.
         self._poll_logs: List[Tuple[Tuple[str, int], Partition]] = []
-        self._balanced = False
-        self._generation = -1
         #: topic -> the topic's produce-version counter at the last
         #: poll that came back empty with every position at the log
         #: end.  While the versions are unchanged, a poll is answered
         #: with one integer compare per topic instead of a
         #: per-partition fetch.  Invalidated whenever positions move by
-        #: other means (subscribe / seek / rebalance).
+        #: other means (subscribe / seek_to_end).
         self._idle_versions: Dict[str, int] = {}
         self._topic_cache: Dict[str, object] = {}
         self.records_consumed = 0
         self.bytes_consumed = 0
 
     # ------------------------------------------------------------------
-    def subscribe(self, topics: List[str], balanced: bool = False) -> None:
-        """Subscribe to ``topics``.
-
-        With ``balanced=False`` (default) this consumer reads every
-        partition of every topic.  With ``balanced=True`` (requires a
-        group) it joins the broker's group coordinator, which divides
-        partitions among the group's members — Kafka's consumer-group
-        semantics.  Positions resume from the group's committed
-        offsets (or 0).
-        """
-        if balanced and self.group is None:
-            raise ValueError("balanced subscription requires a consumer group")
-        topic_partitions = {}
+    def subscribe(self, topics: List[str]) -> None:
+        """Read every partition of each of ``topics``, from the group's
+        committed offsets (or 0)."""
         for name in topics:
             topic = self.broker.topic(name)  # validates existence
             if name not in self._subscriptions:
                 self._subscriptions.append(name)
-            topic_partitions[name] = topic.num_partitions
+            for partition in range(topic.num_partitions):
+                if (name, partition) not in self._positions:
+                    self._positions[(name, partition)] = (
+                        0
+                        if self.group is None
+                        else self.broker.committed(self.group, name, partition)
+                    )
         self._idle_versions.clear()
-        if balanced:
-            self._balanced = True
-            self._generation = self.broker.coordinator.join(
-                self.group, self.client_id, topic_partitions
-            )
-            self._refresh_assignment()
-            return
-        for name, num_partitions in topic_partitions.items():
-            for partition in range(num_partitions):
-                if (name, partition) in self._positions:
-                    continue
-                self._positions[(name, partition)] = self._committed_or_zero(
-                    name, partition
-                )
-        self._order_partitions()
-
-    def _committed_or_zero(self, topic: str, partition: int) -> int:
-        if self.group is not None:
-            return self.broker.committed(self.group, topic, partition)
-        return 0
-
-    def _refresh_assignment(self) -> None:
-        assigned = self.broker.coordinator.assignment(
-            self.group, self.client_id
-        )
-        self._positions = {
-            (topic, partition): self._committed_or_zero(topic, partition)
-            for topic, partition in assigned
-        }
-        self._order_partitions()
-        self._idle_versions.clear()
-
-    def _order_partitions(self) -> None:
         self._poll_order = sorted(self._positions)
         self._poll_logs = [
             (key, self._topic(key[0]).partitions[key[1]])
             for key in self._poll_order
         ]
-
-    def close(self) -> None:
-        """Leave the group (balanced mode), triggering a rebalance."""
-        if self._balanced:
-            self.broker.coordinator.leave(self.group, self.client_id)
-            self._balanced = False
-            self._positions = {}
-            self._order_partitions()
-
-    @property
-    def assigned_partitions(self) -> List[Tuple[str, int]]:
-        return sorted(self._positions)
 
     def seek_to_end(self) -> None:
         """Skip to the log end of every subscribed partition (consume
@@ -179,17 +122,6 @@ class Consumer:
             self._positions[(topic, partition)] = self.broker.end_offset(
                 topic, partition
             )
-        self._idle_versions.clear()
-
-    def seek(self, topic: str, partition: int, offset: int) -> None:
-        if (topic, partition) not in self._positions:
-            raise KeyError(
-                f"consumer {self.client_id!r} is not subscribed to "
-                f"{topic!r}[{partition}]"
-            )
-        if offset < 0:
-            raise ValueError(f"offset must be non-negative: {offset}")
-        self._positions[(topic, partition)] = offset
         self._idle_versions.clear()
 
     def position(self, topic: str, partition: int) -> int:
@@ -223,78 +155,15 @@ class Consumer:
         for name in self._subscriptions:
             self._idle_versions[name] = self._topic(name).version
 
-    def poll(self, max_records: int = 500) -> List[ConsumerRecord]:
-        """Fetch available records past the current positions,
-        deserialized with the consumer's serde.
-
-        Balanced consumers first check the group generation and pick
-        up any rebalance (another member joined or left).
-        """
-        if not self._subscriptions:
-            return []
-        if self._balanced:
-            generation = self.broker.coordinator.generation(self.group)
-            if generation != self._generation:
-                self._generation = generation
-                self._refresh_assignment()
-        if self.broker.available and self._still_idle():
-            return []
-        out: List[ConsumerRecord] = []
-        budget = max_records
-        serde = self.serde
-        positions = self._positions
-        fetch = self.broker.fetch
-        for key in self._poll_order:
-            if budget <= 0:
-                break
-            topic, partition = key
-            stored = fetch(topic, partition, positions[key], budget)
-            if not stored:
-                continue
-            for record in stored:
-                out.append(
-                    ConsumerRecord(
-                        topic=topic,
-                        partition=partition,
-                        offset=record.offset,
-                        timestamp=record.timestamp,
-                        key=(
-                            serde.deserialize(record.key)
-                            if record.key is not None
-                            else None
-                        ),
-                        value=serde.deserialize(record.value),
-                    )
-                )
-                self.bytes_consumed += record.size
-            new_position = stored[-1].offset + 1
-            self._positions[(topic, partition)] = new_position
-            budget -= len(stored)
-            if self.group is not None and self.auto_commit:
-                self.broker.commit(self.group, topic, partition, new_position)
-        if out:
-            self.records_consumed += len(out)
-        else:
-            self._mark_idle()
-        return out
-
     def poll_block(self, max_records: int = 500) -> List[BlockSegment]:
-        """Block variant of :meth:`poll`: contiguous wire-byte slabs.
-
-        Visits partitions in the same order, advances the same
-        positions, commits the same offsets, and accounts the same
-        bytes as :meth:`poll` — but hands back one
-        :class:`BlockSegment` per non-empty partition instead of
-        per-record objects, zero-copy off the broker's columnar slabs
-        whenever the log is uniformly struct-encoded.
+        """Fetch up to ``max_records`` records past the current
+        positions: one :class:`BlockSegment` per non-empty partition,
+        partitions in (topic, index) order, zero-copy off the broker's
+        slabs whenever a log is uniformly struct-encoded.  Advances the
+        positions past what it returns (and commits them, in a group).
         """
         if not self._subscriptions:
             return []
-        if self._balanced:
-            generation = self.broker.coordinator.generation(self.group)
-            if generation != self._generation:
-                self._generation = generation
-                self._refresh_assignment()
         if self.broker.available and self._still_idle():
             return []
         segments: List[BlockSegment] = []
@@ -314,7 +183,7 @@ class Consumer:
             positions[key] = segment.next_offset
             budget -= segment.count
             total += segment.count
-            if self.group is not None and self.auto_commit:
+            if self.group is not None:
                 self.broker.commit(
                     self.group, topic, partition, segment.next_offset
                 )
@@ -460,27 +329,11 @@ class Consumer:
             start = stop
         return following
 
-    def commit(self) -> None:
-        """Explicitly commit current positions (manual-commit mode)."""
-        if self.group is None:
-            raise RuntimeError(
-                "commit requires a consumer group; this consumer has none"
-            )
-        for (topic, partition), position in self._positions.items():
-            self.broker.commit(self.group, topic, partition, position)
-
     def lag(self) -> int:
-        """Total records available but not yet consumed.
-
-        Positions below a truncated log's start offset only count the
-        records actually retained (Kafka's consumer-lag semantics).
-        """
-        total = 0
-        for (topic, partition), position in self._positions.items():
-            log = self.broker.topic(topic).partition(partition)
-            effective = max(position, log.start_offset)
-            total += log.end_offset - effective
-        return total
+        """Total records available but not yet consumed."""
+        return sum(
+            log.end_offset - self._positions[key] for key, log in self._poll_logs
+        )
 
     def __repr__(self) -> str:
         return (

@@ -1,8 +1,8 @@
 """Producer client.
 
 Mirrors ``kafka-python``'s ``KafkaProducer`` surface at the scale the
-pipeline needs: serialize, route, append, return metadata.  The
-producer keeps its own byte counters so per-vehicle bandwidth
+pipeline needs: append pre-serialized bytes, return where they landed.
+The producer keeps its own byte counters so per-vehicle bandwidth
 (Fig. 6c's ~20 Kb/s per vehicle) can be measured at the sender.
 
 On top of the fire-and-forget path the producer offers Kafka's
@@ -25,12 +25,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, List, Optional, Sequence
+from typing import Callable, Deque, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.streaming.broker import Broker, BrokerUnavailable
-from repro.streaming.records import RecordMetadata
-from repro.streaming.serde import JsonSerde, Serde, serialize_key
 
 
 @dataclass(frozen=True)
@@ -69,14 +67,13 @@ class RetryPolicy:
         )
 
 
-@dataclass
-class _Pending:
-    """One buffered record awaiting a (re)send."""
+class _Pending(NamedTuple):
+    """One buffered record awaiting a (re)send: the arguments of
+    :meth:`Producer._produce`."""
 
     topic: str
     payload: bytes
     key: Optional[bytes]
-    partition: Optional[int]
     timestamp: Optional[float]
     sequence: Optional[int]
 
@@ -88,8 +85,6 @@ class Producer:
     ----------
     broker:
         Target broker.
-    serde:
-        Value (and key) serializer; JSON by default as in the paper.
     client_id:
         Identity for diagnostics (e.g. ``"vehicle-42"``); doubles as
         the idempotent producer id.
@@ -109,14 +104,12 @@ class Producer:
     def __init__(
         self,
         broker: Broker,
-        serde: Optional[Serde] = None,
         client_id: str = "producer",
         sim=None,
         retry: Optional[RetryPolicy] = None,
         idempotent: bool = False,
     ) -> None:
         self.broker = broker
-        self.serde = serde or JsonSerde()
         self.client_id = client_id
         self.sim = sim
         self.retry = retry
@@ -150,59 +143,56 @@ class Producer:
         self._sequences[topic] = sequence
         return sequence
 
-    def _produce(self, pending: _Pending) -> RecordMetadata:
-        return self.broker.produce(
-            pending.topic,
-            pending.payload,
-            key=pending.key,
-            partition=pending.partition,
-            timestamp=pending.timestamp,
-            producer_id=self.client_id if self.idempotent else None,
-            sequence=pending.sequence,
+    def _produce(
+        self,
+        topic: str,
+        payload: bytes,
+        key: Optional[bytes],
+        timestamp: Optional[float],
+        sequence: Optional[int],
+    ) -> Tuple[int, int]:
+        placed = self.broker.produce(
+            topic,
+            payload,
+            key,
+            timestamp,
+            self.client_id if self.idempotent else None,
+            sequence,
         )
+        self.bytes_sent += len(payload) + (len(key) if key else 0)
+        self.records_sent += 1
+        return placed
 
     def send(
         self,
         topic: str,
-        value: Any,
-        key: Any = None,
-        partition: Optional[int] = None,
+        value: bytes,
+        key: Optional[bytes] = None,
         timestamp: Optional[float] = None,
-    ) -> Optional[RecordMetadata]:
-        """Serialize and append one record.
+    ) -> Optional[Tuple[int, int]]:
+        """Append one serialized record.
 
-        Returns the record's metadata, or ``None`` when the broker was
-        unavailable and the record entered the retry buffer (only with
-        a :class:`RetryPolicy`; otherwise the error propagates).
+        Returns the record's ``(partition, offset)``, or ``None`` when
+        the broker was unavailable and the record entered the retry
+        buffer (only with a :class:`RetryPolicy`; otherwise the error
+        propagates).
         """
         if self._closed:
             raise RuntimeError(f"producer {self.client_id!r} is closed")
-        payload = self.serde.serialize(value)
-        key_bytes = serialize_key(self.serde, key)
-        pending = _Pending(
-            topic=topic,
-            payload=payload,
-            key=key_bytes,
-            partition=partition,
-            timestamp=timestamp,
-            sequence=self._next_sequence(topic),
-        )
+        pending = (topic, value, key, timestamp, self._next_sequence(topic))
         if self._buffer:
             # Keep per-topic ordering: drain the backlog first.
-            self._enqueue(pending)
+            self._enqueue(_Pending(*pending))
             self._flush()
             return None
         try:
-            metadata = self._produce(pending)
+            return self._produce(*pending)
         except BrokerUnavailable:
             if self.retry is None:
                 raise
-            self._enqueue(pending)
+            self._enqueue(_Pending(*pending))
             self._schedule_flush()
             return None
-        self.bytes_sent += metadata.serialized_size
-        self.records_sent += 1
-        return metadata
 
     # ------------------------------------------------------------------
     # Retry buffer
@@ -269,13 +259,11 @@ class Producer:
         while self._buffer:
             pending = self._buffer[0]
             try:
-                metadata = self._produce(pending)
+                self._produce(*pending)
             except BrokerUnavailable:
                 self._schedule_flush()
                 return
             self._buffer.popleft()
-            self.bytes_sent += metadata.serialized_size
-            self.records_sent += 1
             self.records_retried += 1
         self._attempt = 0
 

@@ -1,63 +1,24 @@
-"""Record types crossing the streaming substrate."""
+"""The record type crossing the streaming substrate: a block read."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
-
-
-@dataclass(frozen=True)
-class RecordMetadata:
-    """Returned by a successful produce (Kafka's ``RecordMetadata``)."""
-
-    topic: str
-    partition: int
-    offset: int
-    timestamp: float
-    serialized_size: int
-
-
-@dataclass(frozen=True)
-class StoredRecord:
-    """One record read off a partition log: serialized bytes (the log
-    itself keeps them as columns)."""
-
-    offset: int
-    timestamp: float
-    key: Optional[bytes]
-    value: bytes
-
-    @property
-    def size(self) -> int:
-        return len(self.value) + (len(self.key) if self.key else 0)
-
-
-@dataclass(frozen=True)
-class ConsumerRecord:
-    """What a consumer's poll returns: deserialized payloads."""
-
-    topic: str
-    partition: int
-    offset: int
-    timestamp: float
-    key: Any
-    value: Any
+from typing import Optional
 
 
 class BlockSegment:
-    """One partition's slice of a block fetch: contiguous wire bytes.
+    """One partition's slice of a read: ``count`` records ending at
+    offset ``next_offset``.
 
-    The zero-copy currency of :meth:`Broker.fetch_block` /
-    :meth:`Consumer.poll_block`.  When the partition's append-only slab
-    is live (every record struct-encoded at one fixed size), ``data``
-    is a borrowed ``memoryview`` of ``count * record_size`` bytes that
-    ``np.frombuffer`` decodes without materializing per-record objects.
-    When the slab is unavailable (mixed JSON fallback payloads, or a
-    retention-bounded log), ``values`` carries the per-record value
-    bytes instead and ``data`` is ``None``.
+    What :meth:`Partition.read_block`, :meth:`Broker.fetch_block` and
+    :meth:`Consumer.poll_block` return.  When the partition's
+    append-only slab is live (every record struct-encoded at one fixed
+    size), ``data`` is a borrowed ``memoryview`` of
+    ``count * record_size`` bytes that ``np.frombuffer`` decodes
+    without materializing per-record objects.  When it is not (a JSON
+    fallback payload was appended), ``values`` carries the per-record
+    value bytes instead and ``data`` is ``None``.
 
-    ``nbytes`` is the exact consumed size (values plus record keys),
-    matching the per-record path's accounting bit for bit.
+    ``nbytes`` is the exact consumed size: values plus record keys.
     """
 
     __slots__ = (

@@ -306,10 +306,3 @@ class RawSerde(Serde):
 
     def deserialize(self, payload: bytes) -> Any:
         return payload
-
-
-def serialize_key(serde: Serde, key: Any) -> Optional[bytes]:
-    """Serialize an optional record key."""
-    if key is None:
-        return None
-    return serde.serialize(key)

@@ -11,9 +11,10 @@ pytest's ``monkeypatch``:
   array bookkeeping) must reproduce it bit for bit
   (``test_golden_equivalence.py``).
 - :func:`use_executed_polls` — a ``"poll"`` vehicle's 10 ms grid as a
-  real recurrence: one simulator event per poll, each OUT-DATA record
-  deserialized per vehicle.  The virtual grid's settlement must
-  reproduce it bit for bit (``test_golden_dissemination.py``).
+  real recurrence: one simulator event per poll, a ``poll_block`` each,
+  and every OUT-DATA record keyed to the vehicle deserialized.  The
+  virtual grid's settlement must reproduce it bit for bit
+  (``test_golden_dissemination.py``).
 """
 
 from typing import List, Tuple
@@ -107,16 +108,23 @@ def use_per_record_rsu(patch) -> List[int]:
 # The executed poll grid
 # ----------------------------------------------------------------------
 def _poll_executed(self) -> None:
+    consumer = self._consumer
     try:
-        records = self._consumer.poll(vehicle_module._POLL_MAX_RECORDS)
+        segments = consumer.poll_block(vehicle_module._POLL_MAX_RECORDS)
     except BrokerUnavailable:
         self.stats.poll_failures += 1
         return
-    own = [
-        record.value
-        for record in records
-        if int(record.value.get("car", -1)) == self.car_id
-    ]
+    own = []
+    for segment in segments:
+        # the records' keys, off the log: this car's warnings are keyed
+        # by its id
+        log = consumer.broker.topic(segment.topic).partitions[segment.partition]
+        keys = log._keys[segment.next_offset - segment.count : segment.next_offset]
+        own.extend(
+            self._out_serde.deserialize(value)
+            for key, value in zip(keys, segment.value_list())
+            if key == self._key_bytes
+        )
     if own:
         self._receive_warnings(
             [self.sim.now] * len(own),

@@ -204,5 +204,9 @@ class TestVehicleNode:
         channel.flush(sim.now)
         consumer = Consumer(rsu.broker)
         consumer.subscribe([IN_DATA])
-        cars = {r.value["data"]["car"] for r in consumer.poll()}
+        cars = {
+            JsonSerde().deserialize(value)["data"]["car"]
+            for segment in consumer.poll_block()
+            for value in segment.value_list()
+        }
         assert cars == {777}

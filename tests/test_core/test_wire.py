@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.block import TelemetryBlock
@@ -245,6 +245,8 @@ class TestSummaryFrameProperties:
         epoch=frame_epochs,
     )
     @settings(max_examples=100, deadline=None)
+    # a delta of 2^63: one past the 64-bit ZigZag range
+    @example(base=(-(2**62), 0, 0, 0, 0), new=(2**62, 0, 0, 0, 0), car=1, epoch=0)
     def test_extreme_zigzag_varint_deltas_survive(self, base, new, car, epoch):
         """Field deltas near ±2^63 (and an i64 boundary car id) must
         round-trip through the ZigZag varint encoding."""

@@ -65,8 +65,8 @@ class TestStreamingContext:
 
     def test_records_flow_to_sink(self):
         sim, context, producer = build_pipeline()
-        sim.at(0.01, lambda: producer.send("IN-DATA", {"n": 1}))
-        sim.at(0.06, lambda: producer.send("IN-DATA", {"n": 2}))
+        sim.at(0.01, lambda: producer.send("IN-DATA", json.dumps({"n": 1}).encode()))
+        sim.at(0.06, lambda: producer.send("IN-DATA", json.dumps({"n": 2}).encode()))
         context.start(until=0.15)
         sim.run()
         seen = [
@@ -79,7 +79,7 @@ class TestStreamingContext:
     def test_batch_boundary_respected(self):
         """A record produced at t=0.06 is not in the t=0.05 batch."""
         sim, context, producer = build_pipeline()
-        sim.at(0.06, lambda: producer.send("IN-DATA", {"n": 1}))
+        sim.at(0.06, lambda: producer.send("IN-DATA", json.dumps({"n": 1}).encode()))
         context.start(until=0.15)
         sim.run()
         sizes = dict(
@@ -91,7 +91,7 @@ class TestStreamingContext:
 
     def test_completion_time_after_batch_time(self):
         sim, context, producer = build_pipeline()
-        sim.at(0.01, lambda: producer.send("IN-DATA", {"n": 1}))
+        sim.at(0.01, lambda: producer.send("IN-DATA", json.dumps({"n": 1}).encode()))
         context.start(until=0.10)
         sim.run()
         assert context.completed
@@ -101,7 +101,7 @@ class TestStreamingContext:
     def test_processing_latency_model_applied(self):
         model = ProcessingModel(base_s=0.005, per_record_s=0.0, jitter_fraction=0.0)
         sim, context, producer = build_pipeline(model=model)
-        sim.at(0.01, lambda: producer.send("IN-DATA", {"n": 1}))
+        sim.at(0.01, lambda: producer.send("IN-DATA", json.dumps({"n": 1}).encode()))
         context.start(until=0.10)
         sim.run()
         assert context.completed[0][1] == pytest.approx(0.055)
@@ -111,7 +111,7 @@ class TestStreamingContext:
         model = ProcessingModel(base_s=0.120, per_record_s=0.0, jitter_fraction=0.0)
         sim, context, producer = build_pipeline(model=model)
         for t in (0.01, 0.06, 0.11):
-            sim.at(t, lambda: producer.send("IN-DATA", {"n": 0}))
+            sim.at(t, lambda: producer.send("IN-DATA", json.dumps({"n": 0}).encode()))
         context.start(until=0.20)
         sim.run()
         # Batch 1 completes at 0.05+0.12=0.17; batch 2 starts at 0.17,
@@ -131,7 +131,7 @@ class TestStreamingContext:
             (batch.batch_time, t, sim.now)
         )
         for k in range(12):
-            sim.at(0.01 + 0.02 * k, lambda: producer.send("IN-DATA", {"n": 0}))
+            sim.at(0.01 + 0.02 * k, lambda: producer.send("IN-DATA", json.dumps({"n": 0}).encode()))
         context.start(until=0.30)
         sim.run()
         expected = [(m.batch_time, m.completion_time) for m in context.metrics]
@@ -142,7 +142,7 @@ class TestStreamingContext:
 
     def test_mean_processing_skips_empty_batches(self):
         sim, context, producer = build_pipeline()
-        sim.at(0.01, lambda: producer.send("IN-DATA", {"n": 1}))
+        sim.at(0.01, lambda: producer.send("IN-DATA", json.dumps({"n": 1}).encode()))
         context.start(until=0.30)
         sim.run()
         non_empty = [m for m in context.metrics if m.n_records > 0]
@@ -187,7 +187,7 @@ class TestStreamingContext:
         )
         producer = Producer(broker)
         for t in (0.01, 0.06, 0.11, 0.16):
-            sim.at(t, lambda: producer.send("IN-DATA", {"n": 0}))
+            sim.at(t, lambda: producer.send("IN-DATA", json.dumps({"n": 0}).encode()))
         context.start(until=0.25)
         sim.run()
         durations = {m.processing_s for m in context.metrics if m.n_records}

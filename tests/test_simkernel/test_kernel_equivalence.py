@@ -34,7 +34,7 @@ def new_kernel_result():
     return run_corridor()
 
 
-def test_reference_heap_without_coalescing_matches(
+def test_reference_heap_matches_the_production_heap(
     monkeypatch, new_kernel_result
 ):
     monkeypatch.setattr(
@@ -43,7 +43,7 @@ def test_reference_heap_without_coalescing_matches(
     assert run_corridor() == new_kernel_result
 
 
-def test_calendar_queue_without_coalescing_matches(
-    monkeypatch, new_kernel_result
-):
+def test_a_rerun_reproduces_the_production_run(new_kernel_result):
+    """Rerun determinism: a second run on the production heap, in the
+    same process, equals the first bit for bit."""
     assert run_corridor() == new_kernel_result

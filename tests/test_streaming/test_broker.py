@@ -39,32 +39,31 @@ class TestTopics:
 
 class TestProduceFetch:
     def test_round_trip(self, broker):
-        metadata = broker.produce("IN-DATA", b"hello", key=b"car-1")
-        records = broker.fetch("IN-DATA", metadata.partition, 0)
-        assert records[-1].value == b"hello"
-        assert records[-1].key == b"car-1"
-
-    def test_explicit_partition(self, broker):
-        metadata = broker.produce("IN-DATA", b"x", partition=2)
-        assert metadata.partition == 2
+        partition, offset = broker.produce("IN-DATA", b"hello", key=b"car-1")
+        assert partition == broker.topic("IN-DATA").route(b"car-1")
+        segment = broker.fetch_block("IN-DATA", partition, 0)
+        assert segment.value_list() == [b"hello"]
+        assert segment.next_offset == offset + 1
+        assert broker.topic("IN-DATA").partition(partition)._keys == [b"car-1"]
 
     def test_timestamps_from_injected_clock(self):
         times = [1.5]
         broker = Broker("b", clock=lambda: times[0])
         broker.create_topic("t", 1)
-        metadata = broker.produce("t", b"x")
-        assert metadata.timestamp == 1.5
+        broker.produce("t", b"x")
+        assert broker.topic("t").partition(0)._timestamps == [1.5]
 
     def test_explicit_timestamp_wins(self, broker):
-        metadata = broker.produce("IN-DATA", b"x", timestamp=9.0)
-        assert metadata.timestamp == 9.0
+        partition, _ = broker.produce("IN-DATA", b"x", timestamp=9.0)
+        assert broker.topic("IN-DATA").partition(partition)._timestamps == [9.0]
 
     def test_byte_accounting(self, broker):
         broker.produce("IN-DATA", b"12345", key=b"abc")
         assert broker.bytes_in == 8
         assert broker.records_in == 1
         partition = broker.topic("IN-DATA").route(b"abc")
-        broker.fetch("IN-DATA", partition, 0)
+        assert broker.fetch_block("IN-DATA", partition, 1) is None
+        assert broker.fetch_block("IN-DATA", partition, 0).nbytes == 8
         assert broker.bytes_out == 8
         assert broker.records_out == 1
 
@@ -109,8 +108,8 @@ class TestProduceNotification:
         broker.produce("IN-DATA", b"a", key=b"8")
         broker.produce("IN-DATA", b"b")
         assert seen == []
-        metadata = broker.produce("IN-DATA", b"c", key=b"7")
-        assert seen == [metadata.offset]
+        _, offset = broker.produce("IN-DATA", b"c", key=b"7")
+        assert seen == [offset]
 
     def test_duplicate_key_refused_until_cancelled(self, broker):
         cancel = broker.subscribe_key("IN-DATA", b"7", lambda *appended: None)
@@ -229,7 +228,7 @@ class TestOutageLog:
 
 
 # ----------------------------------------------------------------------
-# produce_block: n produces for the price of one
+# produce_block: a block appends as its records one at a time would
 # ----------------------------------------------------------------------
 _FRAME = bytes([STRUCT_MAGIC]) + b"\x01" + b"w" * 10
 _block_keys = st.none() | st.integers(0, 6).map(lambda n: str(n).encode())
@@ -246,18 +245,18 @@ def _log_state(broker, listener):
     topic = broker.topic("t")
     logs = []
     for log in topic.partitions:
-        block = log.read_block(log.start_offset, 500)
+        block = log.read_block(0, 500)
         logs.append(
             (
-                log.read(0, 500),
-                log.start_offset,
+                log._timestamps,
+                log._keys,
+                log._values,
                 log.end_offset,
                 log.bytes_in,
-                log.records_truncated,
                 log._cum_sizes,
                 log._append_clock,
                 log._slab_record_size,
-                block and (bytes(block[0]),) + block[1:],
+                block and (block.value_list(), block.is_uniform, block.nbytes),
             )
         )
     return (
@@ -280,7 +279,6 @@ _block_producers = st.none() | st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(
     partitions=st.integers(1, 3),
-    retention=st.none() | st.integers(1, 5),
     history=_block_records,
     block=_block_records.filter(len),
     timestamp=st.none() | st.just(0.25),
@@ -290,13 +288,16 @@ _block_producers = st.none() | st.tuples(
     listened_keys=st.sets(st.integers(0, 6).map(lambda n: str(n).encode())),
 )
 def test_produce_block_is_one_produce_per_record(
-    partitions, retention, history, block, timestamp, per_record_times,
-    producers, ack_lost, listened_keys,
+    partitions, history, block, timestamp, per_record_times, producers,
+    ack_lost, listened_keys,
 ):
+    """A block's log, counters, idempotence state and notifications
+    equal those of its records produced one block of one at a time."""
+
     def world():
         now = [1.0]
         broker = Broker("b", clock=lambda: now[0])
-        broker.create_topic("t", partitions, retention_records=retention)
+        broker.create_topic("t", partitions)
         for key, value in history:
             broker.produce("t", value, key=key)
         broker.produce("t", b"x", producer_id="p", sequence=2)
@@ -381,7 +382,7 @@ def test_produce_block_is_refused_whole_by_a_down_broker():
 
 
 def test_produce_block_reports_what_produce_returns():
-    """The partitions and offsets a block reports are the metadata one
+    """The partitions and offsets a block reports are what one
     ``produce`` per record returns, a rejected duplicate included (it
     reports its producer's last accepted record)."""
     keys = [b"0", b"2", b"7", b"0", b"5", b"2", b"7"]
@@ -405,5 +406,4 @@ def test_produce_block_reports_what_produce_returns():
         producer_ids=ids, sequences=sequences,
     )
     assert at_once.duplicates_rejected == one_by_one.duplicates_rejected == 2
-    assert list(partitions) == [metadata.partition for metadata in expected]
-    assert list(offsets) == [metadata.offset for metadata in expected]
+    assert list(zip(partitions, offsets)) == expected

@@ -9,7 +9,9 @@ from repro.streaming import (
     Producer,
     RawSerde,
 )
-from repro.streaming.serde import SerdeError
+from repro.streaming.serde import STRUCT_MAGIC, SerdeError
+
+_JSON = JsonSerde()
 
 
 @pytest.fixture
@@ -74,21 +76,35 @@ class TestSerde:
         assert 120 <= size <= 300
 
 
+def _send(producer, n, key=None):
+    """Send ``{"n": n}`` as JSON bytes."""
+    return producer.send("IN-DATA", _JSON.serialize({"n": n}), key=key)
+
+
+def _polled(consumer, max_records=500):
+    """What one ``poll_block`` read, deserialized, in order."""
+    return [
+        _JSON.deserialize(value)
+        for segment in consumer.poll_block(max_records)
+        for value in segment.value_list()
+    ]
+
+
 class TestProducer:
     def test_send_returns_metadata(self, broker):
         producer = Producer(broker)
-        metadata = producer.send("IN-DATA", {"x": 1}, key="car-1")
-        assert metadata.topic == "IN-DATA"
-        assert metadata.offset == 0
+        partition, offset = producer.send("IN-DATA", b'{"x":1}', key=b"car-1")
+        assert partition == broker.topic("IN-DATA").route(b"car-1")
+        assert offset == 0
         assert producer.records_sent == 1
-        assert producer.bytes_sent == metadata.serialized_size
+        assert producer.bytes_sent == len(b'{"x":1}') + len(b"car-1")
 
     def test_closed_producer_rejects(self, broker):
         producer = Producer(broker)
         producer.close()
         assert producer.closed
         with pytest.raises(RuntimeError):
-            producer.send("IN-DATA", {"x": 1})
+            producer.send("IN-DATA", b"x")
 
 
 class TestConsumer:
@@ -96,9 +112,9 @@ class TestConsumer:
         producer = Producer(broker)
         consumer = Consumer(broker)
         consumer.subscribe(["IN-DATA"])
-        producer.send("IN-DATA", {"n": 1})
-        producer.send("IN-DATA", {"n": 2})
-        values = [r.value for r in consumer.poll()]
+        _send(producer, 1)
+        _send(producer, 2)
+        values = _polled(consumer)
         assert values == [{"n": 1}, {"n": 2}] or sorted(
             v["n"] for v in values
         ) == [1, 2]
@@ -107,80 +123,119 @@ class TestConsumer:
         producer = Producer(broker)
         consumer = Consumer(broker)
         consumer.subscribe(["IN-DATA"])
-        producer.send("IN-DATA", {"n": 1})
-        assert len(consumer.poll()) == 1
-        assert consumer.poll() == []
+        _send(producer, 1)
+        assert len(_polled(consumer)) == 1
+        assert consumer.poll_block() == []
 
     def test_group_resume_from_commit(self, broker):
         producer = Producer(broker)
         for n in range(4):
-            producer.send("IN-DATA", {"n": n}, key="k")
+            _send(producer, n, key=b"k")
 
         first = Consumer(broker, group="g")
         first.subscribe(["IN-DATA"])
-        first.poll()
+        first.poll_block()
 
         # A replacement consumer in the same group sees nothing old.
-        producer.send("IN-DATA", {"n": 99}, key="k")
+        _send(producer, 99, key=b"k")
         second = Consumer(broker, group="g")
         second.subscribe(["IN-DATA"])
-        values = [r.value["n"] for r in second.poll()]
-        assert values == [99]
+        assert [value["n"] for value in _polled(second)] == [99]
 
     def test_groupless_consumers_each_see_everything(self, broker):
         producer = Producer(broker)
-        producer.send("IN-DATA", {"n": 1})
+        _send(producer, 1)
         a = Consumer(broker)
         b = Consumer(broker)
         a.subscribe(["IN-DATA"])
         b.subscribe(["IN-DATA"])
-        assert len(a.poll()) == 1
-        assert len(b.poll()) == 1
+        assert len(_polled(a)) == 1
+        assert len(_polled(b)) == 1
 
     def test_seek_to_end_skips_history(self, broker):
         producer = Producer(broker)
-        producer.send("IN-DATA", {"n": 1})
+        _send(producer, 1)
         consumer = Consumer(broker)
         consumer.subscribe(["IN-DATA"])
         consumer.seek_to_end()
-        assert consumer.poll() == []
-        producer.send("IN-DATA", {"n": 2})
-        assert [r.value["n"] for r in consumer.poll()] == [2]
-
-    def test_seek_validation(self, broker):
-        consumer = Consumer(broker)
-        consumer.subscribe(["IN-DATA"])
-        with pytest.raises(KeyError):
-            consumer.seek("OUT-DATA", 0, 0)
-        with pytest.raises(ValueError):
-            consumer.seek("IN-DATA", 0, -1)
+        assert consumer.poll_block() == []
+        _send(producer, 2)
+        assert [value["n"] for value in _polled(consumer)] == [2]
 
     def test_lag(self, broker):
         producer = Producer(broker)
         consumer = Consumer(broker)
         consumer.subscribe(["IN-DATA"])
         for _ in range(3):
-            producer.send("IN-DATA", {"x": 0})
+            _send(producer, 0)
         assert consumer.lag() == 3
-        consumer.poll()
+        consumer.poll_block()
         assert consumer.lag() == 0
-
-    def test_manual_commit_requires_group(self, broker):
-        consumer = Consumer(broker)
-        consumer.subscribe(["IN-DATA"])
-        with pytest.raises(RuntimeError):
-            consumer.commit()
 
     def test_max_records_respected(self, broker):
         producer = Producer(broker)
         for n in range(10):
-            producer.send("IN-DATA", {"n": n}, partition=0)
+            _send(producer, n, key=b"k")  # one key: one partition
         consumer = Consumer(broker)
         consumer.subscribe(["IN-DATA"])
-        assert len(consumer.poll(max_records=4)) == 4
+        assert len(_polled(consumer, max_records=4)) == 4
 
     def test_subscribe_unknown_topic_raises(self, broker):
         consumer = Consumer(broker)
         with pytest.raises(Exception):
             consumer.subscribe(["NOPE"])
 
+
+#: Struct-encoded values of one width (the slab holds them), and a JSON
+#: value of the same width that turns a partition's slab off for good.
+_STRUCT = [bytes([STRUCT_MAGIC, 1]) + bytes([n]) * 10 for n in range(12)]
+_FALLBACK = b'{"car":1234}'
+assert len(_FALLBACK) == len(_STRUCT[0])
+
+
+@pytest.mark.parametrize("start", [0, 2, 5, 6, 7, 10])
+@pytest.mark.parametrize("budget", [1, 2, 3, 500])
+def test_poll_block_reads_across_a_slab_that_turned_off(start, budget):
+    """Six struct values, then a JSON one, then five more struct values:
+    read from ``start`` in polls of ``budget``, before and after the
+    JSON append.  Every value comes back in order, and positions,
+    commits and the broker's fetched counters advance as one record at
+    a time would."""
+    broker = Broker("rsu")
+    broker.create_topic("t", 1)
+    log = [(b"k" if n % 3 else None, _STRUCT[n]) for n in range(6)]
+    broker.produce_block("t", *zip(*log))
+    broker.commit("g", "t", 0, start)
+    consumer = Consumer(broker, group="g")
+    consumer.subscribe(["t"])
+    read, uniform = [], []
+
+    def drain():
+        while True:
+            before = consumer.position("t", 0)
+            out, nbytes = broker.records_out, broker.bytes_out
+            segments = consumer.poll_block(budget)
+            if not segments:
+                return
+            (segment,) = segments
+            taken = log[before : before + budget]
+            assert segment.count == broker.records_out - out == len(taken)
+            assert segment.nbytes == broker.bytes_out - nbytes == sum(
+                len(value) + len(key or b"") for key, value in taken
+            )
+            assert consumer.position("t", 0) == before + len(taken)
+            assert broker.committed("g", "t", 0) == before + len(taken)
+            read.extend(segment.value_list())
+            uniform.append(segment.is_uniform)
+
+    drain()
+    assert all(uniform)  # the slab was live: zero-copy views
+    late = [(b"k", _FALLBACK)] + [(None, value) for value in _STRUCT[6:11]]
+    broker.produce_block("t", *zip(*late))
+    log += late
+    uniform.clear()
+    drain()
+    assert not any(uniform)  # the slab is off for the whole log
+    assert read == [value for _, value in log[start:]]
+    assert consumer.records_consumed == len(log) - start
+    assert consumer.lag() == 0

@@ -12,6 +12,22 @@ from repro.simkernel.simulator import Simulator
 from repro.streaming.broker import Broker, BrokerUnavailable
 from repro.streaming.consumer import Consumer
 from repro.streaming.producer import Producer, RetryPolicy
+from repro.streaming.serde import JsonSerde
+
+_JSON = JsonSerde()
+
+
+def _json(n):
+    return _JSON.serialize({"n": n})
+
+
+def _polled_n(consumer):
+    """The ``n`` of every record one ``poll_block`` read, in order."""
+    return [
+        _JSON.deserialize(value)["n"]
+        for segment in consumer.poll_block()
+        for value in segment.value_list()
+    ]
 
 
 @pytest.fixture
@@ -62,14 +78,14 @@ class TestRetryBuffer:
         producer = Producer(broker, sim=sim)
         broker.shutdown()
         with pytest.raises(BrokerUnavailable):
-            producer.send("IN-DATA", {"n": 1})
+            producer.send("IN-DATA", _json(1))
 
     def test_outage_buffers_then_flushes_in_order(self, sim, broker):
         producer = _resilient_producer(broker, sim)
-        producer.send("IN-DATA", {"n": 0}, key="k")
+        producer.send("IN-DATA", _json(0), key=b"k")
         broker.shutdown()
         for n in (1, 2, 3):
-            assert producer.send("IN-DATA", {"n": n}, key="k") is None
+            assert producer.send("IN-DATA", _json(n), key=b"k") is None
         assert producer.buffered == 3
         sim.at(0.5, broker.restart)
         sim.run_until(2.0)
@@ -77,32 +93,32 @@ class TestRetryBuffer:
         assert producer.records_retried == 3
         consumer = Consumer(broker)
         consumer.subscribe(["IN-DATA"])
-        assert [r.value["n"] for r in consumer.poll()] == [0, 1, 2, 3]
+        assert _polled_n(consumer) == [0, 1, 2, 3]
 
     def test_full_buffer_drops_oldest(self, sim, broker):
         producer = _resilient_producer(broker, sim, max_buffered=2)
         broker.shutdown()
         for n in range(4):
-            producer.send("IN-DATA", {"n": n}, key="k")
+            producer.send("IN-DATA", _json(n), key=b"k")
         assert producer.buffered == 2
         assert producer.records_dropped == 2
         broker.restart()
         sim.run_until(2.0)
         consumer = Consumer(broker)
         consumer.subscribe(["IN-DATA"])
-        assert [r.value["n"] for r in consumer.poll()] == [2, 3]
+        assert _polled_n(consumer) == [2, 3]
 
     def test_send_during_outage_respects_ordering(self, sim, broker):
         # New sends while a backlog exists must queue behind it, even
         # if the broker is back, or replay would reorder telemetry.
         producer = _resilient_producer(broker, sim)
         broker.shutdown()
-        producer.send("IN-DATA", {"n": 0}, key="k")
+        producer.send("IN-DATA", _json(0), key=b"k")
         broker.restart()
-        producer.send("IN-DATA", {"n": 1}, key="k")
+        producer.send("IN-DATA", _json(1), key=b"k")
         consumer = Consumer(broker)
         consumer.subscribe(["IN-DATA"])
-        assert [r.value["n"] for r in consumer.poll()] == [0, 1]
+        assert _polled_n(consumer) == [0, 1]
 
 
 class TestIdempotence:
@@ -111,21 +127,21 @@ class TestIdempotence:
         # Acks lost until t=0.2: the broker appends, the producer sees
         # a failure and buffers a retry of the *same* sequence.
         broker.drop_acks_until(0.2)
-        assert producer.send("IN-DATA", {"n": 1}) is None
+        assert producer.send("IN-DATA", _json(1)) is None
         assert producer.buffered == 1
         sim.run_until(1.0)
         assert producer.buffered == 0
         assert broker.duplicates_rejected == 1
         consumer = Consumer(broker)
         consumer.subscribe(["IN-DATA"])
-        assert [r.value["n"] for r in consumer.poll()] == [1]
+        assert _polled_n(consumer) == [1]
 
     def test_sequences_are_per_topic(self, sim, broker):
         broker.create_topic("OUT-DATA")
         producer = _resilient_producer(broker, sim)
-        producer.send("IN-DATA", {"n": 1})
-        producer.send("OUT-DATA", {"n": 1})
-        producer.send("IN-DATA", {"n": 2})
+        producer.send("IN-DATA", _json(1))
+        producer.send("OUT-DATA", _json(1))
+        producer.send("IN-DATA", _json(2))
         assert broker.duplicates_rejected == 0
         assert producer._sequences == {"IN-DATA": 2, "OUT-DATA": 1}
 
@@ -134,7 +150,7 @@ class TestRebind:
     def test_rebind_replays_backlog_to_new_broker(self, sim, broker):
         producer = _resilient_producer(broker, sim)
         broker.shutdown()
-        producer.send("IN-DATA", {"n": 1})
+        producer.send("IN-DATA", _json(1))
         fallback = Broker("rsu-2", clock=lambda: sim.now)
         fallback.create_topic("IN-DATA")
         producer.rebind(fallback)
@@ -142,13 +158,13 @@ class TestRebind:
         assert producer.buffered == 0
         consumer = Consumer(fallback)
         consumer.subscribe(["IN-DATA"])
-        assert [r.value["n"] for r in consumer.poll()] == [1]
+        assert _polled_n(consumer) == [1]
 
     def test_rebind_drop_pending_abandons_backlog(self, sim, broker):
         producer = _resilient_producer(broker, sim)
         broker.shutdown()
-        producer.send("IN-DATA", {"n": 1})
-        producer.send("IN-DATA", {"n": 2})
+        producer.send("IN-DATA", _json(1))
+        producer.send("IN-DATA", _json(2))
         fallback = Broker("rsu-2", clock=lambda: sim.now)
         fallback.create_topic("IN-DATA")
         producer.rebind(fallback, drop_pending=True)
@@ -164,9 +180,9 @@ class TestRebind:
         abandoned — it must be accounted once, as appended."""
         producer = _resilient_producer(broker, sim)
         broker.drop_acks_until(0.2)
-        assert producer.send("IN-DATA", {"n": 1}, key="k") is None
+        assert producer.send("IN-DATA", _json(1), key=b"k") is None
         broker.shutdown()
-        assert producer.send("IN-DATA", {"n": 2}, key="k") is None
+        assert producer.send("IN-DATA", _json(2), key=b"k") is None
         assert producer.buffered == 2
         assert producer.buffered_unappended == 1
         fallback = Broker("rsu-2", clock=lambda: sim.now)
@@ -188,9 +204,9 @@ class TestRebind:
         is."""
         producer = _resilient_producer(broker, sim)
         broker.drop_acks_until(0.2)
-        assert producer.send("IN-DATA", {"n": 1}, key="k") is None
+        assert producer.send("IN-DATA", _json(1), key=b"k") is None
         broker.shutdown()
-        assert producer.send("IN-DATA", {"n": 2}, key="k") is None
+        assert producer.send("IN-DATA", _json(2), key=b"k") is None
         fallback = Broker("rsu-2", clock=lambda: sim.now)
         fallback.create_topic("IN-DATA")
         producer.rebind(fallback)
@@ -198,7 +214,7 @@ class TestRebind:
         assert producer.buffered == 0
         consumer = Consumer(fallback)
         consumer.subscribe(["IN-DATA"])
-        assert [r.value["n"] for r in consumer.poll()] == [2]
+        assert _polled_n(consumer) == [2]
         appended = sum(
             log.end_offset
             for b in (broker, fallback)
@@ -211,7 +227,7 @@ class TestRebind:
     ):
         producer = Producer(broker, sim=sim, retry=RetryPolicy())
         broker.shutdown()
-        producer.send("IN-DATA", {"n": 1})
+        producer.send("IN-DATA", _json(1))
         assert producer.buffered_unappended == producer.buffered == 1
 
 
@@ -219,19 +235,19 @@ class TestOffsetRestore:
     def test_replacement_consumer_resumes_from_commit(self, broker):
         producer = Producer(broker)
         for n in range(3):
-            producer.send("IN-DATA", {"n": n}, key="k")
+            producer.send("IN-DATA", _json(n), key=b"k")
         first = Consumer(broker, group="pipeline")
         first.subscribe(["IN-DATA"])
-        assert len(first.poll()) == 3
+        assert len(_polled_n(first)) == 3
 
         # The broker's durable state (log + committed offsets)
         # survives a crash; a replacement consumer under the same
         # group resumes exactly after the committed batch.
         broker.shutdown()
         broker.restart()
-        producer.send("IN-DATA", {"n": 99}, key="k")
+        producer.send("IN-DATA", _json(99), key=b"k")
         second = Consumer(broker, group="pipeline")
         second.subscribe(["IN-DATA"])
-        assert [r.value["n"] for r in second.poll()] == [99]
+        assert _polled_n(second) == [99]
         # Nothing old was re-read: no double detection after restart.
-        assert second.poll() == []
+        assert second.poll_block() == []

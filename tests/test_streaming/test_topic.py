@@ -5,42 +5,49 @@ import pytest
 from repro.streaming import Partition, Topic
 
 
+def _append(partition, value, key=None, timestamp=0.0):
+    return partition.append_block([timestamp], [key], [value], timestamp)
+
+
 class TestPartition:
     def test_offsets_are_sequential(self):
         partition = Partition("t", 0)
-        assert partition.append(0.0, None, b"a") == 0
-        assert partition.append(0.1, None, b"b") == 1
-        assert partition.end_offset == 2
+        assert _append(partition, b"a") == 0
+        assert partition.append_block([0.1, 0.2], [None, None], [b"b", b"c"], 0.2) == 1
+        assert partition.end_offset == 3
 
     def test_read_from_offset(self):
         partition = Partition("t", 0)
         for index in range(5):
-            partition.append(float(index), None, str(index).encode())
-        records = partition.read(2, 10)
-        assert [r.value for r in records] == [b"2", b"3", b"4"]
+            _append(partition, str(index).encode(), timestamp=float(index))
+        segment = partition.read_block(2, 10)
+        assert segment.value_list() == [b"2", b"3", b"4"]
+        assert (segment.count, segment.next_offset) == (3, 5)
 
     def test_read_respects_max_records(self):
         partition = Partition("t", 0)
         for index in range(5):
-            partition.append(0.0, None, b"x")
-        assert len(partition.read(0, 2)) == 2
+            _append(partition, b"x")
+        assert partition.read_block(0, 2).count == 2
 
     def test_read_past_end_is_empty(self):
         partition = Partition("t", 0)
-        partition.append(0.0, None, b"x")
-        assert partition.read(5, 10) == []
+        _append(partition, b"x")
+        assert partition.read_block(1, 10) is None
+        assert partition.read_block(5, 10) is None
 
     def test_read_validation(self):
         partition = Partition("t", 0)
         with pytest.raises(ValueError):
-            partition.read(-1, 10)
+            partition.read_block(-1, 10)
         with pytest.raises(ValueError):
-            partition.read(0, 0)
+            partition.read_block(0, 0)
 
     def test_bytes_accounting_includes_key(self):
         partition = Partition("t", 0)
-        partition.append(0.0, b"key", b"value")
+        _append(partition, b"value", key=b"key")
         assert partition.bytes_in == 8
+        assert partition.read_block(0, 1).nbytes == 8
 
 
 class TestTopic:
@@ -70,6 +77,6 @@ class TestTopic:
 
     def test_total_records(self):
         topic = Topic("t", 2)
-        topic.partition(0).append(0.0, None, b"a")
-        topic.partition(1).append(0.0, None, b"b")
+        _append(topic.partition(0), b"a")
+        _append(topic.partition(1), b"b")
         assert topic.total_records == 2

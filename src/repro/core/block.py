@@ -23,11 +23,12 @@ golden-equivalence tests pin this.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.dataset.schema import AnomalyKind, TelemetryRecord
+from repro.dataset.schema import AnomalyKind, TelemetryRecord, road_type_codes
 from repro.geo.roadnet import RoadType
 
 #: Stable numeric code per road type (enum declaration order).  The
@@ -45,6 +46,19 @@ ANOMALY_KIND_INDEX: Dict[str, int] = {
 
 #: Sentinel for "unlabelled" in the int8 label column.
 NO_LABEL = -1
+
+#: A record's anomaly kind as its value string: the enum's plain
+#: ``_value_`` attribute, read without a Python-level call.
+_KIND_VALUE = attrgetter("anomaly_kind._value_")
+
+
+def as_block(records) -> "TelemetryBlock":
+    """``records`` as a :class:`TelemetryBlock`: itself when it is one,
+    else built from the record sequence.  The record forms of the
+    detectors and features convert through this and run the block form."""
+    if isinstance(records, TelemetryBlock):
+        return records
+    return TelemetryBlock.from_records(records)
 
 
 class TelemetryBlock:
@@ -169,36 +183,41 @@ class TelemetryBlock:
         generated_at: Optional[np.ndarray] = None,
         arrived_at: Optional[np.ndarray] = None,
     ) -> "TelemetryBlock":
-        """Build a block straight from dataclass records (offline use)."""
+        """Build a block straight from dataclass records (offline use):
+        one C-level pass over the records per column."""
         n = len(records)
         nan = np.full(n, np.nan)
-        rt_index = ROAD_TYPE_INDEX
-        ak_index = ANOMALY_KIND_INDEX
+
+        def column(name: str, dtype) -> np.ndarray:
+            return np.fromiter(map(attrgetter(name), records), dtype, n)
+
+        labels = [
+            NO_LABEL if label is None else label
+            for label in map(attrgetter("label"), records)
+        ]
         return cls(
-            car_id=np.fromiter((r.car_id for r in records), np.int64, n),
-            road_id=np.fromiter((r.road_id for r in records), np.int64, n),
-            accel_ms2=np.fromiter((r.accel_ms2 for r in records), np.float64, n),
-            speed_kmh=np.fromiter((r.speed_kmh for r in records), np.float64, n),
-            hour=np.fromiter((r.hour for r in records), np.int64, n),
-            day=np.fromiter((r.day for r in records), np.int64, n),
-            road_type_code=np.fromiter(
-                (rt_index[r.road_type.value] for r in records), np.int64, n
-            ),
-            road_mean_speed_kmh=np.fromiter(
-                (r.road_mean_speed_kmh for r in records), np.float64, n
-            ),
-            timestamp=np.fromiter((r.timestamp for r in records), np.float64, n),
+            car_id=column("car_id", np.int64),
+            road_id=column("road_id", np.int64),
+            accel_ms2=column("accel_ms2", np.float64),
+            speed_kmh=column("speed_kmh", np.float64),
+            hour=column("hour", np.int64),
+            day=column("day", np.int64),
+            road_type_code=road_type_codes(records),
+            road_mean_speed_kmh=column("road_mean_speed_kmh", np.float64),
+            timestamp=column("timestamp", np.float64),
             anomaly_kind_code=np.fromiter(
-                (ak_index[r.anomaly_kind.value] for r in records), np.int64, n
-            ),
-            label=np.fromiter(
-                (NO_LABEL if r.label is None else r.label for r in records),
-                np.int8,
+                map(ANOMALY_KIND_INDEX.__getitem__, map(_KIND_VALUE, records)),
+                np.int64,
                 n,
             ),
+            label=np.array(labels, dtype=np.int8),
             generated_at=nan if generated_at is None else generated_at,
             arrived_at=nan if arrived_at is None else arrived_at,
         )
+
+    def take(self, index) -> "TelemetryBlock":
+        """The rows ``index`` (a mask or positions) selects, as a block."""
+        return type(self)(*(getattr(self, name)[index] for name in self.__slots__))
 
     # ------------------------------------------------------------------
     # Materialization (compatibility escape hatch)

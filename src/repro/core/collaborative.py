@@ -20,14 +20,14 @@ the detection *driver-aware* as well as road-aware.
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.block import TelemetryBlock
+from repro.core.block import TelemetryBlock, as_block
 from repro.core.detector import AD3Detector
 from repro.core.features import PredictionSummary, labels_of
-from repro.dataset.schema import NORMAL, TelemetryRecord
+from repro.dataset.schema import NORMAL
 from repro.geo.roadnet import RoadType
 from repro.ml.base import Detector
 from repro.ml.decision_tree import DecisionTreeClassifier
@@ -126,102 +126,12 @@ class CollaborativeDetector(Detector):
 
     def _history_vector(
         self,
-        records: Sequence[TelemetryRecord],
+        records,
         summaries: Mapping[int, PredictionSummary],
     ) -> np.ndarray:
-        return np.array(
-            [
-                (
-                    summaries[r.car_id].mean_normal_prob
-                    if r.car_id in summaries
-                    else NEUTRAL_PRIOR
-                )
-                for r in records
-            ]
-        )
-
-    def _fusion_features(
-        self,
-        records: Sequence[TelemetryRecord],
-        summaries: Mapping[int, PredictionSummary],
-    ) -> np.ndarray:
-        classes, p_nb = self.nb.detect(records)
-        p_prevs = self._history_vector(records, summaries)
-        p_x = self._fuse(p_nb, p_prevs)
-        hours = np.array([float(r.hour) for r in records])
-        return np.column_stack([hours, p_x, classes.astype(float)])
-
-    # ------------------------------------------------------------------
-    # Training / inference
-    # ------------------------------------------------------------------
-    def fit(
-        self,
-        records: Sequence[TelemetryRecord],
-        summaries: Mapping[int, PredictionSummary],
-        refit_nb: bool = True,
-    ) -> "CollaborativeDetector":
-        """Train the local NB (optionally) and the fusion tree.
-
-        ``summaries`` maps car id to the upstream RSU's forwarded
-        history for the same trips as ``records`` — the training-time
-        analogue of what ``CO-DATA`` carries online.
-        """
-        if not records:
-            raise ValueError("cannot fit on zero records")
-        if refit_nb or not self.nb.fitted:
-            self.nb.fit(records)
-        X = self._fusion_features(records, summaries)
-        y = labels_of(records)
-        self.tree.fit(X, y)
-        self._fitted = True
-        return self
-
-    @property
-    def fitted(self) -> bool:
-        return self._fitted
-
-    def predict(
-        self,
-        records: Sequence[TelemetryRecord],
-        summaries: Mapping[int, PredictionSummary],
-    ) -> np.ndarray:
-        """Fused class per record: 1 normal, 0 abnormal."""
-        if not records:
-            return np.empty(0, dtype=int)
-        if not self._fitted:
-            raise RuntimeError("CollaborativeDetector must be fitted first")
-        X = self._fusion_features(records, summaries)
-        return self.tree.predict(X)
-
-    def predict_normal_proba(
-        self,
-        records: Sequence[TelemetryRecord],
-        summaries: Mapping[int, PredictionSummary],
-    ) -> np.ndarray:
-        if not records:
-            return np.empty(0)
-        if not self._fitted:
-            raise RuntimeError("CollaborativeDetector must be fitted first")
-        X = self._fusion_features(records, summaries)
-        return self.tree.proba_of(X, NORMAL)
-
-    def detect(
-        self,
-        records: Sequence[TelemetryRecord],
-        summaries: Optional[Mapping[int, PredictionSummary]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        if summaries is None:
-            summaries = {}
-        return (
-            self.predict(records, summaries),
-            self.predict_normal_proba(records, summaries),
-        )
-
-    def _history_vector_block(
-        self,
-        block: TelemetryBlock,
-        summaries: Mapping[int, PredictionSummary],
-    ) -> np.ndarray:
+        """Each row's P_prevs-bar (of a block or a record sequence): its
+        car's forwarded history, or :data:`NEUTRAL_PRIOR` without one."""
+        block = as_block(records)
         if not summaries:
             return np.full(len(block), NEUTRAL_PRIOR)
         # One dict lookup per *unique* car, scattered back per record.
@@ -234,28 +144,85 @@ class CollaborativeDetector(Detector):
             )
         return per_car[inverse]
 
+    def _fusion_features(
+        self,
+        block: TelemetryBlock,
+        summaries: Mapping[int, PredictionSummary],
+    ) -> np.ndarray:
+        """``[Hour, P_X, Class_NB]`` per row, the NB evaluated once."""
+        classes, p_nb = self.nb.detect_block(block)
+        p_x = self._fuse(p_nb, self._history_vector(block, summaries))
+        hours = block.hour.astype(np.float64)
+        return np.column_stack([hours, p_x, classes.astype(float)])
+
+    # ------------------------------------------------------------------
+    # Training / inference
+    # ------------------------------------------------------------------
+    def fit(
+        self,
+        records,
+        summaries: Mapping[int, PredictionSummary],
+        refit_nb: bool = True,
+    ) -> "CollaborativeDetector":
+        """Train the local NB (optionally) and the fusion tree, on a
+        record sequence or a :class:`TelemetryBlock`.
+
+        ``summaries`` maps car id to the upstream RSU's forwarded
+        history for the same trips as ``records`` — the training-time
+        analogue of what ``CO-DATA`` carries online.
+        """
+        block = as_block(records)
+        if not block:
+            raise ValueError("cannot fit on zero records")
+        if refit_nb or not self.nb.fitted:
+            self.nb.fit(block)
+        self.tree.fit(self._fusion_features(block, summaries), labels_of(block))
+        self._fitted = True
+        return self
+
+    @property
+    def fitted(self) -> bool:
+        return self._fitted
+
+    def predict(
+        self,
+        records,
+        summaries: Mapping[int, PredictionSummary],
+    ) -> np.ndarray:
+        """Fused class per record: 1 normal, 0 abnormal."""
+        return self.detect(records, summaries)[0]
+
+    def predict_normal_proba(
+        self,
+        records,
+        summaries: Mapping[int, PredictionSummary],
+    ) -> np.ndarray:
+        return self.detect(records, summaries)[1]
+
+    def detect(
+        self,
+        records,
+        summaries: Optional[Mapping[int, PredictionSummary]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(classes, normal probabilities): :meth:`detect_block` of the
+        records as a block."""
+        return self.detect_block(as_block(records), summaries)
+
     def detect_block(
         self,
         block: TelemetryBlock,
         summaries: Optional[Mapping[int, PredictionSummary]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Columnar :meth:`detect`: the fusion features are built once
-        (the record path rebuilds them — and re-runs the NB — for the
-        class and the probability separately) and the NB likelihood is
-        evaluated a single time.  Output is bit-identical to
-        ``detect(block.records(), summaries)``.
-        """
+        """Fused classes and normal probabilities of a block: the fusion
+        features are built once and the NB likelihood is evaluated a
+        single time."""
         if summaries is None:
             summaries = {}
         if len(block) == 0:
             return np.empty(0, dtype=int), np.empty(0)
         if not self._fitted:
             raise RuntimeError("CollaborativeDetector must be fitted first")
-        classes_nb, p_nb = self.nb.detect_block(block)
-        p_prevs = self._history_vector_block(block, summaries)
-        p_x = self._fuse(p_nb, p_prevs)
-        hours = block.hour.astype(np.float64)
-        X = np.column_stack([hours, p_x, classes_nb.astype(float)])
+        X = self._fusion_features(block, summaries)
         return self.tree.predict(X), self.tree.proba_of(X, NORMAL)
 
     def explain(self) -> str:
@@ -269,38 +236,43 @@ class CollaborativeDetector(Detector):
 
 def summaries_from_upstream(
     upstream: AD3Detector,
-    upstream_records: Sequence[TelemetryRecord],
+    upstream_records,
     timestamp: Optional[float] = None,
 ) -> Dict[int, PredictionSummary]:
     """Build per-car summaries from an upstream RSU's predictions.
 
     The offline analogue of the online ``CO-DATA`` flow: run the
-    upstream detector over the records it saw, group by car, and
-    average the normal-class probabilities (P_prevs-bar).
+    upstream detector over the records it saw (a sequence or a
+    :class:`TelemetryBlock`), group by car, and average the
+    normal-class probabilities (P_prevs-bar).  The groups come from one
+    stable sort by car, so each car's slice keeps record order and its
+    ``np.mean`` is the mean of its probabilities in that order; a car's
+    last record is the one with the largest timestamp, the later one
+    on a tie.  Cars appear in the order of their first record.
     """
-    if not upstream_records:
+    block = as_block(upstream_records)
+    if not block:
         return {}
-    classes, probs = upstream.detect(upstream_records)
-    per_car_probs: Dict[int, list] = {}
-    per_car_last: Dict[int, Tuple[float, int, int]] = {}
-    for record, cls, prob in zip(upstream_records, classes, probs):
-        per_car_probs.setdefault(record.car_id, []).append(float(prob))
-        previous = per_car_last.get(record.car_id)
-        if previous is None or record.timestamp >= previous[0]:
-            per_car_last[record.car_id] = (
-                record.timestamp,
-                int(cls),
-                record.road_id,
-            )
+    classes, probs = upstream.detect_block(block)
+    order = np.argsort(block.car_id, kind="stable")
+    cars = block.car_id[order]
+    starts = np.flatnonzero(np.r_[True, cars[1:] != cars[:-1]])
+    stops = np.r_[starts[1:], len(cars)]
+    probs = probs[order]
+    times = block.timestamp[order]
     summaries = {}
-    for car_id, car_probs in per_car_probs.items():
-        last_ts, last_class, road_id = per_car_last[car_id]
-        summaries[car_id] = PredictionSummary(
-            car_id=car_id,
-            mean_normal_prob=float(np.mean(car_probs)),
-            n_predictions=len(car_probs),
-            last_class=last_class,
-            from_road_id=road_id,
-            timestamp=timestamp if timestamp is not None else last_ts,
+    for group in np.argsort(order[starts], kind="stable").tolist():
+        start, stop = int(starts[group]), int(stops[group])
+        latest = times[start:stop][::-1]
+        last = order[stop - 1 - int(np.argmax(latest))]
+        summaries[int(cars[start])] = PredictionSummary(
+            car_id=int(cars[start]),
+            mean_normal_prob=float(np.mean(probs[start:stop])),
+            n_predictions=stop - start,
+            last_class=int(classes[last]),
+            from_road_id=int(block.road_id[last]),
+            timestamp=(
+                timestamp if timestamp is not None else float(block.timestamp[last])
+            ),
         )
     return summaries

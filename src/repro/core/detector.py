@@ -9,13 +9,13 @@ scoping: 90 km/h is abnormal on a motorway link whose traffic runs
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.core.block import ROAD_TYPES, TelemetryBlock
+from repro.core.block import ROAD_TYPES, TelemetryBlock, as_block
 from repro.core.features import ROAD_TYPE_CODE, base_features, labels_of
-from repro.dataset.schema import NORMAL, TelemetryRecord
+from repro.dataset.schema import NORMAL
 from repro.geo.roadnet import RoadType
 from repro.ml.base import Detector
 from repro.ml.naive_bayes import GaussianNaiveBayes
@@ -58,15 +58,6 @@ class AD3Detector(Detector):
         self.model = model or GaussianNaiveBayes(var_smoothing=var_smoothing)
         self._fitted = False
 
-    def _check_road_type(self, records: Sequence[TelemetryRecord]) -> None:
-        for record in records:
-            if record.road_type is not self.road_type:
-                raise ValueError(
-                    f"AD3Detector for {self.road_type.value!r} received a "
-                    f"record for {record.road_type.value!r} "
-                    f"(car {record.car_id})"
-                )
-
     def _check_block_road_type(self, block: TelemetryBlock) -> None:
         expected = ROAD_TYPE_CODE[self.road_type]
         mismatched = np.nonzero(block.road_type_code != expected)[0]
@@ -79,14 +70,14 @@ class AD3Detector(Detector):
                 f"(car {int(block.car_id[first])})"
             )
 
-    def fit(self, records: Sequence[TelemetryRecord]) -> "AD3Detector":
-        """Train on labelled records of this detector's road type."""
-        if not records:
+    def fit(self, records) -> "AD3Detector":
+        """Train on labelled records of this detector's road type: a
+        record sequence or a :class:`TelemetryBlock`."""
+        block = as_block(records)
+        if not block:
             raise ValueError("cannot fit on zero records")
-        self._check_road_type(records)
-        X = road_features(records)
-        y = labels_of(records)
-        self.model.fit(X, y)
+        self._check_block_road_type(block)
+        self.model.fit(road_features(block), labels_of(block))
         self._fitted = True
         return self
 
@@ -94,31 +85,30 @@ class AD3Detector(Detector):
     def fitted(self) -> bool:
         return self._fitted
 
-    def predict(self, records: Sequence[TelemetryRecord]) -> np.ndarray:
+    def predict(self, records) -> np.ndarray:
         """Class per record: 1 normal, 0 abnormal."""
-        if not records:
+        block = as_block(records)
+        if not block:
             return np.empty(0, dtype=int)
-        self._check_road_type(records)
-        return self.model.predict(road_features(records))
+        self._check_block_road_type(block)
+        return self.model.predict(road_features(block))
 
-    def predict_normal_proba(
-        self, records: Sequence[TelemetryRecord]
-    ) -> np.ndarray:
+    def predict_normal_proba(self, records) -> np.ndarray:
         """P(normal) per record — the P_NB of Eq. 1."""
-        if not records:
+        block = as_block(records)
+        if not block:
             return np.empty(0)
-        self._check_road_type(records)
-        return self.model.proba_of(road_features(records), NORMAL)
+        self._check_block_road_type(block)
+        return self.model.proba_of(road_features(block), NORMAL)
 
-    def detect(
-        self, records: Sequence[TelemetryRecord], summaries=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(classes, normal probabilities) in one pass.
+    def detect(self, records, summaries=None) -> Tuple[np.ndarray, np.ndarray]:
+        """(classes, normal probabilities) in one pass: :meth:`detect_block`
+        of the records as a block.
 
         ``summaries`` is accepted for protocol uniformity and ignored:
         AD3 detection is road-local.
         """
-        return self.predict(records), self.predict_normal_proba(records)
+        return self.detect_block(as_block(records))
 
     def detect_block(
         self, block: TelemetryBlock, summaries=None
@@ -126,7 +116,8 @@ class AD3Detector(Detector):
         """Columnar :meth:`detect`: score a whole micro-batch without
         materializing records, evaluating the likelihood once.
 
-        Output is bit-identical to ``detect(block.records())``.
+        Output is bit-identical to ``predict(block)`` and
+        ``predict_normal_proba(block)``.
         """
         if len(block) == 0:
             return np.empty(0, dtype=int), np.empty(0)

@@ -8,7 +8,8 @@ carries the prediction summaries RSUs exchange at handover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import repeat
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,40 +33,23 @@ _ROAD_TYPE_BY_VALUE: Dict[Any, RoadType] = {t.value: t for t in RoadType}
 _ANOMALY_KIND_BY_VALUE: Dict[Any, AnomalyKind] = {k.value: k for k in AnomalyKind}
 
 
-@lru_cache(maxsize=None)
-def road_hour_context(road_type: RoadType, hour: int) -> Tuple[float, float]:
-    """``(hour, road_type_code)`` feature context for one record.
-
-    There are only ``len(RoadType) * 24`` distinct contexts, so the
-    scalar fallback path memoizes them instead of recomputing the enum
-    lookup and float conversions per record.
-    """
-    return (float(hour), float(ROAD_TYPE_CODE[road_type]))
-
-
 def _feature_columns(records) -> tuple:
     """(speed, accel, hour, road_type_code) columns from either a
-    :class:`~repro.core.block.TelemetryBlock` or a record sequence.
+    :class:`~repro.core.block.TelemetryBlock` or a record sequence
+    (converted to a block first).
 
     This is the single source of the feature formulas: the RSU's
     block path and record-list callers (offline training and
     evaluation) both flow through it, so they cannot drift apart.
     """
-    from repro.core.block import TelemetryBlock
+    from repro.core.block import as_block
 
-    if isinstance(records, TelemetryBlock):
-        return (
-            records.speed_kmh,
-            records.accel_ms2,
-            records.hour.astype(np.float64),
-            records.road_type_code.astype(np.float64),
-        )
-    contexts = [road_hour_context(r.road_type, r.hour) for r in records]
+    block = as_block(records)
     return (
-        np.array([r.speed_kmh for r in records]),
-        np.array([r.accel_ms2 for r in records]),
-        np.array([hour for hour, _ in contexts]),
-        np.array([code for _, code in contexts]),
+        block.speed_kmh,
+        block.accel_ms2,
+        block.hour.astype(np.float64),
+        block.road_type_code.astype(np.float64),
     )
 
 
@@ -115,52 +99,62 @@ def labels_of(records) -> np.ndarray:
     :class:`~repro.core.block.TelemetryBlock` (whose unlabelled
     sentinel is -1).
     """
-    from repro.core.block import NO_LABEL, TelemetryBlock
+    from repro.core.block import NO_LABEL, as_block
 
-    if isinstance(records, TelemetryBlock):
-        labels = records.label.astype(np.int64)
-        missing = np.nonzero(labels == NO_LABEL)[0]
-        if missing.size:
-            first = int(missing[0])
-            raise ValueError(
-                f"record for car {int(records.car_id[first])} at "
-                f"t={float(records.timestamp[first])} has no label; "
-                f"run the Preprocessor first"
-            )
-        return labels
-    labels = []
-    for record in records:
-        if record.label is None:
-            raise ValueError(
-                f"record for car {record.car_id} at t={record.timestamp} "
-                f"has no label; run the Preprocessor first"
-            )
-        labels.append(record.label)
-    return np.array(labels)
+    block = as_block(records)
+    labels = block.label.astype(np.int64)
+    missing = np.nonzero(labels == NO_LABEL)[0]
+    if missing.size:
+        first = int(missing[0])
+        raise ValueError(
+            f"record for car {int(block.car_id[first])} at "
+            f"t={float(block.timestamp[first])} has no label; "
+            f"run the Preprocessor first"
+        )
+    return labels
 
 
 # ----------------------------------------------------------------------
 # Wire messages
 # ----------------------------------------------------------------------
+#: The ``IN-DATA`` payload, key by key: the record attribute it carries
+#: and the decimals it is rounded to (``None``: as is).
+PAYLOAD_FIELDS: Tuple[Tuple[str, str, Optional[int]], ...] = (
+    ("car", "car_id", None),
+    ("rd", "road_id", None),
+    ("acc", "accel_ms2", 3),
+    ("spd", "speed_kmh", 2),
+    ("hr", "hour", None),
+    ("day", "day", None),
+    ("rt", "road_type._value_", None),
+    ("vr", "road_mean_speed_kmh", 2),
+    ("ts", "timestamp", 3),
+    ("ak", "anomaly_kind._value_", None),
+    ("lbl", "label", None),
+)
+
+
+def payload_columns(records: Sequence[TelemetryRecord]) -> Dict[str, list]:
+    """:func:`record_to_payload` of every record, as one column per
+    key, each a C-level pass over the records.  Python's ``round``
+    value by value, as the scalar form: ``np.round`` differs in the
+    last ulp."""
+    columns: Dict[str, list] = {}
+    for key, attribute, digits in PAYLOAD_FIELDS:
+        values = map(attrgetter(attribute), records)
+        if digits is not None:
+            values = map(round, values, repeat(digits))
+        columns[key] = list(values)
+    return columns
+
+
 def record_to_payload(record: TelemetryRecord) -> Dict[str, Any]:
     """Serialize a telemetry record for ``IN-DATA``.
 
     The resulting compact JSON is ~200 bytes, matching the paper's
-    packet-size assumption.
+    packet-size assumption.  One row of :func:`payload_columns`.
     """
-    return {
-        "car": record.car_id,
-        "rd": record.road_id,
-        "acc": round(record.accel_ms2, 3),
-        "spd": round(record.speed_kmh, 2),
-        "hr": record.hour,
-        "day": record.day,
-        "rt": record.road_type.value,
-        "vr": round(record.road_mean_speed_kmh, 2),
-        "ts": round(record.timestamp, 3),
-        "ak": record.anomaly_kind.value,
-        "lbl": record.label,
-    }
+    return {key: column[0] for key, column in payload_columns([record]).items()}
 
 
 def payload_to_record(payload: Dict[str, Any]) -> TelemetryRecord:

@@ -638,7 +638,6 @@ class RsuNode:
                 OUT_DATA,
                 [str(car).encode() for car in cars],
                 values,
-                timestamp=detected_at,
             )
         except BrokerUnavailable:
             # Only reachable in an ack-loss window (a down broker has

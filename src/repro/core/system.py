@@ -13,19 +13,22 @@ Two topologies, matching the evaluation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.block import TelemetryBlock
 from repro.core.collaborative import CollaborativeDetector, summaries_from_upstream
 from repro.core.detector import AD3Detector
+from repro.core.features import ROAD_TYPE_CODE
 from repro.core.rsu import RsuConfig, RsuNode
 from repro.core.scenario import ScenarioBuilder, ScenarioSpec
-from repro.core.vehicle import VehicleNode, VehicleStats
+from repro.core.vehicle import ReplayPool, VehicleNode, VehicleStats
 from repro.core.wire import topic_serdes
 from repro.dataset.generator import DatasetGenerator, GeneratorConfig
 from repro.dataset.preprocess import Preprocessor
-from repro.dataset.schema import TelemetryRecord
+from repro.dataset.schema import TelemetryRecord, road_type_codes
 from repro.geo.network_builder import CityNetworkBuilder
 from repro.geo.roadnet import RoadType
 from repro.net.dsrc import DSRC_BANDWIDTH_BPS, DsrcChannel
@@ -263,7 +266,27 @@ class ScenarioBundle:
     """
 
     detectors: Dict[str, object]
-    pools: Dict[str, List[TelemetryRecord]]
+    pools: Dict[str, ReplayPool]
+
+
+def offline_split(
+    dataset, road_types: Sequence[RoadType]
+) -> Tuple[Dict[RoadType, TelemetryBlock], Dict[RoadType, ReplayPool]]:
+    """The paper's protocol, per road type: 80 % of trips train the
+    models (a :class:`TelemetryBlock` each), the other 20 % are what
+    the emulated vehicles replay (a :class:`ReplayPool` each).  One
+    training block for the split, cut by road-type masks."""
+    train, replay = TestbedScenario._train_replay_split(dataset)
+    train = TelemetryBlock.from_records(train)
+    replay_codes = road_type_codes(replay)
+    blocks, pools = {}, {}
+    for road_type in road_types:
+        code = ROAD_TYPE_CODE[road_type]
+        blocks[road_type] = train.take(train.road_type_code == code)
+        pools[road_type] = ReplayPool(
+            compress(replay, (replay_codes == code).tolist())
+        )
+    return blocks, pools
 
 
 def corridor_bundle(
@@ -279,23 +302,18 @@ def corridor_bundle(
     if link_detector_kind not in ("cad3", "ad3"):
         raise ValueError(f"unknown link_detector_kind: {link_detector_kind!r}")
     dataset = dataset or default_training_dataset(config.seed)
-    train, replay = TestbedScenario._train_replay_split(dataset)
-    motorway_train = [r for r in train if r.road_type is RoadType.MOTORWAY]
-    link_train = [r for r in train if r.road_type is RoadType.MOTORWAY_LINK]
-    motorway_records = [r for r in replay if r.road_type is RoadType.MOTORWAY]
-    link_records = [r for r in replay if r.road_type is RoadType.MOTORWAY_LINK]
+    motorway, link = RoadType.MOTORWAY, RoadType.MOTORWAY_LINK
+    train, pools = offline_split(dataset, (motorway, link))
 
-    motorway_detector = AD3Detector(RoadType.MOTORWAY).fit(motorway_train)
+    motorway_detector = AD3Detector(motorway).fit(train[motorway])
     if link_detector_kind == "cad3":
-        summaries = summaries_from_upstream(motorway_detector, motorway_train)
-        link_detector = CollaborativeDetector(RoadType.MOTORWAY_LINK).fit(
-            link_train, summaries
-        )
+        summaries = summaries_from_upstream(motorway_detector, train[motorway])
+        link_detector = CollaborativeDetector(link).fit(train[link], summaries)
     else:
-        link_detector = AD3Detector(RoadType.MOTORWAY_LINK).fit(link_train)
+        link_detector = AD3Detector(link).fit(train[link])
     return ScenarioBundle(
         detectors={"motorway": motorway_detector, "link": link_detector},
-        pools={"motorway": motorway_records, "link": link_records},
+        pools={"motorway": pools[motorway], "link": pools[link]},
     )
 
 
@@ -344,8 +362,10 @@ class TestbedScenario:
         self.channels: Dict[str, DsrcChannel] = {}
         self.shapers: Dict[str, HtbShaper] = {}
         self.vehicles: List[VehicleNode] = []
+        #: The scenario's serde set, shared by its RSUs and vehicles
+        #: (no serde holds per-node state).
+        self.serdes = topic_serdes(config.serde_profile)
         self._next_car_id = 1
-        self._record_pools: Dict[RoadType, List[TelemetryRecord]] = {}
         self._injector = None
         # Populated by run() on observability runs.
         self.obs_registry = None
@@ -363,7 +383,7 @@ class TestbedScenario:
         return RsuConfig(
             batch_interval_s=self.config.batch_interval_s,
             processing_model=self.config.processing_model,
-            serdes=topic_serdes(self.config.serde_profile),
+            serdes=self.serdes,
             upstream_timeout_s=self.config.upstream_timeout_s,
             collab=self.config.collab,
         )
@@ -454,16 +474,19 @@ class TestbedScenario:
         (and the ``vehicle.{car_id}`` RNG stream names derived from
         them) must come from the topology, not a build-order counter.
         Vehicle ``car_ids[i]`` replays stripe ``records[i::len(car_ids)]``
-        — identical to the counter-based path for a full group.
+        — identical to the counter-based path for a full group.  The
+        stripes are views on one :class:`ReplayPool` (``records`` when it
+        is one), so the group's payloads are encoded once.
         """
-        if not records:
+        pool = ReplayPool.of(records)
+        if not pool:
             raise ValueError("need a non-empty record pool")
         rsu = self.rsus[rsu_name]
         channel = self.channels[rsu_name]
         created = []
         count = len(car_ids)
         for index, car_id in enumerate(car_ids):
-            stripe = list(records[index::count]) or list(records)
+            stripe = pool[index::count] or pool
             vehicle = VehicleNode(
                 self.sim,
                 car_id,
@@ -474,7 +497,7 @@ class TestbedScenario:
                 update_rate_hz=self.config.update_rate_hz,
                 poll_interval_s=self.config.poll_interval_s,
                 rng=self.rng.stream(f"vehicle.{car_id}"),
-                serdes=topic_serdes(self.config.serde_profile),
+                serdes=self.serdes,
                 retry=self.config.producer_retry,
             )
             self.vehicles.append(vehicle)
@@ -559,6 +582,7 @@ class TestbedScenario:
         emulated mobility: producers switch RSU and sub-dataset)."""
         target = self.rsus[to_rsu]
         channel = self.channels[to_rsu]
+        new_records = ReplayPool.of(new_records)
 
         def migrate() -> None:
             for index, vehicle in enumerate(vehicles):
@@ -568,7 +592,7 @@ class TestbedScenario:
                 # still buffered for the old RSU is stale, not replayed.
                 vehicle.migrate(target, channel, drop_pending=True)
                 vehicle.shaper = self._shaper_for(to_rsu, vehicle.car_id)
-                stripe = list(new_records[index :: max(1, len(vehicles))])
+                stripe = new_records[index :: max(1, len(vehicles))]
                 if stripe:
                     vehicle.set_records(stripe)
 
@@ -621,6 +645,7 @@ class TestbedScenario:
         """
         if count < 1:
             raise ValueError("spawn count must be >= 1")
+        records = ReplayPool.of(records)
 
         def spawn() -> None:
             created = self.add_vehicles(rsu_name, count, records)
@@ -664,18 +689,11 @@ class TestbedScenario:
         """One motorway RSU with ``config.n_vehicles`` vehicles."""
         scenario = cls(config)
         dataset = dataset or default_training_dataset(config.seed)
-        train, replay = cls._train_replay_split(dataset)
-        motorway_train = [
-            r for r in train if r.road_type is RoadType.MOTORWAY
-        ]
-        motorway_replay = [
-            r for r in replay if r.road_type is RoadType.MOTORWAY
-        ]
-        detector = AD3Detector(RoadType.MOTORWAY).fit(motorway_train)
+        motorway = RoadType.MOTORWAY
+        train, pools = offline_split(dataset, (motorway,))
+        detector = AD3Detector(motorway).fit(train[motorway])
         scenario.add_rsu("rsu-motorway", detector)
-        scenario.add_vehicles(
-            "rsu-motorway", config.n_vehicles, motorway_replay
-        )
+        scenario.add_vehicles("rsu-motorway", config.n_vehicles, pools[motorway])
         return scenario
 
     @classmethod
@@ -688,12 +706,8 @@ class TestbedScenario:
 
         scenario = cls(config)
         dataset = dataset or default_training_dataset(config.seed)
-        train, replay = cls._train_replay_split(dataset)
-        motorway_train = [
-            r for r in train if r.road_type is RoadType.MOTORWAY
-        ]
-        motorway = [r for r in replay if r.road_type is RoadType.MOTORWAY]
-        detector = AD3Detector(RoadType.MOTORWAY).fit(motorway_train)
+        train, pools = offline_split(dataset, (RoadType.MOTORWAY,))
+        detector = AD3Detector(RoadType.MOTORWAY).fit(train[RoadType.MOTORWAY])
         name = "rsu-motorway-cloud"
         rsu = CloudRelayRsu(
             scenario.sim,
@@ -714,7 +728,7 @@ class TestbedScenario:
                 f"{name}-root", DSRC_BANDWIDTH_BPS, DSRC_BANDWIDTH_BPS
             )
             scenario.shapers[name] = HtbShaper(root)
-        scenario.add_vehicles(name, config.n_vehicles, motorway)
+        scenario.add_vehicles(name, config.n_vehicles, pools[RoadType.MOTORWAY])
         return scenario
 
     @classmethod
@@ -758,13 +772,9 @@ class TestbedScenario:
             raise ValueError("a chain needs at least 2 hops")
         scenario = cls(config)
         dataset = dataset or default_training_dataset(config.seed)
-        train, replay = cls._train_replay_split(dataset)
-        motorway_train = [
-            r for r in train if r.road_type is RoadType.MOTORWAY
-        ]
-        motorway_replay = [
-            r for r in replay if r.road_type is RoadType.MOTORWAY
-        ]
+        train, pools = offline_split(dataset, (RoadType.MOTORWAY,))
+        motorway_train = train[RoadType.MOTORWAY]
+        motorway_replay = pools[RoadType.MOTORWAY]
         nb = AD3Detector(RoadType.MOTORWAY).fit(motorway_train)
         summaries = summaries_from_upstream(nb, motorway_train)
         collaborative = CollaborativeDetector(

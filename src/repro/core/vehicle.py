@@ -10,6 +10,7 @@ bandwidth").
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import attrgetter, is_, itemgetter, lt, truth
@@ -17,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.features import IN_DATA, OUT_DATA, record_to_payload
+from repro.core.features import IN_DATA, OUT_DATA, payload_columns
 from repro.core.wire import TelemetryStructSerde
 from repro.dataset.schema import TelemetryRecord
 from repro.net.dsrc import DsrcChannel
@@ -43,6 +44,89 @@ _WIRE = TelemetryStructSerde.DTYPE.itemsize
 
 #: Records one warning poll may fetch (the consumer's default budget).
 _POLL_MAX_RECORDS = 500
+
+#: The serde of a topic the vehicle's serde set does not name (JSON
+#: serdes hold no state, so every vehicle shares one).
+_JSON = JsonSerde()
+
+#: Where a template row holds the car id: a vehicle writes its own into
+#: its stripe's rows (``<q``, as the serde packs it).
+_CAR = struct.Struct("<q")
+_CAR_AT = TelemetryStructSerde.DTYPE.fields["car"][1]
+_CAR_BYTES = slice(_CAR_AT, _CAR_AT + _CAR.size)
+
+
+class ReplayPool(SequenceABC):
+    """Telemetry records that vehicles replay, with their ``IN-DATA``
+    payloads and wire templates made once for the whole pool.
+
+    A pool is a sequence of records; ``pool[index::count]`` — a
+    vehicle's stripe — is a view on the same rows.  The pool a view was
+    sliced from computes, on first use, its payload columns
+    (:func:`~repro.core.features.payload_columns`, one pass per field)
+    and, per serde class, its template rows (the serde's
+    ``encode_columns``, with car id 0); a view gathers its rows of
+    both.  The rows of a stripe differ from the pool's only in the car
+    id, which each vehicle writes in (:meth:`VehicleNode._prepare_payloads`).
+    """
+
+    def __init__(self, records: Iterable[TelemetryRecord]) -> None:
+        self._records = list(records)
+        self._rows = np.arange(len(self._records))
+        self._root = self
+        self._columns: Optional[Dict[str, list]] = None
+        self._dicts: Optional[List[dict]] = None
+        self._encoded: Dict[type, Tuple[np.ndarray, np.ndarray]] = {}
+
+    @classmethod
+    def of(cls, records: Iterable[TelemetryRecord]) -> "ReplayPool":
+        """``records`` as a pool: itself when it is one (or a view)."""
+        return records if isinstance(records, ReplayPool) else cls(records)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            view = object.__new__(ReplayPool)
+            view._records = self._records
+            view._rows = self._rows[index]
+            view._root = self._root
+            return view
+        return self._records[self._rows[index]]
+
+    def __iter__(self):
+        return map(self._records.__getitem__, self._rows.tolist())
+
+    def __repr__(self) -> str:
+        return f"ReplayPool(n={len(self)})"
+
+    def _payload_columns(self) -> Dict[str, list]:
+        root = self._root
+        if root._columns is None:
+            root._columns = payload_columns(root._records)
+        return root._columns
+
+    def payloads(self) -> List[dict]:
+        """The rows' ``IN-DATA`` payloads, each the record's own (car id
+        included): shared, never to be mutated."""
+        root = self._root
+        if root._dicts is None:
+            columns = self._payload_columns()
+            root._dicts = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        return list(map(root._dicts.__getitem__, self._rows.tolist()))
+
+    def templates(self, serde) -> Tuple[np.ndarray, np.ndarray]:
+        """Copies of the rows' wire templates under ``serde`` (car id 0)
+        and of the mask of rows it struct-encodes."""
+        root = self._root
+        kind = type(serde)
+        if kind not in root._encoded:
+            columns = dict(self._payload_columns())
+            columns["car"] = [0] * len(root._records)
+            root._encoded[kind] = serde.encode_columns(columns)
+        rows, mask = root._encoded[kind]
+        return rows[self._rows], mask[self._rows]
 
 
 #: What :func:`_first_degraded` reads off a vehicle's producer, which
@@ -101,7 +185,7 @@ class Fleet:
         self._struct = np.zeros(0, dtype=bool)
         self._all_struct = True
         self._empty = False  # a stripe joined empty
-        self._payloads: List[dict] = []
+        self._payloads: List[Optional[dict]] = []
         self._shapers: List[HtbShaper] = []
         self._owners: Dict[bytes, "VehicleNode"] = {}
         channel.fleet = self
@@ -117,16 +201,20 @@ class Fleet:
         the vehicle left off.  The store only grows: a stripe stays
         while frames in flight may still name its rows."""
         start = len(self._payloads)
-        stop = start + len(vehicle._payloads)
+        stop = start + len(vehicle._templates)
         if stop > len(self._rows):
             capacity = max(stop, 2 * len(self._rows))
             self._rows = np.resize(self._rows, (capacity, _WIRE))
             self._struct = np.resize(self._struct, capacity)
         self._rows[start:stop] = vehicle._templates
         self._struct[start:stop] = vehicle._encodable
-        self._all_struct = self._all_struct and bool(vehicle._encodable.all())
+        encodable = bool(vehicle._encodable.all())
+        self._all_struct = self._all_struct and encodable
         self._empty = self._empty or start == stop
-        self._payloads.extend(vehicle._payloads)
+        # only a row that does not struct-encode is sent from its payload
+        self._payloads.extend(
+            repeat(None, stop - start) if encodable else vehicle._payloads
+        )
         self.channel.columns["fleet"][slot, :_SHAPED] = (
             start, stop - start, vehicle._replay, 0, 0
         )
@@ -324,7 +412,6 @@ def _land_block(vehicles, times, frames) -> None:
             IN_DATA,
             list(map(_KEY, vehicles)),
             _wire_values(vehicles, frames, times),
-            times,
         )
         for column in (vehicles, times, frames):
             column.clear()
@@ -498,12 +585,11 @@ class VehicleNode:
         self.consumer_processing_s = consumer_processing_s
         self.consumer_jitter_s = consumer_jitter_s
         self._rng = rng or np.random.default_rng(car_id)
-        self._serdes: Dict[str, Serde] = dict(serdes or {})
-        default = JsonSerde()
+        serdes = serdes or {}
         #: Serde for the telemetry envelopes this vehicle produces.
-        self.serde = self._serdes.get(IN_DATA, default)
-        self._out_serde = self._serdes.get(OUT_DATA, default)
-        self._prepare_payloads(list(records))
+        self.serde = serdes.get(IN_DATA, _JSON)
+        self._out_serde = serdes.get(OUT_DATA, _JSON)
+        self._prepare_payloads(records)
         # Telemetry goes through a Producer so the delivery guarantees
         # (bounded retry buffer, idempotent sequences) apply.  The
         # envelope is serialized by the vehicle (the wire size gates
@@ -781,55 +867,72 @@ class VehicleNode:
 
     def set_records(self, records: Iterable[TelemetryRecord]) -> None:
         """Switch the replayed sub-dataset (paper: migrated producers
-        "start reading from the motorway link subdataset")."""
-        items = list(records)
-        if not items:
+        "start reading from the motorway link subdataset").  A
+        :class:`ReplayPool` view (a stripe of the scenario's pool) is
+        replayed as it is; other records become a pool of their own."""
+        stripe = ReplayPool.of(records)
+        if not stripe:
             raise ValueError("record stream cannot be empty")
         # the beacons due by now replayed the old stripe
         self.channel.emit_due(self.sim.now)
-        self._prepare_payloads(items)
+        self._prepare_payloads(stripe)
         slot = self._slot()
         if slot is not None:
             # the new stripe replays from its first record
             self.channel.fleet.fold(slot, self)
             self.channel.fleet.joined(slot, self)
 
-    def _prepare_payloads(self, records: List[TelemetryRecord]) -> None:
-        """Precompute the wire payload and template for every record in
-        the stripe.
+    def _prepare_payloads(self, records: Iterable[TelemetryRecord]) -> None:
+        """Take the wire templates of the stripe this vehicle replays.
 
-        Replay cycles a fixed stripe, so each record's ``IN-DATA``
-        payload — including the feature-context work inside
-        :func:`record_to_payload` — is computed once here instead of on
-        every 10 Hz tick.  The car-identity override is applied once
-        too ("car" is already the first key, so insertion order and
-        hence the serialized bytes are unchanged).  The whole stripe is
-        then struct-encoded in one batch: a beacon's wire bytes differ
-        from its template only in the two trailing timestamps, so each
-        send patches them instead of serializing the envelope twice
-        (once for the airtime-gating size, once at delivery).  A record
-        the layout cannot hold is masked out and its sends serialize
-        the envelope.  Payloads are never mutated after this point, so
-        frames in flight may share them; an empty stripe is tolerated
-        at construction (it only fails if a beacon is actually due).
+        ``records`` is a :class:`ReplayPool` view — a vehicle group's
+        stripe of its scenario's pool — or any records, which become a
+        pool of their own.  The pool encodes its rows once for all the
+        vehicles striping it: each record's ``IN-DATA`` payload and its
+        pre-delivery envelope, struct-encoded in one batch into template
+        rows.  Here the stripe's rows are gathered and this car's id is
+        written into them (a car id the layout cannot hold leaves every
+        row to JSON, as serializing each envelope would).  A beacon's
+        wire bytes differ from its template only in the two trailing
+        timestamps, so each send patches them instead of serializing
+        the envelope.  A record the layout cannot hold is masked out and
+        its sends serialize the envelope, from :attr:`_payloads`.
+        Payloads are never mutated after this point, so frames in flight
+        may share them; an empty stripe is tolerated at construction (it
+        only fails if a beacon is actually due).
         """
-        payloads = []
-        for record in records:
-            payload = record_to_payload(record)
-            payload["car"] = self.car_id
-            payloads.append(payload)
+        stripe = ReplayPool.of(records)
         #: The replayed records, kept for introspection (the payloads
         #: drop fields like ``trip_id`` that never go on the wire).
-        self._stripe = records
-        self._payloads = payloads
-        encode = getattr(self.serde, "encode_templates", None)
-        if encode is None:
-            self._templates = np.zeros((len(payloads), _WIRE), dtype=np.uint8)
-            self._encodable = np.zeros(len(payloads), dtype=bool)
+        self._stripe = stripe
+        if getattr(self.serde, "encode_columns", None) is None:
+            self._templates = np.zeros((len(stripe), _WIRE), dtype=np.uint8)
+            self._encodable = np.zeros(len(stripe), dtype=bool)
         else:
-            self._templates, self._encodable = encode(payloads)
+            self._templates, self._encodable = stripe.templates(self.serde)
+            try:
+                car = np.frombuffer(_CAR.pack(self.car_id), dtype=np.uint8)
+            except struct.error:
+                self._templates[:] = 0
+                self._encodable[:] = False
+            else:
+                self._templates[self._encodable, _CAR_BYTES] = car
+        # Made now when some row is sent as JSON, else only if asked for.
+        self._payload_list: Optional[List[dict]] = None
+        if not self._encodable.all():
+            self._payload_list = self._payloads
         # The next record to replay while in no cohort (else the fleet's).
         self._replay = 0
+
+    @property
+    def _payloads(self) -> List[dict]:
+        """The stripe's ``IN-DATA`` payloads with this car's id."""
+        if self._payload_list is None:
+            car = self.car_id
+            self._payload_list = [
+                {**payload, "car": car} for payload in self._stripe.payloads()
+            ]
+        return self._payload_list
 
     # ------------------------------------------------------------------
     # Cross-process handover (sharded engine)
@@ -948,7 +1051,6 @@ class VehicleNode:
                 IN_DATA,
                 _wire_value(self, frame, at_time),
                 key=self._key_bytes,
-                timestamp=at_time,
             )
         except BrokerUnavailable:
             self._stats.records_lost += 1

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +38,7 @@ from repro.core.block import (
     ROAD_TYPE_INDEX,
     TelemetryBlock,
 )
-from repro.core.features import CO_DATA, IN_DATA, OUT_DATA
+from repro.core.features import CO_DATA, IN_DATA, OUT_DATA, PAYLOAD_FIELDS
 from repro.streaming.serde import (
     FIELD_ENUM,
     FIELD_PLAIN,
@@ -140,32 +142,56 @@ class TelemetryStructSerde(Serde):
         matrix, and a mask of the rows :meth:`serialize` struct-encodes.
         A masked-out row is zeros: its envelope serializes as JSON.
 
-        One pack over the columns when every payload fits the layout;
-        otherwise each row is decided by :meth:`serialize` itself, so
-        both follow one rule.
+        The payloads as columns through :meth:`encode_columns` when each
+        has exactly the Table II keys; otherwise row by row.
         """
-        size = self.wire_size
+        if not set(map(len, payloads)) - {len(PAYLOAD_FIELDS)}:
+            try:
+                return self.encode_columns(
+                    {
+                        key: list(map(itemgetter(key), payloads))
+                        for key, _, _ in PAYLOAD_FIELDS
+                    }
+                )
+            except KeyError:
+                pass
+        return self._encode_rows(payloads)
+
+    def encode_columns(
+        self, columns: Dict[str, Sequence[Any]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`encode_templates` of payloads given as one column per
+        key (:func:`~repro.core.features.payload_columns`): one pack
+        over the columns when every row fits the layout; otherwise each
+        row is decided by :meth:`serialize` itself, so both follow one
+        rule."""
         try:
-            if set(map(len, payloads)) - {11}:
-                raise KeyError("not the Table II fields")
-            pack = self._STRUCT.pack
             nan = float("nan")
             joined = b"".join(
-                [
-                    pack(
-                        STRUCT_MAGIC, STRUCT_VERSION, p["car"], p["rd"],
-                        p["acc"], p["spd"], p["hr"], p["day"],
-                        ROAD_TYPE_INDEX[p["rt"]], p["vr"], p["ts"],
-                        ANOMALY_KIND_INDEX[p["ak"]],
-                        -1 if p["lbl"] is None else p["lbl"], 0.0, nan,
-                    )
-                    for p in payloads
-                ]
+                map(
+                    self._STRUCT.pack,
+                    repeat(STRUCT_MAGIC), repeat(STRUCT_VERSION),
+                    columns["car"], columns["rd"], columns["acc"],
+                    columns["spd"], columns["hr"], columns["day"],
+                    map(ROAD_TYPE_INDEX.__getitem__, columns["rt"]),
+                    columns["vr"], columns["ts"],
+                    map(ANOMALY_KIND_INDEX.__getitem__, columns["ak"]),
+                    [-1 if label is None else label for label in columns["lbl"]],
+                    repeat(0.0), repeat(nan),
+                )
             )
-            rows = np.frombuffer(joined, dtype=np.uint8).reshape(-1, size)
-            return rows.copy(), np.ones(len(payloads), dtype=bool)
+            rows = np.frombuffer(joined, dtype=np.uint8).reshape(-1, self.wire_size)
+            return rows.copy(), np.ones(len(rows), dtype=bool)
         except (KeyError, TypeError, IndexError, struct.error):
             pass
+        return self._encode_rows(
+            [dict(zip(columns, row)) for row in zip(*columns.values())]
+        )
+
+    def _encode_rows(
+        self, payloads: Sequence[Dict[str, Any]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        size = self.wire_size
         rows = np.zeros((len(payloads), size), dtype=np.uint8)
         mask = np.zeros(len(payloads), dtype=bool)
         for row, payload in enumerate(payloads):

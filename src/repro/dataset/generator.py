@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -103,16 +104,26 @@ class SyntheticDataset:
 
         The collaborative model consumes per-trip prediction history, so
         its evaluation must not leak records of one trip across the
-        split.  Trips are keyed by the record's ``trip_id``.
+        split.  Trips are keyed by the record's ``trip_id``: the trips,
+        in id order, are shuffled and cut, and each side lists its
+        trips' records trip by trip in shuffled order, each trip's in
+        record order (one stable sort on the trips' shuffled ranks).
         """
-        by_trip: Dict[int, List[TelemetryRecord]] = {}
-        for record in self.records:
-            by_trip.setdefault(record.trip_id, []).append(record)
-        trips = [by_trip[tid] for tid in sorted(by_trip)]
+        records = self.records
+        trip_ids = np.fromiter(
+            map(attrgetter("trip_id"), records), np.int64, len(records)
+        )
+        trips, trip_of = np.unique(trip_ids, return_inverse=True)
         order = np.random.default_rng(seed).permutation(len(trips))
         cut = int(len(trips) * train_fraction)
-        train = [r for i in order[:cut] for r in trips[i]]
-        test = [r for i in order[cut:] for r in trips[i]]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        record_rank = rank[trip_of]
+        ordered = np.argsort(record_rank, kind="stable").tolist()
+        n_train = int(np.count_nonzero(record_rank < cut))
+        take = records.__getitem__
+        train = list(map(take, ordered[:n_train]))
+        test = list(map(take, ordered[n_train:]))
         return train, test
 
 

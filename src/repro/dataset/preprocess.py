@@ -15,15 +15,56 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dataset.schema import ABNORMAL, NORMAL, TelemetryRecord, Trip
+from repro.dataset.schema import (
+    ABNORMAL,
+    NORMAL,
+    TelemetryRecord,
+    Trip,
+    road_type_codes,
+)
 from repro.geo.coords import LatLon
 from repro.geo.distance import haversine_m
 from repro.geo.mapmatch import HmmMapMatcher
 from repro.geo.roadnet import RoadNetwork, RoadType
+
+
+#: Road types in declaration order: a record's road-type code
+#: (:func:`road_type_codes`) indexes this tuple.
+_ROAD_TYPES: Tuple[RoadType, ...] = tuple(RoadType)
+_HOURS = 24
+
+
+def _columns(records: Sequence[TelemetryRecord]) -> Tuple[np.ndarray, ...]:
+    """``(road-type code, hour, speed, accel)`` of every record: what
+    the filter and the labeller read, one C-level pass per column."""
+    n = len(records)
+    return (
+        road_type_codes(records),
+        np.fromiter(map(attrgetter("hour"), records), np.int64, n),
+        np.fromiter(map(attrgetter("speed_kmh"), records), np.float64, n),
+        np.fromiter(map(attrgetter("accel_ms2"), records), np.float64, n),
+    )
+
+
+def _groups(keys: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+    """``(key, rows)`` per distinct key, each group's rows in record
+    order (one stable sort)."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    stops = np.r_[starts[1:], len(keys)]
+    return [
+        (key, order[start:stop])
+        for key, start, stop in zip(
+            ordered[starts].tolist(), starts.tolist(), stops.tolist()
+        )
+    ]
 
 
 @dataclass(frozen=True)
@@ -39,6 +80,8 @@ class FilterConfig:
     drop_stuck: bool = True  # speed == 0 and accel == 0 exactly
 
     def keep(self, record: TelemetryRecord) -> bool:
+        """The rule for one record; :meth:`keep_mask` applies it to
+        columns (a test holds the two equal)."""
         if not math.isfinite(record.speed_kmh) or not math.isfinite(
             record.accel_ms2
         ):
@@ -50,6 +93,15 @@ class FilterConfig:
         if self.drop_stuck and record.speed_kmh == 0.0 and record.accel_ms2 == 0.0:
             return False
         return True
+
+    def keep_mask(self, speeds: np.ndarray, accels: np.ndarray) -> np.ndarray:
+        """:meth:`keep` over speed and acceleration columns."""
+        keep = np.isfinite(speeds) & np.isfinite(accels)
+        keep &= speeds <= self.max_speed_kmh
+        keep &= np.abs(accels) <= self.max_abs_accel_ms2
+        if self.drop_stuck:
+            keep &= (speeds != 0.0) | (accels != 0.0)
+        return keep
 
 
 class SigmaCutoffLabeler:
@@ -66,6 +118,10 @@ class SigmaCutoffLabeler:
     - ``"type_hour"``: one band per (road type, hour) — the
       finer-grained normality Fig. 2's hourly variation implies.
       Hours unseen at fit time fall back to the road-type band.
+
+    :meth:`fit` and :meth:`label_all` work on columns (one pass over
+    the records, then array operations); :meth:`label` is the rule for
+    one record, and a test holds it equal to :meth:`label_all`.
     """
 
     def __init__(
@@ -93,25 +149,24 @@ class SigmaCutoffLabeler:
         return keys
 
     def fit(self, records: Sequence[TelemetryRecord]) -> "SigmaCutoffLabeler":
-        if not records:
+        return self._fit_columns(_columns(list(records)))
+
+    def _fit_columns(self, columns: Tuple[np.ndarray, ...]) -> "SigmaCutoffLabeler":
+        """Fit from :func:`_columns`: each band's ``mean``/``std`` over
+        its group's values in record order."""
+        types, hours, speeds, accels = columns
+        if not len(types):
             raise ValueError("cannot fit labeler on an empty dataset")
-        groups: Dict[object, List[TelemetryRecord]] = {}
-        for record in records:
-            groups.setdefault(record.road_type, []).append(record)
-            if self.granularity == "type_hour":
-                groups.setdefault(
-                    (record.road_type, record.hour), []
-                ).append(record)
-        for key, group in groups.items():
-            if (
-                isinstance(key, tuple)
-                and len(group) < self.MIN_CELL_SAMPLES
-            ):
-                continue  # too sparse: rely on the type-level band
-            speeds = np.array([r.speed_kmh for r in group])
-            accels = np.array([r.accel_ms2 for r in group])
-            self._speed_bands[key] = self._band(speeds)
-            self._accel_bands[key] = self._band(accels)
+        groups = [(_ROAD_TYPES[code], rows) for code, rows in _groups(types)]
+        if self.granularity == "type_hour":
+            groups.extend(
+                ((_ROAD_TYPES[cell // _HOURS], cell % _HOURS), rows)
+                for cell, rows in _groups(types * _HOURS + hours)
+                if len(rows) >= self.MIN_CELL_SAMPLES
+            )
+        for key, rows in groups:
+            self._speed_bands[key] = self._band(speeds[rows])
+            self._accel_bands[key] = self._band(accels[rows])
         self._fitted = True
         return self
 
@@ -144,7 +199,41 @@ class SigmaCutoffLabeler:
     def label_all(
         self, records: Iterable[TelemetryRecord]
     ) -> List[TelemetryRecord]:
-        return [r.with_label(self.label(r)) for r in records]
+        """Each record relabelled by the sigma rule."""
+        records = list(records)
+        return TelemetryRecord.with_labels(
+            records, self._label_columns(_columns(records)).tolist()
+        )
+
+    def _label_columns(self, columns: Tuple[np.ndarray, ...]) -> np.ndarray:
+        """The labels of :func:`_columns`: each row's band looked up in
+        a (road type, hour) table that holds the (type, hour) band where
+        one was fitted and the road-type band elsewhere."""
+        self._require_fitted()
+        types, hours, speeds, accels = columns
+        table = np.full((len(_ROAD_TYPES), _HOURS, 4), np.nan)
+        fitted = np.zeros(len(_ROAD_TYPES), dtype=bool)
+        keys = [key for key in self._speed_bands if not isinstance(key, tuple)]
+        if self.granularity == "type_hour":
+            keys += [key for key in self._speed_bands if isinstance(key, tuple)]
+        for key in keys:
+            bands = self._speed_bands[key] + self._accel_bands[key]
+            if isinstance(key, tuple):
+                table[_ROAD_TYPES.index(key[0]), key[1]] = bands
+            else:
+                code = _ROAD_TYPES.index(key)
+                table[code] = bands
+                fitted[code] = True
+        missing = np.flatnonzero(~fitted[types])
+        if missing.size:
+            raise KeyError(
+                f"labeler not fitted for road type "
+                f"{_ROAD_TYPES[types[missing[0]]]}"
+            )
+        lo_s, hi_s, lo_a, hi_a = table[types, hours].T
+        normal = (lo_s <= speeds) & (speeds <= hi_s)
+        normal &= (lo_a <= accels) & (accels <= hi_a)
+        return np.where(normal, NORMAL, ABNORMAL)
 
     def _require_fitted(self) -> None:
         if not self._fitted:
@@ -152,7 +241,13 @@ class SigmaCutoffLabeler:
 
 
 class Preprocessor:
-    """Filter + label pipeline over telemetry records."""
+    """Filter + label pipeline over telemetry records.
+
+    One column pass: the records' road type, hour, speed and
+    acceleration are read once, and the keep mask, the sigma bands and
+    the labels are array operations over those columns; each kept
+    record is then relabelled once (:meth:`TelemetryRecord.with_labels`).
+    """
 
     def __init__(
         self,
@@ -169,11 +264,16 @@ class Preprocessor:
         self, records: Sequence[TelemetryRecord]
     ) -> List[TelemetryRecord]:
         """Filter erroneous records, fit the labeler, label the rest."""
-        kept = [r for r in records if self.filter_config.keep(r)]
+        columns = _columns(records)
+        keep = self.filter_config.keep_mask(columns[2], columns[3])
+        kept = list(compress(records, keep.tolist()))
         if not kept:
             return []
-        self.labeler.fit(kept)
-        return self.labeler.label_all(kept)
+        columns = tuple(column[keep] for column in columns)
+        self.labeler._fit_columns(columns)
+        return TelemetryRecord.with_labels(
+            kept, self.labeler._label_columns(columns).tolist()
+        )
 
 
 def derive_telemetry(

@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from itertools import repeat
+from operator import attrgetter
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.geo.roadnet import RoadType
 
@@ -154,3 +158,46 @@ class TelemetryRecord:
             timestamp=self.timestamp,
             trip_id=self.trip_id,
         )
+
+    @staticmethod
+    def with_labels(
+        records: Sequence["TelemetryRecord"], labels: Sequence[Optional[int]]
+    ) -> List["TelemetryRecord"]:
+        """``[r.with_label(l) for r, l in zip(records, labels)]`` in a
+        few C-level passes.  A copy's fields are its source's, validated
+        when the source was built, so ``__init__`` does not run again:
+        each copy is an ``object.__new__`` whose ``__dict__`` takes its
+        source's and then the label.  Only the labels are checked."""
+        labels = list(labels)
+        if len(labels) != len(records):
+            raise ValueError(
+                f"{len(labels)} labels for {len(records)} records"
+            )
+        if set(labels) - {NORMAL, ABNORMAL, None}:
+            raise ValueError(f"labels must be 0/1/None: {set(labels)}")
+        copies = list(map(object.__new__, repeat(TelemetryRecord, len(labels))))
+        states = list(map(_STATE, copies))
+        list(map(dict.update, states, map(_STATE, records)))
+        list(map(dict.__setitem__, states, repeat("label"), labels))
+        return copies
+
+
+#: An instance's attribute dict, read without a Python-level call.
+_STATE = attrgetter("__dict__")
+
+#: Road-type value -> its index in declaration order (the road-type code).
+_ROAD_TYPE_INDEX = {road_type.value: index for index, road_type in enumerate(RoadType)}
+
+#: A record's road type as its value string: the enum's plain
+#: ``_value_`` attribute, read without a Python-level call.
+_ROAD_TYPE_VALUE = attrgetter("road_type._value_")
+
+
+def road_type_codes(records: Sequence[TelemetryRecord]) -> np.ndarray:
+    """Each record's road-type code (its road type's index in
+    declaration order), in one C-level pass."""
+    return np.fromiter(
+        map(_ROAD_TYPE_INDEX.__getitem__, map(_ROAD_TYPE_VALUE, records)),
+        np.int64,
+        len(records),
+    )

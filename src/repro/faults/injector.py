@@ -133,9 +133,7 @@ class FaultInjector:
                 failed.fail()
                 for payload in snapshots:
                     try:
-                        fallback.broker.produce(
-                            CO_DATA, payload, timestamp=scenario.sim.now
-                        )
+                        fallback.broker.produce(CO_DATA, payload)
                         replayed += 1
                     except BrokerUnavailable:
                         pass  # fallback is down too; state is lost

@@ -11,8 +11,8 @@ exactly two kinds of frames with other shards:
   simulator — latency and queuing are paid here — but its far end is a
   :class:`RemoteRsuProxy` whose broker captures the produce instead of
   appending it.  The engine ships the capture at the next barrier and
-  the owning shard injects it with the original delivery timestamp,
-  strictly before the tick at that barrier — so the summary lands in
+  the owning shard injects it, in the order of the captured delivery
+  timestamps, strictly before the tick at that barrier — so the summary lands in
   the same micro-batch the serial engine would put it in.
 - **Vehicle transfers** (cross-shard handover): the full
   :meth:`VehicleNode.detach` state, applied on the owning shard at the
@@ -34,7 +34,6 @@ from repro.core.system import (
     collect_rsu_metrics,
 )
 from repro.core.topology import CorridorTopology, HandoverSpec
-from repro.core.wire import topic_serdes
 from repro.obs.collect import finalize_scenario
 from repro.streaming.serde import JsonSerde
 from repro.parallel.barrier import (
@@ -122,9 +121,7 @@ class _ShardWorker:
         self.scenario = scenario
         self.sim = scenario.sim
         self.vehicles = {v.car_id: v for v in scenario.vehicles}
-        self._co_serde = topic_serdes(ctx.spec.serde_profile).get(
-            CO_DATA, JsonSerde()
-        )
+        self._co_serde = scenario.serdes.get(CO_DATA, JsonSerde())
         self.handovers: Dict[float, List[HandoverSpec]] = {}
         for handover in ctx.topology.handovers:
             self.handovers.setdefault(handover.at_s, []).append(handover)
@@ -196,16 +193,14 @@ class _ShardWorker:
             for (rsu_name, ts, payload), _car in sorted(
                 zip(summaries, cars), key=lambda item: (item[0][1], item[1])
             ):
-                self.scenario.rsus[rsu_name].broker.produce(
-                    CO_DATA, payload, timestamp=ts
-                )
+                self.scenario.rsus[rsu_name].broker.produce(CO_DATA, payload)
 
     def _apply_transfer(self, state: dict) -> None:
         """Reconstruct a transferred vehicle on its new home RSU."""
         car_id = state["car_id"]
         to_rsu = state["to_rsu"]
         pool = self.ctx.bundle.pools[state["pool"]]
-        stripe = list(pool[state["stripe_index"] :: state["pool_size"]])
+        stripe = pool[state["stripe_index"] :: state["pool_size"]]
         if not stripe:
             raise RuntimeError(
                 f"cross-shard handover of car {car_id} got an empty record "
@@ -260,7 +255,7 @@ class _ShardWorker:
                 vehicle.shaper = self.scenario._shaper_for(
                     handover.to_rsu, car_id
                 )
-                stripe = list(new_records[index::size])
+                stripe = new_records[index::size]
                 if stripe:
                     vehicle.set_records(stripe)
             else:

@@ -42,8 +42,8 @@ class Broker:
         Broker identity (e.g. ``"rsu-motorway-1"``).
     clock:
         Zero-argument callable returning the current time; experiments
-        inject the simulator clock so record timestamps live on
-        simulated time.
+        inject the simulator clock so the partitions' append clocks
+        live on simulated time.
     """
 
     def __init__(
@@ -182,14 +182,20 @@ class Broker:
         sequence: Optional[int] = None,
     ) -> Tuple[int, int]:
         """Append one serialized record: :meth:`produce_block` of a
-        block of one.  Returns its ``(partition, offset)``."""
+        block of one.  Returns its ``(partition, offset)``.
+
+        ``timestamp`` is the record's time as its sender states it.  The
+        log keeps none (a record is stamped by the broker's append
+        clock); the argument is part of the one-record surface that the
+        cross-shard stand-in (``repro.parallel.worker._CaptureBroker``)
+        shares, which ships it to order the summaries it carries.
+        """
         # only an idempotent record needs the block's dedupe pass
         idempotent = producer_id is not None and sequence is not None
         partitions, offsets = self.produce_block(
             topic_name,
             (key,),
             (value,),
-            timestamp=timestamp,
             producer_ids=(producer_id,) if idempotent else None,
             sequences=(sequence,) if idempotent else None,
         )
@@ -200,8 +206,6 @@ class Broker:
         topic_name: str,
         keys: Sequence[Optional[bytes]],
         values: Sequence[bytes],
-        timestamp: Optional[float] = None,
-        timestamps: Optional[Sequence[float]] = None,
         producer_ids: Optional[Sequence[Optional[str]]] = None,
         sequences: Optional[Sequence[Optional[int]]] = None,
     ) -> Tuple[List[int], List[int]]:
@@ -209,10 +213,10 @@ class Broker:
         order, for one availability check, one clock read and one
         append per partition.  Returns the partition and the offset of
         each record as two lists.  Keyed records route by key hash,
-        unkeyed ones round-robin.
+        unkeyed ones round-robin.  Every record is stamped with the
+        broker clock.
 
-        Records are stamped ``timestamps[i]`` when given, else
-        ``timestamp`` (else now).  With ``producer_ids`` and
+        With ``producer_ids`` and
         ``sequences`` a record carrying both is idempotent: a sequence
         at or below its producer's last accepted one is a retry of a
         record the log already holds, so it is rejected as a
@@ -229,19 +233,16 @@ class Broker:
         self._check_available("produce")
         topic = self.topic(topic_name)
         now = self._clock()
-        if timestamps is None:
-            timestamps = [now if timestamp is None else timestamp] * len(keys)
         # (producer_id, topic) -> (sequence, position among the kept)
         accepted: Dict[Tuple[str, str], Tuple[int, int]] = {}
         sources = None
         if producer_ids is not None and sequences is not None:
-            keys, values, timestamps, sources = self._dedupe_block(
-                topic_name, keys, values, timestamps, producer_ids, sequences,
-                accepted,
+            keys, values, sources = self._dedupe_block(
+                topic_name, keys, values, producer_ids, sequences, accepted
             )
         indexes = topic.route_block(keys)
         present = list(dict.fromkeys(indexes))
-        groups = [(timestamps, keys, values)]
+        groups = [(keys, values)]
         if len(present) > 1:
             # each partition's records in block order: one stable sort
             pick = itemgetter(*sorted(range(len(indexes)), key=indexes.__getitem__))
@@ -295,8 +296,7 @@ class Broker:
         return indexes, offsets
 
     def _dedupe_block(
-        self, topic_name, keys, values, timestamps, producer_ids, sequences,
-        accepted,
+        self, topic_name, keys, values, producer_ids, sequences, accepted
     ):
         """The records of a block that are not duplicates, in order;
         fills ``accepted`` with each idempotent producer's last appended
@@ -305,9 +305,9 @@ class Broker:
         for a rejected duplicate, its producer's last accepted record
         (a kept position, or the prior ``(partition, offset)``)."""
         state = self._producer_state
-        kept_keys, kept_values, kept_times, sources = [], [], [], []
-        for key, value, record_time, producer_id, sequence in zip(
-            keys, values, timestamps, producer_ids, sequences
+        kept_keys, kept_values, sources = [], [], []
+        for key, value, producer_id, sequence in zip(
+            keys, values, producer_ids, sequences
         ):
             if producer_id is not None and sequence is not None:
                 state_key = (producer_id, topic_name)
@@ -322,8 +322,7 @@ class Broker:
             sources.append(len(kept_keys))
             kept_keys.append(key)
             kept_values.append(value)
-            kept_times.append(record_time)
-        return kept_keys, kept_values, kept_times, sources
+        return kept_keys, kept_values, sources
 
     def last_sequence(self, producer_id: str, topic_name: str) -> int:
         """The highest sequence accepted from an idempotent producer on

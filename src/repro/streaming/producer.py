@@ -74,7 +74,6 @@ class _Pending(NamedTuple):
     topic: str
     payload: bytes
     key: Optional[bytes]
-    timestamp: Optional[float]
     sequence: Optional[int]
 
 
@@ -148,16 +147,14 @@ class Producer:
         topic: str,
         payload: bytes,
         key: Optional[bytes],
-        timestamp: Optional[float],
         sequence: Optional[int],
     ) -> Tuple[int, int]:
         placed = self.broker.produce(
             topic,
             payload,
             key,
-            timestamp,
-            self.client_id if self.idempotent else None,
-            sequence,
+            producer_id=self.client_id if self.idempotent else None,
+            sequence=sequence,
         )
         self.bytes_sent += len(payload) + (len(key) if key else 0)
         self.records_sent += 1
@@ -168,7 +165,6 @@ class Producer:
         topic: str,
         value: bytes,
         key: Optional[bytes] = None,
-        timestamp: Optional[float] = None,
     ) -> Optional[Tuple[int, int]]:
         """Append one serialized record.
 
@@ -179,7 +175,7 @@ class Producer:
         """
         if self._closed:
             raise RuntimeError(f"producer {self.client_id!r} is closed")
-        pending = (topic, value, key, timestamp, self._next_sequence(topic))
+        pending = (topic, value, key, self._next_sequence(topic))
         if self._buffer:
             # Keep per-topic ordering: drain the backlog first.
             self._enqueue(_Pending(*pending))
@@ -320,7 +316,6 @@ def send_block(
     topic: str,
     keys: Sequence[Optional[bytes]],
     values: Sequence[bytes],
-    timestamps: Sequence[float],
 ) -> None:
     """Record ``i`` sent by ``producers[i]``, all as one
     :meth:`~repro.streaming.broker.Broker.produce_block`: the log, the
@@ -344,7 +339,6 @@ def send_block(
         topic,
         keys,
         values,
-        timestamps=timestamps,
         producer_ids=producer_ids,
         sequences=sequences,
     )

@@ -55,12 +55,11 @@ class _Slab:
 class Partition:
     """One append-only log.
 
-    Records live in three columns (timestamps, keys, values).  Beside
-    them: ``_cum_sizes[k]``, the total consumed size (value + key
-    bytes) of records ``[0, k)``, so any read range's byte accounting
-    is two list lookups; ``_append_clock[k]``, the broker clock when
-    record ``k`` was appended (monotone, unlike timestamps), a growable
-    float64 array, so the log ends as of any number of instants are
+    Records live in two columns (keys, values).  Beside them:
+    ``_cum_sizes[k]``, the total consumed size (value + key bytes) of
+    records ``[0, k)``, so any read range's byte accounting is two list
+    lookups; ``_append_clock[k]``, the broker clock when record ``k``
+    was appended (monotone), a growable float64 array, so the log ends as of any number of instants are
     one search; and the slab, which mirrors every appended value while
     they stay uniform fixed-size struct payloads.  The first
     non-conforming append disables the slab for the partition's
@@ -71,7 +70,6 @@ class Partition:
     def __init__(self, topic_name: str, index: int) -> None:
         self.topic_name = topic_name
         self.index = index
-        self._timestamps: List[float] = []
         self._keys: List[Optional[bytes]] = []
         self._values: List[bytes] = []
         self.bytes_in = 0
@@ -82,15 +80,13 @@ class Partition:
 
     def append_block(
         self,
-        timestamps: Sequence[float],
         keys: Sequence[Optional[bytes]],
         values: Sequence[bytes],
         appended_at: float,
     ) -> int:
-        """Append records sharing one clock, ``timestamps[i]`` stamping
-        record ``i``; returns the first one's offset."""
+        """Append records sharing one clock; returns the first one's
+        offset."""
         first = len(self._values)
-        self._timestamps.extend(timestamps)
         self._keys.extend(keys)
         self._values.extend(values)
         if None in keys:

@@ -50,6 +50,16 @@ class TestFeatureMatrices:
         with pytest.raises(ValueError, match="no label"):
             labels_of([make_record(label=None)])
 
+    def test_hour_column_from_records(self):
+        records = [
+            make_record(hour=h, road_type=rt, speed_kmh=60.0 + h)
+            for h in range(24)
+            for rt in (RoadType.MOTORWAY, RoadType.MOTORWAY_LINK)
+        ]
+        columns = base_features(records)
+        assert columns.shape == (48, 3)
+        assert columns[:, 2].tolist() == [float(r.hour) for r in records]
+
 
 class TestTelemetryWireFormat:
     def test_round_trip(self):
@@ -134,39 +144,3 @@ class TestWarningMessage:
             WarningMessage(car, road, detected_at, speed).to_payload()
             for car, road, speed in zip(cars, roads, speeds)
         ]
-
-
-class TestRoadHourContextMemo:
-    def test_matches_direct_computation(self):
-        from repro.core.features import ROAD_TYPE_CODE, road_hour_context
-
-        for road_type in RoadType:
-            for hour in (0, 7, 23):
-                assert road_hour_context(road_type, hour) == (
-                    float(hour),
-                    float(ROAD_TYPE_CODE[road_type]),
-                )
-
-    def test_cache_hits_on_repeats(self):
-        from repro.core.features import road_hour_context
-
-        road_hour_context.cache_clear()
-        road_hour_context(RoadType.MOTORWAY, 8)
-        before = road_hour_context.cache_info()
-        for _ in range(5):
-            road_hour_context(RoadType.MOTORWAY, 8)
-        after = road_hour_context.cache_info()
-        assert after.hits == before.hits + 5
-        assert after.misses == before.misses
-
-    def test_feature_columns_unchanged_by_memo(self):
-        from repro.core.features import base_features
-
-        records = [
-            make_record(hour=h, road_type=rt, speed_kmh=60.0 + h)
-            for h in range(24)
-            for rt in (RoadType.MOTORWAY, RoadType.MOTORWAY_LINK)
-        ]
-        columns = base_features(records)
-        assert columns.shape == (48, 3)
-        assert columns[:, 2].tolist() == [float(r.hour) for r in records]

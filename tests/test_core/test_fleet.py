@@ -108,9 +108,9 @@ def test_set_records_replays_the_new_stripe_from_its_first_record(
     log = rsus[1].broker.topic(IN_DATA)
     records = sorted(
         (
-            (timestamp, value)
+            (_SERDE.deserialize(value)["generated_at"], value)
             for part in log.partitions
-            for timestamp, value in zip(part._timestamps, part._values)
+            for value in part._values
         ),
         key=lambda record: record[0],
     )

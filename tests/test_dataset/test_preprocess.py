@@ -139,6 +139,97 @@ class TestSigmaCutoffLabeler:
         assert wide_abnormal <= narrow_abnormal
 
 
+#: Values on and just past the filter's bounds and the degenerate
+#: readings it drops.
+_EDGE_SPEEDS = [float("nan"), float("inf"), 0.0, -0.0, 300.0, np.nextafter(300.0, 400.0)]
+_EDGE_ACCELS = [
+    float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 20.0, -20.0,
+    np.nextafter(20.0, 30.0), np.nextafter(-20.0, -30.0),
+]
+
+
+class TestOneSigmaRule:
+    """The column path (``fit`` / ``label_all`` / ``Preprocessor.run``)
+    against the per-record rules (``label`` / ``FilterConfig.keep``)."""
+
+    @staticmethod
+    def _edge_probes(labeler):
+        """Records sitting exactly on every fitted band edge (and one
+        ulp inside and outside), at a fitted cell's hour or at an hour
+        no cell was fitted for."""
+        probes = []
+        for key, (lo_s, hi_s) in labeler._speed_bands.items():
+            lo_a, hi_a = labeler._accel_bands[key]
+            road_type, hours = (key[0], [key[1]]) if isinstance(key, tuple) else (key, [8, 13])
+            for speed in (lo_s, hi_s, np.nextafter(lo_s, -np.inf), np.nextafter(hi_s, np.inf)):
+                for accel in (lo_a, hi_a, np.nextafter(hi_a, np.inf), (lo_a + hi_a) / 2):
+                    for hour in hours:
+                        if speed >= 0:
+                            probes.append(
+                                make_record(
+                                    float(speed), float(accel), road_type, hour=hour
+                                )
+                            )
+        return probes
+
+    @given(
+        dense=st.lists(
+            st.tuples(st.floats(0, 200), st.floats(-10, 10)),
+            min_size=SigmaCutoffLabeler.MIN_CELL_SAMPLES,
+            max_size=SigmaCutoffLabeler.MIN_CELL_SAMPLES + 10,
+        ),
+        sparse=st.lists(
+            st.tuples(
+                st.sampled_from([RoadType.MOTORWAY, RoadType.MOTORWAY_LINK]),
+                st.sampled_from([8, 9, 23]),
+                st.floats(0, 200),
+                st.floats(-10, 10),
+            ),
+            max_size=40,
+        ),
+        granularity=st.sampled_from(["type", "type_hour"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_label_all_is_label_per_record(self, dense, sparse, granularity):
+        records = [make_record(speed, accel, hour=8) for speed, accel in dense]
+        records += [
+            make_record(speed, accel, road_type, hour=hour)
+            for road_type, hour, speed, accel in sparse
+        ]
+        labeler = SigmaCutoffLabeler(granularity=granularity).fit(records)
+        probes = records + self._edge_probes(labeler)
+        labelled = labeler.label_all(probes)
+        assert [r.label for r in labelled] == [labeler.label(r) for r in probes]
+        assert labelled == [r.with_label(labeler.label(r)) for r in probes]
+
+    def test_label_all_raises_for_an_unfitted_road_type(self):
+        labeler = SigmaCutoffLabeler().fit([make_record(100.0), make_record(90.0)])
+        with pytest.raises(KeyError, match="RESIDENTIAL"):
+            labeler.label_all([make_record(30.0, road_type=RoadType.RESIDENTIAL)])
+
+    @given(
+        readings=st.lists(
+            st.tuples(
+                st.sampled_from(_EDGE_SPEEDS) | st.floats(0, 400),
+                st.sampled_from(_EDGE_ACCELS) | st.floats(-30, 30),
+            ),
+            max_size=40,
+        ),
+        drop_stuck=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_run_keeps_exactly_what_keep_accepts(self, readings, drop_stuck):
+        config = FilterConfig(drop_stuck=drop_stuck)
+        records = [
+            make_record(speed, accel, car_id=index)
+            for index, (speed, accel) in enumerate(readings)
+        ]
+        kept = Preprocessor(filter_config=config).run(records)
+        assert [r.car_id for r in kept] == [
+            r.car_id for r in records if config.keep(r)
+        ]
+
+
 class TestPreprocessor:
     def test_end_to_end(self):
         network = CityNetworkBuilder(seed=1).build_corridor()

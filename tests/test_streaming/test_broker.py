@@ -51,11 +51,15 @@ class TestProduceFetch:
         broker = Broker("b", clock=lambda: times[0])
         broker.create_topic("t", 1)
         broker.produce("t", b"x")
-        assert broker.topic("t").partition(0)._timestamps == [1.5]
+        assert list(broker.topic("t").partition(0)._append_clock) == [1.5]
 
-    def test_explicit_timestamp_wins(self, broker):
-        partition, _ = broker.produce("IN-DATA", b"x", timestamp=9.0)
-        assert broker.topic("IN-DATA").partition(partition)._timestamps == [9.0]
+    def test_append_clock_ignores_a_stated_timestamp(self):
+        """The log is stamped by the broker clock, which settlement
+        reads; a sender's timestamp is not kept."""
+        broker = Broker("b", clock=lambda: 2.0)
+        broker.create_topic("t", 1)
+        broker.produce("t", b"x", timestamp=9.0)
+        assert list(broker.topic("t").partition(0)._append_clock) == [2.0]
 
     def test_byte_accounting(self, broker):
         broker.produce("IN-DATA", b"12345", key=b"abc")
@@ -248,7 +252,6 @@ def _log_state(broker, listener):
         block = log.read_block(0, 500)
         logs.append(
             (
-                log._timestamps,
                 log._keys,
                 log._values,
                 log.end_offset,
@@ -281,15 +284,12 @@ _block_producers = st.none() | st.tuples(
     partitions=st.integers(1, 3),
     history=_block_records,
     block=_block_records.filter(len),
-    timestamp=st.none() | st.just(0.25),
-    per_record_times=st.booleans(),
     producers=st.lists(_block_producers, min_size=12, max_size=12),
     ack_lost=st.booleans(),
     listened_keys=st.sets(st.integers(0, 6).map(lambda n: str(n).encode())),
 )
 def test_produce_block_is_one_produce_per_record(
-    partitions, history, block, timestamp, per_record_times, producers,
-    ack_lost, listened_keys,
+    partitions, history, block, producers, ack_lost, listened_keys,
 ):
     """A block's log, counters, idempotence state and notifications
     equal those of its records produced one block of one at a time."""
@@ -315,31 +315,20 @@ def test_produce_block_is_one_produce_per_record(
             broker.drop_acks_until(3.0)
         return broker, heard
 
-    times = [
-        0.5 + 0.125 * position if per_record_times else timestamp
-        for position in range(len(block))
-    ]
     ids = [None if p is None else p[0] for p in producers[: len(block)]]
     sequences = [None if p is None else p[1] for p in producers[: len(block)]]
     one_by_one, heard_singly = world()
     acks_lost = 0
-    for (key, value), at, producer_id, sequence in zip(
-        block, times, ids, sequences
-    ):
+    for (key, value), producer_id, sequence in zip(block, ids, sequences):
         try:
             one_by_one.produce(
-                "t", value, key=key, timestamp=at,
-                producer_id=producer_id, sequence=sequence,
+                "t", value, key=key, producer_id=producer_id, sequence=sequence
             )
         except BrokerUnavailable:
             acks_lost += 1
     at_once, heard_at_once = world()
     keys, values = zip(*block)
     columns = {"producer_ids": ids, "sequences": sequences}
-    if per_record_times:
-        columns["timestamps"] = times
-    else:
-        columns["timestamp"] = timestamp
     if acks_lost:
         with pytest.raises(BrokerUnavailable):
             at_once.produce_block("t", keys, values, **columns)

@@ -5,21 +5,21 @@ import pytest
 from repro.streaming import Partition, Topic
 
 
-def _append(partition, value, key=None, timestamp=0.0):
-    return partition.append_block([timestamp], [key], [value], timestamp)
+def _append(partition, value, key=None, appended_at=0.0):
+    return partition.append_block([key], [value], appended_at)
 
 
 class TestPartition:
     def test_offsets_are_sequential(self):
         partition = Partition("t", 0)
         assert _append(partition, b"a") == 0
-        assert partition.append_block([0.1, 0.2], [None, None], [b"b", b"c"], 0.2) == 1
+        assert partition.append_block([None, None], [b"b", b"c"], 0.2) == 1
         assert partition.end_offset == 3
 
     def test_read_from_offset(self):
         partition = Partition("t", 0)
         for index in range(5):
-            _append(partition, str(index).encode(), timestamp=float(index))
+            _append(partition, str(index).encode(), appended_at=float(index))
         segment = partition.read_block(2, 10)
         assert segment.value_list() == [b"2", b"3", b"4"]
         assert (segment.count, segment.next_offset) == (3, 5)

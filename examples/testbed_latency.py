@@ -14,7 +14,6 @@ import argparse
 from repro.core.system import default_training_dataset
 from repro.experiments.latency import fig6a_latency_sweep, format_fig6a
 from repro.experiments.multirsu import fig6bd_corridor
-from repro.experiments.reporting import horizontal_bars, series_with_axis
 
 
 def main() -> None:
@@ -34,11 +33,10 @@ def main() -> None:
     rows = fig6a_latency_sweep(counts, duration_s=duration, dataset=dataset)
     print(format_fig6a(rows))
     print()
-    print(series_with_axis(
-        [row.total_ms for row in rows], label="total latency", unit="ms"))
-    print(series_with_axis(
-        [row.total_bandwidth_mbps for row in rows], label="RSU bandwidth",
-        unit="Mb/s"))
+    print("total latency (ms): "
+          + "  ".join(f"{row.total_ms:.1f}" for row in rows))
+    print("RSU bandwidth (Mb/s): "
+          + "  ".join(f"{row.total_bandwidth_mbps:.3f}" for row in rows))
     worst = max(row.total_ms for row in rows)
     print(f"\n  -> end-to-end latency stays under 50 ms "
           f"(worst: {worst:.1f} ms); paper claims < 50 ms up to 256 vehicles")
@@ -51,12 +49,6 @@ def main() -> None:
         dataset=dataset,
     )
     print(corridor.format_table())
-    print()
-    print(horizontal_bars(
-        [row.name for row in corridor.rows],
-        [round(row.bandwidth_mbps, 3) for row in corridor.rows],
-        unit=" Mb/s",
-    ))
     link = corridor.link_row
     motorway_max = max(r.bandwidth_mbps for r in corridor.motorway_rows)
     print(f"\n  -> link RSU bandwidth {link.bandwidth_mbps:.3f} Mb/s vs "

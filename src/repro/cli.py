@@ -55,7 +55,6 @@ def _load_or_generate(args: argparse.Namespace):
 
         return SyntheticDataset(
             records=records,
-            trips=[],
             network=CityNetworkBuilder(seed=args.seed).build_corridor(),
             profiles=SpeedProfileLibrary(),
         )

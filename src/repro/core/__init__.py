@@ -50,14 +50,6 @@ from repro.core.system import (
     TestbedScenario,
 )
 from repro.core.vehicle import VehicleNode, VehicleStats
-from repro.core.workload import (
-    ChainWorkload,
-    CityWorkload,
-    CorridorWorkload,
-    SingleRsuCloudWorkload,
-    SingleRsuWorkload,
-    Workload,
-)
 from repro.core.wire import (
     SERDE_PROFILES,
     TelemetryStructSerde,
@@ -87,16 +79,10 @@ __all__ = [
     "ResilienceStats",
     "RsuConfig",
     "RsuNode",
-    "ChainWorkload",
-    "CityWorkload",
-    "CorridorWorkload",
     "ScenarioBuilder",
     "ScenarioResult",
     "ScenarioSpec",
-    "SingleRsuCloudWorkload",
-    "SingleRsuWorkload",
     "TestbedScenario",
-    "Workload",
     "paper_city",
     "paper_corridor",
     "paper_single_rsu",

@@ -16,8 +16,10 @@ upstream-silence timeout).
     result = scenario.run()
 
 Builder terminals (:meth:`~ScenarioBuilder.single_rsu`,
-:meth:`~ScenarioBuilder.corridor`, ...) hand the finished spec to the
-matching :class:`~repro.core.workload.Workload` dataclass; a
+:meth:`~ScenarioBuilder.corridor`, ...) hand the finished spec straight
+to the engine's constructor (:class:`~repro.core.system.TestbedScenario`,
+:class:`~repro.parallel.engine.ShardedScenario` when a corridor asks
+for more than one shard, :class:`~repro.city.engine.CityEngine`); a
 fault-free builder run is bit-identical to constructing the spec
 directly — the golden-equivalence tests pin this.
 
@@ -287,18 +289,18 @@ class ScenarioBuilder:
             )
 
     def single_rsu(self, dataset=None):
-        from repro.core.workload import SingleRsuWorkload
+        from repro.core.system import TestbedScenario
 
         self._require_single_process("single_rsu")
-        return SingleRsuWorkload(self._spec, dataset=dataset).build()
+        return TestbedScenario.single_rsu(self._spec, dataset=dataset)
 
     def single_rsu_cloud(self, dataset=None, cloud=None):
-        from repro.core.workload import SingleRsuCloudWorkload
+        from repro.core.system import TestbedScenario
 
         self._require_single_process("single_rsu_cloud")
-        return SingleRsuCloudWorkload(
+        return TestbedScenario.single_rsu_cloud(
             self._spec, dataset=dataset, cloud=cloud
-        ).build()
+        )
 
     def corridor(
         self,
@@ -306,20 +308,27 @@ class ScenarioBuilder:
         dataset=None,
         link_detector_kind: str = "cad3",
     ):
-        from repro.core.workload import CorridorWorkload
+        """The Fig. 1 interchange corridor; shards > 1 goes
+        multi-process (:class:`~repro.parallel.engine.ShardedScenario`)."""
+        from repro.core.system import TestbedScenario
 
-        return CorridorWorkload(
+        build = TestbedScenario.corridor
+        if self._spec.shards > 1:
+            from repro.parallel.engine import ShardedScenario
+
+            build = ShardedScenario
+        return build(
             self._spec,
             motorways=motorways,
             dataset=dataset,
             link_detector_kind=link_detector_kind,
-        ).build()
+        )
 
     def chain(self, hops: int = 3, dataset=None):
-        from repro.core.workload import ChainWorkload
+        from repro.core.system import TestbedScenario
 
         self._require_single_process("chain")
-        return ChainWorkload(self._spec, hops=hops, dataset=dataset).build()
+        return TestbedScenario.chain(self._spec, hops=hops, dataset=dataset)
 
     def city(self, **overrides):
         """City-scale trip churn over the Table V fleet.
@@ -331,8 +340,8 @@ class ScenarioBuilder:
         :class:`~repro.city.model.CitySpec` field passed as a keyword
         override.  Returns a :class:`~repro.city.engine.CityEngine`.
         """
+        from repro.city.engine import CityEngine
         from repro.city.model import CitySpec
-        from repro.core.workload import CityWorkload
 
         kwargs = {
             "seed": self._spec.seed,
@@ -342,7 +351,7 @@ class ScenarioBuilder:
         if self._duration_explicit:
             kwargs["duration_s"] = self._spec.duration_s
         kwargs.update(overrides)
-        return CityWorkload(CitySpec(**kwargs)).build()
+        return CityEngine(CitySpec(**kwargs))
 
 
 # ----------------------------------------------------------------------

@@ -5,42 +5,28 @@ cars / 214,718 trips / 17.9 M trajectories collected in Shenzhen in July
 2016.  That data is not available, so this package generates a
 statistically calibrated substitute:
 
-- :mod:`repro.dataset.schema` — record types mirroring the paper's
-  Tables I (trips / trajectories) and II (preprocessed features).
+- :mod:`repro.dataset.schema` — the record type of the paper's Table II
+  (preprocessed features).
 - :mod:`repro.dataset.speed_profiles` — per-road-type speed
   distributions with hour-of-day / day-of-week modulation (Fig. 2).
 - :mod:`repro.dataset.drivers` — per-driver behaviour model with
   persistent anomaly episodes (what makes collaboration pay off).
-- :mod:`repro.dataset.generator` — trip/trajectory/telemetry synthesis.
-- :mod:`repro.dataset.preprocess` — Eq. 4 speed/acceleration
-  derivation, erroneous-record filtering, sigma-cutoff labelling.
+- :mod:`repro.dataset.generator` — Table II telemetry synthesis.
+- :mod:`repro.dataset.preprocess` — erroneous-record filtering and
+  sigma-cutoff labelling.
 - :mod:`repro.dataset.stats` — Table III-style dataset statistics.
-- :mod:`repro.dataset.io` — CSV round-tripping.
+- :mod:`repro.dataset.io` — telemetry CSV round-tripping.
+
+The paper's Sec. IV raw-GPS stage (trip extraction, map matching, the
+Eq. 4 derivation) is not reproduced: the generator emits Table II rows
+directly and Table III is computed from them.
 """
 
 from repro.dataset.drivers import DriverModel, DriverProfile
-from repro.dataset.extract import ExtractionReport, extract_trips
 from repro.dataset.generator import DatasetGenerator, GeneratorConfig, SyntheticDataset
-from repro.dataset.io import (
-    read_telemetry_csv,
-    read_trips_csv,
-    write_telemetry_csv,
-    write_trips_csv,
-)
-from repro.dataset.preprocess import (
-    FilterConfig,
-    Preprocessor,
-    SigmaCutoffLabeler,
-    derive_telemetry,
-)
-from repro.dataset.schema import (
-    ABNORMAL,
-    NORMAL,
-    AnomalyKind,
-    TelemetryRecord,
-    TrajectoryPoint,
-    Trip,
-)
+from repro.dataset.io import read_telemetry_csv, write_telemetry_csv
+from repro.dataset.preprocess import FilterConfig, Preprocessor, SigmaCutoffLabeler
+from repro.dataset.schema import ABNORMAL, NORMAL, AnomalyKind, TelemetryRecord
 from repro.dataset.speed_profiles import SpeedProfile, SpeedProfileLibrary
 from repro.dataset.stats import DatasetStatistics, compute_statistics
 
@@ -51,7 +37,6 @@ __all__ = [
     "DatasetStatistics",
     "DriverModel",
     "DriverProfile",
-    "ExtractionReport",
     "FilterConfig",
     "GeneratorConfig",
     "NORMAL",
@@ -61,13 +46,7 @@ __all__ = [
     "SpeedProfileLibrary",
     "SyntheticDataset",
     "TelemetryRecord",
-    "TrajectoryPoint",
-    "Trip",
     "compute_statistics",
-    "derive_telemetry",
-    "extract_trips",
     "read_telemetry_csv",
-    "read_trips_csv",
     "write_telemetry_csv",
-    "write_trips_csv",
 ]

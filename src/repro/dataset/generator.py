@@ -1,12 +1,11 @@
-"""Synthetic trip / trajectory / telemetry generation.
+"""Synthetic telemetry generation.
 
 Substitute for the paper's proprietary Shenzhen private-car dataset.
-The generator produces three artefacts:
+The generator produces two artefacts:
 
-- **Trips** with GPS trajectories (Table I shape) — used to exercise
-  the map-matching and Eq. 4 preprocessing path.
 - **Telemetry records** (Table II shape) — the feature rows consumed by
-  the detection models; produced directly at scale.
+  the detection models; produced directly at scale, in place of the
+  paper's raw-GPS trips and their Eq. 4 derivation.
 - Per-record **ground-truth anomaly kinds** — what the paper's offline
   sigma-cutoff labelling approximates.
 
@@ -17,17 +16,15 @@ anomaly episodes spanning segment handovers) comes from
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dataset.drivers import DriverModel, DriverProfile
-from repro.dataset.schema import AnomalyKind, TelemetryRecord, TrajectoryPoint, Trip
+from repro.dataset.schema import AnomalyKind, TelemetryRecord
 from repro.dataset.speed_profiles import SpeedProfileLibrary
-from repro.geo.coords import LatLon
 from repro.geo.roadnet import RoadNetwork, RoadSegment, RoadType
 from repro.simkernel.rng import RngRegistry
 
@@ -50,7 +47,6 @@ class GeneratorConfig:
     max_records_per_segment: int = 60
     min_records_per_segment: int = 3
     erroneous_rate: float = 0.01  # fraction of corrupted records
-    gps_noise_m: float = 8.0
     seed: int = 42
     #: Trip shape: "corridor" sends every trip motorway -> motorway
     #: link (the microscopic use case); "random" walks the road graph;
@@ -77,7 +73,6 @@ class SyntheticDataset:
     """The generator's output bundle."""
 
     records: List[TelemetryRecord]
-    trips: List[Trip]
     network: RoadNetwork
     profiles: SpeedProfileLibrary
     drivers: Dict[int, DriverProfile] = field(default_factory=dict)
@@ -223,18 +218,10 @@ class DatasetGenerator:
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------
-    def generate(self, with_trajectories: bool = False) -> SyntheticDataset:
-        """Produce the full dataset.
-
-        Parameters
-        ----------
-        with_trajectories:
-            Also synthesise per-trip GPS fixes (slower; used by the
-            map-matching / preprocessing path and its tests).
-        """
+    def generate(self) -> SyntheticDataset:
+        """Produce the full dataset."""
         drivers = self.make_drivers()
         records: List[TelemetryRecord] = []
-        trips: List[Trip] = []
         trip_object_id = 1
         for car_id, profile in drivers.items():
             model = DriverModel(profile, self._driver_rng)
@@ -245,22 +232,14 @@ class DatasetGenerator:
                 day = int(self._rng.integers(1, self.config.n_days + 1))
                 hour = self._sample_trip_hour()
                 route = self._route()
-                trip_records, trip = self._generate_trip(
-                    trip_object_id,
-                    car_id,
-                    model,
-                    route,
-                    day,
-                    hour,
-                    with_trajectories,
+                records.extend(
+                    self._generate_trip(
+                        trip_object_id, car_id, model, route, day, hour
+                    )
                 )
-                records.extend(trip_records)
-                if trip is not None:
-                    trips.append(trip)
                 trip_object_id += 1
         return SyntheticDataset(
             records=records,
-            trips=trips,
             network=self.network,
             profiles=self.profiles,
             drivers=drivers,
@@ -283,12 +262,10 @@ class DatasetGenerator:
         route: Sequence[RoadSegment],
         day: int,
         hour: int,
-        with_trajectories: bool,
-    ) -> Tuple[List[TelemetryRecord], Optional[Trip]]:
+    ) -> List[TelemetryRecord]:
         config = self.config
         model.begin_trip()
         records: List[TelemetryRecord] = []
-        fixes: List[TrajectoryPoint] = []
         weekend = TelemetryRecord(
             car_id=car_id,
             road_id=route[0].segment_id,
@@ -299,8 +276,7 @@ class DatasetGenerator:
             road_type=route[0].road_type,
             road_mean_speed_kmh=1.0,
         ).is_weekend
-        start_time = (day - 1) * DAY_S + hour * 3600.0
-        clock = start_time
+        clock = (day - 1) * DAY_S + hour * 3600.0
         for leg_index, segment in enumerate(route):
             if leg_index > 0:
                 model.on_segment_change()
@@ -327,7 +303,6 @@ class DatasetGenerator:
                 )
                 pairs = list(zip(speeds.tolist(), accels.tolist()))
             pairs = self._corrupt_batch(pairs)
-            offset_m = 0.0
             for speed, accel in pairs:
                 records.append(
                     TelemetryRecord(
@@ -344,26 +319,8 @@ class DatasetGenerator:
                         trip_id=object_id,
                     )
                 )
-                if with_trajectories:
-                    point = segment.point_at(offset_m)
-                    fixes.append(self._noisy_fix(object_id, point, clock))
-                offset_m += (speed / 3.6) * config.sample_period_s
                 clock += config.sample_period_s
-        trip = None
-        if with_trajectories and fixes:
-            trip = Trip(
-                object_id=object_id,
-                car_id=car_id,
-                start_time=start_time,
-                stop_time=clock,
-                start_lon=fixes[0].lon,
-                start_lat=fixes[0].lat,
-                stop_lon=fixes[-1].lon,
-                stop_lat=fixes[-1].lat,
-                mileage_km=sum(seg.length_m for seg in route) / 1000.0,
-                trajectory=fixes,
-            )
-        return records, trip
+        return records
 
     def _samples_for_segment(
         self, segment: RoadSegment, mean_speed_kmh: float
@@ -414,14 +371,3 @@ class DatasetGenerator:
         self._error_rng.bit_generator.state = state
         return [self._maybe_corrupt(speed, accel) for speed, accel in pairs]
 
-    def _noisy_fix(
-        self, object_id: int, point: LatLon, timestamp: float
-    ) -> TrajectoryPoint:
-        # ~1e-5 degrees per metre at Shenzhen's latitude.
-        noise_deg = self.config.gps_noise_m * 1e-5
-        return TrajectoryPoint(
-            object_id=object_id,
-            lon=point.lon + float(self._rng.normal(0.0, noise_deg)),
-            lat=point.lat + float(self._rng.normal(0.0, noise_deg)),
-            gps_time=timestamp,
-        )

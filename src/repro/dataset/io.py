@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Union
 
-from repro.dataset.schema import AnomalyKind, TelemetryRecord, TrajectoryPoint, Trip
+from repro.dataset.schema import AnomalyKind, TelemetryRecord
 from repro.geo.roadnet import RoadType
 
 PathLike = Union[str, Path]
@@ -80,98 +80,3 @@ def read_telemetry_csv(path: PathLike) -> List[TelemetryRecord]:
             )
     return records
 
-
-TRIP_FIELDS = [
-    "object_id",
-    "car_id",
-    "start_time",
-    "stop_time",
-    "start_lon",
-    "start_lat",
-    "stop_lon",
-    "stop_lat",
-    "mileage_km",
-    "fuel_l",
-]
-
-TRAJECTORY_FIELDS = ["object_id", "lon", "lat", "gps_time", "ac_mileage_km"]
-
-
-def write_trips_csv(
-    trips_path: PathLike,
-    trajectories_path: PathLike,
-    trips: List[Trip],
-) -> None:
-    """Write trips and their trajectories as the paper's two tables."""
-    with open(trips_path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=TRIP_FIELDS)
-        writer.writeheader()
-        for trip in trips:
-            writer.writerow(
-                {
-                    "object_id": trip.object_id,
-                    "car_id": trip.car_id,
-                    "start_time": repr(trip.start_time),
-                    "stop_time": repr(trip.stop_time),
-                    "start_lon": repr(trip.start_lon),
-                    "start_lat": repr(trip.start_lat),
-                    "stop_lon": repr(trip.stop_lon),
-                    "stop_lat": repr(trip.stop_lat),
-                    "mileage_km": repr(trip.mileage_km),
-                    "fuel_l": repr(trip.fuel_l),
-                }
-            )
-    with open(trajectories_path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=TRAJECTORY_FIELDS)
-        writer.writeheader()
-        for trip in trips:
-            for point in trip.trajectory:
-                writer.writerow(
-                    {
-                        "object_id": point.object_id,
-                        "lon": repr(point.lon),
-                        "lat": repr(point.lat),
-                        "gps_time": repr(point.gps_time),
-                        "ac_mileage_km": repr(point.ac_mileage_km),
-                    }
-                )
-
-
-def read_trips_csv(
-    trips_path: PathLike, trajectories_path: Optional[PathLike] = None
-) -> List[Trip]:
-    """Read trips (and optionally their trajectories) from CSV."""
-    trips = []
-    with open(trips_path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            trips.append(
-                Trip(
-                    object_id=int(row["object_id"]),
-                    car_id=int(row["car_id"]),
-                    start_time=float(row["start_time"]),
-                    stop_time=float(row["stop_time"]),
-                    start_lon=float(row["start_lon"]),
-                    start_lat=float(row["start_lat"]),
-                    stop_lon=float(row["stop_lon"]),
-                    stop_lat=float(row["stop_lat"]),
-                    mileage_km=float(row["mileage_km"]),
-                    fuel_l=float(row["fuel_l"]),
-                )
-            )
-    if trajectories_path is not None:
-        by_id = {trip.object_id: trip for trip in trips}
-        with open(trajectories_path, newline="") as handle:
-            for row in csv.DictReader(handle):
-                object_id = int(row["object_id"])
-                if object_id not in by_id:
-                    continue
-                by_id[object_id].trajectory.append(
-                    TrajectoryPoint(
-                        object_id=object_id,
-                        lon=float(row["lon"]),
-                        lat=float(row["lat"]),
-                        gps_time=float(row["gps_time"]),
-                        ac_mileage_km=float(row["ac_mileage_km"]),
-                    )
-                )
-    return trips

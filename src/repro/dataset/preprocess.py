@@ -1,12 +1,12 @@
-"""Offline preprocessing: Eq. 4 derivation, filtering, sigma labelling.
+"""Offline preprocessing: filtering and sigma labelling.
 
-This is the paper's offline stage (Sec. IV-B):
+This is the paper's offline stage (Sec. IV-B) from Table II rows on.
+The Eq. 4 derivation from raw GPS is not reproduced: the generator
+emits Table II telemetry directly (see DESIGN.md).
 
-1. Derive instantaneous speed and acceleration from raw GPS
-   trajectories (Eq. 4) and map-match each fix to recover road context.
-2. Filter erroneous measurements (Table III is stated "after filtering
+1. Filter erroneous measurements (Table III is stated "after filtering
    the erroneous values").
-3. Label each point by the sigma cut-off: normal (class = 1) when speed
+2. Label each point by the sigma cut-off: normal (class = 1) when speed
    and acceleration are within [mu - sigma, mu + sigma] of the
    road-type distribution, abnormal (class = 0) otherwise.
 """
@@ -25,13 +25,9 @@ from repro.dataset.schema import (
     ABNORMAL,
     NORMAL,
     TelemetryRecord,
-    Trip,
     road_type_codes,
 )
-from repro.geo.coords import LatLon
-from repro.geo.distance import haversine_m
-from repro.geo.mapmatch import HmmMapMatcher
-from repro.geo.roadnet import RoadNetwork, RoadType
+from repro.geo.roadnet import RoadType
 
 
 #: Road types in declaration order: a record's road-type code
@@ -275,74 +271,3 @@ class Preprocessor:
             kept, self.labeler._label_columns(columns).tolist()
         )
 
-
-def derive_telemetry(
-    trip: Trip,
-    network: RoadNetwork,
-    matcher: Optional[HmmMapMatcher] = None,
-    road_mean_speeds: Optional[Dict[int, float]] = None,
-) -> List[TelemetryRecord]:
-    """Eq. 4: derive Table II feature rows from a raw GPS trip.
-
-    Instantaneous speed is the great-circle distance between
-    consecutive fixes over their time delta; acceleration is the speed
-    delta over the time delta.  Each fix is map-matched to recover road
-    id and type.  ``road_mean_speeds`` (segment id -> mean speed, km/h)
-    provides the ``v_r_bar`` context; when absent, the segment's
-    free-flow speed is used.
-
-    Fixes that fail to map-match, or have non-increasing timestamps,
-    are skipped.
-    """
-    matcher = matcher or HmmMapMatcher(network)
-    fixes = trip.trajectory
-    if len(fixes) < 2:
-        return []
-    match = matcher.match([LatLon(f.lat, f.lon) for f in fixes])
-    records: List[TelemetryRecord] = []
-    prev_speed_kmh: Optional[float] = None
-    for current, nxt, matched in zip(fixes, fixes[1:], match.points):
-        dt = nxt.gps_time - current.gps_time
-        if dt <= 0 or matched is None:
-            prev_speed_kmh = None
-            continue
-        dist_m = haversine_m(current.lat, current.lon, nxt.lat, nxt.lon)
-        speed_kmh = (dist_m / dt) * 3.6
-        if prev_speed_kmh is None:
-            accel = 0.0
-        else:
-            accel = ((speed_kmh - prev_speed_kmh) / 3.6) / dt
-        prev_speed_kmh = speed_kmh
-        segment = network.segment(matched.segment_id)
-        if road_mean_speeds and matched.segment_id in road_mean_speeds:
-            v_r_bar = road_mean_speeds[matched.segment_id]
-        else:
-            v_r_bar = segment.free_flow_kmh
-        day = int(current.gps_time // 86_400.0) + 1
-        hour = int((current.gps_time % 86_400.0) // 3600.0)
-        records.append(
-            TelemetryRecord(
-                car_id=trip.car_id,
-                road_id=matched.segment_id,
-                accel_ms2=accel,
-                speed_kmh=speed_kmh,
-                hour=hour,
-                day=min(day, 31),
-                road_type=segment.road_type,
-                road_mean_speed_kmh=v_r_bar,
-                timestamp=current.gps_time,
-            )
-        )
-    return records
-
-
-def road_mean_speeds(
-    records: Sequence[TelemetryRecord],
-) -> Dict[int, float]:
-    """Per-road mean instantaneous speed, Eq. 4's ``v_r_bar``."""
-    sums: Dict[int, float] = {}
-    counts: Dict[int, int] = {}
-    for record in records:
-        sums[record.road_id] = sums.get(record.road_id, 0.0) + record.speed_kmh
-        counts[record.road_id] = counts.get(record.road_id, 0) + 1
-    return {rid: sums[rid] / counts[rid] for rid in sums}

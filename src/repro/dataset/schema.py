@@ -1,7 +1,7 @@
 """Record types for the driving dataset.
 
-These mirror the paper's Table I (raw trips and GPS trajectories) and
-Table II (the preprocessed feature rows fed to the detectors):
+These mirror the paper's Table II (the preprocessed feature rows fed to
+the detectors):
 
     CarID | RdID | accel | Speed | Hour | Day | RdType | v_r_bar
 
@@ -12,7 +12,7 @@ plus the offline sigma-cutoff label (``class``: 1 = normal,
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
 from typing import List, Optional, Sequence
@@ -33,50 +33,6 @@ class AnomalyKind(enum.Enum):
     SPEEDING = "speeding"
     SLOWING = "slowing"
     SUDDEN_ACCELERATION = "sudden_acceleration"
-
-
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    """One GPS fix (one row of the trajectory half of Table I)."""
-
-    object_id: int
-    lon: float
-    lat: float
-    gps_time: float  # seconds since dataset epoch
-    ac_mileage_km: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.gps_time < 0:
-            raise ValueError(f"gps_time must be non-negative: {self.gps_time}")
-
-
-@dataclass
-class Trip:
-    """One trip (the trip half of Table I) and its trajectory."""
-
-    object_id: int
-    car_id: int
-    start_time: float  # seconds since dataset epoch
-    stop_time: float
-    start_lon: float = 0.0
-    start_lat: float = 0.0
-    stop_lon: float = 0.0
-    stop_lat: float = 0.0
-    mileage_km: float = 0.0
-    fuel_l: float = 0.0
-    trajectory: List[TrajectoryPoint] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.stop_time < self.start_time:
-            raise ValueError(
-                f"trip {self.object_id}: stop_time {self.stop_time} before "
-                f"start_time {self.start_time}"
-            )
-
-    @property
-    def period_s(self) -> float:
-        """Trip duration (the ``Period`` column of Table I)."""
-        return self.stop_time - self.start_time
 
 
 @dataclass(frozen=True)

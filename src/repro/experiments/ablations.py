@@ -129,13 +129,10 @@ def ablate_episode_persistence(
         original_generate = generator._generate_trip
 
         def patched(
-            object_id, car_id, model, route, day, hour, with_trajectories,
-            _persistence=persistence,
+            object_id, car_id, model, route, day, hour, _persistence=persistence
         ):
             model.episode_continue_prob = _persistence
-            return original_generate(
-                object_id, car_id, model, route, day, hour, with_trajectories
-            )
+            return original_generate(object_id, car_id, model, route, day, hour)
 
         generator._generate_trip = patched
         dataset = generator.generate()

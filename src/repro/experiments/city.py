@@ -1,9 +1,8 @@
 """The ``repro city`` experiment: a trip-churn day over the Table V fleet.
 
-Thin shell over :class:`~repro.city.engine.CityEngine` reached through
-the :class:`~repro.core.workload.CityWorkload` construction path (the
-same one :meth:`ScenarioBuilder.city` uses), so the CLI exercises the
-unified Workload API rather than a private entry point.
+Thin shell over :class:`~repro.city.engine.CityEngine`, constructed
+from a :class:`~repro.city.model.CitySpec` as
+:meth:`ScenarioBuilder.city` constructs it.
 """
 
 from __future__ import annotations
@@ -131,8 +130,8 @@ def city_report(
     profile: bool = False,
 ) -> CityReport:
     """Run one city churn day (or fraction of one) and report it."""
+    from repro.city.engine import CityEngine
     from repro.city.model import COMMUTE_WAVE, FLAT_WAVE, CitySpec
-    from repro.core.workload import CityWorkload
 
     waves = {"commute": COMMUTE_WAVE, "flat": FLAT_WAVE}
     if wave not in waves:
@@ -150,7 +149,7 @@ def city_report(
         initial_assignments=initial_assignments,
         profile=profile,
     )
-    result = CityWorkload(spec).build().run()
+    result = CityEngine(spec).run()
     return CityReport(
         seed=seed,
         shards=shards,

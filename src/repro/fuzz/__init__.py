@@ -26,7 +26,6 @@ from repro.fuzz.runner import (
     FuzzReport,
     FuzzRunner,
     minimize_spec,
-    replay_corpus,
     replay_corpus_entry,
     write_corpus_entry,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "GOLDEN_SCENARIO_SEED",
     "OracleReport",
     "minimize_spec",
-    "replay_corpus",
     "replay_corpus_entry",
     "run_city_oracles",
     "run_oracles",

@@ -475,15 +475,6 @@ def replay_corpus_entry(path: Path, update_digest: bool = False) -> dict:
     }
 
 
-def replay_corpus(corpus_dir: Path, update_digest: bool = False) -> List[dict]:
-    """Replay every ``*.json`` entry in a corpus directory (sorted)."""
-    entries = sorted(Path(corpus_dir).glob("*.json"))
-    return [
-        replay_corpus_entry(entry, update_digest=update_digest)
-        for entry in entries
-    ]
-
-
 def fuzz_dataset_warmup(spec: Optional[FuzzSpec] = None) -> None:
     """Pre-build the shared training dataset (keeps timing out of the
     first chunk's wall-clock accounting)."""

@@ -349,13 +349,11 @@ class FuzzSpec:
 
     def build(self, dataset, **overrides):
         """A runnable engine for this spec (spec overrides applied)."""
-        from repro.core.workload import CorridorWorkload
+        from repro.core.scenario import ScenarioBuilder
 
-        return CorridorWorkload(
-            self.scenario_spec(**overrides),
-            motorways=self.motorways,
-            dataset=dataset,
-        ).build()
+        return ScenarioBuilder(self.scenario_spec(**overrides)).corridor(
+            motorways=self.motorways, dataset=dataset
+        )
 
     # ------------------------------------------------------------------
     # JSON codec

@@ -1,8 +1,9 @@
 """Geographic substrate.
 
-The paper extracts Shenzhen trips from raw GPS, map-matches them onto
-the OSM road network (Newson & Krumm HMM map matching), and derives
-per-road speed context.  This package provides the same primitives:
+The paper extracts Shenzhen trips from raw GPS and map-matches them
+onto the OSM road network.  This reproduction generates Table II
+telemetry directly on a synthetic network (see :mod:`repro.dataset`),
+so it keeps the network, not the matching:
 
 - :mod:`repro.geo.coords` — WGS-84 points and projections.
 - :mod:`repro.geo.distance` — great-circle (haversine) distance, the
@@ -11,8 +12,6 @@ per-road speed context.  This package provides the same primitives:
   graph.
 - :mod:`repro.geo.network_builder` — synthetic Shenzhen-like road
   network generation (substitute for the proprietary OSM extract).
-- :mod:`repro.geo.mapmatch` — HMM map matching of noisy GPS traces onto
-  the road graph.
 """
 
 from repro.geo.coords import BoundingBox, LatLon, destination_point
@@ -22,7 +21,6 @@ from repro.geo.distance import (
     haversine_m,
     path_length_m,
 )
-from repro.geo.mapmatch import HmmMapMatcher, MapMatchResult
 from repro.geo.network_builder import CityNetworkBuilder, NetworkSpec
 from repro.geo.roadnet import RoadNetwork, RoadSegment, RoadType
 from repro.geo.router import RouteNotFound, Router
@@ -31,9 +29,7 @@ __all__ = [
     "BoundingBox",
     "CityNetworkBuilder",
     "EARTH_RADIUS_M",
-    "HmmMapMatcher",
     "LatLon",
-    "MapMatchResult",
     "NetworkSpec",
     "RoadNetwork",
     "RoadSegment",

@@ -42,12 +42,6 @@ class BoundingBox:
         if self.west > self.east:
             raise ValueError(f"west ({self.west}) exceeds east ({self.east})")
 
-    def contains(self, point: LatLon) -> bool:
-        return (
-            self.south <= point.lat <= self.north
-            and self.west <= point.lon <= self.east
-        )
-
     @property
     def center(self) -> LatLon:
         return LatLon(

@@ -9,9 +9,8 @@ so trips can be routed and adjacent RSUs discovered.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.geo.coords import LatLon
 from repro.geo.distance import haversine_m
@@ -108,26 +107,6 @@ class RoadSegment:
     def end(self) -> LatLon:
         return self.polyline[-1]
 
-    def point_at(self, offset_m: float) -> LatLon:
-        """Interpolate the point ``offset_m`` metres from the start.
-
-        Offsets are clamped to ``[0, length_m]``.
-        """
-        offset = max(0.0, min(offset_m, self.length_m))
-        remaining = offset
-        for a, b in zip(self.polyline, self.polyline[1:]):
-            leg = haversine_m(a.lat, a.lon, b.lat, b.lon)
-            if leg <= 0:
-                continue
-            if remaining <= leg:
-                frac = remaining / leg
-                return LatLon(
-                    a.lat + (b.lat - a.lat) * frac,
-                    a.lon + (b.lon - a.lon) * frac,
-                )
-            remaining -= leg
-        return self.end
-
 
 class RoadNetwork:
     """A graph of :class:`RoadSegment` objects.
@@ -135,7 +114,7 @@ class RoadNetwork:
     Segments are connected when they share an endpoint (within a small
     snapping tolerance).  The network answers the queries the rest of
     the system needs: adjacency (for inter-RSU collaboration topology),
-    nearest-segment lookup and point projection (for map matching).
+    lookup by id and by road type.
     """
 
     #: Endpoints closer than this (metres) are treated as the same node.
@@ -223,57 +202,6 @@ class RoadNetwork:
         if segment_id not in self._adjacency:
             raise KeyError(f"unknown segment id {segment_id}")
         return sorted(self._adjacency[segment_id])
-
-    def project(
-        self, segment_id: int, point: LatLon
-    ) -> Tuple[float, float, LatLon]:
-        """Project ``point`` onto a segment.
-
-        Returns ``(distance_m, offset_m, snapped_point)`` where
-        ``distance_m`` is the perpendicular distance from the point to
-        the segment and ``offset_m`` the along-segment position of the
-        snap.
-        """
-        segment = self.segment(segment_id)
-        best: Optional[Tuple[float, float, LatLon]] = None
-        offset_base = 0.0
-        cos_lat = math.cos(math.radians(point.lat))
-        for a, b in zip(segment.polyline, segment.polyline[1:]):
-            # Equirectangular local projection; adequate at city scale.
-            ax = (a.lon - point.lon) * cos_lat
-            ay = a.lat - point.lat
-            bx = (b.lon - point.lon) * cos_lat
-            by = b.lat - point.lat
-            dx, dy = bx - ax, by - ay
-            seg_len2 = dx * dx + dy * dy
-            if seg_len2 <= 0:
-                t = 0.0
-            else:
-                t = max(0.0, min(1.0, -(ax * dx + ay * dy) / seg_len2))
-            snap = LatLon(a.lat + (b.lat - a.lat) * t, a.lon + (b.lon - a.lon) * t)
-            dist = haversine_m(point.lat, point.lon, snap.lat, snap.lon)
-            leg = haversine_m(a.lat, a.lon, b.lat, b.lon)
-            if best is None or dist < best[0]:
-                best = (dist, offset_base + t * leg, snap)
-            offset_base += leg
-        assert best is not None  # polyline always has >= 1 leg
-        return best
-
-    def nearest_segments(
-        self, point: LatLon, k: int = 5, max_distance_m: float = 250.0
-    ) -> List[Tuple[int, float]]:
-        """The ``k`` segments nearest to ``point`` within a radius.
-
-        Returns ``(segment_id, distance_m)`` pairs sorted by distance.
-        This is the candidate-generation step of HMM map matching.
-        """
-        candidates = []
-        for segment_id in self._segments:
-            dist, _, _ = self.project(segment_id, point)
-            if dist <= max_distance_m:
-                candidates.append((segment_id, dist))
-        candidates.sort(key=lambda item: (item[1], item[0]))
-        return candidates[:k]
 
     def total_length_m(self) -> float:
         return sum(seg.length_m for seg in self._segments.values())

@@ -197,18 +197,12 @@ class DecisionTreeClassifier:
         return best
 
     # ------------------------------------------------------------------
-    def _leaf_for(self, row: np.ndarray) -> TreeNode:
-        node = self.root_
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node
-
     def _leaf_proba_matrix(self, X: np.ndarray) -> np.ndarray:
         """Vectorised routing: partition row indices down the tree.
 
-        Equivalent to calling :meth:`_leaf_for` per row but O(depth)
-        numpy passes instead of a Python loop per sample — the hot
-        path when scoring paper-scale batches.
+        Equivalent to walking the tree from the root once per row, but
+        O(depth) numpy passes instead of a Python loop per sample — the
+        hot path when scoring paper-scale batches.
         """
         out = np.empty((len(X), len(self.classes_)))
         stack = [(self.root_, np.arange(len(X)))]

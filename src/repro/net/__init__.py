@@ -21,13 +21,6 @@ from repro.net.cellular import (
     CellularLink,
     CellularProfile,
 )
-from repro.net.channels import (
-    CONTROL_CHANNEL,
-    SERVICE_CHANNELS,
-    ChannelManager,
-    ChannelPlan,
-    RsuSite,
-)
 from repro.net.dsrc import (
     DSRC_BANDWIDTH_BPS,
     MCS_TABLE,
@@ -41,11 +34,8 @@ from repro.net.htb import HtbClass, HtbShaper
 from repro.net.link import WiredLink
 
 __all__ = [
-    "CONTROL_CHANNEL",
     "CellularLink",
     "CellularProfile",
-    "ChannelManager",
-    "ChannelPlan",
     "DSRC_BANDWIDTH_BPS",
     "DsrcChannel",
     "DsrcMacModel",
@@ -57,7 +47,5 @@ __all__ = [
     "NR_5G_PROFILE",
     "PAPER_MCS_3",
     "PAPER_MCS_8",
-    "RsuSite",
-    "SERVICE_CHANNELS",
     "WiredLink",
 ]

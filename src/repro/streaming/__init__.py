@@ -31,7 +31,7 @@ from repro.streaming.broker import (
 )
 from repro.streaming.consumer import Consumer
 from repro.streaming.producer import Producer, RetryPolicy
-from repro.streaming.serde import JsonSerde, RawSerde, Serde
+from repro.streaming.serde import JsonSerde, Serde
 from repro.streaming.topic import Partition, Topic
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "JsonSerde",
     "Partition",
     "Producer",
-    "RawSerde",
     "RetryPolicy",
     "Serde",
     "Topic",

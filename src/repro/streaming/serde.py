@@ -293,16 +293,3 @@ class FlatStructSerde(Serde):
             out[key] = decoder(raw) if decoder is not None else raw
         return out
 
-
-class RawSerde(Serde):
-    """Pass-through for pre-encoded bytes."""
-
-    def serialize(self, value: Any) -> bytes:
-        if isinstance(value, bytes):
-            return value
-        if isinstance(value, str):
-            return value.encode("utf-8")
-        raise SerdeError(f"RawSerde expects bytes or str, got {type(value)}")
-
-    def deserialize(self, payload: bytes) -> Any:
-        return payload

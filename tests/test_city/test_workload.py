@@ -1,38 +1,9 @@
-"""The unified Workload protocol and the builder's city terminal."""
+"""The builder's city terminal."""
 
 from repro.city.engine import CityEngine
 from repro.city.model import CitySpec
-from repro.core import ScenarioBuilder, ScenarioSpec
+from repro.core import ScenarioBuilder
 from repro.core.scenario import paper_city
-from repro.core.workload import (
-    ChainWorkload,
-    CityWorkload,
-    CorridorWorkload,
-    SingleRsuCloudWorkload,
-    SingleRsuWorkload,
-    Workload,
-)
-
-
-class TestProtocol:
-    def test_every_family_satisfies_workload(self):
-        spec = ScenarioSpec(n_vehicles=4)
-        workloads = [
-            SingleRsuWorkload(spec),
-            SingleRsuCloudWorkload(spec),
-            ChainWorkload(spec),
-            CorridorWorkload(spec),
-            CityWorkload(CitySpec()),
-        ]
-        for workload in workloads:
-            assert isinstance(workload, Workload)
-            assert isinstance(workload.name, str)
-
-    def test_city_workload_builds_engine(self):
-        spec = CitySpec(count_scale=0.01, duration_s=120.0)
-        engine = CityWorkload(spec).build()
-        assert isinstance(engine, CityEngine)
-        assert engine.spec is spec
 
 
 class TestBuilderCityTerminal:

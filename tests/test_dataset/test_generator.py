@@ -88,17 +88,6 @@ class TestGeneration:
         rush = np.sum((np.abs(hours - 8) <= 2) | (np.abs(hours - 18) <= 2))
         assert rush / len(hours) > 0.4
 
-    def test_with_trajectories(self, corridor):
-        dataset = DatasetGenerator(
-            corridor, GeneratorConfig(n_cars=5, trips_per_car=2, seed=6)
-        ).generate(with_trajectories=True)
-        assert dataset.trips
-        for trip in dataset.trips:
-            assert trip.trajectory
-            times = [p.gps_time for p in trip.trajectory]
-            assert times == sorted(times)
-            assert trip.stop_time >= trip.start_time
-
     def test_erroneous_rate_injects_bad_records(self, corridor):
         dataset = DatasetGenerator(
             corridor,

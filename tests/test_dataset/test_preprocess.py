@@ -1,4 +1,4 @@
-"""Tests for filtering, labelling, and Eq. 4 derivation."""
+"""Tests for filtering and labelling."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,7 @@ from repro.dataset import (
     GeneratorConfig,
     Preprocessor,
     SigmaCutoffLabeler,
-    derive_telemetry,
 )
-from repro.dataset.preprocess import road_mean_speeds
 from repro.dataset.schema import ABNORMAL, NORMAL, TelemetryRecord
 from repro.geo import CityNetworkBuilder, RoadType
 
@@ -244,41 +242,3 @@ class TestPreprocessor:
 
     def test_empty_input(self):
         assert Preprocessor().run([]) == []
-
-
-class TestDeriveTelemetry:
-    def test_eq4_recovers_speed(self):
-        """A synthetic trip driven at constant speed should yield
-        Eq. 4 speeds near that speed after map matching."""
-        network = CityNetworkBuilder(seed=1).build_corridor()
-        dataset = DatasetGenerator(
-            network,
-            GeneratorConfig(
-                n_cars=3, trips_per_car=2, seed=5, gps_noise_m=2.0,
-                erroneous_rate=0.0,
-            ),
-        ).generate(with_trajectories=True)
-        trip = max(dataset.trips, key=lambda t: len(t.trajectory))
-        derived = derive_telemetry(trip, network)
-        assert derived
-        speeds = np.array([r.speed_kmh for r in derived])
-        # Generated speeds are motorway-scale; derived ones should be too.
-        assert 40.0 < np.median(speeds) < 250.0
-        assert all(r.car_id == trip.car_id for r in derived)
-
-    def test_short_trip_returns_empty(self):
-        network = CityNetworkBuilder(seed=1).build_corridor()
-        from repro.dataset.schema import Trip
-
-        trip = Trip(object_id=1, car_id=1, start_time=0.0, stop_time=0.0)
-        assert derive_telemetry(trip, network) == []
-
-    def test_road_mean_speeds(self):
-        records = [
-            make_record(100.0, road_id=1),
-            make_record(120.0, road_id=1),
-            make_record(50.0, road_id=2),
-        ]
-        means = road_mean_speeds(records)
-        assert means[1] == pytest.approx(110.0)
-        assert means[2] == pytest.approx(50.0)

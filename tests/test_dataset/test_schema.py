@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.dataset import ABNORMAL, NORMAL, AnomalyKind, TelemetryRecord, Trip
-from repro.dataset.schema import TrajectoryPoint
+from repro.dataset import ABNORMAL, NORMAL, AnomalyKind, TelemetryRecord
 from repro.geo import RoadType
 
 
@@ -64,20 +63,6 @@ class TestTelemetryRecord:
     def test_label_constants(self):
         assert NORMAL == 1
         assert ABNORMAL == 0
-
-
-class TestTrip:
-    def test_period(self):
-        trip = Trip(object_id=1, car_id=2, start_time=100.0, stop_time=400.0)
-        assert trip.period_s == 300.0
-
-    def test_stop_before_start_rejected(self):
-        with pytest.raises(ValueError):
-            Trip(object_id=1, car_id=2, start_time=400.0, stop_time=100.0)
-
-    def test_trajectory_points_validated(self):
-        with pytest.raises(ValueError):
-            TrajectoryPoint(object_id=1, lon=114.0, lat=22.5, gps_time=-1.0)
 
     def test_anomaly_kinds(self):
         assert AnomalyKind.NONE.value == "none"

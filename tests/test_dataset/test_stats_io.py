@@ -7,9 +7,7 @@ from repro.dataset import (
     GeneratorConfig,
     compute_statistics,
     read_telemetry_csv,
-    read_trips_csv,
     write_telemetry_csv,
-    write_trips_csv,
 )
 from repro.geo import CityNetworkBuilder, RoadType
 
@@ -19,7 +17,7 @@ def dataset():
     network = CityNetworkBuilder(seed=1).build_corridor()
     return DatasetGenerator(
         network, GeneratorConfig(n_cars=20, trips_per_car=3, seed=2)
-    ).generate(with_trajectories=True)
+    ).generate()
 
 
 class TestStatistics:
@@ -64,23 +62,3 @@ class TestCsvRoundTrip:
         assert len(loaded) == len(records)
         for original, restored in zip(records, loaded):
             assert restored == original
-
-    def test_trips_round_trip(self, dataset, tmp_path):
-        trips_path = tmp_path / "trips.csv"
-        trajectories_path = tmp_path / "trajectories.csv"
-        trips = dataset.trips[:10]
-        write_trips_csv(trips_path, trajectories_path, trips)
-        loaded = read_trips_csv(trips_path, trajectories_path)
-        assert len(loaded) == len(trips)
-        for original, restored in zip(trips, loaded):
-            assert restored.object_id == original.object_id
-            assert restored.start_time == original.start_time
-            assert len(restored.trajectory) == len(original.trajectory)
-            assert restored.trajectory[0].lon == original.trajectory[0].lon
-
-    def test_trips_without_trajectories(self, dataset, tmp_path):
-        trips_path = tmp_path / "trips.csv"
-        trajectories_path = tmp_path / "trajectories.csv"
-        write_trips_csv(trips_path, trajectories_path, dataset.trips[:5])
-        loaded = read_trips_csv(trips_path)
-        assert all(not trip.trajectory for trip in loaded)

@@ -16,7 +16,6 @@ EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 #: (script, argv) — quick variants where the script supports them.
 FAST_EXAMPLES = [
     ("streaming_pipeline.py", []),
-    ("channel_planning.py", []),
     ("city_deployment.py", []),
     ("rsu_failover.py", []),
 ]

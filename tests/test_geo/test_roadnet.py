@@ -32,22 +32,6 @@ class TestRoadSegment:
         )
         assert link.free_flow_kmh == 115.0
 
-    def test_point_at_interpolates(self):
-        segment = straight_segment(1, CENTER, 90.0, 1000.0)
-        midpoint = segment.point_at(500.0)
-        from repro.geo import haversine_m
-
-        off_start = haversine_m(
-            segment.start.lat, segment.start.lon, midpoint.lat, midpoint.lon
-        )
-        assert off_start == pytest.approx(500.0, rel=0.01)
-
-    def test_point_at_clamps(self):
-        segment = straight_segment(1, CENTER, 90.0, 1000.0)
-        assert segment.point_at(-5.0) == segment.start
-        past_end = segment.point_at(5000.0)
-        assert past_end.lat == pytest.approx(segment.end.lat)
-
     def test_lanes_validated(self):
         with pytest.raises(ValueError):
             RoadSegment(
@@ -104,30 +88,6 @@ class TestRoadNetwork:
         network = self.build_t_junction()
         links = network.by_road_type(RoadType.MOTORWAY_LINK)
         assert [seg.segment_id for seg in links] == [3]
-
-    def test_project_onto_segment(self):
-        network = RoadNetwork()
-        network.add_segment(straight_segment(1, CENTER, 90.0, 1000.0))
-        # A point 30 m north of the midpoint should project near 500 m.
-        midpoint = network.segment(1).point_at(500.0)
-        off_road = destination_point(midpoint, 0.0, 30.0)
-        distance, offset, snapped = network.project(1, off_road)
-        assert distance == pytest.approx(30.0, rel=0.05)
-        assert offset == pytest.approx(500.0, rel=0.05)
-
-    def test_nearest_segments_orders_by_distance(self):
-        network = self.build_t_junction()
-        # A point on segment 1, away from the junction.
-        on_segment_1 = network.segment(1).point_at(1500.0)
-        nearest = network.nearest_segments(on_segment_1, k=3, max_distance_m=5000)
-        assert nearest[0][0] == 1
-        assert nearest[0][1] < nearest[-1][1] or len(nearest) == 1
-
-    def test_nearest_segments_respects_radius(self):
-        network = RoadNetwork()
-        network.add_segment(straight_segment(1, CENTER, 0.0, 1000.0))
-        far = destination_point(CENTER, 90.0, 10_000.0)
-        assert network.nearest_segments(far, max_distance_m=100.0) == []
 
     def test_total_length(self):
         network = self.build_t_junction()

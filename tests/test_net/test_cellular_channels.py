@@ -1,23 +1,10 @@
-"""Tests for cellular links and DSRC channel management."""
+"""Tests for cellular links."""
 
 import numpy as np
 import pytest
 
-from repro.geo import LatLon
-from repro.geo.coords import destination_point
-from repro.net import (
-    CONTROL_CHANNEL,
-    LTE_PROFILE,
-    NR_5G_PROFILE,
-    CellularLink,
-    CellularProfile,
-    ChannelManager,
-    RsuSite,
-    SERVICE_CHANNELS,
-)
+from repro.net import LTE_PROFILE, NR_5G_PROFILE, CellularLink, CellularProfile
 from repro.simkernel import Simulator
-
-CENTER = LatLon(22.6, 114.2)
 
 
 class TestCellularLink:
@@ -67,65 +54,3 @@ class TestCellularLink:
         with pytest.raises(ValueError):
             CellularProfile("x", 1e-3, -0.1, 1e6)
 
-
-def sites_on_line(count, spacing_m):
-    return [
-        RsuSite(f"rsu-{i}", destination_point(CENTER, 90.0, i * spacing_m))
-        for i in range(count)
-    ]
-
-
-class TestChannelManager:
-    def test_far_apart_sites_may_share_channels(self):
-        sites = sites_on_line(4, 5000.0)
-        plan = ChannelManager(interference_range_m=600.0).assign(sites)
-        assert plan.conflict_free
-        assert plan.n_channels_used == 1  # no interference: reuse freely
-
-    def test_close_sites_get_distinct_channels(self):
-        sites = sites_on_line(3, 200.0)  # all within 600 m of each other
-        plan = ChannelManager(interference_range_m=600.0).assign(sites)
-        assert plan.conflict_free
-        channels = {plan.channel_of(s.name) for s in sites}
-        assert len(channels) == 3
-
-    def test_chain_alternates_channels(self):
-        # 10 RSUs every 400 m: consecutive pairs interfere.
-        sites = sites_on_line(10, 400.0)
-        plan = ChannelManager(interference_range_m=500.0).assign(sites)
-        assert plan.conflict_free
-        for i in range(9):
-            assert plan.channel_of(f"rsu-{i}") != plan.channel_of(f"rsu-{i + 1}")
-
-    def test_control_channel_never_assigned(self):
-        sites = sites_on_line(6, 100.0)
-        plan = ChannelManager(interference_range_m=1000.0).assign(sites)
-        assert CONTROL_CHANNEL not in set(plan.assignment.values())
-
-    def test_palette_exhaustion_reports_conflicts(self):
-        # 8 mutually interfering sites, 6 service channels.
-        sites = sites_on_line(8, 50.0)
-        plan = ChannelManager(interference_range_m=5000.0).assign(sites)
-        assert not plan.conflict_free
-        assert len(plan.assignment) == 8
-        assert plan.n_channels_used == len(SERVICE_CHANNELS)
-
-    def test_extra_edges(self):
-        sites = sites_on_line(2, 5000.0)  # geographically independent
-        manager = ChannelManager(interference_range_m=600.0)
-        plan = manager.assign(sites, extra_edges=[("rsu-0", "rsu-1")])
-        assert plan.channel_of("rsu-0") != plan.channel_of("rsu-1")
-        with pytest.raises(KeyError):
-            manager.assign(sites, extra_edges=[("rsu-0", "nope")])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ChannelManager(interference_range_m=0.0)
-        with pytest.raises(ValueError):
-            ChannelManager(channels=[])
-        with pytest.raises(ValueError):
-            ChannelManager(channels=[CONTROL_CHANNEL])
-        with pytest.raises(ValueError):
-            ChannelManager().assign(
-                [RsuSite("a", CENTER), RsuSite("a", CENTER)]
-            )

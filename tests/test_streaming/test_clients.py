@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.streaming import (
-    Broker,
-    Consumer,
-    JsonSerde,
-    Producer,
-    RawSerde,
-)
+from repro.streaming import Broker, Consumer, JsonSerde, Producer
 from repro.streaming.serde import STRUCT_MAGIC, SerdeError
 
 _JSON = JsonSerde()
@@ -41,13 +35,6 @@ class TestSerde:
     def test_json_rejects_bad_payload(self):
         with pytest.raises(SerdeError):
             JsonSerde().deserialize(b"{not json")
-
-    def test_raw_passthrough(self):
-        serde = RawSerde()
-        assert serde.serialize(b"abc") == b"abc"
-        assert serde.serialize("abc") == b"abc"
-        with pytest.raises(SerdeError):
-            serde.serialize(42)
 
     def test_telemetry_payload_near_200_bytes(self):
         """The paper assumes ~200-byte packets; our serialized

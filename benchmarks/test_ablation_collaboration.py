@@ -44,7 +44,7 @@ def test_ablation_history_weight(benchmark, model_dataset):
     }
 
     # Plain AD3 baseline on the same split.
-    train, test = model_dataset.split_by_trip(0.8, seed=0)
+    train, test = (part.records for part in model_dataset.split_by_trip(0.8, seed=0))
     link_train = [r for r in train if r.road_type is RoadType.MOTORWAY_LINK]
     link_test = [r for r in test if r.road_type is RoadType.MOTORWAY_LINK]
     ad3 = AD3Detector(RoadType.MOTORWAY_LINK).fit(link_train)

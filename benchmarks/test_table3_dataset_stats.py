@@ -17,7 +17,7 @@ def test_table3_dataset_statistics(benchmark):
             n_cars=200, trips_per_car=6, erroneous_rate=0.01, labeled=False
         )
         raw_count = len(dataset.records)
-        dataset.records = Preprocessor().run(dataset.records)
+        dataset = Preprocessor().run(dataset)
         return table3_statistics(dataset), raw_count, len(dataset.records)
 
     stats, raw_count, kept_count = benchmark.pedantic(

@@ -37,13 +37,13 @@ def main() -> None:
         GeneratorConfig(n_cars=150, trips_per_car=6, seed=7),
     )
     dataset = generator.generate()
-    dataset.records = Preprocessor().run(dataset.records)
+    dataset = Preprocessor().run(dataset)
     abnormal = np.mean([r.label == 0 for r in dataset.records])
     print(f"dataset: {len(dataset.records)} labelled records "
           f"({abnormal:.0%} abnormal)")
 
     # 3. Train on 80 % of trips, exactly as the paper does.
-    train, test = dataset.split_by_trip(0.8, seed=0)
+    train, test = (part.records for part in dataset.split_by_trip(0.8, seed=0))
     motorway_train = [r for r in train if r.road_type is RoadType.MOTORWAY]
     link_train = [r for r in train if r.road_type is RoadType.MOTORWAY_LINK]
 

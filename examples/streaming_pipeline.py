@@ -33,8 +33,8 @@ def main() -> None:
     dataset = DatasetGenerator(
         network, GeneratorConfig(n_cars=80, trips_per_car=5, seed=5)
     ).generate()
-    dataset.records = Preprocessor().run(dataset.records)
-    motorway = dataset.by_road_type(RoadType.MOTORWAY)
+    dataset = Preprocessor().run(dataset)
+    motorway = dataset.by_road_type(RoadType.MOTORWAY).records
     detector = AD3Detector(RoadType.MOTORWAY).fit(motorway)
 
     # Wire the online world: two RSUs joined by Ethernet, one vehicle.

@@ -53,8 +53,8 @@ def _load_or_generate(args: argparse.Namespace):
         from repro.dataset.speed_profiles import SpeedProfileLibrary
         from repro.geo.network_builder import CityNetworkBuilder
 
-        return SyntheticDataset(
-            records=records,
+        return SyntheticDataset.from_records(
+            records,
             network=CityNetworkBuilder(seed=args.seed).build_corridor(),
             profiles=SpeedProfileLibrary(),
         )

@@ -22,7 +22,7 @@ from repro.core.accidents import (
     nilsson_accident_ratio,
     speed_deviation_delta,
 )
-from repro.core.block import DetectionEventLog, TelemetryBlock
+from repro.core.block import DetectionEventLog
 from repro.core.centralized import CentralizedDetector
 from repro.core.collaborative import CollaborativeDetector, NEUTRAL_PRIOR
 from repro.core.detector import AD3Detector, road_features
@@ -58,6 +58,7 @@ from repro.core.wire import (
     topic_serdes,
     warning_struct_serde,
 )
+from repro.dataset.schema import TelemetryBlock
 
 __all__ = [
     "AD3Detector",

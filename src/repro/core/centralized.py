@@ -14,9 +14,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.core.block import TelemetryBlock
 from repro.core.features import centralized_features, labels_of
-from repro.dataset.schema import NORMAL, TelemetryRecord
+from repro.dataset.schema import NORMAL, TelemetryBlock, TelemetryRecord
 from repro.ml.base import Detector
 from repro.ml.naive_bayes import GaussianNaiveBayes
 

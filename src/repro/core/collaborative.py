@@ -24,10 +24,9 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.block import TelemetryBlock, as_block
 from repro.core.detector import AD3Detector
 from repro.core.features import PredictionSummary, labels_of
-from repro.dataset.schema import NORMAL
+from repro.dataset.schema import NORMAL, TelemetryBlock, as_block
 from repro.geo.roadnet import RoadType
 from repro.ml.base import Detector
 from repro.ml.decision_tree import DecisionTreeClassifier

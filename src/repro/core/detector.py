@@ -13,9 +13,8 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.block import ROAD_TYPES, TelemetryBlock, as_block
 from repro.core.features import ROAD_TYPE_CODE, base_features, labels_of
-from repro.dataset.schema import NORMAL
+from repro.dataset.schema import NORMAL, ROAD_TYPES, TelemetryBlock, as_block
 from repro.geo.roadnet import RoadType
 from repro.ml.base import Detector
 from repro.ml.naive_bayes import GaussianNaiveBayes

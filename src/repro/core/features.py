@@ -10,11 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dataset.schema import AnomalyKind, TelemetryRecord
+from repro.dataset.schema import (
+    NO_LABEL,
+    AnomalyKind,
+    TelemetryBlock,
+    TelemetryRecord,
+    as_block,
+)
 from repro.geo.roadnet import RoadType
 
 IN_DATA = "IN-DATA"
@@ -35,15 +41,13 @@ _ANOMALY_KIND_BY_VALUE: Dict[Any, AnomalyKind] = {k.value: k for k in AnomalyKin
 
 def _feature_columns(records) -> tuple:
     """(speed, accel, hour, road_type_code) columns from either a
-    :class:`~repro.core.block.TelemetryBlock` or a record sequence
+    :class:`~repro.dataset.schema.TelemetryBlock` or a record sequence
     (converted to a block first).
 
     This is the single source of the feature formulas: the RSU's
     block path and record-list callers (offline training and
     evaluation) both flow through it, so they cannot drift apart.
     """
-    from repro.core.block import as_block
-
     block = as_block(records)
     return (
         block.speed_kmh,
@@ -57,7 +61,7 @@ def base_features(records) -> np.ndarray:
     """[InstSpeed, accel, Hour] matrix — the per-road feature set.
 
     Accepts a record sequence or a
-    :class:`~repro.core.block.TelemetryBlock` (no per-record work).
+    :class:`~repro.dataset.schema.TelemetryBlock` (no per-record work).
     """
     speed, accel, hour, _ = _feature_columns(records)
     if speed.size == 0:
@@ -69,7 +73,7 @@ def centralized_features(records, encoding: str = "ordinal") -> np.ndarray:
     """[InstSpeed, accel, Hour, RoadType...] — the city-scale set.
 
     Accepts a record sequence or a
-    :class:`~repro.core.block.TelemetryBlock`.  ``encoding`` controls
+    :class:`~repro.dataset.schema.TelemetryBlock`.  ``encoding`` controls
     the RoadType column(s): ``"ordinal"`` (one integer code, the
     default) or ``"onehot"`` (one indicator per road type).  Both lose
     to the per-road models — the centralized gap is structural (shared
@@ -96,11 +100,9 @@ def labels_of(records) -> np.ndarray:
     """Label vector; raises if any record is unlabelled.
 
     Accepts a record sequence or a
-    :class:`~repro.core.block.TelemetryBlock` (whose unlabelled
+    :class:`~repro.dataset.schema.TelemetryBlock` (whose unlabelled
     sentinel is -1).
     """
-    from repro.core.block import NO_LABEL, as_block
-
     block = as_block(records)
     labels = block.label.astype(np.int64)
     missing = np.nonzero(labels == NO_LABEL)[0]
@@ -118,7 +120,8 @@ def labels_of(records) -> np.ndarray:
 # Wire messages
 # ----------------------------------------------------------------------
 #: The ``IN-DATA`` payload, key by key: the record attribute it carries
-#: and the decimals it is rounded to (``None``: as is).
+#: (an enum's by its ``_value_``) and the decimals it is rounded to
+#: (``None``: as is).
 PAYLOAD_FIELDS: Tuple[Tuple[str, str, Optional[int]], ...] = (
     ("car", "car_id", None),
     ("rd", "road_id", None),
@@ -134,18 +137,26 @@ PAYLOAD_FIELDS: Tuple[Tuple[str, str, Optional[int]], ...] = (
 )
 
 
-def payload_columns(records: Sequence[TelemetryRecord]) -> Dict[str, list]:
-    """:func:`record_to_payload` of every record, as one column per
-    key, each a C-level pass over the records.  Python's ``round``
-    value by value, as the scalar form: ``np.round`` differs in the
-    last ulp."""
+def _payload_columns(fields: Mapping[str, Sequence]) -> Dict[str, list]:
+    """The ``IN-DATA`` payload columns of record fields given as one
+    sequence of Python values per field.  Python's ``round`` value by
+    value: ``np.round`` differs in the last ulp."""
     columns: Dict[str, list] = {}
     for key, attribute, digits in PAYLOAD_FIELDS:
-        values = map(attrgetter(attribute), records)
+        name, _, member = attribute.partition(".")
+        values = fields[name]
+        if member:
+            values = map(attrgetter(member), values)
         if digits is not None:
             values = map(round, values, repeat(digits))
         columns[key] = list(values)
     return columns
+
+
+def payload_columns(block: TelemetryBlock) -> Dict[str, list]:
+    """:func:`record_to_payload` of every row of ``block``, as one
+    column per key, from the block's columns."""
+    return _payload_columns(block.fields())
 
 
 def record_to_payload(record: TelemetryRecord) -> Dict[str, Any]:
@@ -154,7 +165,8 @@ def record_to_payload(record: TelemetryRecord) -> Dict[str, Any]:
     The resulting compact JSON is ~200 bytes, matching the paper's
     packet-size assumption.  One row of :func:`payload_columns`.
     """
-    return {key: column[0] for key, column in payload_columns([record]).items()}
+    fields = {name: (value,) for name, value in vars(record).items()}
+    return {key: column[0] for key, column in _payload_columns(fields).items()}
 
 
 def payload_to_record(payload: Dict[str, Any]) -> TelemetryRecord:

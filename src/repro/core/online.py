@@ -19,14 +19,19 @@ from __future__ import annotations
 
 import collections
 import math
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.block import ROAD_TYPES, TelemetryBlock
 from repro.core.detector import road_features
 from repro.core.features import ROAD_TYPE_CODE
-from repro.dataset.schema import ABNORMAL, NORMAL, TelemetryRecord
+from repro.dataset.schema import (
+    ABNORMAL,
+    NORMAL,
+    ROAD_TYPES,
+    TelemetryBlock,
+    TelemetryRecord,
+)
 from repro.geo.roadnet import RoadType
 from repro.ml.base import Detector
 from repro.ml.naive_bayes import GaussianNaiveBayes

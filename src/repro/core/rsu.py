@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.block import NO_LABEL, DetectionEventLog, TelemetryBlock
+from repro.core.block import DetectionEventLog
 from repro.core.collab import (
     BAND_REFRESH,
     BAND_URGENT,
@@ -37,7 +37,7 @@ from repro.core.wire import (
     SummaryFrameSerde,
     decode_telemetry_segments,
 )
-from repro.dataset.schema import ABNORMAL
+from repro.dataset.schema import ABNORMAL, NO_LABEL, TelemetryBlock
 from repro.microbatch.context import (
     BlockBatch,
     ProcessingModel,

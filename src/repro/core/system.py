@@ -13,12 +13,10 @@ Two topologies, matching the evaluation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.block import TelemetryBlock
 from repro.core.collaborative import CollaborativeDetector, summaries_from_upstream
 from repro.core.detector import AD3Detector
 from repro.core.features import ROAD_TYPE_CODE
@@ -28,7 +26,7 @@ from repro.core.vehicle import ReplayPool, VehicleNode, VehicleStats
 from repro.core.wire import topic_serdes
 from repro.dataset.generator import DatasetGenerator, GeneratorConfig
 from repro.dataset.preprocess import Preprocessor
-from repro.dataset.schema import TelemetryRecord, road_type_codes
+from repro.dataset.schema import TelemetryBlock, TelemetryRecord
 from repro.geo.network_builder import CityNetworkBuilder
 from repro.geo.roadnet import RoadType
 from repro.net.dsrc import DSRC_BANDWIDTH_BPS, DsrcChannel
@@ -251,9 +249,7 @@ def default_training_dataset(seed: int = 11, n_cars: int = 150):
             n_cars=n_cars, trips_per_car=6, seed=seed, erroneous_rate=0.0
         ),
     )
-    dataset = generator.generate()
-    dataset.records = Preprocessor().run(dataset.records)
-    return dataset
+    return Preprocessor().run(generator.generate())
 
 
 @dataclass
@@ -274,18 +270,15 @@ def offline_split(
 ) -> Tuple[Dict[RoadType, TelemetryBlock], Dict[RoadType, ReplayPool]]:
     """The paper's protocol, per road type: 80 % of trips train the
     models (a :class:`TelemetryBlock` each), the other 20 % are what
-    the emulated vehicles replay (a :class:`ReplayPool` each).  One
-    training block for the split, cut by road-type masks."""
+    the emulated vehicles replay (a :class:`ReplayPool` each), both
+    cut from the split's columns by road-type masks."""
     train, replay = TestbedScenario._train_replay_split(dataset)
-    train = TelemetryBlock.from_records(train)
-    replay_codes = road_type_codes(replay)
     blocks, pools = {}, {}
     for road_type in road_types:
         code = ROAD_TYPE_CODE[road_type]
-        blocks[road_type] = train.take(train.road_type_code == code)
-        pools[road_type] = ReplayPool(
-            compress(replay, (replay_codes == code).tolist())
-        )
+        blocks[road_type] = train.block.take(train.block.road_type_code == code)
+        mine = replay.block.road_type_code == code
+        pools[road_type] = ReplayPool(replay.block.take(mine), replay.trip_id[mine])
     return blocks, pools
 
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from repro.core.features import IN_DATA, OUT_DATA, payload_columns
 from repro.core.wire import TelemetryStructSerde
-from repro.dataset.schema import TelemetryRecord
+from repro.dataset.generator import SyntheticDataset
+from repro.dataset.schema import TelemetryBlock, TelemetryRecord
 from repro.net.dsrc import DsrcChannel
 from repro.net.htb import HtbShaper, repeat_ranks
 from repro.simkernel.simulator import Simulator
@@ -57,22 +58,26 @@ _CAR_BYTES = slice(_CAR_AT, _CAR_AT + _CAR.size)
 
 
 class ReplayPool(SequenceABC):
-    """Telemetry records that vehicles replay, with their ``IN-DATA``
-    payloads and wire templates made once for the whole pool.
+    """Telemetry rows that vehicles replay, kept as columns (a
+    :class:`~repro.dataset.schema.TelemetryBlock` and each row's trip
+    id), with their ``IN-DATA`` payloads and wire templates made once
+    for the whole pool.
 
     A pool is a sequence of records; ``pool[index::count]`` — a
-    vehicle's stripe — is a view on the same rows.  The pool a view was
+    vehicle's stripe — is a view on the same rows, and a record is
+    materialized only when one is asked for.  The pool a view was
     sliced from computes, on first use, its payload columns
-    (:func:`~repro.core.features.payload_columns`, one pass per field)
-    and, per serde class, its template rows (the serde's
+    (:func:`~repro.core.features.payload_columns`, from the block's
+    columns) and, per serde class, its template rows (the serde's
     ``encode_columns``, with car id 0); a view gathers its rows of
     both.  The rows of a stripe differ from the pool's only in the car
     id, which each vehicle writes in (:meth:`VehicleNode._prepare_payloads`).
     """
 
-    def __init__(self, records: Iterable[TelemetryRecord]) -> None:
-        self._records = list(records)
-        self._rows = np.arange(len(self._records))
+    def __init__(self, block: TelemetryBlock, trip_id: np.ndarray) -> None:
+        self._block = block
+        self._trip_id = trip_id
+        self._rows = np.arange(len(block))
         self._root = self
         self._columns: Optional[Dict[str, list]] = None
         self._dicts: Optional[List[dict]] = None
@@ -80,8 +85,12 @@ class ReplayPool(SequenceABC):
 
     @classmethod
     def of(cls, records: Iterable[TelemetryRecord]) -> "ReplayPool":
-        """``records`` as a pool: itself when it is one (or a view)."""
-        return records if isinstance(records, ReplayPool) else cls(records)
+        """``records`` as a pool: itself when it is one (or a view),
+        else the records' columns."""
+        if isinstance(records, ReplayPool):
+            return records
+        dataset = SyntheticDataset.from_records(records)
+        return cls(dataset.block, dataset.trip_id)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -89,14 +98,18 @@ class ReplayPool(SequenceABC):
     def __getitem__(self, index):
         if isinstance(index, slice):
             view = object.__new__(ReplayPool)
-            view._records = self._records
+            view._block = self._block
+            view._trip_id = self._trip_id
             view._rows = self._rows[index]
             view._root = self._root
             return view
-        return self._records[self._rows[index]]
+        return self._materialize(self._rows[[index]])[0]
 
     def __iter__(self):
-        return map(self._records.__getitem__, self._rows.tolist())
+        return iter(self._materialize(self._rows))
+
+    def _materialize(self, rows: np.ndarray) -> List[TelemetryRecord]:
+        return self._block.take(rows).records(self._trip_id[rows])
 
     def __repr__(self) -> str:
         return f"ReplayPool(n={len(self)})"
@@ -104,7 +117,7 @@ class ReplayPool(SequenceABC):
     def _payload_columns(self) -> Dict[str, list]:
         root = self._root
         if root._columns is None:
-            root._columns = payload_columns(root._records)
+            root._columns = payload_columns(root._block)
         return root._columns
 
     def payloads(self) -> List[dict]:
@@ -123,7 +136,7 @@ class ReplayPool(SequenceABC):
         kind = type(serde)
         if kind not in root._encoded:
             columns = dict(self._payload_columns())
-            columns["car"] = [0] * len(root._records)
+            columns["car"] = [0] * len(root._block)
             root._encoded[kind] = serde.encode_columns(columns)
         rows, mask = root._encoded[kind]
         return rows[self._rows], mask[self._rows]

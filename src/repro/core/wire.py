@@ -9,7 +9,7 @@ hot path can use fixed-layout binary packing instead:
   71 bytes on the wire vs ~170-200 for JSON, with a hand-written pack path
   and a **vectorized batch decoder** (:func:`decode_telemetry_block`)
   that turns a whole micro-batch of payloads into one
-  :class:`~repro.core.block.TelemetryBlock` via ``np.frombuffer`` —
+  :class:`~repro.dataset.schema.TelemetryBlock` via ``np.frombuffer`` —
   no per-record Python at all.
 - :class:`warning_struct_serde` / :class:`summary_struct_serde` —
   ``OUT-DATA`` / ``CO-DATA`` built on the generic
@@ -31,14 +31,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.block import (
+from repro.core.features import CO_DATA, IN_DATA, OUT_DATA, PAYLOAD_FIELDS
+from repro.dataset.schema import (
     ANOMALY_KINDS,
     ANOMALY_KIND_INDEX,
     ROAD_TYPES,
     ROAD_TYPE_INDEX,
     TelemetryBlock,
 )
-from repro.core.features import CO_DATA, IN_DATA, OUT_DATA, PAYLOAD_FIELDS
 from repro.streaming.serde import (
     FIELD_ENUM,
     FIELD_PLAIN,

@@ -15,37 +15,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
-from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.dataset.schema import (
     ABNORMAL,
     NORMAL,
+    ROAD_TYPES,
     TelemetryRecord,
-    road_type_codes,
+    as_block,
 )
 from repro.geo.roadnet import RoadType
 
+if TYPE_CHECKING:
+    from repro.dataset.generator import SyntheticDataset
 
-#: Road types in declaration order: a record's road-type code
-#: (:func:`road_type_codes`) indexes this tuple.
-_ROAD_TYPES: Tuple[RoadType, ...] = tuple(RoadType)
 _HOURS = 24
-
-
-def _columns(records: Sequence[TelemetryRecord]) -> Tuple[np.ndarray, ...]:
-    """``(road-type code, hour, speed, accel)`` of every record: what
-    the filter and the labeller read, one C-level pass per column."""
-    n = len(records)
-    return (
-        road_type_codes(records),
-        np.fromiter(map(attrgetter("hour"), records), np.int64, n),
-        np.fromiter(map(attrgetter("speed_kmh"), records), np.float64, n),
-        np.fromiter(map(attrgetter("accel_ms2"), records), np.float64, n),
-    )
 
 
 def _groups(keys: np.ndarray) -> List[Tuple[int, np.ndarray]]:
@@ -115,9 +101,10 @@ class SigmaCutoffLabeler:
       finer-grained normality Fig. 2's hourly variation implies.
       Hours unseen at fit time fall back to the road-type band.
 
-    :meth:`fit` and :meth:`label_all` work on columns (one pass over
-    the records, then array operations); :meth:`label` is the rule for
-    one record, and a test holds it equal to :meth:`label_all`.
+    :meth:`fit` and :meth:`label_all` work on a block's columns (a
+    record sequence is converted to one first); :meth:`label` is the
+    rule for one record, and a test holds it equal to
+    :meth:`label_all`.
     """
 
     def __init__(
@@ -144,25 +131,24 @@ class SigmaCutoffLabeler:
         keys.append(record.road_type)
         return keys
 
-    def fit(self, records: Sequence[TelemetryRecord]) -> "SigmaCutoffLabeler":
-        return self._fit_columns(_columns(list(records)))
-
-    def _fit_columns(self, columns: Tuple[np.ndarray, ...]) -> "SigmaCutoffLabeler":
-        """Fit from :func:`_columns`: each band's ``mean``/``std`` over
-        its group's values in record order."""
-        types, hours, speeds, accels = columns
+    def fit(self, records) -> "SigmaCutoffLabeler":
+        """Fit the bands on ``records`` (a block or a record sequence):
+        each band's ``mean``/``std`` over its group's values in row
+        order."""
+        block = as_block(records)
+        types, hours = block.road_type_code, block.hour
         if not len(types):
             raise ValueError("cannot fit labeler on an empty dataset")
-        groups = [(_ROAD_TYPES[code], rows) for code, rows in _groups(types)]
+        groups = [(ROAD_TYPES[code], rows) for code, rows in _groups(types)]
         if self.granularity == "type_hour":
             groups.extend(
-                ((_ROAD_TYPES[cell // _HOURS], cell % _HOURS), rows)
+                ((ROAD_TYPES[cell // _HOURS], cell % _HOURS), rows)
                 for cell, rows in _groups(types * _HOURS + hours)
                 if len(rows) >= self.MIN_CELL_SAMPLES
             )
         for key, rows in groups:
-            self._speed_bands[key] = self._band(speeds[rows])
-            self._accel_bands[key] = self._band(accels[rows])
+            self._speed_bands[key] = self._band(block.speed_kmh[rows])
+            self._accel_bands[key] = self._band(block.accel_ms2[rows])
         self._fitted = True
         return self
 
@@ -192,44 +178,38 @@ class SigmaCutoffLabeler:
         accel_ok = lo_a <= record.accel_ms2 <= hi_a
         return NORMAL if (speed_ok and accel_ok) else ABNORMAL
 
-    def label_all(
-        self, records: Iterable[TelemetryRecord]
-    ) -> List[TelemetryRecord]:
-        """Each record relabelled by the sigma rule."""
-        records = list(records)
-        return TelemetryRecord.with_labels(
-            records, self._label_columns(_columns(records)).tolist()
-        )
-
-    def _label_columns(self, columns: Tuple[np.ndarray, ...]) -> np.ndarray:
-        """The labels of :func:`_columns`: each row's band looked up in
-        a (road type, hour) table that holds the (type, hour) band where
-        one was fitted and the road-type band elsewhere."""
+    def label_all(self, records) -> np.ndarray:
+        """The sigma label of each row of ``records`` (a block or a
+        record sequence): each row's band looked up in a (road type,
+        hour) table that holds the (type, hour) band where one was
+        fitted and the road-type band elsewhere."""
         self._require_fitted()
-        types, hours, speeds, accels = columns
-        table = np.full((len(_ROAD_TYPES), _HOURS, 4), np.nan)
-        fitted = np.zeros(len(_ROAD_TYPES), dtype=bool)
+        block = as_block(records)
+        types, hours = block.road_type_code, block.hour
+        speeds, accels = block.speed_kmh, block.accel_ms2
+        table = np.full((len(ROAD_TYPES), _HOURS, 4), np.nan)
+        fitted = np.zeros(len(ROAD_TYPES), dtype=bool)
         keys = [key for key in self._speed_bands if not isinstance(key, tuple)]
         if self.granularity == "type_hour":
             keys += [key for key in self._speed_bands if isinstance(key, tuple)]
         for key in keys:
             bands = self._speed_bands[key] + self._accel_bands[key]
             if isinstance(key, tuple):
-                table[_ROAD_TYPES.index(key[0]), key[1]] = bands
+                table[ROAD_TYPES.index(key[0]), key[1]] = bands
             else:
-                code = _ROAD_TYPES.index(key)
+                code = ROAD_TYPES.index(key)
                 table[code] = bands
                 fitted[code] = True
         missing = np.flatnonzero(~fitted[types])
         if missing.size:
             raise KeyError(
                 f"labeler not fitted for road type "
-                f"{_ROAD_TYPES[types[missing[0]]]}"
+                f"{ROAD_TYPES[types[missing[0]]]}"
             )
         lo_s, hi_s, lo_a, hi_a = table[types, hours].T
         normal = (lo_s <= speeds) & (speeds <= hi_s)
         normal &= (lo_a <= accels) & (accels <= hi_a)
-        return np.where(normal, NORMAL, ABNORMAL)
+        return np.where(normal, NORMAL, ABNORMAL).astype(np.int8)
 
     def _require_fitted(self) -> None:
         if not self._fitted:
@@ -237,12 +217,11 @@ class SigmaCutoffLabeler:
 
 
 class Preprocessor:
-    """Filter + label pipeline over telemetry records.
+    """Filter + label pipeline over a dataset's columns.
 
-    One column pass: the records' road type, hour, speed and
-    acceleration are read once, and the keep mask, the sigma bands and
-    the labels are array operations over those columns; each kept
-    record is then relabelled once (:meth:`TelemetryRecord.with_labels`).
+    The keep mask, the sigma bands and the labels are array operations
+    over the block's road type, hour, speed and acceleration columns;
+    the kept rows are taken once and their label column is set.
     """
 
     def __init__(
@@ -256,18 +235,13 @@ class Preprocessor:
             n_sigma=n_sigma, granularity=granularity
         )
 
-    def run(
-        self, records: Sequence[TelemetryRecord]
-    ) -> List[TelemetryRecord]:
-        """Filter erroneous records, fit the labeler, label the rest."""
-        columns = _columns(records)
-        keep = self.filter_config.keep_mask(columns[2], columns[3])
-        kept = list(compress(records, keep.tolist()))
-        if not kept:
-            return []
-        columns = tuple(column[keep] for column in columns)
-        self.labeler._fit_columns(columns)
-        return TelemetryRecord.with_labels(
-            kept, self.labeler._label_columns(columns).tolist()
+    def run(self, dataset: "SyntheticDataset") -> "SyntheticDataset":
+        """Filter erroneous rows, fit the labeler, label the rest."""
+        block = dataset.block
+        kept = dataset.take(
+            self.filter_config.keep_mask(block.speed_kmh, block.accel_ms2)
         )
-
+        if len(kept.block):
+            self.labeler.fit(kept.block)
+            kept.block.label = self.labeler.label_all(kept.block)
+        return kept

@@ -19,7 +19,7 @@ quantify each choice so the reproduction can defend (or challenge) it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -59,7 +59,7 @@ def format_ablation(points: Sequence[AblationPoint]) -> str:
 # Model-side ablations
 # ----------------------------------------------------------------------
 def _link_eval_setup(dataset):
-    train, test = dataset.split_by_trip(0.8, seed=0)
+    train, test = (part.records for part in dataset.split_by_trip(0.8, seed=0))
     motorway_train = [r for r in train if r.road_type is RoadType.MOTORWAY]
     link_train = [r for r in train if r.road_type is RoadType.MOTORWAY_LINK]
     motorway_test = [r for r in test if r.road_type is RoadType.MOTORWAY]
@@ -113,30 +113,20 @@ def ablate_episode_persistence(
     Eq. 1 history term, carries most of the pointwise improvement on
     this synthetic mixture.
     """
-    from repro.dataset.drivers import DriverModel, DriverProfile
-
     points = []
     for persistence in persistence_levels:
         network = CityNetworkBuilder(seed=seed).build_corridor()
         generator = DatasetGenerator(
             network,
             GeneratorConfig(
-                n_cars=n_cars, trips_per_car=8, seed=seed, erroneous_rate=0.0
+                n_cars=n_cars,
+                trips_per_car=8,
+                seed=seed,
+                erroneous_rate=0.0,
+                episode_continue_prob=persistence,
             ),
         )
-
-        # Wrap driver construction to inject the persistence level.
-        original_generate = generator._generate_trip
-
-        def patched(
-            object_id, car_id, model, route, day, hour, _persistence=persistence
-        ):
-            model.episode_continue_prob = _persistence
-            return original_generate(object_id, car_id, model, route, day, hour)
-
-        generator._generate_trip = patched
-        dataset = generator.generate()
-        dataset.records = Preprocessor().run(dataset.records)
+        dataset = Preprocessor().run(generator.generate())
 
         motorway_train, link_train, motorway_test, link_test = (
             _link_eval_setup(dataset)
@@ -284,15 +274,7 @@ def ablate_labeling_granularity(
     raw = generator.generate()
     results: Dict[str, List[AblationPoint]] = {}
     for granularity in ("type", "type_hour"):
-        dataset = DatasetGenerator(
-            network,
-            GeneratorConfig(
-                n_cars=n_cars, trips_per_car=8, seed=seed, erroneous_rate=0.0
-            ),
-        ).generate()
-        dataset.records = Preprocessor(granularity=granularity).run(
-            dataset.records
-        )
+        dataset = Preprocessor(granularity=granularity).run(raw)
         comparison = fig7_table4_comparison(dataset)
         results[granularity] = [
             AblationPoint(
@@ -319,8 +301,6 @@ def ablate_warning_threshold(
     ("less disturbance to other drivers with false warnings") at the
     cost of delayed first warnings — the bench asserts both directions.
     """
-    from repro.microbatch.context import ProcessingModel as _PM
-
     dataset = dataset or default_training_dataset(seed=11, n_cars=60)
     points = []
     for threshold in thresholds:

@@ -41,9 +41,7 @@ def corridor_dataset(
         ),
     )
     dataset = generator.generate()
-    if labeled:
-        dataset.records = Preprocessor().run(dataset.records)
-    return dataset
+    return Preprocessor().run(dataset) if labeled else dataset
 
 
 def table3_statistics(

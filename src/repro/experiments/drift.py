@@ -19,7 +19,7 @@ paper's offline labelling would produce if retrained per regime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -92,13 +92,11 @@ def _regime_records(
         ),
         profiles=profiles,
     )
-    dataset = generator.generate()
-    records = [
-        r for r in dataset.records if r.road_type is RoadType.MOTORWAY
-    ]
+    motorway = generator.generate().by_road_type(RoadType.MOTORWAY)
     # Oracle labels: the regime's own sigma-cutoff.
-    labeler = SigmaCutoffLabeler().fit(records)
-    return labeler.label_all(records)
+    labeler = SigmaCutoffLabeler().fit(motorway.block)
+    motorway.block.label = labeler.label_all(motorway.block)
+    return motorway.records
 
 
 def drift_adaptation(

@@ -8,9 +8,7 @@ simulation reports Tx latency, processing time, end-to-end latency
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import List, Sequence
 
 from repro.core.system import TestbedScenario, default_training_dataset
 

@@ -21,7 +21,7 @@ deeper into the trip, while AD3 stays flat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.core.detector import AD3Detector
 from repro.core.features import PredictionSummary
 from repro.dataset.generator import DatasetGenerator, GeneratorConfig, SyntheticDataset
 from repro.dataset.preprocess import Preprocessor
-from repro.dataset.schema import ABNORMAL, NORMAL, TelemetryRecord
+from repro.dataset.schema import TelemetryRecord
 from repro.geo.network_builder import CityNetworkBuilder
 from repro.geo.roadnet import RoadType
 from repro.ml.metrics import evaluate_binary
@@ -55,9 +55,7 @@ def grid_dataset(
             erroneous_rate=0.0,
         ),
     )
-    dataset = generator.generate()
-    dataset.records = Preprocessor().run(dataset.records)
-    return dataset
+    return Preprocessor().run(generator.generate())
 
 
 @dataclass
@@ -114,7 +112,7 @@ def mesoscopic_chain(
 ) -> ChainResult:
     """Evaluate chained vs. standalone detection by hop depth."""
     dataset = dataset or grid_dataset()
-    train, test = dataset.split_by_trip(0.8, seed=seed)
+    train, test = (part.records for part in dataset.split_by_trip(0.8, seed=seed))
 
     road_types = sorted(
         {r.road_type for r in dataset.records}, key=lambda rt: rt.value

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -118,7 +118,9 @@ def fig7_table4_comparison(
     potential accidents from each model's false negatives.
     """
     dataset = dataset or corridor_dataset()
-    train, test = dataset.split_by_trip(train_fraction, seed=seed)
+    train, test = (
+        part.records for part in dataset.split_by_trip(train_fraction, seed=seed)
+    )
     models = train_models(train)
 
     link_test = [r for r in test if r.road_type is RoadType.MOTORWAY_LINK]
@@ -262,7 +264,7 @@ def fig8_mesoscopic(
     figure.
     """
     dataset = dataset or corridor_dataset()
-    train, test = dataset.split_by_trip(0.8, seed=seed)
+    train, test = (part.records for part in dataset.split_by_trip(0.8, seed=seed))
     models = train_models(train)
 
     test_trips: Dict[int, List[TelemetryRecord]] = {}

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.dataset.schema import TelemetryRecord
 from repro.dataset.speed_profiles import SpeedProfileLibrary
 from repro.geo.roadnet import RoadType

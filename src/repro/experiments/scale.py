@@ -25,7 +25,7 @@ workload times it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.deploy.placement import PlacementPlan
 from repro.experiments.deployment import table5_placement

@@ -10,7 +10,7 @@ frozen dataclasses so experiments can log, diff, and serialize them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 
 @dataclass(frozen=True)

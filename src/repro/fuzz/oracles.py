@@ -19,39 +19,16 @@ Oracles 3-4 only apply when the spec exercises the feature; the report
 lists which ran.  Every run's *canonical digest* (a SHA-256 over the
 obs-off serial signature) is recorded so corpus replays can assert
 bit-identical behaviour across commits and CI runs.
-
-``REPRO_FUZZ_PLANTED=1`` (or :func:`set_planted_bug`) re-introduces a
-known-fixed off-by-one — the pre-PR-3 double-count of a migrated car's
-warning at the busiest RSU — as a *planted regression*: the
-demonstration test proves the fuzzer finds it and shrinks it to a
-minimal committed repro.  It must never be set outside that test.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.fuzz.spec import FuzzSpec
-
-# ----------------------------------------------------------------------
-# Planted regression (demonstration only)
-# ----------------------------------------------------------------------
-_PLANTED = False
-
-
-def set_planted_bug(enabled: bool) -> None:
-    """Enable the demonstration regression (see module docs)."""
-    global _PLANTED
-    _PLANTED = enabled
-
-
-def planted_bug_active() -> bool:
-    return _PLANTED or os.environ.get("REPRO_FUZZ_PLANTED") == "1"
-
 
 # ----------------------------------------------------------------------
 # Signatures and digests
@@ -228,8 +205,6 @@ def run_oracles(spec: FuzzSpec, dataset=None) -> OracleReport:
     report.oracles_run.append("conservation_audit")
     scenario_a = spec.build(dataset, shards=1, observability=True)
     result_a = scenario_a.run()
-    if planted_bug_active():
-        _plant_regression(scenario_a)
     from repro.obs.audit import audit_scenario
 
     audit = audit_scenario(scenario_a)
@@ -333,16 +308,3 @@ def run_city_oracles(spec: FuzzSpec) -> OracleReport:
 
     return report
 
-
-def _plant_regression(scenario) -> None:
-    """Re-introduce the pre-PR-3 off-by-one: the busiest RSU counts one
-    extra issued warning (the migrated-car double count), which the
-    warning-conservation law then catches.  Demonstration only."""
-    busiest: Optional[Any] = None
-    for _, rsu in sorted(scenario.rsus.items()):
-        if rsu.warnings_issued > 0 and (
-            busiest is None or rsu.warnings_issued > busiest.warnings_issued
-        ):
-            busiest = rsu
-    if busiest is not None:
-        busiest.warnings_issued += 1

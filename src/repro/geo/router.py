@@ -14,7 +14,7 @@ crossing from one to the other).
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.geo.roadnet import RoadNetwork
 

@@ -25,7 +25,7 @@ class Detector:
     never hand-switch on detector type:
 
     - :meth:`detect_block` is what the RSU pipeline calls, once per
-      micro-batch, on a :class:`~repro.core.block.TelemetryBlock`; it
+      micro-batch, on a :class:`~repro.dataset.schema.TelemetryBlock`; it
       returns ``(classes, normal_probabilities)``, and ``summaries``
       carries the CO-DATA per-car histories (ignored by detectors that
       do not collaborate).  The default materializes the block's

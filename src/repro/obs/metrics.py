@@ -32,7 +32,7 @@ without observability pays a single attribute read per site.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Snapshot wire-format magic + version (first two bytes of every
 #: encoded snapshot; also the shm FRAME_METRICS payload).

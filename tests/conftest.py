@@ -40,14 +40,13 @@ def labeled_dataset(corridor_network, golden_seeds):
             erroneous_rate=0.0,
         ),
     )
-    dataset = generator.generate()
-    dataset.records = Preprocessor().run(dataset.records)
-    return dataset
+    return Preprocessor().run(generator.generate())
 
 
 @pytest.fixture(scope="session")
 def trip_split(labeled_dataset):
-    return labeled_dataset.split_by_trip(0.8, seed=0)
+    """The train and replay trips' records."""
+    return tuple(part.records for part in labeled_dataset.split_by_trip(0.8, seed=0))
 
 
 @pytest.fixture(scope="session")

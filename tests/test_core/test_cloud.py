@@ -29,7 +29,7 @@ class TestCloudProfile:
 class TestCloudRelayRsu:
     def test_detection_delayed_by_round_trip(self, training_dataset):
         sim = Simulator()
-        motorway = training_dataset.by_road_type(RoadType.MOTORWAY)
+        motorway = training_dataset.by_road_type(RoadType.MOTORWAY).records
         detector = AD3Detector(RoadType.MOTORWAY).fit(motorway)
         rsu = CloudRelayRsu(
             sim,

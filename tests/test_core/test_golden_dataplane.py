@@ -245,7 +245,7 @@ def test_batched_dataplane_survives_trip_churn(labeled_dataset):
     """Vehicles spawned and retired mid-run: a retired vehicle's pending
     poll must not fire, and its skipped polls settle at retirement."""
     _, replay = TestbedScenario._train_replay_split(labeled_dataset)
-    records = [r for r in replay if r.road_type is RoadType.MOTORWAY]
+    records = replay.by_road_type(RoadType.MOTORWAY).records
 
     def churn(scenario):
         scenario.spawn_vehicles("rsu-mw-1", 2, at_s=0.7, records=records)
@@ -549,7 +549,7 @@ def test_churn_between_flushes(labeled_dataset, audit_invariants):
     spawn joins the cohort mid-window, a retirement sends what is due
     and leaves it."""
     _, replay = TestbedScenario._train_replay_split(labeled_dataset)
-    records = [r for r in replay if r.road_type is RoadType.MOTORWAY]
+    records = replay.by_road_type(RoadType.MOTORWAY).records
     spawn_at, retire_at = 0.7237, 1.2113
 
     def churn(scenario):

@@ -281,7 +281,7 @@ def test_trip_churn_across_an_outage(labeled_dataset, executed_polls):
     """Vehicles spawned before a crash and retired during it: a retiring
     vehicle settles into the open window."""
     _, replay = labeled_dataset.split_by_trip(0.8, seed=0)
-    records = [r for r in replay if r.road_type is RoadType.MOTORWAY]
+    records = replay.by_road_type(RoadType.MOTORWAY).records
 
     def churn(scenario):
         scenario.spawn_vehicles("rsu-mw-1", 2, at_s=0.7, records=records)

@@ -12,7 +12,8 @@ outputs exactly.
 import numpy as np
 import pytest
 
-from repro.core.block import NO_LABEL, DetectionEventLog, TelemetryBlock
+from repro.core.block import DetectionEventLog
+from repro.dataset.schema import NO_LABEL, TelemetryBlock
 from repro.core.collaborative import CollaborativeDetector
 from repro.core.detector import AD3Detector
 from repro.core.online import OnlineAD3Detector

@@ -8,14 +8,15 @@ is still seen.  The hashes were captured before the stage moved from
 per-record Python to column passes and must never move.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from repro.core.scenario import ScenarioSpec
+from repro.core.scenario import ScenarioSpec, paper_corridor
 from repro.core.system import TestbedScenario, corridor_bundle, default_training_dataset
-from repro.dataset import DatasetGenerator, GeneratorConfig, Preprocessor
+from repro.dataset import DatasetGenerator, GeneratorConfig, Preprocessor, TelemetryRecord
 from repro.geo import CityNetworkBuilder
 
 
@@ -96,8 +97,8 @@ class TestPreprocessorPins:
         network = CityNetworkBuilder(seed=11).build_corridor()
         raw = DatasetGenerator(
             network, GeneratorConfig(n_cars=40, seed=11, erroneous_rate=0.05)
-        ).generate().records
-        records = Preprocessor(granularity=granularity).run(raw)
+        ).generate()
+        records = Preprocessor(granularity=granularity).run(raw).records
         assert _records_fingerprint(records) == self.PINS[granularity]
 
 
@@ -145,3 +146,32 @@ class TestCorridorPins:
             self.VEHICLES[(profile, "built")],
             self.VEHICLES[(profile, "run")],
         )
+
+
+class TestTheCorridorBuildsNoRecord:
+    """The dataset is columns from generation to replay pool: building
+    the spine's paper corridor (``TestbedScenario.corridor`` over
+    ``default_training_dataset(7)``) and running it construct no
+    :class:`TelemetryRecord` (records are a row view, made only when a
+    per-record consumer asks)."""
+
+    def test_build_and_run_construct_zero_records(self, monkeypatch):
+        built = []
+        post_init = TelemetryRecord.__post_init__
+
+        def counted(record):
+            built.append(1)
+            post_init(record)
+
+        monkeypatch.setattr(TelemetryRecord, "__post_init__", counted)
+        spec = dataclasses.replace(
+            paper_corridor().build(),
+            n_vehicles=13,
+            duration_s=2.0,
+            serde_profile="struct",
+        )
+        scenario = TestbedScenario.corridor(spec, dataset=default_training_dataset(7))
+        assert len(built) == 0
+        scenario.run()
+        assert len(built) == 0
+        assert sum(vehicle.stats.records_sent for vehicle in scenario.vehicles) > 0

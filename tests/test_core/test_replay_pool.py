@@ -57,7 +57,7 @@ def test_a_scenario_encodes_each_pool_row_once(monkeypatch):
 
 def test_a_stripe_is_its_records_encoded_one_by_one(motorway_records):
     _, replay = motorway_records
-    pool = ReplayPool(replay[:23])
+    pool = ReplayPool.of(replay[:23])
     stripe = pool[2::5]
     assert list(stripe) == replay[:23][2::5]
     assert list(stripe[1::2]) == replay[:23][2::5][1::2]
@@ -82,7 +82,7 @@ def test_a_car_id_the_layout_cannot_hold_sends_json(motorway_records):
         RsuConfig(serdes=topic_serdes("struct")),
     )
     channel = DsrcChannel(sim, rng=np.random.default_rng(0))
-    pool = ReplayPool(replay[:6])
+    pool = ReplayPool.of(replay[:6])
     fits, too_big = (
         VehicleNode(
             sim, car, pool, rsu, channel, serdes=topic_serdes("struct")

@@ -176,7 +176,7 @@ class TestTripChurn:
             config, dataset=training_dataset
         )
         _, replay = TestbedScenario._train_replay_split(training_dataset)
-        records = [r for r in replay if r.road_type is RoadType.MOTORWAY]
+        records = replay.by_road_type(RoadType.MOTORWAY).records
         scenario.spawn_vehicles(
             "rsu-motorway", 2, at_s=1.0, records=records
         )

@@ -15,7 +15,7 @@ def training_dataset():
 
 @pytest.fixture(scope="module")
 def motorway_detector(training_dataset):
-    motorway = training_dataset.by_road_type(RoadType.MOTORWAY)
+    motorway = training_dataset.by_road_type(RoadType.MOTORWAY).records
     return AD3Detector(RoadType.MOTORWAY).fit(motorway)
 
 
@@ -25,7 +25,7 @@ class TestConstruction:
     ):
         scenario = TestbedScenario(ScenarioSpec(n_vehicles=4, duration_s=1.0))
         scenario.add_rsu("rsu", motorway_detector)
-        records = training_dataset.by_road_type(RoadType.MOTORWAY)[:40]
+        records = training_dataset.by_road_type(RoadType.MOTORWAY).records[:40]
         vehicles = scenario.add_vehicles("rsu", 4, records)
         assert len(vehicles) == 4
         # Distinct car ids, monotonically assigned.
@@ -43,7 +43,7 @@ class TestConstruction:
     ):
         scenario = TestbedScenario(ScenarioSpec(n_vehicles=3, duration_s=1.0))
         scenario.add_rsu("rsu", motorway_detector)
-        records = training_dataset.by_road_type(RoadType.MOTORWAY)[:30]
+        records = training_dataset.by_road_type(RoadType.MOTORWAY).records[:30]
         vehicles = scenario.add_vehicles("rsu", 3, records)
         shaper = scenario.shapers["rsu"]
         for vehicle in vehicles:
@@ -54,7 +54,7 @@ class TestConstruction:
             ScenarioSpec(n_vehicles=2, duration_s=1.0, use_htb=False)
         )
         scenario.add_rsu("rsu", motorway_detector)
-        records = training_dataset.by_road_type(RoadType.MOTORWAY)[:20]
+        records = training_dataset.by_road_type(RoadType.MOTORWAY).records[:20]
         vehicles = scenario.add_vehicles("rsu", 2, records)
         assert all(v.shaper is None for v in vehicles)
         assert "rsu" not in scenario.shapers
@@ -75,8 +75,8 @@ class TestConstruction:
             dataset=training_dataset,
         )
         train, replay = TestbedScenario._train_replay_split(training_dataset)
-        replay_trips = {r.trip_id for r in replay}
-        train_trips = {r.trip_id for r in train}
+        replay_trips = set(replay.trip_id.tolist())
+        train_trips = set(train.trip_id.tolist())
         for vehicle in scenario.vehicles:
             stream_sample = vehicle._stripe[:5]
             for record in stream_sample:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.block import TelemetryBlock
+from repro.dataset.schema import TelemetryBlock
 from repro.core.features import (
     CO_DATA,
     IN_DATA,

@@ -1,10 +1,15 @@
 """Tests for the synthetic dataset generator."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.dataset import DatasetGenerator, GeneratorConfig
+from repro.dataset import AnomalyKind, DatasetGenerator, GeneratorConfig
 from repro.geo import CityNetworkBuilder, RoadType
+from tests.test_dataset.oracles import reference_records
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +27,8 @@ def small_dataset(corridor):
 
 class TestGeneratorConfig:
     def test_validation(self):
+        with pytest.raises(ValueError):
+            GeneratorConfig(episode_continue_prob=1.5)
         with pytest.raises(ValueError):
             GeneratorConfig(n_cars=0)
         with pytest.raises(ValueError):
@@ -70,7 +77,7 @@ class TestGeneration:
     def test_motorway_speeds_realistic(self, small_dataset):
         speeds = [
             r.speed_kmh
-            for r in small_dataset.by_road_type(RoadType.MOTORWAY)
+            for r in small_dataset.by_road_type(RoadType.MOTORWAY).records
             if r.speed_kmh < 300
         ]
         assert 100.0 < np.mean(speeds) < 180.0
@@ -112,7 +119,7 @@ class TestGeneration:
 
 class TestSplits:
     def test_split_fractions(self, small_dataset):
-        train, test = small_dataset.split(0.8, seed=0)
+        train, test = (part.records for part in small_dataset.split(0.8, seed=0))
         total = len(small_dataset.records)
         assert len(train) + len(test) == total
         assert abs(len(train) - 0.8 * total) <= 1
@@ -122,7 +129,7 @@ class TestSplits:
             small_dataset.split(1.0)
 
     def test_split_by_trip_keeps_trips_together(self, small_dataset):
-        train, test = small_dataset.split_by_trip(0.8, seed=0)
+        train, test = (part.records for part in small_dataset.split_by_trip(0.8, seed=0))
         train_trips = {r.trip_id for r in train}
         test_trips = {r.trip_id for r in test}
         assert not train_trips & test_trips
@@ -131,7 +138,9 @@ class TestSplits:
     def test_split_deterministic(self, small_dataset):
         a_train, _ = small_dataset.split(0.8, seed=5)
         b_train, _ = small_dataset.split(0.8, seed=5)
-        assert [r.timestamp for r in a_train] == [r.timestamp for r in b_train]
+        assert [r.timestamp for r in a_train.records] == [
+            r.timestamp for r in b_train.records
+        ]
 
 
 class TestRandomRoutePlan:
@@ -175,3 +184,78 @@ class TestGoldenPins:
         assert self.fingerprint(corridor, **dict(overrides)) == self.PINS[
             overrides
         ]
+
+
+@lru_cache(maxsize=None)
+def _network(route_plan):
+    """The corridor for the corridor and random-walk plans, the
+    connected grid for Dijkstra-routed trips."""
+    if route_plan == "routed":
+        return CityNetworkBuilder(seed=3).build_grid(rows=3, cols=3)
+    return CityNetworkBuilder(seed=1).build_corridor()
+
+
+def _reprs(records):
+    return [repr(record) for record in records]
+
+
+def _stream_states(generator):
+    return [
+        rng.bit_generator.state
+        for rng in (generator._rng, generator._driver_rng, generator._error_rng)
+    ]
+
+
+class TestColumnsMatchThePerRecordReference:
+    """The column generator's rows are the per-record generator's
+    records (``tests/test_dataset/oracles.py``), ``repr`` for ``repr``:
+    values, types, anomaly kinds and timestamps; and it leaves its RNG
+    streams where the reference does.  Periods that are not
+    representable (0.1, 0.7) make the timestamps' rounding depend on
+    the order the periods are added in."""
+
+    @given(
+        n_cars=st.integers(1, 12),
+        erroneous_rate=st.sampled_from([0.0, 0.01, 0.3]),
+        route_plan=st.sampled_from(["corridor", "random", "routed"]),
+        seed=st.integers(0, 2**32 - 1),
+        sample_period_s=st.sampled_from([3.0, 0.1, 0.7]),
+    )
+    @example(
+        n_cars=12, erroneous_rate=0.3, route_plan="corridor", seed=5,
+        sample_period_s=0.7,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_the_reference_records(
+        self, n_cars, erroneous_rate, route_plan, seed, sample_period_s
+    ):
+        config = GeneratorConfig(
+            n_cars=n_cars,
+            erroneous_rate=erroneous_rate,
+            route_plan=route_plan,
+            seed=seed,
+            sample_period_s=sample_period_s,
+        )
+        network = _network(route_plan)
+        columns = DatasetGenerator(network, config)
+        reference = DatasetGenerator(network, config)
+        rows = columns.generate().records
+        assert _reprs(rows) == _reprs(reference_records(reference))
+        assert _stream_states(columns) == _stream_states(reference)
+
+    def test_the_example_covers_bursts_and_corruption(self):
+        """The explicit example above draws SUDDEN_ACCELERATION
+        segments (the scalar draw path) and corrupted samples of every
+        mode."""
+        config = GeneratorConfig(
+            n_cars=12, erroneous_rate=0.3, seed=5, sample_period_s=0.7
+        )
+        reference = reference_records(DatasetGenerator(_network("corridor"), config))
+        kinds = {record.anomaly_kind for record in reference}
+        assert AnomalyKind.SUDDEN_ACCELERATION in kinds
+        assert any(record.speed_kmh >= 400.0 for record in reference)
+        assert any(record.accel_ms2 >= 25.0 for record in reference)
+        assert any(
+            record.speed_kmh == 0.0 and record.accel_ms2 == 0.0
+            for record in reference
+        )

@@ -11,6 +11,7 @@ from repro.dataset import (
     GeneratorConfig,
     Preprocessor,
     SigmaCutoffLabeler,
+    SyntheticDataset,
 )
 from repro.dataset.schema import ABNORMAL, NORMAL, TelemetryRecord
 from repro.geo import CityNetworkBuilder, RoadType
@@ -196,9 +197,8 @@ class TestOneSigmaRule:
         ]
         labeler = SigmaCutoffLabeler(granularity=granularity).fit(records)
         probes = records + self._edge_probes(labeler)
-        labelled = labeler.label_all(probes)
-        assert [r.label for r in labelled] == [labeler.label(r) for r in probes]
-        assert labelled == [r.with_label(labeler.label(r)) for r in probes]
+        labels = labeler.label_all(probes)
+        assert labels.tolist() == [labeler.label(r) for r in probes]
 
     def test_label_all_raises_for_an_unfitted_road_type(self):
         labeler = SigmaCutoffLabeler().fit([make_record(100.0), make_record(90.0)])
@@ -222,8 +222,10 @@ class TestOneSigmaRule:
             make_record(speed, accel, car_id=index)
             for index, (speed, accel) in enumerate(readings)
         ]
-        kept = Preprocessor(filter_config=config).run(records)
-        assert [r.car_id for r in kept] == [
+        kept = Preprocessor(filter_config=config).run(
+            SyntheticDataset.from_records(records)
+        )
+        assert [r.car_id for r in kept.records] == [
             r.car_id for r in records if config.keep(r)
         ]
 
@@ -235,10 +237,11 @@ class TestPreprocessor:
             network,
             GeneratorConfig(n_cars=30, trips_per_car=4, seed=3, erroneous_rate=0.02),
         ).generate()
-        labeled = Preprocessor().run(dataset.records)
+        labeled = Preprocessor().run(dataset).records
         assert labeled
         assert len(labeled) < len(dataset.records)  # filtering removed some
         assert all(r.label in (NORMAL, ABNORMAL) for r in labeled)
 
     def test_empty_input(self):
-        assert Preprocessor().run([]) == []
+        empty = SyntheticDataset.from_records([])
+        assert Preprocessor().run(empty).records == []

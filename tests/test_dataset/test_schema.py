@@ -1,8 +1,10 @@
 """Tests for dataset record types."""
 
+import numpy as np
 import pytest
 
 from repro.dataset import ABNORMAL, NORMAL, AnomalyKind, TelemetryRecord
+from repro.dataset.schema import NO_LABEL, TelemetryBlock
 from repro.geo import RoadType
 
 
@@ -67,3 +69,40 @@ class TestTelemetryRecord:
     def test_anomaly_kinds(self):
         assert AnomalyKind.NONE.value == "none"
         assert len(AnomalyKind) == 4
+
+
+class TestTelemetryBlock:
+    """The column form: its rows are the records it was built from, and
+    :meth:`TelemetryBlock.validate` applies the record's checks."""
+
+    def test_rows_round_trip(self):
+        records = [
+            make_record(trip_id=3),
+            make_record(label=ABNORMAL, anomaly_kind=AnomalyKind.SLOWING, trip_id=4),
+        ]
+        block = TelemetryBlock.from_records(records)
+        assert block.records(np.array([3, 4])) == records
+        assert [repr(r) for r in block.records(np.array([3, 4]))] == [
+            repr(r) for r in records
+        ]
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("hour", 24, "hour out of range"),
+            ("day", 0, "day out of range"),
+            ("speed_kmh", -1.0, "speed must be non-negative"),
+            ("label", 2, "label must be 0/1/None"),
+        ],
+    )
+    def test_validate_applies_the_record_checks(self, column, value, message):
+        block = TelemetryBlock.from_records([make_record(), make_record()])
+        block.validate()
+        getattr(block, column)[1] = value
+        with pytest.raises(ValueError, match=message):
+            block.validate()
+
+    def test_unlabelled_rows_pass_validation(self):
+        block = TelemetryBlock.from_records([make_record()])
+        assert block.label.tolist() == [NO_LABEL]
+        block.validate()

@@ -10,9 +10,9 @@ from repro.cli import main
 from repro.core.rsu import RsuNode
 from repro.fuzz import FuzzConfig, FuzzRunner, run_oracles
 from repro.fuzz import runner as runner_module
-from repro.fuzz.oracles import set_planted_bug
 from repro.fuzz.runner import minimize_spec, replay_corpus_entry
 from repro.fuzz.spec import FuzzSpec
+from repro.obs import audit as audit_module
 
 
 class TestGreenRun:
@@ -52,18 +52,37 @@ class TestDeterminism:
         assert run_oracles(spec).digest == run_oracles(spec).digest
 
 
+def _double_count(scenario) -> None:
+    """A known-fixed off-by-one: the busiest RSU counts one extra issued
+    warning (the migrated-car double count), which the
+    warning-conservation law then catches."""
+    busiest = None
+    for _, rsu in sorted(scenario.rsus.items()):
+        if rsu.warnings_issued > 0 and (
+            busiest is None or rsu.warnings_issued > busiest.warnings_issued
+        ):
+            busiest = rsu
+    if busiest is not None:
+        busiest.warnings_issued += 1
+
+
 class TestPlantedBugDemonstration:
     """Acceptance demo: a deliberately re-introduced off-by-one (the
-    pre-PR-3 migrated-warning double count, behind a flag) must be
-    *found* by the fuzzer, *shrunk* to a <= 5-line JSON repro, and
-    *persisted* as a corpus entry that stops failing once the flag is
-    off."""
+    once-fixed migrated-warning double count, planted in front of the
+    conservation audit) must be *found* by the fuzzer, *shrunk* to a
+    <= 5-line JSON repro, and *persisted* as a corpus entry that stops
+    failing once the plant is gone."""
 
     @pytest.fixture
-    def planted(self):
-        set_planted_bug(True)
-        yield
-        set_planted_bug(False)
+    def planted(self, monkeypatch):
+        audit_scenario = audit_module.audit_scenario
+
+        def double_counted(scenario):
+            _double_count(scenario)
+            return audit_scenario(scenario)
+
+        monkeypatch.setattr(audit_module, "audit_scenario", double_counted)
+        yield monkeypatch
 
     def test_found_shrunk_and_persisted(self, planted, tmp_path):
         config = FuzzConfig(
@@ -89,9 +108,9 @@ class TestPlantedBugDemonstration:
         assert payload["expect"] == "fail"
         assert payload["spec"] == failure.spec.to_payload()
 
-        # With the regression flag off, the shrunk spec is green again:
-        # exactly what a fixed bug looks like on replay.
-        set_planted_bug(False)
+        # With the plant gone, the shrunk spec is green again: exactly
+        # what a fixed bug looks like on replay.
+        planted.undo()
         assert run_oracles(failure.spec).ok
 
 

@@ -130,3 +130,63 @@ def test_every_module_is_reached_from_a_runner():
         f"delete them): {unreached}"
     )
 
+
+
+def _annotation_names(tree: ast.Module) -> Iterator[str]:
+    """Names in quoted annotations (``-> "SyntheticDataset"``)."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            arguments += [a for a in (node.args.vararg, node.args.kwarg) if a]
+            annotations.extend(a.annotation for a in arguments)
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for name in ast.walk(ast.parse(node.value, mode="eval")):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def _exported(tree: ast.Module) -> Iterator[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            for element in ast.walk(node.value):
+                if isinstance(element, ast.Constant):
+                    yield element.value
+
+
+def unused_imports(path: Path) -> Iterator[str]:
+    """``line: name`` for each name ``path`` imports and never uses."""
+    tree = _tree(path)
+    imported: Dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(_annotation_names(tree))
+    used.update(_exported(tree))
+    for name, line in sorted(imported.items(), key=lambda item: item[1]):
+        if name not in used:
+            yield f"{line}: {name}"
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = {
+        name: found
+        for name, path in MODULES.items()
+        if not _is_package(name)
+        for found in [list(unused_imports(path))]
+        if found
+    }
+    assert unused == {}, f"imported but unused (delete the import): {unused}"

@@ -19,9 +19,6 @@ history term buys trip-level driver-awareness (Table IV FN reduction,
 Fig. 8 context) rather than pointwise F1.
 """
 
-import numpy as np
-
-from repro.core.collaborative import summaries_from_upstream
 from repro.core.detector import AD3Detector
 from repro.experiments.ablations import (
     ablate_episode_persistence,
@@ -44,12 +41,12 @@ def test_ablation_history_weight(benchmark, model_dataset):
     }
 
     # Plain AD3 baseline on the same split.
-    train, test = (part.records for part in model_dataset.split_by_trip(0.8, seed=0))
-    link_train = [r for r in train if r.road_type is RoadType.MOTORWAY_LINK]
-    link_test = [r for r in test if r.road_type is RoadType.MOTORWAY_LINK]
+    link_train, link_test = (
+        part.by_road_type(RoadType.MOTORWAY_LINK).block
+        for part in model_dataset.split_by_trip(0.8, seed=0)
+    )
     ad3 = AD3Detector(RoadType.MOTORWAY_LINK).fit(link_train)
-    y_true = np.array([r.label for r in link_test])
-    ad3_report = evaluate_binary(y_true, ad3.predict(link_test))
+    ad3_report = evaluate_binary(link_test.label, ad3.detect(link_test)[0])
     print(f"AD3 baseline: f1={ad3_report.f1:.4f} fn={ad3_report.fn_rate:.4f}")
 
     # Every half-or-less history weight beats plain AD3.

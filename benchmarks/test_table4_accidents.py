@@ -19,7 +19,7 @@ from repro.experiments.models import fig7_table4_comparison
 def test_table4_accidents_large_scale(benchmark):
     def run():
         dataset = corridor_dataset(n_cars=900, trips_per_car=10, seed=1)
-        return fig7_table4_comparison(dataset), len(dataset.records)
+        return fig7_table4_comparison(dataset), len(dataset.block)
 
     result, n_records = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"\n({n_records} records generated)")

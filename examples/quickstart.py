@@ -38,16 +38,17 @@ def main() -> None:
     )
     dataset = generator.generate()
     dataset = Preprocessor().run(dataset)
-    abnormal = np.mean([r.label == 0 for r in dataset.records])
-    print(f"dataset: {len(dataset.records)} labelled records "
+    abnormal = np.mean(dataset.block.label == 0)
+    print(f"dataset: {len(dataset.block)} labelled records "
           f"({abnormal:.0%} abnormal)")
 
-    # 3. Train on 80 % of trips, exactly as the paper does.
-    train, test = (part.records for part in dataset.split_by_trip(0.8, seed=0))
-    motorway_train = [r for r in train if r.road_type is RoadType.MOTORWAY]
-    link_train = [r for r in train if r.road_type is RoadType.MOTORWAY_LINK]
+    # 3. Train on 80 % of trips, exactly as the paper does.  Detectors
+    #    fit and score blocks: the dataset's rows as columns.
+    train, test = dataset.split_by_trip(0.8, seed=0)
+    motorway_train = train.by_road_type(RoadType.MOTORWAY).block
+    link_train = train.by_road_type(RoadType.MOTORWAY_LINK).block
 
-    centralized = CentralizedDetector().fit(train)
+    centralized = CentralizedDetector().fit(train.block)
     ad3_motorway = AD3Detector(RoadType.MOTORWAY).fit(motorway_train)
     ad3_link = AD3Detector(RoadType.MOTORWAY_LINK).fit(link_train)
     cad3 = CollaborativeDetector(RoadType.MOTORWAY_LINK, nb=ad3_link).fit(
@@ -59,16 +60,16 @@ def main() -> None:
     print(cad3.explain())
 
     # 4. Evaluate at the motorway-link RSU.
-    link_test = [r for r in test if r.road_type is RoadType.MOTORWAY_LINK]
-    motorway_test = [r for r in test if r.road_type is RoadType.MOTORWAY]
+    link_test = test.by_road_type(RoadType.MOTORWAY_LINK).block
+    motorway_test = test.by_road_type(RoadType.MOTORWAY).block
     test_summaries = summaries_from_upstream(ad3_motorway, motorway_test)
-    y_true = np.array([r.label for r in link_test])
+    y_true = link_test.label
 
     print(f"\nevaluation on {len(link_test)} held-out link records:")
-    for name, y_pred in (
-        ("centralized", centralized.predict(link_test)),
-        ("AD3", ad3_link.predict(link_test)),
-        ("CAD3", cad3.predict(link_test, test_summaries)),
+    for name, (y_pred, _) in (
+        ("centralized", centralized.detect(link_test)),
+        ("AD3", ad3_link.detect(link_test)),
+        ("CAD3", cad3.detect(link_test, test_summaries)),
     ):
         report = evaluate_binary(y_true, y_pred)
         estimate = expected_accidents(link_test, y_true, y_pred)

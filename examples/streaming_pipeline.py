@@ -34,8 +34,8 @@ def main() -> None:
         network, GeneratorConfig(n_cars=80, trips_per_car=5, seed=5)
     ).generate()
     dataset = Preprocessor().run(dataset)
-    motorway = dataset.by_road_type(RoadType.MOTORWAY).records
-    detector = AD3Detector(RoadType.MOTORWAY).fit(motorway)
+    motorway = dataset.by_road_type(RoadType.MOTORWAY)
+    detector = AD3Detector(RoadType.MOTORWAY).fit(motorway.block)
 
     # Wire the online world: two RSUs joined by Ethernet, one vehicle.
     sim = Simulator()
@@ -44,7 +44,7 @@ def main() -> None:
     rsu_motorway.connect(rsu_link, WiredLink(sim, name="mw->link"))
 
     channel = DsrcChannel(sim, rng=np.random.default_rng(0))
-    abnormal_stream = [r for r in motorway if r.label == 0][:40]
+    abnormal_stream = [r for r in motorway.records if r.label == 0][:40]
     vehicle = VehicleNode(
         sim, car_id=1, records=abnormal_stream, rsu=rsu_motorway,
         channel=channel, rng=np.random.default_rng(1),

@@ -25,7 +25,7 @@ from repro.core.accidents import (
 from repro.core.block import DetectionEventLog
 from repro.core.centralized import CentralizedDetector
 from repro.core.collaborative import CollaborativeDetector, NEUTRAL_PRIOR
-from repro.core.detector import AD3Detector, road_features
+from repro.core.detector import AD3Detector
 from repro.core.features import (
     CO_DATA,
     IN_DATA,
@@ -95,7 +95,6 @@ __all__ = [
     "nilsson_accident_ratio",
     "payload_to_record",
     "record_to_payload",
-    "road_features",
     "speed_deviation_delta",
     "summary_struct_serde",
     "topic_serdes",

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.dataset.schema import ABNORMAL, TelemetryRecord
+from repro.dataset.schema import ABNORMAL, TelemetryBlock
 
 
 def nilsson_accident_ratio(road_speed_kmh: float, vehicle_speed_kmh: float) -> float:
@@ -71,42 +71,39 @@ class AccidentEstimate:
 
 
 def expected_accidents(
-    records: Sequence[TelemetryRecord],
+    block: TelemetryBlock,
     y_true: Sequence[int],
     y_pred: Sequence[int],
 ) -> AccidentEstimate:
     """Eq. 3: E(Lambda) = sum over false negatives of delta.
 
-    A false negative is a ground-truth abnormal record the model
-    called normal — the dangerous, unwarned case.  ``records`` supply
-    the speeds for delta; ``y_true``/``y_pred`` the labels.
+    A false negative is a ground-truth abnormal row the model called
+    normal — the dangerous, unwarned case.  ``block`` supplies the
+    speeds for delta; ``y_true``/``y_pred`` the labels.  The deltas are
+    summed left to right, row order.
     """
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
-    if not (len(records) == len(y_true) == len(y_pred)):
+    if not (len(block) == len(y_true) == len(y_pred)):
         raise ValueError(
-            f"length mismatch: {len(records)} records, {len(y_true)} true, "
+            f"length mismatch: {len(block)} records, {len(y_true)} true, "
             f"{len(y_pred)} predicted labels"
         )
-    total = 0.0
-    n_abnormal = 0
-    n_fn = 0
-    deltas = []
-    for record, truth, predicted in zip(records, y_true, y_pred):
-        if truth != ABNORMAL:
-            continue
-        n_abnormal += 1
-        if predicted == ABNORMAL:
-            continue  # detected: warning issued, accident avoidable
-        n_fn += 1
-        delta = speed_deviation_delta(
-            record.road_mean_speed_kmh, record.speed_kmh
+    abnormal = y_true == ABNORMAL
+    missed = np.flatnonzero(abnormal & (y_pred != ABNORMAL))
+    deltas = [
+        speed_deviation_delta(road_speed, speed)
+        for road_speed, speed in zip(
+            block.road_mean_speed_kmh[missed].tolist(),
+            block.speed_kmh[missed].tolist(),
         )
-        deltas.append(delta)
+    ]
+    total = 0.0
+    for delta in deltas:
         total += delta
     return AccidentEstimate(
         expected_accidents=total,
-        n_abnormal=n_abnormal,
-        n_false_negatives=n_fn,
+        n_abnormal=int(np.count_nonzero(abnormal)),
+        n_false_negatives=len(deltas),
         mean_delta_of_fn=float(np.mean(deltas)) if deltas else 0.0,
     )

@@ -10,13 +10,13 @@ motorway's ~160 km/h mode and the link's ~115 km/h mode at once.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.core.features import centralized_features, labels_of
-from repro.dataset.schema import NORMAL, TelemetryBlock, TelemetryRecord
-from repro.ml.base import Detector
+from repro.dataset.schema import NORMAL, TelemetryBlock
+from repro.ml.base import Detector, classify
 from repro.ml.naive_bayes import GaussianNaiveBayes
 
 
@@ -34,12 +34,11 @@ class CentralizedDetector(Detector):
         self.encoding = encoding
         self._fitted = False
 
-    def fit(self, records: Sequence[TelemetryRecord]) -> "CentralizedDetector":
-        if not records:
+    def fit(self, block: TelemetryBlock) -> "CentralizedDetector":
+        if not block:
             raise ValueError("cannot fit on zero records")
-        X = centralized_features(records, encoding=self.encoding)
-        y = labels_of(records)
-        self.model.fit(X, y)
+        X = centralized_features(block, encoding=self.encoding)
+        self.model.fit(X, labels_of(block))
         self._fitted = True
         return self
 
@@ -47,38 +46,15 @@ class CentralizedDetector(Detector):
     def fitted(self) -> bool:
         return self._fitted
 
-    def predict(self, records: Sequence[TelemetryRecord]) -> np.ndarray:
-        if not records:
-            return np.empty(0, dtype=int)
-        return self.model.predict(
-            centralized_features(records, encoding=self.encoding)
-        )
-
-    def predict_normal_proba(
-        self, records: Sequence[TelemetryRecord]
-    ) -> np.ndarray:
-        if not records:
-            return np.empty(0)
-        return self.model.proba_of(
-            centralized_features(records, encoding=self.encoding), NORMAL
-        )
-
     def detect(
-        self, records: Sequence[TelemetryRecord], summaries=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self.predict(records), self.predict_normal_proba(records)
-
-    def detect_block(
         self, block: TelemetryBlock, summaries=None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Columnar :meth:`detect` — one likelihood evaluation, no
-        per-record materialization; bit-identical output."""
+        """Class (1 normal, 0 abnormal) and P(normal) per row, the
+        likelihood evaluated once."""
         if len(block) == 0:
             return np.empty(0, dtype=int), np.empty(0)
         X = centralized_features(block, encoding=self.encoding)
-        if hasattr(self.model, "predict_and_proba"):
-            return self.model.predict_and_proba(X, NORMAL)
-        return self.model.predict(X), self.model.proba_of(X, NORMAL)
+        return classify(self.model, X, NORMAL)
 
     def __repr__(self) -> str:
         state = "fitted" if self._fitted else "unfitted"

@@ -101,7 +101,7 @@ class CloudRelayRsu(RsuNode):
         one pass."""
         now = self.sim.now
         block = decode_telemetry_block(payloads, serde=self._serde_for(IN_DATA))
-        classes, _ = self.detector.detect_block(block)
+        classes, _ = self.detector.detect(block)
         abnormal = np.asarray(classes) == ABNORMAL
         self.events.append_block(
             block.car_id,

@@ -26,9 +26,9 @@ import numpy as np
 
 from repro.core.detector import AD3Detector
 from repro.core.features import PredictionSummary, labels_of
-from repro.dataset.schema import NORMAL, TelemetryBlock, as_block
+from repro.dataset.schema import NORMAL, TelemetryBlock
 from repro.geo.roadnet import RoadType
-from repro.ml.base import Detector
+from repro.ml.base import Detector, classify
 from repro.ml.decision_tree import DecisionTreeClassifier
 
 #: Prior used for vehicles with no forwarded history (e.g. a trip that
@@ -125,12 +125,11 @@ class CollaborativeDetector(Detector):
 
     def _history_vector(
         self,
-        records,
+        block: TelemetryBlock,
         summaries: Mapping[int, PredictionSummary],
     ) -> np.ndarray:
-        """Each row's P_prevs-bar (of a block or a record sequence): its
-        car's forwarded history, or :data:`NEUTRAL_PRIOR` without one."""
-        block = as_block(records)
+        """Each row's P_prevs-bar: its car's forwarded history, or
+        :data:`NEUTRAL_PRIOR` without one."""
         if not summaries:
             return np.full(len(block), NEUTRAL_PRIOR)
         # One dict lookup per *unique* car, scattered back per record.
@@ -149,7 +148,7 @@ class CollaborativeDetector(Detector):
         summaries: Mapping[int, PredictionSummary],
     ) -> np.ndarray:
         """``[Hour, P_X, Class_NB]`` per row, the NB evaluated once."""
-        classes, p_nb = self.nb.detect_block(block)
+        classes, p_nb = self.nb.detect(block)
         p_x = self._fuse(p_nb, self._history_vector(block, summaries))
         hours = block.hour.astype(np.float64)
         return np.column_stack([hours, p_x, classes.astype(float)])
@@ -159,18 +158,16 @@ class CollaborativeDetector(Detector):
     # ------------------------------------------------------------------
     def fit(
         self,
-        records,
+        block: TelemetryBlock,
         summaries: Mapping[int, PredictionSummary],
         refit_nb: bool = True,
     ) -> "CollaborativeDetector":
-        """Train the local NB (optionally) and the fusion tree, on a
-        record sequence or a :class:`TelemetryBlock`.
+        """Train the local NB (optionally) and the fusion tree.
 
         ``summaries`` maps car id to the upstream RSU's forwarded
-        history for the same trips as ``records`` — the training-time
+        history for the same trips as ``block`` — the training-time
         analogue of what ``CO-DATA`` carries online.
         """
-        block = as_block(records)
         if not block:
             raise ValueError("cannot fit on zero records")
         if refit_nb or not self.nb.fitted:
@@ -183,38 +180,14 @@ class CollaborativeDetector(Detector):
     def fitted(self) -> bool:
         return self._fitted
 
-    def predict(
-        self,
-        records,
-        summaries: Mapping[int, PredictionSummary],
-    ) -> np.ndarray:
-        """Fused class per record: 1 normal, 0 abnormal."""
-        return self.detect(records, summaries)[0]
-
-    def predict_normal_proba(
-        self,
-        records,
-        summaries: Mapping[int, PredictionSummary],
-    ) -> np.ndarray:
-        return self.detect(records, summaries)[1]
-
     def detect(
-        self,
-        records,
-        summaries: Optional[Mapping[int, PredictionSummary]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(classes, normal probabilities): :meth:`detect_block` of the
-        records as a block."""
-        return self.detect_block(as_block(records), summaries)
-
-    def detect_block(
         self,
         block: TelemetryBlock,
         summaries: Optional[Mapping[int, PredictionSummary]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fused classes and normal probabilities of a block: the fusion
-        features are built once and the NB likelihood is evaluated a
-        single time."""
+        """Fused class (1 normal, 0 abnormal) and P(normal) per row: the
+        fusion features are built once and the NB likelihood is
+        evaluated a single time."""
         if summaries is None:
             summaries = {}
         if len(block) == 0:
@@ -222,7 +195,7 @@ class CollaborativeDetector(Detector):
         if not self._fitted:
             raise RuntimeError("CollaborativeDetector must be fitted first")
         X = self._fusion_features(block, summaries)
-        return self.tree.predict(X), self.tree.proba_of(X, NORMAL)
+        return classify(self.tree, X, NORMAL)
 
     def explain(self) -> str:
         """The learned fusion rules, human-readable."""
@@ -235,24 +208,22 @@ class CollaborativeDetector(Detector):
 
 def summaries_from_upstream(
     upstream: AD3Detector,
-    upstream_records,
+    block: TelemetryBlock,
     timestamp: Optional[float] = None,
 ) -> Dict[int, PredictionSummary]:
     """Build per-car summaries from an upstream RSU's predictions.
 
     The offline analogue of the online ``CO-DATA`` flow: run the
-    upstream detector over the records it saw (a sequence or a
-    :class:`TelemetryBlock`), group by car, and average the
-    normal-class probabilities (P_prevs-bar).  The groups come from one
-    stable sort by car, so each car's slice keeps record order and its
+    upstream detector over the rows it saw, group by car, and average
+    the normal-class probabilities (P_prevs-bar).  The groups come from
+    one stable sort by car, so each car's slice keeps row order and its
     ``np.mean`` is the mean of its probabilities in that order; a car's
-    last record is the one with the largest timestamp, the later one
-    on a tie.  Cars appear in the order of their first record.
+    last row is the one with the largest timestamp, the later one on a
+    tie.  Cars appear in the order of their first row.
     """
-    block = as_block(upstream_records)
     if not block:
         return {}
-    classes, probs = upstream.detect_block(block)
+    classes, probs = upstream.detect(block)
     order = np.argsort(block.car_id, kind="stable")
     cars = block.car_id[order]
     starts = np.flatnonzero(np.r_[True, cars[1:] != cars[:-1]])

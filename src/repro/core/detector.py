@@ -14,18 +14,10 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.features import ROAD_TYPE_CODE, base_features, labels_of
-from repro.dataset.schema import NORMAL, ROAD_TYPES, TelemetryBlock, as_block
+from repro.dataset.schema import NORMAL, ROAD_TYPES, TelemetryBlock
 from repro.geo.roadnet import RoadType
-from repro.ml.base import Detector
+from repro.ml.base import Detector, classify
 from repro.ml.naive_bayes import GaussianNaiveBayes
-
-
-def road_features(records) -> np.ndarray:
-    """The AD3 feature matrix: [InstSpeed, accel, Hour].
-
-    Accepts a record sequence or a :class:`TelemetryBlock`.
-    """
-    return base_features(records)
 
 
 class AD3Detector(Detector):
@@ -34,8 +26,8 @@ class AD3Detector(Detector):
     Parameters
     ----------
     road_type:
-        The road type this detector covers; ``fit`` and ``predict``
-        refuse records of other types, catching wiring bugs where an
+        The road type this detector covers; ``fit`` and ``detect``
+        refuse rows of other types, catching wiring bugs where an
         RSU receives data it has no model for.
     var_smoothing:
         Passed to the underlying :class:`GaussianNaiveBayes`.
@@ -69,14 +61,12 @@ class AD3Detector(Detector):
                 f"(car {int(block.car_id[first])})"
             )
 
-    def fit(self, records) -> "AD3Detector":
-        """Train on labelled records of this detector's road type: a
-        record sequence or a :class:`TelemetryBlock`."""
-        block = as_block(records)
+    def fit(self, block: TelemetryBlock) -> "AD3Detector":
+        """Train on the labelled rows of this detector's road type."""
         if not block:
             raise ValueError("cannot fit on zero records")
         self._check_block_road_type(block)
-        self.model.fit(road_features(block), labels_of(block))
+        self.model.fit(base_features(block), labels_of(block))
         self._fitted = True
         return self
 
@@ -84,48 +74,19 @@ class AD3Detector(Detector):
     def fitted(self) -> bool:
         return self._fitted
 
-    def predict(self, records) -> np.ndarray:
-        """Class per record: 1 normal, 0 abnormal."""
-        block = as_block(records)
-        if not block:
-            return np.empty(0, dtype=int)
-        self._check_block_road_type(block)
-        return self.model.predict(road_features(block))
-
-    def predict_normal_proba(self, records) -> np.ndarray:
-        """P(normal) per record — the P_NB of Eq. 1."""
-        block = as_block(records)
-        if not block:
-            return np.empty(0)
-        self._check_block_road_type(block)
-        return self.model.proba_of(road_features(block), NORMAL)
-
-    def detect(self, records, summaries=None) -> Tuple[np.ndarray, np.ndarray]:
-        """(classes, normal probabilities) in one pass: :meth:`detect_block`
-        of the records as a block.
-
-        ``summaries`` is accepted for protocol uniformity and ignored:
-        AD3 detection is road-local.
-        """
-        return self.detect_block(as_block(records))
-
-    def detect_block(
+    def detect(
         self, block: TelemetryBlock, summaries=None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Columnar :meth:`detect`: score a whole micro-batch without
-        materializing records, evaluating the likelihood once.
+        """Class (1 normal, 0 abnormal) and P(normal) — the P_NB of
+        Eq. 1 — per row, the likelihood evaluated once.
 
-        Output is bit-identical to ``predict(block)`` and
-        ``predict_normal_proba(block)``.
+        ``summaries`` is accepted for interface uniformity and ignored:
+        AD3 detection is road-local.
         """
         if len(block) == 0:
             return np.empty(0, dtype=int), np.empty(0)
         self._check_block_road_type(block)
-        X = road_features(block)
-        model = self.model
-        if hasattr(model, "predict_and_proba"):
-            return model.predict_and_proba(X, NORMAL)
-        return model.predict(X), model.proba_of(X, NORMAL)
+        return classify(self.model, base_features(block), NORMAL)
 
     def __repr__(self) -> str:
         state = "fitted" if self._fitted else "unfitted"

@@ -19,7 +19,6 @@ from repro.dataset.schema import (
     AnomalyKind,
     TelemetryBlock,
     TelemetryRecord,
-    as_block,
 )
 from repro.geo.roadnet import RoadType
 
@@ -39,16 +38,13 @@ _ROAD_TYPE_BY_VALUE: Dict[Any, RoadType] = {t.value: t for t in RoadType}
 _ANOMALY_KIND_BY_VALUE: Dict[Any, AnomalyKind] = {k.value: k for k in AnomalyKind}
 
 
-def _feature_columns(records) -> tuple:
-    """(speed, accel, hour, road_type_code) columns from either a
-    :class:`~repro.dataset.schema.TelemetryBlock` or a record sequence
-    (converted to a block first).
+def _feature_columns(block: TelemetryBlock) -> tuple:
+    """(speed, accel, hour, road_type_code) columns of ``block``.
 
     This is the single source of the feature formulas: the RSU's
-    block path and record-list callers (offline training and
-    evaluation) both flow through it, so they cannot drift apart.
+    micro-batches and offline training and evaluation all flow through
+    it, so they cannot drift apart.
     """
-    block = as_block(records)
     return (
         block.speed_kmh,
         block.accel_ms2,
@@ -57,30 +53,27 @@ def _feature_columns(records) -> tuple:
     )
 
 
-def base_features(records) -> np.ndarray:
-    """[InstSpeed, accel, Hour] matrix — the per-road feature set.
-
-    Accepts a record sequence or a
-    :class:`~repro.dataset.schema.TelemetryBlock` (no per-record work).
-    """
-    speed, accel, hour, _ = _feature_columns(records)
+def base_features(block: TelemetryBlock) -> np.ndarray:
+    """[InstSpeed, accel, Hour] matrix — the per-road (AD3) feature set."""
+    speed, accel, hour, _ = _feature_columns(block)
     if speed.size == 0:
         return np.empty((0, 3))
     return np.column_stack([speed, accel, hour])
 
 
-def centralized_features(records, encoding: str = "ordinal") -> np.ndarray:
+def centralized_features(
+    block: TelemetryBlock, encoding: str = "ordinal"
+) -> np.ndarray:
     """[InstSpeed, accel, Hour, RoadType...] — the city-scale set.
 
-    Accepts a record sequence or a
-    :class:`~repro.dataset.schema.TelemetryBlock`.  ``encoding`` controls
-    the RoadType column(s): ``"ordinal"`` (one integer code, the
-    default) or ``"onehot"`` (one indicator per road type).  Both lose
-    to the per-road models — the centralized gap is structural (shared
-    per-class Gaussians straddle the road types' speed modes), not an
-    encoding artefact; the detector tests pin this.
+    ``encoding`` controls the RoadType column(s): ``"ordinal"`` (one
+    integer code, the default) or ``"onehot"`` (one indicator per road
+    type).  Both lose to the per-road models — the centralized gap is
+    structural (shared per-class Gaussians straddle the road types'
+    speed modes), not an encoding artefact; the detector tests pin
+    this.
     """
-    speed, accel, hour, code = _feature_columns(records)
+    speed, accel, hour, code = _feature_columns(block)
     if encoding == "ordinal":
         if speed.size == 0:
             return np.empty((0, 4))
@@ -96,14 +89,9 @@ def centralized_features(records, encoding: str = "ordinal") -> np.ndarray:
     raise ValueError(f"unknown encoding: {encoding!r}")
 
 
-def labels_of(records) -> np.ndarray:
-    """Label vector; raises if any record is unlabelled.
-
-    Accepts a record sequence or a
-    :class:`~repro.dataset.schema.TelemetryBlock` (whose unlabelled
-    sentinel is -1).
-    """
-    block = as_block(records)
+def labels_of(block: TelemetryBlock) -> np.ndarray:
+    """Label vector; raises if any row is unlabelled (the
+    :data:`~repro.dataset.schema.NO_LABEL` sentinel)."""
     labels = block.label.astype(np.int64)
     missing = np.nonzero(labels == NO_LABEL)[0]
     if missing.size:

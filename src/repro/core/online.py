@@ -9,31 +9,26 @@ day and conditions.  This module closes that loop:
   speed and acceleration: the RSU's live contextual information.
 - :class:`OnlineLabeler` — the sigma-cutoff rule applied against the
   *current* rolling profile instead of a frozen training set.
-- :class:`OnlineAD3Detector` — an AD3 detector that keeps learning:
-  either cumulatively (:meth:`GaussianNaiveBayes.partial_fit`) or from
-  a sliding window (periodic refit), which also *forgets* stale
-  regimes and therefore tracks drift.
+- :class:`OnlineAD3Detector` — an AD3 detector that keeps learning
+  from each micro-batch block it scores (``detect`` then ``observe``,
+  both on the block's columns): either cumulatively
+  (:meth:`GaussianNaiveBayes.partial_fit`) or from a sliding window
+  (periodic refit), which also *forgets* stale regimes and therefore
+  tracks drift.
 """
 
 from __future__ import annotations
 
 import collections
 import math
-from typing import Deque, Optional, Sequence, Tuple
+from typing import Deque, Optional, Tuple
 
 import numpy as np
 
-from repro.core.detector import road_features
-from repro.core.features import ROAD_TYPE_CODE
-from repro.dataset.schema import (
-    ABNORMAL,
-    NORMAL,
-    ROAD_TYPES,
-    TelemetryBlock,
-    TelemetryRecord,
-)
+from repro.core.features import ROAD_TYPE_CODE, base_features
+from repro.dataset.schema import ABNORMAL, NORMAL, ROAD_TYPES, TelemetryBlock
 from repro.geo.roadnet import RoadType
-from repro.ml.base import Detector
+from repro.ml.base import Detector, classify
 from repro.ml.naive_bayes import GaussianNaiveBayes
 
 
@@ -94,27 +89,17 @@ class OnlineLabeler:
         self.speed = RollingProfile(half_life)
         self.accel = RollingProfile(half_life)
 
-    def observe(self, record: TelemetryRecord) -> None:
-        self.speed.update(record.speed_kmh)
-        self.accel.update(record.accel_ms2)
+    def observe(self, speed_kmh: float, accel_ms2: float) -> None:
+        """Fold one observation into the rolling profiles."""
+        self.speed.update(speed_kmh)
+        self.accel.update(accel_ms2)
 
     @property
     def ready(self) -> bool:
         return self.speed.ready and self.accel.ready
 
-    def observe_values(self, speed_kmh: float, accel_ms2: float) -> None:
-        """:meth:`observe` from raw scalars (the columnar path)."""
-        self.speed.update(speed_kmh)
-        self.accel.update(accel_ms2)
-
-    def label(self, record: TelemetryRecord) -> Optional[int]:
+    def label(self, speed_kmh: float, accel_ms2: float) -> Optional[int]:
         """Label against the current bands; None while warming up."""
-        return self.label_values(record.speed_kmh, record.accel_ms2)
-
-    def label_values(
-        self, speed_kmh: float, accel_ms2: float
-    ) -> Optional[int]:
-        """:meth:`label` from raw scalars (the columnar path)."""
         if not self.ready:
             return None
         speed_ok = (
@@ -176,46 +161,15 @@ class OnlineAD3Detector(Detector):
         self.observations = 0
 
     # ------------------------------------------------------------------
-    def observe(self, records: Sequence[TelemetryRecord]) -> None:
-        """Fold a batch of records into the context and the model."""
-        features = []
-        labels = []
-        for record in records:
-            if record.road_type is not self.road_type:
-                raise ValueError(
-                    f"online detector for {self.road_type.value!r} got a "
-                    f"{record.road_type.value!r} record"
-                )
-            label = self.labeler.label(record)
-            self.labeler.observe(record)
-            self.observations += 1
-            if label is None:
-                continue
-            row = np.array(
-                [record.speed_kmh, record.accel_ms2, float(record.hour)]
-            )
-            features.append(row)
-            labels.append(label)
-            if self.mode == "window":
-                self._buffer.append((row, label))
-        if not features:
-            return
-        if self.mode == "cumulative":
-            self._partial_fit(np.vstack(features), np.array(labels))
-        else:
-            self._since_refit += len(features)
-            if self._since_refit >= self.refit_every or not self._model_ready:
-                self._refit_from_buffer()
-
-    def observe_block(self, block: TelemetryBlock) -> None:
-        """Columnar :meth:`observe` — no record materialization.
+    def observe(self, block: TelemetryBlock) -> None:
+        """Fold a block's rows into the context and the model.
 
         The labelling profiles are an exponentially-weighted recurrence
         (each label depends on every prior observation), so the scan
-        itself stays sequential; the win is skipping the per-record
-        dataclass round trip and batching the feature rows.  State
-        after this call is bit-identical to
-        ``observe(block.records())``.
+        runs row by row; the feature rows it keeps are fitted in one
+        batch.  The profiles and the window buffer end the same however
+        a stream is cut into blocks; the model is (re)fitted at block
+        ends only.
         """
         n = len(block)
         if n == 0:
@@ -235,8 +189,8 @@ class OnlineAD3Detector(Detector):
         features = []
         labels = []
         for speed, accel, hour in zip(speeds, accels, hours):
-            label = labeler.label_values(speed, accel)
-            labeler.observe_values(speed, accel)
+            label = labeler.label(speed, accel)
+            labeler.observe(speed, accel)
             self.observations += 1
             if label is None:
                 continue
@@ -276,59 +230,21 @@ class OnlineAD3Detector(Detector):
     def ready(self) -> bool:
         return self._model_ready
 
-    def predict(self, records: Sequence[TelemetryRecord]) -> np.ndarray:
-        if not records:
-            return np.empty(0, dtype=int)
-        if not self._model_ready:
-            raise RuntimeError(
-                "online detector has not seen enough data to predict"
-            )
-        return self.model.predict(road_features(records))
-
-    def predict_normal_proba(
-        self, records: Sequence[TelemetryRecord]
-    ) -> np.ndarray:
-        if not records:
-            return np.empty(0)
-        if not self._model_ready:
-            raise RuntimeError(
-                "online detector has not seen enough data to predict"
-            )
-        return self.model.proba_of(road_features(records), NORMAL)
-
     def detect(
-        self, records: Sequence[TelemetryRecord], summaries=None
+        self, block: TelemetryBlock, summaries=None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(classes, normal probabilities) — the RSU pipeline contract.
 
-        During warm-up (model not ready) everything scores normal with
+        During warm-up (model not ready) every row scores normal with
         probability 1: no warnings are raised before the node has
         learned what normal looks like.
         """
-        if not records:
-            return np.empty(0, dtype=int), np.empty(0)
-        if not self._model_ready:
-            return (
-                np.full(len(records), NORMAL, dtype=int),
-                np.ones(len(records)),
-            )
-        return self.predict(records), self.predict_normal_proba(records)
-
-    def detect_block(
-        self, block: TelemetryBlock, summaries=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Columnar :meth:`detect` — bit-identical output, one
-        likelihood evaluation, same warm-up semantics."""
         n = len(block)
         if n == 0:
             return np.empty(0, dtype=int), np.empty(0)
         if not self._model_ready:
             return np.full(n, NORMAL, dtype=int), np.ones(n)
-        X = road_features(block)
-        model = self.model
-        if hasattr(model, "predict_and_proba"):
-            return model.predict_and_proba(X, NORMAL)
-        return model.predict(X), model.proba_of(X, NORMAL)
+        return classify(self.model, base_features(block), NORMAL)
 
     def __repr__(self) -> str:
         return (

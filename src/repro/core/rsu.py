@@ -43,7 +43,7 @@ from repro.microbatch.context import (
     ProcessingModel,
     StreamingContext,
 )
-from repro.ml.base import Detector, as_detector
+from repro.ml.base import Detector
 from repro.net.link import WiredLink
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
@@ -139,15 +139,11 @@ class RsuNode:
     ) -> None:
         self.sim = sim
         self.name = name
-        self.detector = as_detector(detector)
+        self.detector: Detector = detector
         #: Road-only fallback for degraded operation: the collaborative
         #: detector's local NB (absent on detectors that do not fuse
         #: upstream context, which never degrade).
-        self._fallback_detector: Optional[Detector] = (
-            as_detector(self.detector.nb)
-            if getattr(self.detector, "nb", None) is not None
-            else None
-        )
+        self._fallback_detector: Optional[Detector] = getattr(detector, "nb", None)
         self.config = config or RsuConfig()
         self.broker = Broker(name, clock=lambda: sim.now)
         for topic in (IN_DATA, OUT_DATA, CO_DATA):
@@ -525,11 +521,11 @@ class RsuNode:
         if self.degraded:
             self.degraded_batches += 1
         with span("rsu.detect", rsu=self.name):
-            classes, probs = detector.detect_block(block, self.summaries)
+            classes, probs = detector.detect(block, self.summaries)
             # Online detectors keep learning from what they just scored
-            # (prequential: predict first, then observe); the protocol
+            # (prequential: predict first, then observe); the interface
             # makes observe a no-op everywhere else.
-            detector.observe_block(block)
+            detector.observe(block)
         abnormal = np.asarray(classes) == ABNORMAL
         registry = obs_metrics.active()
         if registry is not None:

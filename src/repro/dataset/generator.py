@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.dataset.drivers import DriverModel, DriverProfile
+from repro.dataset.preprocess import _groups
 from repro.dataset.schema import (
     ANOMALY_KIND_INDEX,
     NO_LABEL,
@@ -135,6 +136,13 @@ class SyntheticDataset:
         return replace(
             self, block=self.block.take(index), trip_id=self.trip_id[index]
         )
+
+    def trips(self) -> Dict[int, np.ndarray]:
+        """Each trip's row positions in row order, the trips in the
+        order of their first row (one stable sort by trip id)."""
+        if not len(self.trip_id):
+            return {}
+        return dict(sorted(_groups(self.trip_id), key=lambda group: group[1][0]))
 
     def by_road_type(self, road_type: RoadType) -> "SyntheticDataset":
         """The rows on ``road_type`` roads."""

@@ -23,8 +23,8 @@ from repro.dataset.schema import (
     ABNORMAL,
     NORMAL,
     ROAD_TYPES,
+    TelemetryBlock,
     TelemetryRecord,
-    as_block,
 )
 from repro.geo.roadnet import RoadType
 
@@ -101,10 +101,9 @@ class SigmaCutoffLabeler:
       finer-grained normality Fig. 2's hourly variation implies.
       Hours unseen at fit time fall back to the road-type band.
 
-    :meth:`fit` and :meth:`label_all` work on a block's columns (a
-    record sequence is converted to one first); :meth:`label` is the
-    rule for one record, and a test holds it equal to
-    :meth:`label_all`.
+    :meth:`fit` and :meth:`label_all` work on a block's columns;
+    :meth:`label` is the rule for one record, and a test holds it equal
+    to :meth:`label_all`.
     """
 
     def __init__(
@@ -131,11 +130,9 @@ class SigmaCutoffLabeler:
         keys.append(record.road_type)
         return keys
 
-    def fit(self, records) -> "SigmaCutoffLabeler":
-        """Fit the bands on ``records`` (a block or a record sequence):
-        each band's ``mean``/``std`` over its group's values in row
-        order."""
-        block = as_block(records)
+    def fit(self, block: TelemetryBlock) -> "SigmaCutoffLabeler":
+        """Fit the bands on ``block``: each band's ``mean``/``std`` over
+        its group's values in row order."""
         types, hours = block.road_type_code, block.hour
         if not len(types):
             raise ValueError("cannot fit labeler on an empty dataset")
@@ -178,13 +175,12 @@ class SigmaCutoffLabeler:
         accel_ok = lo_a <= record.accel_ms2 <= hi_a
         return NORMAL if (speed_ok and accel_ok) else ABNORMAL
 
-    def label_all(self, records) -> np.ndarray:
-        """The sigma label of each row of ``records`` (a block or a
-        record sequence): each row's band looked up in a (road type,
-        hour) table that holds the (type, hour) band where one was
-        fitted and the road-type band elsewhere."""
+    def label_all(self, block: TelemetryBlock) -> np.ndarray:
+        """The sigma label of each row of ``block``: each row's band
+        looked up in a (road type, hour) table that holds the (type,
+        hour) band where one was fitted and the road-type band
+        elsewhere."""
         self._require_fitted()
-        block = as_block(records)
         types, hours = block.road_type_code, block.hour
         speeds, accels = block.speed_kmh, block.accel_ms2
         table = np.full((len(ROAD_TYPES), _HOURS, 4), np.nan)

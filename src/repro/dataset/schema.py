@@ -139,16 +139,6 @@ ANOMALY_KIND_INDEX: Dict[str, int] = {
 NO_LABEL = -1
 
 
-def as_block(records) -> "TelemetryBlock":
-    """``records`` as a :class:`TelemetryBlock`: itself when it is one,
-    else built from the record sequence.  The record forms of the
-    labeller, the detectors and the features convert through this and
-    run the block form."""
-    if isinstance(records, TelemetryBlock):
-        return records
-    return TelemetryBlock.from_records(records)
-
-
 class TelemetryBlock:
     """Table II rows as a struct of numpy arrays: the column form of
     :class:`TelemetryRecord`.

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.collaborative import CollaborativeDetector, summaries_from_upstream
 from repro.core.detector import AD3Detector
+from repro.core.features import labels_of
 from repro.core.system import TestbedScenario, default_training_dataset
 from repro.dataset.generator import DatasetGenerator, GeneratorConfig
 from repro.dataset.preprocess import Preprocessor
@@ -59,12 +60,14 @@ def format_ablation(points: Sequence[AblationPoint]) -> str:
 # Model-side ablations
 # ----------------------------------------------------------------------
 def _link_eval_setup(dataset):
-    train, test = (part.records for part in dataset.split_by_trip(0.8, seed=0))
-    motorway_train = [r for r in train if r.road_type is RoadType.MOTORWAY]
-    link_train = [r for r in train if r.road_type is RoadType.MOTORWAY_LINK]
-    motorway_test = [r for r in test if r.road_type is RoadType.MOTORWAY]
-    link_test = [r for r in test if r.road_type is RoadType.MOTORWAY_LINK]
-    return motorway_train, link_train, motorway_test, link_test
+    """(motorway train, link train, motorway test, link test) blocks of
+    the 80/20 trip split."""
+    train, test = dataset.split_by_trip(0.8, seed=0)
+    return tuple(
+        part.by_road_type(road_type).block
+        for part in (train, test)
+        for road_type in (RoadType.MOTORWAY, RoadType.MOTORWAY_LINK)
+    )
 
 
 def ablate_history_weight(
@@ -84,14 +87,14 @@ def ablate_history_weight(
     local_nb = AD3Detector(RoadType.MOTORWAY_LINK).fit(link_train)
     train_summaries = summaries_from_upstream(upstream, motorway_train)
     test_summaries = summaries_from_upstream(upstream, motorway_test)
-    y_true = np.array([r.label for r in link_test])
+    y_true = labels_of(link_test)
 
     points = []
     for weight in weights:
         detector = CollaborativeDetector(
             RoadType.MOTORWAY_LINK, nb=local_nb, history_weight=weight
         ).fit(link_train, train_summaries, refit_nb=False)
-        predictions = detector.predict(link_test, test_summaries)
+        predictions, _ = detector.detect(link_test, test_summaries)
         report = evaluate_binary(y_true, predictions)
         points.append(
             AblationPoint(f"history_weight={weight}", report.f1, "link F1")
@@ -139,10 +142,10 @@ def ablate_episode_persistence(
             refit_nb=False,
         )
         test_summaries = summaries_from_upstream(upstream, motorway_test)
-        y_true = np.array([r.label for r in link_test])
-        f1_ad3 = evaluate_binary(y_true, ad3.predict(link_test)).f1
+        y_true = labels_of(link_test)
+        f1_ad3 = evaluate_binary(y_true, ad3.detect(link_test)[0]).f1
         f1_cad3 = evaluate_binary(
-            y_true, cad3.predict(link_test, test_summaries)
+            y_true, cad3.detect(link_test, test_summaries)[0]
         ).f1
         points.append(
             AblationPoint(
@@ -162,7 +165,7 @@ def ablate_detector_complexity(
     """
     dataset = dataset or corridor_dataset()
     _, link_train, _, link_test = _link_eval_setup(dataset)
-    y_true = np.array([r.label for r in link_test])
+    y_true = labels_of(link_test)
 
     models: Dict[str, Callable[[], object]] = {
         "naive_bayes": lambda: None,  # AD3Detector default
@@ -176,7 +179,7 @@ def ablate_detector_complexity(
         detector = AD3Detector(
             RoadType.MOTORWAY_LINK, model=factory()
         ).fit(link_train)
-        report = evaluate_binary(y_true, detector.predict(link_test))
+        report = evaluate_binary(y_true, detector.detect(link_test)[0])
         points.append(AblationPoint(name, report.f1, "link F1"))
     return points
 

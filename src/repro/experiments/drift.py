@@ -24,10 +24,11 @@ from typing import Dict, List
 import numpy as np
 
 from repro.core.detector import AD3Detector
+from repro.core.features import labels_of
 from repro.core.online import OnlineAD3Detector
 from repro.dataset.generator import DatasetGenerator, GeneratorConfig
 from repro.dataset.preprocess import SigmaCutoffLabeler
-from repro.dataset.schema import TelemetryRecord
+from repro.dataset.schema import TelemetryBlock
 from repro.dataset.speed_profiles import SpeedProfileLibrary
 from repro.geo.network_builder import CityNetworkBuilder
 from repro.geo.roadnet import FREE_FLOW_KMH, RoadType
@@ -74,10 +75,8 @@ class DriftResult:
         return "\n".join(lines)
 
 
-def _regime_records(
-    speed_scale: float, n_cars: int, seed: int
-) -> List[TelemetryRecord]:
-    """Motorway records from a regime with scaled base speeds."""
+def _regime_block(speed_scale: float, n_cars: int, seed: int) -> TelemetryBlock:
+    """Motorway rows from a regime with scaled base speeds."""
     network = CityNetworkBuilder(seed=seed).build_corridor()
     profiles = SpeedProfileLibrary(
         {
@@ -96,7 +95,7 @@ def _regime_records(
     # Oracle labels: the regime's own sigma-cutoff.
     labeler = SigmaCutoffLabeler().fit(motorway.block)
     motorway.block.label = labeler.label_all(motorway.block)
-    return motorway.records
+    return motorway.block
 
 
 def drift_adaptation(
@@ -113,12 +112,19 @@ def drift_adaptation(
     by bucket, scoring each bucket *before* learning from it
     (prequential evaluation).
     """
-    regime_a = _regime_records(1.0, n_cars, seed)
-    regime_b = _regime_records(drift_scale, n_cars, seed + 1)
+    regime_a = _regime_block(1.0, n_cars, seed)
+    regime_b = _regime_block(drift_scale, n_cars, seed + 1)
 
     half = len(regime_a) // 2
-    static = AD3Detector(RoadType.MOTORWAY).fit(regime_a[:half])
-    stream = regime_a[half:] + regime_b
+    warm_up = regime_a.take(slice(0, half))
+    static = AD3Detector(RoadType.MOTORWAY).fit(warm_up)
+    rest = regime_a.take(slice(half, None))
+    stream = TelemetryBlock(
+        *(
+            np.concatenate([getattr(rest, name), getattr(regime_b, name)])
+            for name in TelemetryBlock.__slots__
+        )
+    )
     drift_at = len(regime_a) - half
 
     detectors = {
@@ -130,24 +136,22 @@ def drift_adaptation(
     # Warm the online detectors on the static detector's training data
     # so all three start from the same regime-A knowledge.
     for detector in detectors.values():
-        detector.observe(regime_a[:half])
+        detector.observe(warm_up)
 
     result = DriftResult(drift_bucket=drift_at // bucket_size)
     for index, start in enumerate(range(0, len(stream), bucket_size)):
-        bucket_records = stream[start : start + bucket_size]
-        if len(bucket_records) < bucket_size // 2:
+        bucket = stream.take(slice(start, start + bucket_size))
+        if len(bucket) < bucket_size // 2:
             break
-        y_true = np.array([r.label for r in bucket_records])
+        y_true = labels_of(bucket)
         accuracy = {
-            "static": float(
-                np.mean(static.predict(bucket_records) == y_true)
-            )
+            "static": float(np.mean(static.detect(bucket)[0] == y_true))
         }
         for name, detector in detectors.items():
             if detector.ready:
-                predictions = detector.predict(bucket_records)
+                predictions, _ = detector.detect(bucket)
                 accuracy[name] = float(np.mean(predictions == y_true))
-            detector.observe(bucket_records)
+            detector.observe(bucket)
         result.buckets.append(
             DriftBucket(
                 index=index,

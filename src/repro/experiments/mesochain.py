@@ -30,7 +30,7 @@ from repro.core.detector import AD3Detector
 from repro.core.features import PredictionSummary
 from repro.dataset.generator import DatasetGenerator, GeneratorConfig, SyntheticDataset
 from repro.dataset.preprocess import Preprocessor
-from repro.dataset.schema import TelemetryRecord
+from repro.dataset.schema import ROAD_TYPES, TelemetryBlock
 from repro.geo.network_builder import CityNetworkBuilder
 from repro.geo.roadnet import RoadType
 from repro.ml.metrics import evaluate_binary
@@ -92,17 +92,12 @@ class ChainResult:
         return "\n".join(hop.format_row() for hop in self.hops)
 
 
-def _split_trip_by_segment(
-    records: List[TelemetryRecord],
-) -> List[List[TelemetryRecord]]:
-    """Contiguous per-segment legs of one trip, in travel order."""
-    legs: List[List[TelemetryRecord]] = []
-    for record in sorted(records, key=lambda r: r.timestamp):
-        if legs and legs[-1][0].road_id == record.road_id:
-            legs[-1].append(record)
-        else:
-            legs.append([record])
-    return legs
+def _split_trip_by_segment(trip: TelemetryBlock) -> List[TelemetryBlock]:
+    """Contiguous per-segment legs of one trip, in travel (time) order."""
+    trip = trip.take(np.argsort(trip.timestamp, kind="stable"))
+    starts = np.flatnonzero(trip.road_id[1:] != trip.road_id[:-1]) + 1
+    bounds = [0, *starts.tolist(), len(trip)]
+    return [trip.take(slice(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
 def mesoscopic_chain(
@@ -112,27 +107,29 @@ def mesoscopic_chain(
 ) -> ChainResult:
     """Evaluate chained vs. standalone detection by hop depth."""
     dataset = dataset or grid_dataset()
-    train, test = (part.records for part in dataset.split_by_trip(0.8, seed=seed))
+    train, test = dataset.split_by_trip(0.8, seed=seed)
 
     road_types = sorted(
-        {r.road_type for r in dataset.records}, key=lambda rt: rt.value
+        (ROAD_TYPES[code] for code in np.unique(dataset.block.road_type_code)),
+        key=lambda rt: rt.value,
     )
     standalone: Dict[RoadType, AD3Detector] = {}
     collaborative: Dict[RoadType, CollaborativeDetector] = {}
     for road_type in road_types:
-        type_train = [r for r in train if r.road_type is road_type]
+        type_train = train.by_road_type(road_type).block
         nb = AD3Detector(road_type).fit(type_train)
         standalone[road_type] = nb
         # Train the fusion DT with summaries from the *other* segments
         # of the same trips (any upstream type feeds any downstream).
-        other_train = [r for r in train if r.road_type is not road_type]
-        upstream_type = other_train[0].road_type if other_train else road_type
-        upstream_nb = (
-            standalone.get(upstream_type)
-            or AD3Detector(upstream_type).fit(
-                [r for r in train if r.road_type is upstream_type]
-            )
+        other_train = train.block.take(
+            train.block.road_type_code != ROAD_TYPES.index(road_type)
         )
+        upstream_type = (
+            ROAD_TYPES[other_train.road_type_code[0]] if other_train else road_type
+        )
+        upstream_nb = standalone.get(upstream_type) or AD3Detector(
+            upstream_type
+        ).fit(train.by_road_type(upstream_type).block)
         summaries = summaries_from_upstream(upstream_nb, other_train)
         collaborative[road_type] = CollaborativeDetector(
             road_type, nb=nb
@@ -140,38 +137,31 @@ def mesoscopic_chain(
 
     # Per-hop accumulation over test trips.
     per_hop: Dict[int, Dict[str, List[int]]] = {}
-    trips: Dict[int, List[TelemetryRecord]] = {}
-    for record in test:
-        trips.setdefault(record.trip_id, []).append(record)
-
-    for trip_records in trips.values():
-        legs = _split_trip_by_segment(trip_records)
+    for rows in test.trips().values():
+        legs = _split_trip_by_segment(test.block.take(rows))
         carried: Optional[PredictionSummary] = None
         for hop, leg in enumerate(legs[:max_hops]):
-            road_type = leg[0].road_type
+            road_type = ROAD_TYPES[leg.road_type_code[0]]
+            car_id = int(leg.car_id[0])
             nb = standalone[road_type]
-            y_true = [r.label for r in leg]
-            ad3_pred = nb.predict(leg)
-            summaries = (
-                {leg[0].car_id: carried} if carried is not None else {}
-            )
-            chain_pred = collaborative[road_type].predict(leg, summaries)
+            classes, probs = nb.detect(leg)
+            summaries = {car_id: carried} if carried is not None else {}
+            chain_pred, _ = collaborative[road_type].detect(leg, summaries)
             bucket = per_hop.setdefault(
                 hop,
                 {"true": [], "ad3": [], "chain": []},
             )
-            bucket["true"].extend(y_true)
-            bucket["ad3"].extend(int(p) for p in ad3_pred)
-            bucket["chain"].extend(int(p) for p in chain_pred)
+            bucket["true"].extend(leg.label.tolist())
+            bucket["ad3"].extend(classes.tolist())
+            bucket["chain"].extend(chain_pred.tolist())
             # Carry the summary on, exactly like RsuNode.build_summary.
-            classes, probs = nb.detect(leg)
             local = PredictionSummary(
-                car_id=leg[0].car_id,
+                car_id=car_id,
                 mean_normal_prob=float(np.mean(probs)),
                 n_predictions=len(leg),
                 last_class=int(classes[-1]),
-                from_road_id=leg[0].road_id,
-                timestamp=leg[-1].timestamp,
+                from_road_id=int(leg.road_id[0]),
+                timestamp=float(leg.timestamp[-1]),
             )
             carried = (
                 local

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -21,8 +21,15 @@ from repro.core.accidents import AccidentEstimate, expected_accidents
 from repro.core.centralized import CentralizedDetector
 from repro.core.collaborative import CollaborativeDetector, summaries_from_upstream
 from repro.core.detector import AD3Detector
+from repro.core.features import labels_of
 from repro.dataset.generator import SyntheticDataset
-from repro.dataset.schema import ABNORMAL, AnomalyKind, TelemetryRecord
+from repro.dataset.schema import (
+    ABNORMAL,
+    ANOMALY_KIND_INDEX,
+    ROAD_TYPE_INDEX,
+    AnomalyKind,
+    TelemetryBlock,
+)
 from repro.experiments.datasets import corridor_dataset
 from repro.geo.roadnet import RoadType
 from repro.ml.metrics import BinaryClassificationReport, evaluate_binary
@@ -41,23 +48,21 @@ class TrainedModels:
 
     def predict_link(
         self,
-        link_records: Sequence[TelemetryRecord],
+        link: TelemetryBlock,
         test_summaries: Dict[int, object],
     ) -> Dict[str, np.ndarray]:
         return {
-            "centralized": self.centralized.predict(link_records),
-            "ad3": self.ad3_link.predict(link_records),
-            "cad3": self.cad3_link.predict(link_records, test_summaries),
+            "centralized": self.centralized.detect(link)[0],
+            "ad3": self.ad3_link.detect(link)[0],
+            "cad3": self.cad3_link.detect(link, test_summaries)[0],
         }
 
 
-def train_models(
-    train: Sequence[TelemetryRecord],
-) -> TrainedModels:
+def train_models(train: SyntheticDataset) -> TrainedModels:
     """Train all three models exactly as the paper describes."""
-    motorway = [r for r in train if r.road_type is RoadType.MOTORWAY]
-    link = [r for r in train if r.road_type is RoadType.MOTORWAY_LINK]
-    centralized = CentralizedDetector().fit(list(train))
+    motorway = train.by_road_type(RoadType.MOTORWAY).block
+    link = train.by_road_type(RoadType.MOTORWAY_LINK).block
+    centralized = CentralizedDetector().fit(train.block)
     ad3_motorway = AD3Detector(RoadType.MOTORWAY).fit(motorway)
     ad3_link = AD3Detector(RoadType.MOTORWAY_LINK).fit(link)
     train_summaries = summaries_from_upstream(ad3_motorway, motorway)
@@ -118,18 +123,16 @@ def fig7_table4_comparison(
     potential accidents from each model's false negatives.
     """
     dataset = dataset or corridor_dataset()
-    train, test = (
-        part.records for part in dataset.split_by_trip(train_fraction, seed=seed)
-    )
+    train, test = dataset.split_by_trip(train_fraction, seed=seed)
     models = train_models(train)
 
-    link_test = [r for r in test if r.road_type is RoadType.MOTORWAY_LINK]
-    motorway_test = [r for r in test if r.road_type is RoadType.MOTORWAY]
+    link_test = test.by_road_type(RoadType.MOTORWAY_LINK).block
+    motorway_test = test.by_road_type(RoadType.MOTORWAY).block
     test_summaries = summaries_from_upstream(
         models.ad3_motorway, motorway_test
     )
     predictions = models.predict_link(link_test, test_summaries)
-    y_true = np.array([r.label for r in link_test])
+    y_true = labels_of(link_test)
 
     reports = {}
     accidents = {}
@@ -221,28 +224,30 @@ class Fig8Result:
         return "\n".join(rows)
 
 
-def _trace_trip(
-    models: TrainedModels, trip_records: List[TelemetryRecord]
-) -> List[Fig8Point]:
-    """Run all three models along one trip's link segment."""
-    trip_records = sorted(trip_records, key=lambda r: r.timestamp)
-    motorway_part = [
-        r for r in trip_records if r.road_type is RoadType.MOTORWAY
-    ]
-    link_part = [
-        r for r in trip_records if r.road_type is RoadType.MOTORWAY_LINK
-    ]
-    summaries = summaries_from_upstream(models.ad3_motorway, motorway_part)
+_MOTORWAY = ROAD_TYPE_INDEX[RoadType.MOTORWAY.value]
+_LINK = ROAD_TYPE_INDEX[RoadType.MOTORWAY_LINK.value]
+
+
+def _trace_trip(models: TrainedModels, trip: TelemetryBlock) -> List[Fig8Point]:
+    """Run all three models along one trip's link segment, in time
+    order."""
+    trip = trip.take(np.argsort(trip.timestamp, kind="stable"))
+    link_part = trip.take(trip.road_type_code == _LINK)
+    summaries = summaries_from_upstream(
+        models.ad3_motorway, trip.take(trip.road_type_code == _MOTORWAY)
+    )
     predictions = models.predict_link(link_part, summaries)
     return [
         Fig8Point(
-            timestamp=record.timestamp,
-            truth=record.label,
+            timestamp=timestamp,
+            truth=truth,
             predictions={
                 name: int(pred[index]) for name, pred in predictions.items()
             },
         )
-        for index, record in enumerate(link_part)
+        for index, (timestamp, truth) in enumerate(
+            zip(link_part.timestamp.tolist(), link_part.label.tolist())
+        )
     ]
 
 
@@ -264,33 +269,31 @@ def fig8_mesoscopic(
     figure.
     """
     dataset = dataset or corridor_dataset()
-    train, test = (part.records for part in dataset.split_by_trip(0.8, seed=seed))
+    train, test = dataset.split_by_trip(0.8, seed=seed)
     models = train_models(train)
 
-    test_trips: Dict[int, List[TelemetryRecord]] = {}
-    for record in test:
-        test_trips.setdefault(record.trip_id, []).append(record)
-
-    def episode_trip(records: List[TelemetryRecord]) -> bool:
-        link = [r for r in records if r.road_type is RoadType.MOTORWAY_LINK]
-        abnormal = [
-            r
-            for r in link
-            if r.anomaly_kind is anomaly and r.label == ABNORMAL
-        ]
-        return len(link) >= min_link_points and len(abnormal) >= 2
-
-    episode_trip_ids = [
-        tid for tid, records in test_trips.items() if episode_trip(records)
-    ]
-    if not episode_trip_ids:
+    # A trip is an episode trip when its link segment has enough
+    # points, two of them abnormal ``anomaly`` rows.
+    block = test.block
+    link = block.road_type_code == _LINK
+    abnormal = (
+        link
+        & (block.anomaly_kind_code == ANOMALY_KIND_INDEX[anomaly.value])
+        & (block.label == ABNORMAL)
+    )
+    trips = {
+        tid: rows
+        for tid, rows in test.trips().items()
+        if np.count_nonzero(link[rows]) >= min_link_points
+        and np.count_nonzero(abnormal[rows]) >= 2
+    }
+    if not trips:
         raise ValueError(
             f"no test trip contains an abnormal {anomaly.value} episode; "
             f"use a larger dataset"
         )
-
     traces: Dict[int, List[Fig8Point]] = {
-        tid: _trace_trip(models, test_trips[tid]) for tid in episode_trip_ids
+        tid: _trace_trip(models, block.take(rows)) for tid, rows in trips.items()
     }
 
     def trip_accuracy(points: List[Fig8Point], model: str) -> float:
@@ -323,15 +326,12 @@ def fig8_mesoscopic(
             points, "ad3"
         ) - trip_accuracy(points, "centralized")
 
-    best_trip = max(episode_trip_ids, key=disagreement)
-    link_first = next(
-        r
-        for r in test_trips[best_trip]
-        if r.road_type is RoadType.MOTORWAY_LINK
-    )
+    best_trip = max(trips, key=disagreement)
+    rows = trips[best_trip]
+    link_first = rows[link[rows]][0]
     return Fig8Result(
         trip_id=best_trip,
-        car_id=link_first.car_id,
+        car_id=int(block.car_id[link_first]),
         anomaly_kind=anomaly.value,
         points=traces[best_trip],
         aggregate=aggregate,

@@ -18,7 +18,6 @@ from repro.ml.base import (
     Detector,
     EstimatorError,
     NotFittedError,
-    as_detector,
     check_Xy,
     check_fitted,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "NotFittedError",
     "RandomForestClassifier",
     "accuracy_score",
-    "as_detector",
     "check_Xy",
     "check_fitted",
     "confusion_matrix",

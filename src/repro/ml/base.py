@@ -1,10 +1,11 @@
 """Shared estimator plumbing: validation, fitted-state checks, and the
-:class:`Detector` protocol every pipeline detector implements."""
+:class:`Detector` interface every pipeline detector implements — one
+``detect`` and one ``observe``, both on a
+:class:`~repro.dataset.schema.TelemetryBlock`."""
 
 from __future__ import annotations
 
-import inspect
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -18,121 +19,42 @@ class NotFittedError(RuntimeError):
 
 
 class Detector:
-    """The uniform detection interface the RSU pipeline dispatches on.
+    """The detection interface the RSU pipeline dispatches on.
 
     Every detector — standalone (AD3), collaborative (CAD3),
-    centralized, online — exposes the same four methods, so callers
-    never hand-switch on detector type:
+    centralized, online — scores a
+    :class:`~repro.dataset.schema.TelemetryBlock`, so callers never
+    hand-switch on detector type:
 
-    - :meth:`detect_block` is what the RSU pipeline calls, once per
-      micro-batch, on a :class:`~repro.dataset.schema.TelemetryBlock`; it
-      returns ``(classes, normal_probabilities)``, and ``summaries``
-      carries the CO-DATA per-car histories (ignored by detectors that
-      do not collaborate).  The default materializes the block's
-      records and delegates to :meth:`detect`; vectorizing subclasses
-      override it with a bit-identical fast path.
-    - :meth:`detect` scores a record sequence the same way: offline
-      evaluation, and the per-record reference the golden tests hold
-      :meth:`detect_block` to.
-    - :meth:`observe` / :meth:`observe_block` let prequential
-      detectors keep learning from what they just scored; the defaults
-      are no-ops, so offline detectors need not define them.
+    - :meth:`detect` is what the RSU pipeline calls, once per
+      micro-batch, and what offline evaluation calls on a split's
+      columns; it returns ``(classes, normal_probabilities)``, and
+      ``summaries`` carries the CO-DATA per-car histories (ignored by
+      detectors that do not collaborate).
+    - :meth:`observe` lets prequential detectors keep learning from the
+      block they just scored; the default is a no-op, so offline
+      detectors need not define it.
     """
 
     def detect(
-        self, records: Sequence[Any], summaries: Optional[Any] = None
+        self, block: Any, summaries: Optional[Any] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """(classes, normal probabilities) for a record sequence."""
+        """(classes, normal probabilities) for a block."""
         raise NotImplementedError(
             f"{type(self).__name__} does not implement detect()"
         )
 
-    def detect_block(
-        self, block: Any, summaries: Optional[Any] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Columnar :meth:`detect`; the default round-trips through
-        ``block.records()`` so every detector works on the block path."""
-        return self.detect(block.records(), summaries)
-
-    def observe(self, records: Sequence[Any]) -> None:
-        """Fold scored records back into the model (no-op by default)."""
-
-    def observe_block(self, block: Any) -> None:
-        """Columnar :meth:`observe`.
-
-        Materializing ``block.records()`` costs more than most batch
-        detections, so only detectors that actually learn (an
-        overridden :meth:`observe`) pay it.
-        """
-        if type(self).observe is Detector.observe:
-            return
-        self.observe(block.records())
+    def observe(self, block: Any) -> None:
+        """Fold a scored block back into the model (no-op by default)."""
 
 
-class _DetectorAdapter(Detector):
-    """Wraps a foreign bare-``detect`` object into the protocol.
-
-    Attribute access falls through to the wrapped object, so fitted
-    flags, models, and diagnostics stay reachable.
-    """
-
-    def __init__(self, obj: Any) -> None:
-        self._obj = obj
-        parameters = [
-            p
-            for p in inspect.signature(obj.detect).parameters.values()
-            if p.kind
-            in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD, p.VAR_POSITIONAL)
-        ]
-        self._pass_summaries = len(parameters) >= 2
-
-    def detect(self, records, summaries=None):
-        if self._pass_summaries:
-            return self._obj.detect(records, summaries)
-        return self._obj.detect(records)
-
-    def detect_block(self, block, summaries=None):
-        inner = getattr(self._obj, "detect_block", None)
-        if inner is None:
-            return self.detect(block.records(), summaries)
-        if self._pass_summaries:
-            return inner(block, summaries)
-        return inner(block)
-
-    def observe(self, records) -> None:
-        inner = getattr(self._obj, "observe", None)
-        if inner is not None:
-            inner(records)
-
-    def observe_block(self, block) -> None:
-        inner = getattr(self._obj, "observe_block", None)
-        if inner is not None:
-            inner(block)
-        elif callable(getattr(self._obj, "observe", None)):
-            self._obj.observe(block.records())
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._obj, name)
-
-    def __repr__(self) -> str:
-        return f"as_detector({self._obj!r})"
-
-
-def as_detector(obj: Any) -> Detector:
-    """Coerce ``obj`` to the :class:`Detector` protocol.
-
-    Protocol instances pass through untouched; anything else with a
-    callable ``detect`` is wrapped so the pipeline can dispatch
-    uniformly (the hook for user-supplied models).
-    """
-    if isinstance(obj, Detector):
-        return obj
-    if not callable(getattr(obj, "detect", None)):
-        raise TypeError(
-            f"{type(obj).__name__} is not a detector: it has no "
-            f"callable detect() method"
-        )
-    return _DetectorAdapter(obj)
+def classify(model: Any, X: np.ndarray, label: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(classes, P(label))`` of ``model`` on ``X``: one likelihood
+    evaluation where the model offers ``predict_and_proba``, else
+    ``predict`` and ``proba_of``."""
+    if hasattr(model, "predict_and_proba"):
+        return model.predict_and_proba(X, label)
+    return model.predict(X), model.proba_of(X, label)
 
 
 def check_Xy(X, y) -> Tuple[np.ndarray, np.ndarray]:

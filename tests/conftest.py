@@ -44,25 +44,37 @@ def labeled_dataset(corridor_network, golden_seeds):
 
 
 @pytest.fixture(scope="session")
-def trip_split(labeled_dataset):
+def split(labeled_dataset):
+    """The train and replay trips, as datasets (columns)."""
+    return labeled_dataset.split_by_trip(0.8, seed=0)
+
+
+@pytest.fixture(scope="session")
+def trip_split(split):
     """The train and replay trips' records."""
-    return tuple(part.records for part in labeled_dataset.split_by_trip(0.8, seed=0))
+    return tuple(part.records for part in split)
+
+
+def _road_blocks(split, road_type):
+    return tuple(part.by_road_type(road_type).block for part in split)
 
 
 @pytest.fixture(scope="session")
-def motorway_detector(trip_split):
-    train, _ = trip_split
-    motorway = [r for r in train if r.road_type is RoadType.MOTORWAY]
-    return AD3Detector(RoadType.MOTORWAY).fit(motorway)
+def link_blocks(split):
+    """The train and replay trips' motorway-link rows."""
+    return _road_blocks(split, RoadType.MOTORWAY_LINK)
 
 
 @pytest.fixture(scope="session")
-def link_records(trip_split):
-    train, test = trip_split
-    return (
-        [r for r in train if r.road_type is RoadType.MOTORWAY_LINK],
-        [r for r in test if r.road_type is RoadType.MOTORWAY_LINK],
-    )
+def motorway_blocks(split):
+    """The train and replay trips' motorway rows."""
+    return _road_blocks(split, RoadType.MOTORWAY)
+
+
+@pytest.fixture(scope="session")
+def motorway_detector(motorway_blocks):
+    train, _ = motorway_blocks
+    return AD3Detector(RoadType.MOTORWAY).fit(train)
 
 
 @pytest.fixture(scope="session")
@@ -91,8 +103,8 @@ def audit_invariants():
 
 
 @pytest.fixture(scope="session")
-def upstream_summaries(motorway_detector, motorway_records):
-    train_mw, test_mw = motorway_records
+def upstream_summaries(motorway_detector, motorway_blocks):
+    train_mw, test_mw = motorway_blocks
     return (
         summaries_from_upstream(motorway_detector, train_mw),
         summaries_from_upstream(motorway_detector, test_mw),

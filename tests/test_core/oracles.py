@@ -5,10 +5,10 @@ pytest's ``monkeypatch``:
 
 - :func:`use_per_record_rsu` — the RSU's original detection body: every
   record of a micro-batch deserialized on its own, scored through
-  ``detect`` / ``observe`` on record lists, and its history, streak,
-  event and warning bookkept one record at a time.  The block path
-  (``RsuNode._detect_batch``: one slab decode, ``detect_block``,
-  array bookkeeping) must reproduce it bit for bit
+  ``detect`` / ``observe`` on the block of those records, and its
+  history, streak, event and warning bookkept one record at a time.
+  The block path (``RsuNode._detect_batch``: one slab decode,
+  ``detect``, array bookkeeping) must reproduce it bit for bit
   (``test_golden_equivalence.py``).
 - :func:`use_executed_polls` — a ``"poll"`` vehicle's 10 ms grid as a
   real recurrence: one simulator event per poll, a ``poll_block`` each,
@@ -23,7 +23,7 @@ from repro.core import vehicle as vehicle_module
 from repro.core.features import IN_DATA, payload_to_record
 from repro.core.rsu import DetectionEvent, RsuNode
 from repro.core.vehicle import VehicleNode
-from repro.dataset.schema import ABNORMAL
+from repro.dataset.schema import ABNORMAL, TelemetryBlock
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.streaming.broker import BrokerUnavailable
@@ -40,8 +40,9 @@ def _detect_per_record(self, batch, completion_time: float) -> None:
     if self.degraded:
         self.degraded_batches += 1
     with span("rsu.detect", rsu=self.name):
-        classes, probs = detector.detect(records, self.summaries)
-        detector.observe(records)
+        block = TelemetryBlock.from_records(records)
+        classes, probs = detector.detect(block, self.summaries)
+        detector.observe(block)
     registry = obs_metrics.active()
     if registry is not None:
         arrivals = [p["arrived_at"] for p in payloads]

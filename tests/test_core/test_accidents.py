@@ -10,7 +10,7 @@ from repro.core import (
     nilsson_accident_ratio,
     speed_deviation_delta,
 )
-from repro.dataset.schema import ABNORMAL, NORMAL, TelemetryRecord
+from repro.dataset.schema import ABNORMAL, NORMAL, TelemetryBlock, TelemetryRecord
 from repro.geo import RoadType
 
 
@@ -25,6 +25,10 @@ def make_record(speed, road_mean=100.0):
         road_type=RoadType.MOTORWAY,
         road_mean_speed_kmh=road_mean,
     )
+
+
+def make_block(*speeds):
+    return TelemetryBlock.from_records([make_record(s) for s in speeds])
 
 
 class TestNilssonRatio:
@@ -81,7 +85,7 @@ class TestDelta:
 
 class TestExpectedAccidents:
     def test_no_false_negatives_means_zero(self):
-        records = [make_record(160.0), make_record(40.0)]
+        records = make_block(160.0, 40.0)
         y_true = [ABNORMAL, ABNORMAL]
         y_pred = [ABNORMAL, ABNORMAL]  # all detected
         estimate = expected_accidents(records, y_true, y_pred)
@@ -91,7 +95,7 @@ class TestExpectedAccidents:
         assert estimate.fn_fraction == 0.0
 
     def test_each_fn_contributes_its_delta(self):
-        records = [make_record(160.0), make_record(40.0), make_record(100.0)]
+        records = make_block(160.0, 40.0, 100.0)
         y_true = [ABNORMAL, ABNORMAL, NORMAL]
         y_pred = [NORMAL, ABNORMAL, NORMAL]  # first one missed
         estimate = expected_accidents(records, y_true, y_pred)
@@ -105,15 +109,15 @@ class TestExpectedAccidents:
 
     def test_severe_misses_cost_more(self):
         mild = expected_accidents(
-            [make_record(115.0)], [ABNORMAL], [NORMAL]
+            make_block(115.0), [ABNORMAL], [NORMAL]
         ).expected_accidents
         severe = expected_accidents(
-            [make_record(190.0)], [ABNORMAL], [NORMAL]
+            make_block(190.0), [ABNORMAL], [NORMAL]
         ).expected_accidents
         assert severe > mild
 
     def test_normal_records_never_contribute(self):
-        records = [make_record(100.0)] * 5
+        records = make_block(*[100.0] * 5)
         estimate = expected_accidents(
             records, [NORMAL] * 5, [ABNORMAL] * 5
         )
@@ -122,13 +126,13 @@ class TestExpectedAccidents:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            expected_accidents([make_record(100.0)], [0, 1], [0])
+            expected_accidents(make_block(100.0), [0, 1], [0])
 
     def test_better_detector_fewer_expected_accidents(self):
         """The Table IV mechanism: lower FN rate => lower E(Lambda)."""
         rng = np.random.default_rng(0)
         speeds = rng.uniform(130.0, 200.0, 200)
-        records = [make_record(float(s)) for s in speeds]
+        records = make_block(*speeds.tolist())
         y_true = [ABNORMAL] * 200
         good = [ABNORMAL if rng.random() < 0.9 else NORMAL for _ in range(200)]
         bad = [ABNORMAL if rng.random() < 0.5 else NORMAL for _ in range(200)]

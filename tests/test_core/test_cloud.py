@@ -29,8 +29,9 @@ class TestCloudProfile:
 class TestCloudRelayRsu:
     def test_detection_delayed_by_round_trip(self, training_dataset):
         sim = Simulator()
-        motorway = training_dataset.by_road_type(RoadType.MOTORWAY).records
-        detector = AD3Detector(RoadType.MOTORWAY).fit(motorway)
+        motorway_rows = training_dataset.by_road_type(RoadType.MOTORWAY)
+        motorway = motorway_rows.records
+        detector = AD3Detector(RoadType.MOTORWAY).fit(motorway_rows.block)
         rsu = CloudRelayRsu(
             sim,
             "cloud-rsu",

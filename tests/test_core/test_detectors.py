@@ -6,95 +6,94 @@ import pytest
 
 from repro.core import AD3Detector, CentralizedDetector, CollaborativeDetector
 from repro.core.collaborative import NEUTRAL_PRIOR, summaries_from_upstream
-from repro.dataset.schema import ABNORMAL, NORMAL
+from repro.dataset.schema import ABNORMAL, NORMAL, TelemetryBlock
 from repro.geo import RoadType
 from repro.ml import evaluate_binary
 
 
 class TestAD3Detector:
-    def test_rejects_wrong_road_type(self, link_records):
-        train, _ = link_records
+    def test_rejects_wrong_road_type(self, link_blocks):
+        train, _ = link_blocks
         detector = AD3Detector(RoadType.MOTORWAY)
         with pytest.raises(ValueError, match="received a"):
             detector.fit(train)
 
-    def test_fit_predict_labels(self, link_records):
-        train, test = link_records
+    def test_fit_predict_labels(self, link_blocks):
+        train, test = link_blocks
         detector = AD3Detector(RoadType.MOTORWAY_LINK).fit(train)
-        predictions = detector.predict(test)
+        predictions, _ = detector.detect(test)
         assert set(np.unique(predictions)) <= {NORMAL, ABNORMAL}
         assert detector.fitted
 
-    def test_better_than_chance(self, link_records):
-        train, test = link_records
+    def test_better_than_chance(self, link_blocks):
+        train, test = link_blocks
         detector = AD3Detector(RoadType.MOTORWAY_LINK).fit(train)
-        y_true = np.array([r.label for r in test])
-        accuracy = np.mean(detector.predict(test) == y_true)
+        y_true = test.label
+        accuracy = np.mean(detector.detect(test)[0] == y_true)
         assert accuracy > 0.7
 
-    def test_normal_proba_in_unit_interval(self, link_records):
-        train, test = link_records
+    def test_normal_proba_in_unit_interval(self, link_blocks):
+        train, test = link_blocks
         detector = AD3Detector(RoadType.MOTORWAY_LINK).fit(train)
-        probs = detector.predict_normal_proba(test)
+        _, probs = detector.detect(test)
         assert np.all((probs >= 0.0) & (probs <= 1.0))
 
-    def test_detect_consistency(self, link_records):
-        """predict() and the probability column must agree: class is
+    def test_detect_consistency(self, link_blocks):
+        """The class and the probability column must agree: class is
         normal iff P(normal) >= 0.5 (binary NB)."""
-        train, test = link_records
+        train, test = link_blocks
         detector = AD3Detector(RoadType.MOTORWAY_LINK).fit(train)
-        classes, probs = detector.detect(test[:500])
+        classes, probs = detector.detect(test.take(slice(0, 500)))
         agree = (classes == NORMAL) == (probs >= 0.5)
         assert np.mean(agree) > 0.999
 
-    def test_empty_input(self, link_records):
-        train, _ = link_records
+    def test_empty_input(self, link_blocks):
+        train, _ = link_blocks
         detector = AD3Detector(RoadType.MOTORWAY_LINK).fit(train)
-        assert detector.predict([]).size == 0
-        assert detector.predict_normal_proba([]).size == 0
+        classes, probs = detector.detect(TelemetryBlock.empty())
+        assert classes.size == 0
+        assert probs.size == 0
 
     def test_empty_fit_rejected(self):
         with pytest.raises(ValueError):
-            AD3Detector(RoadType.MOTORWAY).fit([])
+            AD3Detector(RoadType.MOTORWAY).fit(TelemetryBlock.empty())
 
 
 class TestCentralizedDetector:
-    def test_onehot_encoding_does_not_rescue_it(self, trip_split, link_records):
+    def test_onehot_encoding_does_not_rescue_it(self, split, link_blocks):
         """The centralized gap is structural, not an encoding artefact:
         one-hot road types perform about the same as ordinal codes, and
         both stay far below the per-road AD3 model."""
-        train, _ = trip_split
-        link_train, link_test = link_records
-        y_true = np.array([r.label for r in link_test])
+        train = split[0].block
+        link_train, link_test = link_blocks
+        y_true = link_test.label
         ordinal = CentralizedDetector(encoding="ordinal").fit(train)
         onehot = CentralizedDetector(encoding="onehot").fit(train)
         ad3 = AD3Detector(RoadType.MOTORWAY_LINK).fit(link_train)
         f1 = lambda model, *args: evaluate_binary(
-            y_true, model.predict(link_test, *args)
+            y_true, model.detect(link_test, *args)[0]
         ).f1
         assert abs(f1(ordinal) - f1(onehot)) < 0.08
         assert f1(ad3) > f1(onehot) + 0.08
         assert f1(ad3) > f1(ordinal) + 0.08
 
-    def test_unknown_encoding_rejected(self, trip_split):
-        train, _ = trip_split
+    def test_unknown_encoding_rejected(self, split):
         with pytest.raises(ValueError):
-            CentralizedDetector(encoding="phrenology").fit(train)
+            CentralizedDetector(encoding="phrenology").fit(split[0].block)
 
-    def test_fits_mixed_road_types(self, trip_split):
-        train, test = trip_split
+    def test_fits_mixed_road_types(self, split):
+        train, test = (part.block for part in split)
         detector = CentralizedDetector().fit(train)
-        predictions = detector.predict(test)
+        predictions, _ = detector.detect(test)
         assert len(predictions) == len(test)
 
     def test_empty_fit_rejected(self):
         with pytest.raises(ValueError):
-            CentralizedDetector().fit([])
+            CentralizedDetector().fit(TelemetryBlock.empty())
 
-    def test_empty_predict(self, trip_split):
-        train, _ = trip_split
-        detector = CentralizedDetector().fit(train)
-        assert detector.predict([]).size == 0
+    def test_empty_predict(self, split):
+        detector = CentralizedDetector().fit(split[0].block)
+        assert detector.detect(TelemetryBlock.empty())[0].size == 0
 
 
 class TestCollaborativeDetector:
@@ -104,31 +103,31 @@ class TestCollaborativeDetector:
         fused = CollaborativeDetector.fuse(p_nb, p_prev)
         assert fused == pytest.approx([0.6, 0.4])
 
-    def test_fit_and_predict(self, link_records, upstream_summaries):
-        train, test = link_records
+    def test_fit_and_predict(self, link_blocks, upstream_summaries):
+        train, test = link_blocks
         train_summaries, test_summaries = upstream_summaries
         detector = CollaborativeDetector(RoadType.MOTORWAY_LINK).fit(
             train, train_summaries
         )
-        predictions = detector.predict(test, test_summaries)
+        predictions, _ = detector.detect(test, test_summaries)
         assert len(predictions) == len(test)
         assert detector.fitted
 
-    def test_predict_before_fit_raises(self, link_records):
-        _, test = link_records
+    def test_predict_before_fit_raises(self, link_blocks):
+        _, test = link_blocks
         with pytest.raises(RuntimeError):
-            CollaborativeDetector(RoadType.MOTORWAY_LINK).predict(test, {})
+            CollaborativeDetector(RoadType.MOTORWAY_LINK).detect(test, {})
 
-    def test_missing_history_uses_neutral_prior(self, link_records):
-        train, test = link_records
+    def test_missing_history_uses_neutral_prior(self, link_blocks):
+        train, test = link_blocks
         detector = CollaborativeDetector(RoadType.MOTORWAY_LINK)
-        history = detector._history_vector(test[:3], {})
+        history = detector._history_vector(test.take(slice(0, 3)), {})
         assert history.tolist() == [NEUTRAL_PRIOR] * 3
 
     def test_explain_mentions_fusion_features(
-        self, link_records, upstream_summaries
+        self, link_blocks, upstream_summaries
     ):
-        train, _ = link_records
+        train, _ = link_blocks
         train_summaries, _ = upstream_summaries
         detector = CollaborativeDetector(RoadType.MOTORWAY_LINK).fit(
             train, train_summaries
@@ -138,16 +137,16 @@ class TestCollaborativeDetector:
 
 
 class TestSummariesFromUpstream:
-    def test_one_summary_per_car(self, motorway_detector, motorway_records):
-        _, test_mw = motorway_records
+    def test_one_summary_per_car(self, motorway_detector, motorway_blocks):
+        _, test_mw = motorway_blocks
         summaries = summaries_from_upstream(motorway_detector, test_mw)
-        cars = {r.car_id for r in test_mw}
+        cars = set(test_mw.car_id.tolist())
         assert set(summaries) == cars
 
     def test_mean_prob_in_unit_interval(
-        self, motorway_detector, motorway_records
+        self, motorway_detector, motorway_blocks
     ):
-        _, test_mw = motorway_records
+        _, test_mw = motorway_blocks
         for summary in summaries_from_upstream(
             motorway_detector, test_mw
         ).values():
@@ -155,7 +154,10 @@ class TestSummariesFromUpstream:
             assert summary.n_predictions >= 1
 
     def test_empty_records(self, motorway_detector):
-        assert summaries_from_upstream(motorway_detector, []) == {}
+        assert (
+            summaries_from_upstream(motorway_detector, TelemetryBlock.empty())
+            == {}
+        )
 
 
 class TestPaperOrdering:
@@ -163,10 +165,10 @@ class TestPaperOrdering:
 
     @pytest.fixture(scope="class")
     def reports(
-        self, trip_split, link_records, upstream_summaries, motorway_detector
+        self, split, link_blocks, upstream_summaries, motorway_detector
     ):
-        train, _ = trip_split
-        link_train, link_test = link_records
+        train = split[0].block
+        link_train, link_test = link_blocks
         train_summaries, test_summaries = upstream_summaries
 
         centralized = CentralizedDetector().fit(train)
@@ -175,12 +177,14 @@ class TestPaperOrdering:
             RoadType.MOTORWAY_LINK, nb=ad3
         ).fit(link_train, train_summaries, refit_nb=False)
 
-        y_true = np.array([r.label for r in link_test])
+        y_true = link_test.label
         return {
-            "centralized": evaluate_binary(y_true, centralized.predict(link_test)),
-            "ad3": evaluate_binary(y_true, ad3.predict(link_test)),
+            "centralized": evaluate_binary(
+                y_true, centralized.detect(link_test)[0]
+            ),
+            "ad3": evaluate_binary(y_true, ad3.detect(link_test)[0]),
             "cad3": evaluate_binary(
-                y_true, cad3.predict(link_test, test_summaries)
+                y_true, cad3.detect(link_test, test_summaries)[0]
             ),
         }
 

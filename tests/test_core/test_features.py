@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import PredictionSummary, WarningMessage, payload_to_record, record_to_payload
 from repro.core.features import base_features, centralized_features, labels_of
-from repro.dataset.schema import TelemetryRecord
+from repro.dataset.schema import TelemetryBlock, TelemetryRecord
 from repro.geo import RoadType
 
 
@@ -28,27 +28,31 @@ def make_record(**overrides):
     return TelemetryRecord(**defaults)
 
 
+def block_of(*records):
+    return TelemetryBlock.from_records(records)
+
+
 class TestFeatureMatrices:
     def test_base_features_columns(self):
-        X = base_features([make_record()])
+        X = base_features(block_of(make_record()))
         assert X.shape == (1, 3)
         assert X[0].tolist() == [98.6, -0.4, 17.0]
 
     def test_centralized_adds_road_type_code(self):
-        X = centralized_features([make_record()])
+        X = centralized_features(block_of(make_record()))
         assert X.shape == (1, 4)
         motorway = centralized_features(
-            [make_record(road_type=RoadType.MOTORWAY)]
+            block_of(make_record(road_type=RoadType.MOTORWAY))
         )
         assert X[0, 3] != motorway[0, 3]
 
     def test_labels_of(self):
-        labels = labels_of([make_record(label=0), make_record(label=1)])
+        labels = labels_of(block_of(make_record(label=0), make_record(label=1)))
         assert labels.tolist() == [0, 1]
 
     def test_labels_of_unlabelled_raises(self):
         with pytest.raises(ValueError, match="no label"):
-            labels_of([make_record(label=None)])
+            labels_of(block_of(make_record(label=None)))
 
     def test_hour_column_from_records(self):
         records = [
@@ -56,7 +60,7 @@ class TestFeatureMatrices:
             for h in range(24)
             for rt in (RoadType.MOTORWAY, RoadType.MOTORWAY_LINK)
         ]
-        columns = base_features(records)
+        columns = base_features(block_of(*records))
         assert columns.shape == (48, 3)
         assert columns[:, 2].tolist() == [float(r.hour) for r in records]
 

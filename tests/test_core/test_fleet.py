@@ -82,14 +82,14 @@ def test_templates_are_serialize_row_by_row(stripe):
 
 
 def test_set_records_replays_the_new_stripe_from_its_first_record(
-    motorway_records,
+    motorway_records, motorway_blocks
 ):
     """After a migrate onto another stripe, the next beacon is the new
     stripe's first payload (car id overridden) with its two timestamps,
     and the one after it the second."""
-    train, test = motorway_records
+    _, test = motorway_records
     sim = Simulator()
-    detector = AD3Detector(RoadType.MOTORWAY).fit(train)
+    detector = AD3Detector(RoadType.MOTORWAY).fit(motorway_blocks[0])
     config = RsuConfig(processing_model=ProcessingModel(jitter_fraction=0.0))
     rsus = [RsuNode(sim, name, detector, config=config) for name in ("a", "b")]
     channels = [DsrcChannel(sim, rng=np.random.default_rng(i)) for i in (0, 1)]

@@ -1,7 +1,6 @@
 """Golden equivalence: the block hot path vs the per-record path.
 
-The perf refactor (TelemetryBlock / detect_block / DetectionEventLog /
-struct serdes) must be behaviour-preserving, not just approximately
+The perf refactor (TelemetryBlock / DetectionEventLog / struct serdes) must be behaviour-preserving, not just approximately
 right: same verdicts, same warning stream, same handover summaries,
 same latency statistics, bit for bit.  These tests run the same seeded
 scenario on the RSU's block path and on the per-record reference body
@@ -14,9 +13,7 @@ import pytest
 
 from repro.core.block import DetectionEventLog
 from repro.dataset.schema import NO_LABEL, TelemetryBlock
-from repro.core.collaborative import CollaborativeDetector
 from repro.core.detector import AD3Detector
-from repro.core.online import OnlineAD3Detector
 from repro.core.rsu import DetectionEvent
 from repro.core.scenario import ScenarioSpec
 from repro.core.system import TestbedScenario
@@ -25,7 +22,7 @@ from tests.test_core.oracles import use_per_record_rsu
 
 
 # ----------------------------------------------------------------------
-# Detector-level equivalence (block path vs record path)
+# Records and blocks
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def motorway_split(trip_split):
@@ -46,54 +43,6 @@ def test_block_round_trips_records(motorway_split):
     expected = [dataclasses.replace(r, trip_id=0) for r in test]
     assert block.records() == expected
     assert len(block) == len(test)
-
-
-def test_ad3_detect_block_bit_identical(motorway_split):
-    train, test = motorway_split
-    detector = AD3Detector(RoadType.MOTORWAY).fit(train)
-    classes, probs = detector.detect(test)
-    block_classes, block_probs = detector.detect_block(
-        TelemetryBlock.from_records(test)
-    )
-    assert np.array_equal(classes, block_classes)
-    assert np.array_equal(probs, block_probs)  # exact, not allclose
-
-
-def test_collaborative_detect_block_bit_identical(
-    motorway_split, motorway_detector, link_records
-):
-    from repro.core.collaborative import summaries_from_upstream
-
-    train_mw, test_mw = motorway_split
-    link_train, link_test = link_records
-    summaries = summaries_from_upstream(motorway_detector, train_mw)
-    detector = CollaborativeDetector(RoadType.MOTORWAY_LINK).fit(
-        link_train, summaries
-    )
-    test = link_test[:300]
-    classes, probs = detector.detect(test, summaries)
-    block_classes, block_probs = detector.detect_block(
-        TelemetryBlock.from_records(test), summaries
-    )
-    assert np.array_equal(classes, block_classes)
-    assert np.array_equal(probs, block_probs)
-
-
-def test_online_detector_block_path_bit_identical(motorway_split):
-    _, test = motorway_split
-    by_record = OnlineAD3Detector(RoadType.MOTORWAY, refit_every=60)
-    by_block = OnlineAD3Detector(RoadType.MOTORWAY, refit_every=60)
-    for start in range(0, len(test), 31):
-        chunk = test[start : start + 31]
-        block = TelemetryBlock.from_records(chunk)
-        classes, probs = by_record.detect(chunk)
-        block_classes, block_probs = by_block.detect_block(block)
-        assert np.array_equal(classes, block_classes)
-        assert np.array_equal(probs, block_probs)
-        by_record.observe(chunk)
-        by_block.observe_block(block)
-    assert by_record.observations == by_block.observations
-    assert by_record.ready == by_block.ready
 
 
 def test_block_road_type_check_matches_record_check(motorway_split):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.online import OnlineAD3Detector, OnlineLabeler, RollingProfile
-from repro.dataset.schema import ABNORMAL, NORMAL, TelemetryRecord
+from repro.dataset.schema import ABNORMAL, NORMAL, TelemetryBlock, TelemetryRecord
 from repro.geo import RoadType
 
 
@@ -19,6 +19,10 @@ def make_record(speed, accel=0.0, hour=8):
         road_type=RoadType.MOTORWAY,
         road_mean_speed_kmh=160.0,
     )
+
+
+def block_of(records):
+    return TelemetryBlock.from_records(records)
 
 
 class TestRollingProfile:
@@ -65,29 +69,29 @@ class TestOnlineLabeler:
         for speed, accel in zip(
             rng.normal(mu, sigma, n), rng.normal(0, 0.6, n)
         ):
-            labeler.observe(make_record(max(0.0, float(speed)), float(accel)))
+            labeler.observe(max(0.0, float(speed)), float(accel))
         return labeler
 
     def test_warmup_returns_none(self):
         labeler = OnlineLabeler()
-        assert labeler.label(make_record(160.0)) is None
+        assert labeler.label(160.0, 0.0) is None
 
     def test_labels_against_current_band(self):
         labeler = self.warm_labeler()
-        assert labeler.label(make_record(160.0)) == NORMAL
-        assert labeler.label(make_record(240.0)) == ABNORMAL
-        assert labeler.label(make_record(80.0)) == ABNORMAL
+        assert labeler.label(160.0, 0.0) == NORMAL
+        assert labeler.label(240.0, 0.0) == ABNORMAL
+        assert labeler.label(80.0, 0.0) == ABNORMAL
 
     def test_band_follows_drift(self):
         labeler = self.warm_labeler(mu=160.0)
         lo_before, hi_before = labeler.speed_band()
         rng = np.random.default_rng(3)
         for speed in rng.normal(100.0, 10.0, 3000):
-            labeler.observe(make_record(max(0.0, float(speed))))
+            labeler.observe(max(0.0, float(speed)), 0.0)
         lo_after, hi_after = labeler.speed_band()
         assert hi_after < hi_before
         # 160 was normal before the drift, abnormal after.
-        assert labeler.label(make_record(160.0)) == ABNORMAL
+        assert labeler.label(160.0, 0.0) == ABNORMAL
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -102,27 +106,21 @@ class TestOnlineAD3Detector:
             rng.normal(mu, 15.0, n), rng.normal(0, 0.6, n)
         ):
             records.append(make_record(max(0.0, float(speed)), float(accel)))
-        return records
+        return block_of(records)
 
     def test_becomes_ready_and_predicts(self):
         detector = OnlineAD3Detector(RoadType.MOTORWAY, refit_every=100)
         detector.observe(self.stream(160.0, 1500, seed=4))
         assert detector.ready
         test = self.stream(160.0, 200, seed=5)
-        predictions = detector.predict(test)
+        predictions, probs = detector.detect(test)
         assert set(np.unique(predictions)) <= {NORMAL, ABNORMAL}
-        probs = detector.predict_normal_proba(test)
         assert np.all((probs >= 0) & (probs <= 1))
-
-    def test_predict_before_ready_raises(self):
-        detector = OnlineAD3Detector(RoadType.MOTORWAY)
-        with pytest.raises(RuntimeError):
-            detector.predict([make_record(100.0)])
 
     def test_wrong_road_type_rejected(self):
         detector = OnlineAD3Detector(RoadType.MOTORWAY_LINK)
         with pytest.raises(ValueError):
-            detector.observe([make_record(100.0)])
+            detector.observe(block_of([make_record(100.0)]))
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
@@ -135,28 +133,62 @@ class TestOnlineAD3Detector:
         detector.observe(self.stream(160.0, 2500, seed=6))
         detector.observe(self.stream(100.0, 4000, seed=7))
         # Post-drift, a 160 km/h record is abnormal; 100 km/h normal.
-        test_fast = [make_record(160.0) for _ in range(50)]
-        test_mid = [make_record(100.0) for _ in range(50)]
-        assert np.mean(detector.predict(test_fast) == ABNORMAL) > 0.8
-        assert np.mean(detector.predict(test_mid) == NORMAL) > 0.8
+        test_fast = block_of([make_record(160.0) for _ in range(50)])
+        test_mid = block_of([make_record(100.0) for _ in range(50)])
+        assert np.mean(detector.detect(test_fast)[0] == ABNORMAL) > 0.8
+        assert np.mean(detector.detect(test_mid)[0] == NORMAL) > 0.8
 
     def test_cumulative_mode_learns(self):
         detector = OnlineAD3Detector(RoadType.MOTORWAY, mode="cumulative")
         detector.observe(self.stream(160.0, 2000, seed=8))
         assert detector.ready
         accuracy = np.mean(
-            detector.predict([make_record(160.0)] * 20) == NORMAL
+            detector.detect(block_of([make_record(160.0)] * 20))[0] == NORMAL
         )
         assert accuracy > 0.8
 
     def test_empty_observe_and_predict(self):
         detector = OnlineAD3Detector(RoadType.MOTORWAY)
-        detector.observe([])
-        assert detector.predict([]).size == 0
+        detector.observe(TelemetryBlock.empty())
+        assert detector.detect(TelemetryBlock.empty())[0].size == 0
+
+    @pytest.mark.parametrize("chunk", [1, 31])
+    def test_observe_state_does_not_depend_on_the_chunking(self, chunk):
+        """Observing a stream as one block leaves the same labelling
+        profiles, observation count, readiness, window buffer and NB
+        parameters as observing it in chunks (with a refit at every
+        chunk end, so both fit the same final buffer)."""
+        stream = self.stream(160.0, 600, seed=11)
+
+        def detector():
+            return OnlineAD3Detector(
+                RoadType.MOTORWAY, window=250, refit_every=1, half_life=100
+            )
+
+        whole, chunked = detector(), detector()
+        whole.observe(stream)
+        for start in range(0, len(stream), chunk):
+            chunked.observe(stream.take(slice(start, start + chunk)))
+
+        def state(d):
+            profiles = [
+                (p._mean, p._var, p.n_observations)
+                for p in (d.labeler.speed, d.labeler.accel)
+            ]
+            buffer = [(row.tolist(), label) for row, label in d._buffer]
+            model = d.model
+            nb = [
+                model.theta_.tolist(), model.var_.tolist(),
+                model._counts.tolist(), model._epsilon,
+            ]
+            return profiles, d.observations, d.ready, buffer, nb
+
+        assert whole.ready
+        assert state(whole) == state(chunked)
 
     def test_detect_during_warmup_is_all_normal(self):
         detector = OnlineAD3Detector(RoadType.MOTORWAY)
-        classes, probs = detector.detect([make_record(500.0)] * 3)
+        classes, probs = detector.detect(block_of([make_record(500.0)] * 3))
         assert classes.tolist() == [NORMAL] * 3
         assert probs.tolist() == [1.0] * 3
 

@@ -73,12 +73,14 @@ def test_a_stripe_is_its_records_encoded_one_by_one(motorway_records):
     assert stripe.payloads() == [record_to_payload(r) for r in stripe]
 
 
-def test_a_car_id_the_layout_cannot_hold_sends_json(motorway_records):
+def test_a_car_id_the_layout_cannot_hold_sends_json(
+    motorway_records, motorway_blocks
+):
     """As serializing each envelope would: no row struct-encodes."""
-    train, replay = motorway_records
+    _, replay = motorway_records
     sim = Simulator()
     rsu = RsuNode(
-        sim, "r", AD3Detector(RoadType.MOTORWAY).fit(train),
+        sim, "r", AD3Detector(RoadType.MOTORWAY).fit(motorway_blocks[0]),
         RsuConfig(serdes=topic_serdes("struct")),
     )
     channel = DsrcChannel(sim, rng=np.random.default_rng(0))

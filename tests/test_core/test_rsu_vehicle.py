@@ -16,8 +16,8 @@ from repro.streaming import Consumer, JsonSerde
 
 
 @pytest.fixture
-def motorway_ad3(motorway_records):
-    train, _ = motorway_records
+def motorway_ad3(motorway_blocks):
+    train, _ = motorway_blocks
     return AD3Detector(RoadType.MOTORWAY).fit(train)
 
 

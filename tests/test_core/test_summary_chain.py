@@ -16,10 +16,10 @@ from repro.simkernel import Simulator
 
 
 @pytest.fixture
-def chain(motorway_records):
+def chain(motorway_records, motorway_blocks):
     """Three RSUs in a line A -> B -> C with one vehicle on A."""
-    train, test = motorway_records
-    detector = AD3Detector(RoadType.MOTORWAY).fit(train)
+    _, test = motorway_records
+    detector = AD3Detector(RoadType.MOTORWAY).fit(motorway_blocks[0])
     sim = Simulator()
     config = RsuConfig(processing_model=ProcessingModel(jitter_fraction=0.0))
     nodes = {

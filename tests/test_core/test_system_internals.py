@@ -15,7 +15,7 @@ def training_dataset():
 
 @pytest.fixture(scope="module")
 def motorway_detector(training_dataset):
-    motorway = training_dataset.by_road_type(RoadType.MOTORWAY).records
+    motorway = training_dataset.by_road_type(RoadType.MOTORWAY).block
     return AD3Detector(RoadType.MOTORWAY).fit(motorway)
 
 

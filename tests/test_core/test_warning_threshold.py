@@ -7,15 +7,15 @@ from repro.core import RsuConfig, RsuNode
 from repro.core.detector import AD3Detector
 from repro.core.vehicle import VehicleNode
 from repro.dataset.preprocess import SigmaCutoffLabeler
-from repro.dataset.schema import ABNORMAL, NORMAL, TelemetryRecord
+from repro.dataset.schema import ABNORMAL, NORMAL, TelemetryBlock, TelemetryRecord
 from repro.geo import RoadType
 from repro.microbatch import ProcessingModel
 from repro.net.dsrc import DsrcChannel
 from repro.simkernel import Simulator
 
 
-def run_with_threshold(threshold, records, motorway_records):
-    train, _ = motorway_records
+def run_with_threshold(threshold, records, motorway_blocks):
+    train, _ = motorway_blocks
     detector = AD3Detector(RoadType.MOTORWAY).fit(train)
     sim = Simulator()
     rsu = RsuNode(
@@ -42,7 +42,9 @@ class TestWarningThreshold:
         with pytest.raises(ValueError):
             RsuConfig(warning_threshold=0)
 
-    def test_higher_threshold_fewer_warnings(self, motorway_records):
+    def test_higher_threshold_fewer_warnings(
+        self, motorway_records, motorway_blocks
+    ):
         _, test = motorway_records
         # Alternate normal/abnormal so streaks rarely reach 2.
         abnormal = [r for r in test if r.label == 0]
@@ -52,23 +54,26 @@ class TestWarningThreshold:
             for pair in zip(abnormal[:30], normal[:30])
             for record in pair
         ]
-        eager = run_with_threshold(1, interleaved, motorway_records)
-        debounced = run_with_threshold(3, interleaved, motorway_records)
+        eager = run_with_threshold(1, interleaved, motorway_blocks)
+        debounced = run_with_threshold(3, interleaved, motorway_blocks)
         assert eager.warnings_issued > 0
         assert debounced.warnings_issued < eager.warnings_issued
         # Same detections either way: only the warning policy changed.
         assert len(eager.events) == len(debounced.events)
 
-    def test_sustained_abnormality_still_warns(self, motorway_records):
+    def test_sustained_abnormality_still_warns(
+        self, motorway_records, motorway_blocks
+    ):
         _, test = motorway_records
         sustained = [r for r in test if r.label == 0][:40]
-        debounced = run_with_threshold(3, sustained, motorway_records)
+        debounced = run_with_threshold(3, sustained, motorway_blocks)
         assert debounced.warnings_issued > 0
 
 
 class TestLabelingGranularity:
     def build_hourly_records(self, n_per_hour=300, seed=0):
-        """Speeds whose mean shifts with the hour (Fig. 2's pattern)."""
+        """Speeds whose mean shifts with the hour (Fig. 2's pattern), as
+        a block."""
         rng = np.random.default_rng(seed)
         records = []
         for hour in (3, 8, 12):  # night / rush / midday
@@ -86,7 +91,7 @@ class TestLabelingGranularity:
                         road_mean_speed_kmh=mean,
                     )
                 )
-        return records
+        return TelemetryBlock.from_records(records)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -121,7 +126,7 @@ class TestLabelingGranularity:
             day=4, road_type=RoadType.MOTORWAY, road_mean_speed_kmh=150.0,
         )
         labeler = SigmaCutoffLabeler(granularity="type_hour").fit(
-            records + [extra] * 5
+            TelemetryBlock.from_records(records.records() + [extra] * 5)
         )
         # Hour 22 had < MIN_CELL_SAMPLES: falls back without KeyError.
         assert labeler.label(extra) in (NORMAL, ABNORMAL)

@@ -142,6 +142,17 @@ class TestSplits:
             r.timestamp for r in b_train.records
         ]
 
+    def test_trips_group_rows_in_first_row_order(self, small_dataset):
+        _, test = small_dataset.split_by_trip(0.8, seed=0)
+        expected = {}
+        for row, trip in enumerate(test.trip_id.tolist()):
+            expected.setdefault(trip, []).append(row)
+        trips = test.trips()
+        assert list(trips) == list(expected)
+        assert {t: rows.tolist() for t, rows in trips.items()} == expected
+        assert all(type(trip) is int for trip in trips)
+        assert test.take(np.zeros(len(test.trip_id), dtype=bool)).trips() == {}
+
 
 class TestRandomRoutePlan:
     def test_random_walk_routes(self):

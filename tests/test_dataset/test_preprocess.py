@@ -13,7 +13,7 @@ from repro.dataset import (
     SigmaCutoffLabeler,
     SyntheticDataset,
 )
-from repro.dataset.schema import ABNORMAL, NORMAL, TelemetryRecord
+from repro.dataset.schema import ABNORMAL, NORMAL, TelemetryBlock, TelemetryRecord
 from repro.geo import CityNetworkBuilder, RoadType
 
 
@@ -30,6 +30,10 @@ def make_record(speed, accel=0.0, road_type=RoadType.MOTORWAY, **kw):
     )
     defaults.update(kw)
     return TelemetryRecord(**defaults)
+
+
+def block_of(records):
+    return TelemetryBlock.from_records(records)
 
 
 class TestFilterConfig:
@@ -69,25 +73,25 @@ class TestSigmaCutoffLabeler:
         (1 - 0.68^2); speed-only deviation alone is ~32 %.  The paper's
         500 K eval subset is 35 % abnormal — same regime."""
         records = self.build_gaussian_records()
-        labeler = SigmaCutoffLabeler().fit(records)
+        labeler = SigmaCutoffLabeler().fit(block_of(records))
         labels = [labeler.label(r) for r in records]
         abnormal_fraction = labels.count(ABNORMAL) / len(labels)
         assert 0.30 < abnormal_fraction < 0.55
 
     def test_mean_record_is_normal(self):
         records = self.build_gaussian_records()
-        labeler = SigmaCutoffLabeler().fit(records)
+        labeler = SigmaCutoffLabeler().fit(block_of(records))
         assert labeler.label(make_record(160.0, 0.0)) == NORMAL
 
     def test_extreme_speed_is_abnormal(self):
         records = self.build_gaussian_records()
-        labeler = SigmaCutoffLabeler().fit(records)
+        labeler = SigmaCutoffLabeler().fit(block_of(records))
         assert labeler.label(make_record(250.0, 0.0)) == ABNORMAL
         assert labeler.label(make_record(60.0, 0.0)) == ABNORMAL
 
     def test_extreme_accel_is_abnormal(self):
         records = self.build_gaussian_records()
-        labeler = SigmaCutoffLabeler().fit(records)
+        labeler = SigmaCutoffLabeler().fit(block_of(records))
         assert labeler.label(make_record(160.0, accel=5.0)) == ABNORMAL
 
     def test_bands_are_per_road_type(self):
@@ -97,7 +101,7 @@ class TestSigmaCutoffLabeler:
                         road_type=RoadType.MOTORWAY_LINK)
             for s in self.build_gaussian_records(mu=160.0, seed=1)
         ]
-        labeler = SigmaCutoffLabeler().fit(motorway + link)
+        labeler = SigmaCutoffLabeler().fit(block_of(motorway + link))
         lo_m, hi_m = labeler.band(RoadType.MOTORWAY)
         lo_l, hi_l = labeler.band(RoadType.MOTORWAY_LINK)
         assert hi_l < hi_m
@@ -113,13 +117,13 @@ class TestSigmaCutoffLabeler:
             SigmaCutoffLabeler().label(make_record(100.0))
 
     def test_unknown_road_type_raises(self):
-        labeler = SigmaCutoffLabeler().fit(self.build_gaussian_records())
+        labeler = SigmaCutoffLabeler().fit(block_of(self.build_gaussian_records()))
         with pytest.raises(KeyError):
             labeler.label(make_record(30.0, road_type=RoadType.RESIDENTIAL))
 
     def test_empty_fit_raises(self):
         with pytest.raises(ValueError):
-            SigmaCutoffLabeler().fit([])
+            SigmaCutoffLabeler().fit(block_of([]))
 
     def test_n_sigma_validation(self):
         with pytest.raises(ValueError):
@@ -129,8 +133,8 @@ class TestSigmaCutoffLabeler:
     @settings(max_examples=10, deadline=None)
     def test_wider_band_labels_fewer_abnormal(self, n_sigma):
         records = self.build_gaussian_records(n=500)
-        narrow = SigmaCutoffLabeler(n_sigma=1.0).fit(records)
-        wide = SigmaCutoffLabeler(n_sigma=n_sigma).fit(records)
+        narrow = SigmaCutoffLabeler(n_sigma=1.0).fit(block_of(records))
+        wide = SigmaCutoffLabeler(n_sigma=n_sigma).fit(block_of(records))
         narrow_abnormal = sum(
             1 for r in records if narrow.label(r) == ABNORMAL
         )
@@ -195,15 +199,17 @@ class TestOneSigmaRule:
             make_record(speed, accel, road_type, hour=hour)
             for road_type, hour, speed, accel in sparse
         ]
-        labeler = SigmaCutoffLabeler(granularity=granularity).fit(records)
+        labeler = SigmaCutoffLabeler(granularity=granularity).fit(block_of(records))
         probes = records + self._edge_probes(labeler)
-        labels = labeler.label_all(probes)
+        labels = labeler.label_all(block_of(probes))
         assert labels.tolist() == [labeler.label(r) for r in probes]
 
     def test_label_all_raises_for_an_unfitted_road_type(self):
-        labeler = SigmaCutoffLabeler().fit([make_record(100.0), make_record(90.0)])
+        labeler = SigmaCutoffLabeler().fit(block_of([make_record(100.0), make_record(90.0)]))
         with pytest.raises(KeyError, match="RESIDENTIAL"):
-            labeler.label_all([make_record(30.0, road_type=RoadType.RESIDENTIAL)])
+            labeler.label_all(
+                block_of([make_record(30.0, road_type=RoadType.RESIDENTIAL)])
+            )
 
     @given(
         readings=st.lists(

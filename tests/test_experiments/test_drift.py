@@ -2,23 +2,24 @@
 
 import pytest
 
-from repro.experiments.drift import DriftResult, drift_adaptation, _regime_records
+from repro.experiments.drift import DriftResult, drift_adaptation, _regime_block
 
 
 class TestRegimeRecords:
     def test_scaled_regime_is_slower(self):
-        fast = _regime_records(1.0, n_cars=40, seed=3)
-        slow = _regime_records(0.7, n_cars=40, seed=3)
-        mean = lambda records: sum(r.speed_kmh for r in records) / len(records)
+        fast = _regime_block(1.0, n_cars=40, seed=3)
+        slow = _regime_block(0.7, n_cars=40, seed=3)
+        mean = lambda block: sum(block.speed_kmh.tolist()) / len(block)
         assert mean(slow) < 0.8 * mean(fast)
 
     def test_records_are_labelled(self):
-        records = _regime_records(1.0, n_cars=20, seed=4)
-        assert all(r.label in (0, 1) for r in records)
+        block = _regime_block(1.0, n_cars=20, seed=4)
+        assert all(label in (0, 1) for label in block.label.tolist())
 
     def test_label_mixture_reasonable(self):
-        records = _regime_records(0.7, n_cars=40, seed=5)
-        abnormal = sum(1 for r in records if r.label == 0) / len(records)
+        block = _regime_block(0.7, n_cars=40, seed=5)
+        labels = block.label.tolist()
+        abnormal = sum(1 for label in labels if label == 0) / len(labels)
         # The sigma-cutoff is applied per regime: mixture stays ~1/3.
         assert 0.2 < abnormal < 0.55
 

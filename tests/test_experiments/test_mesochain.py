@@ -7,7 +7,7 @@ from repro.experiments.mesochain import (
     grid_dataset,
     mesoscopic_chain,
 )
-from repro.dataset.schema import TelemetryRecord
+from repro.dataset.schema import TelemetryBlock, TelemetryRecord
 from repro.geo import RoadType
 
 
@@ -35,8 +35,8 @@ class TestSplitTripBySegment:
             make_record(3, 3.0),
             make_record(3, 4.0),
         ]
-        legs = _split_trip_by_segment(records)
-        assert [leg[0].road_id for leg in legs] == [1, 2, 3]
+        legs = _split_trip_by_segment(TelemetryBlock.from_records(records))
+        assert [int(leg.road_id[0]) for leg in legs] == [1, 2, 3]
         assert [len(leg) for leg in legs] == [2, 1, 2]
 
     def test_revisited_segment_is_a_new_leg(self):
@@ -45,13 +45,13 @@ class TestSplitTripBySegment:
             make_record(2, 1.0),
             make_record(1, 2.0),
         ]
-        legs = _split_trip_by_segment(records)
-        assert [leg[0].road_id for leg in legs] == [1, 2, 1]
+        legs = _split_trip_by_segment(TelemetryBlock.from_records(records))
+        assert [int(leg.road_id[0]) for leg in legs] == [1, 2, 1]
 
     def test_orders_by_timestamp(self):
         records = [make_record(2, 5.0), make_record(1, 1.0)]
-        legs = _split_trip_by_segment(records)
-        assert [leg[0].road_id for leg in legs] == [1, 2]
+        legs = _split_trip_by_segment(TelemetryBlock.from_records(records))
+        assert [int(leg.road_id[0]) for leg in legs] == [1, 2]
 
 
 @pytest.fixture(scope="module")

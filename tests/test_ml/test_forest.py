@@ -76,7 +76,7 @@ class TestRandomForest:
     def test_works_as_ad3_model(self):
         """The future-work hook: a forest inside AD3Detector."""
         from repro.core.detector import AD3Detector
-        from repro.dataset.schema import TelemetryRecord
+        from repro.dataset.schema import TelemetryBlock, TelemetryRecord
         from repro.geo import RoadType
 
         rng = np.random.default_rng(8)
@@ -97,11 +97,11 @@ class TestRandomForest:
                     label=1 if normal else 0,
                 )
             )
+        block = TelemetryBlock.from_records(records)
         detector = AD3Detector(
             RoadType.MOTORWAY,
             model=RandomForestClassifier(n_trees=15, max_features=3, seed=9),
-        ).fit(records)
-        accuracy = np.mean(
-            detector.predict(records) == np.array([r.label for r in records])
-        )
+        ).fit(block)
+        classes, _ = detector.detect(block)
+        accuracy = np.mean(classes == block.label)
         assert accuracy > 0.9

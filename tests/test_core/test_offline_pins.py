@@ -14,8 +14,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.core.features import payload_columns
 from repro.core.scenario import ScenarioSpec, paper_corridor
 from repro.core.system import TestbedScenario, corridor_bundle, default_training_dataset
+from repro.core.wire import TelemetryStructSerde
 from repro.dataset import DatasetGenerator, GeneratorConfig, Preprocessor, TelemetryRecord
 from repro.geo import CityNetworkBuilder
 
@@ -175,3 +177,20 @@ class TestTheCorridorBuildsNoRecord:
         scenario.run()
         assert len(built) == 0
         assert sum(vehicle.stats.records_sent for vehicle in scenario.vehicles) > 0
+
+
+class TestTemplatePins:
+    """The IN-DATA wire templates of every row of the default training
+    dataset (car id 0, ``generated_at`` 0.0, ``arrived_at`` unset), as
+    the telemetry codec's column encoder packs them: one 71-byte row
+    per record, all of them struct-encodable."""
+
+    PIN = "0b49f90529ece243"
+
+    def test_template_rows_are_pinned(self):
+        block = default_training_dataset(7).block
+        columns = dict(payload_columns(block))
+        columns["car"] = [0] * len(block)
+        rows, mask = TelemetryStructSerde().encode_columns(columns)
+        assert rows.shape == (27728, 71) and mask.all()
+        assert hashlib.sha256(rows.tobytes()).hexdigest()[:16] == self.PIN

@@ -52,9 +52,9 @@ from repro.core.system import (
 from repro.core.vehicle import VehicleNode, VehicleStats
 from repro.core.wire import (
     SERDE_PROFILES,
-    TelemetryStructSerde,
     decode_telemetry_block,
     summary_struct_serde,
+    telemetry_struct_serde,
     topic_serdes,
     warning_struct_serde,
 )
@@ -72,7 +72,6 @@ __all__ = [
     "OUT_DATA",
     "SERDE_PROFILES",
     "TelemetryBlock",
-    "TelemetryStructSerde",
     "OnlineAD3Detector",
     "OnlineLabeler",
     "PredictionSummary",
@@ -97,6 +96,7 @@ __all__ = [
     "record_to_payload",
     "speed_deviation_delta",
     "summary_struct_serde",
+    "telemetry_struct_serde",
     "topic_serdes",
     "warning_struct_serde",
 ]

@@ -36,6 +36,7 @@ from repro.core.wire import (
     SummaryFrame,
     SummaryFrameSerde,
     decode_telemetry_segments,
+    topic_serdes,
 )
 from repro.dataset.schema import ABNORMAL, NO_LABEL, TelemetryBlock
 from repro.microbatch.context import (
@@ -50,7 +51,7 @@ from repro.obs.trace import span
 from repro.simkernel.simulator import Simulator
 from repro.streaming.broker import Broker, BrokerUnavailable
 from repro.streaming.consumer import Consumer
-from repro.streaming.serde import JsonSerde, Serde
+from repro.streaming.serde import Serde
 
 
 @dataclass
@@ -68,9 +69,9 @@ class RsuConfig:
     #: values debounce flicker at the cost of detection delay ("less
     #: disturbance to other drivers with false warnings", Sec. VI-D4).
     warning_threshold: int = 1
-    #: Per-topic serde overrides (e.g. :func:`repro.core.wire.topic_serdes`
-    #: for the binary profile); topics not listed use compact JSON.
-    serdes: Optional[Dict[str, Serde]] = None
+    #: The serde of each topic (:func:`repro.core.wire.topic_serdes`;
+    #: the JSON profile's by default).
+    serdes: Dict[str, Serde] = field(default_factory=topic_serdes)
     #: Seconds of CO-DATA silence (after at least one summary arrived)
     #: before a collaborating RSU degrades to road-only detection.
     #: ``None`` (default) disables degradation — the seed behaviour.
@@ -148,8 +149,7 @@ class RsuNode:
         self.broker = Broker(name, clock=lambda: sim.now)
         for topic in (IN_DATA, OUT_DATA, CO_DATA):
             self.broker.create_topic(topic, self.config.topic_partitions)
-        self._default_serde = JsonSerde()
-        self._serdes: Dict[str, Serde] = dict(self.config.serdes or {})
+        self._serdes: Dict[str, Serde] = dict(self.config.serdes)
         # The collaboration plane wraps the CO-DATA serde before the
         # collab consumer is built, so framed payloads (deltas / full
         # resyncs) deserialize to SummaryFrame markers.
@@ -392,8 +392,8 @@ class RsuNode:
     # Pipeline
     # ------------------------------------------------------------------
     def _serde_for(self, topic: str) -> Serde:
-        """The serde wired to ``topic`` (compact JSON by default)."""
-        return self._serdes.get(topic, self._default_serde)
+        """The serde wired to ``topic``."""
+        return self._serdes[topic]
 
     def _drain_co_data(self) -> None:
         """Fold newly arrived CO-DATA summaries into detection state.
@@ -617,18 +617,7 @@ class RsuNode:
             cars, roads, speeds, detected_at
         )
         columns["generated_at"] = generated_ats
-        serde = self._serde_for(OUT_DATA)
-        encode_batch = getattr(serde, "encode_batch", None)
-        frames = encode_batch(columns) if encode_batch is not None else None
-        if frames is not None:
-            size = len(frames) // n
-            values = [frames[at : at + size] for at in range(0, n * size, size)]
-        else:
-            # JSON profile, or a row the struct layout cannot hold.
-            values = [
-                serde.serialize(dict(zip(columns, row)))
-                for row in zip(*columns.values())
-            ]
+        values = self._serde_for(OUT_DATA).encode_batch(columns)
         try:
             self.broker.produce_block(
                 OUT_DATA,

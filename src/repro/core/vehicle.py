@@ -9,17 +9,16 @@ bandwidth").
 
 from __future__ import annotations
 
-import struct
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from operator import attrgetter, is_, itemgetter, lt, truth
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.features import IN_DATA, OUT_DATA, payload_columns
-from repro.core.wire import TelemetryStructSerde
+from repro.core.wire import topic_serdes
 from repro.dataset.generator import SyntheticDataset
 from repro.dataset.schema import TelemetryBlock, TelemetryRecord
 from repro.net.dsrc import DsrcChannel
@@ -28,33 +27,10 @@ from repro.simkernel.simulator import Simulator
 from repro.streaming.broker import BrokerUnavailable
 from repro.streaming.consumer import Consumer, OwnRecord
 from repro.streaming.producer import Producer, RetryPolicy, send_block
-from repro.streaming.serde import (
-    FlatStructSerde,
-    JsonSerde,
-    Serde,
-    SerdeError,
-)
-
-#: Template patch: the telemetry struct layout ends in
-#: ``generated_at f64 | arrived_at f64``, so a pre-serialized frame is
-#: finalized by packing both timestamps over its last 16 bytes.
-_TS_PATCH = struct.Struct("<dd")
-
-#: Bytes of a struct-encoded telemetry frame: a payload-store row.
-_WIRE = TelemetryStructSerde.DTYPE.itemsize
+from repro.streaming.serde import Serde
 
 #: Records one warning poll may fetch (the consumer's default budget).
 _POLL_MAX_RECORDS = 500
-
-#: The serde of a topic the vehicle's serde set does not name (JSON
-#: serdes hold no state, so every vehicle shares one).
-_JSON = JsonSerde()
-
-#: Where a template row holds the car id: a vehicle writes its own into
-#: its stripe's rows (``<q``, as the serde packs it).
-_CAR = struct.Struct("<q")
-_CAR_AT = TelemetryStructSerde.DTYPE.fields["car"][1]
-_CAR_BYTES = slice(_CAR_AT, _CAR_AT + _CAR.size)
 
 
 class ReplayPool(SequenceABC):
@@ -68,8 +44,8 @@ class ReplayPool(SequenceABC):
     materialized only when one is asked for.  The pool a view was
     sliced from computes, on first use, its payload columns
     (:func:`~repro.core.features.payload_columns`, from the block's
-    columns) and, per serde class, its template rows (the serde's
-    ``encode_columns``, with car id 0); a view gathers its rows of
+    columns) and, per struct layout, its template rows (the serde's
+    ``encode_batch``, with car id 0); a view gathers its rows of
     both.  The rows of a stripe differ from the pool's only in the car
     id, which each vehicle writes in (:meth:`VehicleNode._prepare_payloads`).
     """
@@ -81,7 +57,7 @@ class ReplayPool(SequenceABC):
         self._root = self
         self._columns: Optional[Dict[str, list]] = None
         self._dicts: Optional[List[dict]] = None
-        self._encoded: Dict[type, Tuple[np.ndarray, np.ndarray]] = {}
+        self._encoded: Dict[tuple, np.ndarray] = {}
 
     @classmethod
     def of(cls, records: Iterable[TelemetryRecord]) -> "ReplayPool":
@@ -129,17 +105,21 @@ class ReplayPool(SequenceABC):
             root._dicts = [dict(zip(columns, row)) for row in zip(*columns.values())]
         return list(map(root._dicts.__getitem__, self._rows.tolist()))
 
-    def templates(self, serde) -> Tuple[np.ndarray, np.ndarray]:
-        """Copies of the rows' wire templates under ``serde`` (car id 0)
-        and of the mask of rows it struct-encodes."""
+    def templates(self, serde) -> np.ndarray:
+        """A copy of the rows' wire templates under the struct
+        ``serde``, one ``(n, wire_size)`` uint8 row each: the record's
+        payload with car id 0, ``generated_at`` 0.0 and ``arrived_at``
+        unset."""
         root = self._root
-        kind = type(serde)
-        if kind not in root._encoded:
-            columns = dict(self._payload_columns())
-            columns["car"] = [0] * len(root._block)
-            root._encoded[kind] = serde.encode_columns(columns)
-        rows, mask = root._encoded[kind]
-        return rows[self._rows], mask[self._rows]
+        if serde.fields not in root._encoded:
+            n = len(root._block)
+            columns = dict(self._payload_columns(), car=[0] * n)
+            columns.update(gen=[0.0] * n, arr=[None] * n)
+            joined = b"".join(serde.encode_batch(columns))
+            root._encoded[serde.fields] = np.frombuffer(
+                joined, dtype=np.uint8
+            ).reshape(n, serde.wire_size)
+        return root._encoded[serde.fields][self._rows]
 
 
 #: What :func:`_first_degraded` reads off a vehicle's producer, which
@@ -176,58 +156,71 @@ def _first_degraded(
 #: to replay, beacons and bytes sent since the stats last folded them,
 #: shaper (index into ``Fleet._shapers``, -1: none) and its leaf's row.
 _STRIPE, _LENGTH, _REPLAY, _SENT, _SENT_BYTES, _SHAPED, _LEAF_ROW = range(7)
-_COUNTED = np.array([1, _WIRE])  # what a struct beacon adds to the counts
 
 
 class Fleet:
     """The data plane of one :class:`DsrcChannel`'s vehicles, as
     columns over its cohort slots (``channel.columns["fleet"]``): each
-    slot's replay position, send counters and HTB leaf, and each joined
-    stripe's wire templates as rows of one append-only ``(rows, 71)``
-    store (``TelemetryStructSerde.encode_templates``).  A beacon's frame
-    is ``(store row, generated_at, sent_on)``; the channel's delivered
+    slot's replay position, send counters and HTB leaf, and every
+    joined stripe's rows in one append-only store.  A beacon's frame is
+    ``(store row, generated_at, sent_on)``; the channel's delivered
     frames land through :func:`land_frames`.  The OUT-DATA appends keyed
     with its vehicles' car ids reach it once per block (:meth:`warned`).
+
+    The vehicles on a channel share one IN-DATA ``serde``, and it
+    decides what the store holds.  Under a struct serde, template rows
+    of one ``(rows, wire_size)`` uint8 array
+    (:meth:`ReplayPool.templates`): a frame's bytes are its row with
+    both timestamps written in.  Under JSON, the payload dicts: a
+    frame's bytes are its envelope, serialized.
     """
 
-    def __init__(self, channel: DsrcChannel) -> None:
+    def __init__(self, channel: DsrcChannel, serde: Serde) -> None:
         self.channel = channel
+        self.serde = serde
         capacity = len(channel.columns["next"])
         channel.columns["fleet"] = np.zeros((capacity, 7), dtype=np.int64)
-        self._rows = np.zeros((0, _WIRE), dtype=np.uint8)
-        self._struct = np.zeros(0, dtype=bool)
-        self._all_struct = True
+        self._stored = 0  # store rows taken by joined stripes
+        self._rows: Optional[np.ndarray] = None
+        self._payloads: List[dict] = []
+        if serde.wire_size is not None:
+            self._rows = np.zeros((0, serde.wire_size), dtype=np.uint8)
         self._empty = False  # a stripe joined empty
-        self._payloads: List[Optional[dict]] = []
         self._shapers: List[HtbShaper] = []
         self._owners: Dict[bytes, "VehicleNode"] = {}
         channel.fleet = self
         channel.lander = land_frames
 
     @classmethod
-    def of(cls, channel: DsrcChannel) -> "Fleet":
+    def of(cls, channel: DsrcChannel, serde: Serde) -> "Fleet":
         """``channel``'s fleet, made on first use."""
-        return channel.fleet or cls(channel)
+        return channel.fleet or cls(channel, serde)
+
+    def templates(self, stripe: "ReplayPool", car_id: int) -> Optional[np.ndarray]:
+        """``stripe``'s template rows with ``car_id`` written in, or
+        ``None`` when this fleet stores payloads.  Raises
+        :class:`~repro.streaming.serde.SerdeError` for a car id the
+        layout cannot hold."""
+        if self._rows is None:
+            return None
+        rows = stripe.templates(self.serde)
+        self.serde.fill(rows, "car", car_id)
+        return rows
 
     def joined(self, slot: int, vehicle: "VehicleNode") -> None:
         """Store ``vehicle``'s stripe for ``slot``; replay resumes where
         the vehicle left off.  The store only grows: a stripe stays
         while frames in flight may still name its rows."""
-        start = len(self._payloads)
-        stop = start + len(vehicle._templates)
-        if stop > len(self._rows):
-            capacity = max(stop, 2 * len(self._rows))
-            self._rows = np.resize(self._rows, (capacity, _WIRE))
-            self._struct = np.resize(self._struct, capacity)
-        self._rows[start:stop] = vehicle._templates
-        self._struct[start:stop] = vehicle._encodable
-        encodable = bool(vehicle._encodable.all())
-        self._all_struct = self._all_struct and encodable
+        start = self._stored
+        stop = self._stored = start + len(vehicle._stripe)
+        if self._rows is None:
+            self._payloads.extend(vehicle._payloads)
+        else:
+            if stop > len(self._rows):
+                capacity = max(stop, 2 * len(self._rows))
+                self._rows = np.resize(self._rows, (capacity, self._rows.shape[1]))
+            self._rows[start:stop] = vehicle._templates
         self._empty = self._empty or start == stop
-        # only a row that does not struct-encode is sent from its payload
-        self._payloads.extend(
-            repeat(None, stop - start) if encodable else vehicle._payloads
-        )
         self.channel.columns["fleet"][slot, :_SHAPED] = (
             start, stop - start, vehicle._replay, 0, 0
         )
@@ -268,8 +261,8 @@ class Fleet:
 
         - Each beacon replays its vehicle's next stripe row; the
           replay positions and send counters move column-wise, in
-          rounds when a vehicle is due more than once.  A payload that
-          does not struct-encode is sized by serializing its envelope.
+          rounds when a vehicle is due more than once.  A beacon's
+          size is its frame's before delivery (``arrived_at`` unset).
         - HTB is charged at each instant, the whole block in order
           (:meth:`~repro.net.htb.HtbShaper.send_rows`).
         - The frames join the channel's queue at their effective times
@@ -289,20 +282,15 @@ class Fleet:
             records[rank] = record
             record[:, _REPLAY] += 1
             record[:, _REPLAY] %= record[:, _LENGTH]
-            record[:, _SENT:_SHAPED] += _COUNTED
+            record[:, _SENT] += 1
             state[slots[rank]] = record
         rows = records[:, _STRIPE] + records[:, _REPLAY]
         at = instants.tolist()
-        sizes = [_WIRE] * len(at)
-        if not self._all_struct:
-            for position in (~self._struct[rows]).nonzero()[0].tolist():
-                envelope = {
-                    "data": self._payloads[rows[position]],
-                    "generated_at": at[position],
-                    "arrived_at": None,
-                }
-                sizes[position] = len(vehicles[position].serde.serialize(envelope))
-                state[slots[position], _SENT_BYTES] += sizes[position] - _WIRE
+        if self._rows is None:
+            sizes = list(map(len, self.values(rows.tolist(), at, [None] * len(at))))
+        else:
+            sizes = [self._rows.shape[1]] * len(at)
+        np.add.at(state[:, _SENT_BYTES], slots, sizes)
         eff_times = at
         if self._shapers:
             delays = np.zeros(len(at))
@@ -331,17 +319,26 @@ class Fleet:
             if row < count:
                 channel.flush_at(eff_times[row])
 
-    def _patched(
-        self, rows: List[int], generated: Iterable[float], times: List[float]
+    def values(
+        self, rows: List[int], generated: Iterable[float], times: Iterable
     ) -> List[bytes]:
-        """The wire bytes of template rows ``rows``: both timestamps
-        written over their last 16 bytes, column-wise."""
-        stamps = np.fromiter(
-            chain.from_iterable(zip(generated, times)), "<f8", 2 * len(rows)
-        )
+        """The wire bytes of the frames of store rows ``rows``,
+        generated at ``generated`` and arrived at ``times``: template
+        rows with both timestamps written in, column-wise, or the
+        envelopes serialized."""
+        if self._rows is None:
+            return self.serde.encode_batch(
+                {
+                    "data": list(map(self._payloads.__getitem__, rows)),
+                    "generated_at": list(generated),
+                    "arrived_at": list(times),
+                }
+            )
         block = self._rows[rows]
-        block[:, _WIRE - 16 :] = stamps.view(np.uint8).reshape(-1, 16)
-        return block.view(np.dtype((np.void, _WIRE))).ravel().tolist()
+        stamped = block.view(self.serde.dtype)[:, 0]
+        stamped["gen"] = list(generated)
+        stamped["arr"] = list(times)
+        return block.view(np.dtype((np.void, block.shape[1]))).ravel().tolist()
 
     def warned(
         self,
@@ -378,8 +375,8 @@ def land_frames(delivered: List[Tuple[float, Tuple]]) -> None:
     a frame whose broker is down or losing acks, or whose producer
     holds a retry backlog, goes through ``Producer.send`` alone.  When
     no frame needs any of that — the steady state — the whole delivery
-    is one block, the checks made column-wise and the bytes patched
-    off the sending fleet's store at once (:func:`_wire_values`).
+    is one block, the checks made column-wise and the bytes made by
+    the sending fleet at once (:func:`_wire_values`).
     """
     rows = list(map(itemgetter(1), delivered))
     vehicles: List["VehicleNode"] = list(map(itemgetter(3), rows))
@@ -424,43 +421,25 @@ def _land_block(vehicles, times, frames) -> None:
             list(map(_PRODUCER, vehicles)),
             IN_DATA,
             list(map(_KEY, vehicles)),
-            _wire_values(vehicles, frames, times),
+            _wire_values(frames, times),
         )
         for column in (vehicles, times, frames):
             column.clear()
 
 
-def _wire_value(vehicle: "VehicleNode", frame: Tuple, at_time: float) -> bytes:
-    """One frame's wire bytes: its template row with both timestamps
-    patched, or its envelope serialized (a payload that does not
-    struct-encode)."""
-    row, generated_at, sent_on = frame
-    fleet = sent_on.fleet
-    if not fleet._struct[row]:
-        return vehicle.serde.serialize(
-            {
-                "data": fleet._payloads[row],
-                "generated_at": generated_at,
-                "arrived_at": at_time,
-            }
-        )
-    value = bytearray(fleet._rows[row].tobytes())
-    _TS_PATCH.pack_into(value, _WIRE - 16, generated_at, at_time)
-    return bytes(value)
-
-
-def _wire_values(
-    vehicles: List["VehicleNode"], frames: List[Tuple], times: List[float]
-) -> List[bytes]:
-    """The wire bytes of frames delivered at ``times``: at once
-    (:meth:`Fleet._patched`) when all are template rows of one store."""
+def _wire_values(frames: List[Tuple], times: List[float]) -> List[bytes]:
+    """The wire bytes of frames delivered at ``times``, each made by the
+    fleet of the channel it was sent on (:meth:`Fleet.values`): at once
+    when that is one channel, as in the steady state."""
     channels = set(map(itemgetter(2), frames))
     if len(channels) == 1:
-        fleet = channels.pop().fleet
-        rows = list(map(itemgetter(0), frames))
-        if fleet._all_struct or fleet._struct[rows].all():
-            return fleet._patched(rows, map(itemgetter(1), frames), times)
-    return list(map(_wire_value, vehicles, frames, times))
+        return channels.pop().fleet.values(
+            list(map(itemgetter(0), frames)), map(itemgetter(1), frames), times
+        )
+    return [
+        sent_on.fleet.values([row], [generated_at], [at_time])[0]
+        for (row, generated_at, sent_on), at_time in zip(frames, times)
+    ]
 
 
 @dataclass
@@ -528,9 +507,9 @@ class VehicleNode:
     rng:
         Seeded stream for consumer-processing jitter.
     serdes:
-        Per-topic serde overrides, matching the RSU's
-        (:func:`repro.core.wire.topic_serdes`); compact JSON when
-        absent.
+        The serde of each topic, matching the RSU's
+        (:func:`repro.core.wire.topic_serdes`); the JSON profile's when
+        absent.  Every vehicle on a channel shares one IN-DATA serde.
     retry:
         :class:`~repro.streaming.producer.RetryPolicy` for telemetry
         produce: buffered retries with backoff plus idempotent
@@ -589,7 +568,11 @@ class VehicleNode:
         self.car_id = car_id
         self.rsu = rsu
         self.channel = channel
-        Fleet.of(channel)
+        serdes = topic_serdes() if serdes is None else serdes
+        #: Serde for the telemetry envelopes this vehicle produces.
+        self.serde = serdes[IN_DATA]
+        self._out_serde = serdes[OUT_DATA]
+        Fleet.of(channel, self.serde)
         rsu.attach_uplink(channel)
         self._beacon: Optional[int] = None
         self._shaper = shaper
@@ -598,10 +581,6 @@ class VehicleNode:
         self.consumer_processing_s = consumer_processing_s
         self.consumer_jitter_s = consumer_jitter_s
         self._rng = rng or np.random.default_rng(car_id)
-        serdes = serdes or {}
-        #: Serde for the telemetry envelopes this vehicle produces.
-        self.serde = serdes.get(IN_DATA, _JSON)
-        self._out_serde = serdes.get(OUT_DATA, _JSON)
         self._prepare_payloads(records)
         # Telemetry goes through a Producer so the delivery guarantees
         # (bounded retry buffer, idempotent sequences) apply.  The
@@ -668,7 +647,7 @@ class VehicleNode:
         """Register for the OUT-DATA appends keyed with this car id (the
         RSU keys a warning by the warned car), through the channel's
         fleet (:meth:`Fleet.warned`)."""
-        fleet = Fleet.of(self.channel)
+        fleet = Fleet.of(self.channel, self.serde)
         fleet._owners[self._key_bytes] = self
         self._cancel_notify = self.rsu.broker.subscribe_key(
             OUT_DATA, self._key_bytes, fleet.warned
@@ -826,7 +805,7 @@ class VehicleNode:
                 old_channel.leave(self._beacon)
                 self._beacon = None
                 if following is not None:
-                    Fleet.of(new_channel)
+                    Fleet.of(new_channel, self.serde)
                     self._beacon = new_channel.join(
                         self, following, self.update_period_s,
                         self._beacon_until,
@@ -900,40 +879,27 @@ class VehicleNode:
 
         ``records`` is a :class:`ReplayPool` view — a vehicle group's
         stripe of its scenario's pool — or any records, which become a
-        pool of their own.  The pool encodes its rows once for all the
-        vehicles striping it: each record's ``IN-DATA`` payload and its
-        pre-delivery envelope, struct-encoded in one batch into template
-        rows.  Here the stripe's rows are gathered and this car's id is
-        written into them (a car id the layout cannot hold leaves every
-        row to JSON, as serializing each envelope would).  A beacon's
-        wire bytes differ from its template only in the two trailing
-        timestamps, so each send patches them instead of serializing
-        the envelope.  A record the layout cannot hold is masked out and
-        its sends serialize the envelope, from :attr:`_payloads`.
-        Payloads are never mutated after this point, so frames in flight
-        may share them; an empty stripe is tolerated at construction (it
-        only fails if a beacon is actually due).
+        pool of their own.  Under a struct serde the pool encodes its
+        rows once for all the vehicles striping it, into template rows
+        (each record's payload with car id 0 and unset timestamps);
+        here the stripe's rows are gathered and this car's id is
+        written into them (:meth:`Fleet.templates`, which raises for a
+        car id the layout cannot hold).  A beacon's wire bytes differ
+        from its template only in the two timestamps, so each send
+        writes them in instead of serializing.  Under JSON a send
+        serializes the envelope of its payload (:attr:`_payloads`).
+        Payloads are never mutated after this point, so frames in
+        flight may share them; an empty stripe is tolerated at
+        construction (it only fails if a beacon is actually due).
         """
         stripe = ReplayPool.of(records)
         #: The replayed records, kept for introspection (the payloads
         #: drop fields like ``trip_id`` that never go on the wire).
         self._stripe = stripe
-        if getattr(self.serde, "encode_columns", None) is None:
-            self._templates = np.zeros((len(stripe), _WIRE), dtype=np.uint8)
-            self._encodable = np.zeros(len(stripe), dtype=bool)
-        else:
-            self._templates, self._encodable = stripe.templates(self.serde)
-            try:
-                car = np.frombuffer(_CAR.pack(self.car_id), dtype=np.uint8)
-            except struct.error:
-                self._templates[:] = 0
-                self._encodable[:] = False
-            else:
-                self._templates[self._encodable, _CAR_BYTES] = car
-        # Made now when some row is sent as JSON, else only if asked for.
+        self._templates = Fleet.of(self.channel, self.serde).templates(
+            stripe, self.car_id
+        )
         self._payload_list: Optional[List[dict]] = None
-        if not self._encodable.all():
-            self._payload_list = self._payloads
         # The next record to replay while in no cohort (else the fleet's).
         self._replay = 0
 
@@ -1062,7 +1028,7 @@ class VehicleNode:
         try:
             self._producer.send(
                 IN_DATA,
-                _wire_value(self, frame, at_time),
+                _wire_values([frame], [at_time])[0],
                 key=self._key_bytes,
             )
         except BrokerUnavailable:
@@ -1099,27 +1065,15 @@ class VehicleNode:
     def _receive_own(self, read: List[Tuple[float, OwnRecord]]) -> None:
         """The settled polls read these warnings, ``(instant, entry)`` in
         the order the polls returned them: decode the bytes they fetched
-        (one batch decode when every value is struct-encoded) and
-        receive them all at once."""
+        as columns and receive them all at once."""
         values = self._consumer.broker.topic(OUT_DATA).values_at(
             [partition for _, ((_, partition), _, _) in read],
             [offset for _, (_, offset, _) in read],
         )
-        serde = self._out_serde
-        rows = None
-        if isinstance(serde, FlatStructSerde):
-            try:
-                rows = serde.decode_batch(values)
-            except SerdeError:
-                pass  # some value took the JSON fallback
-        if rows is not None:
-            detected = rows["t"]
-            generated = rows["generated_at"]
-        else:
-            decoded = [serde.deserialize(value) for value in values]
-            detected = [float(value["t"]) for value in decoded]
-            generated = [float(value["generated_at"]) for value in decoded]
-        self._receive_warnings([instant for instant, _ in read], detected, generated)
+        columns = self._out_serde.decode_batch(values)
+        self._receive_warnings(
+            [instant for instant, _ in read], columns["t"], columns["generated_at"]
+        )
 
     def _receive_warnings(
         self,

@@ -1,242 +1,73 @@
-"""Schema-aware fast serdes for the three CAD3 topics.
+"""The wire schemas of the three CAD3 topics.
 
-``JsonSerde`` stays the system default (the paper's ~200-byte JSON
-packets), but every topic has a fixed Table II-shaped schema, so the
-hot path can use fixed-layout binary packing instead:
+Each topic has one serde per profile (:func:`topic_serdes`): the
+paper's compact JSON (``"json"``), or a fixed Table II-shaped binary
+layout on :class:`~repro.streaming.serde.FlatStructSerde`
+(``"struct"``):
 
-- :class:`TelemetryStructSerde` — the ``IN-DATA`` envelope
-  (``{"data": {Table II fields}, "generated_at", "arrived_at"}``),
-  71 bytes on the wire vs ~170-200 for JSON, with a hand-written pack path
-  and a **vectorized batch decoder** (:func:`decode_telemetry_block`)
-  that turns a whole micro-batch of payloads into one
-  :class:`~repro.dataset.schema.TelemetryBlock` via ``np.frombuffer`` —
-  no per-record Python at all.
-- :class:`warning_struct_serde` / :class:`summary_struct_serde` —
-  ``OUT-DATA`` / ``CO-DATA`` built on the generic
-  :class:`~repro.streaming.serde.FlatStructSerde`.
+- :func:`telemetry_struct_serde` — ``IN-DATA``: the Table II fields
+  and the two timestamps, 71 bytes on the wire vs ~170-200 for the
+  JSON envelope (``{"data": {Table II fields}, "generated_at",
+  "arrived_at"}``).  :func:`decode_telemetry_block` turns a whole
+  micro-batch of them into one
+  :class:`~repro.dataset.schema.TelemetryBlock` via ``np.frombuffer``
+  — no per-record Python at all.
+- :func:`warning_struct_serde` / :func:`summary_struct_serde` —
+  ``OUT-DATA`` / ``CO-DATA``.
 
-All three carry the JSON fallback from the serde layer: payloads not
-starting with the struct magic byte deserialize as JSON, and values
-that do not fit the schema serialize as JSON, so mixed-format topics
-stay correct (the golden-equivalence tests run both formats).
+A topic carries its serde's format only: a struct serde raises
+:class:`~repro.streaming.serde.SerdeError` on a value its layout cannot
+hold and on a payload that is not a struct record.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import repeat
-from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.features import CO_DATA, IN_DATA, OUT_DATA, PAYLOAD_FIELDS
-from repro.dataset.schema import (
-    ANOMALY_KINDS,
-    ANOMALY_KIND_INDEX,
-    ROAD_TYPES,
-    ROAD_TYPE_INDEX,
-    TelemetryBlock,
-)
+from repro.core.features import CO_DATA, IN_DATA, OUT_DATA
+from repro.dataset.schema import ANOMALY_KINDS, ROAD_TYPES, TelemetryBlock
 from repro.streaming.serde import (
     FIELD_ENUM,
+    FIELD_OPT_FLOAT,
+    FIELD_OPT_INT,
     FIELD_PLAIN,
     FlatStructSerde,
     JsonSerde,
     Serde,
     SerdeError,
-    STRUCT_MAGIC,
-    STRUCT_VERSION,
 )
 
 #: Known OUT-DATA warning kinds (uint8-coded on the wire).
 WARNING_KINDS = ("aggressive_driving",)
 
-_ROAD_TYPE_VALUES = tuple(t.value for t in ROAD_TYPES)
-_ANOMALY_VALUES = tuple(k.value for k in ANOMALY_KINDS)
 
-
-class TelemetryStructSerde(Serde):
-    """Fixed-layout binary serde for the IN-DATA telemetry envelope.
-
-    Wire layout (little-endian, packed, 71 bytes)::
-
-        magic u8 | version u8 | car i64 | rd i64 | acc f64 | spd f64 |
-        hr u8 | day u8 | rt u8 | vr f64 | ts f64 | ak u8 | lbl i8 |
-        generated_at f64 | arrived_at f64
-
-    ``rt`` / ``ak`` index the :class:`~repro.geo.roadnet.RoadType` /
-    :class:`~repro.dataset.schema.AnomalyKind` declaration order;
-    ``lbl`` uses -1 for ``None``; ``arrived_at`` uses NaN for ``None``
-    (the pre-delivery envelope).  Anything that does not fit — unknown
-    road type, out-of-range int, extra or missing keys — serializes as
-    JSON instead, and payloads without the magic byte deserialize as
-    JSON, so this serde is a strict superset of :class:`JsonSerde` on
-    this topic.
-    """
-
-    _STRUCT = struct.Struct("<BBqqddBBBddBbdd")
-
-    #: Numpy view of the same layout, for the batch decoder.
-    DTYPE = np.dtype(
+def telemetry_struct_serde() -> FlatStructSerde:
+    """IN-DATA telemetry schema: the Table II fields, ``gen``
+    (``generated_at``) and ``arr`` (``arrived_at``, unset until the
+    frame is delivered).  ``rt`` / ``ak`` index the
+    :class:`~repro.geo.roadnet.RoadType` /
+    :class:`~repro.dataset.schema.AnomalyKind` declaration order."""
+    return FlatStructSerde(
         [
-            ("magic", "u1"),
-            ("version", "u1"),
-            ("car", "<i8"),
-            ("rd", "<i8"),
-            ("acc", "<f8"),
-            ("spd", "<f8"),
-            ("hr", "u1"),
-            ("day", "u1"),
-            ("rt", "u1"),
-            ("vr", "<f8"),
-            ("ts", "<f8"),
-            ("ak", "u1"),
-            ("lbl", "i1"),
-            ("gen", "<f8"),
-            ("arr", "<f8"),
+            ("car", "q", FIELD_PLAIN, None),
+            ("rd", "q", FIELD_PLAIN, None),
+            ("acc", "d", FIELD_PLAIN, None),
+            ("spd", "d", FIELD_PLAIN, None),
+            ("hr", "B", FIELD_PLAIN, None),
+            ("day", "B", FIELD_PLAIN, None),
+            ("rt", "B", FIELD_ENUM, tuple(t.value for t in ROAD_TYPES)),
+            ("vr", "d", FIELD_PLAIN, None),
+            ("ts", "d", FIELD_PLAIN, None),
+            ("ak", "B", FIELD_ENUM, tuple(k.value for k in ANOMALY_KINDS)),
+            ("lbl", "b", FIELD_OPT_INT, None),
+            ("gen", "d", FIELD_PLAIN, None),
+            ("arr", "d", FIELD_OPT_FLOAT, None),
         ]
     )
-
-    def __init__(self) -> None:
-        self._json = JsonSerde()
-        assert self._STRUCT.size == self.DTYPE.itemsize
-
-    @property
-    def wire_size(self) -> int:
-        return self._STRUCT.size
-
-    def serialize(self, value: Any) -> bytes:
-        try:
-            data = value["data"]
-            if len(data) != 11 or len(value) != 3:
-                return self._json.serialize(value)
-            label = data["lbl"]
-            arrived = value["arrived_at"]
-            return self._STRUCT.pack(
-                STRUCT_MAGIC,
-                STRUCT_VERSION,
-                data["car"],
-                data["rd"],
-                data["acc"],
-                data["spd"],
-                data["hr"],
-                data["day"],
-                ROAD_TYPE_INDEX[data["rt"]],
-                data["vr"],
-                data["ts"],
-                ANOMALY_KIND_INDEX[data["ak"]],
-                -1 if label is None else label,
-                value["generated_at"],
-                float("nan") if arrived is None else arrived,
-            )
-        except (KeyError, TypeError, IndexError, struct.error):
-            return self._json.serialize(value)
-
-    def encode_templates(
-        self, payloads: Sequence[Dict[str, Any]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Each payload's pre-delivery envelope (``generated_at`` 0.0,
-        ``arrived_at`` None) as one row of an ``(n, wire_size)`` uint8
-        matrix, and a mask of the rows :meth:`serialize` struct-encodes.
-        A masked-out row is zeros: its envelope serializes as JSON.
-
-        The payloads as columns through :meth:`encode_columns` when each
-        has exactly the Table II keys; otherwise row by row.
-        """
-        if not set(map(len, payloads)) - {len(PAYLOAD_FIELDS)}:
-            try:
-                return self.encode_columns(
-                    {
-                        key: list(map(itemgetter(key), payloads))
-                        for key, _, _ in PAYLOAD_FIELDS
-                    }
-                )
-            except KeyError:
-                pass
-        return self._encode_rows(payloads)
-
-    def encode_columns(
-        self, columns: Dict[str, Sequence[Any]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`encode_templates` of payloads given as one column per
-        key (:func:`~repro.core.features.payload_columns`): one pack
-        over the columns when every row fits the layout; otherwise each
-        row is decided by :meth:`serialize` itself, so both follow one
-        rule."""
-        try:
-            nan = float("nan")
-            joined = b"".join(
-                map(
-                    self._STRUCT.pack,
-                    repeat(STRUCT_MAGIC), repeat(STRUCT_VERSION),
-                    columns["car"], columns["rd"], columns["acc"],
-                    columns["spd"], columns["hr"], columns["day"],
-                    map(ROAD_TYPE_INDEX.__getitem__, columns["rt"]),
-                    columns["vr"], columns["ts"],
-                    map(ANOMALY_KIND_INDEX.__getitem__, columns["ak"]),
-                    [-1 if label is None else label for label in columns["lbl"]],
-                    repeat(0.0), repeat(nan),
-                )
-            )
-            rows = np.frombuffer(joined, dtype=np.uint8).reshape(-1, self.wire_size)
-            return rows.copy(), np.ones(len(rows), dtype=bool)
-        except (KeyError, TypeError, IndexError, struct.error):
-            pass
-        return self._encode_rows(
-            [dict(zip(columns, row)) for row in zip(*columns.values())]
-        )
-
-    def _encode_rows(
-        self, payloads: Sequence[Dict[str, Any]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        size = self.wire_size
-        rows = np.zeros((len(payloads), size), dtype=np.uint8)
-        mask = np.zeros(len(payloads), dtype=bool)
-        for row, payload in enumerate(payloads):
-            frame = self.serialize(
-                {"data": payload, "generated_at": 0.0, "arrived_at": None}
-            )
-            if len(frame) == size and frame[0] == STRUCT_MAGIC:
-                rows[row] = np.frombuffer(frame, dtype=np.uint8)
-                mask[row] = True
-        return rows, mask
-
-    def deserialize(self, payload: bytes) -> Any:
-        if not payload or payload[0] != STRUCT_MAGIC:
-            return self._json.deserialize(payload)
-        try:
-            (
-                _magic, version, car, rd, acc, spd, hr, day, rt, vr, ts,
-                ak, lbl, gen, arr,
-            ) = self._STRUCT.unpack(payload)
-        except struct.error as exc:
-            raise SerdeError(f"bad telemetry struct payload: {exc}") from exc
-        if version != STRUCT_VERSION:
-            raise SerdeError(f"unsupported telemetry schema version {version}")
-        try:
-            rt_value = _ROAD_TYPE_VALUES[rt]
-            ak_value = _ANOMALY_VALUES[ak]
-        except IndexError as exc:
-            raise SerdeError(f"bad enum code in telemetry payload: {exc}") from exc
-        return {
-            "data": {
-                "car": car,
-                "rd": rd,
-                "acc": acc,
-                "spd": spd,
-                "hr": hr,
-                "day": day,
-                "rt": rt_value,
-                "vr": vr,
-                "ts": ts,
-                "ak": ak_value,
-                "lbl": None if lbl < 0 else lbl,
-            },
-            "generated_at": gen,
-            "arrived_at": None if arr != arr else arr,
-        }
 
 
 def warning_struct_serde() -> FlatStructSerde:
@@ -267,23 +98,19 @@ def summary_struct_serde() -> FlatStructSerde:
     )
 
 
-#: Serde profiles selectable per scenario.  ``"json"`` is the paper's
-#: wire format (and the fallback everywhere); ``"struct"`` swaps every
-#: topic to its fixed-layout schema.
+#: Serde profiles selectable per scenario: ``"json"`` is the paper's
+#: wire format; ``"struct"`` swaps every topic to its fixed-layout
+#: schema.
 SERDE_PROFILES = ("json", "struct")
 
 
 def topic_serdes(profile: str = "json") -> Dict[str, Serde]:
-    """Per-topic serde registry for one profile.
-
-    An empty mapping means "JsonSerde everywhere" (the default the
-    nodes fall back to for unlisted topics).
-    """
+    """The serde of each of the three topics under one profile."""
     if profile == "json":
-        return {}
+        return {IN_DATA: JsonSerde(), OUT_DATA: JsonSerde(), CO_DATA: JsonSerde()}
     if profile == "struct":
         return {
-            IN_DATA: TelemetryStructSerde(),
+            IN_DATA: telemetry_struct_serde(),
             OUT_DATA: warning_struct_serde(),
             CO_DATA: summary_struct_serde(),
         }
@@ -292,40 +119,26 @@ def topic_serdes(profile: str = "json") -> Dict[str, Serde]:
     )
 
 
-def decode_telemetry_block(
-    raw_values: Sequence[bytes], serde: Optional[Serde] = None
-) -> TelemetryBlock:
+def decode_telemetry_block(raw_values: Sequence[bytes], serde: Serde) -> TelemetryBlock:
     """Decode one micro-batch of raw IN-DATA payloads into a block.
 
-    When every payload is struct-encoded this is fully vectorized: the
-    fixed-size records are joined and reinterpreted through
-    :attr:`TelemetryStructSerde.DTYPE` in one ``np.frombuffer`` — zero
-    per-record Python work.  Otherwise (JSON payloads, or a mixed
-    topic) each payload goes through ``serde.deserialize`` and the
-    block is assembled from the resulting envelope dicts.
+    Under a struct serde this is fully vectorized: the fixed-size
+    records are joined and reinterpreted through the layout's ``dtype``
+    in one ``np.frombuffer`` — zero per-record Python work.  JSON
+    payloads go through ``serde.deserialize`` one by one, and the block
+    is assembled from the resulting envelope dicts.
     """
-    if not raw_values:
-        return TelemetryBlock.empty()
-    size = TelemetryStructSerde.DTYPE.itemsize
-    if all(
-        len(value) == size and value[0] == STRUCT_MAGIC
-        for value in raw_values
-    ):
-        rows = np.frombuffer(b"".join(raw_values), dtype=TelemetryStructSerde.DTYPE)
-        return _telemetry_block_from_rows(rows)
-    serde = serde or JsonSerde()
-    payloads: List[Dict[str, Any]] = [
-        serde.deserialize(value) for value in raw_values
-    ]
-    return TelemetryBlock.from_payloads(payloads)
+    if serde.wire_size is None:
+        return TelemetryBlock.from_payloads(
+            [serde.deserialize(value) for value in raw_values]
+        )
+    return _telemetry_block_from_rows(serde.decode_batch(raw_values))
 
 
 def _telemetry_block_from_rows(rows: np.ndarray) -> TelemetryBlock:
     """Structured wire rows -> TelemetryBlock (every field copied out,
     so the block owns its storage even when ``rows`` views a borrowed
     buffer)."""
-    if not (rows["version"] == STRUCT_VERSION).all():
-        raise SerdeError("mixed/unsupported telemetry schema versions")
     return TelemetryBlock(
         car_id=rows["car"].astype(np.int64),
         road_id=rows["rd"].astype(np.int64),
@@ -343,37 +156,32 @@ def _telemetry_block_from_rows(rows: np.ndarray) -> TelemetryBlock:
     )
 
 
-def decode_telemetry_segments(segments, serde: Optional[Serde] = None) -> TelemetryBlock:
+def decode_telemetry_segments(segments, serde: Serde) -> TelemetryBlock:
     """Decode a block fetch's :class:`BlockSegment` slabs into a block.
 
-    Uniform struct segments decode with one zero-copy ``np.frombuffer``
-    per partition slab — record bytes flow from the broker log into the
-    block's arrays without ever materializing per-record objects.  Any
-    non-uniform segment (mixed JSON fallback payloads) drops the whole
-    batch to the per-record decode, preserving record order.
+    Under a struct serde every partition keeps its slab, and the
+    segments decode with one zero-copy ``np.frombuffer`` over their
+    joined bytes — record bytes flow from the broker log into the
+    block's arrays without ever materializing per-record objects.
+    JSON payloads decode one by one, in record order.
     """
     if not segments:
         return TelemetryBlock.empty()
-    size = TelemetryStructSerde.DTYPE.itemsize
-    if all(
-        segment.is_uniform and segment.record_size == size
-        for segment in segments
-    ):
-        # One frombuffer over the joined slab bytes: concatenating
-        # structured *arrays* would re-promote the field dtype per
-        # input (numpy's common-type resolution), which dominates at
-        # micro-batch sizes.
-        data = (
-            segments[0].data
-            if len(segments) == 1
-            else b"".join(segment.data for segment in segments)
+    if serde.wire_size is None:
+        return decode_telemetry_block(
+            [value for segment in segments for value in segment.value_list()], serde
         )
-        rows = np.frombuffer(data, dtype=TelemetryStructSerde.DTYPE)
-        return _telemetry_block_from_rows(rows)
-    values: List[bytes] = []
-    for segment in segments:
-        values.extend(segment.value_list())
-    return decode_telemetry_block(values, serde=serde)
+    # One frombuffer over the joined slab bytes: concatenating
+    # structured *arrays* would re-promote the field dtype per input
+    # (numpy's common-type resolution), which dominates at micro-batch
+    # sizes.
+    data = [
+        segment.data if segment.is_uniform else b"".join(segment.value_list())
+        for segment in segments
+    ]
+    return _telemetry_block_from_rows(
+        serde.decode_rows(data[0] if len(data) == 1 else b"".join(data))
+    )
 
 
 # ----------------------------------------------------------------------

@@ -25,8 +25,7 @@ import pickle
 import struct
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.wire import SUMMARY_FRAME_MAGIC, summary_frame_car
-from repro.streaming.serde import FlatStructSerde, SerdeError
+from repro.core.wire import summary_frame_car
 
 # Frame kinds on the shared-memory rings.
 FRAME_SUMMARY = 1  # CO-DATA prediction summary for a remote RSU's broker
@@ -142,22 +141,13 @@ def decode_shard_payload(buf: bytes) -> Tuple[int, object]:
 # Deterministic summary ordering
 # ----------------------------------------------------------------------
 def summary_car_ids(payloads: Sequence[bytes], serde) -> List[int]:
-    """Car id per CO-DATA payload, for deterministic injection order.
+    """Car id per CO-DATA payload, framed or raw, for deterministic
+    injection order.
 
     ``Topic.route(key=None)`` is a round-robin counter, so the *order*
     summaries are produced into a broker is observable.  The engine
     sorts cross-shard summaries by ``(timestamp, car)`` before
-    injection; this extracts the car ids — via the columnar
-    ``np.frombuffer`` batch decode when the CO-DATA serde is the fixed
-    struct layout, falling back to per-payload deserialization (JSON
-    profile, or mixed magic-byte fallback payloads).
+    injection; this extracts the car ids with the topic's ``serde``
+    (:func:`~repro.core.wire.summary_frame_car`).
     """
-    framed = any(
-        payload and payload[0] == SUMMARY_FRAME_MAGIC for payload in payloads
-    )
-    if not framed and isinstance(serde, FlatStructSerde):
-        try:
-            return [int(car) for car in serde.decode_batch(payloads)["car"]]
-        except SerdeError:
-            pass
     return [summary_frame_car(payload, serde) for payload in payloads]

@@ -35,7 +35,6 @@ from repro.core.system import (
 )
 from repro.core.topology import CorridorTopology, HandoverSpec
 from repro.obs.collect import finalize_scenario
-from repro.streaming.serde import JsonSerde
 from repro.parallel.barrier import (
     FRAME_METRICS,
     FRAME_SUMMARY,
@@ -121,7 +120,7 @@ class _ShardWorker:
         self.scenario = scenario
         self.sim = scenario.sim
         self.vehicles = {v.car_id: v for v in scenario.vehicles}
-        self._co_serde = scenario.serdes.get(CO_DATA, JsonSerde())
+        self._co_serde = scenario.serdes[CO_DATA]
         self.handovers: Dict[float, List[HandoverSpec]] = {}
         for handover in ctx.topology.handovers:
             self.handovers.setdefault(handover.at_s, []).append(handover)

@@ -2,25 +2,28 @@
 
 The paper implements a custom "serializer and deserializer to send and
 read the vehicular data" on top of Kafka; telemetry packets are ~200
-bytes.  JSON of the Table II fields lands in that range, so
-:class:`JsonSerde` is the default throughout.
+bytes.  JSON of the Table II fields lands in that range:
+:class:`JsonSerde`.
 
 For the hot path there is also :class:`FlatStructSerde`: a
 schema-aware fixed-layout binary encoding (struct packing) that cuts
 both the per-record CPU cost (no ``json.dumps(sort_keys=True)``) and
-the wire size (well under half of the JSON bytes).  Binary payloads are tagged with a magic
-byte that can never begin a JSON document, so every struct serde
-transparently falls back to JSON for foreign payloads — mixed-format
-topics deserialize correctly.  The CAD3 wire schemas built on this
-live in :mod:`repro.core.wire` (the streaming layer stays
-schema-agnostic).
+the wire size (well under half of the JSON bytes).  A topic carries
+one format: a struct serde packs only what its layout holds and reads
+only struct payloads, raising :class:`SerdeError` for anything else.
+Both serdes encode columns to values and decode values to columns
+(:meth:`Serde.encode_batch`, :meth:`Serde.decode_batch`), so their
+callers never ask which format a topic has.  The CAD3 wire schemas
+built on this live in :mod:`repro.core.wire` (the streaming layer
+stays schema-agnostic).
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Mapping, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,11 +35,27 @@ class SerdeError(ValueError):
 class Serde:
     """Serializer/deserializer interface."""
 
+    #: Bytes per record of a fixed-layout format; ``None`` when the
+    #: records of a topic vary in size.
+    wire_size: Optional[int] = None
+
     def serialize(self, value: Any) -> bytes:
         raise NotImplementedError
 
     def deserialize(self, payload: bytes) -> Any:
         raise NotImplementedError
+
+    def encode_batch(self, columns: Mapping[str, Sequence]) -> List[bytes]:
+        """Rows given as one equal-length column per key, each row's
+        dict serialized."""
+        keys = list(columns)
+        return [self.serialize(dict(zip(keys, row))) for row in zip(*columns.values())]
+
+    def decode_batch(self, payloads: Sequence[bytes]) -> Mapping[str, Sequence]:
+        """Payloads of flat dicts as one column per key: the inverse of
+        :meth:`encode_batch`."""
+        values = [self.deserialize(payload) for payload in payloads]
+        return {key: [value[key] for value in values] for key in values[0]} if values else {}
 
 
 class JsonSerde(Serde):
@@ -58,8 +77,7 @@ class JsonSerde(Serde):
 
 
 #: First byte of every struct-encoded payload.  JSON documents start
-#: with one of ``{ [ " 0-9 - t f n`` or whitespace, never 0xC3, so the
-#: two formats are distinguishable from the first byte.
+#: with one of ``{ [ " 0-9 - t f n`` or whitespace, never 0xC3.
 STRUCT_MAGIC = 0xC3
 
 #: Layout version, bumped on any schema change.
@@ -67,11 +85,6 @@ STRUCT_VERSION = 1
 
 
 _NAN = float("nan")
-
-
-class _Fallback(Exception):
-    """Internal: value does not fit the fixed schema; use JSON."""
-
 
 #: Field kinds understood by :class:`FlatStructSerde`.
 FIELD_PLAIN = "plain"  # value stored as-is (int or float)
@@ -95,7 +108,7 @@ _NUMPY_CODES = {
 
 
 class FlatStructSerde(Serde):
-    """Fixed-layout binary serde for flat dicts, with JSON fallback.
+    """Fixed-layout binary serde for flat dicts.
 
     Parameters
     ----------
@@ -105,11 +118,10 @@ class FlatStructSerde(Serde):
         value tuple for :data:`FIELD_ENUM` fields (index encoded as the
         struct code, normally ``"B"``), else ``None``.
 
-    ``serialize`` falls back to compact JSON whenever the value is not
-    a dict matching the schema (missing key, out-of-range int, unknown
-    enum string); ``deserialize`` dispatches on the magic byte.  A
-    topic encoded with this serde therefore interoperates with plain
-    :class:`JsonSerde` producers and consumers in both directions.
+    A record is a dict with exactly the layout's keys.  Anything the
+    layout cannot hold (a non-dict, a missing or extra key, an
+    out-of-range int, an unknown enum value) raises :class:`SerdeError`,
+    and so does a payload that is not a struct record of this layout.
     """
 
     def __init__(
@@ -117,167 +129,101 @@ class FlatStructSerde(Serde):
         fields: Sequence[Tuple[str, str, str, Optional[tuple]]],
     ) -> None:
         self.fields = tuple(fields)
+        for _key, _code, kind, _vocab in self.fields:
+            if kind not in (FIELD_PLAIN, FIELD_ENUM, FIELD_OPT_FLOAT, FIELD_OPT_INT):
+                raise ValueError(f"unknown field kind: {kind!r}")
         self._struct = struct.Struct(
             "<BB" + "".join(code for _, code, _, _ in self.fields)
         )
-        self._json = JsonSerde()
-        self._encoders = []
-        self._decoders = []
-        #: enum field -> value -> wire index (shared with ``encode_batch``).
-        self._enum_index = {}
-        for key, _code, kind, vocab in self.fields:
-            if kind == FIELD_ENUM:
-                index = {value: i for i, value in enumerate(vocab)}
-                self._enum_index[key] = index
-                self._encoders.append(self._enum_encoder(key, index))
-                self._decoders.append(self._enum_decoder(vocab))
-            elif kind == FIELD_OPT_FLOAT:
-                self._encoders.append(self._opt_float_encoder(key))
-                self._decoders.append(self._opt_float_decoder())
-            elif kind == FIELD_OPT_INT:
-                self._encoders.append(self._opt_int_encoder(key))
-                self._decoders.append(self._opt_int_decoder())
-            elif kind == FIELD_PLAIN:
-                self._encoders.append(self._plain_encoder(key))
-                self._decoders.append(None)
-            else:
-                raise ValueError(f"unknown field kind: {kind!r}")
+        self._keys = {key for key, _, _, _ in self.fields}
+        #: enum field -> value -> wire index.
+        self._enum_index: Dict[str, Dict[Any, int]] = {
+            key: {value: i for i, value in enumerate(vocab)}
+            for key, _code, kind, vocab in self.fields
+            if kind == FIELD_ENUM
+        }
+        #: Numpy view of the wire layout, for vectorized batch decode.
+        self.dtype = np.dtype(
+            [("magic", "u1"), ("version", "u1")]
+            + [(key, _NUMPY_CODES[code]) for key, code, _, _ in self.fields]
+        )
 
-    # -- per-kind encoders/decoders (closures keep the hot loop tight)
-    @staticmethod
-    def _plain_encoder(key):
-        def encode(value):
-            return value[key]
-
-        return encode
-
-    @staticmethod
-    def _enum_encoder(key, index):
-        def encode(value):
-            try:
-                return index[value[key]]
-            except KeyError:
-                raise _Fallback from None
-
-        return encode
-
-    @staticmethod
-    def _enum_decoder(vocab):
-        def decode(raw):
-            return vocab[raw]
-
-        return decode
-
-    @staticmethod
-    def _opt_float_encoder(key):
-        def encode(value):
-            v = value.get(key)
-            return float("nan") if v is None else v
-
-        return encode
-
-    @staticmethod
-    def _opt_float_decoder():
-        def decode(raw):
-            return None if raw != raw else raw  # NaN check
-
-        return decode
-
-    @staticmethod
-    def _opt_int_encoder(key):
-        def encode(value):
-            v = value.get(key)
-            return -1 if v is None else v
-
-        return encode
-
-    @staticmethod
-    def _opt_int_decoder():
-        def decode(raw):
-            return None if raw < 0 else raw
-
-        return decode
-
-    # ------------------------------------------------------------------
     @property
     def wire_size(self) -> int:
         """Bytes per struct-encoded record (fixed)."""
         return self._struct.size
 
-    @property
-    def dtype(self) -> np.dtype:
-        """Numpy view of the wire layout, for vectorized batch decode."""
-        return np.dtype(
-            [("magic", "u1"), ("version", "u1")]
-            + [(key, _NUMPY_CODES[code]) for key, code, _, _ in self.fields]
-        )
-
-    def decode_batch(self, payloads: Sequence[bytes]) -> np.ndarray:
-        """Decode struct-encoded payloads into one structured array.
-
-        One ``np.frombuffer`` over the concatenated fixed-size records —
-        no per-record Python.  Enum/optional fields come back as their
-        raw wire codes; callers that only need a column (e.g. sorting
-        summaries by car id at a shard barrier) read it directly.
-        Raises :class:`SerdeError` if any payload is not struct-encoded
-        (mixed topics must fall back to :meth:`deserialize`).
-        """
-        size = self._struct.size
-        if not all(
-            len(p) == size and p[0] == STRUCT_MAGIC for p in payloads
-        ):
-            raise SerdeError("batch contains non-struct payloads")
-        rows = np.frombuffer(b"".join(payloads), dtype=self.dtype)
-        if rows.size and not (rows["version"] == STRUCT_VERSION).all():
-            raise SerdeError("mixed/unsupported struct schema versions")
-        return rows
-
-    def encode_batch(self, columns: Mapping[str, Sequence]) -> Optional[bytes]:
+    def encode_batch(self, columns: Mapping[str, Sequence]) -> List[bytes]:
         """Encode rows given as one equal-length column per field: the
-        inverse of :meth:`decode_batch`.
-
-        Returns the rows' struct frames joined in row order — byte for
-        byte ``b"".join(serialize(row))`` — or ``None`` as soon as one
-        row would take the JSON fallback (unknown enum string,
-        out-of-range int, a column missing); the caller then serializes
-        row by row.  Every row goes through the same ``struct.pack``
-        as :meth:`serialize`, so which values fit is decided by one
-        rule.
-        """
-        try:
-            encoded = []
-            for key, _code, kind, _vocab in self.fields:
-                column = columns[key]
-                if kind == FIELD_ENUM:
-                    index = self._enum_index[key]
-                    column = [index[value] for value in column]
-                elif kind == FIELD_OPT_FLOAT:
-                    column = [_NAN if v is None else v for v in column]
-                elif kind == FIELD_OPT_INT:
-                    column = [-1 if v is None else v for v in column]
-                encoded.append(column)
-            pack = self._struct.pack
-            return b"".join(
-                [pack(STRUCT_MAGIC, STRUCT_VERSION, *row) for row in zip(*encoded)]
+        inverse of :meth:`decode_batch`, one ``struct.pack`` per row."""
+        if columns.keys() != self._keys:
+            raise SerdeError(
+                f"columns {sorted(columns)} are not the layout's {sorted(self._keys)}"
             )
-        except (KeyError, TypeError, struct.error):
-            return None
+        if len(set(map(len, columns.values()))) > 1:
+            raise SerdeError("columns of unequal length")
+        encoded = []
+        for key, _code, kind, _vocab in self.fields:
+            column = columns[key]
+            if kind == FIELD_ENUM:
+                column = map(self._enum_index[key].__getitem__, column)
+            elif kind == FIELD_OPT_FLOAT:
+                column = [_NAN if v is None else v for v in column]
+            elif kind == FIELD_OPT_INT:
+                column = [-1 if v is None else v for v in column]
+            encoded.append(column)
+        try:
+            return list(
+                map(
+                    self._struct.pack,
+                    repeat(STRUCT_MAGIC), repeat(STRUCT_VERSION), *encoded,
+                )
+            )
+        except (KeyError, TypeError, struct.error) as exc:
+            raise SerdeError(f"a value the struct layout cannot hold: {exc!r}") from exc
 
     def serialize(self, value: Any) -> bytes:
-        if isinstance(value, dict):
-            try:
-                return self._struct.pack(
-                    STRUCT_MAGIC,
-                    STRUCT_VERSION,
-                    *[encode(value) for encode in self._encoders],
-                )
-            except (_Fallback, KeyError, TypeError, struct.error):
-                pass
-        return self._json.serialize(value)
+        if not isinstance(value, dict):
+            raise SerdeError(f"a struct record is a dict, not {type(value).__name__}")
+        return self.encode_batch({key: (item,) for key, item in value.items()})[0]
+
+    def fill(self, rows: np.ndarray, key: str, value: Any) -> None:
+        """Write ``value`` into plain field ``key`` of every encoded row
+        of ``rows`` (an ``(n, wire_size)`` uint8 array), packed as
+        :meth:`encode_batch` packs it."""
+        offset = self.dtype.fields[key][1]
+        code = next(code for name, code, _, _ in self.fields if name == key)
+        try:
+            packed = struct.pack("<" + code, value)
+        except struct.error as exc:
+            raise SerdeError(f"{key}={value!r} does not fit the struct layout") from exc
+        rows[:, offset : offset + len(packed)] = np.frombuffer(packed, dtype=np.uint8)
+
+    def decode_rows(self, data) -> np.ndarray:
+        """Struct records joined in ``data`` as one structured array
+        (one ``np.frombuffer``, no per-record Python).  Enum and
+        optional fields come back as their raw wire codes."""
+        if len(data) % self.wire_size:
+            raise SerdeError(
+                f"{len(data)} bytes are not whole {self.wire_size}-byte records"
+            )
+        rows = np.frombuffer(data, dtype=self.dtype)
+        if not (rows["magic"] == STRUCT_MAGIC).all():
+            raise SerdeError("a payload without the struct magic")
+        if not (rows["version"] == STRUCT_VERSION).all():
+            raise SerdeError("unsupported struct schema version")
+        return rows
+
+    def decode_batch(self, payloads: Sequence[bytes]) -> np.ndarray:
+        """Decode struct payloads into one structured array, a column
+        per field (see :meth:`decode_rows`)."""
+        if any(len(payload) != self.wire_size for payload in payloads):
+            raise SerdeError(f"a payload that is not a {self.wire_size}-byte record")
+        return self.decode_rows(b"".join(payloads))
 
     def deserialize(self, payload: bytes) -> Any:
         if not payload or payload[0] != STRUCT_MAGIC:
-            return self._json.deserialize(payload)
+            raise SerdeError("payload is not struct-encoded")
         try:
             unpacked = self._struct.unpack(payload)
         except struct.error as exc:
@@ -287,9 +233,15 @@ class FlatStructSerde(Serde):
                 f"unsupported struct schema version {unpacked[1]}"
             )
         out = {}
-        for (key, _code, _kind, _vocab), decoder, raw in zip(
-            self.fields, self._decoders, unpacked[2:]
-        ):
-            out[key] = decoder(raw) if decoder is not None else raw
+        for (key, _code, kind, vocab), raw in zip(self.fields, unpacked[2:]):
+            if kind == FIELD_ENUM:
+                try:
+                    raw = vocab[raw]
+                except IndexError as exc:
+                    raise SerdeError(f"bad enum code {raw} for {key!r}") from exc
+            elif kind == FIELD_OPT_FLOAT and raw != raw:  # NaN: None
+                raw = None
+            elif kind == FIELD_OPT_INT and raw < 0:
+                raw = None
+            out[key] = raw
         return out
-

@@ -20,9 +20,10 @@ pytest's ``monkeypatch``:
 from typing import List, Tuple
 
 from repro.core import vehicle as vehicle_module
-from repro.core.features import IN_DATA, payload_to_record
+from repro.core.features import IN_DATA
 from repro.core.rsu import DetectionEvent, RsuNode
 from repro.core.vehicle import VehicleNode
+from repro.core.wire import decode_telemetry_block
 from repro.dataset.schema import ABNORMAL, TelemetryBlock
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
@@ -34,8 +35,9 @@ from repro.streaming.broker import BrokerUnavailable
 # ----------------------------------------------------------------------
 def _detect_per_record(self, batch, completion_time: float) -> None:
     serde = self._serde_for(IN_DATA)
-    payloads = [serde.deserialize(value) for value in batch.collect()]
-    records = [payload_to_record(p["data"]) for p in payloads]
+    rows = [decode_telemetry_block([value], serde) for value in batch.collect()]
+    records = [row.records()[0] for row in rows]
+    stamps = [(row.generated_at.item(), row.arrived_at.item()) for row in rows]
     detector = self._active_detector()
     if self.degraded:
         self.degraded_batches += 1
@@ -45,7 +47,7 @@ def _detect_per_record(self, batch, completion_time: float) -> None:
         detector.observe(block)
     registry = obs_metrics.active()
     if registry is not None:
-        arrivals = [p["arrived_at"] for p in payloads]
+        arrivals = [arrived for _, arrived in stamps]
         self._observe_batch(
             registry,
             len(records),
@@ -53,7 +55,9 @@ def _detect_per_record(self, batch, completion_time: float) -> None:
             completion_time - sum(arrivals) / len(arrivals),
         )
     warned: List[Tuple[int, int, float, float]] = []
-    for payload, record, cls, prob in zip(payloads, records, classes, probs):
+    for (generated_at, arrived_at), record, cls, prob in zip(
+        stamps, records, classes, probs
+    ):
         history = self._history.setdefault(record.car_id, [])
         history.append(float(prob))
         if len(history) > self.config.history_limit:
@@ -63,8 +67,8 @@ def _detect_per_record(self, batch, completion_time: float) -> None:
         self.events.append(
             DetectionEvent(
                 car_id=record.car_id,
-                generated_at=payload["generated_at"],
-                arrived_at=payload["arrived_at"],
+                generated_at=generated_at,
+                arrived_at=arrived_at,
                 detected_at=completion_time,
                 abnormal=abnormal,
                 true_label=record.label,
@@ -83,7 +87,7 @@ def _detect_per_record(self, batch, completion_time: float) -> None:
                     record.car_id,
                     record.road_id,
                     record.speed_kmh,
-                    payload["generated_at"],
+                    generated_at,
                 )
             )
     if warned:

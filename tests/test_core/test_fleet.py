@@ -2,26 +2,30 @@
 
 A vehicle's stripe is struct-encoded once, into template rows that the
 channel's :class:`~repro.core.vehicle.Fleet` stores; a beacon is a row
-gather with both timestamps patched.  These tests hold the batch encode
-to ``TelemetryStructSerde.serialize`` row by row, and a restripe to the
+gather with both timestamps written in.  These tests hold the batch
+encode to the telemetry struct serde's ``serialize`` row by row, what
+the layout cannot hold to a :class:`SerdeError`, and a restripe to the
 record the next beacon must carry.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import IN_DATA, RsuConfig, RsuNode
 from repro.core.detector import AD3Detector
 from repro.core.features import record_to_payload
-from repro.core.vehicle import VehicleNode
-from repro.core.wire import TelemetryStructSerde, topic_serdes
+from repro.core.vehicle import ReplayPool, VehicleNode
+from repro.core.wire import telemetry_struct_serde, topic_serdes
+from repro.dataset.schema import TelemetryBlock
 from repro.geo import RoadType
 from repro.microbatch import ProcessingModel
 from repro.net.dsrc import DsrcChannel
 from repro.simkernel import Simulator
+from repro.streaming.serde import SerdeError
 
-_SERDE = TelemetryStructSerde()
+_SERDE = telemetry_struct_serde()
 _ROAD_TYPES = [t.value for t in RoadType]
 
 _payloads = st.fixed_dictionaries(
@@ -40,9 +44,26 @@ _payloads = st.fixed_dictionaries(
     }
 )
 
+_stripes = st.lists(_payloads, max_size=12)
 
-def _fallback(payload, kind):
-    """A payload the struct layout cannot hold, one way or another."""
+
+@settings(max_examples=200, deadline=None)
+@given(stripe=_stripes)
+def test_templates_are_serialize_row_by_row(stripe):
+    block = TelemetryBlock.from_payloads(
+        [{"data": payload, "generated_at": 0.0} for payload in stripe]
+    )
+    pool = ReplayPool(block, np.zeros(len(stripe), dtype=np.int64))
+    rows = pool.templates(_SERDE)
+    assert rows.shape == (len(stripe), _SERDE.wire_size)
+    assert rows.dtype == np.uint8
+    for row, payload in zip(rows, pool.payloads()):
+        frame = _SERDE.serialize({**payload, "car": 0, "gen": 0.0, "arr": None})
+        assert row.tobytes() == frame
+
+
+def _misfit(payload, kind):
+    """``payload`` with one value the struct layout cannot hold."""
     payload = dict(payload)
     if kind == "rt":
         payload["rt"] = "unknown-road"
@@ -52,33 +73,30 @@ def _fallback(payload, kind):
         payload["car"] = float(payload["car"] % 1000) + 0.5
     elif kind == "extra":
         payload["extra"] = 1
+    elif kind == "car-id":
+        payload["car"] = 2**63
     return payload
 
 
-_stripes = st.lists(
-    st.tuples(
-        _payloads, st.sampled_from([None, None, "rt", "hr", "car", "extra"])
-    ).map(lambda pair: pair[0] if pair[1] is None else _fallback(*pair)),
-    max_size=12,
-)
+_EXAMPLE = {
+    "car": 7, "rd": 12, "acc": -3.25, "spd": 120.5, "hr": 17, "day": 3,
+    "rt": "motorway", "vr": 110.5, "ts": 42.125, "ak": "none", "lbl": 1,
+}
 
 
-@settings(max_examples=200, deadline=None)
-@given(stripe=_stripes)
-def test_templates_are_serialize_row_by_row(stripe):
-    rows, struct = _SERDE.encode_templates(stripe)
-    assert rows.shape == (len(stripe), _SERDE.wire_size)
-    assert rows.dtype == np.uint8
-    for row, encodable, payload in zip(rows, struct, stripe):
-        frame = _SERDE.serialize(
-            {"data": payload, "generated_at": 0.0, "arrived_at": None}
+@pytest.mark.parametrize("kind", ["rt", "hr", "car", "extra", "car-id"])
+def test_what_the_layout_cannot_hold_raises(kind):
+    """Each kind of value the telemetry layout cannot hold is refused,
+    alone and as one row of a batch: a struct topic has no other format
+    to send it in."""
+    good = {**_EXAMPLE, "gen": 0.0, "arr": None}
+    misfit = {**_misfit(_EXAMPLE, kind), "gen": 0.0, "arr": None}
+    with pytest.raises(SerdeError):
+        _SERDE.serialize(misfit)
+    with pytest.raises(SerdeError):
+        _SERDE.encode_batch(
+            {key: [good.get(key), misfit.get(key)] for key in good.keys() | misfit.keys()}
         )
-        # the mask is serialize's own choice between struct and JSON
-        assert encodable == (len(frame) == _SERDE.wire_size and frame[0] == 0xC3)
-        if encodable:
-            assert row.tobytes() == frame
-        else:
-            assert not row.any()
 
 
 def test_set_records_replays_the_new_stripe_from_its_first_record(
@@ -108,7 +126,7 @@ def test_set_records_replays_the_new_stripe_from_its_first_record(
     log = rsus[1].broker.topic(IN_DATA)
     records = sorted(
         (
-            (_SERDE.deserialize(value)["generated_at"], value)
+            (_SERDE.deserialize(value)["gen"], value)
             for part in log.partitions
             for value in part._values
         ),
@@ -116,13 +134,9 @@ def test_set_records_replays_the_new_stripe_from_its_first_record(
     )
     assert len(records) >= 2
     for (_, value), source in zip(records, link):
-        envelope = _SERDE.deserialize(value)
+        stamps = _SERDE.deserialize(value)
         payload = record_to_payload(source)
         payload["car"] = 42
         assert value == _SERDE.serialize(
-            {
-                "data": payload,
-                "generated_at": envelope["generated_at"],
-                "arrived_at": envelope["arrived_at"],
-            }
+            {**payload, "gen": stamps["gen"], "arr": stamps["arr"]}
         )

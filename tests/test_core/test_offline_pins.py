@@ -17,7 +17,7 @@ import pytest
 from repro.core.features import payload_columns
 from repro.core.scenario import ScenarioSpec, paper_corridor
 from repro.core.system import TestbedScenario, corridor_bundle, default_training_dataset
-from repro.core.wire import TelemetryStructSerde
+from repro.core.wire import telemetry_struct_serde
 from repro.dataset import DatasetGenerator, GeneratorConfig, Preprocessor, TelemetryRecord
 from repro.geo import CityNetworkBuilder
 
@@ -70,11 +70,19 @@ def _detector_fingerprint(detector):
 
 
 def _vehicles_fingerprint(vehicles):
+    """Each vehicle's car id, template rows, struct mask and payloads.
+    The pins predate single-format topics, when a JSON vehicle held
+    zero rows under an all-False mask and a struct one an all-True mask:
+    the same bytes are hashed here."""
     digest = hashlib.sha256()
     for vehicle in vehicles:
+        struct = vehicle._templates is not None
+        templates = (
+            vehicle._templates if struct else np.zeros((len(vehicle._stripe), 71), np.uint8)
+        )
         digest.update(str(vehicle.car_id).encode())
-        digest.update(np.ascontiguousarray(vehicle._templates).tobytes())
-        digest.update(np.ascontiguousarray(vehicle._encodable).tobytes())
+        digest.update(np.ascontiguousarray(templates).tobytes())
+        digest.update(np.full(len(templates), struct).tobytes())
         digest.update(repr(list(vehicle._payloads)).encode())
     return digest.hexdigest()[:16]
 
@@ -183,14 +191,17 @@ class TestTemplatePins:
     """The IN-DATA wire templates of every row of the default training
     dataset (car id 0, ``generated_at`` 0.0, ``arrived_at`` unset), as
     the telemetry codec's column encoder packs them: one 71-byte row
-    per record, all of them struct-encodable."""
+    per record."""
 
     PIN = "0b49f90529ece243"
 
     def test_template_rows_are_pinned(self):
         block = default_training_dataset(7).block
-        columns = dict(payload_columns(block))
-        columns["car"] = [0] * len(block)
-        rows, mask = TelemetryStructSerde().encode_columns(columns)
-        assert rows.shape == (27728, 71) and mask.all()
+        n = len(block)
+        columns = dict(payload_columns(block), car=[0] * n)
+        columns.update(gen=[0.0] * n, arr=[None] * n)
+        rows = np.frombuffer(
+            b"".join(telemetry_struct_serde().encode_batch(columns)), np.uint8
+        ).reshape(n, -1)
+        assert rows.shape == (27728, 71)
         assert hashlib.sha256(rows.tobytes()).hexdigest()[:16] == self.PIN

@@ -8,6 +8,7 @@ by one.
 """
 
 import numpy as np
+import pytest
 
 import repro.core.vehicle as vehicle_module
 from repro.core import RsuConfig, RsuNode
@@ -16,12 +17,13 @@ from repro.core.features import record_to_payload
 from repro.core.scenario import ScenarioSpec
 from repro.core.system import TestbedScenario, corridor_bundle, default_training_dataset
 from repro.core.vehicle import ReplayPool, VehicleNode
-from repro.core.wire import TelemetryStructSerde, topic_serdes
+from repro.core.wire import telemetry_struct_serde, topic_serdes
 from repro.geo import RoadType
 from repro.net.dsrc import DsrcChannel
 from repro.simkernel import Simulator
+from repro.streaming.serde import FlatStructSerde, SerdeError
 
-_SERDE = TelemetryStructSerde()
+_SERDE = telemetry_struct_serde()
 
 
 def test_a_scenario_encodes_each_pool_row_once(monkeypatch):
@@ -36,18 +38,19 @@ def test_a_scenario_encodes_each_pool_row_once(monkeypatch):
     pooled = sum(map(len, corridor_bundle(spec, dataset=dataset).pools.values()))
     rows = {"payload": 0, "template": 0}
     payload_columns = vehicle_module.payload_columns
-    encode_columns = TelemetryStructSerde.encode_columns
+    encode_batch = FlatStructSerde.encode_batch
 
     def counted_payloads(records):
         rows["payload"] += len(records)
         return payload_columns(records)
 
     def counted_templates(self, columns):
-        rows["template"] += len(columns["car"])
-        return encode_columns(self, columns)
+        if self.fields == _SERDE.fields:  # IN-DATA, not the warnings
+            rows["template"] += len(columns["car"])
+        return encode_batch(self, columns)
 
     monkeypatch.setattr(vehicle_module, "payload_columns", counted_payloads)
-    monkeypatch.setattr(TelemetryStructSerde, "encode_columns", counted_templates)
+    monkeypatch.setattr(FlatStructSerde, "encode_batch", counted_templates)
     scenario = TestbedScenario.corridor(spec, dataset=dataset)
     scenario.run()
     striped = sum(len(vehicle._stripe) for vehicle in scenario.vehicles)
@@ -61,22 +64,18 @@ def test_a_stripe_is_its_records_encoded_one_by_one(motorway_records):
     stripe = pool[2::5]
     assert list(stripe) == replay[:23][2::5]
     assert list(stripe[1::2]) == replay[:23][2::5][1::2]
-    templates, mask = stripe.templates(_SERDE)
-    assert mask.all()
+    templates = stripe.templates(_SERDE)
     for row, record in zip(templates, stripe):
         payload = record_to_payload(record)
         payload["car"] = 0
-        expected = _SERDE.serialize(
-            {"data": payload, "generated_at": 0.0, "arrived_at": None}
-        )
+        expected = _SERDE.serialize({**payload, "gen": 0.0, "arr": None})
         assert row.tobytes() == expected
     assert stripe.payloads() == [record_to_payload(r) for r in stripe]
 
 
-def test_a_car_id_the_layout_cannot_hold_sends_json(
-    motorway_records, motorway_blocks
-):
-    """As serializing each envelope would: no row struct-encodes."""
+def test_a_car_id_the_layout_cannot_hold_raises(motorway_records, motorway_blocks):
+    """The vehicle fails when it is built, not at its first beacon; a
+    car id that fits is written into every template row."""
     _, replay = motorway_records
     sim = Simulator()
     rsu = RsuNode(
@@ -85,18 +84,10 @@ def test_a_car_id_the_layout_cannot_hold_sends_json(
     )
     channel = DsrcChannel(sim, rng=np.random.default_rng(0))
     pool = ReplayPool.of(replay[:6])
-    fits, too_big = (
-        VehicleNode(
-            sim, car, pool, rsu, channel, serdes=topic_serdes("struct")
-        )
-        for car in (7, 2**63)
-    )
-    assert fits._encodable.all() and not too_big._encodable.any()
-    assert not too_big._templates.any()
-    assert [p["car"] for p in too_big._payloads] == [2**63] * 6
+    with pytest.raises(SerdeError, match="car"):
+        VehicleNode(sim, 2**63, pool, rsu, channel, serdes=topic_serdes("struct"))
+    fits = VehicleNode(sim, 7, pool, rsu, channel, serdes=topic_serdes("struct"))
     for row, record in zip(fits._templates, replay[:6]):
         payload = record_to_payload(record)
         payload["car"] = 7
-        assert row.tobytes() == _SERDE.serialize(
-            {"data": payload, "generated_at": 0.0, "arrived_at": None}
-        )
+        assert row.tobytes() == _SERDE.serialize({**payload, "gen": 0.0, "arr": None})

@@ -19,7 +19,6 @@ from repro.core.wire import (
     SERDE_PROFILES,
     SUMMARY_DELTA,
     SUMMARY_FULL,
-    TelemetryStructSerde,
     apply_summary_delta,
     decode_summary_frame,
     decode_telemetry_block,
@@ -28,6 +27,7 @@ from repro.core.wire import (
     quantize_summary,
     summary_payload_from_units,
     summary_struct_serde,
+    telemetry_struct_serde,
     topic_serdes,
     warning_struct_serde,
 )
@@ -61,17 +61,22 @@ def _envelope(record, generated_at=1.5, arrived_at=1.625):
     }
 
 
+def _flat(record, generated_at=1.5, arrived_at=1.625):
+    """The telemetry struct serde's record of what ``_envelope`` wraps."""
+    return {**record_to_payload(record), "gen": generated_at, "arr": arrived_at}
+
+
 class TestTelemetryStructSerde:
     def test_round_trip(self):
-        serde = TelemetryStructSerde()
-        envelope = _envelope(_record())
-        payload = serde.serialize(envelope)
+        serde = telemetry_struct_serde()
+        value = _flat(_record())
+        payload = serde.serialize(value)
         assert payload[0] == STRUCT_MAGIC
         assert len(payload) == serde.wire_size == 71
-        assert serde.deserialize(payload) == envelope
+        assert serde.deserialize(payload) == value
 
     def test_round_trip_all_road_types_and_kinds(self):
-        serde = TelemetryStructSerde()
+        serde = telemetry_struct_serde()
         for road_type in RoadType:
             for kind in AnomalyKind:
                 record = TelemetryRecord(
@@ -80,50 +85,50 @@ class TestTelemetryStructSerde:
                     road_mean_speed_kmh=45.0, timestamp=0.0,
                     anomaly_kind=kind, label=0,
                 )
-                envelope = _envelope(record)
-                assert serde.deserialize(serde.serialize(envelope)) == envelope
+                value = _flat(record)
+                assert serde.deserialize(serde.serialize(value)) == value
 
     def test_none_label_and_arrival_round_trip(self):
-        serde = TelemetryStructSerde()
-        envelope = _envelope(_record(label=None), arrived_at=None)
-        out = serde.deserialize(serde.serialize(envelope))
-        assert out["data"]["lbl"] is None
-        assert out["arrived_at"] is None
-        assert out == envelope
+        serde = telemetry_struct_serde()
+        value = _flat(_record(label=None), arrived_at=None)
+        out = serde.deserialize(serde.serialize(value))
+        assert out["lbl"] is None
+        assert out["arr"] is None
+        assert out == value
 
     def test_much_smaller_than_json(self):
-        envelope = _envelope(_record())
-        struct_size = len(TelemetryStructSerde().serialize(envelope))
-        json_size = len(JsonSerde().serialize(envelope))
+        struct_size = len(telemetry_struct_serde().serialize(_flat(_record())))
+        json_size = len(JsonSerde().serialize(_envelope(_record())))
         assert struct_size * 2 <= json_size
 
-    def test_foreign_schema_falls_back_to_json(self):
-        serde = TelemetryStructSerde()
-        for value in [
-            {"not": "telemetry"},
-            {"data": {"car": 1}, "generated_at": 0.0, "arrived_at": None},
-            [1, 2, 3],
-        ]:
-            payload = serde.serialize(value)
-            assert payload[0] != STRUCT_MAGIC
-            assert serde.deserialize(payload) == value
+    @pytest.mark.parametrize(
+        "value",
+        [
+            pytest.param({"not": "telemetry"}, id="foreign"),
+            pytest.param(_envelope(_record()), id="json-envelope"),
+            pytest.param({**_flat(_record()), "rt": "unknown-road"}, id="road-type"),
+            pytest.param([1, 2, 3], id="non-dict"),
+        ],
+    )
+    def test_a_foreign_schema_raises(self, value):
+        with pytest.raises(SerdeError):
+            telemetry_struct_serde().serialize(value)
 
-    def test_json_payload_interop(self):
-        envelope = _envelope(_record())
-        assert (
-            TelemetryStructSerde().deserialize(JsonSerde().serialize(envelope))
-            == envelope
-        )
+    def test_a_json_envelope_raises(self):
+        with pytest.raises(SerdeError, match="struct"):
+            telemetry_struct_serde().deserialize(
+                JsonSerde().serialize(_envelope(_record()))
+            )
 
     def test_truncated_payload_raises(self):
-        serde = TelemetryStructSerde()
-        payload = serde.serialize(_envelope(_record()))
+        serde = telemetry_struct_serde()
+        payload = serde.serialize(_flat(_record()))
         with pytest.raises(SerdeError):
             serde.deserialize(payload[:-1])
 
     def test_bad_version_raises(self):
-        serde = TelemetryStructSerde()
-        payload = bytearray(serde.serialize(_envelope(_record())))
+        serde = telemetry_struct_serde()
+        payload = bytearray(serde.serialize(_flat(_record())))
         payload[1] = 42
         with pytest.raises(SerdeError, match="version"):
             serde.deserialize(bytes(payload))
@@ -132,9 +137,11 @@ class TestTelemetryStructSerde:
 class TestTopicSerdes:
     def test_profiles(self):
         assert set(SERDE_PROFILES) == {"json", "struct"}
-        assert topic_serdes("json") == {}
-        struct_map = topic_serdes("struct")
-        assert set(struct_map) == {IN_DATA, OUT_DATA, CO_DATA}
+        for profile in SERDE_PROFILES:
+            assert set(topic_serdes(profile)) == {IN_DATA, OUT_DATA, CO_DATA}
+        assert all(
+            type(serde) is JsonSerde for serde in topic_serdes("json").values()
+        )
         with pytest.raises(ValueError, match="profile"):
             topic_serdes("protobuf")
 
@@ -172,9 +179,18 @@ class TestDecodeTelemetryBlock:
         ]
 
     def test_fast_path_equals_slow_path(self):
-        serde = TelemetryStructSerde()
+        serde = telemetry_struct_serde()
         envelopes = self._payloads()
-        raw = [serde.serialize(e) for e in envelopes]
+        raw = serde.encode_batch(
+            {
+                **{
+                    key: [e["data"][key] for e in envelopes]
+                    for key in envelopes[0]["data"]
+                },
+                "gen": [e["generated_at"] for e in envelopes],
+                "arr": [e["arrived_at"] for e in envelopes],
+            }
+        )
         fast = decode_telemetry_block(raw, serde=serde)
         slow = TelemetryBlock.from_payloads(envelopes)
         for column in TelemetryBlock.__slots__:
@@ -190,19 +206,25 @@ class TestDecodeTelemetryBlock:
         assert len(block) == 8
         assert block.car_id.tolist() == [e["data"]["car"] for e in envelopes]
 
-    def test_mixed_payloads_decode_via_serde(self):
-        struct_serde = TelemetryStructSerde()
+    def test_a_json_payload_on_a_struct_topic_raises(self):
+        struct_serde = telemetry_struct_serde()
         envelopes = self._payloads(6)
-        raw = [struct_serde.serialize(e) for e in envelopes[:3]]
-        raw += [JsonSerde().serialize(e) for e in envelopes[3:]]
-        block = decode_telemetry_block(raw, serde=struct_serde)
-        assert len(block) == 6
-        assert block.speed_kmh.tolist() == [
-            e["data"]["spd"] for e in envelopes
+        raw = [
+            struct_serde.serialize(
+                {**e["data"], "gen": e["generated_at"], "arr": e["arrived_at"]}
+            )
+            for e in envelopes[:3]
         ]
+        raw += [JsonSerde().serialize(e) for e in envelopes[3:]]
+        with pytest.raises(SerdeError):
+            decode_telemetry_block(raw, serde=struct_serde)
+        # a record's size, without the struct magic: refused all the same
+        with pytest.raises(SerdeError, match="magic"):
+            decode_telemetry_block([b"{" * 71], serde=struct_serde)
 
-    def test_empty(self):
-        assert len(decode_telemetry_block([])) == 0
+    @pytest.mark.parametrize("profile", SERDE_PROFILES)
+    def test_empty(self, profile):
+        assert len(decode_telemetry_block([], topic_serdes(profile)[IN_DATA])) == 0
 
 
 #: Units whose pairwise deltas span nearly the full signed-64-bit range

@@ -107,13 +107,7 @@ def _observed_rsu_ops(detector, records, records_per_batch, n_batches=10):
     serde = rsu._serde_for(IN_DATA)
     interval = rsu.config.batch_interval_s
     wire = [
-        serde.serialize(
-            {
-                "data": record_to_payload(record),
-                "generated_at": 0.0,
-                "arrived_at": 0.0,
-            }
-        )
+        serde.serialize({**record_to_payload(record), "gen": 0.0, "arr": 0.0})
         for record in records[:records_per_batch]
     ]
 

@@ -3,9 +3,8 @@
 The sharded engine's cross-process traffic is framed bytes through
 :class:`ShmRing`; these tests drive the ring through wrap-around and
 partial-drain interleavings with hypothesis and check that the fixed
-layout serdes survive the trip bit-exactly — including the magic-byte
-JSON fallback that :meth:`FlatStructSerde.decode_batch` must reject and
-:meth:`deserialize` must absorb.
+layout serdes survive the trip bit-exactly, and that a payload that is
+not a struct record comes out of it refused.
 """
 
 import pytest
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.wire import summary_struct_serde
 from repro.parallel.barrier import summary_car_ids
-from repro.streaming.serde import SerdeError
+from repro.streaming.serde import JsonSerde, SerdeError
 from repro.streaming.shm import RingFull, ShmRing
 from tests.strategies import ring_frames, summary_dicts
 
@@ -193,15 +192,16 @@ class TestStructSerdeThroughRing:
 
     @given(values=summaries_strategy)
     @settings(max_examples=40, deadline=None)
-    def test_magic_byte_json_fallback_through_ring(self, values):
-        """A payload the struct layout cannot hold falls back to JSON;
-        batch decode must reject the mixed batch, the per-payload path
-        (and summary_car_ids) must absorb it."""
+    def test_a_json_payload_through_the_ring_is_refused(self, values):
+        """A value the struct layout cannot hold raises before it
+        reaches the ring; a JSON payload pushed through it is refused by
+        the batch decode, the per-payload decode and summary_car_ids."""
         serde = summary_struct_serde()
         odd = dict(values[0])
-        odd["n"] = 2**70  # overflows the fixed field: JSON fallback
-        wire = [serde.serialize(v) for v in values] + [serde.serialize(odd)]
-        assert wire[-1][0:1] != bytes([0xC3])
+        odd["n"] = 2**70  # overflows the fixed field
+        with pytest.raises(SerdeError):
+            serde.serialize(odd)
+        wire = [serde.serialize(v) for v in values] + [JsonSerde().serialize(values[0])]
 
         ring = ShmRing(capacity=8192)
         try:
@@ -212,9 +212,9 @@ class TestStructSerdeThroughRing:
             ring.close()
             ring.unlink()
 
+        for decode in (serde.decode_batch, lambda p: serde.deserialize(p[-1])):
+            with pytest.raises(SerdeError):
+                decode(payloads)
         with pytest.raises(SerdeError):
-            serde.decode_batch(payloads)
-        expected = [v["car"] for v in values] + [odd["car"]]
-        assert [serde.deserialize(p)["car"] for p in payloads] == expected
-        # The barrier helper takes the same fallback path transparently.
-        assert summary_car_ids(payloads, serde) == expected
+            summary_car_ids(payloads, serde)
+        assert summary_car_ids(payloads[:-1], serde) == [v["car"] for v in values]

@@ -1,4 +1,4 @@
-"""FlatStructSerde: fixed-layout binary encoding with JSON fallback."""
+"""FlatStructSerde: fixed-layout binary encoding, struct records only."""
 
 import struct
 
@@ -89,39 +89,40 @@ def test_opt_float_nan_collapses_to_none(serde):
     assert serde.deserialize(serde.serialize(value))["score"] is None
 
 
-def test_unknown_enum_falls_back_to_json(serde):
-    value = {"car": 1, "speed": 2.0, "kind": "gamma", "score": None,
-             "label": None}
-    payload = serde.serialize(value)
-    assert payload[0] != STRUCT_MAGIC  # JSON, not struct
-    assert serde.deserialize(payload) == value
+_GOOD = {"car": 1, "speed": 2.0, "kind": "alpha", "score": None, "label": None}
 
 
-def test_out_of_range_int_falls_back_to_json(serde):
-    value = {"car": 2**70, "speed": 2.0, "kind": "alpha", "score": None,
-             "label": None}
-    payload = serde.serialize(value)
-    assert payload[0] != STRUCT_MAGIC
-    assert serde.deserialize(payload) == value
+@pytest.mark.parametrize(
+    "value",
+    [
+        pytest.param({**_GOOD, "kind": "gamma"}, id="unknown-enum"),
+        pytest.param({**_GOOD, "car": 2**70}, id="out-of-range-int"),
+        pytest.param({"car": 1, "speed": 2.0}, id="missing-key"),
+        pytest.param({**_GOOD, "extra": 1}, id="extra-key"),
+        pytest.param([1, 2, 3], id="non-dict"),
+        pytest.param("hello", id="string"),
+    ],
+)
+def test_a_value_the_layout_cannot_hold_raises(serde, value):
+    with pytest.raises(SerdeError):
+        serde.serialize(value)
 
 
-def test_missing_key_falls_back_to_json(serde):
-    value = {"car": 1, "speed": 2.0}
-    payload = serde.serialize(value)
-    assert serde.deserialize(payload) == value
-
-
-def test_non_dict_falls_back_to_json(serde):
-    assert serde.deserialize(serde.serialize([1, 2, 3])) == [1, 2, 3]
-    assert serde.deserialize(serde.serialize("hello")) == "hello"
-
-
-def test_json_payload_interop(serde):
-    # A plain-JSON producer on the same topic deserializes fine.
+def test_a_json_payload_raises(serde):
+    # A struct topic reads struct records only.
     value = {"car": 9, "speed": 1.5, "kind": "alpha", "score": 0.5,
              "label": 1}
-    payload = JsonSerde().serialize(value)
-    assert serde.deserialize(payload) == value
+    with pytest.raises(SerdeError, match="struct"):
+        serde.deserialize(JsonSerde().serialize(value))
+    with pytest.raises(SerdeError):
+        serde.decode_batch([serde.serialize(value), JsonSerde().serialize(value)])
+
+
+def test_a_bad_enum_code_raises(serde):
+    payload = bytearray(serde.serialize(_GOOD))
+    payload[2 + 8 + 8] = len(KINDS)  # the kind byte, one past the vocabulary
+    with pytest.raises(SerdeError, match="enum"):
+        serde.deserialize(bytes(payload))
 
 
 def test_truncated_struct_payload_raises(serde):
@@ -197,7 +198,7 @@ _struct_rows = st.fixed_dictionaries(
         "label": st.none() | st.integers(0, 127),
     }
 )
-# Each of these makes ``serialize`` take the JSON fallback for its row.
+# Each of these is a value the layout cannot hold.
 _misfits = st.sampled_from(
     [
         ("kind", "gamma"),  # unknown enum
@@ -218,14 +219,9 @@ def _columns(rows):
 def test_encode_batch_equals_the_rows_serialized_and_joined(rows):
     serde = _serde()
     frames = serde.encode_batch(_columns(rows))
-    assert frames == b"".join(serde.serialize(row) for row in rows)
-    assert len(frames) == len(rows) * serde.wire_size
-    decoded = serde.decode_batch(
-        [
-            frames[at : at + serde.wire_size]
-            for at in range(0, len(frames), serde.wire_size)
-        ]
-    )
+    assert frames == [serde.serialize(row) for row in rows]
+    assert len(b"".join(frames)) == len(rows) * serde.wire_size
+    decoded = serde.decode_batch(frames)
     assert decoded["car"].tolist() == [row["car"] for row in rows]
 
 
@@ -235,18 +231,32 @@ def test_encode_batch_equals_the_rows_serialized_and_joined(rows):
     at=st.integers(0, 11),
     misfit=_misfits,
 )
-def test_encode_batch_is_none_as_soon_as_one_row_would_fall_back(
-    rows, at, misfit
-):
+def test_encode_batch_raises_as_soon_as_one_row_does_not_fit(rows, at, misfit):
     serde = _serde()
     key, value = misfit
     rows[at % len(rows)] = {**rows[at % len(rows)], key: value}
-    assert any(
-        serde.serialize(row)[0] != STRUCT_MAGIC for row in rows
-    )  # the premise: that row is JSON on the wire
-    assert serde.encode_batch(_columns(rows)) is None
+    with pytest.raises(SerdeError):  # the premise: that row does not fit
+        serde.serialize(rows[at % len(rows)])
+    with pytest.raises(SerdeError):
+        serde.encode_batch(_columns(rows))
 
 
-def test_encode_batch_of_a_missing_column_is_none(serde):
-    assert serde.encode_batch({"car": [1], "speed": [2.0]}) is None
-
+@pytest.mark.parametrize(
+    "columns",
+    [
+        pytest.param({"car": [1], "speed": [2.0]}, id="missing"),
+        pytest.param(
+            {"car": [1], "speed": [2.0], "kind": ["alpha"], "score": [None],
+             "label": [None], "extra": [0]},
+            id="extra",
+        ),
+        pytest.param(
+            {"car": [1, 2], "speed": [2.0], "kind": ["alpha"], "score": [None],
+             "label": [None]},
+            id="unequal",
+        ),
+    ],
+)
+def test_encode_batch_of_columns_off_the_layout_raises(serde, columns):
+    with pytest.raises(SerdeError):
+        serde.encode_batch(columns)

@@ -9,7 +9,7 @@ are deliberately loose (10x headroom on a laptop-class machine).
 import numpy as np
 
 from repro.core.features import record_to_payload
-from repro.core.wire import TelemetryStructSerde, decode_telemetry_block
+from repro.core.wire import decode_telemetry_block, telemetry_struct_serde
 from repro.dataset.schema import AnomalyKind, TelemetryRecord
 from repro.geo.roadnet import RoadType
 from repro.ml import DecisionTreeClassifier, GaussianNaiveBayes
@@ -114,21 +114,30 @@ def _telemetry_envelopes(count):
     return envelopes
 
 
+def _flat(envelope):
+    """The telemetry struct serde's record of one envelope."""
+    return {
+        **envelope["data"],
+        "gen": envelope["generated_at"],
+        "arr": envelope["arrived_at"],
+    }
+
+
 def test_struct_serde_round_trip_throughput(benchmark):
     """The fixed-layout telemetry serde must round-trip >= 100 K
-    envelopes/s — it exists to take serialization off the hot path, so
+    records/s — it exists to take serialization off the hot path, so
     it must comfortably beat the rate the simulator feeds it."""
-    envelopes = _telemetry_envelopes(20_000)
-    serde = TelemetryStructSerde()
+    values = [_flat(e) for e in _telemetry_envelopes(20_000)]
+    serde = telemetry_struct_serde()
 
     def run():
-        payloads = [serde.serialize(e) for e in envelopes]
+        payloads = [serde.serialize(value) for value in values]
         decoded = [serde.deserialize(p) for p in payloads]
         return len(decoded), len(payloads[0])
 
     count, wire = benchmark.pedantic(run, rounds=1, iterations=1)
     assert count == 20_000
-    assert wire == serde.wire_size  # every envelope took the struct path
+    assert wire == serde.wire_size
     assert benchmark.stats["mean"] < 0.4  # >= 100 K round trips/s
 
 
@@ -138,9 +147,9 @@ def test_struct_batch_decode_beats_json(benchmark):
     import time
 
     envelopes = _telemetry_envelopes(20_000)
-    struct_serde = TelemetryStructSerde()
+    struct_serde = telemetry_struct_serde()
     json_serde = JsonSerde()
-    struct_raw = [struct_serde.serialize(e) for e in envelopes]
+    struct_raw = [struct_serde.serialize(_flat(e)) for e in envelopes]
     json_raw = [json_serde.serialize(e) for e in envelopes]
 
     start = time.perf_counter()

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.features import centralized_features, labels_of
 from repro.dataset.schema import NORMAL, TelemetryBlock
-from repro.ml.base import Detector, classify
+from repro.ml.base import Detector
 from repro.ml.naive_bayes import GaussianNaiveBayes
 
 
@@ -54,7 +54,7 @@ class CentralizedDetector(Detector):
         if len(block) == 0:
             return np.empty(0, dtype=int), np.empty(0)
         X = centralized_features(block, encoding=self.encoding)
-        return classify(self.model, X, NORMAL)
+        return self.model.predict_and_proba(X, NORMAL)
 
     def __repr__(self) -> str:
         state = "fitted" if self._fitted else "unfitted"

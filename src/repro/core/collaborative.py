@@ -28,7 +28,7 @@ from repro.core.detector import AD3Detector
 from repro.core.features import PredictionSummary, labels_of
 from repro.dataset.schema import NORMAL, TelemetryBlock
 from repro.geo.roadnet import RoadType
-from repro.ml.base import Detector, classify
+from repro.ml.base import Detector
 from repro.ml.decision_tree import DecisionTreeClassifier
 
 #: Prior used for vehicles with no forwarded history (e.g. a trip that
@@ -195,7 +195,7 @@ class CollaborativeDetector(Detector):
         if not self._fitted:
             raise RuntimeError("CollaborativeDetector must be fitted first")
         X = self._fusion_features(block, summaries)
-        return classify(self.tree, X, NORMAL)
+        return self.tree.predict_and_proba(X, NORMAL)
 
     def explain(self) -> str:
         """The learned fusion rules, human-readable."""

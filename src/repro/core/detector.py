@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.features import ROAD_TYPE_CODE, base_features, labels_of
 from repro.dataset.schema import NORMAL, ROAD_TYPES, TelemetryBlock
 from repro.geo.roadnet import RoadType
-from repro.ml.base import Detector, classify
+from repro.ml.base import Detector
 from repro.ml.naive_bayes import GaussianNaiveBayes
 
 
@@ -33,7 +33,7 @@ class AD3Detector(Detector):
         Passed to the underlying :class:`GaussianNaiveBayes`.
     model:
         Optional alternative classifier (anything with ``fit`` /
-        ``predict`` / ``proba_of``) — the hook for the paper's
+        ``predict_and_proba``) — the hook for the paper's
         future-work "complex anomaly detection algorithms" (e.g.
         :class:`repro.ml.LogisticRegression` or
         :class:`repro.ml.RandomForestClassifier`).
@@ -86,7 +86,7 @@ class AD3Detector(Detector):
         if len(block) == 0:
             return np.empty(0, dtype=int), np.empty(0)
         self._check_block_road_type(block)
-        return classify(self.model, base_features(block), NORMAL)
+        return self.model.predict_and_proba(base_features(block), NORMAL)
 
     def __repr__(self) -> str:
         state = "fitted" if self._fitted else "unfitted"

@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.features import ROAD_TYPE_CODE, base_features
 from repro.dataset.schema import ABNORMAL, NORMAL, ROAD_TYPES, TelemetryBlock
 from repro.geo.roadnet import RoadType
-from repro.ml.base import Detector, classify
+from repro.ml.base import Detector
 from repro.ml.naive_bayes import GaussianNaiveBayes
 
 
@@ -244,7 +244,7 @@ class OnlineAD3Detector(Detector):
             return np.empty(0, dtype=int), np.empty(0)
         if not self._model_ready:
             return np.full(n, NORMAL, dtype=int), np.ones(n)
-        return classify(self.model, base_features(block), NORMAL)
+        return self.model.predict_and_proba(base_features(block), NORMAL)
 
     def __repr__(self) -> str:
         return (

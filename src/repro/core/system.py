@@ -13,6 +13,7 @@ Two topologies, matching the evaluation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -381,8 +382,10 @@ class TestbedScenario:
             collab=self.config.collab,
         )
 
-    def add_rsu(self, name: str, detector) -> RsuNode:
-        rsu = RsuNode(
+    def add_rsu(self, name: str, detector, rsu_class=RsuNode) -> RsuNode:
+        """An RSU of ``rsu_class`` (called as :class:`RsuNode` is) with
+        its DSRC channel and, under HTB, its shaper."""
+        rsu = rsu_class(
             self.sim,
             name,
             detector,
@@ -702,25 +705,7 @@ class TestbedScenario:
         train, pools = offline_split(dataset, (RoadType.MOTORWAY,))
         detector = AD3Detector(RoadType.MOTORWAY).fit(train[RoadType.MOTORWAY])
         name = "rsu-motorway-cloud"
-        rsu = CloudRelayRsu(
-            scenario.sim,
-            name,
-            detector,
-            cloud=cloud,
-            config=scenario._rsu_config(),
-            jitter_rng=scenario.rng.stream(f"jitter.{name}"),
-        )
-        scenario.rsus[name] = rsu
-        scenario.channels[name] = DsrcChannel(
-            scenario.sim,
-            mcs=config.mcs,
-            rng=scenario.rng.stream(f"dsrc.{name}"),
-        )
-        if config.use_htb:
-            root = HtbClass(
-                f"{name}-root", DSRC_BANDWIDTH_BPS, DSRC_BANDWIDTH_BPS
-            )
-            scenario.shapers[name] = HtbShaper(root)
+        scenario.add_rsu(name, detector, partial(CloudRelayRsu, cloud=cloud))
         scenario.add_vehicles(name, config.n_vehicles, pools[RoadType.MOTORWAY])
         return scenario
 

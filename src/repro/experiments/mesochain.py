@@ -113,27 +113,33 @@ def mesoscopic_chain(
         (ROAD_TYPES[code] for code in np.unique(dataset.block.road_type_code)),
         key=lambda rt: rt.value,
     )
-    standalone: Dict[RoadType, AD3Detector] = {}
+    train_blocks = {rt: train.by_road_type(rt).block for rt in road_types}
+    standalone: Dict[RoadType, AD3Detector] = {
+        rt: AD3Detector(rt).fit(train_blocks[rt]) for rt in road_types
+    }
+    # Each type's training rows as the summaries its own RSU would hand
+    # on downstream.
+    upstream = {
+        rt: summaries_from_upstream(standalone[rt], train_blocks[rt])
+        for rt in road_types
+    }
     collaborative: Dict[RoadType, CollaborativeDetector] = {}
     for road_type in road_types:
-        type_train = train.by_road_type(road_type).block
-        nb = AD3Detector(road_type).fit(type_train)
-        standalone[road_type] = nb
         # Train the fusion DT with summaries from the *other* segments
-        # of the same trips (any upstream type feeds any downstream).
-        other_train = train.block.take(
-            train.block.road_type_code != ROAD_TYPES.index(road_type)
-        )
-        upstream_type = (
-            ROAD_TYPES[other_train.road_type_code[0]] if other_train else road_type
-        )
-        upstream_nb = standalone.get(upstream_type) or AD3Detector(
-            upstream_type
-        ).fit(train.by_road_type(upstream_type).block)
-        summaries = summaries_from_upstream(upstream_nb, other_train)
+        # of the same trips (any upstream type feeds any downstream),
+        # merged per car in road-type order.
+        found: Dict[int, List[PredictionSummary]] = {}
+        for other in road_types:
+            if other is not road_type:
+                for car, summary in upstream[other].items():
+                    found.setdefault(car, []).append(summary)
+        summaries = {
+            car: parts[0] if len(parts) == 1 else PredictionSummary.merge(parts)
+            for car, parts in found.items()
+        }
         collaborative[road_type] = CollaborativeDetector(
-            road_type, nb=nb
-        ).fit(type_train, summaries, refit_nb=False)
+            road_type, nb=standalone[road_type]
+        ).fit(train_blocks[road_type], summaries, refit_nb=False)
 
     # Per-hop accumulation over test trips.
     per_hop: Dict[int, Dict[str, List[int]]] = {}

@@ -48,13 +48,13 @@ class Detector:
         """Fold a scored block back into the model (no-op by default)."""
 
 
-def classify(model: Any, X: np.ndarray, label: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``(classes, P(label))`` of ``model`` on ``X``: one likelihood
-    evaluation where the model offers ``predict_and_proba``, else
-    ``predict`` and ``proba_of``."""
-    if hasattr(model, "predict_and_proba"):
-        return model.predict_and_proba(X, label)
-    return model.predict(X), model.proba_of(X, label)
+def class_column(classes: np.ndarray, cls) -> int:
+    """The column of class ``cls`` in a fitted model's probabilities
+    (robust against class ordering)."""
+    matches = np.nonzero(classes == cls)[0]
+    if len(matches) == 0:
+        raise ValueError(f"class {cls!r} not seen during fit")
+    return int(matches[0])
 
 
 def check_Xy(X, y) -> Tuple[np.ndarray, np.ndarray]:

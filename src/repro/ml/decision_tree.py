@@ -15,7 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.ml.base import check_fitted, check_X, check_Xy
+from repro.ml.base import check_fitted, check_X, check_Xy, class_column
 
 
 @dataclass
@@ -229,13 +229,18 @@ class DecisionTreeClassifier:
         proba = self._leaf_proba_matrix(X)
         return self.classes_[np.argmax(proba, axis=1)]
 
+    def predict_and_proba(self, X, cls) -> tuple:
+        """(classes, P(cls)) from one routing pass: :meth:`predict` and
+        :meth:`proba_of` bit for bit."""
+        check_fitted(self)
+        column = class_column(self.classes_, cls)
+        proba = self._leaf_proba_matrix(check_X(X, self.n_features_))
+        return self.classes_[np.argmax(proba, axis=1)], proba[:, column]
+
     def proba_of(self, X, cls) -> np.ndarray:
         """Probability column for class ``cls`` (see NB counterpart)."""
         check_fitted(self)
-        matches = np.nonzero(self.classes_ == cls)[0]
-        if len(matches) == 0:
-            raise ValueError(f"class {cls!r} not seen during fit")
-        return self.predict_proba(X)[:, matches[0]]
+        return self.predict_proba(X)[:, class_column(self.classes_, cls)]
 
     # ------------------------------------------------------------------
     @property

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ml.base import check_fitted, check_X, check_Xy
+from repro.ml.base import check_fitted, check_X, check_Xy, class_column
 from repro.ml.decision_tree import DecisionTreeClassifier
 
 
@@ -111,12 +111,17 @@ class RandomForestClassifier:
         proba = self.predict_proba(X)
         return self.classes_[np.argmax(proba, axis=1)]
 
+    def predict_and_proba(self, X, cls) -> tuple:
+        """(classes, P(cls)) from one summed forest probability:
+        :meth:`predict` and :meth:`proba_of` bit for bit."""
+        check_fitted(self)
+        column = class_column(self.classes_, cls)
+        proba = self.predict_proba(X)
+        return self.classes_[np.argmax(proba, axis=1)], proba[:, column]
+
     def proba_of(self, X, cls) -> np.ndarray:
         check_fitted(self)
-        matches = np.nonzero(self.classes_ == cls)[0]
-        if len(matches) == 0:
-            raise ValueError(f"class {cls!r} not seen during fit")
-        return self.predict_proba(X)[:, matches[0]]
+        return self.predict_proba(X)[:, class_column(self.classes_, cls)]
 
     def __repr__(self) -> str:
         state = "fitted" if self.trees_ else "unfitted"

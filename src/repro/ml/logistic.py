@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ml.base import check_fitted, check_X, check_Xy
+from repro.ml.base import check_fitted, check_X, check_Xy, class_column
 
 
 class LogisticRegression:
@@ -92,23 +92,34 @@ class LogisticRegression:
         Z = (X - self._mean) / self._scale
         return Z @ self.coef_ + self.intercept_
 
+    @staticmethod
+    def _proba(scores: np.ndarray) -> np.ndarray:
+        p1 = 1.0 / (1.0 + np.exp(-scores))
+        return np.column_stack([1.0 - p1, p1])
+
     def predict_proba(self, X) -> np.ndarray:
         check_fitted(self)
-        X = check_X(X, self.n_features_)
-        p1 = 1.0 / (1.0 + np.exp(-self._scores(X)))
-        return np.column_stack([1.0 - p1, p1])
+        return self._proba(self._scores(check_X(X, self.n_features_)))
 
     def predict(self, X) -> np.ndarray:
         check_fitted(self)
         X = check_X(X, self.n_features_)
         return self.classes_[(self._scores(X) >= 0.0).astype(int)]
 
+    def predict_and_proba(self, X, cls) -> tuple:
+        """(classes, P(cls)) from one evaluation of the scores:
+        :meth:`predict` and :meth:`proba_of` bit for bit."""
+        check_fitted(self)
+        column = class_column(self.classes_, cls)
+        scores = self._scores(check_X(X, self.n_features_))
+        return (
+            self.classes_[(scores >= 0.0).astype(int)],
+            self._proba(scores)[:, column],
+        )
+
     def proba_of(self, X, cls) -> np.ndarray:
         check_fitted(self)
-        matches = np.nonzero(self.classes_ == cls)[0]
-        if len(matches) == 0:
-            raise ValueError(f"class {cls!r} not seen during fit")
-        return self.predict_proba(X)[:, matches[0]]
+        return self.predict_proba(X)[:, class_column(self.classes_, cls)]
 
     def explain(self, feature_names=None) -> str:
         """Per-feature evidence weights (standardised scale)."""

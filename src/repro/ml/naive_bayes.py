@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ml.base import check_fitted, check_X, check_Xy
+from repro.ml.base import check_fitted, check_X, check_Xy, class_column
 
 
 class GaussianNaiveBayes:
@@ -198,17 +198,14 @@ class GaussianNaiveBayes:
         """
         check_fitted(self)
         X = check_X(X, self.n_features_)
-        matches = np.nonzero(self.classes_ == cls)[0]
-        if len(matches) == 0:
-            raise ValueError(f"class {cls!r} not seen during fit")
+        column = class_column(self.classes_, cls)
         jll = self._joint_log_likelihood(X)
         classes = self.classes_[np.argmax(jll, axis=1)]
         max_jll = jll.max(axis=1, keepdims=True)
         log_norm = max_jll + np.log(
             np.exp(jll - max_jll).sum(axis=1, keepdims=True)
         )
-        proba = np.exp(jll - log_norm)[:, matches[0]]
-        return classes, proba
+        return classes, np.exp(jll - log_norm)[:, column]
 
     def proba_of(self, X, cls) -> np.ndarray:
         """Posterior probability column for class ``cls``.
@@ -218,10 +215,7 @@ class GaussianNaiveBayes:
         robustly against class ordering.
         """
         check_fitted(self)
-        matches = np.nonzero(self.classes_ == cls)[0]
-        if len(matches) == 0:
-            raise ValueError(f"class {cls!r} not seen during fit")
-        return self.predict_proba(X)[:, matches[0]]
+        return self.predict_proba(X)[:, class_column(self.classes_, cls)]
 
     def __repr__(self) -> str:
         state = "fitted" if self.classes_ is not None else "unfitted"

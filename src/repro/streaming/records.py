@@ -15,8 +15,8 @@ class BlockSegment:
     size), ``data`` is a borrowed ``memoryview`` of
     ``count * record_size`` bytes that ``np.frombuffer`` decodes
     without materializing per-record objects.  When it is not (a JSON
-    fallback payload was appended), ``values`` carries the per-record
-    value bytes instead and ``data`` is ``None``.
+    topic's partition never has a slab), ``values`` carries the
+    per-record value bytes instead and ``data`` is ``None``.
 
     ``nbytes`` is the exact consumed size: values plus record keys.
     """

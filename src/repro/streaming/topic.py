@@ -61,10 +61,10 @@ class Partition:
     lookups; ``_append_clock[k]``, the broker clock when record ``k``
     was appended (monotone), a growable float64 array, so the log ends as of any number of instants are
     one search; and the slab, which mirrors every appended value while
-    they stay uniform fixed-size struct payloads.  The first
-    non-conforming append disables the slab for the partition's
-    lifetime, and reads of a mixed log hand out the value bytes
-    instead.
+    they stay uniform fixed-size struct payloads.  The broker knows no
+    schema: the first non-conforming append (a JSON topic's first
+    record) disables the slab for the partition's lifetime, and reads
+    of that log hand out the value bytes instead.
     """
 
     def __init__(self, topic_name: str, index: int) -> None:

@@ -72,3 +72,15 @@ class TestCloudRelayRsu:
         near = run(CloudProfile(uplink_latency_s=0.02, downlink_latency_s=0.02))
         far = run(CloudProfile(uplink_latency_s=0.2, downlink_latency_s=0.2))
         assert near < far
+
+    def test_the_cloud_rsu_is_wired_as_the_edge_one(self, training_dataset):
+        """Same channel and shaper as ``single_rsu``: only the RSU class
+        differs, so a lossy spec reaches the cloud scenario's medium."""
+        config = ScenarioSpec(n_vehicles=2, duration_s=1.0, seed=7, loss_prob=0.3)
+        edge = TestbedScenario.single_rsu(config, dataset=training_dataset)
+        cloud = TestbedScenario.single_rsu_cloud(config, dataset=training_dataset)
+        for scenario in (edge, cloud):
+            (channel,) = scenario.channels.values()
+            assert channel.loss_prob == 0.3
+            assert set(scenario.shapers) == set(scenario.channels)
+        assert type(cloud.rsus["rsu-motorway-cloud"]).__name__ == "CloudRelayRsu"

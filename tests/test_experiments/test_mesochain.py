@@ -1,14 +1,16 @@
 """Tests for the mesoscopic-chain harness."""
 
+import numpy as np
 import pytest
 
+from repro.dataset import DatasetGenerator, GeneratorConfig, Preprocessor
 from repro.experiments.mesochain import (
     _split_trip_by_segment,
     grid_dataset,
     mesoscopic_chain,
 )
 from repro.dataset.schema import TelemetryBlock, TelemetryRecord
-from repro.geo import RoadType
+from repro.geo import CityNetworkBuilder, RoadType
 
 
 def make_record(road_id, timestamp, road_type=RoadType.PRIMARY):
@@ -78,3 +80,20 @@ class TestMesoscopicChain:
         text = small_chain_result.format_table()
         assert "hop 0" in text
         assert "chain" in text
+
+
+def test_a_chain_over_three_or_more_road_types():
+    """On the routed city every fusion tree trains on summaries from
+    several upstream types, each type's rows scored by its own NB."""
+    network = CityNetworkBuilder(seed=9).build_city()
+    dataset = Preprocessor().run(
+        DatasetGenerator(
+            network,
+            GeneratorConfig(n_cars=40, trips_per_car=4, seed=9, route_plan="routed"),
+        ).generate()
+    )
+    assert len(np.unique(dataset.block.road_type_code)) >= 3
+    result = mesoscopic_chain(dataset)
+    assert result.hops
+    for hop in result.hops:
+        assert set(hop.f1) == {"ad3", "chain"}

@@ -239,7 +239,7 @@ _block_keys = st.none() | st.integers(0, 6).map(lambda n: str(n).encode())
 _block_values = st.one_of(
     st.integers(0, 255).map(lambda n: _FRAME[:-1] + bytes([n])),  # uniform
     st.just(_FRAME + b"longer"),  # a struct frame of another size
-    st.just(b'{"car":1}'),  # the JSON fallback
+    st.just(b'{"car":1}'),  # a JSON payload: the broker knows no schema
     st.just(b""),
 )
 _block_records = st.lists(st.tuples(_block_keys, _block_values), max_size=12)

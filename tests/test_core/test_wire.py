@@ -222,9 +222,10 @@ class TestDecodeTelemetryBlock:
         with pytest.raises(SerdeError, match="magic"):
             decode_telemetry_block([b"{" * 71], serde=struct_serde)
 
-    @pytest.mark.parametrize("profile", SERDE_PROFILES)
-    def test_empty(self, profile):
-        assert len(decode_telemetry_block([], topic_serdes(profile)[IN_DATA])) == 0
+    def test_empty(self):
+        for profile in SERDE_PROFILES:
+            serde = topic_serdes(profile)[IN_DATA]
+            assert len(decode_telemetry_block([], serde)) == 0
 
 
 #: Units whose pairwise deltas span nearly the full signed-64-bit range

@@ -193,8 +193,16 @@ class Fleet:
 
     @classmethod
     def of(cls, channel: DsrcChannel, serde: Serde) -> "Fleet":
-        """``channel``'s fleet, made on first use."""
-        return channel.fleet or cls(channel, serde)
+        """``channel``'s fleet, made on first use.  Raises
+        :class:`ValueError` for an IN-DATA ``serde`` whose frames the
+        fleet does not store: the vehicles on a channel share one."""
+        fleet = channel.fleet or cls(channel, serde)
+        if serde.wire_size != fleet.serde.wire_size:
+            raise ValueError(
+                f"a {type(serde).__name__} vehicle on a channel of "
+                f"{type(fleet.serde).__name__} vehicles"
+            )
+        return fleet
 
     def templates(self, stripe: "ReplayPool", car_id: int) -> Optional[np.ndarray]:
         """``stripe``'s template rows with ``car_id`` written in, or

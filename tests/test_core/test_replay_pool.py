@@ -91,3 +91,20 @@ def test_a_car_id_the_layout_cannot_hold_raises(motorway_records, motorway_block
         payload = record_to_payload(record)
         payload["car"] = 7
         assert row.tobytes() == _SERDE.serialize({**payload, "gen": 0.0, "arr": None})
+
+
+def test_the_vehicles_on_a_channel_share_one_format(motorway_records, motorway_blocks):
+    """A vehicle whose IN-DATA serde differs from its channel's fleet
+    fails when it is built, instead of sending in the fleet's format."""
+    _, replay = motorway_records
+    sim = Simulator()
+    rsu = RsuNode(
+        sim, "r", AD3Detector(RoadType.MOTORWAY).fit(motorway_blocks[0]),
+        RsuConfig(serdes=topic_serdes("struct")),
+    )
+    channel = DsrcChannel(sim, rng=np.random.default_rng(0))
+    pool = ReplayPool.of(replay[:6])
+    VehicleNode(sim, 1, pool, rsu, channel, serdes=topic_serdes("json"))
+    with pytest.raises(ValueError, match="FlatStructSerde vehicle"):
+        VehicleNode(sim, 2, pool, rsu, channel, serdes=topic_serdes("struct"))
+    VehicleNode(sim, 3, pool, rsu, channel)  # the JSON profile's, as the first

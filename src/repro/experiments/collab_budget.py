@@ -16,7 +16,9 @@ The *knee* is the cheapest point whose accuracy stays within
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.collab import CollabConfig
 from repro.core.system import TestbedScenario, default_training_dataset
@@ -43,6 +45,7 @@ class BudgetPoint:
     """One point of the comm-budget frontier."""
 
     label: str
+    seed: int
     gate_threshold: float
     max_silence_s: Optional[float]
     delta_encoding: bool
@@ -55,6 +58,8 @@ class BudgetPoint:
     summaries_received: int
     n_events: int
     link_accuracy: float
+    link_f1: float
+    link_fn_rate: float
     audit_ok: bool
 
     @property
@@ -76,17 +81,25 @@ class BudgetPoint:
 
 @dataclass
 class CollabBudgetResult:
-    """The full frontier; ``points[0]`` is the send-all baseline."""
+    """The full frontier of the first seed; ``points[0]`` is the
+    plane-off reference, ``points[1]`` the send-all baseline.
+
+    ``by_seed`` holds every seed's points in the same order."""
 
     points: List[BudgetPoint] = field(default_factory=list)
     accuracy_budget_pp: float = 0.5
     n_vehicles_per_rsu: int = 0
     duration_s: float = 0.0
     seed: int = 0
+    by_seed: Dict[int, List[BudgetPoint]] = field(default_factory=dict)
+
+    @property
+    def plane_off(self) -> BudgetPoint:
+        return self.points[0]
 
     @property
     def baseline(self) -> BudgetPoint:
-        return self.points[0]
+        return self.points[1]
 
     @property
     def knee(self) -> BudgetPoint:
@@ -94,7 +107,7 @@ class CollabBudgetResult:
         budget = self.accuracy_budget_pp / 100.0
         eligible = [
             point
-            for point in self.points[1:]
+            for point in self.points[2:]
             if self.baseline.link_accuracy - point.link_accuracy <= budget
         ]
         if not eligible:
@@ -138,6 +151,8 @@ class CollabBudgetResult:
             f"{self.knee_byte_reduction:.2f}x fewer CO-DATA bytes/frame "
             f"at {self.knee_accuracy_loss_pp:+.2f} pp accuracy "
             f"({'all audits green' if self.audits_ok else 'AUDIT FAILURES'}).",
+            f"Plane off: {self.plane_off.summaries_sent} handover "
+            f"summaries, link acc {self.plane_off.link_accuracy:.4f}.",
         ]
         return "\n".join(lines)
 
@@ -146,6 +161,7 @@ class CollabBudgetResult:
             "n_vehicles_per_rsu": self.n_vehicles_per_rsu,
             "duration_s": self.duration_s,
             "seed": self.seed,
+            "seeds": sorted(self.by_seed),
             "accuracy_budget_pp": self.accuracy_budget_pp,
             "points": [
                 {
@@ -163,6 +179,8 @@ class CollabBudgetResult:
                     "n_events": point.n_events,
                     "bytes_per_frame": point.bytes_per_frame,
                     "link_accuracy": point.link_accuracy,
+                    "link_f1": point.link_f1,
+                    "link_fn_rate": point.link_fn_rate,
                     "audit_ok": point.audit_ok,
                 }
                 for point in self.points
@@ -204,6 +222,7 @@ def _run_point(
         )
     return BudgetPoint(
         label=label,
+        seed=seed,
         gate_threshold=collab.gate_threshold,
         max_silence_s=collab.max_silence_s,
         delta_encoding=collab.delta_encoding,
@@ -218,6 +237,8 @@ def _run_point(
         summaries_received=link.summaries_received,
         n_events=sum(m.n_events for m in metrics.values()),
         link_accuracy=link.detection.accuracy,
+        link_f1=link.detection.f1,
+        link_fn_rate=link.detection.fn_rate,
         audit_ok=audit_ok,
     )
 
@@ -231,6 +252,7 @@ def collab_budget_sweep(
     budgets: Sequence[Tuple[str, float, Optional[float]]] = DEFAULT_BUDGETS,
     accuracy_budget_pp: float = 0.5,
     dataset=None,
+    seeds: Optional[Sequence[int]] = None,
 ) -> CollabBudgetResult:
     """Sweep the CO-DATA comm budget over the 5-RSU corridor.
 
@@ -239,47 +261,138 @@ def collab_budget_sweep(
     point turns all three on at the given ``(gate_threshold,
     max_silence_s)``.  Everything else — workload, seed, handover
     schedule — is held fixed, so byte and accuracy deltas are
-    attributable to the plane alone.
+    attributable to the plane alone.  The reference row is the plane
+    off (``CollabConfig()``): the seed path, one summary per vehicle at
+    handover.  ``seeds`` (default ``(seed,)``) repeats the sweep per
+    scenario seed; ``points`` holds the first seed's.
     """
     dataset = dataset or default_training_dataset(seed=11, n_cars=40)
+    seeds = tuple(seeds) if seeds is not None else (seed,)
     result = CollabBudgetResult(
         accuracy_budget_pp=accuracy_budget_pp,
         n_vehicles_per_rsu=n_vehicles_per_rsu,
         duration_s=duration_s,
-        seed=seed,
+        seed=seeds[0],
     )
-    baseline = CollabConfig(
-        mode="refresh", refresh_interval_s=refresh_interval_s
-    )
-    result.points.append(
-        _run_point(
+    configs = [
+        ("plane-off", CollabConfig()),
+        (
             "baseline",
-            baseline,
-            n_vehicles_per_rsu,
-            duration_s,
-            seed,
-            handover_fraction,
-            dataset,
-        )
-    )
+            CollabConfig(mode="refresh", refresh_interval_s=refresh_interval_s),
+        ),
+    ]
     for label, threshold, silence in budgets:
-        collab = CollabConfig(
-            mode="refresh",
-            refresh_interval_s=refresh_interval_s,
-            gate_threshold=threshold,
-            max_silence_s=silence,
-            delta_encoding=True,
-            priority=True,
+        configs.append(
+            (
+                label,
+                CollabConfig(
+                    mode="refresh",
+                    refresh_interval_s=refresh_interval_s,
+                    gate_threshold=threshold,
+                    max_silence_s=silence,
+                    delta_encoding=True,
+                    priority=True,
+                ),
+            )
         )
-        result.points.append(
+    for run_seed in seeds:
+        result.by_seed[run_seed] = [
             _run_point(
                 label,
                 collab,
                 n_vehicles_per_rsu,
                 duration_s,
-                seed,
+                run_seed,
                 handover_fraction,
                 dataset,
             )
-        )
+            for label, collab in configs
+        ]
+    result.points = result.by_seed[seeds[0]]
     return result
+
+
+def _paired_interval(deltas: Sequence[float]) -> Tuple[float, float]:
+    """Mean and 95% t half-width of paired per-seed differences."""
+    from scipy import stats
+
+    values = np.asarray(deltas, dtype=float)
+    mean = float(values.mean())
+    if values.size < 2:
+        return mean, float("nan")
+    sem = float(values.std(ddof=1)) / np.sqrt(values.size)
+    return mean, float(stats.t.ppf(0.975, values.size - 1) * sem)
+
+
+def keep_rule_table(
+    seeds: Sequence[int] = (1, 2, 3, 4, 5),
+    handover_fractions: Sequence[float] = (0.25, 0.5, 1.0),
+    sizes: Sequence[Tuple[int, float]] = ((8, 4.0), (24, 12.0)),
+    dataset=None,
+) -> str:
+    """The plane against plane-off, per cell, over scenario seeds.
+
+    Rule, fixed before the run: keep the plane if any plane point beats
+    plane-off in any cell, on link-RSU accuracy or on FN rate, with its
+    paired 95% seed interval excluding 0.  Δ is plane minus off (pp);
+    a lower FN rate is better.
+    """
+    dataset = dataset or default_training_dataset(seed=11, n_cars=40)
+    lines = [
+        "| vehicles/RSU, hf | off: acc / FN | plane: Δacc | plane: ΔFN "
+        "| plane points identical | off summaries | plane CO frames "
+        "(bytes) | audits | keep? |",
+        "|---|---|---|---|---|---|---|---|---|",
+    ]
+    keep_any = False
+    for n_vehicles, duration in sizes:
+        for fraction in handover_fractions:
+            result = collab_budget_sweep(
+                n_vehicles_per_rsu=n_vehicles,
+                duration_s=duration,
+                handover_fraction=fraction,
+                dataset=dataset,
+                seeds=seeds,
+            )
+            runs = [result.by_seed[s] for s in seeds]
+            off = [points[0] for points in runs]
+            identical = all(
+                (p.link_accuracy, p.link_f1, p.link_fn_rate)
+                == (points[1].link_accuracy, points[1].link_f1, points[1].link_fn_rate)
+                for points in runs
+                for p in points[1:]
+            )
+            keep = False
+            cells = []
+            for index in range(1, len(runs[0])):
+                d_acc = _paired_interval(
+                    [100 * (p[index].link_accuracy - p[0].link_accuracy) for p in runs]
+                )
+                d_fn = _paired_interval(
+                    [100 * (p[index].link_fn_rate - p[0].link_fn_rate) for p in runs]
+                )
+                cells.append((d_acc, d_fn))
+                keep |= d_acc[0] - d_acc[1] > 0 or d_fn[0] + d_fn[1] < 0
+            keep_any |= keep
+            (acc_m, acc_h), (fn_m, fn_h) = cells[0]
+            frames = [p.summaries_sent for points in runs for p in points[1:]]
+            co_bytes = [p.co_bytes_sent for points in runs for p in points[1:]]
+            lines.append(
+                f"| {n_vehicles}, {fraction} "
+                f"| {np.mean([p.link_accuracy for p in off]):.4f} / "
+                f"{100 * np.mean([p.link_fn_rate for p in off]):.2f}% "
+                f"| {acc_m:+.2f} ± {acc_h:.2f} | {fn_m:+.2f} ± {fn_h:.2f} "
+                f"| {'yes' if identical else 'no'} "
+                f"| {min(p.summaries_sent for p in off)}–"
+                f"{max(p.summaries_sent for p in off)} "
+                f"| {min(frames)}–{max(frames)} "
+                f"({min(co_bytes)}–{max(co_bytes)} B) "
+                f"| {'green' if all(result.by_seed[s][i].audit_ok for s in seeds for i in range(len(runs[0]))) else 'FAIL'} "
+                f"| {'KEEP' if keep else 'no'} |"
+            )
+    lines += ["", f"Verdict: {'keep' if keep_any else 'delete'}."]
+    return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    print(keep_rule_table())

@@ -13,8 +13,8 @@ One subcommand per workflow a downstream user needs:
 - ``city``      — the city-scale trip-churn workload with dynamic
   shard rebalancing.
 
-The scenario-running subcommands (``obs``, ``resilience``, ``city``,
-``comm``) share one scenario parent parser (``--seed`` / ``--shards``)
+The scenario-running subcommands (``obs``, ``resilience``, ``city``)
+share one scenario parent parser (``--seed`` / ``--shards``)
 and, together with ``fuzz``, one output parent (``--out`` /
 ``--format``), so the flags mean the same thing everywhere.
 """
@@ -241,26 +241,6 @@ def _cmd_city(args: argparse.Namespace) -> int:
     )
     _emit_report(args, report.format_markdown(), report.to_json())
     return 0 if report.ok else 1
-
-
-def _cmd_comm(args: argparse.Namespace) -> int:
-    from repro.experiments.collab_budget import collab_budget_sweep
-
-    if args.shards != 1:
-        print(
-            "repro comm: the comm-budget sweep audits live scenario "
-            "objects and is single-process; --shards must be 1",
-            file=sys.stderr,
-        )
-        return 2
-    report = collab_budget_sweep(
-        n_vehicles_per_rsu=args.vehicles,
-        duration_s=args.duration,
-        seed=args.seed,
-        accuracy_budget_pp=args.accuracy_budget,
-    )
-    _emit_report(args, report.format_markdown(), report.to_dict())
-    return 0 if report.audits_ok else 1
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -576,26 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
         "on multi-shard runs",
     )
     city.set_defaults(func=_cmd_city)
-
-    comm = commands.add_parser(
-        "comm",
-        help="CO-DATA comm-budget frontier: bytes/frame vs link accuracy "
-        "across gating thresholds",
-        parents=[scenario_parent, output_parent],
-    )
-    comm.add_argument(
-        "--vehicles", type=int, default=24, help="vehicles per RSU"
-    )
-    comm.add_argument(
-        "--duration", type=float, default=12.0, help="simulated seconds"
-    )
-    comm.add_argument(
-        "--accuracy-budget",
-        type=float,
-        default=0.5,
-        help="knee accuracy budget in percentage points",
-    )
-    comm.set_defaults(func=_cmd_comm)
 
     fuzz = commands.add_parser(
         "fuzz",

@@ -33,7 +33,6 @@ from repro.core.features import (
     PredictionSummary,
     WarningMessage,
     record_to_payload,
-    payload_to_record,
 )
 from repro.core.online import OnlineAD3Detector, OnlineLabeler, RollingProfile
 from repro.core.rsu import RsuConfig, RsuNode
@@ -92,7 +91,6 @@ __all__ = [
     "decode_telemetry_block",
     "expected_accidents",
     "nilsson_accident_ratio",
-    "payload_to_record",
     "record_to_payload",
     "speed_deviation_delta",
     "summary_struct_serde",

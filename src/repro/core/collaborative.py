@@ -19,7 +19,6 @@ the detection *driver-aware* as well as road-aware.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -39,33 +38,6 @@ NEUTRAL_PRIOR = 0.5
 #: Eq. 1 weights.
 HISTORY_WEIGHT = 0.5
 LOCAL_WEIGHT = 0.5
-
-#: Probability clamp for the log-odds utility (Eq. 1 fuses linear
-#: probabilities, but gating reasons in logit space where "decision
-#: movement" is scale-free near both ends).
-_LOGIT_CLAMP = 1e-6
-
-
-def _logit(p: float) -> float:
-    p = min(max(p, _LOGIT_CLAMP), 1.0 - _LOGIT_CLAMP)
-    return math.log(p / (1.0 - p))
-
-
-def prior_logit_shift(
-    p_base: float, p_new: float, history_weight: float = HISTORY_WEIGHT
-) -> float:
-    """Expected downstream-decision movement of re-announcing a prior.
-
-    The downstream RSU fuses the forwarded driver prior with weight
-    ``history_weight`` (Eq. 1), so the largest movement an updated
-    P_prevs-bar can impose on the fused posterior's log-odds is the
-    weighted logit distance between what the receiver currently holds
-    (``p_base`` — the last value sent, or :data:`NEUTRAL_PRIOR` before
-    first contact) and the fresh value.  The collaboration plane gates
-    CO-DATA sends on this utility: below the threshold the downstream
-    decision cannot materially shift, so the frame is suppressed.
-    """
-    return history_weight * abs(_logit(p_new) - _logit(p_base))
 
 
 class CollaborativeDetector(Detector):

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.dataset.schema import (
     NO_LABEL,
-    AnomalyKind,
     TelemetryBlock,
     TelemetryRecord,
 )
@@ -31,11 +30,6 @@ CO_DATA = "CO-DATA"
 ROAD_TYPE_CODE: Dict[RoadType, int] = {
     road_type: index for index, road_type in enumerate(RoadType)
 }
-
-#: Wire-value -> enum member lookup tables, so the per-record decode
-#: path avoids the enum constructor's value scan.
-_ROAD_TYPE_BY_VALUE: Dict[Any, RoadType] = {t.value: t for t in RoadType}
-_ANOMALY_KIND_BY_VALUE: Dict[Any, AnomalyKind] = {k.value: k for k in AnomalyKind}
 
 
 def _feature_columns(block: TelemetryBlock) -> tuple:
@@ -155,25 +149,6 @@ def record_to_payload(record: TelemetryRecord) -> Dict[str, Any]:
     """
     fields = {name: (value,) for name, value in vars(record).items()}
     return {key: column[0] for key, column in _payload_columns(fields).items()}
-
-
-def payload_to_record(payload: Dict[str, Any]) -> TelemetryRecord:
-    """Inverse of :func:`record_to_payload`."""
-    rt = payload["rt"]
-    ak = payload.get("ak", "none")
-    return TelemetryRecord(
-        car_id=int(payload["car"]),
-        road_id=int(payload["rd"]),
-        accel_ms2=float(payload["acc"]),
-        speed_kmh=float(payload["spd"]),
-        hour=int(payload["hr"]),
-        day=int(payload["day"]),
-        road_type=_ROAD_TYPE_BY_VALUE.get(rt) or RoadType(rt),
-        road_mean_speed_kmh=float(payload["vr"]),
-        timestamp=float(payload["ts"]),
-        anomaly_kind=_ANOMALY_KIND_BY_VALUE.get(ak) or AnomalyKind(ak),
-        label=payload.get("lbl"),
-    )
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.block import DetectionEventLog
-from repro.core.collab import (
-    BAND_REFRESH,
-    BAND_URGENT,
-    CollabConfig,
-    CollabPlane,
-    SendPlan,
-    SummaryRxCache,
-)
 from repro.core.features import (
     CO_DATA,
     IN_DATA,
@@ -32,12 +24,7 @@ from repro.core.features import (
     PredictionSummary,
     WarningMessage,
 )
-from repro.core.wire import (
-    SummaryFrame,
-    SummaryFrameSerde,
-    decode_telemetry_segments,
-    topic_serdes,
-)
+from repro.core.wire import decode_telemetry_segments, topic_serdes
 from repro.dataset.schema import ABNORMAL, NO_LABEL, TelemetryBlock
 from repro.microbatch.context import (
     BlockBatch,
@@ -76,11 +63,6 @@ class RsuConfig:
     #: before a collaborating RSU degrades to road-only detection.
     #: ``None`` (default) disables degradation — the seed behaviour.
     upstream_timeout_s: Optional[float] = None
-    #: Bandwidth-adaptive CO-DATA plane (utility gating, delta
-    #: encoding, priority bands — :class:`~repro.core.collab.CollabConfig`).
-    #: ``None``, or a default (disabled) config, keeps the seed
-    #: handover-only collaboration bit-identical.
-    collab: Optional[CollabConfig] = None
 
     def __post_init__(self) -> None:
         if self.warning_threshold < 1:
@@ -150,24 +132,6 @@ class RsuNode:
         for topic in (IN_DATA, OUT_DATA, CO_DATA):
             self.broker.create_topic(topic, self.config.topic_partitions)
         self._serdes: Dict[str, Serde] = dict(self.config.serdes)
-        # The collaboration plane wraps the CO-DATA serde before the
-        # collab consumer is built, so framed payloads (deltas / full
-        # resyncs) deserialize to SummaryFrame markers.
-        collab_config = self.config.collab
-        self.collab: Optional[CollabPlane] = None
-        self._collab_rx: Optional[SummaryRxCache] = None
-        if collab_config is not None and collab_config.enabled:
-            inner = self._serde_for(CO_DATA)
-            self._serdes[CO_DATA] = SummaryFrameSerde(inner)
-            self.collab = CollabPlane(
-                collab_config,
-                inner,
-                history_weight=getattr(
-                    self.detector, "history_weight", 0.5
-                ),
-                upstream_timeout_s=self.config.upstream_timeout_s,
-            )
-            self._collab_rx = SummaryRxCache(inner)
         self._in_consumer = self._make_pipeline_consumer()
         self._co_consumer = self._make_collab_consumer()
         jitter_source = None
@@ -213,14 +177,6 @@ class RsuNode:
         self.summaries_sent = 0
         self.summaries_received = 0
         self.summaries_lost = 0
-        #: Delta frames dropped for a missing/mismatched receiver
-        #: baseline (healed by the sender's next full resync).
-        self.summaries_stale_dropped = 0
-        # CO-DATA priority scheduling (attached by the scenario when
-        # the collab plane's priority band is on).
-        self.co_shaper = None
-        self._co_leaves: Dict[str, str] = {}
-        self._co_refresh = None
         #: Records polled into a micro-batch whose completion found the
         #: broker down — consumed (and committed) but never detected.
         self.records_dead_on_crash = 0
@@ -256,39 +212,11 @@ class RsuNode:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def attach_co_shaper(
-        self, shaper, urgent_leaf: str, refresh_leaf: str
-    ) -> None:
-        """Schedule CO-DATA sends under ``shaper``'s two priority
-        bands (urgent = decision-changing, refresh = staleness-only)."""
-        self.co_shaper = shaper
-        self._co_leaves = {BAND_URGENT: urgent_leaf, BAND_REFRESH: refresh_leaf}
-
     def start(self, until: Optional[float] = None) -> None:
         self.context.start(until=until)
-        self._start_co_refresh(until)
-
-    def _start_co_refresh(self, until: Optional[float]) -> None:
-        if (
-            self.collab is not None
-            and self.config.collab.mode == "refresh"
-            and self._co_refresh is None
-        ):
-            self._co_refresh = self.sim.every(
-                self.config.collab.refresh_interval_s,
-                self._collab_refresh_tick,
-                until=until,
-                label=f"{self.name}-co-refresh",
-            )
-
-    def _cancel_co_refresh(self) -> None:
-        if self._co_refresh is not None:
-            self._co_refresh.cancel()
-            self._co_refresh = None
 
     def stop(self) -> None:
         self.context.stop()
-        self._cancel_co_refresh()
 
     def attach_uplink(self, channel) -> None:
         """Serve ``channel`` as this RSU's telemetry uplink.
@@ -336,13 +264,12 @@ class RsuNode:
         The pipeline stops, the broker refuses clients, and the node
         refuses further collaboration; already-queued telemetry is lost
         with the node.  Vehicles must re-home to a neighbouring RSU
-        (see :meth:`repro.core.system.TestbedScenario.schedule_failover`).
+        (see :class:`repro.faults.RsuKill`).
         """
         self._settle_uplink()
         self.failed = True
         self.crashed_at = self.sim.now
         self.context.stop()
-        self._cancel_co_refresh()
         self.broker.shutdown()
         self._arm_uplink()
 
@@ -361,7 +288,6 @@ class RsuNode:
         self._settle_uplink()
         self.crashed_at = self.sim.now
         self.context.stop()
-        self._cancel_co_refresh()
         self.broker.shutdown()
         self._arm_uplink()
 
@@ -386,7 +312,6 @@ class RsuNode:
         self.crashed_at = None
         self.restarted_at = self.sim.now
         self.context.start(until=until)
-        self._start_co_refresh(until)
 
     # ------------------------------------------------------------------
     # Pipeline
@@ -402,7 +327,6 @@ class RsuNode:
         re-merges (:meth:`PredictionSummary.merge`) and the next batch
         goes back through the collaborative detector.
         """
-        arrived = 0
         deserialize = self._serde_for(CO_DATA).deserialize
         values = [
             deserialize(value)
@@ -410,36 +334,13 @@ class RsuNode:
             for value in segment.value_list()
         ]
         for value in values:
-            if self._collab_rx is not None:
-                if isinstance(value, SummaryFrame):
-                    summary = self._collab_rx.resolve(value)
-                    if summary is None:
-                        # Delta with no (or a mismatched-epoch)
-                        # baseline: drop it and wait for the sender's
-                        # full resync.  The conservation audit counts
-                        # these explicitly.
-                        self.summaries_stale_dropped += 1
-                        continue
-                else:
-                    summary = PredictionSummary.from_payload(value)
-                # A refresh stream re-announces the same accumulating
-                # history, so the latest frame supersedes the held
-                # summary — merging would double-count the shared
-                # prediction prefix.
-                self.summaries[summary.car_id] = summary
-                self.summaries_received += 1
-                arrived += 1
-                continue
             summary = PredictionSummary.from_payload(value)
             existing = self.summaries.get(summary.car_id)
             if existing is not None:
-                merged = PredictionSummary.merge([existing, summary])
-                self.summaries[summary.car_id] = merged
-            else:
-                self.summaries[summary.car_id] = summary
-            self.summaries_received += 1
-            arrived += 1
-        if arrived:
+                summary = PredictionSummary.merge([existing, summary])
+            self.summaries[summary.car_id] = summary
+        self.summaries_received += len(values)
+        if values:
             self._last_co_arrival = self.sim.now
             if self.degraded:
                 self.degraded = False
@@ -669,72 +570,6 @@ class RsuNode:
             return local
         return PredictionSummary.merge([inherited, local])
 
-    def _collab_refresh_tick(self) -> None:
-        """Re-announce per-car driver summaries downstream
-        (``mode="refresh"``), pruned by the plane's utility gate and
-        charged to the HTB priority bands when attached.
-
-        Deterministic order: ascending car id, then sorted peer name —
-        the same total order the sharded engine's barrier reproduces.
-        """
-        if self.failed or not self.broker.available or not self._neighbors:
-            return
-        now = self.sim.now
-        plans: List[SendPlan] = []
-        peers = self.neighbor_names
-        for car_id in sorted(self._history):
-            summary = self.build_summary(car_id)
-            if summary is None:
-                continue
-            for peer in peers:
-                plan = self.collab.prepare(peer, summary, now)
-                if plan is not None:
-                    plans.append(plan)
-        if not plans:
-            return
-        if self.co_shaper is not None:
-            if self._uplink is not None:
-                # the vehicles' beacons due by now charge the shared
-                # root first, as their events would have
-                self._uplink.emit_due(now)
-            requests = [
-                (self._co_leaves[plan.band], len(plan.payload))
-                for plan in plans
-            ]
-            delays = self.co_shaper.send_prioritized(requests, now)
-        else:
-            delays = [0.0] * len(plans)
-        for plan, delay in zip(plans, delays):
-            if delay > 0.0:
-                self.sim.after(
-                    delay,
-                    lambda p=plan: self._transmit_co(p),
-                    label="co-shaped",
-                )
-            else:
-                self._transmit_co(plan)
-
-    def _transmit_co(self, plan: SendPlan) -> None:
-        """Put one planned CO-DATA frame on the wired link."""
-        target = self._neighbors.get(plan.peer)
-        link = self._links.get(plan.peer)
-        if target is None or link is None:
-            return
-        payload = plan.payload
-
-        def deliver(at_time: float, data=payload) -> None:
-            try:
-                target.broker.produce(CO_DATA, data, timestamp=at_time)
-            except BrokerUnavailable:
-                self.summaries_lost += 1
-                self.collab.mark_lost(plan.peer, plan.car)
-
-        if link.send(len(payload), deliver) is None:
-            self.summaries_lost += 1
-            self.collab.mark_lost(plan.peer, plan.car)
-        else:
-            self.summaries_sent += 1
-
     def handover(self, car_id: int, target_name: str) -> bool:
         """Forward the car's summary to an adjacent RSU's CO-DATA.
 
@@ -752,19 +587,6 @@ class RsuNode:
         summary = self.build_summary(car_id)
         if summary is None:
             return False
-        if self.collab is not None:
-            # Plane path: handover is never gated (it is this RSU's
-            # last word on the car) and always resyncs in full when
-            # delta encoding is on.
-            plan = self.collab.prepare(
-                target_name, summary, self.sim.now, handover=True
-            )
-            self._transmit_co(plan)
-            self.collab.forget_car(car_id)
-            self._history.pop(car_id, None)
-            self._last_class.pop(car_id, None)
-            self.summaries.pop(car_id, None)
-            return True
         target = self._neighbors[target_name]
         link = self._links[target_name]
         # Serialize with the CO-DATA serde: the IN-DATA serde may be a

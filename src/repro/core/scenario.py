@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.core.collab import CollabConfig
 from repro.core.wire import SERDE_PROFILES
 from repro.faults.events import FaultProfile
 from repro.microbatch.context import ProcessingModel
@@ -76,11 +75,6 @@ class ScenarioSpec:
     #: Seconds of CO-DATA silence before collaborating RSUs degrade to
     #: road-only detection (``None`` disables degradation).
     upstream_timeout_s: Optional[float] = None
-    #: Bandwidth-adaptive CO-DATA plane (utility gating, delta
-    #: encoding, priority bands).  ``None`` — or a default, disabled
-    #: :class:`~repro.core.collab.CollabConfig` — keeps the seed
-    #: handover-only collaboration bit-identical.
-    collab: Optional[CollabConfig] = None
     #: Collect pipeline metrics and spans during the run
     #: (:mod:`repro.obs`).  Off by default: instrumentation sites are
     #: no-ops without an active registry, and the observer-effect
@@ -112,16 +106,6 @@ class ScenarioSpec:
             )
         if self.upstream_timeout_s is not None and self.upstream_timeout_s <= 0:
             raise ValueError("upstream_timeout_s must be positive")
-        if self.collab is not None and self.collab.enabled:
-            if self.faults is not None:
-                raise ValueError(
-                    "the collaboration plane requires a fault-free run "
-                    "(delta baselines are not crash-consistent)"
-                )
-            if self.collab.priority and not self.use_htb:
-                raise ValueError(
-                    "collab priority scheduling requires use_htb"
-                )
 
 
 class ScenarioBuilder:
@@ -254,25 +238,6 @@ class ScenarioBuilder:
         """CO-DATA silence before degradation (``None`` disables)."""
         self._timeout_explicit = True
         return self._set(upstream_timeout_s=seconds)
-
-    def collab(
-        self, config: Optional[CollabConfig] = None, **overrides
-    ) -> "ScenarioBuilder":
-        """Bandwidth-adaptive CO-DATA: gating, deltas, priority bands.
-
-        Pass a full :class:`~repro.core.collab.CollabConfig`, field
-        overrides (``mode="refresh"``, ``gate_threshold=0.5``,
-        ``delta_encoding=True``, ``priority=True`` ...), or both (the
-        overrides are applied on top of the config).
-        """
-        base = (
-            config
-            if config is not None
-            else (self._spec.collab or CollabConfig())
-        )
-        if overrides:
-            base = replace(base, **overrides)
-        return self._set(collab=base)
 
     # ------------------------------------------------------------------
     # Terminals

@@ -129,12 +129,6 @@ class RsuMetrics:
     mean_queuing_ms: float
     #: Online detection quality (None if no labelled events).
     detection: Optional[object] = None
-    #: CO-DATA byte/suppression accounting (zero unless the
-    #: bandwidth-adaptive collaboration plane is enabled).
-    co_bytes_sent: int = 0
-    co_bytes_suppressed: int = 0
-    co_msgs_gated: int = 0
-    co_stale_dropped: int = 0
 
 
 @dataclass
@@ -221,10 +215,6 @@ class ScenarioResult:
                     "warnings_issued": metrics.warnings_issued,
                     "summaries_sent": metrics.summaries_sent,
                     "summaries_received": metrics.summaries_received,
-                    "co_bytes_sent": metrics.co_bytes_sent,
-                    "co_bytes_suppressed": metrics.co_bytes_suppressed,
-                    "co_msgs_gated": metrics.co_msgs_gated,
-                    "co_stale_dropped": metrics.co_stale_dropped,
                     "detection": (
                         None
                         if metrics.detection is None
@@ -319,7 +309,6 @@ def collect_rsu_metrics(
     for name, rsu in rsus.items():
         tx = rsu.events.tx_s()
         queuing = rsu.events.queuing_s()
-        plane = getattr(rsu, "collab", None)
         rsu_metrics[name] = RsuMetrics(
             name=name,
             mean_processing_ms=rsu.mean_processing_ms(),
@@ -333,12 +322,6 @@ def collect_rsu_metrics(
                 float(np.mean(queuing)) * 1e3 if queuing.size else 0.0
             ),
             detection=rsu.detection_report(),
-            co_bytes_sent=0 if plane is None else plane.bytes_sent,
-            co_bytes_suppressed=(
-                0 if plane is None else plane.bytes_suppressed
-            ),
-            co_msgs_gated=0 if plane is None else plane.msgs_gated,
-            co_stale_dropped=getattr(rsu, "summaries_stale_dropped", 0),
         )
     return rsu_metrics
 
@@ -379,7 +362,6 @@ class TestbedScenario:
             processing_model=self.config.processing_model,
             serdes=self.serdes,
             upstream_timeout_s=self.config.upstream_timeout_s,
-            collab=self.config.collab,
         )
 
     def add_rsu(self, name: str, detector, rsu_class=RsuNode) -> RsuNode:
@@ -402,35 +384,6 @@ class TestbedScenario:
         if self.config.use_htb:
             root = HtbClass(f"{name}-root", DSRC_BANDWIDTH_BPS, DSRC_BANDWIDTH_BPS)
             self.shapers[name] = HtbShaper(root)
-        collab = self.config.collab
-        if (
-            collab is not None
-            and collab.enabled
-            and collab.priority
-            and self.config.use_htb
-        ):
-            # Two CO-DATA leaf classes under the RSU's shaper: urgent
-            # (decision-changing deltas, warnings-adjacent) charges
-            # before refresh (staleness keep-alives), so gated-but-sent
-            # refresh traffic never delays what matters.
-            shaper = self.shapers[name]
-            urgent = shaper.add_leaf(
-                HtbClass(
-                    f"{name}-co-urgent",
-                    collab.urgent_rate_bps,
-                    DSRC_BANDWIDTH_BPS,
-                    priority=0,
-                )
-            )
-            refresh = shaper.add_leaf(
-                HtbClass(
-                    f"{name}-co-refresh",
-                    collab.refresh_rate_bps,
-                    DSRC_BANDWIDTH_BPS,
-                    priority=1,
-                )
-            )
-            rsu.attach_co_shaper(shaper, urgent.name, refresh.name)
         return rsu
 
     def _shaper_for(self, rsu_name: str, car_id: int) -> Optional[HtbShaper]:
@@ -593,33 +546,6 @@ class TestbedScenario:
                     vehicle.set_records(stripe)
 
         self.sim.at(at_s, migrate, label="handover")
-
-    def schedule_failover(
-        self, rsu_name: str, fallback_name: str, at_s: float
-    ) -> None:
-        """Fail an RSU at ``at_s`` and re-home its vehicles.
-
-        Models the edge-resilience scenario the paper motivates: when
-        a node dies, its vehicles attach to a neighbouring RSU and
-        detection continues (without the dead node's history — the
-        failed node cannot forward CO-DATA summaries).
-        """
-        if rsu_name == fallback_name:
-            raise ValueError("fallback must be a different RSU")
-        failed = self.rsus[rsu_name]
-        fallback = self.rsus[fallback_name]
-        fallback_channel = self.channels[fallback_name]
-
-        def fail() -> None:
-            failed.fail()
-            for vehicle in self.vehicles:
-                if vehicle.rsu is failed:
-                    vehicle.migrate(fallback, fallback_channel)
-                    vehicle.shaper = self._shaper_for(
-                        fallback_name, vehicle.car_id
-                    )
-
-        self.sim.at(at_s, fail, label="failover")
 
     # ------------------------------------------------------------------
     # Trip churn (mid-run spawn / retire)

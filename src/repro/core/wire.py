@@ -22,9 +22,7 @@ hold and on a payload that is not a struct record.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -38,7 +36,6 @@ from repro.streaming.serde import (
     FlatStructSerde,
     JsonSerde,
     Serde,
-    SerdeError,
 )
 
 #: Known OUT-DATA warning kinds (uint8-coded on the wire).
@@ -182,262 +179,3 @@ def decode_telemetry_segments(segments, serde: Serde) -> TelemetryBlock:
     return _telemetry_block_from_rows(
         serde.decode_rows(data[0] if len(data) == 1 else b"".join(data))
     )
-
-
-# ----------------------------------------------------------------------
-# CO-DATA summary frames: delta encoding for the collaboration plane
-# ----------------------------------------------------------------------
-#: Magic byte of a framed CO-DATA summary (full resync or delta).
-#: Distinct from :data:`~repro.streaming.serde.STRUCT_MAGIC`, so framed
-#: and legacy raw payloads coexist on one topic.
-SUMMARY_FRAME_MAGIC = 0xC4
-SUMMARY_FRAME_VERSION = 1
-#: Frame kinds: a full resync carries the topic serde's complete
-#: payload; a delta carries only the fields that changed since the
-#: sender's last frame for the same ``(receiver, car)`` stream.
-SUMMARY_FULL = 0
-SUMMARY_DELTA = 1
-
-_FRAME_HEAD = struct.Struct("<BBBB")  # magic, version, kind, epoch
-_FRAME_CAR = struct.Struct("<q")
-
-#: Quantization units shared by both codec ends: ``p`` in 1e-6 steps
-#: and ``ts`` in milliseconds — exactly the rounding
-#: :meth:`~repro.core.features.PredictionSummary.to_payload` applies,
-#: so integer-unit deltas reconstruct the full-frame floats bit for bit.
-P_UNIT = 1e-6
-TS_UNIT = 1e-3
-
-#: Changed-field bitmap bits, in wire order.
-_BIT_P = 1
-_BIT_N = 2
-_BIT_CLS = 4
-_BIT_RD = 8
-_BIT_TS = 16
-
-
-def quantize_summary(payload: Dict[str, Any]) -> Tuple[int, int, int, int, int, int]:
-    """A summary payload as integer units:
-    ``(car, p_units, n, cls, rd, ts_units)``."""
-    return (
-        int(payload["car"]),
-        int(round(float(payload["p"]) / P_UNIT)),
-        int(payload["n"]),
-        int(payload["cls"]),
-        int(payload["rd"]),
-        int(round(float(payload["ts"]) / TS_UNIT)),
-    )
-
-
-def summary_payload_from_units(
-    units: Tuple[int, int, int, int, int, int]
-) -> Dict[str, Any]:
-    """Integer units back to the canonical payload dict.  ``round``
-    re-applies the :meth:`to_payload` decimal rounding, so the result
-    is byte-identical to what a full resync would have carried."""
-    car, p_units, n, cls, rd, ts_units = units
-    return {
-        "car": car,
-        "p": round(p_units * P_UNIT, 6),
-        "n": n,
-        "cls": cls,
-        "rd": rd,
-        "ts": round(ts_units * TS_UNIT, 3),
-    }
-
-
-def apply_summary_delta(
-    base: Tuple[int, int, int, int, int, int],
-    deltas: Tuple[Optional[int], ...],
-) -> Tuple[int, int, int, int, int, int]:
-    """Apply a decoded delta tuple to a baseline's integer units."""
-    car, p_units, n, cls, rd, ts_units = base
-    dp, dn, dcls, drd, dts = deltas
-    return (
-        car,
-        p_units + dp if dp is not None else p_units,
-        n + dn if dn is not None else n,
-        cls + dcls if dcls is not None else cls,
-        rd + drd if drd is not None else rd,
-        ts_units + dts if dts is not None else ts_units,
-    )
-
-
-def _append_uvarint(out: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def _append_svarint(out: bytearray, value: int) -> None:
-    # ZigZag: small magnitudes of either sign stay short on the wire.
-    # Sign-aware, so a delta past the 64-bit range maps as well.
-    _append_uvarint(out, value << 1 if value >= 0 else (-value << 1) - 1)
-
-
-def _read_uvarint(buf: bytes, at: int) -> Tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        try:
-            byte = buf[at]
-        except IndexError as exc:
-            raise SerdeError("truncated summary delta varint") from exc
-        at += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, at
-        shift += 7
-
-
-def _read_svarint(buf: bytes, at: int) -> Tuple[int, int]:
-    unsigned, at = _read_uvarint(buf, at)
-    return (unsigned >> 1) ^ -(unsigned & 1), at
-
-
-@dataclass(frozen=True)
-class SummaryFrame:
-    """A decoded CO-DATA summary frame.
-
-    Full frames carry the inner serde's payload in ``body``; delta
-    frames carry the car id and a 5-tuple of per-field integer deltas
-    (``None`` = unchanged), to be resolved against the receiver's
-    baseline cache.
-    """
-
-    kind: int
-    epoch: int
-    car: Optional[int] = None
-    body: bytes = b""
-    deltas: Tuple[Optional[int], ...] = ()
-
-
-def encode_summary_full(body: bytes, epoch: int) -> bytes:
-    """Frame a serde-serialized summary payload as a full resync."""
-    return (
-        _FRAME_HEAD.pack(
-            SUMMARY_FRAME_MAGIC, SUMMARY_FRAME_VERSION, SUMMARY_FULL, epoch
-        )
-        + body
-    )
-
-
-def encode_summary_delta(
-    epoch: int,
-    base: Tuple[int, int, int, int, int, int],
-    new: Tuple[int, int, int, int, int, int],
-) -> bytes:
-    """Encode the changed fields between two integer-unit baselines.
-
-    Layout: header (4) | car i64 | changed-field bitmap u8 | one
-    ZigZag varint per set bit, in bitmap order.  A fully unchanged
-    summary is 13 bytes; a typical refresh (p, n, ts moved) is ~18 —
-    versus the 47-byte struct or ~100-byte JSON full frame.
-    """
-    if base[0] != new[0]:
-        raise ValueError(
-            f"delta across different cars: {base[0]} vs {new[0]}"
-        )
-    out = bytearray(
-        _FRAME_HEAD.pack(
-            SUMMARY_FRAME_MAGIC, SUMMARY_FRAME_VERSION, SUMMARY_DELTA, epoch
-        )
-    )
-    out += _FRAME_CAR.pack(new[0])
-    bitmap = 0
-    fields = bytearray()
-    for bit, index in (
-        (_BIT_P, 1),
-        (_BIT_N, 2),
-        (_BIT_CLS, 3),
-        (_BIT_RD, 4),
-        (_BIT_TS, 5),
-    ):
-        if new[index] != base[index]:
-            bitmap |= bit
-            _append_svarint(fields, new[index] - base[index])
-    out.append(bitmap)
-    out += fields
-    return bytes(out)
-
-
-def decode_summary_frame(payload: bytes) -> SummaryFrame:
-    """Decode a framed summary payload (raises on malformed frames)."""
-    try:
-        magic, version, kind, epoch = _FRAME_HEAD.unpack_from(payload, 0)
-    except struct.error as exc:
-        raise SerdeError(f"truncated summary frame: {exc}") from exc
-    if magic != SUMMARY_FRAME_MAGIC:
-        raise SerdeError(f"bad summary frame magic {magic:#x}")
-    if version != SUMMARY_FRAME_VERSION:
-        raise SerdeError(f"unsupported summary frame version {version}")
-    if kind == SUMMARY_FULL:
-        return SummaryFrame(
-            kind=kind, epoch=epoch, body=bytes(payload[_FRAME_HEAD.size :])
-        )
-    if kind != SUMMARY_DELTA:
-        raise SerdeError(f"unknown summary frame kind {kind}")
-    try:
-        (car,) = _FRAME_CAR.unpack_from(payload, _FRAME_HEAD.size)
-    except struct.error as exc:
-        raise SerdeError(f"truncated summary delta: {exc}") from exc
-    at = _FRAME_HEAD.size + _FRAME_CAR.size
-    try:
-        bitmap = payload[at]
-    except IndexError as exc:
-        raise SerdeError("truncated summary delta bitmap") from exc
-    at += 1
-    deltas: List[Optional[int]] = []
-    for bit in (_BIT_P, _BIT_N, _BIT_CLS, _BIT_RD, _BIT_TS):
-        if bitmap & bit:
-            value, at = _read_svarint(payload, at)
-            deltas.append(value)
-        else:
-            deltas.append(None)
-    return SummaryFrame(kind=kind, epoch=epoch, car=car, deltas=tuple(deltas))
-
-
-class SummaryFrameSerde(Serde):
-    """CO-DATA serde for the collaboration plane.
-
-    The sender-side plane hands pre-framed bytes through untouched;
-    everything else delegates to the topic's configured serde.  On
-    deserialize, framed payloads come back as :class:`SummaryFrame`
-    markers (the RSU resolves them against its receiver baseline
-    cache); raw payloads — legacy handover summaries, or gating-only
-    configurations that skip framing — fall through to the inner serde.
-    """
-
-    def __init__(self, inner: Serde) -> None:
-        self.inner = inner
-
-    def serialize(self, value: Any) -> bytes:
-        if isinstance(value, (bytes, bytearray, memoryview)):
-            return bytes(value)
-        return self.inner.serialize(value)
-
-    def deserialize(self, payload: bytes) -> Any:
-        if payload and payload[0] == SUMMARY_FRAME_MAGIC:
-            return decode_summary_frame(payload)
-        return self.inner.deserialize(payload)
-
-
-def summary_frame_car(payload: bytes, serde: Serde) -> int:
-    """The car id behind one CO-DATA payload, framed or raw.
-
-    Delta frames carry the id at a fixed offset; full frames
-    deserialize their body with the topic serde; unframed payloads go
-    straight through the serde — the shard barrier uses this to order
-    cross-shard summaries without caring which wire form they took.
-    """
-    if payload and payload[0] == SUMMARY_FRAME_MAGIC:
-        frame = decode_summary_frame(payload)
-        if frame.car is not None:
-            return frame.car
-        return int(serde.deserialize(frame.body)["car"])
-    return int(serde.deserialize(payload)["car"])

@@ -34,11 +34,6 @@ from repro.experiments.ablations import (
     ablate_warning_threshold,
     format_ablation,
 )
-from repro.experiments.collab_budget import (
-    BudgetPoint,
-    CollabBudgetResult,
-    collab_budget_sweep,
-)
 from repro.experiments.datasets import corridor_dataset, table3_statistics
 from repro.experiments.drift import drift_adaptation
 from repro.experiments.mesochain import grid_dataset, mesoscopic_chain
@@ -62,8 +57,6 @@ from repro.experiments.multirsu import CorridorResult, fig6bd_corridor
 from repro.experiments.profiles import fig2_speed_profiles
 
 __all__ = [
-    "BudgetPoint",
-    "CollabBudgetResult",
     "CorridorResult",
     "Eq5Row",
     "Fig6aRow",
@@ -77,7 +70,6 @@ __all__ = [
     "ablate_packet_loss",
     "ablate_poll_interval",
     "ablate_warning_threshold",
-    "collab_budget_sweep",
     "corridor_dataset",
     "drift_adaptation",
     "format_ablation",

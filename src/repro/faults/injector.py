@@ -107,9 +107,9 @@ class FaultInjector:
         )
 
     def _install_rsu_kill(self, event: RsuKill) -> None:
-        if not event.failover_to:
+        if not event.failover_to or event.failover_to == event.rsu:
             raise ValueError(
-                f"RsuKill({event.rsu!r}) needs a failover_to RSU"
+                f"RsuKill({event.rsu!r}) needs a different failover_to RSU"
             )
         scenario = self.scenario
         failed = scenario.rsus[event.rsu]

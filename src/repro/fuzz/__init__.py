@@ -1,11 +1,10 @@
 """Property-based scenario fuzzing with differential oracles.
 
 The fuzzer composes corridor scenarios the hand-written suites never
-tried — topology x demand x channel preset x fault schedule x collab
-knobs x shard count — and judges each one with the equivalence
-guarantees the repo already pins on fixed presets: the four
-conservation-law audits, shards=N-vs-1, obs on-vs-off, and
-collab-disabled-vs-none.  Failures shrink (hypothesis
+tried — topology x demand x channel preset x fault schedule x shard
+count — and judges each one with the equivalence guarantees the repo
+already pins on fixed presets: the four conservation-law audits,
+shards=N-vs-1 and obs on-vs-off.  Failures shrink (hypothesis
 plus a spec-level minimizer) to minimal JSON repro specs in
 ``tests/fuzz_corpus/``, which tier-1 CI replays forever.
 

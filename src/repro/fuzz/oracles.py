@@ -11,12 +11,9 @@ fixed presets:
    obs-off run of the same spec.
 3. **Shard equivalence** — a ``shards=N`` spec must reproduce the
    ``shards=1`` warnings, vehicle stats, and latency samples exactly.
-4. **Collab-disabled identity** — a present-but-disabled
-   :class:`~repro.core.collab.CollabConfig` must change nothing against
-   no config at all.
 
-Oracles 3-4 only apply when the spec exercises the feature; the report
-lists which ran.  Every run's *canonical digest* (a SHA-256 over the
+Oracle 3 only applies when the spec is sharded; the report lists which
+ran.  Every run's *canonical digest* (a SHA-256 over the
 obs-off serial signature) is recorded so corpus replays can assert
 bit-identical behaviour across commits and CI runs.
 """
@@ -194,7 +191,6 @@ def run_oracles(spec: FuzzSpec, dataset=None) -> OracleReport:
     - ``B``: serial, observability **off** → the canonical digest, and
       the observer-effect identity against ``A``.
     - ``C`` (``shards > 1``): the sharded engine vs ``B``.
-    - ``D`` (collab present but disabled): no collab config vs ``B``.
     """
     if spec.city is not None:
         return run_city_oracles(spec)
@@ -242,19 +238,6 @@ def run_oracles(spec: FuzzSpec, dataset=None) -> OracleReport:
                     signature_c,
                     serial_view,
                 )
-            )
-
-    # --- D: disabled collab config vs none ----------------------------
-    if spec.collab is not None and not spec.collab_enabled:
-        report.oracles_run.append("collab_disabled_identity")
-        scenario_d = spec.build(
-            dataset, shards=1, observability=False, collab=None
-        )
-        result_d = scenario_d.run()
-        signature_d = scenario_signature(scenario_d, result_d)
-        if signature_d != signature_b:
-            report.failures.append(
-                _diff_hint("collab_disabled_identity", signature_d, signature_b)
             )
 
     return report

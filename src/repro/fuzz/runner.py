@@ -349,8 +349,6 @@ def _simplifications(spec: FuzzSpec):
         yield spec.replace(channel="stable")
     elif spec.channel == "lossy":
         yield spec.replace(channel="stable")
-    if spec.collab is not None:
-        yield spec.replace(collab=None)
     if spec.shards > 1:
         yield spec.replace(shards=1)
     if spec.motorways > 1:

@@ -2,8 +2,8 @@
 
 A :class:`FuzzSpec` is one point in the composed scenario space: a
 corridor topology, a demand shape (vehicles, duration, handover wave),
-a channel-quality preset, an optional fault schedule, the CO-DATA
-collaboration knobs, the serde profile, and the shard count.  It is
+a channel-quality preset, an optional fault schedule, the serde
+profile, and the shard count.  It is
 deliberately *not* a :class:`~repro.core.scenario.ScenarioSpec` — it is
 smaller (only the axes the fuzzer explores), always valid by
 construction (its ``__post_init__`` mirrors every cross-field rule the
@@ -86,9 +86,6 @@ class FuzzSpec:
     channel: str = "stable"
     serde_profile: str = "json"
     shards: int = 1
-    #: CollabConfig field overrides (``None`` = no collaboration plane,
-    #: the seed handover-only path).
-    collab: Optional[Mapping[str, Any]] = None
     #: Scheduled fault events (tuples of plain dicts, see FAULT_KINDS).
     faults: Tuple[Mapping[str, Any], ...] = ()
     #: Training-dataset parameters (fixed by default so every replay
@@ -108,8 +105,6 @@ class FuzzSpec:
             "faults",
             tuple(dict(event) for event in self.faults),
         )
-        if self.collab is not None:
-            object.__setattr__(self, "collab", dict(self.collab))
         if self.city is not None:
             object.__setattr__(self, "city", dict(self.city))
             self._validate_city(self.city)
@@ -132,18 +127,10 @@ class FuzzSpec:
             raise ValueError("dataset_cars must be >= 10 to train detectors")
         # The cross-feature rules the scenario layer enforces, mirrored
         # here so every constructed FuzzSpec maps to a valid run.
-        if self.has_faults:
-            if self.shards > 1:
-                raise ValueError("fault schedules run single-process")
-            if self.collab_enabled:
-                raise ValueError(
-                    "an enabled collaboration plane requires a fault-free run"
-                )
+        if self.has_faults and self.shards > 1:
+            raise ValueError("fault schedules run single-process")
         for event in self.faults:
             self._validate_fault(event)
-        if self.collab is not None:
-            # Constructing the config runs its own validation.
-            self.collab_config()
 
     def _validate_city(self, knobs: Mapping[str, Any]) -> None:
         unknown = sorted(set(knobs) - set(CITY_KNOBS))
@@ -169,8 +156,8 @@ class FuzzSpec:
             raise ValueError("city rebalance_interval_ticks must be >= 0")
         # A city spec replaces the corridor scenario wholesale, so the
         # corridor-only axes must stay inert.
-        if self.faults or self.collab is not None:
-            raise ValueError("a city spec carries no faults or collab plane")
+        if self.faults:
+            raise ValueError("a city spec carries no faults")
         if self.shards != 1:
             raise ValueError(
                 "a city spec keeps the corridor shards at their default; "
@@ -207,20 +194,6 @@ class FuzzSpec:
         return tuple(
             f"rsu-mw-{index + 1}" for index in range(self.motorways)
         ) + ("rsu-mw-link",)
-
-    @property
-    def collab_enabled(self) -> bool:
-        if self.collab is None:
-            return False
-        return self.collab_config().enabled
-
-    def collab_config(self):
-        """The :class:`~repro.core.collab.CollabConfig` (or ``None``)."""
-        if self.collab is None:
-            return None
-        from repro.core.collab import CollabConfig
-
-        return CollabConfig(**self.collab)
 
     @property
     def has_faults(self) -> bool:
@@ -301,7 +274,7 @@ class FuzzSpec:
         """The full :class:`~repro.core.scenario.ScenarioSpec`.
 
         ``overrides`` lets the oracle stack build comparator variants
-        (``shards=1``, ``observability=True``, ``collab=None``) of the
+        (``shards=1``, ``observability=True``) of the
         same generated point.
         """
         from repro.core.scenario import DEFAULT_UPSTREAM_TIMEOUT_S, ScenarioSpec
@@ -316,7 +289,6 @@ class FuzzSpec:
             "loss_prob": CHANNEL_PRESETS[self.channel].loss_prob,
             "serde_profile": self.serde_profile,
             "shards": self.shards,
-            "collab": self.collab_config(),
             "faults": profile,
         }
         if profile is not None:
@@ -367,8 +339,6 @@ class FuzzSpec:
                 continue
             if spec_field.name == "faults":
                 value = [dict(event) for event in value]
-            elif spec_field.name == "collab" and value is not None:
-                value = dict(value)
             payload[spec_field.name] = value
         return payload
 

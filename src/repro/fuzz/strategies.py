@@ -3,9 +3,9 @@
 One composite strategy, :func:`fuzz_specs`, draws a complete
 :class:`~repro.fuzz.spec.FuzzSpec`: base corridor knobs first, then a
 *feature branch* that decides which mutually-exclusive subsystem the
-scenario exercises (fault schedule, sharding, or a collaboration
-plane) so every draw satisfies the scenario layer's
-cross-field rules by construction.  All choice sets are small and
+scenario exercises (fault schedule, sharding, or the city workload) so
+every draw satisfies the scenario layer's cross-field rules by
+construction.  All choice sets are small and
 ordered simplest-first, which is what makes hypothesis shrinking
 effective: a failing example collapses toward the one-motorway,
 two-vehicle, fault-free default corridor.
@@ -34,7 +34,7 @@ def _hypothesis():
 
 
 #: Feature branches, simplest first (the shrink target is "plain").
-BRANCHES = ("plain", "faults", "sharded", "collab", "city")
+BRANCHES = ("plain", "faults", "sharded", "city")
 
 
 def fuzz_specs(
@@ -86,8 +86,6 @@ def fuzz_specs(
             kwargs["shards"] = draw(
                 st.integers(min_value=2, max_value=max_shards)
             )
-        elif branch == "collab":
-            kwargs["collab"] = draw(collab_overrides())
         elif branch == "city":
             # A city point replaces the corridor wholesale; every
             # corridor axis stays at its default so the repro
@@ -183,22 +181,3 @@ def city_overrides(max_shards: int = 2):
             "rebalance_interval_ticks": st.sampled_from([10, 30]),
         },
     )
-
-
-def collab_overrides():
-    """Strategy for CollabConfig override dicts — disabled configs (the
-    identity oracle's food) and enabled gating/delta/priority mixes."""
-    st = _hypothesis()
-    disabled = st.just({})
-    enabled = st.fixed_dictionaries(
-        {
-            "mode": st.sampled_from(["handover", "refresh"]),
-            "gate_threshold": st.sampled_from([0.0, 0.2, 0.6]),
-            "delta_encoding": st.booleans(),
-            "priority": st.booleans(),
-        },
-        optional={
-            "refresh_interval_s": st.sampled_from([0.25, 0.5]),
-        },
-    )
-    return st.one_of(disabled, enabled)

@@ -9,7 +9,7 @@ when their own bucket is empty, provided the parent has headroom.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -67,10 +67,6 @@ class HtbClass:
         Maximum rate including borrowed bandwidth; must be >= rate.
     burst_bytes:
         Bucket depth; defaults to 100 ms worth of the ceiling.
-    priority:
-        Borrow priority under :meth:`HtbShaper.send_prioritized`
-        (lower value = charged first, like ``tc htb prio``).  Plain
-        :meth:`HtbShaper.send` ignores it.
     """
 
     rate_bps = _Column(_RATE)
@@ -86,7 +82,6 @@ class HtbClass:
         rate_bps: float,
         ceil_bps: Optional[float] = None,
         burst_bytes: Optional[float] = None,
-        priority: int = 0,
     ) -> None:
         if rate_bps <= 0:
             raise ValueError(f"rate must be positive: {rate_bps}")
@@ -97,7 +92,6 @@ class HtbClass:
             )
         self.name = name
         self.ceil_bps = ceil
-        self.priority = priority
         burst = burst_bytes if burst_bytes is not None else ceil * 0.100 / 8.0
         self._buckets = _Buckets()
         self._row = self._buckets.add((rate_bps, burst, burst, 0.0, 0, 0.0))
@@ -255,34 +249,6 @@ class HtbShaper:
                 deficits[position] = 0.0
             else:
                 deficits[position] = deficit / (state[leaf, _RATE].item() / 8.0)
-
-    def send_prioritized(
-        self, requests: Sequence[Tuple[str, int]], now: float
-    ) -> List[float]:
-        """Charge a burst of packets in leaf-priority order.
-
-        ``requests`` is ``(leaf_name, packet_bytes)`` pairs submitted
-        together (e.g. one CO-DATA refresh tick's frames).  Charging
-        runs lowest :attr:`HtbClass.priority` value first (stable on
-        submission order within a band), so when the burst outruns what
-        the shared root can lend, the deficit — and therefore the
-        delay — lands on the low-priority band, never on the urgent
-        one.  The sorted burst is one block (:meth:`send_block`).
-        Returns per-packet delays in submission order.
-        """
-        order = sorted(
-            range(len(requests)),
-            key=lambda index: (self.leaf(requests[index][0]).priority, index),
-        )
-        charged = self.send_block(
-            [requests[index][0] for index in order],
-            [requests[index][1] for index in order],
-            [now] * len(order),
-        )
-        delays = [0.0] * len(requests)
-        for index, delay in zip(order, charged):
-            delays[index] = delay
-        return delays
 
     def aggregate_rate_bps(self, elapsed_s: float) -> float:
         """Mean aggregate throughput over ``elapsed_s``."""

@@ -215,23 +215,16 @@ def _audit_collaboration(scenario, report: InvariantReport) -> None:
                 continue
             end = rsu.broker.topic(topic).partition(partition).end_offset
             unconsumed += max(0, end - position)
-        # Delta frames dropped for a missing/mismatched receiver
-        # baseline were consumed but never counted as received; the
-        # plane accounts them separately (zero on legacy paths, so the
-        # seed-era equality is unchanged).
-        stale = getattr(rsu, "summaries_stale_dropped", 0)
         terms = {
             "appended_co_data": appended,
             "summaries_received": received,
-            "co_stale_dropped": stale,
             "co_unconsumed": unconsumed,
         }
         report.terms[f"collaboration[{name}]"] = terms
-        if appended != received + stale + unconsumed:
+        if appended != received + unconsumed:
             report.failures.append(
                 f"collaboration[{name}]: appended={appended} != "
-                f"received+stale+unconsumed={received + stale + unconsumed} "
-                f"{terms}"
+                f"received+unconsumed={received + unconsumed} {terms}"
             )
 
 

@@ -9,7 +9,7 @@ costs the run nothing.
 
 from __future__ import annotations
 
-from repro.obs.metrics import CO_FRAME_BYTES_EDGES, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import SpanRecorder
 
 
@@ -65,37 +65,6 @@ def finalize_scenario(
         registry.counter("rsu.records_dead_on_crash", rsu=name).inc(
             rsu.records_dead_on_crash
         )
-        plane = getattr(rsu, "collab", None)
-        if plane is not None:
-            registry.counter("rsu.co_bytes_sent", rsu=name).inc(
-                plane.bytes_sent
-            )
-            registry.counter("rsu.co_bytes_suppressed", rsu=name).inc(
-                plane.bytes_suppressed
-            )
-            registry.counter("rsu.co_msgs_gated", rsu=name).inc(
-                plane.msgs_gated
-            )
-            for band, sent in sorted(plane.msgs_sent.items()):
-                registry.counter(
-                    "rsu.co_msgs_sent", rsu=name, band=band
-                ).inc(sent)
-            registry.counter("rsu.co_frames_full", rsu=name).inc(
-                plane.fulls_sent
-            )
-            registry.counter("rsu.co_frames_delta", rsu=name).inc(
-                plane.deltas_sent
-            )
-            histogram = registry.histogram(
-                "rsu.co_frame_bytes",
-                CO_FRAME_BYTES_EDGES,
-                rsu=name,
-            )
-            for size, count in sorted(plane.frame_size_counts.items()):
-                histogram.observe(size, count)
-        stale = getattr(rsu, "summaries_stale_dropped", 0)
-        if stale:
-            registry.counter("rsu.co_stale_dropped", rsu=name).inc(stale)
         broker = getattr(rsu, "broker", None)
         if broker is None:
             continue

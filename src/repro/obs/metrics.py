@@ -47,11 +47,6 @@ BATCH_SIZE_EDGES = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0)
 LATENCY_MS_EDGES = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
 DEPTH_EDGES = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0)
 WAIT_MS_EDGES = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0)
-#: CO-DATA frame sizes: deltas land in the first buckets, struct fulls
-#: around 47, JSON fulls near 100+.
-CO_FRAME_BYTES_EDGES = (
-    16.0, 24.0, 32.0, 48.0, 64.0, 96.0, 128.0, 192.0, 256.0, 512.0,
-)
 
 _HEADER = struct.Struct("<BBIII")  # magic, version, n_counters, n_gauges, n_hists
 _U16 = struct.Struct("<H")

@@ -25,8 +25,6 @@ import pickle
 import struct
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.wire import summary_frame_car
-
 # Frame kinds on the shared-memory rings.
 FRAME_SUMMARY = 1  # CO-DATA prediction summary for a remote RSU's broker
 # 2 is retired (in-flight telemetry of a transferred vehicle): not reused.
@@ -141,13 +139,12 @@ def decode_shard_payload(buf: bytes) -> Tuple[int, object]:
 # Deterministic summary ordering
 # ----------------------------------------------------------------------
 def summary_car_ids(payloads: Sequence[bytes], serde) -> List[int]:
-    """Car id per CO-DATA payload, framed or raw, for deterministic
-    injection order.
+    """Car id per CO-DATA payload, for deterministic injection order.
 
     ``Topic.route(key=None)`` is a round-robin counter, so the *order*
     summaries are produced into a broker is observable.  The engine
     sorts cross-shard summaries by ``(timestamp, car)`` before
-    injection; this extracts the car ids with the topic's ``serde``
-    (:func:`~repro.core.wire.summary_frame_car`).
+    injection; this extracts the car ids with the topic's ``serde``.
     """
-    return [summary_frame_car(payload, serde) for payload in payloads]
+    deserialize = serde.deserialize
+    return [int(deserialize(payload)["car"]) for payload in payloads]

@@ -32,8 +32,7 @@ ring_frames = st.lists(
     max_size=40,
 )
 
-#: One wire-shaped prediction-summary dict — the struct-serde and
-#: summary-frame codec surface.
+#: One wire-shaped prediction-summary dict — the struct-serde surface.
 summary_dict = st.fixed_dictionaries(
     {
         "car": st.integers(min_value=1, max_value=10_000),
@@ -46,9 +45,6 @@ summary_dict = st.fixed_dictionaries(
 )
 
 summary_dicts = st.lists(summary_dict, min_size=1, max_size=20)
-
-#: Summary-frame epochs are a u8 on the wire.
-frame_epochs = st.integers(min_value=0, max_value=255)
 
 #: (mean_normal_prob, n_predictions, timestamp) triples for the
 #: PredictionSummary merge algebra.

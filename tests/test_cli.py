@@ -113,29 +113,3 @@ class TestCityCommand:
         assert main(["city", "--scale", "0.01", "--duration", "120"]) == 0
         out = capsys.readouterr().out
         assert "city" in out.lower()
-
-
-class TestCommCommand:
-    def test_comm_report_json_and_out(self, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "comm.json"
-        assert main(
-            ["comm", "--vehicles", "4", "--duration", "2",
-             "--format", "json", "--out", str(out_path)]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload == json.loads(out_path.read_text())
-        assert payload["audits_ok"] is True
-        assert payload["points"][0]["label"] == "baseline"
-        assert len(payload["points"]) >= 6
-
-    def test_comm_markdown_default(self, capsys):
-        assert main(["comm", "--vehicles", "4", "--duration", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "Knee" in out
-        assert "bytes/frame" in out
-
-    def test_comm_rejects_shards(self, capsys):
-        assert main(["comm", "--vehicles", "4", "--shards", "2"]) == 2
-        assert "single-process" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ScenarioSpec, TestbedScenario
 from repro.core.system import default_training_dataset
+from repro.faults import FaultProfile, RsuKill
 from repro.geo import RoadType
 from repro.obs.audit import audit_scenario
 from repro.streaming.producer import RetryPolicy
@@ -12,6 +13,19 @@ from repro.streaming.producer import RetryPolicy
 @pytest.fixture(scope="module")
 def training_dataset():
     return default_training_dataset(seed=11, n_cars=60)
+
+
+def _failover(at_s, failover_to="rsu-mw-2"):
+    """Kill ``rsu-mw-1`` at ``at_s`` and re-home its vehicles, with no
+    per-car state replayed."""
+    return FaultProfile(
+        "failover",
+        (
+            RsuKill(
+                "rsu-mw-1", at_s=at_s, failover_to=failover_to, replay_state=False
+            ),
+        ),
+    )
 
 
 class TestRsuFailure:
@@ -37,11 +51,12 @@ class TestRsuFailure:
         assert rsu.handover(1, "rsu-mw-link") is False
 
     def test_failover_rehomes_vehicles(self, training_dataset):
-        config = ScenarioSpec(n_vehicles=8, duration_s=4.0, seed=5)
+        config = ScenarioSpec(
+            n_vehicles=8, duration_s=4.0, seed=5, faults=_failover(2.0)
+        )
         scenario = TestbedScenario.corridor(
             config, motorways=2, dataset=training_dataset
         )
-        scenario.schedule_failover("rsu-mw-1", "rsu-mw-2", at_s=2.0)
         result = scenario.run()
 
         failed = scenario.rsus["rsu-mw-1"]
@@ -64,7 +79,11 @@ class TestRsuFailure:
         the retry buffers at the failover; the fallback must not append
         them again, or the telemetry audit counts them twice."""
         config = ScenarioSpec(
-            n_vehicles=8, duration_s=3.0, seed=5, producer_retry=RetryPolicy()
+            n_vehicles=8,
+            duration_s=3.0,
+            seed=5,
+            producer_retry=RetryPolicy(),
+            faults=_failover(1.3),
         )
         scenario = TestbedScenario.corridor(
             config, motorways=2, dataset=training_dataset
@@ -83,26 +102,31 @@ class TestRsuFailure:
 
         scenario.sim.at(1.0, lambda: failed.drop_acks_until(2.0))
         scenario.sim.at(1.299, held_by_the_dead_broker)
-        scenario.schedule_failover("rsu-mw-1", "rsu-mw-2", at_s=1.3)
         scenario.run()
         assert held[0] > 0  # the window really left appended records buffered
         assert audit_scenario(scenario).failures == []
 
     def test_failover_to_self_rejected(self, training_dataset):
-        config = ScenarioSpec(n_vehicles=4, duration_s=1.0, seed=5)
+        config = ScenarioSpec(
+            n_vehicles=4,
+            duration_s=1.0,
+            seed=5,
+            faults=_failover(0.5, failover_to="rsu-mw-1"),
+        )
         scenario = TestbedScenario.corridor(
             config, motorways=2, dataset=training_dataset
         )
         with pytest.raises(ValueError):
-            scenario.schedule_failover("rsu-mw-1", "rsu-mw-1", at_s=0.5)
+            scenario.run()
 
     def test_warnings_continue_after_failover(self, training_dataset):
         """End-to-end resilience: drivers keep receiving warnings."""
-        config = ScenarioSpec(n_vehicles=16, duration_s=4.0, seed=5)
+        config = ScenarioSpec(
+            n_vehicles=16, duration_s=4.0, seed=5, faults=_failover(2.0)
+        )
         scenario = TestbedScenario.corridor(
             config, motorways=2, dataset=training_dataset
         )
-        scenario.schedule_failover("rsu-mw-1", "rsu-mw-2", at_s=2.0)
         scenario.run()
         late_warnings = 0
         for vehicle in scenario.vehicles:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import PredictionSummary, WarningMessage, payload_to_record, record_to_payload
+from repro.core import PredictionSummary, WarningMessage
 from repro.core.features import base_features, centralized_features, labels_of
 from repro.dataset.schema import TelemetryBlock, TelemetryRecord
 from repro.geo import RoadType
@@ -63,20 +63,6 @@ class TestFeatureMatrices:
         columns = base_features(block_of(*records))
         assert columns.shape == (48, 3)
         assert columns[:, 2].tolist() == [float(r.hour) for r in records]
-
-
-class TestTelemetryWireFormat:
-    def test_round_trip(self):
-        record = make_record()
-        restored = payload_to_record(record_to_payload(record))
-        assert restored.car_id == record.car_id
-        assert restored.road_type is record.road_type
-        assert restored.speed_kmh == pytest.approx(record.speed_kmh, abs=0.01)
-        assert restored.label == record.label
-
-    def test_unlabelled_round_trip(self):
-        record = make_record(label=None)
-        assert payload_to_record(record_to_payload(record)).label is None
 
 
 class TestPredictionSummary:

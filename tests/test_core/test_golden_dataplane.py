@@ -13,7 +13,7 @@ warning, latency sample, broker counter and consumer position matches.
 A frame may wait for the next flush only while nothing can tell
 (``docs/ARCHITECTURE.md``, "When a frame may wait").  The cases the
 block uplink could not run before that rule had its mechanisms —
-fault profiles, ``schedule_failover``, a crash with shaper-delayed
+fault profiles, an ``RsuKill`` failover, a crash with shaper-delayed
 frames, a cross-shard handover with abandoned frames — are pinned here
 too, each with the guard that shows it is not vacuous.
 
@@ -30,7 +30,6 @@ from pathlib import Path
 import pytest
 
 from repro.core import vehicle as vehicle_module
-from repro.core.collab import CollabConfig
 from repro.core.scenario import (
     DEFAULT_UPSTREAM_TIMEOUT_S,
     ScenarioSpec,
@@ -38,7 +37,7 @@ from repro.core.scenario import (
 )
 from repro.core.system import TestbedScenario, collect_rsu_metrics
 from repro.core.vehicle import VehicleNode
-from repro.faults import BrokerCrash, FaultProfile, corridor_profiles
+from repro.faults import BrokerCrash, FaultProfile, RsuKill, corridor_profiles
 from repro.fuzz.oracles import accounting_signature, sharded_signature
 from repro.geo import RoadType
 from repro.net.dsrc import DsrcChannel
@@ -355,17 +354,27 @@ def test_fault_profiles_equal_the_event_uplink(
     _assert_pinned(f"faults[{name}-{serde_profile}]", _digest(scenario))
 
 
+def _failover(at_s):
+    """Kill ``rsu-mw-1`` at ``at_s`` and re-home its vehicles on
+    ``rsu-mw-2``, with no per-car state replayed."""
+    return FaultProfile(
+        "failover",
+        (
+            RsuKill(
+                "rsu-mw-1", at_s=at_s, failover_to="rsu-mw-2", replay_state=False
+            ),
+        ),
+    )
+
+
 @pytest.mark.parametrize("at_s", [0.9, 0.93, 1.01])
 def test_failover_settles_the_channel_first(labeled_dataset, at_s):
-    """``schedule_failover`` shuts a broker outside the fault injector.
+    """A failover shuts a broker with no retry policy in the run.
     ``RsuNode.fail`` settles the uplink first: without that hook the
     frames the event uplink had delivered by ``at_s`` reach a broker
     already shut (8 / 4 / 1 records lost at these three instants)."""
     result, scenario = _run(
-        labeled_dataset,
-        "struct",
-        n_vehicles=16,
-        prepare=lambda s: s.schedule_failover("rsu-mw-1", "rsu-mw-2", at_s),
+        labeled_dataset, "struct", n_vehicles=16, faults=_failover(at_s)
     )
     _assert_not_vacuous(scenario)
     assert scenario.rsus["rsu-mw-1"].failed
@@ -384,8 +393,6 @@ def test_frame_on_the_air_across_a_failover(labeled_dataset):
     seen = {}
 
     def prepare(scenario):
-        scenario.schedule_failover("rsu-mw-1", "rsu-mw-2", at_s)
-
         def look():
             old, new = (scenario.channels[n] for n in ("rsu-mw-1", "rsu-mw-2"))
             # the beacons due by now, as their events would have sent them
@@ -393,10 +400,18 @@ def test_frame_on_the_air_across_a_failover(labeled_dataset):
             seen["on_air"] = [due for due, _ in old._on_air.values()]
             seen["waiting"] = [frame[0] for frame in new._pending]
 
-        scenario.sim.at(at_s, look, label="look")
+        # ``run`` installs the kill; arming the look from the first
+        # event orders it after the kill at the same instant
+        scenario.sim.at(
+            0.0, lambda: scenario.sim.at(at_s, look, label="look"), label="arm"
+        )
 
     result, scenario = _run(
-        labeled_dataset, "struct", n_vehicles=16, prepare=prepare
+        labeled_dataset,
+        "struct",
+        n_vehicles=16,
+        faults=_failover(at_s),
+        prepare=prepare,
     )
     _assert_not_vacuous(scenario)
     assert result.resilience.records_lost == 0
@@ -489,12 +504,8 @@ def _starve_leaves(scenario, leaf_bytes=150.0, root_bps=40_000.0):
             leaf.burst_bytes = leaf.tokens = leaf_bytes
 
 
-def _borrowing_leaves(shaper, prefix="vehicle-"):
-    return [
-        leaf
-        for leaf in shaper.leaves()
-        if leaf.name.startswith(prefix) and leaf.bytes_borrowed > 0
-    ]
+def _borrowing_leaves(shaper):
+    return [leaf for leaf in shaper.leaves() if leaf.bytes_borrowed > 0]
 
 
 def test_starved_leaves_borrow_from_one_root(labeled_dataset, audit_invariants):
@@ -515,33 +526,6 @@ def test_starved_leaves_borrow_from_one_root(labeled_dataset, audit_invariants):
         for shaper in scenario.shapers.values()
     )
     _assert_pinned("starved_leaves", _digest(scenario))
-
-
-def test_codata_priority_charges_interleave_with_beacons(
-    labeled_dataset, audit_invariants
-):
-    """The collab plane's priority bands charge CO-DATA refreshes to the
-    RSU's shaper root, which the vehicles' starved leaves borrow from
-    too: a refresh charges after every beacon due by its instant."""
-    result, scenario = _run(
-        labeled_dataset,
-        "struct",
-        handover_fraction=0.5,
-        n_vehicles=8,
-        htb_floor_bps=400.0,
-        collab=CollabConfig(
-            mode="refresh", refresh_interval_s=0.1, priority=True
-        ),
-        prepare=_starve_leaves,
-    )
-    audit_invariants(scenario)
-    _assert_not_vacuous(scenario)
-    assert any(
-        _borrowing_leaves(shaper, f"{name}-co-")
-        and _borrowing_leaves(shaper)
-        for name, shaper in scenario.shapers.items()
-    )
-    _assert_pinned("codata_priority", _digest(scenario))
 
 
 def test_churn_between_flushes(labeled_dataset, audit_invariants):

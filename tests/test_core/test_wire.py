@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from repro.dataset.schema import TelemetryBlock
 from repro.core.features import (
@@ -14,18 +12,9 @@ from repro.core.features import (
     WarningMessage,
     record_to_payload,
 )
-from repro.core.collab import SummaryRxCache
 from repro.core.wire import (
     SERDE_PROFILES,
-    SUMMARY_DELTA,
-    SUMMARY_FULL,
-    apply_summary_delta,
-    decode_summary_frame,
     decode_telemetry_block,
-    encode_summary_delta,
-    encode_summary_full,
-    quantize_summary,
-    summary_payload_from_units,
     summary_struct_serde,
     telemetry_struct_serde,
     topic_serdes,
@@ -34,7 +23,6 @@ from repro.core.wire import (
 from repro.dataset.schema import AnomalyKind, TelemetryRecord
 from repro.geo.roadnet import RoadType
 from repro.streaming.serde import JsonSerde, STRUCT_MAGIC, SerdeError
-from tests.strategies import frame_epochs, summary_dict
 
 
 def _record(car=7, label=1, kind=AnomalyKind.NONE):
@@ -226,92 +214,3 @@ class TestDecodeTelemetryBlock:
         for profile in SERDE_PROFILES:
             serde = topic_serdes(profile)[IN_DATA]
             assert len(decode_telemetry_block([], serde)) == 0
-
-
-#: Units whose pairwise deltas span nearly the full signed-64-bit range
-#: the ZigZag varint must carry.
-_extreme_units = st.integers(min_value=-(2**62), max_value=2**62)
-
-
-class TestSummaryFrameProperties:
-    """Hypothesis round-trips for the PR-8 summary-frame codec."""
-
-    @given(body=st.binary(max_size=64), epoch=frame_epochs)
-    @settings(max_examples=100, deadline=None)
-    def test_full_frame_round_trips_any_body(self, body, epoch):
-        """A full frame is pure framing: the body must come back
-        bit-exact for any serde output, and the epoch intact."""
-        frame = decode_summary_frame(encode_summary_full(body, epoch))
-        assert frame.kind == SUMMARY_FULL
-        assert frame.epoch == epoch
-        assert frame.body == body
-
-    @given(old=summary_dict, new=summary_dict, epoch=frame_epochs)
-    @settings(max_examples=100, deadline=None)
-    def test_delta_round_trips_any_payload_pair(self, old, new, epoch):
-        new = {**new, "car": old["car"]}
-        base = quantize_summary(old)
-        target = quantize_summary(new)
-        frame = decode_summary_frame(encode_summary_delta(epoch, base, target))
-        assert frame.kind == SUMMARY_DELTA
-        assert frame.epoch == epoch
-        assert frame.car == old["car"]
-        assert apply_summary_delta(base, frame.deltas) == target
-        assert summary_payload_from_units(
-            apply_summary_delta(base, frame.deltas)
-        ) == summary_payload_from_units(target)
-
-    @given(
-        base=st.tuples(*([_extreme_units] * 5)),
-        new=st.tuples(*([_extreme_units] * 5)),
-        car=st.integers(min_value=-(2**63), max_value=2**63 - 1),
-        epoch=frame_epochs,
-    )
-    @settings(max_examples=100, deadline=None)
-    # a delta of 2^63: one past the 64-bit ZigZag range
-    @example(base=(-(2**62), 0, 0, 0, 0), new=(2**62, 0, 0, 0, 0), car=1, epoch=0)
-    def test_extreme_zigzag_varint_deltas_survive(self, base, new, car, epoch):
-        """Field deltas near ±2^63 (and an i64 boundary car id) must
-        round-trip through the ZigZag varint encoding."""
-        base_units = (car,) + base
-        new_units = (car,) + new
-        frame = decode_summary_frame(
-            encode_summary_delta(epoch, base_units, new_units)
-        )
-        assert frame.car == car
-        assert apply_summary_delta(base_units, frame.deltas) == new_units
-
-    @given(
-        old=summary_dict,
-        new=summary_dict,
-        epoch=frame_epochs,
-        stale_epoch=frame_epochs,
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_epoch_mismatch_makes_delta_stale(
-        self, old, new, epoch, stale_epoch
-    ):
-        """The receiver cache must drop a delta whose epoch does not
-        match the baseline's, and resolve it once the epochs agree."""
-        # The cache resolves into PredictionSummary, which demands at
-        # least one prediction.
-        old = {**old, "n": max(1, old["n"])}
-        new = {**new, "car": old["car"], "n": max(1, new["n"])}
-        serde = JsonSerde()
-        cache = SummaryRxCache(serde)
-        cache.resolve(
-            decode_summary_frame(
-                encode_summary_full(serde.serialize(old), epoch)
-            )
-        )
-        delta = encode_summary_delta(
-            stale_epoch, quantize_summary(old), quantize_summary(new)
-        )
-        resolved = cache.resolve(decode_summary_frame(delta))
-        if stale_epoch != epoch:
-            assert resolved is None
-        else:
-            assert resolved is not None
-            assert resolved.to_payload() == summary_payload_from_units(
-                quantize_summary(new)
-            )

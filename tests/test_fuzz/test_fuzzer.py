@@ -148,7 +148,7 @@ class TestPlantedCrash:
         found = FuzzSpec.from_payload(failure["found_spec"])
         spec = FuzzSpec.from_payload(failure["spec"])
         assert spec.handover_fraction > 0
-        assert spec.shards == 1 and not spec.faults and spec.collab is None
+        assert spec.shards == 1 and not spec.faults
         assert spec.vehicles <= found.vehicles
         assert spec.to_payload().keys() <= {"seed", "handover_fraction", "vehicles"}
 

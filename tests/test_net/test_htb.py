@@ -102,86 +102,3 @@ class TestHtbShaper:
             shaper.send("vehicle-0", 200, now=t * 0.1) for t in range(100)
         ]
         assert all(d == 0.0 for d in delays)
-
-
-def build_banded_shaper(root_burst=1000.0, leaf_burst=1000.0):
-    """Two CO-DATA bands on a deliberately tight root: urgent
-    (priority 0) and refresh (priority 1), 1 KB/s assured each."""
-    root = HtbClass("root", 16e3, 16e3, burst_bytes=root_burst)
-    shaper = HtbShaper(root)
-    shaper.add_leaf(
-        HtbClass("urgent", 8e3, 16e3, burst_bytes=leaf_burst, priority=0)
-    )
-    shaper.add_leaf(
-        HtbClass("refresh", 8e3, 16e3, burst_bytes=leaf_burst, priority=1)
-    )
-    return shaper
-
-
-class TestHtbPriority:
-    def test_priority_defaults_to_zero(self):
-        assert HtbClass("x", 1e3).priority == 0
-
-    def test_prioritized_charges_urgent_first(self):
-        """Submission order refresh-then-urgent, but the shared root
-        burst must go to the urgent leaf: refresh eats the deficit."""
-        shaper = build_banded_shaper(root_burst=700.0, leaf_burst=100.0)
-        delays = shaper.send_prioritized(
-            [("refresh", 600), ("urgent", 600)], now=0.0
-        )
-        # Urgent (charged first) fits leaf burst + root borrow; the
-        # refresh frame drains what's left and pays a wait.
-        assert delays[1] == 0.0
-        assert delays[0] > 0.0
-
-    def test_fifo_submission_order_is_starved_without_bands(self):
-        """Same workload through plain send() in submission order:
-        the refresh frame wins the borrow instead — the inversion the
-        priority bands exist to prevent."""
-        shaper = build_banded_shaper(root_burst=700.0, leaf_burst=100.0)
-        refresh_delay = shaper.send("refresh", 600, now=0.0)
-        urgent_delay = shaper.send("urgent", 600, now=0.0)
-        assert refresh_delay == 0.0
-        assert urgent_delay > 0.0
-
-    def test_delays_returned_in_submission_order(self):
-        shaper = build_banded_shaper()
-        delays = shaper.send_prioritized(
-            [("refresh", 100), ("urgent", 100), ("refresh", 100)], now=0.0
-        )
-        assert len(delays) == 3
-        assert all(d == 0.0 for d in delays)
-
-    def test_equal_priority_preserves_submission_order(self):
-        """Ties break by submission index: with equal priorities the
-        first-submitted frame gets the borrow."""
-        root = HtbClass("root", 16e3, 16e3, burst_bytes=700.0)
-        shaper = HtbShaper(root)
-        shaper.add_leaf(HtbClass("a", 8e3, 16e3, burst_bytes=100.0, priority=1))
-        shaper.add_leaf(HtbClass("b", 8e3, 16e3, burst_bytes=100.0, priority=1))
-        delays = shaper.send_prioritized([("a", 600), ("b", 600)], now=0.0)
-        assert delays[0] == 0.0
-        assert delays[1] > 0.0
-
-    def test_low_band_not_permanently_starved(self):
-        """Staleness-bounded refresh traffic still drains: the delay is
-        the leaf's own assured-rate wait, not infinite postponement."""
-        shaper = build_banded_shaper(root_burst=100.0, leaf_burst=100.0)
-        delays = shaper.send_prioritized(
-            [("refresh", 1100), ("urgent", 1100)], now=0.0
-        )
-        # Both waits are finite and bounded by the 1 KB/s assured rate.
-        assert 0.0 < delays[0] < 3.0
-        assert 0.0 < delays[1] < 3.0
-
-    def test_burst_of_urgent_does_not_break_refresh_accounting(self):
-        """After a contested burst, both leaves go on accruing at their
-        assured rates — later sends clear once the deficit is paid."""
-        shaper = build_banded_shaper(root_burst=500.0, leaf_burst=200.0)
-        shaper.send_prioritized(
-            [("refresh", 400), ("urgent", 400), ("urgent", 400)], now=0.0
-        )
-        later = shaper.send_prioritized(
-            [("refresh", 200), ("urgent", 200)], now=5.0
-        )
-        assert later == [0.0, 0.0]

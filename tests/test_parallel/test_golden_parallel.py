@@ -110,6 +110,28 @@ class TestGoldenParallel:
         link = result.rsu_metrics["rsu-mw-link"]
         assert link.summaries_received > 0
 
+    def test_half_handover_bit_identical(self, labeled_dataset):
+        """Half of each motorway's vehicles hand over: twice the
+        fixtures' cross-shard CO-DATA, the same exact equality."""
+        serial = _builder().handover(0.5).corridor(
+            motorways=2, dataset=labeled_dataset
+        )
+        serial_result = serial.run()
+        sharded = _builder().handover(0.5).shards(4).corridor(
+            motorways=2, dataset=labeled_dataset
+        )
+        sharded_result = sharded.run()
+        serial_warnings = {
+            name: rsu.warning_log() for name, rsu in serial.rsus.items()
+        }
+        assert sharded.warning_logs == serial_warnings
+        assert sum(len(w) for w in serial_warnings.values()) > 0
+        assert _vehicle_signature(sharded_result) == _vehicle_signature(
+            serial_result
+        )
+        link = sharded_result.rsu_metrics["rsu-mw-link"]
+        assert link.summaries_received > 0
+
 
 class TestShardedObservability:
     def test_merged_snapshot_matches_serial_totals(self, labeled_dataset):

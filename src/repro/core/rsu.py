@@ -131,7 +131,6 @@ class RsuNode:
         self.broker = Broker(name, clock=lambda: sim.now)
         for topic in (IN_DATA, OUT_DATA, CO_DATA):
             self.broker.create_topic(topic, self.config.topic_partitions)
-        self._serdes: Dict[str, Serde] = dict(self.config.serdes)
         self._in_consumer = self._make_pipeline_consumer()
         self._co_consumer = self._make_collab_consumer()
         jitter_source = None
@@ -318,7 +317,7 @@ class RsuNode:
     # ------------------------------------------------------------------
     def _serde_for(self, topic: str) -> Serde:
         """The serde wired to ``topic``."""
-        return self._serdes[topic]
+        return self.config.serdes[topic]
 
     def _drain_co_data(self) -> None:
         """Fold newly arrived CO-DATA summaries into detection state.

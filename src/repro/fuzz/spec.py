@@ -3,8 +3,8 @@
 A :class:`FuzzSpec` is one point in the composed scenario space: a
 corridor topology, a demand shape (vehicles, duration, handover wave),
 a channel-quality preset, an optional fault schedule, the serde
-profile, and the shard count.  It is
-deliberately *not* a :class:`~repro.core.scenario.ScenarioSpec` — it is
+profile, and the shard count.  It is deliberately *not* a
+:class:`~repro.core.scenario.ScenarioSpec` — it is
 smaller (only the axes the fuzzer explores), always valid by
 construction (its ``__post_init__`` mirrors every cross-field rule the
 builder enforces, so generation never trips a ``ValueError`` mid-run),

@@ -133,19 +133,17 @@ class Histogram:
         self.sum = 0.0
         self.count = 0
 
-    def observe(self, value: float, count: int = 1) -> None:
-        """Record ``value``; ``count > 1`` folds a pre-aggregated
-        ``{value: count}`` tally in one call (the finalize-time folds
-        of hot-path size counters use this)."""
+    def observe(self, value: float) -> None:
+        """Record ``value``."""
         value = float(value)
         for index, edge in enumerate(self.edges):
             if value <= edge:
-                self.counts[index] += count
+                self.counts[index] += 1
                 break
         else:
-            self.counts[-1] += count
-        self.sum += value * count
-        self.count += count
+            self.counts[-1] += 1
+        self.sum += value
+        self.count += 1
 
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0

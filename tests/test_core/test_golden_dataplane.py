@@ -369,8 +369,8 @@ def _failover(at_s):
 
 @pytest.mark.parametrize("at_s", [0.9, 0.93, 1.01])
 def test_failover_settles_the_channel_first(labeled_dataset, at_s):
-    """A failover shuts a broker with no retry policy in the run.
-    ``RsuNode.fail`` settles the uplink first: without that hook the
+    """An ``RsuKill`` failover shuts a broker mid-run, with no producer
+    retry to catch what reaches it.  ``RsuNode.fail`` settles the uplink first: without that hook the
     frames the event uplink had delivered by ``at_s`` reach a broker
     already shut (8 / 4 / 1 records lost at these three instants)."""
     result, scenario = _run(
